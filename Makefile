@@ -20,7 +20,7 @@ SCALEPROCS ?= 4
 MINEFF ?= 0.35
 # Hot-path microbenchmarks gated by bench-check; figure benchmarks are
 # recorded by `make bench` but not gated (multi-second sims, noisier).
-MICROBENCH = RouterStep|PriorityArbiter|LinkScheduler|EstablishWorkload
+MICROBENCH = RouterStep|RouterStepBacklogged|PriorityArbiter|LinkScheduler|EstablishWorkload
 # Network-cycle benchmarks: the serial step plus the worker-pool scaling
 # points (w=2/4/8 sub-benchmarks), gated against $(NETBENCHFILE).
 NETBENCH = NetworkStep|NetworkStepParallel
@@ -48,7 +48,7 @@ SOAKEVENTS ?= 1000000
 SOAKKILLS ?= 25
 SOAKSEED ?= 7
 
-.PHONY: build test vet race fuzz-smoke soak soak-smoke check bench bench-check bench-net bench-net-check bench-sparse bench-sparse-check bench-scale bench-scale-check bench-mem bench-mem-check smoke-large-fabric
+.PHONY: build test perfbench-test vet race fuzz-smoke soak soak-smoke check bench bench-check bench-net bench-net-check bench-sparse bench-sparse-check bench-scale bench-scale-check bench-mem bench-mem-check smoke-large-fabric
 
 build:
 	$(GO) build ./...
@@ -56,16 +56,24 @@ build:
 test:
 	$(GO) test ./...
 
+# perfbench is a module of its own (mmr/perfbench), so `go build ./...`
+# and `go test ./...` above never compile it: vet it and run every
+# workload and probe at toy size.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 vet:
 	$(GO) vet ./...
 
 race:
 	$(GO) test -race ./...
 
-# Short coverage-guided fuzz budget over the network churn property
-# (opens, probes, teardowns, link failures/repairs interleaved).
+# Short coverage-guided fuzz budgets: the network churn property (opens,
+# probes, teardowns, link failures/repairs interleaved), then the link
+# scheduler's one-pass selection against its sorted reference.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzNetworkChurn -fuzztime=$(FUZZTIME) ./internal/network
+	$(GO) test -run='^$$' -fuzz=FuzzCandidatesMatchesSortedReference -fuzztime=$(FUZZTIME) ./internal/sched
 
 # Million-event churn soak: Poisson session arrivals/departures, flash
 # crowds, regional outages, and kill+restore cycles from checkpoints at
@@ -170,4 +178,4 @@ bench-mem-check:
 smoke-large-fabric:
 	$(GO) test -run='^TestLargeFabricSmoke$$' -v -timeout 10m ./internal/network
 
-check: vet test race fuzz-smoke soak-smoke
+check: vet test perfbench-test race fuzz-smoke soak-smoke

@@ -794,6 +794,24 @@ func (n *Network) eject(nd *node, t int64, f *flit.Flit) {
 	nd.pool.Put(f)
 }
 
+// catchUpSource ticks c's traffic source through every cycle before the
+// current one. The ungated engine ticks a source on every cycle, while the
+// gated engine may not have run its host node since lastTick; anything
+// about to change how the source ticks (its rate) or reset lastTick must
+// first replay that gap as it was. The pending cycles all precede the
+// connection's forecast (nextDue), so each tick is a promised no-op — no
+// flits, no RNG — but it advances the source's accumulators exactly as the
+// ungated engine did.
+func (n *Network) catchUpSource(c *Conn) {
+	if c.src == nil {
+		return
+	}
+	for ct := c.lastTick + 1; ct < n.now; ct++ {
+		c.src.Tick(ct)
+	}
+	c.lastTick = n.now - 1
+}
+
 // injectStreams moves source flits into the entry VCs of the connections
 // whose source host sits on this node. Sources are bound to this node's
 // RNG stream, and flits come from this node's pool.

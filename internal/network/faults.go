@@ -225,20 +225,9 @@ func (n *Network) breakConn(c *Conn, reason string) {
 	if c.closed || c.broken || c.Degraded {
 		return
 	}
-	// Catch the source up to the break point before injection stops: the
-	// ungated engine ticks it on every cycle up to (and excluding) this
-	// one, while the gated engine may not have run the host node since
-	// lastTick. The pending cycles all precede the conn's forecast
-	// (nextDue), so each tick is a promised no-op — no flits, no RNG —
-	// but it advances the source's internal accumulators exactly as the
-	// ungated engine would. Without this, installPath's lastTick reset at
-	// restoration would silently discard the gap.
-	if c.src != nil {
-		for ct := c.lastTick + 1; ct < n.now; ct++ {
-			c.src.Tick(ct)
-		}
-		c.lastTick = n.now - 1
-	}
+	// Without this, installPath's lastTick reset at restoration would
+	// silently discard the cycles the source's node slept through.
+	n.catchUpSource(c)
 	c.broken = true
 	c.open = false
 	c.brokenAt = n.now

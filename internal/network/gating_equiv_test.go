@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -110,5 +111,80 @@ func TestNetworkGatingEquivalenceSparse(t *testing.T) {
 	}
 	if ungated.idleSkipped != 0 {
 		t.Fatalf("NoIdleSkip run still skipped %d cycles", ungated.idleSkipped)
+	}
+}
+
+// TestModifyBandwidthGatedSourceCatchUp: renegotiating a CBR session whose
+// source node is gated out must first replay, at the old rate, the ticks
+// the source slept through. Replaying them at the new rate (the defect)
+// makes a checkpoint taken straight afterwards fail — the quiesce replay
+// finds a flit due during an elided cycle — and shifts later arrivals
+// against an ungated run. The gated fabric must encode to the ungated
+// twin's bytes right after the call and agree with it on every statistic
+// afterwards.
+func TestModifyBandwidthGatedSourceCatchUp(t *testing.T) {
+	build := func(noIdleSkip bool) (*Network, *Conn) {
+		tp, err := topology.Mesh(4, 4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(tp)
+		cfg.Seed = 23
+		cfg.NoIdleSkip = noIdleSkip
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One slow session (a flit every few hundred cycles) on an
+		// otherwise empty fabric: its source node sleeps between arrivals.
+		c, err := n.Open(0, 15, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 2 * traffic.Mbps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, c
+	}
+	gated, gc := build(false)
+	ungated, uc := build(true)
+	defer gated.Shutdown()
+	defer ungated.Shutdown()
+
+	// Stop between two arrivals, far enough after the first that the
+	// fabric has drained and the source node is asleep.
+	gated.Run(3_000)
+	ungated.Run(3_000)
+	if gated.idleSkipped == 0 {
+		t.Fatal("the gated fabric skipped no cycles: the source node never slept")
+	}
+	if gc.lastTick >= gated.Now()-1 {
+		t.Fatalf("source ticked through cycle %d at cycle %d: nothing was elided before the modify", gc.lastTick, gated.Now())
+	}
+	for _, m := range []struct {
+		n *Network
+		c *Conn
+	}{{gated, gc}, {ungated, uc}} {
+		if err := m.n.ModifyBandwidth(m.c, 40*traffic.Mbps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gb, err := gated.EncodeState()
+	if err != nil {
+		t.Fatalf("EncodeState straight after ModifyBandwidth on a gated fabric: %v", err)
+	}
+	ub, err := ungated.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb, ub) {
+		t.Fatal("gated and ungated fabrics encode differently straight after ModifyBandwidth")
+	}
+
+	gated.Run(5_000)
+	ungated.Run(5_000)
+	gs, us := gated.Stats(), ungated.Stats()
+	if us.FlitsDelivered == 0 {
+		t.Fatalf("degenerate scenario: %+v", us)
+	}
+	if !reflect.DeepEqual(gs, us) {
+		t.Fatalf("gated run diverged after ModifyBandwidth:\nungated: %+v\ngated:   %+v", us, gs)
 	}
 }

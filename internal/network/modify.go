@@ -84,6 +84,9 @@ func (n *Network) ModifyBandwidth(c *Conn, rate traffic.Rate) error {
 		st.InterArrival = interval
 	}
 	if src, ok := c.src.(*traffic.CBRSource); ok {
+		// The cycles a gated-out source node slept through ran at the old
+		// rate; replay them before the rate changes.
+		n.catchUpSource(c)
 		st := src.ExportState()
 		st.PerCycle = n.cfg.Link.FlitsPerCycle(rate)
 		src.RestoreState(st)

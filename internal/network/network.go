@@ -615,6 +615,7 @@ func New(cfg Config) (*Network, error) {
 			sched.InitLinkScheduler(&lsArr[p], sched.LinkConfig{
 				Input:         p,
 				MaxCandidates: cfg.MaxCandidates,
+				Outputs:       radix,
 				Scheme:        cfg.Scheme,
 				RNG:           nd.rng,
 				NoEnforce:     !cfg.EnforceAllocations,

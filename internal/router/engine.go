@@ -115,8 +115,20 @@ func (r *Router) maskAsyncOutputs() {
 // then ticks the live cycle. The forecast is recomputed only once it
 // expires, after the ticks, so it always describes the source's actual
 // per-cycle state.
+//
+// Most connections on most cycles are CBR sources between arrivals: one
+// cycle behind, forecast silent, nothing queued. Those are ticked through
+// the concrete type — the same accumulator add as the general path below,
+// inlined instead of dispatched, which returns 0 as the forecast promised
+// — and need nothing else this cycle. Every cycle is still ticked, one at
+// a time: the accumulator's rounding depends on it (traffic/forecast.go).
 func (r *Router) injectStreams(t int64) {
 	for _, c := range r.conns {
+		if cbr, ok := c.src.(*traffic.CBRSource); ok && c.lastTick+1 == t && c.nextDue > t && c.niQueue.Len() == 0 {
+			cbr.Tick(t)
+			c.lastTick = t
+			continue
+		}
 		if c.src != nil {
 			for ct := c.lastTick + 1; ct <= t; ct++ {
 				for n := c.src.Tick(ct); n > 0; n-- {

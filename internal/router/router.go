@@ -321,6 +321,9 @@ func New(cfg Config) (*Router, error) {
 			NoEnforce:     !cfg.EnforceAllocations,
 		}, r.mems[p], r.credits[p])
 		r.links[p] = &lsArr[p]
+		// Candidates selects in place: one entry per distinct output
+		// before it cuts to MaxCandidates.
+		r.cands[p] = make([]sched.Candidate, 0, cfg.Ports)
 		a, err := admission.NewLinkAllocator(cfg.RoundLen(), cfg.BEReservePerRound, cfg.Concurrency)
 		if err != nil {
 			return nil, err

@@ -25,7 +25,7 @@ type LinkConfig struct {
 	Input         int
 	MaxCandidates int // the paper sweeps 1, 2, 4, 8 (§5)
 	// Outputs is the router's output port count, sizing the per-output
-	// dedup table at construction. Zero is allowed (the table grows on
+	// slot table at construction. Zero is allowed (the table grows on
 	// first use) but costs one allocation per new high-water output index.
 	Outputs   int
 	Scheme    PriorityScheme
@@ -50,9 +50,12 @@ type LinkScheduler struct {
 	credits *flow.Credits
 
 	eligible *bitvec.Vector // scratch: flits ∧ credits
-	scratch  []Candidate
-	outTaken []bool // scratch, port-indexed: outputs already represented
-	taken    []int  // scratch: outputs marked in outTaken this cycle
+	// slot is the port-indexed table behind the per-output selection:
+	// slot[o] is 1 + the position, among the candidates appended this
+	// cycle, of output o's entry, or 0 while o has none. It is all zeros
+	// between calls.
+	slot    []int32
+	shuffle []Candidate // scratch, SelectRandom only: the set Fisher–Yates permutes
 
 	// excessVC is the VBR connection currently draining its excess
 	// bandwidth (§4.3 serves excess one connection at a time). -1 if none.
@@ -108,8 +111,7 @@ func InitLinkScheduler(ls *LinkScheduler, cfg LinkConfig, mem *vcm.Memory, credi
 		mem:      mem,
 		credits:  credits,
 		eligible: bitvec.New(mem.NumVCs()),
-		outTaken: make([]bool, cfg.Outputs),
-		taken:    make([]int, 0, cfg.MaxCandidates),
+		slot:     make([]int32, cfg.Outputs),
 		excessVC: -1,
 	}
 }
@@ -132,18 +134,14 @@ func (ls *LinkScheduler) OnRoundBoundary() {
 // occupancy count is maintained incrementally by the VCM, making this O(1).
 func (ls *LinkScheduler) Active() bool { return ls.mem.Occupied() > 0 }
 
-// classify returns the service phase of VC vc right now, or -1 if the VC
-// has exhausted its bandwidth for this round.
-func (ls *LinkScheduler) classify(vc int) (Phase, bool) {
-	st := ls.mem.State(vc)
+// classify returns the service phase of VC vc (whose state is st) right
+// now; ok is false if the VC has exhausted its bandwidth for this round.
+func (ls *LinkScheduler) classify(vc int, st *vcm.VCState) (phase Phase, ok bool) {
 	switch st.Class {
 	case flit.ClassControl:
 		return PhaseControl, true
 	case flit.ClassCBR:
-		if ls.cfg.NoEnforce {
-			return PhaseGuaranteed, true
-		}
-		if ls.mem.Serviced(vc) < st.Allocated {
+		if ls.cfg.NoEnforce || ls.mem.Serviced(vc) < st.Allocated {
 			return PhaseGuaranteed, true
 		}
 		return 0, false
@@ -165,7 +163,22 @@ func (ls *LinkScheduler) classify(vc int) (Phase, bool) {
 }
 
 // Candidates appends up to MaxCandidates candidates for the next flit
-// cycle to dst and returns the extended slice, best first.
+// cycle to dst and returns the extended slice, best first. dst is also the
+// working set of the selection, so it holds up to one entry per distinct
+// output before the cut: a caller that wants no allocation passes a slice
+// with that much room.
+//
+// An input transmits at most one flit per cycle, so a second candidate for
+// the same output can never improve the matching — spending candidate
+// slots on distinct outputs is what makes more candidates raise switch
+// utilization (§5.2), and the per-output winner is exactly what the
+// output-side arbitration would pick anyway. The priority path therefore
+// needs a maximum per output, not an order over the eligible VCs: one pass
+// over the eligibility vector keeps each output's running best in dst
+// (found through the slot table), and only those at most Outputs winners
+// are ordered. Better is a strict total order over one input's VCs, so
+// this yields the same candidates in the same order as sorting every
+// eligible VC and keeping the first MaxCandidates distinct outputs.
 func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 	flits := ls.mem.FlitsAvailable()
 	ls.eligible.And(flits, ls.credits.Vector())
@@ -175,7 +188,12 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 	if !ls.eligible.Any() {
 		return dst
 	}
-	ls.scratch = ls.scratch[:0]
+	random := ls.cfg.Selection == SelectRandom
+	// With one candidate the per-output bests collapse to the single best
+	// overall: a plain running maximum in dst[base], no slot table.
+	single := ls.cfg.MaxCandidates == 1
+	base := len(dst)
+	ls.shuffle = ls.shuffle[:0]
 	excessSeen := false
 	// Word-level scan of the eligibility vector (bits.TrailingZeros64 under
 	// NextSet) instead of a per-bit callback: this loop runs for every
@@ -185,7 +203,7 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 		if st.Output < 0 {
 			continue // unrouted VC (header still in the routing unit)
 		}
-		phase, ok := ls.classify(vc)
+		phase, ok := ls.classify(vc, st)
 		if !ok {
 			ls.counters.RoundExhausted++
 			continue
@@ -199,18 +217,27 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 				continue
 			}
 		}
-		head := ls.mem.Peek(vc)
-		prio := ls.cfg.Scheme.Priority(now, st, head)
+		prio := ls.cfg.Scheme.Priority(now, st, ls.mem.Peek(vc))
 		if prio > float64(st.BasePriority) {
 			ls.counters.BiasBoosted++
 		}
-		ls.scratch = append(ls.scratch, Candidate{
-			Input:    ls.cfg.Input,
-			VC:       vc,
-			Output:   st.Output,
-			Phase:    phase,
-			Priority: prio,
-		})
+		if random {
+			ls.shuffle = append(ls.shuffle, Candidate{Input: ls.cfg.Input, VC: vc, Output: st.Output, Phase: phase, Priority: prio})
+			continue
+		}
+		// at is where in dst the entry this VC competes with lives;
+		// len(dst) if it is the first for its output (or the first at all).
+		at := base
+		if !single {
+			at = ls.slotFor(st.Output, len(dst)-base) + base
+		}
+		if at == len(dst) {
+			dst = append(dst, Candidate{Input: ls.cfg.Input, VC: vc, Output: st.Output, Phase: phase, Priority: prio})
+		} else if cur := &dst[at]; phase < cur.Phase || (phase == cur.Phase && prio > cur.Priority) {
+			// Better(this, cur) with the tie-break dropped: same input, and
+			// VCs are scanned in increasing order, so a tie keeps cur.
+			*cur = Candidate{Input: ls.cfg.Input, VC: vc, Output: st.Output, Phase: phase, Priority: prio}
+		}
 	}
 	// If the current excess VC went ineligible, elect a successor: the
 	// eligible excess VC with the highest static priority.
@@ -224,48 +251,54 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 		// mirrors hardware, where election happens in parallel with the
 		// current cycle's arbitration.
 	}
-	if len(ls.scratch) == 0 {
-		return dst
-	}
-	switch ls.cfg.Selection {
-	case SelectRandom:
-		for i := len(ls.scratch) - 1; i > 0; i-- {
+	switch {
+	case random:
+		// Random order, then the first MaxCandidates distinct outputs.
+		for i := len(ls.shuffle) - 1; i > 0; i-- {
 			j := ls.cfg.RNG.Intn(i + 1)
-			ls.scratch[i], ls.scratch[j] = ls.scratch[j], ls.scratch[i]
+			ls.shuffle[i], ls.shuffle[j] = ls.shuffle[j], ls.shuffle[i]
 		}
-	default:
-		sortCandidates(ls.scratch)
-	}
-	// Keep the best candidate per distinct output. An input transmits at
-	// most one flit per cycle, so a second candidate for the same output
-	// can never improve the matching — spending candidate slots on
-	// distinct outputs is what makes more candidates raise switch
-	// utilization (§5.2). The per-output winner is exactly what the
-	// output-side arbitration would pick anyway.
-	n := 0
-	for _, c := range ls.scratch {
-		if c.Output >= len(ls.outTaken) {
-			grown := make([]bool, c.Output+1)
-			copy(grown, ls.outTaken)
-			ls.outTaken = grown
+		for _, c := range ls.shuffle {
+			if len(dst)-base == ls.cfg.MaxCandidates {
+				break
+			}
+			if ls.slotFor(c.Output, len(dst)-base) == len(dst)-base {
+				dst = append(dst, c)
+			}
 		}
-		if ls.outTaken[c.Output] {
-			continue
-		}
-		ls.outTaken[c.Output] = true
-		ls.taken = append(ls.taken, c.Output)
-		dst = append(dst, c)
-		n++
-		if n >= ls.cfg.MaxCandidates {
-			break
+		ls.clearSlots(dst[base:])
+	case !single:
+		ls.clearSlots(dst[base:])
+		sortCandidates(dst[base:])
+		if len(dst)-base > ls.cfg.MaxCandidates {
+			dst = dst[:base+ls.cfg.MaxCandidates]
 		}
 	}
-	for _, o := range ls.taken {
-		ls.outTaken[o] = false
-	}
-	ls.taken = ls.taken[:0]
-	ls.counters.Nominated += int64(n)
+	ls.counters.Nominated += int64(len(dst) - base)
 	return dst
+}
+
+// slotFor returns the position, among the candidates appended this cycle,
+// of output out's entry. An output without one is assigned position next —
+// where the caller is about to append — so a return of next means "new".
+func (ls *LinkScheduler) slotFor(out, next int) int {
+	if out >= len(ls.slot) {
+		// Only a scheduler built with too small a LinkConfig.Outputs gets here.
+		ls.slot = append(ls.slot, make([]int32, out+1-len(ls.slot))...)
+	}
+	if s := ls.slot[out]; s != 0 {
+		return int(s) - 1
+	}
+	ls.slot[out] = int32(next) + 1
+	return next
+}
+
+// clearSlots returns the slot table to all zeros, given the candidates that
+// hold its nonzero entries.
+func (ls *LinkScheduler) clearSlots(held []Candidate) {
+	for i := range held {
+		ls.slot[held[i].Output] = 0
+	}
 }
 
 // stillExcessEligible reports whether vc remains an eligible excess-phase
@@ -274,7 +307,7 @@ func (ls *LinkScheduler) stillExcessEligible(vc int) bool {
 	if !ls.eligible.Test(vc) {
 		return false
 	}
-	phase, ok := ls.classify(vc)
+	phase, ok := ls.classify(vc, ls.mem.State(vc))
 	return ok && phase == PhaseExcess
 }
 
@@ -283,8 +316,9 @@ func (ls *LinkScheduler) stillExcessEligible(vc int) bool {
 func (ls *LinkScheduler) electExcess() {
 	best, bestPrio := -1, 0
 	for vc := ls.eligible.NextSet(0); vc >= 0; vc = ls.eligible.NextSet(vc + 1) {
-		if phase, ok := ls.classify(vc); ok && phase == PhaseExcess {
-			p := ls.mem.State(vc).BasePriority
+		st := ls.mem.State(vc)
+		if phase, ok := ls.classify(vc, st); ok && phase == PhaseExcess {
+			p := st.BasePriority
 			if best < 0 || p > bestPrio {
 				best, bestPrio = vc, p
 			}
@@ -295,8 +329,8 @@ func (ls *LinkScheduler) electExcess() {
 
 // ExportState returns the scheduler's cross-cycle state for
 // checkpointing: the elected excess VC and the cumulative counters.
-// Everything else the scheduler holds (eligibility vector, candidate
-// scratch, dedup table) is recomputed from scratch each cycle.
+// Everything else the scheduler holds (eligibility vector, slot table,
+// shuffle scratch) is recomputed from scratch each cycle.
 func (ls *LinkScheduler) ExportState() (excessVC int, c LinkCounters) {
 	return ls.excessVC, ls.counters
 }
@@ -310,9 +344,8 @@ func (ls *LinkScheduler) RestoreState(excessVC int, c LinkCounters) {
 // ExcessVC exposes the currently elected excess connection for tests.
 func (ls *LinkScheduler) ExcessVC() int { return ls.excessVC }
 
-// sortCandidates orders candidates best-first (insertion sort: candidate
-// sets are small — at most the eligible VC count, typically under a few
-// dozen).
+// sortCandidates orders candidates best-first. Insertion sort: the only
+// caller passes the per-output winners, at most one per output port.
 func sortCandidates(cs []Candidate) {
 	for i := 1; i < len(cs); i++ {
 		for j := i; j > 0 && Better(cs[j], cs[j-1]); j-- {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -27,16 +28,23 @@ func TestBetterOrdering(t *testing.T) {
 	}
 }
 
+// TestSortCandidates: the sort orders the per-output winners — one input,
+// distinct outputs and VCs — by phase, then priority, then VC.
 func TestSortCandidates(t *testing.T) {
 	cs := []Candidate{
-		{Phase: PhaseBestEffort, Priority: 50},
-		{Phase: PhaseGuaranteed, Priority: 1},
-		{Phase: PhaseControl},
-		{Phase: PhaseGuaranteed, Priority: 7},
+		{VC: 9, Output: 0, Phase: PhaseBestEffort, Priority: 50},
+		{VC: 5, Output: 1, Phase: PhaseGuaranteed, Priority: 1},
+		{VC: 7, Output: 2, Phase: PhaseControl},
+		{VC: 4, Output: 3, Phase: PhaseGuaranteed, Priority: 7},
+		{VC: 2, Output: 4, Phase: PhaseGuaranteed, Priority: 1},
 	}
 	sortCandidates(cs)
-	if cs[0].Phase != PhaseControl || cs[1].Priority != 7 || cs[2].Priority != 1 || cs[3].Phase != PhaseBestEffort {
-		t.Fatalf("sorted order wrong: %+v", cs)
+	var order []int
+	for _, c := range cs {
+		order = append(order, c.VC)
+	}
+	if want := []int{7, 4, 2, 5, 9}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("sorted VC order %v, want %v", order, want)
 	}
 }
 
