@@ -48,7 +48,7 @@ SOAKEVENTS ?= 1000000
 SOAKKILLS ?= 25
 SOAKSEED ?= 7
 
-.PHONY: build test perfbench-test vet race fuzz-smoke soak soak-smoke check bench bench-check bench-net bench-net-check bench-sparse bench-sparse-check bench-scale bench-scale-check bench-mem bench-mem-check smoke-large-fabric
+.PHONY: build test perfbench-test vet fmt-check ci-names race fuzz-smoke soak soak-smoke check bench bench-check bench-net bench-net-check bench-sparse bench-sparse-check bench-scale bench-scale-check bench-mem bench-mem-check smoke-large-fabric
 
 build:
 	$(GO) build ./...
@@ -65,15 +65,26 @@ perfbench-test:
 vet:
 	$(GO) vet ./...
 
+fmt-check:
+	test -z "$$(gofmt -l .)"
+
+# `go test -run` passes silently when a pattern matches nothing: check
+# that every -run (and -fuzz) pattern in CI and in this file still names
+# a test of its package.
+ci-names:
+	GO=$(GO) sh .github/ci-names.sh .github/workflows/ci.yml Makefile
+
 race:
 	$(GO) test -race ./...
 
 # Short coverage-guided fuzz budgets: the network churn property (opens,
-# probes, teardowns, link failures/repairs interleaved), then the link
-# scheduler's one-pass selection against its sorted reference.
+# probes, teardowns, link failures/repairs interleaved), the link
+# scheduler's one-pass selection against its sorted reference, and the
+# EPB search against its map-based reference.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzNetworkChurn -fuzztime=$(FUZZTIME) ./internal/network
 	$(GO) test -run='^$$' -fuzz=FuzzCandidatesMatchesSortedReference -fuzztime=$(FUZZTIME) ./internal/sched
+	$(GO) test -run='^$$' -fuzz=FuzzSearchIntoMatchesReference -fuzztime=$(FUZZTIME) ./internal/routing
 
 # Million-event churn soak: Poisson session arrivals/departures, flash
 # crowds, regional outages, and kill+restore cycles from checkpoints at
@@ -178,4 +189,4 @@ bench-mem-check:
 smoke-large-fabric:
 	$(GO) test -run='^TestLargeFabricSmoke$$' -v -timeout 10m ./internal/network
 
-check: vet test perfbench-test race fuzz-smoke soak-smoke
+check: vet fmt-check ci-names test perfbench-test race fuzz-smoke soak-smoke

@@ -404,11 +404,12 @@ func (d *daemon) handleOpen(w http.ResponseWriter, r *http.Request) {
 			}
 			reply <- ctlResp{v: openResponse{Conn: int(c.ID), Nodes: c.Nodes, SetupCycles: c.SetupTime, Cycle: n.Now()}}
 		}
+		form := network.FormRetry
 		if req.NoRetry {
-			finish(n.OpenAs(req.Tenant, req.Src, req.Dst, spec))
-			return
+			form = network.FormOnce
 		}
-		if err := n.OpenWithRetryAs(req.Tenant, req.Src, req.Dst, spec, finish); err != nil {
+		or := network.OpenReq{Src: req.Src, Dst: req.Dst, Spec: spec, Tenant: req.Tenant}
+		if err := n.OpenRequest(or, form, finish); err != nil {
 			reply <- ctlResp{err: err} // endpoint validation failed; finish will not fire
 		}
 	}

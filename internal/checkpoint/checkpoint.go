@@ -29,12 +29,11 @@ import (
 // network's ID counter) to the network payload.
 const Version uint32 = 4
 
-// MinVersion is the oldest format this build still decodes. Version 3
-// payloads are a strict prefix of version 4 (the v4 additions are a
-// trailer), so they restore with default tenant state; versions 1 and 2
-// predate the sparse tracker layout, which cannot be reconstructed, and
-// are refused.
-const MinVersion uint32 = 3
+// MinVersion is the oldest format this build still decodes: only the
+// current one. There is no deployed base of older checkpoints to
+// migrate, so a version bump simply invalidates them (with a clean
+// error from Open, never a partial restore).
+const MinVersion = Version
 
 // magic identifies a checkpoint file. 8 bytes: "MMRCKPT" + NUL.
 var magic = [8]byte{'M', 'M', 'R', 'C', 'K', 'P', 'T', 0}
@@ -225,20 +224,9 @@ const headerLen = 32
 // Seal wraps payload in the checkpoint envelope at the current format
 // version.
 func Seal(configHash uint64, payload []byte) []byte {
-	return SealAt(Version, configHash, payload)
-}
-
-// SealAt wraps payload in the checkpoint envelope stamped with an
-// explicit format version — the compatibility tests use it to write
-// files a previous release would have written. The version must be in
-// the decodable range.
-func SealAt(version uint32, configHash uint64, payload []byte) []byte {
-	if version < MinVersion || version > Version {
-		panic(fmt.Sprintf("checkpoint: SealAt version %d outside [%d,%d]", version, MinVersion, Version))
-	}
 	out := make([]byte, 0, headerLen+len(payload))
 	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, version)
+	out = binary.LittleEndian.AppendUint32(out, Version)
 	out = binary.LittleEndian.AppendUint64(out, configHash)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
@@ -307,8 +295,7 @@ func WriteFile(path string, configHash uint64, payload []byte) error {
 
 // ReadFile reads and validates a checkpoint from path, checking the
 // configuration hash against wantHash. It returns the payload and the
-// format version it was written at, so decoders can apply
-// older-version compatibility rules.
+// format version it was written at.
 func ReadFile(path string, wantHash uint64) ([]byte, uint32, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

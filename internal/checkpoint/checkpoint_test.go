@@ -105,32 +105,6 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSealAtOldVersion(t *testing.T) {
-	payload := []byte("older state")
-	data := SealAt(MinVersion, 42, payload)
-	ver, hash, got, err := Open(data)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if ver != MinVersion {
-		t.Errorf("version = %d, want %d", ver, MinVersion)
-	}
-	if hash != 42 || string(got) != string(payload) {
-		t.Errorf("hash = %d payload = %q", hash, got)
-	}
-	// Versions outside the decodable range are a programming error.
-	for _, bad := range []uint32{MinVersion - 1, Version + 1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("SealAt(%d) did not panic", bad)
-				}
-			}()
-			SealAt(bad, 0, nil)
-		}()
-	}
-}
-
 func TestOpenRejectsCorruption(t *testing.T) {
 	payload := []byte("some state")
 	data := Seal(7, payload)
@@ -161,11 +135,12 @@ func TestOpenRejectsCorruption(t *testing.T) {
 	if _, _, _, err := Open(bad); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("expected version error, got %v", err)
 	}
-	// A version older than MinVersion is refused too.
+	// The previous format version is refused too: nothing older than the
+	// current version decodes.
 	bad = append([]byte(nil), data...)
-	bad[8] = byte(MinVersion - 1)
-	if _, _, _, err := Open(bad); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("expected version error for pre-MinVersion file, got %v", err)
+	bad[8] = byte(Version - 1)
+	if _, _, _, err := Open(bad); err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Errorf("expected version error for a version-3 file, got %v", err)
 	}
 }
 

@@ -22,11 +22,11 @@ func TestPlanBuilderAndValidate(t *testing.T) {
 	bad := []*Plan{
 		NewPlan(1).FailLinkAt(10, -1, 0),
 		NewPlan(1).FailLinkAt(10, 0, 9),
-		NewPlan(1).FailLinkAt(10, 0, 1),  // unwired port on node 0 of a mesh corner
-		NewPlan(1).FailLinkAt(-5, 0, 0),  // before cycle 0
-		NewPlan(1).FailRouterAt(10, 99),  // node out of range
-		NewPlan(1).Impair(0, 0, 1.5, 0),  // probability > 1
-		NewPlan(1).Impair(0, 1, 0.1, 0),  // unwired port
+		NewPlan(1).FailLinkAt(10, 0, 1), // unwired port on node 0 of a mesh corner
+		NewPlan(1).FailLinkAt(-5, 0, 0), // before cycle 0
+		NewPlan(1).FailRouterAt(10, 99), // node out of range
+		NewPlan(1).Impair(0, 0, 1.5, 0), // probability > 1
+		NewPlan(1).Impair(0, 1, 0.1, 0), // unwired port
 		NewPlan(1).WithMTBF(-1, 10),
 	}
 	for i, bp := range bad {

@@ -3,36 +3,17 @@ package network
 import (
 	"fmt"
 
-	"mmr/internal/flit"
 	"mmr/internal/routing"
 	"mmr/internal/traffic"
-	"mmr/internal/vcm"
 )
 
-// transientHold is the VC state used to hold a reservation while a
-// search is still in flight; installPath replaces it on success.
-func transientHold(spec traffic.ConnSpec) vcm.VCState {
-	return vcm.VCState{Conn: flit.InvalidConn, Class: spec.Class, Output: -1}
-}
-
-// batch.go implements batched connection establishment. OpenBatch sets up
-// many sessions in one call with the per-open overheads amortized away:
-// one search scratch (stamped history arrays, a reservation stack) serves
-// every search, Conn records and their Path/VCs/Nodes slices are carved
-// from chunked arenas instead of individually allocated, and hierarchical
+// batch.go is what batched establishment adds to the single request:
 // admission pre-checks — per-source entry VCs, per-destination ejection
-// headroom, and per-region border-capacity aggregates — reject provably
-// doomed requests before any probe walks the fabric. Bringing up ~10⁶
-// sessions on a datacenter-scale fabric is the target workload.
-
-// OpenReq is one connection request in a batch.
-type OpenReq struct {
-	Src, Dst int
-	Spec     traffic.ConnSpec
-	// Tenant names the admission-quota owner of the session ("" is the
-	// default tenant, unlimited unless a quota is configured for "").
-	Tenant string
-}
+// headroom, per-region border-capacity aggregates — that reject provably
+// doomed requests before any probe walks the fabric, and the chunked
+// arenas every session's Conn record and Path/VCs/Nodes slices are
+// carved from. Bringing up ~10⁶ sessions on a datacenter-scale fabric
+// is the target workload; the search and its ledger are probe.go's.
 
 // OpenResult reports one request's outcome: the established connection,
 // or the error that rejected it.
@@ -72,19 +53,19 @@ func (e *precheckError) Error() string {
 	}
 }
 
-// connChunkSize is the Conn arena granularity. Chunks are never moved or
+// connArena is where sessions' records live. Chunks are never moved or
 // freed while any of their connections is referenced, so pointers into a
 // chunk are stable for the life of the fabric.
-const connChunkSize = 1024
+type connArena struct {
+	chunk []Conn
+	hops  []routing.PathHop
+	vcs   []routing.VCRef
+	nodes []int
+}
 
-// batchState carries the reusable scratch and the per-batch admission
-// pre-check tables. The scratch persists on the Network across batches;
-// the tables are re-derived per batch (lazily, per node touched) because
-// fabric state moves between batches.
-type batchState struct {
-	search   *routing.SearchScratch
-	resStack []probeHop
-
+// precheckTables are one OpenBatch call's admission pre-check tables,
+// derived lazily, per node touched.
+type precheckTables struct {
 	// freeVCs[src] counts down the unreserved VCs on src's host input
 	// port (every accepted session consumes exactly one entry VC there);
 	// ejHead[dst] counts down the guaranteed-cycle headroom of dst's host
@@ -103,80 +84,49 @@ type batchState struct {
 	outBorder   []int64
 	inBorder    []int64
 	borderReady bool
-
-	connChunk []Conn
-	hopArena  []routing.PathHop
-	vcArena   []routing.VCRef
-	nodeArena []int
 }
 
-// carve returns a zero-length, exact-capacity slice backed by *arena,
-// growing the arena chunk when exhausted. installPath appends exactly the
-// reserved capacity, so the connection's records land in the arena with
-// no per-connection allocation.
-func carve[T any](arena *[]T, need int) []T {
+// refit returns s emptied if it has room for need elements, else a
+// zero-length, exact-capacity slice carved from *arena (a fresh chunk
+// when the current one is exhausted). installPath appends exactly need,
+// so a new connection's records land in the arena with no allocation of
+// their own.
+func refit[T any](s []T, arena *[]T, need int) []T {
+	if cap(s) >= need {
+		return s[:0]
+	}
 	if cap(*arena)-len(*arena) < need {
-		size := 4096
-		if need > size {
-			size = need
-		}
-		*arena = make([]T, 0, size)
+		*arena = make([]T, 0, max(4096, need))
 	}
 	base := len(*arena)
 	*arena = (*arena)[:base+need]
-	return (*arena)[base : base : base+need][:0]
+	return (*arena)[base : base : base+need]
 }
 
-// conn carves one Conn record from the chunked arena. The record is only
-// committed by advancing the chunk; a failed establishment reuses it.
-func (bs *batchState) conn() *Conn {
-	if len(bs.connChunk) == cap(bs.connChunk) {
-		bs.connChunk = make([]Conn, 0, connChunkSize)
+// conn carves one Conn record from the arena, 1024 to a chunk.
+func (a *connArena) conn() *Conn {
+	if len(a.chunk) == cap(a.chunk) {
+		a.chunk = make([]Conn, 0, 1024)
 	}
-	bs.connChunk = bs.connChunk[:len(bs.connChunk)+1]
-	return &bs.connChunk[len(bs.connChunk)-1]
+	a.chunk = a.chunk[:len(a.chunk)+1]
+	return &a.chunk[len(a.chunk)-1]
 }
 
-// uncommit returns the most recently carved Conn record to the arena
-// (the record must not have escaped).
-func (bs *batchState) uncommit() {
-	bs.connChunk = bs.connChunk[:len(bs.connChunk)-1]
-}
-
-func (n *Network) batchState() *batchState {
-	if n.batch == nil {
-		n.batch = &batchState{search: routing.NewSearchScratch(n.cfg.Topology.Nodes)}
+func (n *Network) newPrecheckTables() *precheckTables {
+	pre := &precheckTables{freeVCs: make([]int32, len(n.nodes)), ejHead: make([]int32, len(n.nodes))}
+	for i := range pre.freeVCs {
+		pre.freeVCs[i], pre.ejHead[i] = -1, -1
 	}
-	bs := n.batch
-	nNodes := len(n.nodes)
-	if bs.freeVCs == nil {
-		bs.freeVCs = make([]int32, nNodes)
-		bs.ejHead = make([]int32, nNodes)
-	}
-	for i := range bs.freeVCs {
-		bs.freeVCs[i] = -1
-		bs.ejHead[i] = -1
-	}
-	bs.borderReady = false
-	return bs
+	return pre
 }
 
 // buildBorders derives the per-region border-capacity aggregates from
 // the live admission registers: one O(nodes × radix) sweep per batch,
 // paid only when a cross-region request shows up.
-func (n *Network) buildBorders(bs *batchState) {
+func (n *Network) buildBorders(pre *precheckTables) {
 	tp := n.cfg.Topology
-	nr := tp.NumRegions()
-	if cap(bs.outBorder) < nr {
-		bs.outBorder = make([]int64, nr)
-		bs.inBorder = make([]int64, nr)
-	}
-	bs.outBorder = bs.outBorder[:nr]
-	bs.inBorder = bs.inBorder[:nr]
-	for r := range bs.outBorder {
-		bs.outBorder[r] = 0
-		bs.inBorder[r] = 0
-	}
+	pre.outBorder = make([]int64, tp.NumRegions())
+	pre.inBorder = make([]int64, tp.NumRegions())
 	for _, nd := range n.nodes {
 		r := tp.Region(nd.id)
 		for p := 0; p < tp.Ports; p++ {
@@ -186,12 +136,12 @@ func (n *Network) buildBorders(bs *batchState) {
 			}
 			if pr := tp.Region(peer); pr != r {
 				h := int64(nd.alloc[p].Headroom())
-				bs.outBorder[r] += h
-				bs.inBorder[pr] += h
+				pre.outBorder[r] += h
+				pre.inBorder[pr] += h
 			}
 		}
 	}
-	bs.borderReady = true
+	pre.borderReady = true
 }
 
 // precheck rejects requests that provably cannot establish, without
@@ -201,18 +151,18 @@ func (n *Network) buildBorders(bs *batchState) {
 // of the source's outbound cut or the destination's inbound cut can
 // carry. Each check fails only when real establishment must fail too, so
 // pre-checked batches accept exactly the sessions serial Open would.
-func (n *Network) precheck(bs *batchState, req OpenReq, d demand) error {
+func (n *Network) precheck(pre *precheckTables, req OpenReq, d demand) error {
 	hp := n.cfg.hostPort()
-	if bs.freeVCs[req.Src] < 0 {
-		bs.freeVCs[req.Src] = int32(n.nodes[req.Src].mems[hp].FreeVCs())
+	if pre.freeVCs[req.Src] < 0 {
+		pre.freeVCs[req.Src] = int32(n.nodes[req.Src].mems[hp].FreeVCs())
 	}
-	if bs.freeVCs[req.Src] == 0 {
+	if pre.freeVCs[req.Src] == 0 {
 		return &precheckError{kind: precheckNoEntryVC, node: req.Src}
 	}
-	if bs.ejHead[req.Dst] < 0 {
-		bs.ejHead[req.Dst] = int32(n.nodes[req.Dst].alloc[hp].Headroom())
+	if pre.ejHead[req.Dst] < 0 {
+		pre.ejHead[req.Dst] = int32(n.nodes[req.Dst].alloc[hp].Headroom())
 	}
-	if d.alloc > int(bs.ejHead[req.Dst]) {
+	if d.alloc > int(pre.ejHead[req.Dst]) {
 		return &precheckError{kind: precheckNoEjection, node: req.Dst, rate: req.Spec.Rate}
 	}
 	// Regional aggregates only apply under minimal routing: a Valiant
@@ -222,13 +172,13 @@ func (n *Network) precheck(bs *batchState, req OpenReq, d demand) error {
 	if n.cfg.Route == routing.RouteMinimal && tp.NumRegions() > 1 {
 		sr, dr := tp.Region(req.Src), tp.Region(req.Dst)
 		if sr != dr {
-			if !bs.borderReady {
-				n.buildBorders(bs)
+			if !pre.borderReady {
+				n.buildBorders(pre)
 			}
-			if bs.outBorder[sr] < int64(d.alloc) {
+			if pre.outBorder[sr] < int64(d.alloc) {
 				return &precheckError{kind: precheckNoOutBorder, node: sr, rate: req.Spec.Rate}
 			}
-			if bs.inBorder[dr] < int64(d.alloc) {
+			if pre.inBorder[dr] < int64(d.alloc) {
 				return &precheckError{kind: precheckNoInBorder, node: dr, rate: req.Spec.Rate}
 			}
 		}
@@ -236,164 +186,33 @@ func (n *Network) precheck(bs *batchState, req OpenReq, d demand) error {
 	return nil
 }
 
-// commit updates the pre-check tables after an accepted establishment:
-// one entry VC at the source, d.alloc ejection cycles at the destination
-// (both exact), and d.alloc against each border aggregate a cross-region
-// path must have crossed (keeping the aggregates upper bounds — a path
-// may cross a cut more than once, never less).
-func (n *Network) precheckCommit(bs *batchState, req OpenReq, d demand) {
-	bs.freeVCs[req.Src]--
-	bs.ejHead[req.Dst] -= int32(d.alloc)
-	tp := n.cfg.Topology
-	if bs.borderReady {
+// precheckCommit updates the tables after an accepted establishment: one entry
+// VC at the source, d.alloc ejection cycles at the destination (both
+// exact), and d.alloc against each border aggregate a cross-region path
+// must have crossed (keeping the aggregates upper bounds — a path may
+// cross a cut more than once, never less).
+func (n *Network) precheckCommit(pre *precheckTables, req OpenReq, d demand) {
+	pre.freeVCs[req.Src]--
+	pre.ejHead[req.Dst] -= int32(d.alloc)
+	if pre.borderReady {
+		tp := n.cfg.Topology
 		if sr, dr := tp.Region(req.Src), tp.Region(req.Dst); sr != dr {
-			bs.outBorder[sr] -= int64(d.alloc)
-			bs.inBorder[dr] -= int64(d.alloc)
+			pre.outBorder[sr] -= int64(d.alloc)
+			pre.inBorder[dr] -= int64(d.alloc)
 		}
 	}
 }
 
-// OpenBatch establishes every request in order and reports per-request
-// outcomes. Results are identical to calling Open in the same order —
-// same searches, same admissions, same RNG draws for every request that
-// reaches establishment — but the per-open overheads (search state,
-// reservation bookkeeping, path allocations) are amortized across the
-// batch and provably doomed requests are rejected by the admission
-// pre-checks before any search runs.
+// OpenBatch is OpenRequest(FormOnce) for every request in order,
+// reporting per-request outcomes. Results are identical to opening them
+// one by one — same searches, same admissions, same RNG draws for every
+// request that reaches establishment — but provably doomed requests are
+// rejected by the admission pre-checks before any search runs.
 func (n *Network) OpenBatch(reqs []OpenReq) []OpenResult {
 	out := make([]OpenResult, len(reqs))
-	bs := n.batchState()
+	pre := n.newPrecheckTables()
 	for i, req := range reqs {
-		out[i] = n.openBatched(bs, req)
+		out[i].Conn, out[i].Err = n.open(req, pre)
 	}
 	return out
-}
-
-func (n *Network) openBatched(bs *batchState, req OpenReq) OpenResult {
-	if err := n.checkEndpoints(req.Src, req.Dst, req.Spec); err != nil {
-		return OpenResult{Err: err}
-	}
-	n.m.setupAttempts++
-	d := n.demandFor(req.Spec)
-	// Tenant quota is the cheapest pre-check of all: no fabric state read.
-	if !n.tenants.CanAdmit(req.Tenant, d.alloc) {
-		n.m.setupRejected++
-		return OpenResult{Err: tenantQuotaError(req.Tenant, n.tenants)}
-	}
-	if err := n.precheck(bs, req, d); err != nil {
-		n.m.setupRejected++
-		return OpenResult{Err: err}
-	}
-	conn := bs.conn()
-	*conn = Conn{ID: flit.ConnID(len(n.conns)), Src: req.Src, Dst: req.Dst, Tenant: req.Tenant, Spec: req.Spec, dstSlot: -1}
-	if err := n.establishBatch(conn, bs, d); err != nil {
-		bs.uncommit()
-		n.m.setupRejected++
-		return OpenResult{Err: err}
-	}
-	n.tenants.AdmitSession(req.Tenant, d.alloc)
-	n.conns = append(n.conns, conn)
-	n.nodes[req.Src].srcConns = append(n.nodes[req.Src].srcConns, conn)
-	n.assignTrackerSlot(conn)
-	n.precheckCommit(bs, req, d)
-	n.m.setupAccepted++
-	n.m.setupLatency.Add(float64(conn.SetupTime))
-	n.m.setupBacktracks.Add(float64(conn.Backtracks))
-	return OpenResult{Conn: conn}
-}
-
-// establishBatch is establish against batch scratch: the EPB search runs
-// on the shared SearchScratch, per-hop reservations live on a stack
-// (EPB releases are LIFO by construction — only the hop that led to the
-// current node is ever released), and the connection's path records are
-// carved from the arenas at their exact final size. Decisions are
-// identical to the serial path.
-func (n *Network) establishBatch(conn *Conn, bs *batchState, d demand) error {
-	if n.cfg.Route != routing.RouteMinimal {
-		if err := n.establishMultipath(conn); err == nil {
-			return nil
-		}
-	}
-	src, dst, spec := conn.Src, conn.Dst, conn.Spec
-	hp := n.cfg.hostPort()
-	entryVC := n.nodes[src].mems[hp].FindFree(n.rng.Intn(n.cfg.VCs))
-	if entryVC < 0 {
-		return fmt.Errorf("network: no free VC on host port of node %d", src)
-	}
-	n.nodes[src].mems[hp].Reserve(entryVC, transientHold(spec))
-
-	bs.resStack = bs.resStack[:0]
-	committed := false
-	defer func() {
-		if committed {
-			return
-		}
-		for i := len(bs.resStack) - 1; i >= 0; i-- {
-			h := bs.resStack[i]
-			n.releaseOut(n.nodes[h.node], h.port, spec, d)
-			nb := n.cfg.Topology.Wired(h.node, h.port)
-			pp := n.cfg.Topology.WiredPeer(h.node, h.port)
-			n.nodes[nb].mems[pp].Release(h.vc)
-		}
-		n.nodes[src].mems[hp].Release(entryVC)
-	}()
-
-	reserve := func(nodeID, port int) bool {
-		if searchHook != nil {
-			searchHook()
-		}
-		nb := n.cfg.Topology.Neighbor(nodeID, port)
-		if nb < 0 {
-			return false
-		}
-		pp := n.cfg.Topology.PeerPort(nodeID, port)
-		vc := n.nodes[nb].mems[pp].FindFree(n.rng.Intn(n.cfg.VCs))
-		if vc < 0 {
-			return false
-		}
-		if !n.admitOut(n.nodes[nodeID], port, spec, d) {
-			return false
-		}
-		n.nodes[nb].mems[pp].Reserve(vc, transientHold(spec))
-		bs.resStack = append(bs.resStack, probeHop{node: nodeID, port: port, vc: vc})
-		return true
-	}
-	release := func(nodeID, port int) {
-		if len(bs.resStack) == 0 {
-			panic("network: release of unreserved hop")
-		}
-		h := bs.resStack[len(bs.resStack)-1]
-		if h.node != nodeID || h.port != port {
-			panic("network: non-LIFO release in batched establishment")
-		}
-		bs.resStack = bs.resStack[:len(bs.resStack)-1]
-		n.releaseOut(n.nodes[nodeID], port, spec, d)
-		nb := n.cfg.Topology.Wired(nodeID, port)
-		pp := n.cfg.Topology.WiredPeer(nodeID, port)
-		n.nodes[nb].mems[pp].Release(h.vc)
-	}
-
-	sr, err := routing.SearchInto(n.cfg.Topology, n.dists, src, dst, reserve, release, bs.search)
-	if err != nil {
-		return err
-	}
-	if !n.admitOut(n.nodes[dst], hp, spec, d) {
-		for i := len(sr.Path) - 1; i >= 0; i-- {
-			release(sr.Path[i].Node, sr.Path[i].Port)
-		}
-		return fmt.Errorf("network: destination host port of node %d cannot admit %v", dst, spec.Rate)
-	}
-
-	// The surviving reservation stack is exactly the final path, in hop
-	// order: reserves pushed on every forward step, releases popped on
-	// every backtrack.
-	committed = true
-	conn.Backtracks = sr.Backtracks
-	conn.SetupTime = n.cfg.HopLatency * int64(sr.Visited+sr.Backtracks+len(sr.Path))
-	h := len(bs.resStack)
-	conn.Path = carve(&bs.hopArena, h)
-	conn.VCs = carve(&bs.vcArena, h+1)
-	conn.Nodes = carve(&bs.nodeArena, h+1)
-	n.installPath(conn, entryVC, bs.resStack, d)
-	return nil
 }

@@ -1,8 +1,11 @@
 package network
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
+	"mmr/internal/admission"
 	"mmr/internal/flit"
 	"mmr/internal/routing"
 	"mmr/internal/topology"
@@ -22,68 +25,125 @@ func batchReqs(nodes, shells int, spec traffic.ConnSpec) []OpenReq {
 	return reqs
 }
 
-// TestOpenBatchMatchesSerial asserts OpenBatch is bit-exact with a serial
-// Open loop when no pre-check short-circuits: same paths, same VCs, same
-// RNG stream, and — after stepping both fabrics — byte-identical
-// checkpoints.
+// TestOpenBatchMatchesSerial asserts OpenBatch is bit-exact with opening
+// the same requests one at a time, under every route mode, with tenant
+// quotas and capacity refusing part of the list: same accept set, same
+// paths, same VCs, same RNG position and byte-identical checkpoints —
+// straight after bring-up and again after a fault sequence has pushed
+// both fabrics through restoration, degradation and re-promotion (which
+// run the same establishment engine on existing sessions).
 func TestOpenBatchMatchesSerial(t *testing.T) {
+	for _, route := range []routing.RouteMode{routing.RouteMinimal, routing.RouteValiant, routing.RouteUGAL} {
+		t.Run(route.String(), func(t *testing.T) { batchMatchesSerial(t, route) })
+	}
+}
+
+func batchMatchesSerial(t *testing.T, route routing.RouteMode) {
 	build := func() *Network {
 		tp, err := topology.FatTree(4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := New(DefaultConfig(tp))
+		cfg := DefaultConfig(tp)
+		cfg.Route = route
+		n, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		n.Tenants().SetQuota("capped", admission.TenantQuota{MaxSessions: 7})
 		return n
 	}
-	spec := traffic.ConnSpec{Class: flit.ClassCBR, Rate: 8 * traffic.Mbps}
-	reqs := batchReqs(topology.FatTreeNodes(4), 3, spec)
-
-	serial := build()
-	for _, r := range reqs {
-		if _, err := serial.Open(r.Src, r.Dst, r.Spec); err != nil {
-			t.Fatalf("serial Open(%d,%d): %v", r.Src, r.Dst, err)
+	// Three light shells (every third request on a tenant that runs out
+	// of sessions), then a heavy tail that saturates edge router 0's two
+	// uplinks — a shortage no pre-check sees, so the refused requests
+	// search (and draw) in both fabrics.
+	reqs := batchReqs(topology.FatTreeNodes(4), 3, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 8 * traffic.Mbps})
+	for i := range reqs {
+		if i%3 == 0 {
+			reqs[i].Tenant = "capped"
 		}
 	}
-	batched := build()
+	for dst := 8; dst < 20; dst++ {
+		reqs = append(reqs, OpenReq{Src: 0, Dst: dst, Spec: traffic.ConnSpec{Class: flit.ClassCBR, Rate: 400 * traffic.Mbps}})
+	}
+
+	serial, batched := build(), build()
+	defer serial.Shutdown()
+	defer batched.Shutdown()
 	res := batched.OpenBatch(reqs)
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("batched request %d: %v", i, r.Err)
+	accepted := 0
+	for i, r := range reqs {
+		_, err := openAs(serial, r.Tenant, r.Src, r.Dst, r.Spec)
+		if (err == nil) != (res[i].Err == nil) {
+			t.Fatalf("request %d: one at a time %v, batched %v", i, err, res[i].Err)
+		}
+		if err == nil {
+			accepted++
 		}
 	}
-
-	sc := serial.Conns()
-	bc := batched.Conns()
+	if accepted < 40 || accepted > len(reqs)-16 {
+		t.Fatalf("accepted %d of %d: the list should straddle the tenant and capacity limits", accepted, len(reqs))
+	}
+	sc, bc := serial.Conns(), batched.Conns()
 	if len(sc) != len(bc) {
 		t.Fatalf("conn counts differ: %d vs %d", len(sc), len(bc))
 	}
 	for i := range sc {
 		a, b := sc[i], bc[i]
-		if a.SetupTime != b.SetupTime || a.Backtracks != b.Backtracks || len(a.Path) != len(b.Path) {
-			t.Fatalf("conn %d setup differs: %+v vs %+v", i, a, b)
-		}
-		for j := range a.Path {
-			if a.Path[j] != b.Path[j] || a.VCs[j] != b.VCs[j] || a.Nodes[j] != b.Nodes[j] {
-				t.Fatalf("conn %d hop %d differs", i, j)
-			}
+		if a.SetupTime != b.SetupTime || a.Backtracks != b.Backtracks || a.Tenant != b.Tenant ||
+			!reflect.DeepEqual(a.Path, b.Path) || !reflect.DeepEqual(a.VCs, b.VCs) || !reflect.DeepEqual(a.Nodes, b.Nodes) {
+			t.Fatalf("conn %d differs: %+v vs %+v", i, a, b)
 		}
 	}
-
+	same := func(when string) {
+		t.Helper()
+		if serial.rng.State() != batched.rng.State() {
+			t.Fatalf("%s: master RNG positions differ", when)
+		}
+		sb, err := serial.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bb, err := batched.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sb, bb) {
+			t.Fatalf("%s: checkpoints differ", when)
+		}
+	}
+	same("after bring-up")
 	serial.Run(2000)
 	batched.Run(2000)
-	sb, err := serial.EncodeState()
-	if err != nil {
-		t.Fatal(err)
+	same("after 2000 cycles")
+
+	// Cut edge router 0 off (its sessions cannot be restored and degrade)
+	// and one aggregation–core link (its sessions restore elsewhere), then
+	// repair everything (the degraded sessions are re-promoted).
+	for _, n := range []*Network{serial, batched} {
+		for _, l := range [][2]int{{0, 2}, {0, 3}, {9, 2}} {
+			if err := n.FailLink(l[0], l[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n.Run(4000)
 	}
-	bb, err := batched.EncodeState()
-	if err != nil {
-		t.Fatal(err)
+	same("after the faults")
+	for _, n := range []*Network{serial, batched} {
+		for _, l := range [][2]int{{0, 2}, {0, 3}, {9, 2}} {
+			if err := n.RestoreLink(l[0], l[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n.Run(4000)
 	}
-	if string(sb) != string(bb) {
-		t.Fatal("serial and batched fabrics diverged: checkpoints differ")
+	same("after the repairs")
+	st := batched.Stats()
+	if st.ConnsRestored == 0 || st.ConnsDegraded == 0 || st.ConnsPromoted == 0 {
+		t.Fatalf("fault sequence too gentle: %d restored, %d degraded, %d promoted", st.ConnsRestored, st.ConnsDegraded, st.ConnsPromoted)
+	}
+	if err := batched.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -317,7 +377,7 @@ func TestQuiesceProbes(t *testing.T) {
 	spec := traffic.ConnSpec{Class: flit.ClassCBR, Rate: 8 * traffic.Mbps}
 	opened := 0
 	for i := 0; i < 6; i++ {
-		err := n.OpenAsync(i, 15-i, spec, func(c *Conn, err error) {
+		err := openProbe(n, "", i, 15-i, spec, func(c *Conn, err error) {
 			if err == nil {
 				opened++
 			}

@@ -46,33 +46,24 @@ import (
 // active establishment probe, or a pending event that is not in the
 // durable journal (anything scheduled via Network.Schedule directly).
 func (n *Network) EncodeState() ([]byte, error) {
-	payload, _, err := n.encodeStateParts()
-	return payload, err
-}
-
-// encodeStateParts encodes the payload and reports where the v4 trailer
-// begins — payload[:trailerStart] is byte-identical to what a version-3
-// writer produced, which the compatibility tests exploit to fabricate
-// genuine old-format checkpoints.
-func (n *Network) encodeStateParts() ([]byte, int, error) {
 	if n.activeProbes > 0 {
-		return nil, 0, fmt.Errorf("network: cannot checkpoint with %d establishment probes in flight", n.activeProbes)
+		return nil, fmt.Errorf("network: cannot checkpoint with %d establishment probes in flight", n.activeProbes)
 	}
 	if p := n.events.Pending(); p != len(n.durables) {
-		return nil, 0, fmt.Errorf("network: cannot checkpoint: %d pending events but only %d in the durable journal (events scheduled via Schedule hold closures a checkpoint cannot serialize)", p, len(n.durables))
+		return nil, fmt.Errorf("network: cannot checkpoint: %d pending events but only %d in the durable journal (events scheduled via Schedule hold closures a checkpoint cannot serialize)", p, len(n.durables))
 	}
 	for _, nd := range n.nodes {
 		if len(nd.dropCredits) != 0 {
-			return nil, 0, fmt.Errorf("network: cannot checkpoint mid-cycle: node %d has staged drop credits", nd.id)
+			return nil, fmt.Errorf("network: cannot checkpoint mid-cycle: node %d has staged drop credits", nd.id)
 		}
 		for p := range nd.claim {
 			if nd.claim[p].vc != -1 {
-				return nil, 0, fmt.Errorf("network: cannot checkpoint mid-cycle: node %d has a staged VC claim on port %d", nd.id, p)
+				return nil, fmt.Errorf("network: cannot checkpoint mid-cycle: node %d has a staged VC claim on port %d", nd.id, p)
 			}
 		}
 	}
 	if err := n.quiesce(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 
 	e := checkpoint.NewEncoder()
@@ -174,13 +165,13 @@ func (n *Network) encodeStateParts() ([]byte, int, error) {
 		e.Bool(c.src != nil)
 		if c.src != nil {
 			if err := encodeConnSource(e, c); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 		}
 		e.Int(c.niQueue.Len())
 		for i := 0; i < c.niQueue.Len(); i++ {
 			if err := encodeFlit(e, c.niQueue.At(i)); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 		}
 	}
@@ -204,14 +195,14 @@ func (n *Network) encodeStateParts() ([]byte, int, error) {
 			e.F64(st.PerCycle)
 			e.F64(st.Acc)
 		default:
-			return nil, 0, fmt.Errorf("network: best-effort flow has unserializable generator %T", bf.gen)
+			return nil, fmt.Errorf("network: best-effort flow has unserializable generator %T", bf.gen)
 		}
 		e.I64(bf.lastTick)
 		e.I64(bf.nextDue)
 		e.Int(bf.niQueue.Len())
 		for i := 0; i < bf.niQueue.Len(); i++ {
 			if err := encodeFlit(e, bf.niQueue.At(i)); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 		}
 	}
@@ -287,7 +278,7 @@ func (n *Network) encodeStateParts() ([]byte, int, error) {
 				e.Int(ln)
 				for i := 0; i < ln; i++ {
 					if err := encodeFlit(e, mem.FlitAt(vc, i)); err != nil {
-						return nil, 0, err
+						return nil, err
 					}
 				}
 			}
@@ -342,7 +333,7 @@ func (n *Network) encodeStateParts() ([]byte, int, error) {
 				e.I64(lf.arriveAt)
 				e.Int(lf.vc)
 				if err := encodeFlit(e, lf.f); err != nil {
-					return nil, 0, err
+					return nil, err
 				}
 			}
 
@@ -424,24 +415,22 @@ func (n *Network) encodeStateParts() ([]byte, int, error) {
 	for _, id := range ids {
 		or := n.openRetries[id]
 		e.I64(id)
-		e.Int(or.src)
-		e.Int(or.dst)
-		encodeSpec(e, or.spec)
+		e.Int(or.req.Src)
+		e.Int(or.req.Dst)
+		encodeSpec(e, or.req.Spec)
 		e.Int(or.attempt)
 	}
 	e.I64(n.nextOpenID)
 
-	// --- version 4 trailer: tenant admission state and re-promotion
-	// bookkeeping. Strictly appended so payload[:trailerStart] remains a
-	// valid version-3 payload. Tenant *usage* and the degradedLive
-	// counter are deliberately not serialized: both are recomputed from
-	// the restored connections, so they can never disagree with them.
-	trailerStart := e.Len()
+	// --- trailer: tenant admission state and re-promotion bookkeeping.
+	// Tenant *usage* and the degradedLive counter are deliberately not
+	// serialized: both are recomputed from the restored connections, so
+	// they can never disagree with them.
 	for _, c := range n.conns {
 		e.String(c.Tenant)
 	}
 	for _, id := range ids {
-		e.String(n.openRetries[id].tenant)
+		e.String(n.openRetries[id].req.Tenant)
 	}
 	qnames := make([]string, 0)
 	for _, name := range n.tenants.Names() {
@@ -459,7 +448,7 @@ func (n *Network) encodeStateParts() ([]byte, int, error) {
 	e.I64(m.connsPromoted)
 	e.I64(n.promoteGen)
 
-	return e.Bytes(), trailerStart, nil
+	return e.Bytes(), nil
 }
 
 // RestoreState deserializes a payload produced by EncodeState into n,
@@ -468,24 +457,8 @@ func (n *Network) encodeStateParts() ([]byte, int, error) {
 // Do not call ApplyPlan or schedule anything before restoring — the
 // checkpoint carries the fault schedule and every pending event. After
 // a successful restore the global resource invariants are audited.
-// The payload is assumed to be current-format; RestoreStateVersion
-// decodes older formats.
+// The payload must be of the current format version.
 func (n *Network) RestoreState(payload []byte) error {
-	return n.RestoreStateVersion(payload, checkpoint.Version)
-}
-
-// RestoreStateVersion is RestoreState for a payload written at an
-// explicit format version (as reported by the envelope). Version 3
-// payloads predate tenant quotas and re-promotion: they restore with
-// every session on the default tenant, no quotas, and a zero promotion
-// generation, and their degraded connections — which the old lifecycle
-// left with the broken flag still set — are normalized to the
-// Degraded-implies-not-broken invariant the promotion subsystem
-// depends on.
-func (n *Network) RestoreStateVersion(payload []byte, ver uint32) error {
-	if ver < checkpoint.MinVersion || ver > checkpoint.Version {
-		return fmt.Errorf("network: cannot restore format version %d (decodable range %d..%d)", ver, checkpoint.MinVersion, checkpoint.Version)
-	}
 	if n.now != 0 || len(n.conns) != 0 || len(n.beFlows) != 0 ||
 		n.events.Pending() != 0 || len(n.sessionLog) != 0 || len(n.faultSchedule) != 0 {
 		return fmt.Errorf("network: restore target must be a freshly built network")
@@ -943,9 +916,9 @@ func (n *Network) RestoreStateVersion(payload []byte, ver uint32) error {
 	for i := 0; i < nOR; i++ {
 		id := d.I64()
 		or := &openRetry{}
-		or.src = d.Int()
-		or.dst = d.Int()
-		or.spec = decodeSpec(d)
+		or.req.Src = d.Int()
+		or.req.Dst = d.Int()
+		or.req.Spec = decodeSpec(d)
 		or.attempt = d.Int()
 		if d.Err() == nil {
 			n.openRetries[id] = or
@@ -954,39 +927,27 @@ func (n *Network) RestoreStateVersion(payload []byte, ver uint32) error {
 	}
 	n.nextOpenID = d.I64()
 
-	if ver >= 4 {
-		// v4 trailer: tenant owners (conn order, then open-retry order as
-		// written — ascending ID), quota table, promotion bookkeeping.
-		for _, c := range n.conns {
-			c.Tenant = d.String()
-		}
-		for _, id := range orIDs {
-			n.openRetries[id].tenant = d.String()
-		}
-		nq := d.Int()
-		if err := checkCount(d, nq, "tenant quotas"); err != nil {
-			return err
-		}
-		for i := 0; i < nq; i++ {
-			name := d.String()
-			q := admission.TenantQuota{MaxSessions: d.Int(), MaxGuaranteed: d.Int()}
-			if d.Err() == nil {
-				n.tenants.SetQuota(name, q)
-			}
-		}
-		m.connsPromoted = d.I64()
-		n.promoteGen = d.I64()
-	} else {
-		// v3: the old fault lifecycle left degraded connections with the
-		// broken flag still set; normalize to the current invariant
-		// (Degraded implies !broken; only lost keeps broken) so promotion
-		// cannot resurrect a half-broken connection.
-		for _, c := range n.conns {
-			if c.Degraded && !c.lost {
-				c.broken = false
-			}
+	// Trailer: tenant owners (conn order, then open-retry order as
+	// written — ascending ID), quota table, promotion bookkeeping.
+	for _, c := range n.conns {
+		c.Tenant = d.String()
+	}
+	for _, id := range orIDs {
+		n.openRetries[id].req.Tenant = d.String()
+	}
+	nq := d.Int()
+	if err := checkCount(d, nq, "tenant quotas"); err != nil {
+		return err
+	}
+	for i := 0; i < nq; i++ {
+		name := d.String()
+		q := admission.TenantQuota{MaxSessions: d.Int(), MaxGuaranteed: d.Int()}
+		if d.Err() == nil {
+			n.tenants.SetQuota(name, q)
 		}
 	}
+	m.connsPromoted = d.I64()
+	n.promoteGen = d.I64()
 
 	if err := d.Err(); err != nil {
 		return err
@@ -998,19 +959,18 @@ func (n *Network) RestoreStateVersion(payload []byte, ver uint32) error {
 
 	// Telemetry tenant slots are observability state, not checkpoint
 	// payload: re-derive them in conn (= ID) order once tenant owners are
-	// known (the v4 trailer above fills c.Tenant; v3 payloads predate
-	// tenants, so everything lands in the default slot). This must run
-	// after the trailer — assignTrackerSlot already derived slots during
-	// the conn loop, but at that point every owner still read as default.
+	// known (the trailer above fills c.Tenant). This must run after the
+	// trailer — assignTrackerSlot already derived slots during the conn
+	// loop, but at that point every owner still read as default.
 	for _, c := range n.conns {
 		c.tenantSlot = n.tenantSlotFor(c.Tenant)
 	}
 
 	// Derived admission state: recomputed from the restored connections
-	// (for either version) so counters and charges can never drift from
-	// the sessions they describe. Guaranteed bandwidth is charged while a
-	// session holds (or is awaiting restoration of) a guaranteed path;
-	// a degraded session holds only its session slot.
+	// so counters and charges can never drift from the sessions they
+	// describe. Guaranteed bandwidth is charged while a session holds (or
+	// is awaiting restoration of) a guaranteed path; a degraded session
+	// holds only its session slot.
 	n.degradedLive = 0
 	n.tenants.ResetUsage()
 	for _, c := range n.conns {
@@ -1107,6 +1067,15 @@ func RestoreCheckpoint(cfg Config, path string) (*Network, error) {
 		return nil, err
 	}
 	return n, nil
+}
+
+// RestoreStateVersion is RestoreState for a payload whose envelope
+// reported format version ver: only the current version decodes.
+func (n *Network) RestoreStateVersion(payload []byte, ver uint32) error {
+	if ver != checkpoint.Version {
+		return fmt.Errorf("network: cannot restore format version %d (this build decodes only version %d)", ver, checkpoint.Version)
+	}
+	return n.RestoreState(payload)
 }
 
 // ConfigHash returns the FNV-1a hash of everything about the

@@ -5,7 +5,6 @@ import (
 
 	"mmr/internal/faults"
 	"mmr/internal/sim"
-	"mmr/internal/traffic"
 )
 
 // durable.go reifies the control plane's scheduled work as data. The
@@ -45,19 +44,17 @@ type durableEvent struct {
 	a, b int64
 }
 
-// openRetry is the pending state of one OpenWithRetry call whose first
-// synchronous attempt failed. The done callback is process-local and is
-// deliberately NOT checkpointed: after a restore the retry sequence
-// continues with identical fabric-visible effects (searches, RNG draws,
-// admission changes), but completion is reported to no one — the daemon
-// layer treats a restore as having answered all in-flight requests with
-// "retry pending".
+// openRetry is the state of one FormRetry request (journaled once its
+// first, synchronous attempt has failed). The done callback is
+// process-local and is deliberately NOT checkpointed: after a restore
+// the retry sequence continues with identical fabric-visible effects
+// (searches, RNG draws, admission changes), but completion is reported
+// to no one — the daemon layer treats a restore as having answered all
+// in-flight requests with "retry pending".
 type openRetry struct {
-	src, dst int
-	tenant   string
-	spec     traffic.ConnSpec
-	attempt  int
-	done     func(*Conn, error)
+	req     OpenReq
+	attempt int
+	done    func(*Conn, error)
 }
 
 // scheduleDurable registers a journal record and schedules its dispatch
@@ -81,7 +78,11 @@ func (n *Network) fireDurable(ev *durableEvent) {
 	case durRestore:
 		n.restoreAttempt(n.conns[ev.a], int(ev.b))
 	case durOpenRetry:
-		n.openAttempt(ev.a)
+		// A missing registry entry (possible only through manual journal
+		// editing) is a no-op.
+		if or := n.openRetries[ev.a]; or != nil {
+			n.openAttempt(ev.a, or)
+		}
 	case durPromote:
 		n.promoteScan(ev.a, int(ev.b))
 	default:
@@ -136,28 +137,23 @@ func (n *Network) restoreAttempt(c *Conn, attempt int) {
 	n.scheduleDurable(n.now+delay, durRestore, int64(c.ID), int64(attempt+1))
 }
 
-// openAttempt runs the next re-search of a journaled OpenWithRetry. A
-// missing registry entry (possible only through manual journal editing)
-// is a no-op.
-func (n *Network) openAttempt(id int64) {
-	or, ok := n.openRetries[id]
-	if !ok {
-		return
-	}
-	c, err := n.OpenAs(or.tenant, or.src, or.dst, or.spec)
-	if err == nil {
+// openAttempt runs the next attempt of a FormRetry request: the first,
+// synchronous one (id < 0: not journaled yet) or a journaled re-search.
+// It reports success, or the last error once the retry budget is spent;
+// otherwise it journals the next attempt after a jittered backoff.
+func (n *Network) openAttempt(id int64, or *openRetry) {
+	c, err := n.open(or.req, nil)
+	if err == nil || or.attempt >= n.cfg.Fault.MaxRetries {
 		delete(n.openRetries, id)
-		if or.done != nil {
-			or.done(c, nil)
+		if or.done != nil { // a restored retry reports to no one
+			or.done(c, err)
 		}
 		return
 	}
-	if or.attempt >= n.cfg.Fault.MaxRetries {
-		delete(n.openRetries, id)
-		if or.done != nil {
-			or.done(nil, err)
-		}
-		return
+	if id < 0 {
+		id = n.nextOpenID
+		n.nextOpenID++
+		n.openRetries[id] = or
 	}
 	delay := n.retryBackoff(or.attempt)
 	or.attempt++

@@ -10,49 +10,154 @@ import (
 	"mmr/internal/vcm"
 )
 
-// searchHook, when non-nil, runs inside every synchronous per-hop
-// reservation. Tests use it to inject panics mid-search and verify the
-// release-on-error path; it is never set in production code.
-var searchHook func()
+// establish.go is the admission side of connection establishment: the
+// ways in (Open, OpenWithRetry, OpenBatch in batch.go, and OpenRequest,
+// which they are forms of), the one pre-admission check and the one
+// registration every new session passes, and teardown. The reservation
+// side — the hold ledger, the EPB search, the probe — is probe.go.
 
-// Open establishes a connection from the host at src to the host at dst
-// using EPB (§3.5): the probe searches minimal paths, reserving at each
-// hop an input virtual channel on the next router and bandwidth on the
-// output link (§4.2), backtracking and releasing when a hop has no
-// resources. On success the channel mappings and per-VC scheduling state
-// are installed at every router and the source begins injecting.
-//
-// Open is a single synchronous attempt; OpenWithRetry adds bounded,
-// jittered exponential-backoff re-searches over event time. The session
-// belongs to the default tenant; OpenAs names one.
-func (n *Network) Open(src, dst int, spec traffic.ConnSpec) (*Conn, error) {
-	return n.OpenAs("", src, dst, spec)
+// OpenReq is one connection request.
+type OpenReq struct {
+	Src, Dst int
+	Spec     traffic.ConnSpec
+	// Tenant names the admission-quota owner of the session ("" is the
+	// default tenant, unlimited unless a quota is configured for "").
+	Tenant string
 }
 
-// OpenAs is Open on behalf of a tenant: the session and its guaranteed
-// demand are charged against the tenant's admission quota
-// (internal/admission.TenantTable) before any path search runs, so an
-// over-budget tenant is refused without spending fabric work, and the
-// charge follows the session through degradation (bandwidth refunded,
-// session kept) and re-promotion (bandwidth re-charged).
-func (n *Network) OpenAs(tenant string, src, dst int, spec traffic.ConnSpec) (*Conn, error) {
-	if err := n.checkEndpoints(src, dst, spec); err != nil {
+// Form is how OpenRequest establishes a request.
+type Form uint8
+
+const (
+	// FormOnce is a single synchronous attempt, reported before
+	// OpenRequest returns.
+	FormOnce Form = iota
+	// FormRetry attempts now and, on failure, re-searches with jittered
+	// exponential backoff over event time — up to cfg.Fault.MaxRetries
+	// more attempts, so teardowns, restorations and link repairs in
+	// between can free what the first search could not find — before
+	// reporting the last error. Pending retries live in the durable-event
+	// journal (durable.go) and survive a checkpoint; the callback does
+	// not: a restored fabric replays them and reports to no one.
+	FormRetry
+	// FormProbe launches an event-driven EPB probe that advances one hop
+	// per HopLatency cycles and races every other probe in flight; an
+	// acknowledgment retraces the path before the session is reported and
+	// injection starts (probe.go).
+	FormProbe
+)
+
+// OpenRequest establishes a connection from the host at req.Src to the
+// host at req.Dst using EPB (§3.5): the probe searches minimal paths,
+// reserving at each hop an input virtual channel on the next router and
+// bandwidth on the output link (§4.2), backtracking and releasing when a
+// hop has no resources. On success the channel mappings and per-VC
+// scheduling state are installed at every router and the source begins
+// injecting. The session and its guaranteed demand are charged against
+// req.Tenant's admission quota (internal/admission.TenantTable) before
+// any search runs, so an over-budget tenant is refused without spending
+// fabric work, and the charge follows the session through degradation
+// (bandwidth refunded, session kept) and re-promotion (re-charged).
+//
+// The returned error only reports a malformed request (done is then not
+// called); the outcome of a well-formed one goes to done, which may be
+// nil. Open, OpenWithRetry and OpenBatch are this call with the default
+// tenant, or with many requests at once.
+func (n *Network) OpenRequest(req OpenReq, form Form, done func(*Conn, error)) error {
+	if err := n.checkEndpoints(req); err != nil {
+		return err
+	}
+	if done == nil {
+		done = func(*Conn, error) {}
+	}
+	switch form {
+	case FormOnce:
+		done(n.open(req, nil))
+	case FormRetry:
+		n.openAttempt(-1, &openRetry{req: req, done: done})
+	case FormProbe:
+		n.launchProbe(req, done)
+	default:
+		return fmt.Errorf("network: unknown establishment form %d", form)
+	}
+	return nil
+}
+
+// Open is OpenRequest(FormOnce) for the default tenant.
+func (n *Network) Open(src, dst int, spec traffic.ConnSpec) (*Conn, error) {
+	return n.open(OpenReq{Src: src, Dst: dst, Spec: spec}, nil)
+}
+
+// OpenWithRetry is OpenRequest(FormRetry) for the default tenant.
+func (n *Network) OpenWithRetry(src, dst int, spec traffic.ConnSpec, done func(*Conn, error)) error {
+	return n.OpenRequest(OpenReq{Src: src, Dst: dst, Spec: spec}, FormRetry, done)
+}
+
+// open is one synchronous establishment attempt: pre-admit, reserve a
+// path on the network's own ledger, register. pre is OpenBatch's
+// pre-check tables, nil for a single request.
+func (n *Network) open(req OpenReq, pre *precheckTables) (*Conn, error) {
+	d, err := n.preAdmit(req, pre)
+	if err != nil {
 		return nil, err
+	}
+	l := &n.sync
+	l.begin(n, req, d)
+	var conn *Conn
+	if err = n.reservePath(l); err == nil {
+		err = l.try(func() (err error) {
+			conn, err = n.register(l)
+			return err
+		})
+	}
+	if err != nil {
+		n.m.setupRejected++
+		return nil, err
+	}
+	if pre != nil {
+		n.precheckCommit(pre, req, d)
+	}
+	return conn, nil
+}
+
+// preAdmit is the check every request passes before it may touch the
+// fabric: well-formed endpoints, then — counted as a set-up attempt, and
+// as a rejection if refused — the tenant's quota (the cheapest check of
+// all: no fabric state read) and, in a batch, the pre-check tables.
+func (n *Network) preAdmit(req OpenReq, pre *precheckTables) (demand, error) {
+	if err := n.checkEndpoints(req); err != nil {
+		return demand{}, err
 	}
 	n.m.setupAttempts++
-	d := n.demandFor(spec)
-	if !n.tenants.CanAdmit(tenant, d.alloc) {
-		n.m.setupRejected++
-		return nil, tenantQuotaError(tenant, n.tenants)
+	d := n.demandFor(req.Spec)
+	var err error
+	if !n.tenants.CanAdmit(req.Tenant, d.alloc) {
+		err = tenantQuotaError(req.Tenant, n.tenants)
+	} else if pre != nil {
+		err = n.precheck(pre, req, d)
 	}
-	conn := &Conn{ID: flit.ConnID(len(n.conns)), Src: src, Dst: dst, Tenant: tenant, Spec: spec, dstSlot: -1}
-	if err := n.establish(conn); err != nil {
+	if err != nil {
 		n.m.setupRejected++
-		return nil, err
 	}
-	n.tenants.AdmitSession(tenant, d.alloc)
+	return d, err
+}
+
+// register turns a complete reservation into a session: the tenant is
+// charged, the path installed, the connection recorded and counted. The
+// charge can only be refused to a probe — its tenant's budget may have
+// filled while it was in flight — and then nothing has been touched; the
+// caller's try gives the reservation back, exactly as a failed
+// acknowledgment would.
+func (n *Network) register(l *holds) (*Conn, error) {
+	req := l.req
+	if !n.tenants.AdmitSession(req.Tenant, l.d.alloc) {
+		return nil, tenantQuotaError(req.Tenant, n.tenants)
+	}
+	conn := n.arena.conn()
+	*conn = Conn{ID: flit.ConnID(len(n.conns)), Src: req.Src, Dst: req.Dst, Tenant: req.Tenant, Spec: req.Spec, dstSlot: -1}
+	n.installPath(conn, l)
 	n.conns = append(n.conns, conn)
-	n.nodes[src].srcConns = append(n.nodes[src].srcConns, conn)
+	n.nodes[req.Src].srcConns = append(n.nodes[req.Src].srcConns, conn)
 	n.assignTrackerSlot(conn)
 	n.m.setupAccepted++
 	n.m.setupLatency.Add(float64(conn.SetupTime))
@@ -60,47 +165,16 @@ func (n *Network) OpenAs(tenant string, src, dst int, spec traffic.ConnSpec) (*C
 	return conn, nil
 }
 
-// OpenWithRetry attempts Open now and, on failure, schedules jittered
-// exponential-backoff re-searches on the event engine — up to
-// cfg.Fault.MaxRetries additional attempts — before reporting the last
-// error to done. Retries ride event time, so teardowns, restorations and
-// link repairs between attempts can free the resources a first search
-// could not find.
-//
-// Pending retries live in the durable-event journal (durable.go), so
-// they survive a checkpoint/restore with identical fabric-visible
-// behaviour. The done callback does not: a restored fabric replays the
-// remaining attempts but reports completion to no one.
-func (n *Network) OpenWithRetry(src, dst int, spec traffic.ConnSpec, done func(*Conn, error)) error {
-	return n.OpenWithRetryAs("", src, dst, spec, done)
-}
-
-// OpenWithRetryAs is OpenWithRetry on behalf of a tenant; the tenant
-// rides the durable retry journal, so re-searches after a restore are
-// still quota-charged to the right owner.
-func (n *Network) OpenWithRetryAs(tenant string, src, dst int, spec traffic.ConnSpec, done func(*Conn, error)) error {
-	if err := n.checkEndpoints(src, dst, spec); err != nil {
+// establish reserves a path for an existing connection and installs it:
+// the engine of fault restoration and re-promotion, whose sessions are
+// already registered.
+func (n *Network) establish(conn *Conn) error {
+	l := &n.sync
+	l.begin(n, OpenReq{Src: conn.Src, Dst: conn.Dst, Spec: conn.Spec, Tenant: conn.Tenant}, n.demandFor(conn.Spec))
+	if err := n.reservePath(l); err != nil {
 		return err
 	}
-	c, err := n.OpenAs(tenant, src, dst, spec)
-	if err == nil {
-		if done != nil {
-			done(c, nil)
-		}
-		return nil
-	}
-	if n.cfg.Fault.MaxRetries <= 0 {
-		if done != nil {
-			done(nil, err)
-		}
-		return nil
-	}
-	id := n.nextOpenID
-	n.nextOpenID++
-	n.openRetries[id] = &openRetry{src: src, dst: dst, tenant: tenant, spec: spec, attempt: 1, done: done}
-	delay := n.retryBackoff(0)
-	n.m.setupRetries++
-	n.scheduleDurable(n.now+delay, durOpenRetry, id, 0)
+	n.installPath(conn, l)
 	return nil
 }
 
@@ -127,227 +201,38 @@ func (n *Network) retryBackoff(attempt int) int64 {
 	return d + int64(n.rng.Float64()*float64(d)*0.5)
 }
 
-func (n *Network) checkEndpoints(src, dst int, spec traffic.ConnSpec) error {
-	if src < 0 || src >= len(n.nodes) || dst < 0 || dst >= len(n.nodes) {
-		return errBadEndpoints(src, dst)
+func (n *Network) checkEndpoints(req OpenReq) error {
+	if req.Src < 0 || req.Src >= len(n.nodes) || req.Dst < 0 || req.Dst >= len(n.nodes) {
+		return errBadEndpoints(req.Src, req.Dst)
 	}
-	if src == dst {
+	if req.Src == req.Dst {
 		return fmt.Errorf("network: source and destination host on the same router")
 	}
-	if !spec.Class.IsStream() {
-		return fmt.Errorf("network: stream classes only, got %v", spec.Class)
+	if !req.Spec.Class.IsStream() {
+		return fmt.Errorf("network: stream classes only, got %v", req.Spec.Class)
 	}
 	return nil
 }
 
-// establish sets up conn's path according to the configured route mode.
-// RouteMinimal runs the classic synchronous EPB search; the multipath
-// modes first try to reserve along one Valiant/UGAL candidate and fall
-// back to the exhaustive EPB search when the candidate cannot reserve —
-// the candidate spreads load, the fallback preserves EPB's completeness
-// guarantee (if any minimal path has resources, establishment succeeds).
-func (n *Network) establish(conn *Conn) error {
-	if n.cfg.Route != routing.RouteMinimal {
-		if err := n.establishMultipath(conn); err == nil {
-			return nil
-		}
-	}
-	return n.establishEPB(conn)
-}
-
-// establishMultipath picks one candidate path under the configured
-// multipath mode (UGAL weighs candidates by first-hop guaranteed load)
-// and attempts to reserve along it.
-func (n *Network) establishMultipath(conn *Conn) error {
-	ports := n.mp.Choose(n.cfg.Route, conn.Src, conn.Dst, n.rng, n.GuaranteedLoadAt)
-	if ports == nil {
-		return fmt.Errorf("network: no legal route from %d to %d", conn.Src, conn.Dst)
-	}
-	return n.establishAlong(conn, ports)
-}
-
-// establishAlong reserves conn's resources hop by hop along a fixed port
-// path — no backtracking; any hop without resources fails the whole
-// attempt and releases every hold. On success the path state is
-// installed exactly as EPB establishment would.
-func (n *Network) establishAlong(conn *Conn, ports []int) error {
-	src, dst, spec := conn.Src, conn.Dst, conn.Spec
-	d := n.demandFor(spec)
-	hp := n.cfg.hostPort()
-	entryVC := n.nodes[src].mems[hp].FindFree(n.rng.Intn(n.cfg.VCs))
-	if entryVC < 0 {
-		return fmt.Errorf("network: no free VC on host port of node %d", src)
-	}
-	n.nodes[src].mems[hp].Reserve(entryVC, vcm.VCState{Conn: flit.InvalidConn, Class: spec.Class, Output: -1})
-
-	hops := make([]probeHop, 0, len(ports))
-	committed := false
-	defer func() {
-		if committed {
-			return
-		}
-		for _, h := range hops {
-			n.releaseOut(n.nodes[h.node], h.port, spec, d)
-			nb := n.cfg.Topology.Wired(h.node, h.port)
-			pp := n.cfg.Topology.WiredPeer(h.node, h.port)
-			n.nodes[nb].mems[pp].Release(h.vc)
-		}
-		n.nodes[src].mems[hp].Release(entryVC)
-	}()
-
-	cur := src
-	for _, p := range ports {
-		if searchHook != nil {
-			searchHook()
-		}
-		nb := n.cfg.Topology.Neighbor(cur, p)
-		if nb < 0 {
-			return fmt.Errorf("network: candidate path uses dead link %d.%d", cur, p)
-		}
-		pp := n.cfg.Topology.PeerPort(cur, p)
-		vc := n.nodes[nb].mems[pp].FindFree(n.rng.Intn(n.cfg.VCs))
-		if vc < 0 {
-			return fmt.Errorf("network: no free VC on input %d.%d", nb, pp)
-		}
-		if !n.admitOut(n.nodes[cur], p, spec, d) {
-			return fmt.Errorf("network: output %d.%d cannot admit %v", cur, p, spec.Rate)
-		}
-		n.nodes[nb].mems[pp].Reserve(vc, vcm.VCState{Conn: flit.InvalidConn, Class: spec.Class, Output: -1})
-		hops = append(hops, probeHop{node: cur, port: p, vc: vc})
-		cur = nb
-	}
-	if cur != dst {
-		return fmt.Errorf("network: candidate path from %d ends at %d, not %d", src, cur, dst)
-	}
-	if !n.admitOut(n.nodes[dst], hp, spec, d) {
-		return fmt.Errorf("network: destination host port of node %d cannot admit %v", dst, spec.Rate)
-	}
-
-	committed = true
-	conn.Backtracks = 0
-	// The probe walks the path forward, the ack retraces it (§4.2); a
-	// fixed candidate path never backtracks.
-	conn.SetupTime = n.cfg.HopLatency * int64(2*len(hops))
-	n.installPath(conn, entryVC, hops, d)
-	return nil
-}
-
-// establishEPB runs the synchronous EPB search for conn's spec and, on
-// success, installs the path state (VCs, channel mappings, upstream
-// pointers, bandwidth) into conn. It is the shared engine of Open and of
-// fault restoration. All transient holds — the entry VC and every
-// partial-path reservation — are released if the search fails or any
-// admission/demand computation panics mid-way.
-func (n *Network) establishEPB(conn *Conn) error {
-	src, dst, spec := conn.Src, conn.Dst, conn.Spec
-	d := n.demandFor(spec)
-
-	// Entry resources: a VC on the source router's host input port.
-	hp := n.cfg.hostPort()
-	entryVC := n.nodes[src].mems[hp].FindFree(n.rng.Intn(n.cfg.VCs))
-	if entryVC < 0 {
-		return fmt.Errorf("network: no free VC on host port of node %d", src)
-	}
-	// Transient hold until the search completes.
-	n.nodes[src].mems[hp].Reserve(entryVC, vcm.VCState{Conn: flit.InvalidConn, Class: spec.Class, Output: -1})
-
-	// Per-hop reservations made during the search, so backtracking — or a
-	// panic escaping the search — can release them.
-	reservations := map[[2]int]probeHop{}
-	committed := false
-	defer func() {
-		if committed {
-			return
-		}
-		// Error or panic path: nothing was installed, release every hold.
-		for _, res := range reservations {
-			n.releaseOut(n.nodes[res.node], res.port, spec, d)
-			nb := n.cfg.Topology.Wired(res.node, res.port)
-			pp := n.cfg.Topology.WiredPeer(res.node, res.port)
-			n.nodes[nb].mems[pp].Release(res.vc)
-		}
-		n.nodes[src].mems[hp].Release(entryVC)
-	}()
-
-	reserve := func(nodeID, port int) bool {
-		if searchHook != nil {
-			searchHook()
-		}
-		x := n.nodes[nodeID]
-		nb := n.cfg.Topology.Neighbor(nodeID, port)
-		if nb < 0 {
-			return false
-		}
-		pp := n.cfg.Topology.PeerPort(nodeID, port)
-		y := n.nodes[nb]
-		vc := y.mems[pp].FindFree(n.rng.Intn(n.cfg.VCs))
-		if vc < 0 {
-			return false
-		}
-		if !n.admitOut(x, port, spec, d) {
-			return false
-		}
-		// Hold the VC so a concurrent hop of the same search cannot take
-		// it; the final state is installed after the search succeeds.
-		y.mems[pp].Reserve(vc, vcm.VCState{Conn: flit.InvalidConn, Class: spec.Class, Output: -1})
-		reservations[[2]int{nodeID, port}] = probeHop{node: nodeID, port: port, vc: vc}
-		return true
-	}
-	release := func(nodeID, port int) {
-		res, ok := reservations[[2]int{nodeID, port}]
-		if !ok {
-			panic("network: release of unreserved hop")
-		}
-		delete(reservations, [2]int{nodeID, port})
-		n.releaseOut(n.nodes[nodeID], port, spec, d)
-		nb := n.cfg.Topology.Wired(nodeID, port)
-		pp := n.cfg.Topology.WiredPeer(nodeID, port)
-		n.nodes[nb].mems[pp].Release(res.vc)
-	}
-
-	sr, err := routing.Search(n.cfg.Topology, n.dists, src, dst, reserve, release)
-	if err != nil {
-		return err
-	}
-	// Ejection bandwidth on the destination router's host output port.
-	if !n.admitOut(n.nodes[dst], hp, spec, d) {
-		for _, hop := range sr.Path {
-			release(hop.Node, hop.Port)
-		}
-		return fmt.Errorf("network: destination host port of node %d cannot admit %v", dst, spec.Rate)
-	}
-
-	// Search succeeded with all resources held: install the connection.
-	committed = true
-	hops := make([]probeHop, 0, len(sr.Path))
-	for _, hop := range sr.Path {
-		hops = append(hops, reservations[[2]int{hop.Node, hop.Port}])
-	}
-	conn.Backtracks = sr.Backtracks
-	// SetupTime: the probe walks Visited hops forward plus Backtracks
-	// steps backward, then the ack retraces the final path (§4.2).
-	conn.SetupTime = n.cfg.HopLatency * int64(sr.Visited+sr.Backtracks+len(sr.Path))
-	n.installPath(conn, entryVC, hops, d)
-	return nil
-}
-
-// installPath installs an established connection along its reserved
-// resources: per-router VC scheduling state, direct channel mappings,
-// upstream credit pointers, and the conn's VCs/Path/Nodes records. The
-// entry VC sits at (conn.Src, hostPort); hops[i] carries the output
-// taken from the i-th router and the VC already reserved on the next
-// router's input. Shared by synchronous establishment, event-driven
-// probes and fault restoration.
-func (n *Network) installPath(conn *Conn, entryVC int, hops []probeHop, d demand) {
+// installPath installs a connection along the resources its ledger
+// holds: per-router VC scheduling state (replacing the transient holds),
+// direct channel mappings, upstream credit pointers, and the conn's
+// VCs/Path/Nodes records, carved from the arenas at their exact size
+// unless the conn already owns room (a restored session re-using its
+// old records). The entry VC sits at (conn.Src, hostPort); hop i carries
+// the output taken from the i-th router and the VC held on the next
+// router's input. Afterwards the holds are the connection's and the
+// ledger is empty.
+func (n *Network) installPath(conn *Conn, l *holds) {
+	d, entryVC, hops := l.d, l.entryVC, l.hops
+	conn.Backtracks, conn.SetupTime = l.backtracks, l.setupTime
 	hp := n.cfg.hostPort()
 	roundLen := n.cfg.K * n.cfg.VCs
 	interval := float64(roundLen) / float64(d.alloc)
 	install := func(nodeID, inPort, vc, outPort int) {
-		x := n.nodes[nodeID]
-		if x.mems[inPort].State(vc).InUse {
-			x.mems[inPort].Release(vc) // replace the transient hold
-		}
-		x.mems[inPort].Reserve(vc, vcm.VCState{
+		mem := n.nodes[nodeID].mems[inPort]
+		mem.Release(vc) // the transient hold
+		mem.Reserve(vc, vcm.VCState{
 			Conn: conn.ID, Class: conn.Spec.Class,
 			Allocated: d.alloc, Peak: d.peak,
 			BasePriority: conn.Spec.Priority,
@@ -356,9 +241,9 @@ func (n *Network) installPath(conn *Conn, entryVC int, hops []probeHop, d demand
 		})
 	}
 
-	conn.Path = conn.Path[:0]
-	conn.VCs = conn.VCs[:0]
-	conn.Nodes = conn.Nodes[:0]
+	conn.Path = refit(conn.Path, &n.arena.hops, len(hops))
+	conn.VCs = refit(conn.VCs, &n.arena.vcs, len(hops)+1)
+	conn.Nodes = refit(conn.Nodes, &n.arena.nodes, len(hops)+1)
 	conn.VCs = append(conn.VCs, routing.VCRef{Port: hp, VC: entryVC})
 	conn.Nodes = append(conn.Nodes, conn.Src)
 	inPort, inVC := hp, entryVC
@@ -401,6 +286,7 @@ func (n *Network) installPath(conn *Conn, entryVC int, hops []probeHop, d demand
 	// matching the ungated engine, which never ticks a broken connection.
 	conn.lastTick = n.now - 1
 	conn.nextDue = n.now
+	l.settle()
 }
 
 // Close stops a connection's injection and releases every per-hop

@@ -49,7 +49,7 @@ func churn(seed uint64, ops []byte) bool {
 			if src == dst {
 				break
 			}
-			n.OpenAsync(src, dst, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 10 * traffic.Mbps},
+			openProbe(n, "", src, dst, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 10 * traffic.Mbps},
 				func(c *Conn, err error) {
 					if err == nil {
 						open = append(open, c)

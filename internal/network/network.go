@@ -441,10 +441,12 @@ type Network struct {
 	activeProbes int
 	sessionLog   []SessionEvent
 
-	// batch is the reusable scratch for OpenBatch (batch.go): search
-	// state, reservation stack, admission pre-check tables and the
-	// Conn/path arenas. Lazily created, reused across batches.
-	batch *batchState
+	// Establishment state: sync is the hold ledger (and EPB search
+	// scratch) of the synchronous attempt in progress — Open, OpenBatch,
+	// retries, restoration and re-promotion run one at a time on the
+	// serial control path and share it; arena holds the session records.
+	sync  holds
+	arena connArena
 
 	m netStats
 

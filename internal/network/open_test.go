@@ -1,0 +1,274 @@
+package network
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"mmr/internal/admission"
+	"mmr/internal/flit"
+	"mmr/internal/topology"
+	"mmr/internal/traffic"
+)
+
+// openAs is one synchronous attempt through OpenRequest on behalf of a
+// tenant, with the outcome returned the way Open returns it.
+func openAs(n *Network, tenant string, src, dst int, spec traffic.ConnSpec) (c *Conn, err error) {
+	verr := n.OpenRequest(OpenReq{Src: src, Dst: dst, Spec: spec, Tenant: tenant}, FormOnce,
+		func(cc *Conn, e error) { c, err = cc, e })
+	if verr != nil {
+		return nil, verr
+	}
+	return c, err
+}
+
+// openProbe launches an event-driven EPB probe on behalf of a tenant.
+func openProbe(n *Network, tenant string, src, dst int, spec traffic.ConnSpec, done func(*Conn, error)) error {
+	return n.OpenRequest(OpenReq{Src: src, Dst: dst, Spec: spec, Tenant: tenant}, FormProbe, done)
+}
+
+// heldResources is what establishment takes from the fabric: free VCs
+// per input port and guaranteed load per output port, host ports
+// included.
+type heldResources struct {
+	free []int
+	load []float64
+}
+
+func snapshotHeld(n *Network) heldResources {
+	var h heldResources
+	for node := range n.nodes {
+		for port := range n.nodes[node].mems {
+			h.free = append(h.free, n.FreeVCsAt(node, port))
+			h.load = append(h.load, n.GuaranteedLoadAt(node, port))
+		}
+	}
+	return h
+}
+
+// portTo is the port of a wired to b.
+func portTo(t *testing.T, tp *topology.Topology, a, b int) int {
+	t.Helper()
+	for p := 0; p < tp.Ports; p++ {
+		if tp.Wired(a, p) == b {
+			return p
+		}
+	}
+	t.Fatalf("no link %d→%d", a, b)
+	return -1
+}
+
+// TestEstablishmentLeavesNoHolds drives each reservation shape — the
+// fixed candidate path, the synchronous EPB search, the event-driven
+// probe — into each way an establishment can end without a session, and
+// asserts the fabric is exactly as it was before the attempt: the
+// invariants hold, and every port has its VCs and bandwidth back.
+func TestEstablishmentLeavesNoHolds(t *testing.T) {
+	// Both fabrics put 4 hops between the endpoints: a 5-router chain
+	// (one path, so one blocked link refuses the attempt) and opposite
+	// corners of a 3×3 mesh (six minimal paths to search and back out of).
+	chain, mesh := []int{0, 1, 2, 3, 4}, []int{0, 1, 2, 5, 8}
+	spec := traffic.ConnSpec{Class: flit.ClassCBR, Rate: 100 * traffic.Mbps}
+
+	type scenario struct {
+		name   string
+		shapes []string
+		chain  bool // run on the chain instead of the mesh
+		// arrange prepares the fabric before the baseline snapshot;
+		// during runs with the probe in flight (after the given number of
+		// cycles); settle undoes what during did, before the comparison.
+		arrange func(t *testing.T, n *Network)
+		hookAt  int // panic inside the hookAt-th per-hop reservation (1-based)
+		after   int64
+		during  func(t *testing.T, n *Network)
+		settle  func(t *testing.T, n *Network)
+		wantErr string
+	}
+	all := []string{"fixed", "epb", "probe"}
+	var scenarios []scenario
+	for k := 1; k < len(chain)-1; k++ {
+		scenarios = append(scenarios, scenario{
+			name: fmt.Sprintf("refusal at hop %d", k), shapes: all, chain: true,
+			// Sessions from k to k+1 hold every VC of that link.
+			arrange: func(t *testing.T, n *Network) {
+				for i := 0; i < n.cfg.VCs; i++ {
+					if _, err := n.Open(k, k+1, traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.Mbps}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+			wantErr: "no minimal path",
+		})
+	}
+	scenarios = append(scenarios, scenario{
+		name: "refusal at ejection", shapes: all,
+		// Fill the destination's host port over both links into it, until
+		// it admits no session of the attempt's rate.
+		arrange: func(t *testing.T, n *Network) {
+			for _, mbps := range []traffic.Rate{300, 100} {
+				for i := 0; ; i++ {
+					if _, err := n.Open([]int{5, 7}[i%2], 8, traffic.ConnSpec{Class: flit.ClassCBR, Rate: mbps * traffic.Mbps}); err != nil {
+						break
+					}
+				}
+			}
+		},
+		wantErr: "destination host port",
+	})
+	for k := 1; k <= 4; k++ {
+		scenarios = append(scenarios, scenario{name: fmt.Sprintf("panic in reservation %d", k), shapes: all, hookAt: k})
+	}
+	scenarios = append(scenarios,
+		scenario{
+			name: "link failed during the ack", shapes: []string{"probe"},
+			// 4 hops out take 16 cycles; the ack is then on its way back.
+			after:   22,
+			during:  func(t *testing.T, n *Network) { n.FailLink(mesh[1], portTo(t, n.cfg.Topology, mesh[1], mesh[2])) },
+			wantErr: "failed during establishment",
+		},
+		scenario{
+			name: "tenant budget filled in flight", shapes: []string{"probe"},
+			arrange: func(t *testing.T, n *Network) {
+				n.Tenants().SetQuota("t", admission.TenantQuota{MaxSessions: 1})
+			},
+			after: 10,
+			during: func(t *testing.T, n *Network) {
+				if _, err := openAs(n, "t", 3, 4, traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.Mbps}); err != nil {
+					t.Fatal(err)
+				}
+			},
+			settle: func(t *testing.T, n *Network) {
+				if err := n.DrainAndClose(n.conns[len(n.conns)-1], 10000); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantErr: "over admission quota",
+		})
+
+	for _, sc := range scenarios {
+		for _, shape := range sc.shapes {
+			t.Run(sc.name+"/"+shape, func(t *testing.T) {
+				route, w, h := mesh, 3, 3
+				if sc.chain {
+					route, w, h = chain, 5, 1
+				}
+				src, dst := route[0], route[len(route)-1]
+				tp, err := topology.Mesh(w, h, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := DefaultConfig(tp)
+				cfg.VCs = 4
+				n, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer n.Shutdown()
+				if sc.arrange != nil {
+					sc.arrange(t, n)
+				}
+				before, conns := snapshotHeld(n), len(n.conns)
+
+				if sc.hookAt > 0 {
+					calls := 0
+					searchHook = func() {
+						if calls++; calls == sc.hookAt {
+							panic("injected reservation fault")
+						}
+					}
+					defer func() { searchHook = nil }()
+				}
+				req := OpenReq{Src: src, Dst: dst, Spec: spec, Tenant: "t"}
+				var outcome error
+				panicked := func() (panicked bool) {
+					defer func() { panicked = recover() != nil }()
+					switch shape {
+					case "fixed":
+						ports := make([]int, len(route)-1)
+						for i := range ports {
+							ports[i] = portTo(t, tp, route[i], route[i+1])
+						}
+						l := &n.sync
+						l.begin(n, req, n.demandFor(spec))
+						outcome = l.try(func() error { return l.along(ports) })
+					case "epb":
+						_, outcome = openAs(n, req.Tenant, src, dst, spec)
+					case "probe":
+						reported := false
+						openProbe(n, req.Tenant, src, dst, spec, func(_ *Conn, err error) { reported, outcome = true, err })
+						if sc.during != nil {
+							n.Run(sc.after)
+							sc.during(t, n)
+						}
+						n.Run(400)
+						if !reported {
+							t.Fatal("probe never reported")
+						}
+					}
+					return false
+				}()
+				searchHook = nil
+				if panicked != (sc.hookAt > 0) {
+					t.Fatalf("panicked = %v, want %v", panicked, sc.hookAt > 0)
+				}
+				switch {
+				case panicked:
+				case outcome == nil:
+					t.Fatal("the attempt established a session")
+				case shape != "fixed" && !strings.Contains(outcome.Error(), sc.wantErr):
+					t.Fatalf("refused with %q, want %q", outcome, sc.wantErr)
+				}
+				if sc.settle != nil {
+					sc.settle(t, n)
+				}
+				if n.activeProbes != 0 {
+					t.Fatalf("%d probes still counted in flight", n.activeProbes)
+				}
+				if err := n.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				if after := snapshotHeld(n); !reflect.DeepEqual(before, after) {
+					t.Fatalf("holds leaked:\\n before %v\\n after  %v", before, after)
+				}
+				if sc.settle == nil && len(n.conns) != conns {
+					t.Fatalf("%d sessions registered by a failed attempt", len(n.conns)-conns)
+				}
+			})
+		}
+	}
+}
+
+// TestOpenWarmAllocs bounds what a single Open allocates once the arenas
+// and the ledger have grown: the traffic source, and nothing per hop.
+func TestOpenWarmAllocs(t *testing.T) {
+	tp, err := topology.FatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(DefaultConfig(tp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Shutdown()
+	spec := traffic.ConnSpec{Class: flit.ClassCBR, Rate: 8 * traffic.Mbps}
+	i := 0
+	openClose := func() {
+		c, err := n.Open(i%8, 8+i%8, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Close(c); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for k := 0; k < 100; k++ {
+		openClose()
+	}
+	// Amortized arena chunks and slice growth stay below one allocation
+	// per call; the parent's map-based search made this 19.
+	if got := testing.AllocsPerRun(2000, openClose); got > 2 {
+		t.Fatalf("warm Open+Close allocates %.1f times, want at most 2", got)
+	}
+}

@@ -13,7 +13,7 @@ func TestOpenAsyncEstablishes(t *testing.T) {
 	n := meshNet(t, 3, 3)
 	var got *Conn
 	var gotErr error
-	if err := n.OpenAsync(0, 8, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 55 * traffic.Mbps},
+	if err := openProbe(n, "", 0, 8, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 55 * traffic.Mbps},
 		func(c *Conn, err error) { got, gotErr = c, err }); err != nil {
 		t.Fatal(err)
 	}
@@ -44,13 +44,13 @@ func TestOpenAsyncEstablishes(t *testing.T) {
 
 func TestOpenAsyncValidation(t *testing.T) {
 	n := meshNet(t, 2, 2)
-	if err := n.OpenAsync(0, 0, traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.Mbps}, nil); err == nil {
+	if err := openProbe(n, "", 0, 0, traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.Mbps}, nil); err == nil {
 		t.Fatal("same-node accepted")
 	}
-	if err := n.OpenAsync(-1, 1, traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.Mbps}, nil); err == nil {
+	if err := openProbe(n, "", -1, 1, traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.Mbps}, nil); err == nil {
 		t.Fatal("bad endpoint accepted")
 	}
-	if err := n.OpenAsync(0, 1, traffic.ConnSpec{Class: flit.ClassBestEffort}, nil); err == nil {
+	if err := openProbe(n, "", 0, 1, traffic.ConnSpec{Class: flit.ClassBestEffort}, nil); err == nil {
 		t.Fatal("non-stream accepted")
 	}
 }
@@ -67,7 +67,7 @@ func TestOpenAsyncFailureReleasesResources(t *testing.T) {
 		}
 	}
 	failed := false
-	n.OpenAsync(0, 1, traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.Mbps},
+	openProbe(n, "", 0, 1, traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.Mbps},
 		func(c *Conn, err error) { failed = err != nil })
 	n.Run(200)
 	if !failed {
@@ -98,8 +98,8 @@ func TestOpenAsyncProbesRace(t *testing.T) {
 			ok++
 		}
 	}
-	n.OpenAsync(0, 1, traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.Mbps}, done)
-	n.OpenAsync(0, 1, traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.Mbps}, done)
+	openProbe(n, "", 0, 1, traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.Mbps}, done)
+	openProbe(n, "", 0, 1, traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.Mbps}, done)
 	n.Run(200)
 	if ok != 1 || fail != 1 {
 		t.Fatalf("race outcome ok=%d fail=%d, want exactly one winner", ok, fail)
@@ -119,7 +119,7 @@ func TestOpenAsyncBacktracksAndSucceeds(t *testing.T) {
 		}
 	}
 	var got *Conn
-	n.OpenAsync(0, 8, traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.Mbps},
+	openProbe(n, "", 0, 8, traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.Mbps},
 		func(c *Conn, err error) { got = c })
 	n.Run(400)
 	if got == nil {
@@ -137,7 +137,7 @@ func TestAsyncAndSyncCoexist(t *testing.T) {
 	completed := 0
 	for i := 0; i < 4; i++ {
 		src, dst := i, 8-i
-		n.OpenAsync(src, dst, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 10 * traffic.Mbps},
+		openProbe(n, "", src, dst, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 10 * traffic.Mbps},
 			func(c *Conn, err error) {
 				if err == nil {
 					completed++

@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -263,7 +264,7 @@ func TestPromotionHonorsTenantQuota(t *testing.T) {
 		if i%2 == 1 {
 			tenant = "b"
 		}
-		return n.OpenAs(tenant, 0, 2, victimSpec())
+		return openAs(n, tenant, 0, 2, victimSpec())
 	})
 	defer n.Shutdown()
 
@@ -438,84 +439,50 @@ func TestPromotionSurvivesCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointDecodesPreviousVersion fabricates a genuine version-3
-// checkpoint (the v4 additions are a strict trailer, so the payload
-// prefix IS what a v3 writer produced) and restores it: tenant state
-// defaults, usage is recomputed from the restored sessions, and the
-// fabric re-encodes at v4 byte-identically to the live one.
-func TestCheckpointDecodesPreviousVersion(t *testing.T) {
-	n, victims := chainPromotionScenario(t, defaultOpen)
+// TestCheckpointRefusesPreviousVersion: a version-3 envelope (what the
+// release before tenants wrote) is refused with a clean version error by
+// every way in — the file, the sealed bytes, the explicit-version
+// restore — and the refusal leaves the target fabric fresh enough to take
+// the genuine checkpoint afterwards.
+func TestCheckpointRefusesPreviousVersion(t *testing.T) {
+	n, _ := chainPromotionScenario(t, defaultOpen)
 	defer n.Shutdown()
-
-	payload, trailerStart, err := n.encodeStateParts()
+	payload, err := n.EncodeState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trailerStart >= len(payload) {
-		t.Fatalf("v4 trailer is empty (start %d of %d)", trailerStart, len(payload))
-	}
-	cfg2 := chainPromotionConfig(t)
+	v3 := checkpoint.Seal(n.ConfigHash(), payload)
+	binary.LittleEndian.PutUint32(v3[8:12], 3) // the CRC covers the payload only
 	path := filepath.Join(t.TempDir(), "v3.ckpt")
-	v3 := checkpoint.SealAt(3, n.ConfigHash(), payload[:trailerStart])
 	if err := os.WriteFile(path, v3, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	wantVersionErr := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "version 3") {
+			t.Fatalf("%s: got %v, want a format-version error", what, err)
+		}
+	}
+	_, err = RestoreCheckpoint(chainPromotionConfig(t), path)
+	wantVersionErr("RestoreCheckpoint", err)
+	_, _, _, err = checkpoint.Open(v3)
+	wantVersionErr("checkpoint.Open", err)
 
-	n2, err := RestoreCheckpoint(cfg2, path)
+	n2, err := New(chainPromotionConfig(t))
 	if err != nil {
-		t.Fatalf("restore v3 checkpoint: %v", err)
+		t.Fatal(err)
 	}
 	defer n2.Shutdown()
-	if n2.Now() != n.Now() {
-		t.Fatalf("clock %d, want %d", n2.Now(), n.Now())
+	wantVersionErr("RestoreStateVersion", n2.RestoreStateVersion(payload, 3))
+	if err := n2.RestoreStateVersion(payload, checkpoint.Version); err != nil {
+		t.Fatalf("restore after the refusal: %v", err)
 	}
-	if got := n2.DegradedLive(); got != len(victims) {
-		t.Fatalf("restored DegradedLive = %d, want %d", got, len(victims))
-	}
-	// The default tenant's recomputed usage covers every live session,
-	// none of which holds guaranteed bandwidth while degraded.
-	if u := n2.Tenants().Usage(""); u.Sessions != len(victims) || u.Guaranteed != 0 {
-		t.Fatalf("recomputed default-tenant usage %+v, want %d sessions / 0 guaranteed", u, len(victims))
-	}
-	// With no tenant quotas and no promotion history in the live fabric
-	// either, the v4 re-encode matches the original bit for bit.
 	reenc, err := n2.EncodeState()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(payload, reenc) {
-		t.Fatalf("v3-restored fabric re-encodes differently at v4 (%d vs %d bytes)", len(payload), len(reenc))
-	}
-	// And it behaves identically: repair the link in both fabrics, let
-	// the fallback backlog drain, then fire a close trigger — both
-	// promote the same population to the same end state.
-	for _, f := range []*Network{n, n2} {
-		if err := f.RestoreLink(0, 0); err != nil {
-			t.Fatal(err)
-		}
-		f.Run(3000)
-		dummy, err := f.Open(0, 2, victimSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(dummy); err != nil {
-			t.Fatal(err)
-		}
-		f.Run(2000)
-	}
-	a, err := n.EncodeState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := n2.EncodeState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("v3-restored fabric diverged from the live one after promotion")
-	}
-	if got := n2.DegradedLive(); got != 0 {
-		t.Fatalf("%d sessions degraded after repair in the v3-restored fabric", got)
+		t.Fatal("fabric restored after a refused v3 attempt re-encodes differently")
 	}
 }
 

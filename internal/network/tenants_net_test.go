@@ -37,17 +37,17 @@ func TestOpenAsTenantQuota(t *testing.T) {
 	defer n.Shutdown()
 	n.Tenants().SetQuota("video", admission.TenantQuota{MaxSessions: 2})
 
-	a, err := n.OpenAs("video", 0, 8, cbr(10))
+	a, err := openAs(n, "video", 0, 8, cbr(10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Tenant != "video" {
 		t.Fatalf("conn tenant %q, want video", a.Tenant)
 	}
-	if _, err := n.OpenAs("video", 1, 7, cbr(10)); err != nil {
+	if _, err := openAs(n, "video", 1, 7, cbr(10)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = n.OpenAs("video", 2, 6, cbr(10))
+	_, err = openAs(n, "video", 2, 6, cbr(10))
 	if err == nil || !strings.Contains(err.Error(), "over admission quota") {
 		t.Fatalf("third session: %v, want quota refusal", err)
 	}
@@ -59,7 +59,7 @@ func TestOpenAsTenantQuota(t *testing.T) {
 	if err := n.Close(a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.OpenAs("video", 2, 4, cbr(10)); err != nil {
+	if _, err := openAs(n, "video", 2, 4, cbr(10)); err != nil {
 		t.Fatalf("admission after close refused: %v", err)
 	}
 	if u := n.Tenants().Usage("video"); u.Sessions != 2 {
@@ -79,10 +79,10 @@ func TestOpenAsGuaranteedQuota(t *testing.T) {
 	}
 	n.Tenants().SetQuota("iot", admission.TenantQuota{MaxGuaranteed: slot})
 
-	if _, err := n.OpenAs("iot", 0, 8, cbr(10)); err != nil {
+	if _, err := openAs(n, "iot", 0, 8, cbr(10)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.OpenAs("iot", 1, 7, cbr(10)); err == nil {
+	if _, err := openAs(n, "iot", 1, 7, cbr(10)); err == nil {
 		t.Fatal("second session admitted over the bandwidth budget")
 	}
 	if u := n.Tenants().Usage("iot"); u.Guaranteed != slot {
@@ -127,12 +127,12 @@ func TestOpenAsyncTenantQuota(t *testing.T) {
 	n.Tenants().SetQuota("live", admission.TenantQuota{MaxSessions: 1})
 
 	// Launch-time refusal: the budget is already full.
-	if _, err := n.OpenAs("live", 0, 8, cbr(10)); err != nil {
+	if _, err := openAs(n, "live", 0, 8, cbr(10)); err != nil {
 		t.Fatal(err)
 	}
 	var launchErr error
 	called := false
-	if err := n.OpenAsyncAs("live", 1, 7, cbr(10), func(c *Conn, err error) {
+	if err := openProbe(n, "live", 1, 7, cbr(10), func(c *Conn, err error) {
 		called, launchErr = true, err
 	}); err != nil {
 		t.Fatal(err)
@@ -147,12 +147,12 @@ func TestOpenAsyncTenantQuota(t *testing.T) {
 	var raceConn *Conn
 	var raceErr error
 	done := false
-	if err := n.OpenAsyncAs("race", 2, 6, cbr(10), func(c *Conn, err error) {
+	if err := openProbe(n, "race", 2, 6, cbr(10), func(c *Conn, err error) {
 		done, raceConn, raceErr = true, c, err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.OpenAs("race", 3, 5, cbr(10)); err != nil {
+	if _, err := openAs(n, "race", 3, 5, cbr(10)); err != nil {
 		t.Fatalf("synchronous steal failed: %v", err)
 	}
 	n.Run(500) // probe completes and must hit the re-check
@@ -177,7 +177,7 @@ func TestModifyBandwidthTenantQuota(t *testing.T) {
 	defer n.Shutdown()
 	slot := n.GuaranteedCyclesFor(cbr(10))
 	n.Tenants().SetQuota("cap", admission.TenantQuota{MaxGuaranteed: slot})
-	c, err := n.OpenAs("cap", 0, 8, cbr(10))
+	c, err := openAs(n, "cap", 0, 8, cbr(10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,8 @@ func buildTenantNetwork(t *testing.T) (*Network, Config) {
 		{"alice", 0, 8}, {"alice", 1, 7}, {"bob", 2, 6}, {"", 3, 5},
 	}
 	for _, o := range opens {
-		if _, err := n.OpenAs(o.tenant, o.src, o.dst, spec); err != nil {
-			t.Fatalf("OpenAs(%q, %d, %d): %v", o.tenant, o.src, o.dst, err)
+		if _, err := openAs(n, o.tenant, o.src, o.dst, spec); err != nil {
+			t.Fatalf("openAs(%q, %d, %d): %v", o.tenant, o.src, o.dst, err)
 		}
 	}
 	return n, cfg

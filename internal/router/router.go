@@ -241,8 +241,8 @@ type Router struct {
 	// occ aggregates buffered-flit occupancy across every input port,
 	// maintained incrementally by the VCMs (vcm.BindOccupancy), so the
 	// per-cycle idle check reads one counter instead of scanning ports.
-	occ int64
-	alloc   []*admission.LinkAllocator // per output link
+	occ   int64
+	alloc []*admission.LinkAllocator // per output link
 	// Rate-based admission accumulators (AdmitRate mode), as a fraction
 	// of link bandwidth per output.
 	rateGuaranteed []float64

@@ -9,13 +9,12 @@ import (
 // Dists is an all-pairs hop-distance table over a topology, the basis for
 // "profitable" (minimal-path) decisions.
 type Dists struct {
-	n int
 	d [][]int
 }
 
 // NewDists precomputes BFS distances from every node.
 func NewDists(t *topology.Topology) *Dists {
-	d := &Dists{n: t.Nodes, d: make([][]int, t.Nodes)}
+	d := &Dists{d: make([][]int, t.Nodes)}
 	d.Recompute(t)
 	return d
 }
@@ -64,152 +63,111 @@ type PathHop struct {
 	Node, Port int
 }
 
-// SearchResult reports an offline EPB search.
+// SearchResult reports an EPB search.
 type SearchResult struct {
 	Path       []PathHop // hops from src to dest (empty if src == dest)
 	Backtracks int       // how many times the probe backed up
 	Visited    int       // total forward hops taken, including undone ones
 }
 
-// Search runs the complete EPB protocol over a topology as a synchronous
-// algorithm: the probe advances over profitable links that reserve
-// successfully, backtracks when a node's profitable links are exhausted,
-// and fails only after backtracking past the source — at which point EPB
-// has provably searched every minimal path (§3.5). reserve and release
-// are the resource callbacks (nil to search topology-only).
-//
-// The event-driven network package drives the same EPBStep decision
-// function hop by hop with real probe packets; Search is the reference
-// implementation used by tests, tools and admission what-if analysis.
-func Search(t *topology.Topology, d *Dists, src, dest int,
-	reserve func(node, port int) bool, release func(node, port int)) (*SearchResult, error) {
-
-	if src < 0 || src >= t.Nodes || dest < 0 || dest >= t.Nodes {
-		return nil, fmt.Errorf("routing: endpoints (%d,%d) out of range", src, dest)
-	}
-	res := &SearchResult{}
-	if src == dest {
-		return res, nil
-	}
-	// One history store per node on the current path — in hardware this
-	// state lives with the input VC the probe occupies (§3.5). The map
-	// keeps one-shot searches O(path) in space; batched establishment
-	// uses SearchInto, whose stamped flat arrays amortize across calls.
-	hist := map[int]*History{src: {}}
-	node := src
-	for {
-		canUse := func(p int) bool {
-			if reserve == nil {
-				return true
-			}
-			return reserve(node, p)
-		}
-		port, ok := EPBStep(t, d, node, dest, hist[node], canUse)
-		if ok {
-			res.Path = append(res.Path, PathHop{Node: node, Port: port})
-			res.Visited++
-			node = t.Neighbor(node, port)
-			if node == dest {
-				return res, nil
-			}
-			if hist[node] == nil {
-				hist[node] = &History{}
-			}
-			continue
-		}
-		// Exhausted: backtrack, releasing the hop that led here.
-		delete(hist, node)
-		if node == src {
-			return nil, fmt.Errorf("routing: no minimal path with free resources from %d to %d", src, dest)
-		}
-		last := res.Path[len(res.Path)-1]
-		res.Path = res.Path[:len(res.Path)-1]
-		if release != nil {
-			release(last.Node, last.Port)
-		}
-		res.Backtracks++
-		node = last.Node
-	}
-}
-
-// SearchScratch is reusable per-search state for SearchInto: per-node
-// history stores as a stamped flat array (no map churn, no per-visit
-// allocation) and a reusable SearchResult. One scratch amortizes the
-// search-state allocations across an arbitrary number of searches —
-// OpenBatch runs ~10⁶ establishments against a single instance.
+// SearchScratch is the state of one EPB probe: where it stands, the
+// hops behind it and one history store per node on that path — in
+// hardware this state lives with the input VC the probe occupies (§3.5).
+// A minimal path never revisits a node, so the stores form a stack that
+// grows and shrinks with the path, and a node the probe backtracked off
+// and later re-enters starts a fresh exhaustive scan. The zero value is
+// ready to use, and one scratch serves any number of searches in turn
+// without allocating once its slices have grown to the longest path met.
 type SearchScratch struct {
-	hist  []History
-	stamp []uint64
-	gen   uint64
-	res   SearchResult
+	node int
+	hist []History // hist[i] belongs to the node at depth i of the path
+	res  SearchResult
 }
 
-// NewSearchScratch sizes a scratch for a topology of the given order.
-func NewSearchScratch(nodes int) *SearchScratch {
-	return &SearchScratch{hist: make([]History, nodes), stamp: make([]uint64, nodes)}
+// NewSearchScratch returns an empty scratch. The argument (the order of
+// the topology) is unused — the state is O(path), not O(nodes) — and is
+// kept for callers written against the earlier flat-array scratch.
+func NewSearchScratch(nodes int) *SearchScratch { return &SearchScratch{} }
+
+// Begin places the probe at src with nothing searched.
+func (s *SearchScratch) Begin(src int) {
+	s.node = src
+	s.hist = append(s.hist[:0], History{})
+	s.res = SearchResult{Path: s.res.Path[:0]}
 }
 
-// SearchInto is Search against caller-owned scratch. It makes decisions
-// identical to a fresh Search — the stamped history array reproduces the
-// map semantics exactly (a node's history is cleared when the probe
-// backtracks off it, and fresh on first visit per search). The returned
-// result aliases the scratch and is valid until the next SearchInto call
-// on the same scratch.
+// Result is the search so far; it aliases the scratch and is valid
+// until the next Begin.
+func (s *SearchScratch) Result() *SearchResult { return &s.res }
+
+// Step is the outcome of one probe move.
+type Step uint8
+
+const (
+	StepForward Step = iota // advanced one hop
+	StepArrived             // advanced one hop, onto dest
+	StepBack                // backtracked one hop, releasing it
+	StepFailed              // backtracked past the source: no minimal path has resources
+)
+
+// Step moves the probe once: forward over the first profitable link
+// that reserves, or — when every profitable link of the current node has
+// been searched — back over the hop that led here, releasing it. reserve
+// and release are the resource callbacks (nil to search topology-only).
+// Releases are LIFO by construction: only the newest hop is ever undone.
+// The synchronous SearchInto loops over Step; the event-driven probes of
+// the network package take one Step per HopLatency cycles.
+func (s *SearchScratch) Step(t *topology.Topology, d *Dists, dest int,
+	reserve func(node, port int) bool, release func(node, port int)) Step {
+
+	canUse := func(p int) bool { return reserve == nil || reserve(s.node, p) }
+	if port, ok := EPBStep(t, d, s.node, dest, &s.hist[len(s.hist)-1], canUse); ok {
+		s.res.Path = append(s.res.Path, PathHop{Node: s.node, Port: port})
+		s.res.Visited++
+		s.node = t.Neighbor(s.node, port)
+		if s.node == dest {
+			return StepArrived
+		}
+		s.hist = append(s.hist, History{})
+		return StepForward
+	}
+	if len(s.res.Path) == 0 {
+		return StepFailed
+	}
+	s.hist = s.hist[:len(s.hist)-1]
+	last := s.res.Path[len(s.res.Path)-1]
+	s.res.Path = s.res.Path[:len(s.res.Path)-1]
+	if release != nil {
+		release(last.Node, last.Port)
+	}
+	s.res.Backtracks++
+	s.node = last.Node
+	return StepBack
+}
+
+// SearchInto runs the complete EPB protocol over a topology as a
+// synchronous algorithm against caller-owned scratch: the probe advances
+// over profitable links that reserve successfully, backtracks when a
+// node's profitable links are exhausted, and fails only after
+// backtracking past the source — at which point EPB has provably
+// searched every minimal path (§3.5). The returned result aliases the
+// scratch and is valid until its next search.
 func SearchInto(t *topology.Topology, d *Dists, src, dest int,
 	reserve func(node, port int) bool, release func(node, port int), scr *SearchScratch) (*SearchResult, error) {
 
 	if src < 0 || src >= t.Nodes || dest < 0 || dest >= t.Nodes {
 		return nil, fmt.Errorf("routing: endpoints (%d,%d) out of range", src, dest)
 	}
-	res := &scr.res
-	res.Path = res.Path[:0]
-	res.Backtracks = 0
-	res.Visited = 0
+	scr.Begin(src)
 	if src == dest {
-		return res, nil
+		return &scr.res, nil
 	}
-	// One history store per node on the current path — in hardware this
-	// state lives with the input VC the probe occupies (§3.5). A stamp
-	// equal to the current generation marks a node's history as live for
-	// this search; stale entries are zeroed lazily on first touch.
-	scr.gen++
-	scr.stamp[src] = scr.gen
-	scr.hist[src] = History{}
-	node := src
 	for {
-		canUse := func(p int) bool {
-			if reserve == nil {
-				return true
-			}
-			return reserve(node, p)
-		}
-		port, ok := EPBStep(t, d, node, dest, &scr.hist[node], canUse)
-		if ok {
-			res.Path = append(res.Path, PathHop{Node: node, Port: port})
-			res.Visited++
-			node = t.Neighbor(node, port)
-			if node == dest {
-				return res, nil
-			}
-			if scr.stamp[node] != scr.gen {
-				scr.stamp[node] = scr.gen
-				scr.hist[node] = History{}
-			}
-			continue
-		}
-		// Exhausted: backtrack, releasing the hop that led here. Zeroing
-		// the history mirrors the map delete — if the probe re-enters this
-		// node later in the same search, it starts a fresh exhaustive scan.
-		scr.hist[node] = History{}
-		if node == src {
+		switch scr.Step(t, d, dest, reserve, release) {
+		case StepArrived:
+			return &scr.res, nil
+		case StepFailed:
 			return nil, fmt.Errorf("routing: no minimal path with free resources from %d to %d", src, dest)
 		}
-		last := res.Path[len(res.Path)-1]
-		res.Path = res.Path[:len(res.Path)-1]
-		if release != nil {
-			release(last.Node, last.Port)
-		}
-		res.Backtracks++
-		node = last.Node
 	}
 }

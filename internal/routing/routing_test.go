@@ -104,10 +104,16 @@ func TestEPBStepHonorsHistoryAndResources(t *testing.T) {
 	}
 }
 
+// searchFresh is SearchInto on a scratch of its own.
+func searchFresh(tp *topology.Topology, d *Dists, src, dest int,
+	reserve func(node, port int) bool, release func(node, port int)) (*SearchResult, error) {
+	return SearchInto(tp, d, src, dest, reserve, release, NewSearchScratch(tp.Nodes))
+}
+
 func TestSearchFindsMinimalPath(t *testing.T) {
 	tp, _ := topology.Mesh(4, 4, 4)
 	d := NewDists(tp)
-	res, err := Search(tp, d, 0, 15, nil, nil)
+	res, err := searchFresh(tp, d, 0, 15, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +139,11 @@ func TestSearchFindsMinimalPath(t *testing.T) {
 func TestSearchSelfAndErrors(t *testing.T) {
 	tp, _ := topology.Mesh(2, 2, 4)
 	d := NewDists(tp)
-	res, err := Search(tp, d, 1, 1, nil, nil)
+	res, err := searchFresh(tp, d, 1, 1, nil, nil)
 	if err != nil || len(res.Path) != 0 {
 		t.Fatal("self-search should be an empty path")
 	}
-	if _, err := Search(tp, d, -1, 0, nil, nil); err == nil {
+	if _, err := searchFresh(tp, d, -1, 0, nil, nil); err == nil {
 		t.Fatal("bad endpoint accepted")
 	}
 }
@@ -168,7 +174,7 @@ func TestSearchBacktracksAroundBlockedLinks(t *testing.T) {
 		}
 		panic("release of unreserved hop")
 	}
-	res, err := Search(tp, d, 0, 8, reserve, release)
+	res, err := searchFresh(tp, d, 0, 8, reserve, release)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +195,7 @@ func TestSearchExhaustionFails(t *testing.T) {
 	tp, _ := topology.Mesh(3, 1, 4)
 	d := NewDists(tp)
 	// Refuse everything: the probe must backtrack to the source and fail.
-	_, err := Search(tp, d, 0, 2, func(int, int) bool { return false }, func(int, int) {})
+	_, err := searchFresh(tp, d, 0, 2, func(int, int) bool { return false }, func(int, int) {})
 	if err == nil {
 		t.Fatal("saturated network search should fail")
 	}
@@ -210,7 +216,7 @@ func TestSearchProperty(t *testing.T) {
 		src := int(srcDest) % 12
 		dest := int(srcDest>>4) % 12
 		// Unconstrained: must find a path of minimal length.
-		res, err := Search(tp, d, src, dest, nil, nil)
+		res, err := searchFresh(tp, d, src, dest, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -219,7 +225,7 @@ func TestSearchProperty(t *testing.T) {
 		}
 		// With random refusals: reserve/release must balance.
 		outstanding := 0
-		res2, err2 := Search(tp, d, src, dest,
+		res2, err2 := searchFresh(tp, d, src, dest,
 			func(n, p int) bool {
 				if refuseMask&(1<<uint((n+p)%32)) != 0 {
 					return false
@@ -409,7 +415,7 @@ func TestDistsRecomputeAfterLinkFailure(t *testing.T) {
 		t.Fatalf("post-failure dist(0,2) = %d, want 4", d.Between(0, 2))
 	}
 	// EPB search now finds a minimal path that avoids the dead link.
-	sr, err := Search(tp, d, 0, 2, nil, nil)
+	sr, err := searchFresh(tp, d, 0, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
