@@ -27,8 +27,9 @@ type OpenResult struct {
 // so the message is only rendered when someone reads it.
 type precheckError struct {
 	kind precheckKind
-	node int
+	node int // or region
 	rate traffic.Rate
+	dir  string // border refusals: the cut that is full
 }
 
 type precheckKind uint8
@@ -36,8 +37,7 @@ type precheckKind uint8
 const (
 	precheckNoEntryVC precheckKind = iota
 	precheckNoEjection
-	precheckNoOutBorder
-	precheckNoInBorder
+	precheckNoBorder
 )
 
 func (e *precheckError) Error() string {
@@ -46,10 +46,8 @@ func (e *precheckError) Error() string {
 		return fmt.Sprintf("network: no free VC on host port of node %d", e.node)
 	case precheckNoEjection:
 		return fmt.Sprintf("network: destination host port of node %d cannot admit %v", e.node, e.rate)
-	case precheckNoOutBorder:
-		return fmt.Sprintf("network: region %d has no outbound border capacity for %v", e.node, e.rate)
 	default:
-		return fmt.Sprintf("network: region %d has no inbound border capacity for %v", e.node, e.rate)
+		return fmt.Sprintf("network: region %d has no %s border capacity for %v", e.node, e.dir, e.rate)
 	}
 }
 
@@ -176,10 +174,10 @@ func (n *Network) precheck(pre *precheckTables, req OpenReq, d demand) error {
 				n.buildBorders(pre)
 			}
 			if pre.outBorder[sr] < int64(d.alloc) {
-				return &precheckError{kind: precheckNoOutBorder, node: sr, rate: req.Spec.Rate}
+				return &precheckError{kind: precheckNoBorder, node: sr, rate: req.Spec.Rate, dir: "outbound"}
 			}
 			if pre.inBorder[dr] < int64(d.alloc) {
-				return &precheckError{kind: precheckNoInBorder, node: dr, rate: req.Spec.Rate}
+				return &precheckError{kind: precheckNoBorder, node: dr, rate: req.Spec.Rate, dir: "inbound"}
 			}
 		}
 	}

@@ -62,9 +62,8 @@ func (n *Network) releaseOut(x *node, p int, spec traffic.ConnSpec, d demand) {
 // it is never set in production code.
 var searchHook func()
 
-// errCandidateRefused reports that a fixed candidate path could not
-// reserve; establishment falls back to the EPB search, so nobody reads
-// more than its existence.
+// errCandidateRefused: a fixed candidate path could not reserve. The
+// EPB search runs next, so nobody reads more than its existence.
 var errCandidateRefused = errors.New("network: candidate path refused")
 
 // probeHop is one reserved hop: an output taken from a router, and the
@@ -337,12 +336,14 @@ func (p *probe) advance() (*Conn, error) {
 				return nil, fmt.Errorf("network: link %d.%d failed during establishment", h.node, h.port)
 			}
 		}
-		p.backtracks, p.setupTime = p.walk.Result().Backtracks, n.now-p.started
+		p.setupTime = n.now - p.started
 		return n.register(&p.holds)
 	}
 	switch p.walk.Step(n.cfg.Topology, n.dists, p.req.Dst, p.reserve, p.release) {
 	case routing.StepFailed:
 		return nil, fmt.Errorf("network: no minimal path with free resources from %d to %d", p.req.Src, p.req.Dst)
+	case routing.StepBack:
+		p.backtracks++
 	case routing.StepArrived:
 		// Ejection bandwidth now; then the ack retraces the path before
 		// data may flow (§4.2).

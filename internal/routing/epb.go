@@ -96,10 +96,6 @@ func (s *SearchScratch) Begin(src int) {
 	s.res = SearchResult{Path: s.res.Path[:0]}
 }
 
-// Result is the search so far; it aliases the scratch and is valid
-// until the next Begin.
-func (s *SearchScratch) Result() *SearchResult { return &s.res }
-
 // Step is the outcome of one probe move.
 type Step uint8
 
