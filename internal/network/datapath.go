@@ -812,6 +812,16 @@ func (n *Network) catchUpSource(c *Conn) {
 	c.lastTick = n.now - 1
 }
 
+// stopSource ends c's injection, first replaying the cycles its node
+// slept through: what a stopped session records (lastTick, the source's
+// accumulator) must not depend on when its node last happened to run.
+func (n *Network) stopSource(c *Conn) {
+	if c.open {
+		n.catchUpSource(c)
+		c.open = false
+	}
+}
+
 // injectStreams moves source flits into the entry VCs of the connections
 // whose source host sits on this node. Sources are bound to this node's
 // RNG stream, and flits come from this node's pool.

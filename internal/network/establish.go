@@ -329,7 +329,7 @@ func (n *Network) Close(conn *Conn) error {
 	if conn.niQueue.Len() != 0 {
 		return fmt.Errorf("network: connection %d still has %d flits at the source interface", conn.ID, conn.niQueue.Len())
 	}
-	conn.open = false
+	n.stopSource(conn)
 	conn.closed = true
 	conn.src = nil
 	n.releasePath(conn)
@@ -366,7 +366,7 @@ func (n *Network) releasePath(conn *Conn) {
 // DrainAndClose stops injection, steps the network until the connection's
 // buffers empty (bounded by limit cycles), then closes it.
 func (n *Network) DrainAndClose(conn *Conn, limit int64) error {
-	conn.open = false // stop generating new flits; queued ones still flow
+	n.stopSource(conn) // no new flits; queued ones still flow
 	for i := int64(0); i < limit; i++ {
 		if conn.closed {
 			// A fault tore the connection down mid-drain (or it was

@@ -188,3 +188,95 @@ func TestModifyBandwidthGatedSourceCatchUp(t *testing.T) {
 		t.Fatalf("gated run diverged after ModifyBandwidth:\nungated: %+v\ngated:   %+v", us, gs)
 	}
 }
+
+// TestCloseGatedSourceEncodeEqual: stopping a session whose source node
+// is gated out must first replay the cycles the node slept through, as
+// ModifyBandwidth does — otherwise the stopped session records when its
+// node last ran, and a gated fabric and its NoIdleSkip twin with equal
+// statistics encode to different bytes.
+func TestCloseGatedSourceEncodeEqual(t *testing.T) {
+	build := func(noIdleSkip bool) (*Network, [2]*Conn) {
+		tp, err := topology.Mesh(4, 4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(tp)
+		cfg.Seed = 23
+		cfg.NoIdleSkip = noIdleSkip
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two slow sessions (a flit every few hundred cycles) on an
+		// otherwise empty fabric: their source nodes sleep between
+		// arrivals. One is drained and closed, the other closed outright.
+		var cs [2]*Conn
+		for i, ends := range [][2]int{{0, 15}, {3, 12}} {
+			if cs[i], err = n.Open(ends[0], ends[1], traffic.ConnSpec{Class: flit.ClassCBR, Rate: 2 * traffic.Mbps}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n, cs
+	}
+	gated, gc := build(false)
+	ungated, uc := build(true)
+	defer gated.Shutdown()
+	defer ungated.Shutdown()
+
+	gated.Run(3_000)
+	ungated.Run(3_000)
+	for _, c := range gc {
+		if c.lastTick >= gated.Now()-1 {
+			t.Fatalf("source of conn %d ticked through cycle %d at cycle %d: nothing was elided before the close", c.ID, c.lastTick, gated.Now())
+		}
+	}
+	same := func(when string) {
+		t.Helper()
+		gb, err := gated.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ub, err := ungated.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gb, ub) {
+			t.Fatalf("gated and ungated fabrics encode differently %s", when)
+		}
+	}
+	for _, m := range []struct {
+		n  *Network
+		cs [2]*Conn
+	}{{gated, gc}, {ungated, uc}} {
+		if err := m.n.DrainAndClose(m.cs[0], 10_000); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.n.Close(m.cs[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("straight after the closes")
+
+	// A session stopped but still draining keeps its source: encode that
+	// state too.
+	for _, n := range []*Network{gated, ungated} {
+		c, err := n.Open(5, 10, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 2 * traffic.Mbps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Run(3_000)
+		n.stopSource(c)
+	}
+	same("with a stopped session still open for draining")
+
+	gated.Run(5_000)
+	ungated.Run(5_000)
+	gs, us := gated.Stats(), ungated.Stats()
+	if us.FlitsDelivered == 0 {
+		t.Fatalf("degenerate scenario: %+v", us)
+	}
+	if !reflect.DeepEqual(gs, us) {
+		t.Fatalf("gated run diverged after the closes:\nungated: %+v\ngated:   %+v", us, gs)
+	}
+	same("5000 cycles later")
+}
