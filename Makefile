@@ -78,11 +78,15 @@ race:
 	$(GO) test -race ./...
 
 # Short coverage-guided fuzz budgets: the network churn property (opens,
-# probes, teardowns, link failures/repairs interleaved), the link
+# probes, teardowns, link failures/repairs interleaved), the wake table
+# against the activity scans it replaced under the same operation stream,
+# a source's one-call gap replay against per-cycle ticks, the link
 # scheduler's one-pass selection against its sorted reference, and the
 # EPB search against its map-based reference.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzNetworkChurn -fuzztime=$(FUZZTIME) ./internal/network
+	$(GO) test -run='^$$' -fuzz=FuzzWakeTableMatchesScan -fuzztime=$(FUZZTIME) ./internal/network
+	$(GO) test -run='^$$' -fuzz=FuzzAdvanceToMatchesTicks -fuzztime=$(FUZZTIME) ./internal/traffic
 	$(GO) test -run='^$$' -fuzz=FuzzCandidatesMatchesSortedReference -fuzztime=$(FUZZTIME) ./internal/sched
 	$(GO) test -run='^$$' -fuzz=FuzzSearchIntoMatchesReference -fuzztime=$(FUZZTIME) ./internal/routing
 

@@ -17,6 +17,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // Version is the current checkpoint format version. Bump it on any
@@ -47,6 +48,11 @@ type Encoder struct {
 
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
+
+// Grow makes room for n more bytes, so a caller that knows roughly how
+// large its payload will be pays for one allocation instead of a
+// doubling series of them.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // Bytes returns the encoded payload.
 func (e *Encoder) Bytes() []byte { return e.buf }

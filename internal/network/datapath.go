@@ -103,12 +103,21 @@ func (n *Network) AddBestEffortFlow(src, dst int, packetsPerCycle float64) (Flow
 		return 0, errBadEndpoints(src, dst)
 	}
 	bf := &beFlow{src: src, dst: dst, conn: flit.InvalidConn, gen: traffic.NewBestEffortSource(n.nodes[src].rng, packetsPerCycle)}
-	bf.id = n.issueFlowID()
+	n.addBEFlow(bf)
+	return bf.id, nil
+}
+
+// addBEFlow registers a new flow: it gets its owner handle, starts
+// ticking at the current cycle, and joins the global registry and its
+// source node's injector list.
+func (n *Network) addBEFlow(bf *beFlow) {
+	n.nextFlowID++
+	bf.id = n.nextFlowID
 	bf.lastTick = n.now - 1
 	bf.nextDue = n.now
 	n.beFlows = append(n.beFlows, bf)
-	n.nodes[src].beSrc = append(n.nodes[src].beSrc, bf)
-	return bf.id, nil
+	n.nodes[bf.src].beSrc = append(n.nodes[bf.src].beSrc, bf)
+	n.touch(bf.src)
 }
 
 // CloseFlow retires the standalone best-effort flow with the given ID:
@@ -137,12 +146,46 @@ func (n *Network) CloseFlow(id FlowID) error {
 // worker's resident block with NoIdleSkip. Step always advances exactly
 // one cycle; the whole-clock fast-forward across fully idle stretches
 // lives in Run.
-func (n *Network) Step() {
+func (n *Network) Step() { n.cycle(true, 0) }
+
+// Run advances the network the given number of cycles. With gating on,
+// cycles where the global active set is empty are elided entirely: the
+// clock jumps to the earliest next wake-up — a pending session event or
+// the earliest entry of the wake table — with the skipped cycles credited
+// to the statistics so utilization and rate figures are identical to
+// stepping through them. Busy stretches the forecasts prove injection-free
+// additionally run through the fused drain kernel (drainWindow), which
+// strips the session-event pump and the horizon check from each
+// dispatched cycle.
+func (n *Network) Run(cycles int64) {
+	limit := n.now + cycles
+	for n.now < limit {
+		if !n.cycle(true, limit) || n.cfg.NoIdleSkip {
+			continue
+		}
+		// Fused drain: if the forecasts prove no source can inject and no
+		// session event can fire for a while, the coming cycles are pure
+		// drain — run them in the reduced kernel.
+		if end := n.quietHorizon(n.now, limit); end-n.now >= drainMinWindow {
+			n.drainWindow(end)
+		}
+	}
+}
+
+// cycle is the one cycle body behind Step, Run and drainWindow: session
+// events (unless the caller has proven there are none), pool rebalance,
+// active set, the shard-resident cycle, the wake-table settle, the clock.
+// When gating finds the active set empty and skipTo lies ahead, the cycle
+// is elided instead: the clock jumps to the next wake-up at or before
+// skipTo and cycle reports false.
+func (n *Network) cycle(events bool, skipTo int64) bool {
 	t := n.now
 
 	// Session-level events scheduled for this cycle (connection arrivals,
 	// teardowns, fault transitions) fire first, on the stepping goroutine.
-	n.events.Run(simTime(t))
+	if events {
+		n.events.Run(simTime(t))
+	}
 
 	// Flits are minted from the source node's pool and retired into the
 	// destination node's, so free lists drift toward the sinks; level them
@@ -156,327 +199,65 @@ func (n *Network) Step() {
 		n.runCycle(t, len(n.nodes), n.allBoundary, true)
 	} else {
 		total, boundary := n.buildActive(t)
-		n.runCycle(t, total, boundary, false)
-	}
-
-	n.now++
-	n.m.cycles++
-}
-
-// Run advances the network the given number of cycles. With gating on,
-// cycles where the global active set is empty are elided entirely: the
-// clock jumps to the earliest next wake-up — a pending session event, a
-// staged lane entry maturing, or a traffic source coming due — with the
-// skipped cycles credited to the statistics so utilization and rate
-// figures are identical to stepping through them. Busy stretches the
-// forecasts prove injection-free additionally run through the fused
-// drain kernel (drainWindow), which strips the per-cycle session-event
-// and source-due machinery from each dispatched cycle.
-func (n *Network) Run(cycles int64) {
-	limit := n.now + cycles
-	for n.now < limit {
-		t := n.now
-		n.events.Run(simTime(t))
-		if t%poolRebalanceInterval == 0 {
-			n.rebalancePools()
-		}
-		if !n.cfg.NoIdleSkip {
-			total, boundary := n.buildActive(t)
-			if total == 0 {
-				next := n.nextWake(t, limit)
-				// If a pool-rebalance boundary falls inside the skipped
-				// stretch, level once now: the free lists cannot change
-				// again while everything is idle, so one catch-up pass
-				// reproduces every boundary the stretch covers. (The wake
-				// cycle itself is handled by the check at the loop top.)
-				if m := (t/poolRebalanceInterval + 1) * poolRebalanceInterval; m < next {
-					n.rebalancePools()
-				}
-				n.m.cycles += next - t
-				n.idleSkipped += next - t
-				n.now = next
-				continue
-			}
-			n.runCycle(t, total, boundary, false)
-			n.now++
-			n.m.cycles++
-			// Fused drain: if the forecasts prove no source can inject and
-			// no session event can fire for a while, the coming cycles are
-			// pure drain — run them in the reduced kernel.
-			if end := n.quietHorizon(n.now, limit); end-n.now >= drainMinWindow {
-				n.drainWindow(end)
-			}
-			continue
-		}
-		n.runCycle(t, len(n.nodes), n.allBoundary, true)
-		n.now++
-		n.m.cycles++
-	}
-}
-
-// drainMinWindow is the shortest injection-free window worth entering the
-// fused drain kernel for. Below it, the horizon scan costs more than the
-// per-cycle machinery it elides. Purely a performance knob: the fused and
-// naive paths are bit-identical (TestDrainKEquivalence), so the threshold
-// cannot affect results.
-const drainMinWindow = 4
-
-// quietHorizon returns the end (exclusive, capped at limit) of the
-// injection-free window starting at from: no session event is scheduled
-// and no live traffic source comes due before it. Within such a window
-// the fabric can only drain — buffered flits move, staged lane entries
-// mature, queued NI backlog enters free VCs — so the per-cycle event
-// dispatch and source-due scans are provably no-ops. Source forecasts
-// (nextDue) are exact lower bounds maintained by the injection contract;
-// events cannot appear mid-window because only the serial event path
-// schedules events, never the cycle phases.
-func (n *Network) quietHorizon(from, limit int64) int64 {
-	end := limit
-	if at, ok := n.events.NextAt(); ok && int64(at) < end {
-		end = int64(at)
-	}
-	if end <= from {
-		return from
-	}
-	for _, nd := range n.nodes {
-		for _, c := range nd.srcConns {
-			if c.closed || c.broken || !c.open || c.src == nil {
-				continue
-			}
-			if c.nextDue < end {
-				end = c.nextDue
-			}
-		}
-		for _, bf := range nd.beSrc {
-			if bf.nextDue < end {
-				end = bf.nextDue
-			}
-		}
-	}
-	if end < from {
-		end = from
-	}
-	return end
-}
-
-// drainWindow is the fused multi-cycle drain kernel: it advances the
-// clock to end running only the datapath phases over the reduced drain
-// worklist. Equivalence with end-now naive Step calls:
-//
-//   - session events: none are scheduled before end (quietHorizon), and
-//     the phases never schedule events, so the skipped events.Run calls
-//     are no-ops.
-//   - sources: none come due before end, so the skipped source-due
-//     activity checks are false and skipped forecast refreshes are
-//     no-ops (nextDue > t). Source Tick replay is deferred exactly as it
-//     is for any gated-idle node: the catch-up loop in injectStreams /
-//     injectPackets replays the provably-silent gap ticks in order.
-//   - pool rebalancing: modulo boundaries fire inside the window just as
-//     Step would fire them, including the one-shot catch-up when an
-//     intra-window fast-forward jumps a boundary.
-//
-// Cycles whose drain worklist is empty fast-forward to the earliest
-// staged lane entry (the only possible wake-up inside the window).
-func (n *Network) drainWindow(end int64) {
-	for n.now < end {
-		t := n.now
-		if t%poolRebalanceInterval == 0 {
-			n.rebalancePools()
-		}
-		total, boundary := n.buildActiveDrain(t)
-		if total == 0 {
-			next := end
-			for i := range n.laneFlits {
-				if la := n.laneFlits[i].nextAt; la < next {
-					next = la
-				}
-				if la := n.laneCreds[i].nextAt; la < next {
-					next = la
-				}
-			}
-			if next <= t {
-				next = t + 1
-			}
+		if total == 0 && skipTo > t {
+			next := n.nextWake(t, skipTo)
+			// If a pool-rebalance boundary falls inside the skipped
+			// stretch, level once now: the free lists cannot change again
+			// while everything is idle, so one catch-up pass reproduces
+			// every boundary the stretch covers. (The wake cycle itself is
+			// handled by the check above when it runs.)
 			if m := (t/poolRebalanceInterval + 1) * poolRebalanceInterval; m < next {
 				n.rebalancePools()
 			}
 			n.m.cycles += next - t
 			n.idleSkipped += next - t
 			n.now = next
-			continue
+			return false
 		}
 		n.runCycle(t, total, boundary, false)
-		n.now++
-		n.m.cycles++
-		n.drainCycles++
+		n.settle(t)
 	}
+	n.now++
+	n.m.cycles++
+	return true
 }
 
-// buildActiveDrain is buildActive inside an injection-free window: the
-// source-due checks are dropped (provably false until the window ends),
-// leaving occupancy, matured lane entries and queued NI backlog as the
-// only activity signals.
-func (n *Network) buildActiveDrain(t int64) (total, boundary int) {
-	for w := range n.wrk {
-		n.wrk[w].act = n.wrk[w].act[:0]
-		n.wrk[w].extras = n.wrk[w].extras[:0]
-	}
-	for _, nd := range n.nodes {
-		if n.nodeActiveDrain(nd, t) {
-			n.actStamp[nd.id] = t
-			w := n.workerOf[nd.id]
-			n.wrk[w].act = append(n.wrk[w].act, nd)
-			total++
-			if !n.interior[nd.id] {
-				boundary++
-			}
-		}
-	}
-	return total, boundary
-}
+// drainMinWindow is the shortest injection-free window worth entering the
+// fused drain kernel for. Below it, the horizon check costs more than the
+// per-cycle machinery it elides. Purely a performance knob: the fused and
+// naive paths are bit-identical (TestDrainKEquivalence), so the threshold
+// cannot affect results.
+const drainMinWindow = 4
 
-// nodeActiveDrain is the drain-window activity predicate — nodeActive
-// minus the source-due disjuncts (see buildActiveDrain).
-func (n *Network) nodeActiveDrain(nd *node, t int64) bool {
-	if n.occ[nd.id*occStride] > 0 {
-		return true
-	}
-	for i := range nd.in {
-		lane := nd.in[i].lane
-		if n.laneCreds[lane].nextAt <= t || n.laneFlits[lane].nextAt <= t {
-			return true
+// drainWindow is the fused multi-cycle drain kernel: it advances the
+// clock to end, which quietHorizon has proven free of session events and
+// due sources, through the shared cycle body minus the event pump.
+// Equivalence with end-now naive Step calls:
+//
+//   - session events: none are scheduled before end, and the phases
+//     never schedule events, so the skipped events.Run calls are no-ops.
+//   - sources: none come due before end, so every wake-table entry at or
+//     before a window cycle stands for buffered flits, NI backlog or a
+//     matured lane entry. Source replay is deferred exactly as it is for
+//     any gated-idle node (injectStreams / injectPackets).
+//   - pool rebalancing: the cycle body fires the modulo boundaries just
+//     as Step does, including the one-shot catch-up when an intra-window
+//     fast-forward jumps a boundary.
+//
+// Cycles whose active set is empty fast-forward to the next wake-up —
+// inside the window, a staged lane entry maturing.
+func (n *Network) drainWindow(end int64) {
+	for n.now < end {
+		if n.cycle(false, end) {
+			n.drainCycles++
 		}
 	}
-	for _, c := range nd.srcConns {
-		// A queued stream flit retries VC entry every cycle; same for
-		// queued packets below (which additionally draw RNG hunting a
-		// free VC), so NI backlog forces activity.
-		if !c.closed && !c.broken && c.niQueue.Len() > 0 {
-			return true
-		}
-	}
-	for _, bf := range nd.beSrc {
-		if bf.niQueue.Len() > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // FusedDrainCycles reports how many cycles Run has executed inside the
 // fused drain kernel (diagnostics; results are independent of it by
 // construction).
 func (n *Network) FusedDrainCycles() int64 { return n.drainCycles }
-
-// buildActive computes this cycle's worklist: a node is active iff it has
-// buffered flits on any port, an inbound staging lane holds a matured
-// flit or credit, a stream source or best-effort flow homed on it is due
-// (or still has a queued backlog at its network interface). Everything
-// read here is either node-local or a lane the node is the unique reader
-// of, and the scan runs serially between cycles, so the per-worker lists
-// — and hence the simulation — are deterministic for every worker count.
-//
-// Active nodes are bucketed straight into their owning worker's resident
-// list (ascending node order, since the scan ascends), and the returned
-// counts drive the cycle-mode selection in runCycle: boundary counts the
-// active nodes with at least one cross-shard edge — zero means the
-// workers provably cannot interact this cycle and the whole cycle runs
-// barrier-free (cycFused).
-//
-// The maturity rule is what makes gating exact: a lane entry's arriveAt
-// wakes its receiver on exactly the cycle the ungated engine would have
-// delivered it, so nothing is ever delivered, credited or reset late.
-func (n *Network) buildActive(t int64) (total, boundary int) {
-	for w := range n.wrk {
-		n.wrk[w].act = n.wrk[w].act[:0]
-		n.wrk[w].extras = n.wrk[w].extras[:0]
-	}
-	for _, nd := range n.nodes {
-		if n.nodeActive(nd, t) {
-			n.actStamp[nd.id] = t
-			w := n.workerOf[nd.id]
-			n.wrk[w].act = append(n.wrk[w].act, nd)
-			total++
-			if !n.interior[nd.id] {
-				boundary++
-			}
-		}
-	}
-	return total, boundary
-}
-
-// nodeActive is the per-node activity predicate (see buildActive). The
-// buffered-flit check is one load from the flat occupancy array (kept
-// current by the VCMs via BindOccupancy); inbound lane heads are probed
-// through the node's precomputed edge list against the flat lane arrays.
-func (n *Network) nodeActive(nd *node, t int64) bool {
-	if n.occ[nd.id*occStride] > 0 {
-		return true
-	}
-	for i := range nd.in {
-		lane := nd.in[i].lane
-		if n.laneCreds[lane].nextAt <= t || n.laneFlits[lane].nextAt <= t {
-			return true
-		}
-	}
-	for _, c := range nd.srcConns {
-		if c.closed || c.broken {
-			continue
-		}
-		if c.niQueue.Len() > 0 {
-			return true
-		}
-		if c.open && c.src != nil && c.nextDue <= t {
-			return true
-		}
-	}
-	for _, bf := range nd.beSrc {
-		// A queued packet draws from the node's RNG every cycle while it
-		// hunts for a free VC, so a non-empty NI queue forces activity.
-		if bf.niQueue.Len() > 0 || bf.nextDue <= t {
-			return true
-		}
-	}
-	return false
-}
-
-// nextWake returns the earliest cycle in (t, limit] at which anything can
-// happen: the next session event, the earliest staged lane entry
-// maturing, or the earliest due traffic source. Called only when the
-// active set is empty, so every lane head (if any) is strictly future.
-func (n *Network) nextWake(t, limit int64) int64 {
-	next := limit
-	if at, ok := n.events.NextAt(); ok && int64(at) < next {
-		next = int64(at)
-	}
-	// Lane heads: one linear pass over the cached nextAt values covers
-	// every node's staging lanes (unwired lane slots are never pushed to
-	// and stay at laneIdle, which never lowers next).
-	for i := range n.laneFlits {
-		if la := n.laneFlits[i].nextAt; la < next {
-			next = la
-		}
-		if la := n.laneCreds[i].nextAt; la < next {
-			next = la
-		}
-	}
-	for _, nd := range n.nodes {
-		for _, c := range nd.srcConns {
-			if c.open && !c.closed && !c.broken && c.src != nil && c.nextDue < next {
-				next = c.nextDue
-			}
-		}
-		for _, bf := range nd.beSrc {
-			if bf.nextDue < next {
-				next = bf.nextDue
-			}
-		}
-	}
-	if next <= t {
-		next = t + 1
-	}
-	return next
-}
 
 // ResetStats discards accumulated statistics (warmup boundary). Metric
 // shards reset too, so hot-path series (per-class histograms, grant
@@ -511,6 +292,10 @@ func (n *Network) phaseDeliver(nd *node, t int64) {
 		}
 	}
 
+	// inboundAt: the earliest entry this pass leaves behind unmatured, for
+	// the node's settle (wake.go). Entries pushed later this cycle are the
+	// senders' to report.
+	inboundAt := laneIdle
 	for i := range nd.in {
 		e := &nd.in[i]
 		q := int(e.port)
@@ -524,6 +309,9 @@ func (n *Network) phaseDeliver(nd *node, t int64) {
 			nd.shadow[to.port].Return(int(to.vc))
 		}
 		cl.compact()
+		if cl.nextAt < inboundAt {
+			inboundAt = cl.nextAt
+		}
 
 		// Flits in flight toward input port q, applying the directed
 		// link's impairments with this receiver's RNG stream: a dropped
@@ -569,7 +357,11 @@ func (n *Network) phaseDeliver(nd *node, t int64) {
 			}
 		}
 		fl.compact()
+		if fl.nextAt < inboundAt {
+			inboundAt = fl.nextAt
+		}
 	}
+	nd.inboundAt = inboundAt
 }
 
 // phaseSchedule routes packets, nominates candidates, arbitrates the
@@ -686,6 +478,7 @@ func (n *Network) phaseCommit(nd *node, t int64) {
 	if len(nd.dropCredits) > 0 {
 		for _, sc := range nd.dropCredits {
 			nd.credOut[sc.port].push(sc.cm)
+			n.notePush(nd, sc.port)
 		}
 		nd.dropCredits = nd.dropCredits[:0]
 	}
@@ -724,6 +517,7 @@ func (n *Network) executeGrants(nd *node, t int64) {
 		// delay), unless a host interface feeds this VC directly.
 		if up := nd.upstream[in][cand.VC]; up.node >= 0 {
 			nd.credOut[in].push(creditMsg{arriveAt: t + n.cfg.LinkDelay, to: up})
+			n.notePush(nd, in)
 		}
 		if isPacket {
 			// Single-flit packet: its VC frees entirely.
@@ -740,6 +534,7 @@ func (n *Network) executeGrants(nd *node, t int64) {
 			vc:       targetVC,
 			f:        f,
 		})
+		n.notePush(nd, cand.Output)
 		nd.stats.linkFlits++
 	}
 }
@@ -794,31 +589,27 @@ func (n *Network) eject(nd *node, t int64, f *flit.Flit) {
 	nd.pool.Put(f)
 }
 
-// catchUpSource ticks c's traffic source through every cycle before the
-// current one. The ungated engine ticks a source on every cycle, while the
-// gated engine may not have run its host node since lastTick; anything
+// catchUpSource replays c's source through every cycle before the
+// current one. The ungated engine ticks a source on every cycle, while
+// the gated engine leaves it alone between its forecast events; anything
 // about to change how the source ticks (its rate) or reset lastTick must
-// first replay that gap as it was. The pending cycles all precede the
-// connection's forecast (nextDue), so each tick is a promised no-op — no
-// flits, no RNG — but it advances the source's accumulators exactly as the
-// ungated engine did.
+// first replay that gap as it was.
 func (n *Network) catchUpSource(c *Conn) {
 	if c.src == nil {
 		return
 	}
-	for ct := c.lastTick + 1; ct < n.now; ct++ {
-		c.src.Tick(ct)
-	}
+	traffic.ReplayGap(c.src, c.lastTick, n.now-1)
 	c.lastTick = n.now - 1
 }
 
-// stopSource ends c's injection, first replaying the cycles its node
+// stopSource ends c's injection, first replaying the cycles its source
 // slept through: what a stopped session records (lastTick, the source's
 // accumulator) must not depend on when its node last happened to run.
 func (n *Network) stopSource(c *Conn) {
 	if c.open {
 		n.catchUpSource(c)
 		c.open = false
+		n.touch(c.Src)
 	}
 }
 
@@ -826,49 +617,66 @@ func (n *Network) stopSource(c *Conn) {
 // whose source host sits on this node. Sources are bound to this node's
 // RNG stream, and flits come from this node's pool.
 //
-// Gating contract: a source must be ticked every cycle (Tick is stateful,
-// and some draws consume RNG), but a node only runs when active. The
-// catch-up loop replays the cycles the node slept through — provably
-// no-ops, since the forecast (c.nextDue) promised no arrivals and gap
-// ticks draw no RNG — then ticks the live cycle. The forecast is only
-// recomputed once it expires, and after the ticks, so the simulated
-// per-cycle state it was derived from matches the source exactly.
+// Gating contract: a source must see every cycle (Tick is stateful, and
+// some draws consume RNG), but the gated engine visits a session only
+// when its source calendar says to — its forecast (c.nextDue) has come
+// due, or flits queue at its interface — in ascending connection ID, the
+// order the ungated engine's walk over srcConns gives the same sessions.
+// A due session first replays the cycles it was left alone for, then
+// ticks the live cycle; the forecast is only recomputed once it expires,
+// and after the tick, so the simulated per-cycle state it was derived
+// from matches the source exactly. A session that is only draining its
+// queue is not ticked: its gap stays whole for the forecast's memo.
 func (n *Network) injectStreams(nd *node, t int64) {
-	hp := n.cfg.hostPort()
-	for _, c := range nd.srcConns {
-		if c.closed || c.broken {
-			continue
-		}
-		if c.open && c.src != nil {
-			for ct := c.lastTick + 1; ct <= t; ct++ {
-				for k := c.src.Tick(ct); k > 0; k-- {
-					f := nd.pool.Get()
-					f.Conn, f.Class, f.Type = c.ID, c.Spec.Class, flit.TypeBody
-					f.Seq, f.CreatedAt = c.nextSeq, ct
-					f.Src, f.Dst = int32(c.Src), int32(c.Dst)
-					c.nextSeq++
-					c.niQueue.Push(f)
-					nd.stats.generated++
-				}
-			}
-			c.lastTick = t
-			// Maintained even with gating off: the forecast is part of the
-			// durable fabric state a checkpoint carries, and it must not
-			// depend on the execution strategy that happened to produce it.
-			if c.nextDue <= t {
-				c.nextDue = traffic.ForecastSource(c.src, t, t+idleForecastHorizon)
+	if n.cfg.NoIdleSkip {
+		for _, c := range nd.srcConns {
+			if !c.closed && !c.broken {
+				n.injectStream(nd, c, t, true)
 			}
 		}
-		mem := nd.mems[hp]
-		entry := c.VCs[0]
-		for c.niQueue.Len() > 0 && mem.Free(entry.VC) > 0 {
-			f := c.niQueue.Pop()
-			f.ReadyAt = t
-			if mem.Len(entry.VC) == 0 {
-				f.HeadAt = t
-			}
-			mem.Push(entry.VC, f)
+		return
+	}
+	if nd.calStale {
+		nd.rebuildCalendar()
+	}
+	for _, e := range nd.cal.Take(t) {
+		c := e.Item
+		n.injectStream(nd, c, t, c.nextDue <= t)
+		nd.file(c)
+	}
+}
+
+// injectStream is one session's share of injectStreams: tick the source
+// if asked to, then drain the interface queue into the entry VC.
+func (n *Network) injectStream(nd *node, c *Conn, t int64, tick bool) {
+	if tick && c.injecting() {
+		traffic.ReplayGap(c.src, c.lastTick, t-1)
+		for k := c.src.Tick(t); k > 0; k-- {
+			f := nd.pool.Get()
+			f.Conn, f.Class, f.Type = c.ID, c.Spec.Class, flit.TypeBody
+			f.Seq, f.CreatedAt = c.nextSeq, t
+			f.Src, f.Dst = int32(c.Src), int32(c.Dst)
+			c.nextSeq++
+			c.niQueue.Push(f)
+			nd.stats.generated++
 		}
+		c.lastTick = t
+		// Maintained even with gating off: the forecast is part of the
+		// durable fabric state a checkpoint carries, and it must not
+		// depend on the execution strategy that happened to produce it.
+		if c.nextDue <= t {
+			c.nextDue = traffic.ForecastSource(c.src, t, t+idleForecastHorizon)
+		}
+	}
+	mem := nd.mems[n.cfg.hostPort()]
+	entry := c.VCs[0]
+	for c.niQueue.Len() > 0 && mem.Free(entry.VC) > 0 {
+		f := c.niQueue.Pop()
+		f.ReadyAt = t
+		if mem.Len(entry.VC) == 0 {
+			f.HeadAt = t
+		}
+		mem.Push(entry.VC, f)
 	}
 }
 
@@ -877,30 +685,31 @@ func (n *Network) injectStreams(nd *node, t int64) {
 func (n *Network) injectPackets(nd *node, t int64) {
 	hp := n.cfg.hostPort()
 	for _, bf := range nd.beSrc {
-		// Same catch-up contract as injectStreams. BestEffortSource gap
-		// ticks are total no-ops (no state change, no RNG), so the replay
-		// loop is cheap even after a long sleep.
-		for ct := bf.lastTick + 1; ct <= t; ct++ {
-			for k := bf.gen.Tick(ct); k > 0; k-- {
+		// Same contract as injectStreams: the gated engine ticks a flow
+		// only once its forecast has come due.
+		if n.cfg.NoIdleSkip || bf.nextDue <= t {
+			traffic.ReplayGap(bf.gen, bf.lastTick, t-1)
+			for k := bf.gen.Tick(t); k > 0; k-- {
 				nd.pktSeq++
 				// Node-unique sequence: local counter tagged with the node id.
 				seq := nd.pktSeq<<20 | int64(nd.id)
 				f := nd.pool.Get()
 				f.Conn, f.Class, f.Type = flit.InvalidConn, flit.ClassBestEffort, flit.TypeHead
-				f.Seq, f.CreatedAt = seq, ct
+				f.Seq, f.CreatedAt = seq, t
 				f.Src, f.Dst = int32(bf.src), int32(bf.dst)
 				pk := nd.pool.GetPacket()
-				pk.ID, pk.Kind, pk.Size, pk.CreatedAt = seq, flit.PacketBestEffort, 1, ct
+				pk.ID, pk.Kind, pk.Size, pk.CreatedAt = seq, flit.PacketBestEffort, 1, t
 				f.Packet = pk
 				bf.niQueue.Push(f)
 				nd.stats.beGenerated++
 			}
-		}
-		bf.lastTick = t
-		// Unconditional for the same reason as the stream forecast above:
-		// checkpointed state must be execution-strategy independent.
-		if bf.nextDue <= t {
-			bf.nextDue = traffic.ForecastSource(bf.gen, t, t+idleForecastHorizon)
+			bf.lastTick = t
+			// Unconditional for the same reason as the stream forecast
+			// above: checkpointed state must be execution-strategy
+			// independent.
+			if bf.nextDue <= t {
+				bf.nextDue = traffic.ForecastSource(bf.gen, t, t+idleForecastHorizon)
+			}
 		}
 		mem := nd.mems[hp]
 		for bf.niQueue.Len() > 0 {

@@ -286,6 +286,7 @@ func (n *Network) installPath(conn *Conn, l *holds) {
 	// matching the ungated engine, which never ticks a broken connection.
 	conn.lastTick = n.now - 1
 	conn.nextDue = n.now
+	n.touch(conn.Src)
 	l.settle()
 }
 

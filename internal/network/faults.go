@@ -197,6 +197,7 @@ func (n *Network) purgePipe(nodeID, port, peer, peerPort int) {
 		nd.pool.Put(lf.f)
 	}
 	nd.pipes[port].reset()
+	n.touch(peer) // its inbound lane changed under it
 }
 
 // clearStaleOutputs un-routes best-effort packets at nodeID whose chosen
@@ -278,6 +279,9 @@ func (n *Network) breakConn(c *Conn, reason string) {
 			n.m.faultFlitsLost++
 		}
 		x.shadow[ref.Port].Reset(ref.VC)
+		// Every router on the path lost buffered flits, staged lane
+		// entries or (the first) a source.
+		n.touch(c.Nodes[i])
 	}
 	n.releasePath(c)
 
@@ -317,15 +321,10 @@ func (n *Network) abandon(c *Conn) {
 		// budget: the session continues, but only as best-effort. The
 		// session count stays charged until the session closes or is lost.
 		n.tenants.ReleaseGuaranteed(c.Tenant, n.demandFor(c.Spec).alloc)
-		bf := &beFlow{
+		n.addBEFlow(&beFlow{
 			src: c.Src, dst: c.Dst, conn: c.ID,
 			gen: traffic.NewCBRSource(n.cfg.Link, c.Spec.Rate, 0),
-		}
-		bf.id = n.issueFlowID()
-		bf.lastTick = n.now - 1
-		bf.nextDue = n.now
-		n.beFlows = append(n.beFlows, bf)
-		n.nodes[c.Src].beSrc = append(n.nodes[c.Src].beSrc, bf)
+		})
 		n.dropSrcConn(c)
 		n.logEvent(SessionEvent{Kind: "conn-degraded", Conn: c.ID, Node: c.Src, Port: -1,
 			Detail: "restoration failed; continuing best-effort"})

@@ -18,8 +18,14 @@ import (
 // of closed and fault-broken connections fully released (CheckInvariants).
 // Panics (flow-control violations, double releases, paranoid-mode audits)
 // fail the property. Shared by the quick.Check test and the native
-// fuzzer.
+// fuzzers.
 func churn(seed uint64, ops []byte) bool {
+	return churnOps(seed, DefaultConfig(nil).LinkDelay, ops, (*Network).Run)
+}
+
+// churnOps is churn at a given link delay, with the cycle bursts run by
+// the caller's function (which may check more as it goes).
+func churnOps(seed uint64, linkDelay int64, ops []byte, run func(n *Network, cycles int64)) bool {
 	tp, err := topology.Mesh(3, 3, 4)
 	if err != nil {
 		return false
@@ -27,6 +33,7 @@ func churn(seed uint64, ops []byte) bool {
 	cfg := DefaultConfig(tp)
 	cfg.VCs = 8
 	cfg.Seed = seed
+	cfg.LinkDelay = linkDelay
 	n, err := New(cfg)
 	if err != nil {
 		return false
@@ -85,7 +92,7 @@ func churn(seed uint64, ops []byte) bool {
 			l := tp.Links[rng.Intn(len(tp.Links))]
 			n.RestoreLink(l.A, l.APort)
 		default: // run cycles
-			n.Run(int64(op)*3 + 16)
+			run(n, int64(op)*3+16)
 		}
 		if !networkInvariants(n) {
 			return false

@@ -1,6 +1,9 @@
 package network
 
-import "mmr/internal/flit"
+import (
+	"mmr/internal/flit"
+	"mmr/internal/traffic"
+)
 
 // lanes.go holds the single-writer/single-reader staging lanes the
 // parallel cycle is built on. Every cross-node effect of a cycle — a flit
@@ -20,8 +23,9 @@ import "mmr/internal/flit"
 
 // laneIdle is the nextAt value of a lane with no pending entries. It
 // compares greater than every real cycle, so maturity probes need no
-// emptiness branch.
-const laneIdle int64 = 1<<63 - 1
+// emptiness branch — the same "never" a source calendar reports, since
+// the wake table takes minima over both.
+const laneIdle = traffic.NoEvent
 
 // creditLane carries credit returns from the node that freed a buffer
 // slot back to the upstream node named in each entry's upRef. Lane
@@ -33,11 +37,12 @@ type creditLane struct {
 
 	// nextAt caches the head entry's arriveAt (laneIdle when empty).
 	// Entries arrive in nondecreasing arriveAt order, so the head is
-	// always the minimum; the cache lets the per-cycle activity and
-	// wake-up scans probe a lane with one flat-array load instead of
-	// dereferencing its backing slice. Maintained by push (empty →
-	// non-empty), compact (after drains and filters) and reset. Lanes
-	// allocated by make start at zero — construction must set laneIdle.
+	// always the minimum; the receiver reads it after draining the lane
+	// to learn the earliest entry it leaves behind (node.inboundAt), with
+	// one flat-array load instead of dereferencing the backing slice.
+	// Maintained by push (empty → non-empty), compact (after drains and
+	// filters) and reset. Lanes allocated by make start at zero —
+	// construction must set laneIdle.
 	nextAt int64
 }
 

@@ -96,6 +96,7 @@ func (n *Network) ModifyBandwidth(c *Conn, rate traffic.Rate) error {
 	// execution strategy: the gated and ungated paths both refresh a due
 	// forecast on the next injection pass.)
 	c.nextDue = n.now
+	n.touch(c.Src)
 
 	n.logEvent(SessionEvent{Kind: "conn-modified", Conn: c.ID, Node: c.Src, Port: -1,
 		Detail: fmt.Sprintf("rate %v -> %v", oldSpec.Rate, rate)})

@@ -211,8 +211,8 @@ var noUpstream = upRef{node: -1}
 // feeds local input port `port`, and the flat index of the peer's
 // outbound lane pair in the network's lane arrays. Wiring is immutable
 // after construction (faults only flip live/up state), so these lists are
-// built once and let every per-cycle scan — activity, delivery, claim
-// commit — stream the lane arrays without topology lookups or per-node
+// built once and let the per-cycle passes — delivery, claim commit, the
+// push lists — use the lane arrays without topology lookups or per-node
 // pointer chasing.
 type inEdge struct {
 	lane     int32 // peer's lane segment index: peer*laneStride + peerPort
@@ -303,6 +303,18 @@ type node struct {
 	// node's RNG stream; ticked only by this node's shard).
 	srcConns []*Conn
 	beSrc    []*beFlow
+
+	// Activity gating (wake.go), all owned by this node. cal files the
+	// stream sessions of srcConns by when injectStreams must look at them;
+	// calStale asks for it to be rebuilt from srcConns before its next use
+	// (set by touch — the control plane edits srcConns, never the
+	// calendar). pushed lists the peers this node's commit phase staged
+	// lane entries for this cycle, inboundAt the earliest entry its
+	// delivery phase left unmatured on its inbound lanes.
+	cal       traffic.Calendar[*Conn]
+	calStale  bool
+	pushed    []int32
+	inboundAt int64
 
 	// lastRound is the most recent round whose boundary reset this node
 	// applied. Round boundaries are applied lazily at the node's next
@@ -489,20 +501,25 @@ type Network struct {
 	// claim slots live in network-owned flat arrays indexed
 	// node*laneStride+port; each node's pipes/credOut/claim fields are
 	// subslice views into its own segment, so phase code keeps its
-	// per-node slice form while the whole-fabric scans (nodeActive,
-	// nextWake) stream contiguous memory. occ[id*occStride] aggregates
-	// the buffered-flit count across all of a node's ports, maintained
-	// incrementally by the VCMs (vcm.BindOccupancy), turning the
-	// hottest activity check into a single flat-array load.
+	// per-node slice form over contiguous memory. occ[id*occStride]
+	// aggregates the buffered-flit count across all of a node's ports,
+	// maintained incrementally by the VCMs (vcm.BindOccupancy), turning
+	// "any buffered flit?" into a single flat-array load.
 	laneStride int
 	laneFlits  []flitLane
 	laneCreds  []creditLane
 	claims     []claimSlot
 	occ        []int64
 
-	// Activity-gating stamps (datapath.go). A stamp equal to the current
-	// cycle marks membership (no per-cycle clearing): actStamp marks the
-	// active set (the per-worker act lists hold the members), extraStamp
+	// The wake table (wake.go): per node, the earliest cycle it can have
+	// work and the earliest cycle one of its sources is due. Derived
+	// state, written on the serial path only.
+	wakeAt []int64
+	srcDue []int64
+
+	// Activity-gating stamps. A stamp equal to the current cycle marks
+	// membership (no per-cycle clearing): actStamp marks the active set
+	// (the per-worker act lists hold the members), extraStamp
 	// deduplicates gated-out claim receivers recorded during scheduling.
 	actStamp   []int64
 	extraStamp []int64
@@ -512,6 +529,10 @@ type Network struct {
 	// (diagnostics only; results are independent of both by construction).
 	idleSkipped int64
 	drainCycles int64
+
+	// lastPayload is the length of the last EncodeState payload (0 before
+	// the first): the next encode's buffer is sized from it.
+	lastPayload int
 }
 
 // SessionEvent records one connection- or fault-level transition for
@@ -581,6 +602,8 @@ func New(cfg Config) (*Network, error) {
 			rng:       sim.NewStreamRNG(cfg.Seed, uint64(id)),
 			pool:      flit.NewPool(),
 			lastRound: -1,
+			calStale:  true,
+			inboundAt: laneIdle,
 		}
 		nd.stats.init()
 		// Per-node contiguous blocks: all ports' VC memories, link
@@ -633,7 +656,7 @@ func New(cfg Config) (*Network, error) {
 	// Precompute each node's wired inbound edges and output peers. Raw
 	// wiring never changes after construction (faults only flip link/router
 	// live state), so these lists replace per-cycle topology lookups in
-	// the delivery, claim-commit and activity scans.
+	// delivery, claim commit and the wake table's push lists.
 	for _, nd := range n.nodes {
 		nd.outPeer = make([]int32, radix)
 		for p := range nd.outPeer {
@@ -654,6 +677,11 @@ func New(cfg Config) (*Network, error) {
 			})
 		}
 	}
+	// Every node starts due at cycle 0 (the zero wake table) with a stale
+	// calendar, so a fabric — fresh or just restored from a checkpoint —
+	// derives its gating state in its first cycle.
+	n.wakeAt = make([]int64, len(n.nodes))
+	n.srcDue = make([]int64, len(n.nodes))
 	n.actStamp = make([]int64, len(n.nodes))
 	n.extraStamp = make([]int64, len(n.nodes))
 	for i := range n.actStamp {
@@ -701,6 +729,7 @@ func (c *Conn) terminal() bool { return c.closed || c.lost || c.Degraded }
 // into it — but the per-node scan lists must track live sessions only,
 // or every cycle pays for the full session history.
 func (n *Network) dropSrcConn(c *Conn) {
+	n.touch(c.Src)
 	nd := n.nodes[c.Src]
 	for i, x := range nd.srcConns {
 		if x == c {
@@ -718,6 +747,7 @@ func (n *Network) dropSrcConn(c *Conn) {
 // fabric inject in a different order than its restored twin and break
 // bit-exactness.
 func (n *Network) insertSrcConn(c *Conn) {
+	n.touch(c.Src)
 	nd := n.nodes[c.Src]
 	i := len(nd.srcConns)
 	for i > 0 && nd.srcConns[i-1].ID > c.ID {
@@ -733,17 +763,12 @@ func (n *Network) insertSrcConn(c *Conn) {
 // fabric goroutine).
 func (n *Network) Tenants() *admission.TenantTable { return n.tenants }
 
-// issueFlowID mints the next best-effort flow owner handle.
-func (n *Network) issueFlowID() FlowID {
-	n.nextFlowID++
-	return n.nextFlowID
-}
-
 // removeBEFlowAt unregisters beFlows[i]: queued NI packets return to the
 // source node's pool, and the flow leaves both the global registry and
 // its source node's injector list.
 func (n *Network) removeBEFlowAt(i int) {
 	bf := n.beFlows[i]
+	n.touch(bf.src)
 	pool := n.nodes[bf.src].pool
 	for bf.niQueue.Len() > 0 {
 		pool.Put(bf.niQueue.Pop())

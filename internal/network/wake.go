@@ -1,0 +1,203 @@
+package network
+
+import (
+	"mmr/internal/traffic"
+)
+
+// wake.go is the activity-gating state. The gated engine never asks a
+// node whether it has work; whatever gives a node work says so, once, at
+// the moment it happens, in state the recorder owns:
+//
+//	wakeAt[id]  earliest cycle node id can have work — a buffered flit,
+//	            NI backlog, an inbound lane entry maturing, a source due.
+//	srcDue[id]  earliest cycle one of its traffic sources is due.
+//
+// Both are written only on the serial path, after the end-of-cycle join
+// or between cycles, by exactly three writers:
+//
+//	settle      every node that ran a cycle re-derives its own entries
+//	            from state it owns: occupancy, its source calendar, its
+//	            best-effort flows, and the earliest still-unmatured entry
+//	            it saw on its inbound lanes while delivering (inboundAt).
+//	push lists  a lane push made in the commit phase is noted by the
+//	            sender in its own list (node.pushed, written by the
+//	            sender's worker); after the join the list lowers the
+//	            receivers' wakeAt to the cycle the entry matures.
+//	touch       every control-plane path that changes a node's sources,
+//	            buffers or lanes marks it due now; it then runs the next
+//	            cycle and settles from scratch.
+//
+// An entry may be early, never late. A node woken early runs a cycle in
+// which nothing is buffered, matured or due — the cycle every node runs
+// all the time under NoIdleSkip, which the gating-equivalence suites
+// prove changes nothing — and settles to its true value. A late entry
+// would deliver, credit or inject late. TestWakeTableMatchesScan holds
+// the table to the scanning predicates it replaced (wake_ref_test.go).
+//
+// None of this is simulated state: a fabric fresh from New has every node
+// due at cycle 0 and every calendar stale, so a restored checkpoint
+// rebuilds it all in its first cycle, and nothing here is serialized.
+
+// touch marks node id due now. Serial path only.
+func (n *Network) touch(id int) {
+	n.wakeAt[id] = n.now
+	n.srcDue[id] = n.now
+	n.nodes[id].calStale = true
+}
+
+// notePush records that nd appended to its outbound lane pair on port p
+// this cycle. Commit phase; the list is nd's own.
+func (n *Network) notePush(nd *node, p int) {
+	if !n.cfg.NoIdleSkip {
+		nd.pushed = append(nd.pushed, nd.outPeer[p])
+	}
+}
+
+// settle brings the wake table up to date after cycle t: every node that
+// ran re-derives its entries, then the lane pushes of the cycle wake
+// their receivers (in that order — a receiver that also ran must not
+// overwrite the push).
+func (n *Network) settle(t int64) {
+	for w := range n.wrk {
+		for _, nd := range n.wrk[w].act {
+			due := nd.cal.NextDue()
+			busy := n.occ[nd.id*occStride] > 0 || nd.cal.Holding()
+			for _, bf := range nd.beSrc {
+				if bf.nextDue < due {
+					due = bf.nextDue
+				}
+				// A queued packet draws from the node's RNG every cycle
+				// while it hunts for a free VC, so NI backlog forces
+				// activity — as a queued stream flit retrying VC entry does.
+				if bf.niQueue.Len() > 0 {
+					busy = true
+				}
+			}
+			n.srcDue[nd.id] = due
+			switch {
+			case busy:
+				n.wakeAt[nd.id] = t + 1
+			case nd.inboundAt < due:
+				n.wakeAt[nd.id] = nd.inboundAt
+			default:
+				n.wakeAt[nd.id] = due
+			}
+		}
+	}
+	// A lane entry pushed at t matures at t+LinkDelay and is delivered by
+	// the first cycle after t that reaches it.
+	arrive := t + n.cfg.LinkDelay
+	if arrive <= t {
+		arrive = t + 1
+	}
+	for w := range n.wrk {
+		for _, nd := range n.wrk[w].act {
+			for _, peer := range nd.pushed {
+				if n.wakeAt[peer] > arrive {
+					n.wakeAt[peer] = arrive
+				}
+			}
+			nd.pushed = nd.pushed[:0]
+		}
+	}
+}
+
+// buildActive computes this cycle's worklist — the nodes whose wake-table
+// entry has come — in one pass over the table. The pass runs serially
+// between cycles, so the per-worker lists — and hence the simulation —
+// are deterministic for every worker count.
+//
+// Active nodes are bucketed straight into their owning worker's resident
+// list (ascending node order, since the scan ascends), and the returned
+// counts drive the cycle-mode selection in runCycle: boundary counts the
+// active nodes with at least one cross-shard edge — zero means the
+// workers provably cannot interact this cycle and the whole cycle runs
+// barrier-free (cycFused).
+func (n *Network) buildActive(t int64) (total, boundary int) {
+	for w := range n.wrk {
+		n.wrk[w].act = n.wrk[w].act[:0]
+		n.wrk[w].extras = n.wrk[w].extras[:0]
+	}
+	for id, at := range n.wakeAt {
+		if at > t {
+			continue
+		}
+		n.actStamp[id] = t
+		w := n.workerOf[id]
+		n.wrk[w].act = append(n.wrk[w].act, n.nodes[id])
+		total++
+		if !n.interior[id] {
+			boundary++
+		}
+	}
+	return total, boundary
+}
+
+// nextWake returns the earliest cycle in (t, limit] at which anything can
+// happen: the next session event or the earliest wake-table entry.
+func (n *Network) nextWake(t, limit int64) int64 {
+	next := limit
+	if at, ok := n.events.NextAt(); ok && int64(at) < next {
+		next = int64(at)
+	}
+	for _, at := range n.wakeAt {
+		if at < next {
+			next = at
+		}
+	}
+	if next <= t {
+		next = t + 1
+	}
+	return next
+}
+
+// quietHorizon returns the end (exclusive, capped at limit) of the
+// injection-free window starting at from: no session event is scheduled
+// and no live traffic source comes due before it. Within such a window
+// the fabric can only drain — buffered flits move, staged lane entries
+// mature, queued NI backlog enters free VCs — so the event pump is
+// provably a no-op. srcDue entries are exact or early, and events cannot
+// appear mid-window because only the serial event path schedules events,
+// never the cycle phases.
+func (n *Network) quietHorizon(from, limit int64) int64 {
+	end := limit
+	if at, ok := n.events.NextAt(); ok && int64(at) < end {
+		end = int64(at)
+	}
+	for _, at := range n.srcDue {
+		if at < end {
+			end = at
+		}
+	}
+	if end < from {
+		end = from
+	}
+	return end
+}
+
+// injecting reports whether c's source is live: a session that is open
+// and has a generator.
+func (c *Conn) injecting() bool { return c.open && c.src != nil }
+
+// file puts a stream session where the source calendar will find it
+// next (traffic.Calendar.File): by its forecast while it injects, by its
+// interface queue while that drains.
+func (nd *node) file(c *Conn) {
+	due := traffic.NoEvent
+	if c.injecting() {
+		due = c.nextDue
+	}
+	nd.cal.File(due, c.niQueue.Len() > 0, int64(c.ID), c)
+}
+
+// rebuildCalendar re-files every live session homed on nd. srcConns is
+// ID-ascending, as File requires.
+func (nd *node) rebuildCalendar() {
+	nd.cal.Reset()
+	for _, c := range nd.srcConns {
+		if !c.closed && !c.broken {
+			nd.file(c)
+		}
+	}
+	nd.calStale = false
+}

@@ -115,6 +115,7 @@ func (r *Router) Release(conn *Connection) error {
 	conn.released = true
 	r.AbortFrame(conn) // drain NI queue and VC
 	conn.src = nil
+	r.calStale = true
 	mem := r.mems[conn.Spec.In]
 	mem.Release(conn.VC)
 	roundLen := r.cfg.RoundLen()
@@ -160,6 +161,11 @@ func (r *Router) applyControls(t int64) {
 			st.Peak = alloc
 			st.InterArrival = float64(r.cfg.RoundLen()) / float64(alloc)
 			pc.conn.Spec.Rate = rate
+			// The cycles the source was left alone for ran at the old
+			// rate; replay them before the rate changes.
+			if pc.conn.src != nil {
+				traffic.ReplayGap(pc.conn.src, pc.conn.lastTick, t-1)
+			}
 			if src, ok := pc.conn.src.(*traffic.CBRSource); ok {
 				// Retune the live source in place, keeping its fractional
 				// accumulator: a renegotiation changes the rate, it does
@@ -174,6 +180,7 @@ func (r *Router) applyControls(t int64) {
 			// on the next injection pass.
 			pc.conn.lastTick = t - 1
 			pc.conn.nextDue = t
+			r.calStale = true
 		case flit.CtlSetPriority:
 			st.BasePriority = pc.word.Arg
 			pc.conn.Spec.Priority = pc.word.Arg

@@ -105,64 +105,93 @@ func (r *Router) maskAsyncOutputs() {
 	}
 }
 
-// injectStreams ticks every connection source and moves flits from NI
+// injectStreams ticks the connection sources and moves flits from NI
 // queues into input virtual channels.
 //
-// Gating contract: sources are stateful and must see every cycle, but Run
-// elides cycles where the whole router is provably idle. The catch-up
-// loop replays the elided cycles — no-ops by construction, since the
-// forecast (c.nextDue) promised no arrivals and gap ticks draw no RNG —
-// then ticks the live cycle. The forecast is recomputed only once it
-// expires, after the ticks, so it always describes the source's actual
-// per-cycle state.
-//
-// Most connections on most cycles are CBR sources between arrivals: one
-// cycle behind, forecast silent, nothing queued. Those are ticked through
-// the concrete type — the same accumulator add as the general path below,
-// inlined instead of dispatched, which returns 0 as the forecast promised
-// — and need nothing else this cycle. Every cycle is still ticked, one at
-// a time: the accumulator's rounding depends on it (traffic/forecast.go).
+// Gating contract: sources are stateful and must see every cycle, but the
+// gated engine visits a connection only when the source calendar says to
+// — its forecast (c.nextDue) has come due, or flits queue at its
+// interface — in ascending connection ID, the order the ungated engine's
+// walk over every connection gives the same ones. A due source first
+// replays the cycles it was left alone for (no-ops by construction: the
+// forecast promised no arrivals and gap ticks draw no RNG; the sum is the
+// one the forecast already made, see traffic.Forecaster), then ticks the
+// live cycle. The forecast is recomputed only once it expires, after the
+// tick, so it always describes the source's actual per-cycle state. A
+// connection that is only draining its queue is not ticked.
 func (r *Router) injectStreams(t int64) {
+	if r.cfg.NoIdleSkip {
+		for _, c := range r.conns {
+			r.injectStream(c, t, true)
+		}
+		return
+	}
+	if r.calStale {
+		r.rebuildCalendar()
+	}
+	for _, e := range r.cal.Take(t) {
+		c := e.Item
+		r.injectStream(c, t, c.nextDue <= t)
+		r.file(c)
+	}
+}
+
+// file puts a connection where the source calendar will find it next
+// (traffic.Calendar.File): by its forecast while it has a source, by its
+// interface queue while that drains.
+func (r *Router) file(c *Connection) {
+	due := traffic.NoEvent
+	if c.src != nil {
+		due = c.nextDue
+	}
+	r.cal.File(due, c.niQueue.Len() > 0, int64(c.ID), c)
+}
+
+// rebuildCalendar re-files every connection (r.conns is ID-ascending).
+// The control paths — Establish, Release, a bandwidth word — only mark
+// the calendar stale.
+func (r *Router) rebuildCalendar() {
+	r.cal.Reset()
 	for _, c := range r.conns {
-		if cbr, ok := c.src.(*traffic.CBRSource); ok && c.lastTick+1 == t && c.nextDue > t && c.niQueue.Len() == 0 {
-			cbr.Tick(t)
-			c.lastTick = t
-			continue
+		r.file(c)
+	}
+	r.calStale = false
+}
+
+// injectStream is one connection's share of injectStreams.
+func (r *Router) injectStream(c *Connection, t int64, tick bool) {
+	if tick && c.src != nil {
+		traffic.ReplayGap(c.src, c.lastTick, t-1)
+		for n := c.src.Tick(t); n > 0; n-- {
+			f := r.pool.Get()
+			f.Conn = c.ID
+			f.Class = c.Spec.Class
+			f.Type = flit.TypeBody
+			f.Seq = c.nextSeq
+			f.CreatedAt = t
+			f.SrcPort = int16(c.Spec.In)
+			f.DstPort = int16(c.Spec.Out)
+			c.nextSeq++
+			c.niQueue.Push(f)
+			r.m.generated++
 		}
-		if c.src != nil {
-			for ct := c.lastTick + 1; ct <= t; ct++ {
-				for n := c.src.Tick(ct); n > 0; n-- {
-					f := r.pool.Get()
-					f.Conn = c.ID
-					f.Class = c.Spec.Class
-					f.Type = flit.TypeBody
-					f.Seq = c.nextSeq
-					f.CreatedAt = ct
-					f.SrcPort = int16(c.Spec.In)
-					f.DstPort = int16(c.Spec.Out)
-					c.nextSeq++
-					c.niQueue.Push(f)
-					r.m.generated++
-				}
-			}
-			c.lastTick = t
-			if !r.cfg.NoIdleSkip && c.nextDue <= t {
-				c.nextDue = traffic.ForecastSource(c.src, t, t+idleForecastHorizon)
-			}
+		c.lastTick = t
+		if !r.cfg.NoIdleSkip && c.nextDue <= t {
+			c.nextDue = traffic.ForecastSource(c.src, t, t+idleForecastHorizon)
 		}
-		// Drain the NI queue into the VC while there is room.
-		mem := r.mems[c.Spec.In]
-		for c.niQueue.Len() > 0 && mem.Free(c.VC) > 0 {
-			f := c.niQueue.Pop()
-			f.ReadyAt = t // VCM entry
-			if mem.Len(c.VC) == 0 {
-				// Straight to the head: ready to transmit through the
-				// switch — §5's delay reference point.
-				f.HeadAt = t
-			}
-			mem.Push(c.VC, f)
-			c.injected++
+	}
+	// Drain the NI queue into the VC while there is room.
+	mem := r.mems[c.Spec.In]
+	for c.niQueue.Len() > 0 && mem.Free(c.VC) > 0 {
+		f := c.niQueue.Pop()
+		f.ReadyAt = t // VCM entry
+		if mem.Len(c.VC) == 0 {
+			// Straight to the head: ready to transmit through the
+			// switch — §5's delay reference point.
+			f.HeadAt = t
 		}
+		mem.Push(c.VC, f)
+		c.injected++
 	}
 }
 
@@ -273,13 +302,8 @@ func (r *Router) idle(t int64) bool {
 			return false
 		}
 	}
-	for _, c := range r.conns {
-		if c.released || c.src == nil {
-			continue
-		}
-		if c.niQueue.Len() > 0 || c.nextDue <= t {
-			return false
-		}
+	if r.calStale || r.cal.Holding() || r.cal.NextDue() <= t {
+		return false
 	}
 	for _, pf := range r.ctlFlows {
 		// A queued packet retries VC allocation (an RNG draw) every cycle,
@@ -301,10 +325,8 @@ func (r *Router) idle(t int64) bool {
 // only possible wake-up.
 func (r *Router) nextWake(t, limit int64) int64 {
 	next := limit
-	for _, c := range r.conns {
-		if !c.released && c.src != nil && c.nextDue < next {
-			next = c.nextDue
-		}
+	if due := r.cal.NextDue(); due < next {
+		next = due
 	}
 	for _, pf := range r.ctlFlows {
 		if pf.nextDue < next {

@@ -82,10 +82,12 @@ func (r *Router) injectPackets(t int64) {
 }
 
 func (r *Router) pumpPacketFlow(t int64, pf *packetFlow) {
-	// Catch-up ticking under the same gating contract as injectStreams;
-	// Poisson gap ticks are total no-ops, so the replay loop is cheap.
-	for ct := pf.lastTick + 1; ct <= t; ct++ {
-		for n := pf.src.Tick(ct); n > 0; n-- {
+	// Same gating contract as injectStreams: the gated engine ticks a flow
+	// only once its forecast has come due (Poisson gap ticks are total
+	// no-ops).
+	if r.cfg.NoIdleSkip || pf.nextDue <= t {
+		traffic.ReplayGap(pf.src, pf.lastTick, t-1)
+		for n := pf.src.Tick(t); n > 0; n-- {
 			r.pktSeq++
 			class := flit.ClassBestEffort
 			if pf.kind == flit.PacketControl {
@@ -96,22 +98,22 @@ func (r *Router) pumpPacketFlow(t int64, pf *packetFlow) {
 			f.Class = class
 			f.Type = flit.TypeHead
 			f.Seq = r.pktSeq
-			f.CreatedAt = ct
+			f.CreatedAt = t
 			f.SrcPort = int16(pf.in)
 			f.DstPort = int16(pf.out)
 			pk := r.pool.GetPacket()
 			pk.ID = r.pktSeq
 			pk.Kind = pf.kind
 			pk.Size = 1
-			pk.CreatedAt = ct
+			pk.CreatedAt = t
 			f.Packet = pk
 			pf.niQueue.Push(f)
 			r.m.pktGenerated[class]++
 		}
-	}
-	pf.lastTick = t
-	if !r.cfg.NoIdleSkip && pf.nextDue <= t {
-		pf.nextDue = traffic.ForecastSource(pf.src, t, t+idleForecastHorizon)
+		pf.lastTick = t
+		if !r.cfg.NoIdleSkip && pf.nextDue <= t {
+			pf.nextDue = traffic.ForecastSource(pf.src, t, t+idleForecastHorizon)
+		}
 	}
 	// Drain the NI queue in order, stopping at the first packet that does
 	// not fit: all packets of a flow need the same resource (a free VC on

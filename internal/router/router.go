@@ -250,7 +250,11 @@ type Router struct {
 	xbar           *crossbar.Crossbar
 	arbiter        sched.SwitchScheduler
 
-	conns      []*Connection
+	conns []*Connection
+	// cal files the connections by when injectStreams must look at them;
+	// calStale asks for it to be rebuilt from conns first (engine.go).
+	cal        traffic.Calendar[*Connection]
+	calStale   bool
 	beFlows    []*packetFlow
 	ctlFlows   []*packetFlow
 	pendingCtl []pendingControl
@@ -438,6 +442,7 @@ func (r *Router) Establish(spec traffic.ConnSpec) (*Connection, error) {
 		conn.src = traffic.NewVBRSource(r.rng, r.cfg.Link, spec.Rate, spec.PeakRate, traffic.DefaultGoP())
 	}
 	r.conns = append(r.conns, conn)
+	r.calStale = true
 	r.m.grow(len(r.conns))
 	return conn, nil
 }
@@ -490,6 +495,7 @@ func (r *Router) EstablishWithSource(spec traffic.ConnSpec, src traffic.Source) 
 		return nil, err
 	}
 	conn.src = src
+	r.calStale = true
 	return conn, nil
 }
 

@@ -2,13 +2,14 @@ package traffic
 
 import "math"
 
-// Forecaster is implemented by sources that can predict, without mutating
-// state or consuming randomness, the first future cycle at which calling
-// Tick would matter. "Matter" means Tick would either return a nonzero
-// arrival count or draw from the source's RNG (a toggle, frame boundary or
-// Poisson arrival) — everything in between is a cycle the activity-gated
-// engines may skip, replaying the silent Ticks in order when the source
-// next wakes (see docs/performance.md, "Activity gating").
+// Forecaster is implemented by sources that can predict, without touching
+// simulated state or consuming randomness, the first future cycle at
+// which calling Tick would matter, and can then replay the silent cycles
+// before it in one call. "Matter" means Tick would either return a
+// nonzero arrival count or draw from the source's RNG (a toggle, frame
+// boundary or Poisson arrival) — everything in between is a cycle the
+// activity-gated engines may skip, replaying it when the source next
+// wakes (see docs/performance.md, "Activity gating").
 //
 // ForecastEvent(now, horizon) returns the earliest cycle c with
 // now < c <= horizon at which Tick(c) would return >0 flits or consume
@@ -18,12 +19,83 @@ import "math"
 // that turns out to be silent is a no-op; a late one would lose arrivals
 // or reorder RNG draws.
 //
+// AdvanceTo(from, to) is Tick(from+1) … Tick(to) for a source already
+// ticked through from, where the caller's forecast promised every one of
+// those cycles silent; it returns the flits the ticks produced, which is
+// 0 whenever the promise held.
+//
 // Implementations must replicate Tick's exact per-cycle floating-point
 // operation order when simulating accumulators: batching k cycles into one
 // multiply would diverge from the stepwise sum under IEEE-754 rounding and
-// break bit-identical equivalence with ungated stepping.
+// break bit-identical equivalence with ungated stepping. That stepwise sum
+// is what makes a forecast cost as much as the ticks it lets the engine
+// skip, so a forecast keeps the sum it ends on (gapMemo) and AdvanceTo
+// assigns it instead of adding the gap up a second time (a replay that
+// stops short — a checkpoint in mid-gap — adds up its part and leaves the
+// memo standing for the rest). The memo is a cache, not simulated state:
+// it is keyed by every value the sum depends on, so a source whose
+// accumulator or rate moved in between (RestoreState, a rate change)
+// simply misses and is ticked cycle by cycle, and it is never exported.
 type Forecaster interface {
 	ForecastEvent(now, horizon int64) int64
+	AdvanceTo(from, to int64) int
+}
+
+// gapMemo records one stepwise accumulator sum: adding rate to start, n
+// times, one rounding per add, gives end, and no partial sum reaches 1.
+type gapMemo struct {
+	n          int64
+	start, end float64
+	rate       float64
+}
+
+// forecastAcc steps an accumulator from acc, adding rate once per cycle
+// after now, and returns the first cycle before limit whose sum reaches 1
+// — or limit — recording in m the sum the cycles before it add up to.
+func (m *gapMemo) forecastAcc(acc, rate float64, now, limit int64) int64 {
+	if limit <= now {
+		return limit
+	}
+	a := acc
+	c := now + 1
+	for ; c < limit; c++ {
+		next := a + rate // same op order as Tick
+		if next >= 1 {   // int(a) >= 1 ⟺ a >= 1 for a >= 0
+			break
+		}
+		a = next
+	}
+	*m = gapMemo{n: c - 1 - now, start: acc, end: a, rate: rate}
+	return c
+}
+
+// replay adds rate to *acc n times, silently, if the memo vouches for
+// it: the whole gap it measured is assigned, a prefix of it is added up
+// step by step — the memo then stands for the rest, whose sum still ends
+// where the forecast's did — and anything else is refused.
+func (m *gapMemo) replay(acc *float64, rate float64, n int64) bool {
+	if m.start != *acc || m.rate != rate || n > m.n {
+		return false
+	}
+	if n == m.n {
+		*acc = m.end
+		return true
+	}
+	a := *acc
+	for i := int64(0); i < n; i++ {
+		a += rate // same op order as Tick
+	}
+	*acc, m.start, m.n = a, a, m.n-n
+	return true
+}
+
+// tickThrough is the cycle-by-cycle replay every AdvanceTo falls back on.
+func tickThrough(s Source, from, to int64) int {
+	k := 0
+	for c := from + 1; c <= to; c++ {
+		k += s.Tick(c)
+	}
+	return k
 }
 
 // ForecastEvent implements Forecaster. The CBR accumulator is pure
@@ -32,20 +104,24 @@ func (s *CBRSource) ForecastEvent(now, horizon int64) int64 {
 	if s.perCycle <= 0 {
 		return horizon
 	}
-	a := s.acc
-	for c := now + 1; c <= horizon; c++ {
-		a += s.perCycle // same op order as Tick
-		if a >= 1 {     // int(a) >= 1 ⟺ a >= 1 for a >= 0
-			return c
-		}
+	return s.memo.forecastAcc(s.acc, s.perCycle, now, horizon)
+}
+
+// AdvanceTo implements Forecaster.
+func (s *CBRSource) AdvanceTo(from, to int64) int {
+	if to <= from {
+		return 0
 	}
-	return horizon
+	if s.memo.replay(&s.acc, s.perCycle, to-from) {
+		return 0
+	}
+	return tickThrough(s, from, to)
 }
 
 // ForecastEvent implements Forecaster. The next Poisson arrival time is
 // already materialized in s.next; Tick fires (and draws the following
 // inter-arrival gap) at the first integer cycle >= next. Cycles before
-// that are total no-ops, so callers may skip the catch-up Ticks entirely.
+// that are total no-ops.
 func (s *BestEffortSource) ForecastEvent(now, horizon int64) int64 {
 	if s.rate <= 0 {
 		return horizon
@@ -58,6 +134,15 @@ func (s *BestEffortSource) ForecastEvent(now, horizon int64) int64 {
 		return horizon
 	}
 	return c
+}
+
+// AdvanceTo implements Forecaster: ticks before the next arrival change
+// nothing.
+func (s *BestEffortSource) AdvanceTo(from, to int64) int {
+	if float64(to) < s.next {
+		return 0
+	}
+	return tickThrough(s, from, to)
 }
 
 // ForecastEvent implements Forecaster. Two event kinds: the next frame
@@ -89,14 +174,25 @@ func (s *VBRSource) ForecastEvent(now, horizon int64) int64 {
 		// next frame tops up the backlog.
 		return limit
 	}
-	a := s.acc
-	for c := now + 1; c < limit; c++ {
-		a += s.perCycle // same op order as Tick
-		if a >= 1 {
-			return c
+	return s.memo.forecastAcc(s.acc, s.perCycle, now, limit)
+}
+
+// AdvanceTo implements Forecaster. Between frame boundaries a silent tick
+// moves nothing but the accumulator, and not even that while the backlog
+// is short of a flit.
+func (s *VBRSource) AdvanceTo(from, to int64) int {
+	if to <= from {
+		return 0
+	}
+	if float64(to) < s.nextFrame {
+		if s.backlog < s.flitBits {
+			return 0
+		}
+		if s.memo.replay(&s.acc, s.perCycle, to-from) {
+			return 0
 		}
 	}
-	return limit
+	return tickThrough(s, from, to)
 }
 
 // ForecastEvent implements Forecaster. In the OFF state Ticks are no-ops
@@ -107,23 +203,31 @@ func (s *OnOffSource) ForecastEvent(now, horizon int64) int64 {
 	if tc <= now {
 		return now + 1 // toggle already due: Tick would draw RNG
 	}
+	limit := tc
+	if limit > horizon {
+		limit = horizon
+	}
 	if !s.on {
-		if tc > horizon {
-			return horizon
-		}
-		return tc
+		return limit
 	}
-	a := s.acc
-	for c := now + 1; c <= horizon; c++ {
-		if c >= tc {
-			return c // toggle draw fires this cycle
+	return s.memo.forecastAcc(s.acc, s.peakPerCycle, now, limit)
+}
+
+// AdvanceTo implements Forecaster. Before the next toggle an OFF source
+// does nothing and an ON source only accumulates.
+func (s *OnOffSource) AdvanceTo(from, to int64) int {
+	if to <= from {
+		return 0
+	}
+	if float64(to) < s.toggleAt {
+		if !s.on {
+			return 0
 		}
-		a += s.peakPerCycle // same op order as Tick
-		if a >= 1 {
-			return c
+		if s.memo.replay(&s.acc, s.peakPerCycle, to-from) {
+			return 0
 		}
 	}
-	return horizon
+	return tickThrough(s, from, to)
 }
 
 // ForecastSource forecasts an arbitrary Source: sources implementing
@@ -135,4 +239,24 @@ func ForecastSource(src Source, now, horizon int64) int64 {
 		return f.ForecastEvent(now, horizon)
 	}
 	return now + 1
+}
+
+// AdvanceSource replays the silent cycles from+1 … to of an arbitrary
+// Source (see Forecaster.AdvanceTo); sources that cannot forecast are
+// ticked through them.
+func AdvanceSource(src Source, from, to int64) int {
+	if f, ok := src.(Forecaster); ok {
+		return f.AdvanceTo(from, to)
+	}
+	return tickThrough(src, from, to)
+}
+
+// ReplayGap brings a source last ticked at cycle last through cycle to on
+// an engine's datapath, where every cycle of the gap lies before the
+// source's forecast: the replay is a promised no-op — no flits, no RNG —
+// that leaves the accumulators exactly where per-cycle ticks would have.
+func ReplayGap(src Source, last, to int64) {
+	if last < to && AdvanceSource(src, last, to) != 0 {
+		panic("traffic: a source produced flits during cycles its forecast promised silent")
+	}
 }

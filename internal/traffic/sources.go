@@ -18,6 +18,7 @@ type Source interface {
 type CBRSource struct {
 	perCycle float64 // flits per flit cycle
 	acc      float64
+	memo     gapMemo // last forecast's sum (forecast.go); never exported
 }
 
 // NewCBRSource returns a CBR source for rate r on link l. phase in [0,1)
@@ -80,6 +81,7 @@ type OnOffSource struct {
 	on           bool
 	toggleAt     float64
 	acc          float64
+	memo         gapMemo // last forecast's sum (forecast.go)
 }
 
 // NewOnOffSource returns a bursty source. The long-run average rate is

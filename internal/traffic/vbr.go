@@ -81,6 +81,7 @@ type VBRSource struct {
 	backlog   float64 // bits waiting at the source
 	acc       float64 // fractional flit accumulator
 	perCycle  float64 // current injection rate, flits/cycle
+	memo      gapMemo // last forecast's sum (forecast.go); never exported
 }
 
 // NewVBRSource returns a VBR source with the given average and peak rates
