@@ -593,9 +593,11 @@ func (n *Network) eject(nd *node, t int64, f *flit.Flit) {
 // current one. The ungated engine ticks a source on every cycle, while
 // the gated engine leaves it alone between its forecast events; anything
 // about to change how the source ticks (its rate) or reset lastTick must
-// first replay that gap as it was.
+// first replay that gap as it was. A stopped session has no such gap: its
+// source is off in both engines, lastTick frozen where stopSource left
+// it, and the cycles since were never forecast silent.
 func (n *Network) catchUpSource(c *Conn) {
-	if c.src == nil {
+	if !c.injecting() {
 		return
 	}
 	traffic.ReplayGap(c.src, c.lastTick, n.now-1)

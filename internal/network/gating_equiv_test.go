@@ -280,3 +280,63 @@ func TestCloseGatedSourceEncodeEqual(t *testing.T) {
 	}
 	same("5000 cycles later")
 }
+
+// TestBreakStoppedSourceNoReplay: a session whose drain ran out of cycles
+// stays stopped with its source attached and lastTick frozen at the stop.
+// A fault crossing its path many arrivals later must not replay that gap —
+// the source was not sleeping, it was off — and the gated fabric must
+// still encode like its NoIdleSkip twin.
+func TestBreakStoppedSourceNoReplay(t *testing.T) {
+	var nets [2]*Network
+	for i, noIdleSkip := range []bool{false, true} {
+		tp, err := topology.Mesh(4, 4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(tp)
+		cfg.Seed = 29
+		cfg.NoIdleSkip = noIdleSkip
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Shutdown()
+		nets[i] = n
+		c, err := n.Open(0, 15, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 2 * traffic.Mbps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Stop right after an arrival, with no cycles to drain in: the
+		// flit is still in the fabric, so the close is refused.
+		for n.Stats().FlitsGenerated == 0 {
+			n.Step()
+		}
+		period := n.Now()
+		if err := n.DrainAndClose(c, 0); err == nil {
+			t.Fatal("drain with no cycles closed a session with a flit in flight")
+		}
+		stopped := c.lastTick
+		n.Run(8 * period) // several arrivals' worth of silence
+		if c.lastTick != stopped || c.closed || c.src == nil {
+			t.Fatalf("stopped session moved: lastTick %d -> %d, closed %v", stopped, c.lastTick, c.closed)
+		}
+		if err := n.FailLink(c.Path[0].Node, c.Path[0].Port); err != nil {
+			t.Fatal(err)
+		}
+		n.Run(2 * period)
+	}
+	gb, err := nets[0].EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ub, err := nets[1].EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb, ub) {
+		t.Fatal("gated and ungated fabrics encode differently after a fault broke a stopped session")
+	}
+	if gs, us := nets[0].Stats(), nets[1].Stats(); !reflect.DeepEqual(gs, us) {
+		t.Fatalf("gated run diverged:\nungated: %+v\ngated:   %+v", us, gs)
+	}
+}
