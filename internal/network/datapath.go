@@ -523,6 +523,7 @@ func (n *Network) executeGrants(nd *node, t int64) {
 			// Single-flit packet: its VC frees entirely.
 			mem.Release(cand.VC)
 			nd.upstream[in][cand.VC] = noUpstream
+			n.noteFreed(nd, in)
 		}
 
 		if targetVC == grantEject {
@@ -790,9 +791,12 @@ func (n *Network) rebalancePools() {
 // routePackets runs the routing unit for buffered best-effort packets
 // that have no output assignment yet: pick an up*/down* legal port
 // (minimal first) whose downstream router has a free VC. Neighbor state
-// is read-only here.
+// is read-only here. The flits it has to leave unrouted are counted in
+// nd.blocked: they cannot move until a VC comes free at a neighbor or the
+// routing changes, and both report to the wake table (wake.go).
 func (n *Network) routePackets(nd *node) {
 	hp := n.cfg.hostPort()
+	blocked := 0
 	for p := range nd.mems {
 		mem := nd.mems[p]
 		avail := mem.FlitsAvailable()
@@ -819,6 +823,17 @@ func (n *Network) routePackets(nd *node) {
 					break
 				}
 			}
+			if st.Output < 0 {
+				blocked += mem.Len(vc)
+			}
 		}
 	}
+	// A packet dropped on an impaired link frees its VC in the deliver
+	// phase, for the senders to see in this same cycle's schedule phase:
+	// too late to wake one. With impairments in force nobody sleeps on a
+	// blocked packet.
+	if len(n.impair) > 0 {
+		blocked = 0
+	}
+	nd.blocked = blocked
 }

@@ -353,6 +353,7 @@ func (n *Network) releasePath(conn *Conn) {
 	for i, ref := range conn.VCs {
 		x := n.nodes[conn.Nodes[i]]
 		x.mems[ref.Port].Release(ref.VC)
+		n.vcFreed(x.id, ref.Port)
 		x.cmap.Unmap(routing.VCRef{Port: ref.Port, VC: ref.VC})
 		x.upstream[ref.Port][ref.VC] = noUpstream
 		if i < len(conn.Path) {

@@ -45,6 +45,9 @@ func (n *Network) ApplyPlan(p *faults.Plan, horizon int64) error {
 	for _, im := range p.Impairments {
 		n.impair[[2]int{im.Node, im.Port}] = im
 	}
+	if len(p.Impairments) > 0 {
+		n.wakeBlocked() // see routePackets
+	}
 	for _, ev := range p.Schedule(tp, horizon) {
 		idx := int64(len(n.faultSchedule))
 		n.faultSchedule = append(n.faultSchedule, ev)
@@ -176,6 +179,7 @@ func (n *Network) failLink(nodeID, port int) {
 func (n *Network) afterTransition() {
 	n.dists.Recompute(n.cfg.Topology)
 	n.ud.Rebuild()
+	n.wakeBlocked()
 	n.dumpFlightOnFault()
 	if n.cfg.Fault.Paranoid {
 		n.mustInvariants()

@@ -9,6 +9,7 @@ import (
 	"mmr/internal/topology"
 	"mmr/internal/traffic"
 
+	"mmr/internal/faults"
 	"mmr/internal/flit"
 )
 
@@ -338,5 +339,178 @@ func TestBreakStoppedSourceNoReplay(t *testing.T) {
 	}
 	if gs, us := nets[0].Stats(), nets[1].Stats(); !reflect.DeepEqual(gs, us) {
 		t.Fatalf("gated run diverged:\nungated: %+v\ngated:   %+v", us, gs)
+	}
+}
+
+// TestBlockedPacketsSleepEquivalence: packets the routing unit cannot
+// route — every VC of the one port they may enter next is reserved — let
+// their router sleep, and whatever frees a VC there wakes it: a session
+// closing (control plane), another packet leaving that port (commit
+// phase), and a fault transition makes them look again; with impaired
+// links, where a packet dying on the wire frees its VC too late to tell
+// anyone, nobody sleeps. Four routers in a line: sessions
+// from router 1 and from router 2 to router 3 fill router 3's input
+// port, packets from router 0 to router 3 queue in router 2. The session
+// closed is one from router 1, so nothing but the freed VC tells router
+// 2. The gated fabric is held to the scans every cycle and to its
+// NoIdleSkip twin at every stage.
+func TestBlockedPacketsSleepEquivalence(t *testing.T) {
+	const vcs = 4
+	for _, tc := range []struct {
+		name   string
+		from2  int     // sessions from router 2; two more come from router 1
+		beRate float64 // packets per cycle from router 0 to router 3
+		delay  int64
+		drop   float64 // drop probability on the wire from router 2 to 3
+	}{
+		{"port-full/delay1", vcs - 2, 0.001, 1, 0},
+		{"port-full/delay3", vcs - 2, 0.001, 3, 0},
+		// With a wire delay the packet holding the last VC is still in
+		// flight while the next one finds the port full.
+		{"one-vc-left/delay2", vcs - 3, 0.3, 2, 0},
+		{"one-vc-left/delay3", vcs - 3, 0.3, 3, 0},
+		{"one-vc-left/delay3/drops", vcs - 3, 0.3, 3, 0.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var nets [2]*Network
+			var conns [2][]*Conn
+			for i, noIdleSkip := range []bool{false, true} {
+				tp, err := topology.Mesh(4, 1, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := DefaultConfig(tp)
+				cfg.Seed = 31
+				cfg.VCs = vcs
+				cfg.LinkDelay = tc.delay
+				cfg.NoIdleSkip = noIdleSkip
+				n, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer n.Shutdown()
+				for s := 0; s < 2+tc.from2; s++ {
+					src := 1
+					if s >= 2 {
+						src = 2
+					}
+					c, err := n.Open(src, 3, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 2 * traffic.Mbps})
+					if err != nil {
+						t.Fatal(err)
+					}
+					conns[i] = append(conns[i], c)
+				}
+				if _, err := n.AddBestEffortFlow(0, 3, tc.beRate); err != nil {
+					t.Fatal(err)
+				}
+				if tc.drop > 0 {
+					if err := n.ApplyPlan(faults.NewPlan(5).Impair(2, 0, tc.drop, 0), 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				nets[i] = n
+			}
+			gated, ungated := nets[0], nets[1]
+			same := func(when string) {
+				t.Helper()
+				gb, err := gated.EncodeState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ub, err := ungated.EncodeState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(gb, ub) {
+					t.Fatalf("gated and ungated fabrics encode differently %s", when)
+				}
+				if gs, us := gated.Stats(), ungated.Stats(); !reflect.DeepEqual(gs, us) {
+					t.Fatalf("gated run diverged %s:\nungated: %+v\ngated:   %+v", when, us, gs)
+				}
+			}
+			// run steps the gated fabric cycle by cycle under the scans
+			// and counts the cycles router 2 slept on unroutable packets.
+			slept := 0
+			run := func(cycles int64) {
+				for i := int64(0); i < cycles; i++ {
+					gated.Step()
+					checkWakeTable(t, gated)
+					if _, unrouted := gated.referenceBuffered(gated.nodes[2]); unrouted && gated.wakeAt[2] > gated.now {
+						slept++
+					}
+				}
+				ungated.Run(cycles)
+			}
+
+			run(2_000)
+			if (slept == 0) != (tc.drop > 0) {
+				t.Fatalf("router 2 slept %d cycles on blocked packets", slept)
+			}
+			same("with packets blocked")
+
+			// A fault elsewhere rebuilds the routing: blocked routers look again.
+			for _, n := range nets {
+				if err := n.FailLink(0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run(50)
+			for _, n := range nets {
+				if err := n.RestoreLink(0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run(500)
+			same("after a link outage")
+
+			// Closing a session frees a VC at router 3: the packets move.
+			before := gated.Stats().BEDelivered
+			for i, n := range nets {
+				if err := n.DrainAndClose(conns[i][0], 10_000); err != nil {
+					t.Fatal(err)
+				}
+			}
+			same("straight after the close")
+			run(2_000)
+			if gated.Stats().BEDelivered == before {
+				t.Fatal("no packet delivered after a VC came free")
+			}
+			same("2000 cycles after the close")
+
+			// And through Run, where the sleeping router lets the clock jump.
+			skipped := gated.idleSkipped
+			gated.Run(3_000)
+			ungated.Run(3_000)
+			checkWakeTable(t, gated)
+			if tc.beRate < 0.01 && gated.idleSkipped == skipped {
+				t.Fatal("Run elided nothing")
+			}
+			same("after Run")
+
+			// Impairments arriving while router 2 sleeps on a packet wake
+			// it and end the sleeping.
+			asleep := func() bool {
+				_, unrouted := gated.referenceBuffered(gated.nodes[2])
+				return unrouted && gated.wakeAt[2] > gated.now
+			}
+			for i := 0; i < 2_000 && !asleep(); i++ {
+				run(1)
+			}
+			if !asleep() && tc.name == "one-vc-left/delay3" {
+				t.Fatal("router 2 never slept on a blocked packet again")
+			}
+			for _, n := range nets {
+				if err := n.ApplyPlan(faults.NewPlan(5).Impair(2, 0, 0.5, 0), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkWakeTable(t, gated)
+			slept = 0
+			run(1_000)
+			if slept > 0 {
+				t.Fatalf("router 2 slept %d cycles on blocked packets under impairments", slept)
+			}
+			same("with the link impaired")
+		})
 	}
 }

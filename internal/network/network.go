@@ -310,11 +310,16 @@ type node struct {
 	// (set by touch — the control plane edits srcConns, never the
 	// calendar). pushed lists the peers this node's commit phase staged
 	// lane entries for this cycle, inboundAt the earliest entry its
-	// delivery phase left unmatured on its inbound lanes.
+	// delivery phase left unmatured on its inbound lanes. blocked counts
+	// the buffered packet flits the routing unit could not route this
+	// cycle, freed lists the upstream peers of the packet VCs this node
+	// released in this cycle's commit phase.
 	cal       traffic.Calendar[*Conn]
 	calStale  bool
 	pushed    []int32
 	inboundAt int64
+	blocked   int
+	freed     []int32
 
 	// lastRound is the most recent round whose boundary reset this node
 	// applied. Round boundaries are applied lazily at the node's next

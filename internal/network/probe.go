@@ -165,6 +165,7 @@ func (l *holds) release(node, port int) {
 	n, tp := l.n, l.n.cfg.Topology
 	n.releaseOut(n.nodes[node], port, l.req.Spec, l.d)
 	n.nodes[tp.Wired(node, port)].mems[tp.WiredPeer(node, port)].Release(l.hops[top].vc)
+	n.vcFreed(tp.Wired(node, port), tp.WiredPeer(node, port))
 	l.hops = l.hops[:top]
 }
 

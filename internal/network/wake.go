@@ -27,6 +27,23 @@ import (
 //	            buffers or lanes marks it due now; it then runs the next
 //	            cycle and settles from scratch.
 //
+// Buffered flits keep a node awake with one exception: packets the
+// routing unit could not route (node.blocked) — every legal next router's
+// input port has all its VCs reserved, typically by sessions that stay
+// for good. Such a node's cycle changes nothing (routePackets fails the
+// same way, the link scheduler skips unrouted VCs before any counter,
+// election or RNG draw, so nothing is nominated), and only two things can
+// end the wait, each of which reports it: a VC released at a neighbor's
+// input port (the freed lists from the commit phase, vcFreed from the
+// control plane) wakes the node wired upstream of that port if it holds
+// blocked packets, and a fault transition, which rebuilds the routing,
+// wakes every node that does (wakeBlocked). A third cannot report in
+// time — an impairment drop frees the dead packet's VC in the deliver
+// phase of the very cycle the sender must see it — so while a fault plan
+// has impairments nothing counts as blocked (routePackets). Without the
+// exception one port full of long-lived sessions keeps the router before
+// it, and so the whole fabric's clock, awake for ever.
+//
 // An entry may be early, never late. A node woken early runs a cycle in
 // which nothing is buffered, matured or due — the cycle every node runs
 // all the time under NoIdleSkip, which the gating-equivalence suites
@@ -45,6 +62,33 @@ func (n *Network) touch(id int) {
 	n.nodes[id].calStale = true
 }
 
+// vcFreed reports a VC released at input port port of node id between
+// cycles: the node wired upstream of it is due now if it holds packets
+// that wait for one. Serial path only.
+func (n *Network) vcFreed(id, port int) {
+	if peer := n.nodes[id].outPeer[port]; peer >= 0 && n.nodes[peer].blocked > 0 && n.wakeAt[peer] > n.now {
+		n.wakeAt[peer] = n.now
+	}
+}
+
+// wakeBlocked marks every node that holds unroutable packets due now: the
+// routing tables changed under them. Serial path only.
+func (n *Network) wakeBlocked() {
+	for id, nd := range n.nodes {
+		if nd.blocked > 0 && n.wakeAt[id] > n.now {
+			n.wakeAt[id] = n.now
+		}
+	}
+}
+
+// noteFreed records that nd released a packet's VC at its input port p
+// this cycle. Commit phase; the list is nd's own.
+func (n *Network) noteFreed(nd *node, p int) {
+	if peer := nd.outPeer[p]; peer >= 0 && !n.cfg.NoIdleSkip {
+		nd.freed = append(nd.freed, peer)
+	}
+}
+
 // notePush records that nd appended to its outbound lane pair on port p
 // this cycle. Commit phase; the list is nd's own.
 func (n *Network) notePush(nd *node, p int) {
@@ -54,14 +98,14 @@ func (n *Network) notePush(nd *node, p int) {
 }
 
 // settle brings the wake table up to date after cycle t: every node that
-// ran re-derives its entries, then the lane pushes of the cycle wake
-// their receivers (in that order — a receiver that also ran must not
-// overwrite the push).
+// ran re-derives its entries, then the lane pushes and VC releases of the
+// cycle wake their receivers (in that order — a receiver that also ran
+// must not overwrite the push).
 func (n *Network) settle(t int64) {
 	for w := range n.wrk {
 		for _, nd := range n.wrk[w].act {
 			due := nd.cal.NextDue()
-			busy := n.occ[nd.id*occStride] > 0 || nd.cal.Holding()
+			busy := n.occ[nd.id*occStride] > int64(nd.blocked) || nd.cal.Holding()
 			for _, bf := range nd.beSrc {
 				if bf.nextDue < due {
 					due = bf.nextDue
@@ -98,6 +142,15 @@ func (n *Network) settle(t int64) {
 				}
 			}
 			nd.pushed = nd.pushed[:0]
+			// A VC released at t can be claimed from t+1 on, whatever
+			// the link delay: the routing unit reads the neighbor's
+			// reservations directly.
+			for _, peer := range nd.freed {
+				if n.nodes[peer].blocked > 0 && n.wakeAt[peer] > t+1 {
+					n.wakeAt[peer] = t + 1
+				}
+			}
+			nd.freed = nd.freed[:0]
 		}
 	}
 }

@@ -19,12 +19,47 @@ import (
 // session, and referenceNextWake the lane-and-session minimum nextWake
 // used to take. They read nothing the wake table writes.
 
+// referenceBuffered scans nd's VC memories: movable reports a buffered
+// flit that can do something this cycle, unrouted a packet that cannot
+// because no legal next router has a free VC on the port it would enter
+// by (the routing unit's own test, spelled out again). Everything else
+// buffered — stream flits, routed packets, packets for the local host —
+// counts as movable, as any buffered flit did before blocked packets
+// were let sleep, and so does every packet while links are impaired.
+func (n *Network) referenceBuffered(nd *node) (movable, unrouted bool) {
+	tp := n.cfg.Topology
+	for _, mem := range nd.mems {
+		for vc := 0; vc < mem.NumVCs(); vc++ {
+			if mem.Len(vc) == 0 {
+				continue
+			}
+			st, head := mem.State(vc), mem.Peek(vc)
+			if len(n.impair) > 0 || st.Class != flit.ClassBestEffort || st.Output >= 0 || head.Packet == nil || int(head.Dst) == nd.id {
+				movable = true
+				continue
+			}
+			free := false
+			for _, q := range n.ud.NextPorts(nd.id, int(head.Dst), head.Packet.WentDown, nil) {
+				if n.nodes[tp.Neighbor(nd.id, q)].mems[tp.PeerPort(nd.id, q)].FreeVCs() > 0 {
+					free = true
+				}
+			}
+			if free {
+				movable = true
+			} else {
+				unrouted = true
+			}
+		}
+	}
+	return movable, unrouted
+}
+
 // referenceNodeActive reports whether node nd has anything to do at cycle
-// t: buffered flits on any port, a matured flit or credit on an inbound
-// staging lane, or a stream source or best-effort flow homed on it that
-// is due or has a backlog queued at its network interface.
+// t: a buffered flit that can move, a matured flit or credit on an
+// inbound staging lane, or a stream source or best-effort flow homed on
+// it that is due or has a backlog queued at its network interface.
 func (n *Network) referenceNodeActive(nd *node, t int64) bool {
-	if n.occ[nd.id*occStride] > 0 {
+	if movable, _ := n.referenceBuffered(nd); movable {
 		return true
 	}
 	for i := range nd.in {
@@ -102,16 +137,23 @@ func (n *Network) referenceNextWake(t, limit int64) int64 {
 // checkWakeTable holds the wake table, between two cycles, to the scans:
 // the nodes due now are exactly the nodes the activity scan finds, every
 // srcDue entry is the scanned minimum, and — when nothing is active, the
-// only time it is asked — nextWake agrees with the scanned wake-up. It
-// reports whether the fabric was idle.
+// only time it is asked — nextWake agrees with the scanned wake-up. One
+// early wake is allowed: a node holding unroutable packets is woken by
+// any VC released toward it and by any fault transition, whether or not
+// that helps the packets it holds. It reports whether the fabric was
+// idle.
 func checkWakeTable(t testing.TB, n *Network) (idle bool) {
 	t.Helper()
 	now := n.now
 	idle = true
+	early := false
 	for _, nd := range n.nodes {
 		want := n.referenceNodeActive(nd, now)
 		if got := n.wakeAt[nd.id] <= now; got != want {
-			t.Fatalf("cycle %d node %d: wakeAt %d says active=%v, the scan says %v", now, nd.id, n.wakeAt[nd.id], got, want)
+			if _, unrouted := n.referenceBuffered(nd); want || !unrouted {
+				t.Fatalf("cycle %d node %d: wakeAt %d says active=%v, the scan says %v", now, nd.id, n.wakeAt[nd.id], got, want)
+			}
+			early = true
 		}
 		if want {
 			idle = false
@@ -122,7 +164,7 @@ func checkWakeTable(t testing.TB, n *Network) (idle bool) {
 	}
 	if idle {
 		const ahead = 1 << 20
-		if got, want := n.nextWake(now, now+ahead), n.referenceNextWake(now, now+ahead); got != want {
+		if got, want := n.nextWake(now, now+ahead), n.referenceNextWake(now, now+ahead); got != want && !(early && got == now+1) {
 			t.Fatalf("cycle %d: nextWake %d, the scan says %d", now, got, want)
 		}
 	}
