@@ -792,10 +792,23 @@ func (n *Network) rebalancePools() {
 // that have no output assignment yet: pick an up*/down* legal port
 // (minimal first) whose downstream router has a free VC. Neighbor state
 // is read-only here. The flits it has to leave unrouted are counted in
-// nd.blocked: they cannot move until a VC comes free at a neighbor or the
-// routing changes, and both report to the wake table (wake.go).
+// nd.blocked and their VCs marked in nd.stuck: they cannot move until a
+// VC comes free at a neighbor or the routing changes, both of which
+// report to the wake table and set nd.reroute (wake.go); until then they
+// neither keep the node awake nor are tried again.
 func (n *Network) routePackets(nd *node) {
 	hp := n.cfg.hostPort()
+	// A packet dropped on an impaired link frees its VC in the deliver
+	// phase, for the senders to see in this same cycle's schedule phase:
+	// too late to tell them. With impairments in force nothing counts as
+	// blocked; NoIdleSkip, the reference, tries every packet every cycle.
+	memo := !n.cfg.NoIdleSkip && len(n.impair) == 0
+	if nd.reroute || !memo {
+		if nd.blocked > 0 {
+			nd.stuck.Reset()
+		}
+		nd.reroute = false
+	}
 	blocked := 0
 	for p := range nd.mems {
 		mem := nd.mems[p]
@@ -803,6 +816,10 @@ func (n *Network) routePackets(nd *node) {
 		for vc := avail.NextSet(0); vc >= 0; vc = avail.NextSet(vc + 1) {
 			st := mem.State(vc)
 			if st.Class != flit.ClassBestEffort || st.Output >= 0 {
+				continue
+			}
+			if memo && nd.stuck.Test(p*n.cfg.VCs+vc) {
+				blocked += mem.Len(vc)
 				continue
 			}
 			head := mem.Peek(vc)
@@ -823,17 +840,11 @@ func (n *Network) routePackets(nd *node) {
 					break
 				}
 			}
-			if st.Output < 0 {
+			if st.Output < 0 && memo {
 				blocked += mem.Len(vc)
+				nd.stuck.Set(p*n.cfg.VCs + vc)
 			}
 		}
-	}
-	// A packet dropped on an impaired link frees its VC in the deliver
-	// phase, for the senders to see in this same cycle's schedule phase:
-	// too late to wake one. With impairments in force nobody sleeps on a
-	// blocked packet.
-	if len(n.impair) > 0 {
-		blocked = 0
 	}
 	nd.blocked = blocked
 }

@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"mmr/internal/admission"
+	"mmr/internal/bitvec"
 	"mmr/internal/faults"
 	"mmr/internal/flit"
 	"mmr/internal/flow"
@@ -312,13 +313,18 @@ type node struct {
 	// lane entries for this cycle, inboundAt the earliest entry its
 	// delivery phase left unmatured on its inbound lanes. blocked counts
 	// the buffered packet flits the routing unit could not route this
-	// cycle, freed lists the upstream peers of the packet VCs this node
-	// released in this cycle's commit phase.
+	// cycle and stuck marks their VCs (bit port·VCs+vc): until reroute is
+	// set — a VC came free toward this node, or the routing changed — the
+	// routing unit need not try them again. freed lists the upstream
+	// peers of the packet VCs this node released in this cycle's commit
+	// phase.
 	cal       traffic.Calendar[*Conn]
 	calStale  bool
 	pushed    []int32
 	inboundAt int64
 	blocked   int
+	stuck     *bitvec.Vector
+	reroute   bool
 	freed     []int32
 
 	// lastRound is the most recent round whose boundary reset this node
@@ -609,6 +615,7 @@ func New(cfg Config) (*Network, error) {
 			lastRound: -1,
 			calStale:  true,
 			inboundAt: laneIdle,
+			stuck:     bitvec.New(radix * cfg.VCs),
 		}
 		nd.stats.init()
 		// Per-node contiguous blocks: all ports' VC memories, link

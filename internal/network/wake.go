@@ -42,7 +42,11 @@ import (
 // phase of the very cycle the sender must see it — so while a fault plan
 // has impairments nothing counts as blocked (routePackets). Without the
 // exception one port full of long-lived sessions keeps the router before
-// it, and so the whole fabric's clock, awake for ever.
+// it, and so the whole fabric's clock, awake for ever. The same reports
+// spare a router that is awake for other work — sessions passing through
+// — from routing its blocked packets again every cycle: routePackets
+// marks them stuck and looks again only once one of those reports has
+// set node.reroute.
 //
 // An entry may be early, never late. A node woken early runs a cycle in
 // which nothing is buffered, matured or due — the cycle every node runs
@@ -60,24 +64,34 @@ func (n *Network) touch(id int) {
 	n.wakeAt[id] = n.now
 	n.srcDue[id] = n.now
 	n.nodes[id].calStale = true
+	n.nodes[id].reroute = true
+}
+
+// unblock makes node id, if it holds blocked packets, route them again
+// at cycle at. Serial path only.
+func (n *Network) unblock(id int, at int64) {
+	if nd := n.nodes[id]; nd.blocked > 0 {
+		nd.reroute = true
+		if n.wakeAt[id] > at {
+			n.wakeAt[id] = at
+		}
+	}
 }
 
 // vcFreed reports a VC released at input port port of node id between
 // cycles: the node wired upstream of it is due now if it holds packets
 // that wait for one. Serial path only.
 func (n *Network) vcFreed(id, port int) {
-	if peer := n.nodes[id].outPeer[port]; peer >= 0 && n.nodes[peer].blocked > 0 && n.wakeAt[peer] > n.now {
-		n.wakeAt[peer] = n.now
+	if peer := n.nodes[id].outPeer[port]; peer >= 0 {
+		n.unblock(int(peer), n.now)
 	}
 }
 
 // wakeBlocked marks every node that holds unroutable packets due now: the
 // routing tables changed under them. Serial path only.
 func (n *Network) wakeBlocked() {
-	for id, nd := range n.nodes {
-		if nd.blocked > 0 && n.wakeAt[id] > n.now {
-			n.wakeAt[id] = n.now
-		}
+	for id := range n.nodes {
+		n.unblock(id, n.now)
 	}
 }
 
@@ -146,9 +160,7 @@ func (n *Network) settle(t int64) {
 			// the link delay: the routing unit reads the neighbor's
 			// reservations directly.
 			for _, peer := range nd.freed {
-				if n.nodes[peer].blocked > 0 && n.wakeAt[peer] > t+1 {
-					n.wakeAt[peer] = t + 1
-				}
+				n.unblock(int(peer), t+1)
 			}
 			nd.freed = nd.freed[:0]
 		}
