@@ -27,7 +27,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -62,7 +61,6 @@ type simOpts struct {
 	vcs           int
 	seed          uint64
 	netWorkers    int
-	netShards     int
 	noIdleSkip    bool
 
 	faultLinks    int
@@ -105,7 +103,7 @@ func defaultOpts() simOpts {
 		topo: "mesh", w: 4, h: 4, nodes: 16, degree: 3, ports: 4,
 		ftK: 4, dfA: 4, dfP: 2, dfH: 2, route: "minimal",
 		conns: 48, cycles: 50_000, warmup: 10_000, vcs: 64, seed: 1,
-		netWorkers: runtime.GOMAXPROCS(0), faultDowntime: 5000, faultMTTR: 1000,
+		netWorkers: 1, faultDowntime: 5000, faultMTTR: 1000,
 		serveAddr: "127.0.0.1:9191",
 	}
 }
@@ -153,7 +151,6 @@ func buildConfig(o simOpts, tp *topology.Topology) network.Config {
 	cfg.VCs = o.vcs
 	cfg.Seed = o.seed
 	cfg.Workers = o.netWorkers
-	cfg.Shards = o.netShards
 	cfg.NoIdleSkip = o.noIdleSkip
 	cfg.Fault.Restore = !o.noRestore
 	cfg.Fault.Degrade = !o.noDegrade
@@ -168,8 +165,6 @@ func validateOpts(o simOpts, set map[string]bool) error {
 	switch {
 	case o.netWorkers < 1:
 		return fmt.Errorf("-net-workers must be at least 1, got %d", o.netWorkers)
-	case o.netShards < 0:
-		return fmt.Errorf("-shards must be non-negative, got %d", o.netShards)
 	case o.vcs < 1:
 		return fmt.Errorf("-vcs must be at least 1, got %d", o.vcs)
 	case o.ports < 1:
@@ -250,9 +245,7 @@ func main() {
 	flag.IntVar(&o.vcs, "vcs", o.vcs, "virtual channels per input port")
 	flag.Uint64Var(&o.seed, "seed", o.seed, "simulation seed")
 	flag.IntVar(&o.netWorkers, "net-workers", o.netWorkers,
-		"worker goroutines stepping the network (1 = serial; results are identical at any setting)")
-	flag.IntVar(&o.netShards, "shards", o.netShards,
-		"topology shards for the shard-resident executor (0 = one per worker; results are identical at any setting)")
+		"worker goroutines stepping the network, one fabric shard each (1 = serial, the fastest measured; results are identical at any setting)")
 	flag.BoolVar(&o.noIdleSkip, "no-idle-skip", o.noIdleSkip,
 		"disable activity gating and idle-cycle elision (results are identical either way)")
 	flag.IntVar(&o.faultLinks, "fault-links", o.faultLinks, "random link failures to inject during the measured run")

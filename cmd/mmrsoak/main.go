@@ -442,11 +442,10 @@ func (h *harness) killAndRestore(ev int64) error {
 	cfg := h.cfg
 	cfg.Topology = tp2
 	cfg.Workers = []int{1, 2, 4}[h.restores%3]
-	cfg.Shards = []int{0, 2, 1, 4}[h.restores%4] // rotate off the workers=shards default too
 	cfg.NoIdleSkip = h.restores%2 == 1
 	n2, err := network.RestoreCheckpoint(cfg, h.ckptPath)
 	if err != nil {
-		return fmt.Errorf("restore (workers=%d shards=%d gating=%v): %w", cfg.Workers, cfg.Shards, !cfg.NoIdleSkip, err)
+		return fmt.Errorf("restore (workers=%d gating=%v): %w", cfg.Workers, !cfg.NoIdleSkip, err)
 	}
 	if n2.Now() != beforeNow {
 		return fmt.Errorf("restore lost the clock: %d != %d", n2.Now(), beforeNow)

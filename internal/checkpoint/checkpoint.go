@@ -217,6 +217,115 @@ func (d *Decoder) String() string {
 	return string(b)
 }
 
+// Codec runs one description of a payload in either direction. Over an
+// Encoder each leaf appends the value its argument points at; over a
+// Decoder the same call reads that value back into it. A format written
+// as a sequence of leaf calls therefore has one definition, and the
+// writer and the reader cannot disagree about field order or width.
+//
+// Errors are sticky, as in Decoder: after a short read or a failed check
+// every later leaf yields the zero value (Range one inside its bounds,
+// so what it guards stays safe to index by) and Count yields 0, so a
+// walk may run on to its end and test Err once.
+type Codec struct {
+	e   *Encoder
+	d   *Decoder
+	err error
+}
+
+// Writing returns a codec that appends to e.
+func Writing(e *Encoder) *Codec { return &Codec{e: e} }
+
+// Reading returns a codec that reads from d.
+func Reading(d *Decoder) *Codec { return &Codec{d: d} }
+
+// Decoding reports the direction: true when leaves read into their
+// arguments.
+func (c *Codec) Decoding() bool { return c.d != nil }
+
+// Err returns the first error: a failed check, or the decoder's.
+func (c *Codec) Err() error {
+	if c.err == nil && c.d != nil {
+		return c.d.err
+	}
+	return c.err
+}
+
+// Failf records a format violation unless an error is already set, and
+// stops the decoder so that what follows reads as zeros.
+func (c *Codec) Failf(format string, args ...any) {
+	if c.Err() != nil {
+		return
+	}
+	c.err = fmt.Errorf(format, args...)
+	if c.d != nil {
+		c.d.err = c.err
+	}
+}
+
+// leaf is the one place the direction is decided: put appends *p, get
+// reads it back.
+func leaf[T any](c *Codec, p *T, put func(*Encoder, T), get func(*Decoder) T) {
+	if c.d == nil {
+		put(c.e, *p)
+	} else {
+		*p = get(c.d)
+	}
+}
+
+// U8 walks one byte.
+func (c *Codec) U8(p *uint8) { leaf(c, p, (*Encoder).U8, (*Decoder).U8) }
+
+// U16 walks a uint16.
+func (c *Codec) U16(p *uint16) { leaf(c, p, (*Encoder).U16, (*Decoder).U16) }
+
+// U64 walks a uint64.
+func (c *Codec) U64(p *uint64) { leaf(c, p, (*Encoder).U64, (*Decoder).U64) }
+
+// I64 walks an int64.
+func (c *Codec) I64(p *int64) { leaf(c, p, (*Encoder).I64, (*Decoder).I64) }
+
+// Int walks an int as int64.
+func (c *Codec) Int(p *int) { leaf(c, p, (*Encoder).Int, (*Decoder).Int) }
+
+// F64 walks a float64 by bit pattern.
+func (c *Codec) F64(p *float64) { leaf(c, p, (*Encoder).F64, (*Decoder).F64) }
+
+// Bool walks a bool as one byte.
+func (c *Codec) Bool(p *bool) { leaf(c, p, (*Encoder).Bool, (*Decoder).Bool) }
+
+// String walks a length-prefixed string.
+func (c *Codec) String(p *string) { leaf(c, p, (*Encoder).String, (*Decoder).String) }
+
+// Count walks the length of a sequence and returns how many elements
+// follow: n when encoding, the decoded count when decoding. A decoded
+// count must be non-negative and no larger than the bytes that remain
+// (every element takes at least one), so a damaged count can drive
+// neither a giant loop nor a giant allocation.
+func (c *Codec) Count(n int, what string) int {
+	c.Int(&n)
+	if c.d == nil {
+		return n
+	}
+	if n < 0 || n > c.d.Remaining() {
+		c.Failf("checkpoint: %s count %d is implausible (%d bytes remain)", what, n, c.d.Remaining())
+	}
+	if c.d.err != nil {
+		return 0
+	}
+	return n
+}
+
+// Range walks an int that something will index or size by: a decoded
+// value outside [lo, hi) is a format violation and reads as lo.
+func (c *Codec) Range(p *int, lo, hi int, what string) {
+	c.Int(p)
+	if c.d != nil && (*p < lo || *p >= hi) {
+		c.Failf("checkpoint: %s %d outside [%d,%d)", what, *p, lo, hi)
+		*p = lo
+	}
+}
+
 // Envelope layout:
 //
 //	[0:8)   magic "MMRCKPT\0"

@@ -31,10 +31,6 @@ type Options struct {
 	// bit-identical figures; >1 trades barrier overhead for wall-clock
 	// on multicore hosts.
 	NetWorkers int
-	// NetShards overrides the network simulator's shard count (0 =
-	// one shard per worker). Like NetWorkers this is pure execution
-	// strategy: any value produces bit-identical figures.
-	NetShards int
 	// MetricSink, when non-nil, receives the gathered metric snapshot of
 	// every network-sweep load point before the simulator shuts down.
 	// Figures never read these snapshots, so installing a sink cannot

@@ -153,7 +153,6 @@ func runNetworkPoint(load float64, opts Options) (*network.Stats, error) {
 	cfg.VCs = 64
 	cfg.Seed = opts.Seed
 	cfg.Workers = opts.NetWorkers
-	cfg.Shards = opts.NetShards
 	cfg.NoIdleSkip = opts.NoIdleSkip
 	n, err := network.New(cfg)
 	if err != nil {

@@ -146,46 +146,32 @@ func (n *Network) CloseFlow(id FlowID) error {
 // worker's resident block with NoIdleSkip. Step always advances exactly
 // one cycle; the whole-clock fast-forward across fully idle stretches
 // lives in Run.
-func (n *Network) Step() { n.cycle(true, 0) }
+func (n *Network) Step() { n.cycle(0) }
 
 // Run advances the network the given number of cycles. With gating on,
 // cycles where the global active set is empty are elided entirely: the
 // clock jumps to the earliest next wake-up — a pending session event or
 // the earliest entry of the wake table — with the skipped cycles credited
 // to the statistics so utilization and rate figures are identical to
-// stepping through them. Busy stretches the forecasts prove injection-free
-// additionally run through the fused drain kernel (drainWindow), which
-// strips the session-event pump and the horizon check from each
-// dispatched cycle.
+// stepping through them.
 func (n *Network) Run(cycles int64) {
 	limit := n.now + cycles
 	for n.now < limit {
-		if !n.cycle(true, limit) || n.cfg.NoIdleSkip {
-			continue
-		}
-		// Fused drain: if the forecasts prove no source can inject and no
-		// session event can fire for a while, the coming cycles are pure
-		// drain — run them in the reduced kernel.
-		if end := n.quietHorizon(n.now, limit); end-n.now >= drainMinWindow {
-			n.drainWindow(end)
-		}
+		n.cycle(limit)
 	}
 }
 
-// cycle is the one cycle body behind Step, Run and drainWindow: session
-// events (unless the caller has proven there are none), pool rebalance,
-// active set, the shard-resident cycle, the wake-table settle, the clock.
-// When gating finds the active set empty and skipTo lies ahead, the cycle
-// is elided instead: the clock jumps to the next wake-up at or before
-// skipTo and cycle reports false.
-func (n *Network) cycle(events bool, skipTo int64) bool {
+// cycle is the one cycle body behind Step and Run: session events, pool
+// rebalance, active set, the shard-resident cycle, the wake-table settle,
+// the clock. When gating finds the active set empty and skipTo lies
+// ahead, the cycle is elided instead: the clock jumps to the next wake-up
+// at or before skipTo.
+func (n *Network) cycle(skipTo int64) {
 	t := n.now
 
 	// Session-level events scheduled for this cycle (connection arrivals,
 	// teardowns, fault transitions) fire first, on the stepping goroutine.
-	if events {
-		n.events.Run(simTime(t))
-	}
+	n.events.Run(simTime(t))
 
 	// Flits are minted from the source node's pool and retired into the
 	// destination node's, so free lists drift toward the sinks; level them
@@ -212,52 +198,20 @@ func (n *Network) cycle(events bool, skipTo int64) bool {
 			n.m.cycles += next - t
 			n.idleSkipped += next - t
 			n.now = next
-			return false
+			return
 		}
 		n.runCycle(t, total, boundary, false)
 		n.settle(t)
 	}
 	n.now++
 	n.m.cycles++
-	return true
 }
 
-// drainMinWindow is the shortest injection-free window worth entering the
-// fused drain kernel for. Below it, the horizon check costs more than the
-// per-cycle machinery it elides. Purely a performance knob: the fused and
-// naive paths are bit-identical (TestDrainKEquivalence), so the threshold
-// cannot affect results.
-const drainMinWindow = 4
-
-// drainWindow is the fused multi-cycle drain kernel: it advances the
-// clock to end, which quietHorizon has proven free of session events and
-// due sources, through the shared cycle body minus the event pump.
-// Equivalence with end-now naive Step calls:
-//
-//   - session events: none are scheduled before end, and the phases
-//     never schedule events, so the skipped events.Run calls are no-ops.
-//   - sources: none come due before end, so every wake-table entry at or
-//     before a window cycle stands for buffered flits, NI backlog or a
-//     matured lane entry. Source replay is deferred exactly as it is for
-//     any gated-idle node (injectStreams / injectPackets).
-//   - pool rebalancing: the cycle body fires the modulo boundaries just
-//     as Step does, including the one-shot catch-up when an intra-window
-//     fast-forward jumps a boundary.
-//
-// Cycles whose active set is empty fast-forward to the next wake-up —
-// inside the window, a staged lane entry maturing.
-func (n *Network) drainWindow(end int64) {
-	for n.now < end {
-		if n.cycle(false, end) {
-			n.drainCycles++
-		}
-	}
-}
-
-// FusedDrainCycles reports how many cycles Run has executed inside the
-// fused drain kernel (diagnostics; results are independent of it by
-// construction).
-func (n *Network) FusedDrainCycles() int64 { return n.drainCycles }
+// FusedDrainCycles is always 0: the fused drain kernel it counted is
+// gone (all it elided was one empty-heap check per cycle). The method
+// stays only because perfbench, frozen for this change, compiles against
+// it; it goes with wl.fused_drain_share.
+func (n *Network) FusedDrainCycles() int64 { return 0 }
 
 // ResetStats discards accumulated statistics (warmup boundary). Metric
 // shards reset too, so hot-path series (per-class histograms, grant

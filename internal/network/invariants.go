@@ -18,10 +18,11 @@ import (
 // CheckInvariants audits global resource conservation and returns the
 // first violation found (nil if the network is consistent):
 //
-//  1. Every VC a live connection claims is reserved for it, with a
-//     channel mapping on non-final hops; every other in-use VC is a
-//     best-effort/control packet in flight — or, while probes are
-//     active, a transient search hold.
+//  1. Every VC a live connection claims is reserved for it and switched
+//     to its route's next port, with a channel mapping to the next VC
+//     and an upstream pointer back on non-final hops; every other in-use
+//     VC is a best-effort/control packet in flight — or, while probes
+//     are active, a transient search hold.
 //  2. Per stream hop, credits are conserved: shadow credits + credits in
 //     flight upstream + flits buffered downstream + flits on the link
 //     pipe account for exactly the downstream buffer depth.
@@ -60,8 +61,16 @@ func (n *Network) CheckInvariants() error {
 			var out outKey
 			if i < len(c.Path) {
 				out = outKey{c.Path[i].Node, c.Path[i].Port}
+				if next := n.nodes[c.Nodes[i]].cmap.Direct(ref); next.Port != out.port || next.VC != c.VCs[i+1].VC {
+					return fmt.Errorf("invariant: conn %d hop %d VC %v maps to %+v, its route leaves by port %d for VC %d",
+						c.ID, i, k, next, out.port, c.VCs[i+1].VC)
+				}
 			} else {
 				out = outKey{c.Nodes[i], hp}
+			}
+			if st.Output != out.port {
+				return fmt.Errorf("invariant: conn %d hop %d VC %v is switched to port %d, its route leaves by port %d",
+					c.ID, i, k, st.Output, out.port)
 			}
 			wantBW[out] += d.alloc
 			if c.Spec.Class == flit.ClassVBR {
@@ -73,6 +82,10 @@ func (n *Network) CheckInvariants() error {
 		// Nodes[i] feeds the downstream VC at Nodes[i+1] over Path[i].
 		for i := 0; i < len(c.Path); i++ {
 			up, down := c.VCs[i], c.VCs[i+1]
+			if ref := n.nodes[c.Nodes[i+1]].upstream[down.Port][down.VC]; ref != (upRef{int32(c.Nodes[i]), int16(up.Port), int16(up.VC)}) {
+				return fmt.Errorf("invariant: conn %d hop %d returns credits to %+v, its route came from node %d VC %+v",
+					c.ID, i, ref, c.Nodes[i], up)
+			}
 			shadow := n.nodes[c.Nodes[i]].shadow[up.Port].Available(up.VC)
 			// Credits returning for this hop can only sit in the outbound
 			// credit lane of the downstream node (the unique emitter).

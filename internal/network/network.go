@@ -68,24 +68,18 @@ type Config struct {
 	Seed               uint64
 
 	// Workers is the worker-pool size for the parallel flit cycle: the
-	// fabric is partitioned into shards and each worker permanently owns
-	// a block of shards — its nodes, their RNG streams, stats shards,
-	// pools and staging lanes — with cross-shard traffic synchronized at
-	// one sequence point per cycle, so results are bit-identical for
-	// every value. 0 or 1 runs the same per-shard passes serially on the
-	// stepping goroutine. See docs/performance.md ("Shard-resident
-	// parallel execution").
-	Workers int
-
-	// Shards overrides the fabric partition grain: 0 (the default) uses
-	// one shard per worker; s > 0 pins the partitioner to s shards
-	// (clamped to the node count). Meshes partition into contiguous
+	// fabric is partitioned into one shard per worker and each worker
+	// permanently owns its shard — its nodes, their RNG streams, stats
+	// shards, pools and staging lanes — with cross-shard traffic
+	// synchronized at one sequence point per cycle, so results are
+	// bit-identical for every value. Meshes partition into contiguous
 	// node-ID ranges; generated fabrics (fat tree, dragonfly) partition
 	// region-aligned so only core uplinks and global channels cross
-	// shards. Like Workers, an execution strategy, not a model
-	// parameter: bit-identical results for every value, excluded from
-	// ConfigHash.
-	Shards int
+	// shards. 0 or 1 runs the same passes serially on the stepping
+	// goroutine. An execution strategy, not a model parameter: excluded
+	// from ConfigHash. See docs/performance.md ("Shard-resident parallel
+	// execution").
+	Workers int
 
 	// NoIdleSkip disables activity gating: every node is stepped every
 	// cycle, every port is scanned, and Run never fast-forwards the clock
@@ -493,15 +487,13 @@ type Network struct {
 	cycT    int64
 	cycAll  bool
 
-	// Shard partition and ownership (workers.go, partition). shardsReq
-	// is the requested shard count (0 = track the worker count);
-	// interior[id] means every wired edge of node id stays inside its
-	// shard, and allBoundary counts the nodes where that fails — the
-	// per-cycle mode selection compares the active boundary count
-	// against zero to run barrier-free interior cycles.
-	shardsReq   int
+	// Shard partition and ownership (workers.go, partition): one shard
+	// per worker, workerOf[id] the shard — and so the worker — that owns
+	// node id. interior[id] means every wired edge of node id stays
+	// inside its shard, and allBoundary counts the nodes where that
+	// fails — the per-cycle mode selection compares the active boundary
+	// count against zero to run barrier-free interior cycles.
 	numShards   int
-	shardOf     []int32
 	workerOf    []int32
 	interior    []bool
 	allBoundary int
@@ -523,10 +515,8 @@ type Network struct {
 	occ        []int64
 
 	// The wake table (wake.go): per node, the earliest cycle it can have
-	// work and the earliest cycle one of its sources is due. Derived
-	// state, written on the serial path only.
+	// work. Derived state, written on the serial path only.
 	wakeAt []int64
-	srcDue []int64
 
 	// Activity-gating stamps. A stamp equal to the current cycle marks
 	// membership (no per-cycle clearing): actStamp marks the active set
@@ -535,11 +525,9 @@ type Network struct {
 	actStamp   []int64
 	extraStamp []int64
 
-	// idleSkipped counts cycles Run elided via whole-clock fast-forward;
-	// drainCycles counts cycles executed inside the fused drain kernel
-	// (diagnostics only; results are independent of both by construction).
+	// idleSkipped counts cycles Run elided via whole-clock fast-forward
+	// (diagnostics only; results are independent of it by construction).
 	idleSkipped int64
-	drainCycles int64
 
 	// lastPayload is the length of the last EncodeState payload (0 before
 	// the first): the next encode's buffer is sized from it.
@@ -693,7 +681,6 @@ func New(cfg Config) (*Network, error) {
 	// calendar, so a fabric — fresh or just restored from a checkpoint —
 	// derives its gating state in its first cycle.
 	n.wakeAt = make([]int64, len(n.nodes))
-	n.srcDue = make([]int64, len(n.nodes))
 	n.actStamp = make([]int64, len(n.nodes))
 	n.extraStamp = make([]int64, len(n.nodes))
 	for i := range n.actStamp {
@@ -701,7 +688,6 @@ func New(cfg Config) (*Network, error) {
 		n.extraStamp[i] = -1
 	}
 	n.initMetrics()
-	n.shardsReq = cfg.Shards
 	n.SetWorkers(cfg.Workers)
 	if len(n.wrk) == 0 {
 		n.partition() // SetWorkers(<=1) on a fresh network early-outs via Shutdown

@@ -8,15 +8,14 @@ import (
 )
 
 // shardScenario runs the detScenario workload under an explicit
-// workers × shards × gating combination and returns the final encoded
-// fabric state. Byte equality of that blob across combinations is the
+// workers × gating combination and returns the final encoded fabric
+// state. Byte equality of that blob across combinations is the
 // strongest equivalence check the engine offers: it covers VC state,
 // queue contents, session tables, RNG cursors, and statistics.
-func shardScenario(t *testing.T, workers, shards int, noIdleSkip, withFaults bool) []byte {
+func shardScenario(t *testing.T, workers int, noIdleSkip, withFaults bool) []byte {
 	t.Helper()
 	n := buildDetNetwork(t, workers, withFaults)
 	defer n.Shutdown()
-	n.SetShards(shards)
 	n.cfg.NoIdleSkip = noIdleSkip
 	n.Run(2200)
 	blob, err := n.EncodeState()
@@ -27,10 +26,9 @@ func shardScenario(t *testing.T, workers, shards int, noIdleSkip, withFaults boo
 }
 
 // TestShardMatrixEquivalence: the shard-resident executor is bit-exact
-// for every workers × shards × gating combination, clean and faulted.
-// The reference is the fully serial gated run (workers=1, shards=1);
-// every other combination must reproduce its encoded state byte for
-// byte.
+// for every workers × gating combination, clean and faulted. The
+// reference is the serial gated run; every other combination must
+// reproduce its encoded state byte for byte.
 func TestShardMatrixEquivalence(t *testing.T) {
 	for _, withFaults := range []bool{false, true} {
 		name := "clean"
@@ -38,18 +36,16 @@ func TestShardMatrixEquivalence(t *testing.T) {
 			name = "faults"
 		}
 		t.Run(name, func(t *testing.T) {
-			ref := shardScenario(t, 1, 1, false, withFaults)
+			ref := shardScenario(t, 1, false, withFaults)
 			for _, workers := range []int{1, 2, 4} {
-				for _, shards := range []int{1, 2, 4} {
-					for _, noIdleSkip := range []bool{false, true} {
-						if workers == 1 && shards == 1 && !noIdleSkip {
-							continue // the reference itself
-						}
-						got := shardScenario(t, workers, shards, noIdleSkip, withFaults)
-						if !bytes.Equal(ref, got) {
-							t.Errorf("w=%d s=%d noIdleSkip=%v: state diverged from serial reference (%d vs %d bytes)",
-								workers, shards, noIdleSkip, len(ref), len(got))
-						}
+				for _, noIdleSkip := range []bool{false, true} {
+					if workers == 1 && !noIdleSkip {
+						continue // the reference itself
+					}
+					got := shardScenario(t, workers, noIdleSkip, withFaults)
+					if !bytes.Equal(ref, got) {
+						t.Errorf("w=%d noIdleSkip=%v: state diverged from serial reference (%d vs %d bytes)",
+							workers, noIdleSkip, len(ref), len(got))
 					}
 				}
 			}
@@ -83,10 +79,10 @@ func TestBoundaryEdgeClassifier(t *testing.T) {
 			}
 			defer n.Shutdown()
 			for _, s := range []int{1, 2, 4} {
-				n.SetShards(s)
+				n.SetWorkers(s)
 				gotShards, gotInterior, gotBoundary := n.ShardLayout()
 				if gotShards != s {
-					t.Fatalf("SetShards(%d): ShardLayout reports %d shards", s, gotShards)
+					t.Fatalf("SetWorkers(%d): ShardLayout reports %d shards", s, gotShards)
 				}
 				if gotInterior+gotBoundary != tp.Nodes {
 					t.Fatalf("s=%d: interior %d + boundary %d != %d nodes",
@@ -124,71 +120,5 @@ func TestBoundaryEdgeClassifier(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestShardsTrackWorkers: with Config.Shards unset the shard count
-// follows the worker count, and the serial-fallback cutoff is derived
-// from the worker count rather than a fixed constant.
-func TestShardsTrackWorkers(t *testing.T) {
-	tp, err := topology.Mesh(4, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(tp)
-	cfg.VCs = 8
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Shutdown()
-	for _, w := range []int{1, 2, 4} {
-		n.SetWorkers(w)
-		if got := n.Shards(); got != w {
-			t.Fatalf("workers=%d: Shards() = %d, want shards to track workers", w, got)
-		}
-		if got, want := n.serialCutoff(), 2*w; got != want {
-			t.Fatalf("workers=%d: serialCutoff() = %d, want %d", w, got, want)
-		}
-	}
-	// An explicit shard count decouples from workers.
-	n.SetShards(3)
-	n.SetWorkers(2)
-	if got := n.Shards(); got != 3 {
-		t.Fatalf("explicit SetShards(3) then SetWorkers(2): Shards() = %d, want 3", got)
-	}
-}
-
-// TestShardLayoutString is a tiny smoke check that the layout accessors
-// stay in sync with the partition for a fabric whose regions do not
-// divide evenly into the shard count.
-func TestShardLayoutUneven(t *testing.T) {
-	tp, err := topology.Dragonfly(4, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(tp)
-	cfg.VCs = 8
-	cfg.Shards = 5
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Shutdown()
-	s, interior, boundary := n.ShardLayout()
-	if s != 5 {
-		t.Fatalf("Config.Shards=5: ShardLayout reports %d shards", s)
-	}
-	counts := make([]int, s)
-	for id := 0; id < tp.Nodes; id++ {
-		counts[n.ShardOf(id)]++
-	}
-	for si, c := range counts {
-		if c == 0 {
-			t.Fatalf("shard %d empty: %v", si, counts)
-		}
-	}
-	if interior+boundary != tp.Nodes {
-		t.Fatalf("interior %d + boundary %d != %d", interior, boundary, tp.Nodes)
 	}
 }

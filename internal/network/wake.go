@@ -10,12 +10,11 @@ import (
 //
 //	wakeAt[id]  earliest cycle node id can have work — a buffered flit,
 //	            NI backlog, an inbound lane entry maturing, a source due.
-//	srcDue[id]  earliest cycle one of its traffic sources is due.
 //
-// Both are written only on the serial path, after the end-of-cycle join
-// or between cycles, by exactly three writers:
+// It is written only on the serial path, after the end-of-cycle join or
+// between cycles, by exactly three writers:
 //
-//	settle      every node that ran a cycle re-derives its own entries
+//	settle      every node that ran a cycle re-derives its own entry
 //	            from state it owns: occupancy, its source calendar, its
 //	            best-effort flows, and the earliest still-unmatured entry
 //	            it saw on its inbound lanes while delivering (inboundAt).
@@ -62,7 +61,6 @@ import (
 // touch marks node id due now. Serial path only.
 func (n *Network) touch(id int) {
 	n.wakeAt[id] = n.now
-	n.srcDue[id] = n.now
 	n.nodes[id].calStale = true
 	n.nodes[id].reroute = true
 }
@@ -112,7 +110,7 @@ func (n *Network) notePush(nd *node, p int) {
 }
 
 // settle brings the wake table up to date after cycle t: every node that
-// ran re-derives its entries, then the lane pushes and VC releases of the
+// ran re-derives its entry, then the lane pushes and VC releases of the
 // cycle wake their receivers (in that order — a receiver that also ran
 // must not overwrite the push).
 func (n *Network) settle(t int64) {
@@ -131,7 +129,6 @@ func (n *Network) settle(t int64) {
 					busy = true
 				}
 			}
-			n.srcDue[nd.id] = due
 			switch {
 			case busy:
 				n.wakeAt[nd.id] = t + 1
@@ -214,30 +211,6 @@ func (n *Network) nextWake(t, limit int64) int64 {
 		next = t + 1
 	}
 	return next
-}
-
-// quietHorizon returns the end (exclusive, capped at limit) of the
-// injection-free window starting at from: no session event is scheduled
-// and no live traffic source comes due before it. Within such a window
-// the fabric can only drain — buffered flits move, staged lane entries
-// mature, queued NI backlog enters free VCs — so the event pump is
-// provably a no-op. srcDue entries are exact or early, and events cannot
-// appear mid-window because only the serial event path schedules events,
-// never the cycle phases.
-func (n *Network) quietHorizon(from, limit int64) int64 {
-	end := limit
-	if at, ok := n.events.NextAt(); ok && int64(at) < end {
-		end = int64(at)
-	}
-	for _, at := range n.srcDue {
-		if at < end {
-			end = at
-		}
-	}
-	if end < from {
-		end = from
-	}
-	return end
 }
 
 // injecting reports whether c's source is live: a session that is open

@@ -14,10 +14,9 @@ import (
 
 // wake_ref_test.go keeps the scanning predicates the wake table replaced
 // as the oracle it is held to: referenceNodeActive is the per-node
-// activity scan buildActive used to run over every node every cycle,
-// referenceSrcDue the per-node share of quietHorizon's walk over every
-// session, and referenceNextWake the lane-and-session minimum nextWake
-// used to take. They read nothing the wake table writes.
+// activity scan buildActive used to run over every node every cycle, and
+// referenceNextWake the lane-and-session minimum nextWake used to take.
+// They read nothing the wake table writes.
 
 // referenceBuffered scans nd's VC memories: movable reports a buffered
 // flit that can do something this cycle, unrouted a packet that cannot
@@ -87,25 +86,6 @@ func (n *Network) referenceNodeActive(nd *node, t int64) bool {
 	return false
 }
 
-// referenceSrcDue is the earliest cycle a live source homed on nd is due.
-func (n *Network) referenceSrcDue(nd *node) int64 {
-	due := laneIdle
-	for _, c := range nd.srcConns {
-		if c.closed || c.broken || !c.open || c.src == nil {
-			continue
-		}
-		if c.nextDue < due {
-			due = c.nextDue
-		}
-	}
-	for _, bf := range nd.beSrc {
-		if bf.nextDue < due {
-			due = bf.nextDue
-		}
-	}
-	return due
-}
-
 // referenceNextWake returns the earliest cycle in (t, limit] at which
 // anything can happen — the next session event, the earliest staged lane
 // entry maturing, the earliest due traffic source — given that nothing is
@@ -124,8 +104,15 @@ func (n *Network) referenceNextWake(t, limit int64) int64 {
 		}
 	}
 	for _, nd := range n.nodes {
-		if due := n.referenceSrcDue(nd); due < next {
-			next = due
+		for _, c := range nd.srcConns {
+			if !c.closed && !c.broken && c.open && c.src != nil && c.nextDue < next {
+				next = c.nextDue
+			}
+		}
+		for _, bf := range nd.beSrc {
+			if bf.nextDue < next {
+				next = bf.nextDue
+			}
 		}
 	}
 	if next <= t {
@@ -135,9 +122,9 @@ func (n *Network) referenceNextWake(t, limit int64) int64 {
 }
 
 // checkWakeTable holds the wake table, between two cycles, to the scans:
-// the nodes due now are exactly the nodes the activity scan finds, every
-// srcDue entry is the scanned minimum, and — when nothing is active, the
-// only time it is asked — nextWake agrees with the scanned wake-up. One
+// the nodes due now are exactly the nodes the activity scan finds, and —
+// when nothing is active, the only time it is asked — nextWake agrees
+// with the scanned wake-up. One
 // early wake is allowed: a node holding unroutable packets is woken by
 // any VC released toward it and by any fault transition, whether or not
 // that helps the packets it holds. It reports whether the fabric was
@@ -157,9 +144,6 @@ func checkWakeTable(t testing.TB, n *Network) (idle bool) {
 		}
 		if want {
 			idle = false
-		}
-		if got, want := n.srcDue[nd.id], n.referenceSrcDue(nd); got != want {
-			t.Fatalf("cycle %d node %d: srcDue %d, the scanned minimum is %d", now, nd.id, got, want)
 		}
 	}
 	if idle {
@@ -236,8 +220,7 @@ func (r *wakeRun) endpoints() (src, dst int) {
 }
 
 // step advances one cycle — or, with run > 1, that many through Run, so
-// the fast-forward and the drain kernel maintain the table too — and
-// checks.
+// the fast-forward maintains the table too — and checks.
 func (r *wakeRun) step(run int64) {
 	if run > 1 {
 		r.n.Run(run)
@@ -484,8 +467,8 @@ func FuzzWakeTableMatchesScan(f *testing.F) {
 			ops = ops[:48] // bound per-case runtime
 		}
 		ok := churnOps(seed, int64(delay%4), ops, func(n *Network, cycles int64) {
-			// A third of each burst through Run — fast-forward and the
-			// drain kernel — the rest cycle by cycle.
+			// A third of each burst through Run, which fast-forwards, the
+			// rest cycle by cycle.
 			n.Run(cycles / 3)
 			checkWakeTable(t, n)
 			for i := cycles / 3; i < cycles; i++ {

@@ -1,10 +1,10 @@
 package network
 
 // workers.go is the shard-resident parallel executor behind the flit
-// cycle. The fabric is partitioned into shards (topology.Partition —
-// contiguous node ranges for meshes, region-aligned for generated
-// fabrics) and every shard is owned by exactly one worker for the life
-// of the pool: the worker steps its shard's nodes, draws their RNG
+// cycle. The fabric is partitioned into one shard per worker
+// (topology.Partition — contiguous node ranges for meshes, region-aligned
+// for generated fabrics) and a worker owns its shard for the life of the
+// pool: the worker steps its shard's nodes, draws their RNG
 // streams, fills their stats shards and drains their staging lanes, so
 // interior traffic — both endpoints in one shard — never synchronizes
 // with another worker at all.
@@ -40,13 +40,13 @@ package network
 // (all cross-node effects ride single-writer lanes or claim slots that
 // are consumed a sequence point later), per-node RNG/stats/pools are
 // merged in ascending node order on the serial path, and the
-// shards×workers×gating equivalence matrix (shard_test.go) pins
-// EncodeState byte-equality across every combination.
+// workers×gating equivalence matrix (shard_test.go) pins EncodeState
+// byte-equality across every combination.
 //
 // Everything on the dispatch path (one channel send per worker per
 // cycle, the two reusable WaitGroups, per-worker slice resets) is
 // allocation-free, keeping the steady-state zero-alloc guarantee at
-// every worker and shard count.
+// every worker count.
 
 // Cycle execution modes (see the file comment).
 const (
@@ -98,27 +98,6 @@ func (n *Network) Workers() int {
 	return n.workers
 }
 
-// SetShards overrides the shard count: s > 0 pins the partition to s
-// shards (clamped to the node count); s = 0 returns to the default of
-// one shard per worker. Like Workers, the shard count is an execution
-// strategy, not a model parameter — results are bit-identical for every
-// value, and it is excluded from ConfigHash. Safe to call between Steps
-// only.
-func (n *Network) SetShards(s int) {
-	if s < 0 {
-		s = 0
-	}
-	if s == n.shardsReq && n.wrk != nil {
-		return
-	}
-	n.shardsReq = s
-	n.partition()
-}
-
-// Shards returns the number of shards the fabric is currently
-// partitioned into.
-func (n *Network) Shards() int { return n.numShards }
-
 // Shutdown stops the worker goroutines. Call when done with a network
 // built with Workers > 1 (netsweep and fuzz harnesses create thousands
 // of networks; leaked workers would accumulate). Idempotent; the network
@@ -134,56 +113,28 @@ func (n *Network) Shutdown() {
 	}
 }
 
-// partition (re)derives the shard layout and worker ownership: the
-// topology partitioner yields the shard member lists, shards map onto
-// workers in contiguous blocks balanced by node count, and every node is
-// classified interior/boundary by whether all its wired edges stay
-// inside its shard. Runs on the control path (SetWorkers/SetShards), so
-// its allocations never touch the steady state.
+// partition (re)derives the shard layout: the topology partitioner
+// yields one member list per worker (fewer when the fabric has fewer
+// regions than workers; the trailing workers then own nothing and only
+// take part in the barriers), and every node is classified
+// interior/boundary by whether all its wired edges stay inside its
+// shard. Runs on the control path (SetWorkers), so its allocations never
+// touch the steady state.
 func (n *Network) partition() {
 	k := n.Workers()
-	s := n.shardsReq
-	if s <= 0 {
-		s = k
-	}
-	parts := n.cfg.Topology.Partition(s)
-	s = len(parts)
-	n.numShards = s
+	parts := n.cfg.Topology.Partition(k)
+	n.numShards = len(parts)
 
-	if n.shardOf == nil {
-		n.shardOf = make([]int32, len(n.nodes))
+	if n.workerOf == nil {
 		n.workerOf = make([]int32, len(n.nodes))
 		n.interior = make([]bool, len(n.nodes))
 	}
-	for si, p := range parts {
-		for _, id := range p {
-			n.shardOf[id] = int32(si)
-		}
-	}
-
-	// Shard → worker: contiguous shard blocks, balanced by node count
-	// (same proportional-target rule as the region grouping in
-	// topology.Partition). With s < k the trailing workers own nothing
-	// and only participate in the barriers.
-	shardWorker := make([]int32, s)
-	c, cum := 0, 0
-	for si := range parts {
-		shardWorker[si] = int32(c)
-		cum += len(parts[si])
-		switch {
-		case c >= k-1:
-		case s-si-1 == k-c-1:
-			c++
-		case cum*k >= (c+1)*len(n.nodes):
-			c++
-		}
-	}
-
 	n.wrk = make([]workerRun, k)
-	for _, nd := range n.nodes {
-		w := shardWorker[n.shardOf[nd.id]]
-		n.workerOf[nd.id] = w
-		n.wrk[w].nodes = append(n.wrk[w].nodes, nd)
+	for w, p := range parts {
+		for _, id := range p {
+			n.workerOf[id] = int32(w)
+			n.wrk[w].nodes = append(n.wrk[w].nodes, n.nodes[id])
+		}
 	}
 
 	// Interior classification. Wiring is symmetric (Connect wires both
@@ -193,14 +144,14 @@ func (n *Network) partition() {
 	for _, nd := range n.nodes {
 		in := true
 		for i := range nd.in {
-			if n.shardOf[nd.in[i].peer] != n.shardOf[nd.id] {
+			if n.workerOf[nd.in[i].peer] != n.workerOf[nd.id] {
 				in = false
 				break
 			}
 		}
 		if in {
 			for _, x := range nd.outPeer {
-				if x >= 0 && n.shardOf[x] != n.shardOf[nd.id] {
+				if x >= 0 && n.workerOf[x] != n.workerOf[nd.id] {
 					in = false
 					break
 				}
@@ -221,7 +172,7 @@ func (n *Network) ShardLayout() (shards, interior, boundary int) {
 }
 
 // ShardOf returns the shard owning the given node.
-func (n *Network) ShardOf(node int) int { return int(n.shardOf[node]) }
+func (n *Network) ShardOf(node int) int { return int(n.workerOf[node]) }
 
 // serialCutoff is the active-set size below which a cycle skips the pool
 // and runs inline: with fewer than two active nodes per worker the
