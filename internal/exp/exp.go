@@ -1,8 +1,8 @@
 // Package exp is the experiment harness that regenerates every figure of
 // the paper's evaluation (§5) plus the ablations DESIGN.md calls out. It
-// is shared by cmd/mmrbench and the repository's benchmark suite, so the
-// numbers in EXPERIMENTS.md, the CLI output and `go test -bench` all come
-// from the same code path.
+// is shared by cmd/mmrbench, the root package's figure benchmarks and
+// perfbench's paper_sweep workload, so the numbers in EXPERIMENTS.md, the
+// CLI output and `go test -bench` all come from the same code path.
 package exp
 
 import (
@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"sync"
 
-	"mmr/internal/metrics"
 	"mmr/internal/router"
 	"mmr/internal/sched"
 	"mmr/internal/sim"
@@ -31,11 +30,6 @@ type Options struct {
 	// bit-identical figures; >1 trades barrier overhead for wall-clock
 	// on multicore hosts.
 	NetWorkers int
-	// MetricSink, when non-nil, receives the gathered metric snapshot of
-	// every network-sweep load point before the simulator shuts down.
-	// Figures never read these snapshots, so installing a sink cannot
-	// perturb the goldened outputs.
-	MetricSink func(load float64, snap *metrics.Snapshot)
 	// NoIdleSkip disables activity gating in the simulators (router and
 	// network). Gated and ungated runs are bit-identical — this is the
 	// reference side of the equivalence tests and a debugging escape

@@ -115,10 +115,17 @@ func TestAblationsRun(t *testing.T) {
 		fn func() (*FigureResult, error)
 	}
 	cases := []abl{
+		{"A1", func() (*FigureResult, error) { return AblationA1(opts) }},
+		{"A2", func() (*FigureResult, error) { return AblationA2(opts) }},
+		{"A3", func() (*FigureResult, error) { return AblationA3(opts) }},
 		{"A4", func() (*FigureResult, error) { return AblationA4(opts) }},
+		{"A5", func() (*FigureResult, error) { return AblationA5(opts) }},
+		{"A6", func() (*FigureResult, error) { return AblationA6(opts) }},
 		{"A7", func() (*FigureResult, error) { return AblationA7(opts) }},
 		{"A8", func() (*FigureResult, error) { return AblationA8(), nil }},
 		{"A9", func() (*FigureResult, error) { return AblationA9(opts) }},
+		{"A10", func() (*FigureResult, error) { return AblationA10(opts) }},
+		{"A11", func() (*FigureResult, error) { return AblationA11(opts) }},
 	}
 	for _, c := range cases {
 		res, err := c.fn()

@@ -193,8 +193,5 @@ func runNetworkPoint(load float64, opts Options) (*network.Stats, error) {
 	n.Run(opts.Warmup)
 	n.ResetStats()
 	n.Run(opts.Measure)
-	if opts.MetricSink != nil {
-		opts.MetricSink(load, n.GatherMetrics())
-	}
 	return n.Stats(), nil
 }

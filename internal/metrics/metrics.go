@@ -31,7 +31,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -414,27 +413,4 @@ func (s *Snapshot) GaugeTotal(name, labels string) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// FamilyNames returns the sorted distinct family names in the snapshot.
-func (s *Snapshot) FamilyNames() []string {
-	seen := map[string]bool{}
-	var names []string
-	add := func(n string) {
-		if !seen[n] {
-			seen[n] = true
-			names = append(names, n)
-		}
-	}
-	for _, c := range s.Counters {
-		add(c.Name)
-	}
-	for _, g := range s.Gauges {
-		add(g.Name)
-	}
-	for _, h := range s.Histograms {
-		add(h.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -156,7 +156,7 @@ func TestSetWorkersMidRun(t *testing.T) {
 // rare residual growth event while still failing on any per-cycle
 // allocation.)
 func TestNetworkStepSteadyStateAllocs(t *testing.T) {
-	for _, w := range []int{1, 4} {
+	for _, w := range []int{1, 2, 4, 8} {
 		tp, _ := topology.Mesh(4, 4, 4)
 		cfg := DefaultConfig(tp)
 		cfg.Seed = 7

@@ -12,43 +12,47 @@ import (
 // TestRunSparseSteadyStateAllocs: Run over a sparse workload — six slow
 // sessions and one trickle of packets on a 4×4 mesh, so the path that
 // alternates whole-clock fast-forward with normal cycles — allocates
-// nothing once warm. The SoA datapath's flat backings (lane arrays,
-// occupancy counters, claim slots) are sized at construction and must
-// never grow in steady state.
+// nothing once warm, and neither does the ungated reference stepping the
+// same workload cycle by cycle. The SoA datapath's flat backings (lane
+// arrays, occupancy counters, claim slots) are sized at construction and
+// must never grow in steady state.
 func TestRunSparseSteadyStateAllocs(t *testing.T) {
-	tp, err := topology.Mesh(4, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(tp)
-	cfg.Seed = 31
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Shutdown()
-	rng := sim.NewRNG(13)
-	for opened, i := 0, 0; i < 200 && opened < 6; i++ {
-		src, dst := rng.Intn(tp.Nodes), rng.Intn(tp.Nodes)
-		if src == dst {
-			continue
+	for _, noIdleSkip := range []bool{false, true} {
+		tp, err := topology.Mesh(4, 4, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Slow connections: hundreds of idle cycles between flits.
-		if _, err := n.Open(src, dst, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 2 * traffic.Mbps}); err == nil {
-			opened++
+		cfg := DefaultConfig(tp)
+		cfg.Seed = 31
+		cfg.NoIdleSkip = noIdleSkip
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := n.AddBestEffortFlow(0, 15, 0.001); err != nil {
-		t.Fatal(err)
-	}
-	n.Run(20_000)
-	skipped := n.idleSkipped
-	avg := testing.AllocsPerRun(20, func() { n.Run(500) })
-	if avg > 0.05 {
-		t.Errorf("steady-state Run allocates %.3f allocs per 500-cycle window, want 0", avg)
-	}
-	if n.idleSkipped == skipped {
-		t.Fatal("Run never fast-forwarded during the alloc measurement: the workload is not sparse")
+		rng := sim.NewRNG(13)
+		for opened, i := 0, 0; i < 200 && opened < 6; i++ {
+			src, dst := rng.Intn(tp.Nodes), rng.Intn(tp.Nodes)
+			if src == dst {
+				continue
+			}
+			// Slow connections: hundreds of idle cycles between flits.
+			if _, err := n.Open(src, dst, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 2 * traffic.Mbps}); err == nil {
+				opened++
+			}
+		}
+		if _, err := n.AddBestEffortFlow(0, 15, 0.001); err != nil {
+			t.Fatal(err)
+		}
+		n.Run(20_000)
+		skipped := n.idleSkipped
+		avg := testing.AllocsPerRun(20, func() { n.Run(500) })
+		if avg > 0.05 {
+			t.Errorf("NoIdleSkip=%v: steady-state Run allocates %.3f allocs per 500-cycle window, want 0", noIdleSkip, avg)
+		}
+		if !noIdleSkip && n.idleSkipped == skipped {
+			t.Fatal("Run never fast-forwarded during the alloc measurement: the workload is not sparse")
+		}
+		n.Shutdown()
 	}
 }
 

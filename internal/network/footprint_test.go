@@ -69,78 +69,31 @@ func measureFootprint(tb testing.TB) (bytesPerRouter, bytesPerFlow float64) {
 	return bytesPerRouter, bytesPerFlow
 }
 
-// BenchmarkFabricFootprint reports the fitted per-router and per-flow
-// heap cost; `make bench-mem-check` gates these against BENCH_PR8.json.
-func BenchmarkFabricFootprint(b *testing.B) {
-	bpr, bpf := measureFootprint(b)
-	b.ReportMetric(bpr, "bytes/router")
-	b.ReportMetric(bpf, "bytes/flow")
-	for i := 0; i < b.N; i++ {
-	}
-}
-
-// TestFabricFootprintBudget extrapolates the linear fit to the
-// datacenter target: 4096 routers carrying one million flows must fit in
-// well under 4 GB of state.
+// TestFabricFootprintBudget holds the fitted per-router and per-flow heap
+// cost under absolute ceilings (bytes are host-independent, so this gates
+// on any runner; ~2× headroom over the measured 281 kB/router and
+// 621 B/flow) and extrapolates the fit to the datacenter target: 4096
+// routers carrying one million flows must fit in well under 4 GB of state.
 func TestFabricFootprintBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("footprint fit is slow under -short")
 	}
 	bpr, bpf := measureFootprint(t)
+	const maxBytesPerRouter, maxBytesPerFlow = 600_000, 1_200
 	const routers, flows = 4096, 1e6
 	total := bpr*routers + bpf*flows
 	const budget = 4 << 30
 	t.Logf("fit: %.0f bytes/router, %.0f bytes/flow → %.2f GB at %d routers / %g flows",
 		bpr, bpf, total/(1<<30), routers, float64(flows))
+	if bpr > maxBytesPerRouter {
+		t.Errorf("%.0f bytes/router exceeds the %d ceiling", bpr, maxBytesPerRouter)
+	}
+	if bpf > maxBytesPerFlow {
+		t.Errorf("%.0f bytes/flow exceeds the %d ceiling", bpf, maxBytesPerFlow)
+	}
 	if total >= budget {
-		t.Fatalf("extrapolated fabric state %.2f GB exceeds the 4 GB budget", total/(1<<30))
+		t.Errorf("extrapolated fabric state %.2f GB exceeds the 4 GB budget", total/(1<<30))
 	}
-}
-
-// saturatedReqs is the establishment benchmark workload: a feasible
-// all-to-all shell plus a heavily oversubscribed hot-spot tail, so both
-// the search path and the rejection path are exercised.
-func saturatedReqs(nodes int) []OpenReq {
-	feasible := traffic.ConnSpec{Class: flit.ClassCBR, Rate: 5 * traffic.Mbps}
-	hot := traffic.ConnSpec{Class: flit.ClassCBR, Rate: 100 * traffic.Mbps}
-	reqs := batchReqs(nodes, 3, feasible)
-	// Hot spots are cross-pod edge routers (pod 1 of the k=8 tree): a
-	// rejected serial Open walks the full 16-path minimal DAG before
-	// failing at the ejection port, while the batch pre-check rejects in
-	// O(1) once the destination's headroom is gone.
-	hotDsts := []int{8, 9, 10, 11}
-	for i := 0; i < nodes*30; i++ {
-		reqs = append(reqs, OpenReq{Src: i % nodes, Dst: hotDsts[(i/nodes)%len(hotDsts)], Spec: hot})
-	}
-	return reqs
-}
-
-func BenchmarkOpenSerial(b *testing.B) {
-	nodes := topology.FatTreeNodes(8)
-	reqs := saturatedReqs(nodes)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		n := buildFatTreeNet(b, 8)
-		b.StartTimer()
-		for _, r := range reqs {
-			n.Open(r.Src, r.Dst, r.Spec) //nolint:errcheck // rejections are part of the workload
-		}
-	}
-	b.ReportMetric(float64(len(reqs)), "sessions/op")
-}
-
-func BenchmarkOpenBatch(b *testing.B) {
-	nodes := topology.FatTreeNodes(8)
-	reqs := saturatedReqs(nodes)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		n := buildFatTreeNet(b, 8)
-		b.StartTimer()
-		n.OpenBatch(reqs)
-	}
-	b.ReportMetric(float64(len(reqs)), "sessions/op")
 }
 
 // TestLargeFabricSmoke is the CI large-fabric job: a 1280-router

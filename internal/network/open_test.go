@@ -239,9 +239,15 @@ func TestEstablishmentLeavesNoHolds(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go when the race detector is compiled in.
+var raceEnabled bool
+
 // TestOpenWarmAllocs bounds what a single Open allocates once the arenas
 // and the ledger have grown: the traffic source, and nothing per hop.
 func TestOpenWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a build with the race detector allocates 5 times here, one without it at most 2; the bound is for the latter")
+	}
 	tp, err := topology.FatTree(4)
 	if err != nil {
 		t.Fatal(err)

@@ -142,13 +142,6 @@ func (r *Router) EnableMetrics() {
 	}
 }
 
-// MetricsRegistry returns the router's metric registry, enabling
-// metrics if needed.
-func (r *Router) MetricsRegistry() *metrics.Registry {
-	r.EnableMetrics()
-	return r.om.reg
-}
-
 // GatherMetrics snapshots the registry, enabling metrics if needed.
 // Call between steps.
 func (r *Router) GatherMetrics() *metrics.Snapshot {

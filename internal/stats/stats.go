@@ -166,9 +166,6 @@ func (h *Histogram) N() int64 { return h.total }
 // Bin returns the count in bin i.
 func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
 
-// NumBins returns the number of bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
 // Underflow and Overflow return the out-of-range counts.
 func (h *Histogram) Underflow() int64 { return h.under }
 
