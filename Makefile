@@ -31,15 +31,17 @@ fmt-check:
 ci-names:
 	GO=$(GO) sh .github/ci-names.sh .github/workflows/ci.yml Makefile
 
-# Non-test Go lines of the two engine packages: the number ROADMAP's
+# Non-test Go lines of the engine packages: the number ROADMAP's
 # "net-negative line counts are a goal" is measured by.
 loc:
-	@for p in internal/network internal/router; do \
+	@for p in internal/network internal/router internal/topology; do \
 		printf '%s %s\n' $$p $$(ls $$p/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
 
+# The packages that start goroutines: the daemon, the metrics server and
+# the sweep pool. The fabric cycle and everything under it is serial.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race ./cmd/mmrnet ./internal/metrics ./internal/exp
 
 # Short coverage-guided fuzz budgets: the network churn property (opens,
 # probes, teardowns, link failures/repairs interleaved), the wake table

@@ -120,7 +120,6 @@ func runDaemon(o simOpts, out, diag io.Writer, sigc <-chan os.Signal) error {
 	} else if n, err = network.New(cfg); err != nil {
 		return err
 	}
-	defer n.Shutdown()
 	if o.flightDump {
 		n.SetFlightSink(diag)
 	}

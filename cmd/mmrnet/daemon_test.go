@@ -221,7 +221,6 @@ func TestValidateOpts(t *testing.T) {
 		want string // substring of the error; "" = must pass
 	}{
 		{"defaults", func(o *simOpts) {}, nil, ""},
-		{"negative workers", func(o *simOpts) { o.netWorkers = -2 }, nil, "net-workers"},
 		{"zero vcs", func(o *simOpts) { o.vcs = 0 }, nil, "-vcs"},
 		{"negative cycles", func(o *simOpts) { o.cycles = -1 }, nil, "-cycles"},
 		{"vbr fraction", func(o *simOpts) { o.vbr = 1.5 }, nil, "-vbr"},

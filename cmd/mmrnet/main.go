@@ -60,7 +60,6 @@ type simOpts struct {
 	warmup        int64
 	vcs           int
 	seed          uint64
-	netWorkers    int
 	noIdleSkip    bool
 
 	faultLinks    int
@@ -103,7 +102,7 @@ func defaultOpts() simOpts {
 		topo: "mesh", w: 4, h: 4, nodes: 16, degree: 3, ports: 4,
 		ftK: 4, dfA: 4, dfP: 2, dfH: 2, route: "minimal",
 		conns: 48, cycles: 50_000, warmup: 10_000, vcs: 64, seed: 1,
-		netWorkers: 1, faultDowntime: 5000, faultMTTR: 1000,
+		faultDowntime: 5000, faultMTTR: 1000,
 		serveAddr: "127.0.0.1:9191",
 	}
 }
@@ -150,7 +149,6 @@ func buildConfig(o simOpts, tp *topology.Topology) network.Config {
 	cfg.Route, _ = routeMode(o.route) // validated before any config is built
 	cfg.VCs = o.vcs
 	cfg.Seed = o.seed
-	cfg.Workers = o.netWorkers
 	cfg.NoIdleSkip = o.noIdleSkip
 	cfg.Fault.Restore = !o.noRestore
 	cfg.Fault.Degrade = !o.noDegrade
@@ -163,8 +161,6 @@ func buildConfig(o simOpts, tp *topology.Topology) network.Config {
 // mode-contradiction checks.
 func validateOpts(o simOpts, set map[string]bool) error {
 	switch {
-	case o.netWorkers < 1:
-		return fmt.Errorf("-net-workers must be at least 1, got %d", o.netWorkers)
 	case o.vcs < 1:
 		return fmt.Errorf("-vcs must be at least 1, got %d", o.vcs)
 	case o.ports < 1:
@@ -244,8 +240,6 @@ func main() {
 	flag.Int64Var(&o.warmup, "warmup", o.warmup, "warmup cycles")
 	flag.IntVar(&o.vcs, "vcs", o.vcs, "virtual channels per input port")
 	flag.Uint64Var(&o.seed, "seed", o.seed, "simulation seed")
-	flag.IntVar(&o.netWorkers, "net-workers", o.netWorkers,
-		"worker goroutines stepping the network, one fabric shard each (1 = serial, the fastest measured; results are identical at any setting)")
 	flag.BoolVar(&o.noIdleSkip, "no-idle-skip", o.noIdleSkip,
 		"disable activity gating and idle-cycle elision (results are identical either way)")
 	flag.IntVar(&o.faultLinks, "fault-links", o.faultLinks, "random link failures to inject during the measured run")
@@ -308,7 +302,6 @@ func run(o simOpts, out, diag io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer n.Shutdown()
 	if o.flightDump {
 		n.SetFlightSink(diag)
 	}

@@ -22,7 +22,6 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 	o.cycles = 2500
 	o.seed = 7
 	o.faultLinks = 2
-	o.netWorkers = 1
 	o.metricsAddr = "127.0.0.1:0"
 
 	var scraped map[string]float64

@@ -9,9 +9,9 @@
 //   - the clock and the open-connection count are conserved exactly, and
 //   - the delivery counters carried over bit-exactly.
 //
-// Restores deliberately rotate the worker count and activity-gating
-// setting, so every checkpoint is also a live proof that the serialized
-// state is execution-strategy independent.
+// Restores deliberately alternate the activity-gating setting, so every
+// checkpoint is also a live proof that the serialized state is
+// execution-strategy independent.
 //
 // The default budget is one million session events (`make soak`); CI
 // runs a small smoke budget on every push.
@@ -164,7 +164,6 @@ func soak(o soakOpts) error {
 
 	h := &harness{o: o, cfg: cfg, tp: tp, rng: sim.NewRNG(o.seed), n: n,
 		ckptPath: filepath.Join(dir, "soak.ckpt"), openErrs: map[string]int64{}}
-	defer func() { h.n.Shutdown() }()
 
 	// Kill points: distinct random event counts, sorted ascending.
 	killAt := map[int64]bool{}
@@ -418,8 +417,8 @@ func countOpen(n *network.Network) int {
 }
 
 // killAndRestore checkpoints the fabric to disk, discards it, restores a
-// fresh fabric from the file — rotating the worker count and gating mode
-// so the snapshot is exercised across execution strategies — and audits
+// fresh fabric from the file — alternating the gating mode so the
+// snapshot is exercised under both — and audits
 // conservation: clock, open-connection count, delivery counters and the
 // full resource invariants.
 func (h *harness) killAndRestore(ev int64) error {
@@ -430,7 +429,6 @@ func (h *harness) killAndRestore(ev int64) error {
 	if err := h.n.SaveCheckpoint(h.ckptPath); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	h.n.Shutdown() // the "kill": the old fabric is gone
 
 	// A real restart builds everything from scratch, including the
 	// topology object (whose live link state the old fabric mutated);
@@ -441,11 +439,10 @@ func (h *harness) killAndRestore(ev int64) error {
 	}
 	cfg := h.cfg
 	cfg.Topology = tp2
-	cfg.Workers = []int{1, 2, 4}[h.restores%3]
 	cfg.NoIdleSkip = h.restores%2 == 1
 	n2, err := network.RestoreCheckpoint(cfg, h.ckptPath)
 	if err != nil {
-		return fmt.Errorf("restore (workers=%d gating=%v): %w", cfg.Workers, !cfg.NoIdleSkip, err)
+		return fmt.Errorf("restore (gating=%v): %w", !cfg.NoIdleSkip, err)
 	}
 	if n2.Now() != beforeNow {
 		return fmt.Errorf("restore lost the clock: %d != %d", n2.Now(), beforeNow)

@@ -5,9 +5,8 @@
 //
 // The envelope carries a configuration hash so a checkpoint taken
 // under one fabric geometry cannot be restored into an incompatible
-// one; the hash deliberately excludes execution-strategy knobs
-// (worker count, idle gating) because restores across those must be
-// bit-identical.
+// one; the hash deliberately excludes the execution-strategy knob (idle
+// gating) because restores across it must be bit-identical.
 package checkpoint
 
 import (

@@ -25,11 +25,6 @@ type Options struct {
 	Seed    uint64
 	// Loads overrides the offered-load sweep; nil means PaperLoads.
 	Loads []float64
-	// NetWorkers sizes the network simulator's worker pool for the
-	// multi-router sweeps (0 or 1 = serial). Any value produces
-	// bit-identical figures; >1 trades barrier overhead for wall-clock
-	// on multicore hosts.
-	NetWorkers int
 	// NoIdleSkip disables activity gating in the simulators (router and
 	// network). Gated and ungated runs are bit-identical — this is the
 	// reference side of the equivalence tests and a debugging escape
@@ -154,9 +149,38 @@ func RunPoint(base router.Config, load float64, v Variant, opts Options) (Point,
 	return Point{Load: load, Offered: wl.OfferedLoad, Variant: v.Name, M: m}, nil
 }
 
-// RunGrid sweeps loads × variants. Cells are independent simulations
-// with their own seeds, so they run on all CPUs; the result order is
-// deterministic regardless of scheduling.
+// forEach calls fn(i) for every i in [0, n) from min(GOMAXPROCS, n)
+// goroutines pulling indices from a channel, and returns once every call
+// has. Sweep cells are independent simulations with their own seeds, so
+// this is where the harness uses more than one CPU; fn must write only
+// what belongs to its index. A fixed set of workers, not a goroutine per
+// index behind a semaphore: a large sweep would otherwise create hundreds
+// of idle goroutines (and their stacks) before any work starts.
+func forEach(n int, fn func(i int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+}
+
+// RunGrid sweeps loads × variants, the cells through forEach; the result
+// order is deterministic regardless of scheduling.
 func RunGrid(base router.Config, loads []float64, variants []Variant, opts Options) (*Grid, error) {
 	type cell struct {
 		load float64
@@ -170,31 +194,9 @@ func RunGrid(base router.Config, loads []float64, variants []Variant, opts Optio
 	}
 	points := make([]Point, len(cells))
 	errs := make([]error, len(cells))
-	// Bounded worker pool: exactly min(NumCPU, cells) goroutines pulling
-	// cell indices from a channel. Spawning one goroutine per cell and
-	// gating on a semaphore would create hundreds of idle goroutines (and
-	// their stacks) on large sweeps before any work starts.
-	workers := runtime.NumCPU()
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				c := cells[i]
-				points[i], errs[i] = RunPoint(base, c.load, c.v, opts)
-			}
-		}()
-	}
-	for i := range cells {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	forEach(len(cells), func(i int) {
+		points[i], errs[i] = RunPoint(base, cells[i].load, cells[i].v, opts)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

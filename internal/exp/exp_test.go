@@ -232,32 +232,30 @@ func TestNetworkSweepGeneratedFabrics(t *testing.T) {
 // paperBase is the §5 router configuration.
 func paperBase() router.Config { return router.PaperConfig() }
 
-// TestNetworkSweepWorkerDeterminism: the network figure series are
-// bit-identical (math.Float64bits) whether the simulator steps serially
-// or across a worker pool — the parallel cycle may not perturb published
-// curves at any worker count.
-func TestNetworkSweepWorkerDeterminism(t *testing.T) {
+// TestNetworkSweepMatchesSerialPoints: NetworkSweep runs its load points
+// side by side (forEach); the figure must be the one its points give when
+// each is swept alone, one at a time, bit for bit (math.Float64bits) and
+// gap for gap. Under -race this is also the check that concurrent points
+// share nothing they write.
+func TestNetworkSweepMatchesSerialPoints(t *testing.T) {
 	opts := tinyOpts()
-	opts.Loads = []float64{0.2, 0.4}
-	serial, err := NetworkSweep(opts)
+	opts.Loads = []float64{0.1, 0.2, 0.3, 0.4}
+	sweep, err := NetworkSweep(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.NetWorkers = 4
-	parallel, err := NetworkSweep(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for si, s := range serial.Figures[0].Series {
-		p := parallel.Figures[0].Series[si]
-		if len(p.Points) != len(s.Points) {
-			t.Fatalf("series %q: %d vs %d points", s.Name, len(s.Points), len(p.Points))
+	for _, load := range opts.Loads {
+		one := opts
+		one.Loads = []float64{load}
+		alone, err := NetworkSweep(one)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for pi, sp := range s.Points {
-			pp := p.Points[pi]
-			if math.Float64bits(sp.X) != math.Float64bits(pp.X) || math.Float64bits(sp.Y) != math.Float64bits(pp.Y) {
-				t.Errorf("series %q point %d diverged: serial (%v,%v) vs 4 workers (%v,%v)",
-					s.Name, pi, sp.X, sp.Y, pp.X, pp.Y)
+		for si, s := range alone.Figures[0].Series {
+			want, wok := s.YAt(load)
+			got, gok := sweep.Figures[0].Series[si].YAt(load)
+			if wok != gok || math.Float64bits(want) != math.Float64bits(got) {
+				t.Errorf("series %q at load %v: alone (%v,%v) vs in the sweep (%v,%v)", s.Name, load, want, wok, got, gok)
 			}
 		}
 	}

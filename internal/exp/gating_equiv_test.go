@@ -8,7 +8,7 @@ import (
 // TestNetworkPointGatingEquivalence: a netsweep load point produces a
 // byte-identical statistics snapshot with activity gating on (the
 // default) and off (NoIdleSkip, the cmd/mmrnet -no-idle-skip escape
-// hatch), at every worker count. reflect.DeepEqual over *network.Stats
+// hatch). reflect.DeepEqual over *network.Stats
 // compares every accumulator's floating-point state exactly, so a single
 // elided or replayed cycle anywhere in the simulation fails the test.
 func TestNetworkPointGatingEquivalence(t *testing.T) {
@@ -24,16 +24,12 @@ func TestNetworkPointGatingEquivalence(t *testing.T) {
 	if refStats.FlitsDelivered == 0 {
 		t.Fatalf("degenerate reference point: %+v", refStats)
 	}
-	for _, w := range []int{1, 2, 4} {
-		gated := opts
-		gated.NetWorkers = w
-		st, err := runNetworkPoint(load, gated)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(refStats, st) {
-			t.Errorf("gated run (workers=%d) diverged from ungated:\nungated: %+v\ngated:   %+v", w, refStats, st)
-		}
+	st, err := runNetworkPoint(load, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(refStats, st) {
+		t.Errorf("gated run diverged from ungated:\nungated: %+v\ngated:   %+v", refStats, st)
 	}
 }
 

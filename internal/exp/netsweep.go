@@ -124,11 +124,18 @@ func NetworkSweep(opts Options) (*FigureResult, error) {
 	if len(loads) == 0 {
 		loads = []float64{0.1, 0.2, 0.3, 0.4, 0.5}
 	}
-	for _, load := range loads {
-		st, err := runNetworkPoint(load, opts)
-		if err != nil {
-			return nil, err
+	// Each point builds its own fabric and RNG from (Seed, load), so the
+	// points run side by side and the figure is filled in load order.
+	sts := make([]*network.Stats, len(loads))
+	errs := make([]error, len(loads))
+	forEach(len(loads), func(i int) {
+		sts[i], errs[i] = runNetworkPoint(loads[i], opts)
+	})
+	for i, load := range loads {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
+		st := sts[i]
 		// AddAccum skips empty accumulators instead of plotting their
 		// fake-zero Mean(): a load point where nothing was delivered (or
 		// no setup ever backtracked) leaves a gap, not a bogus 0.
@@ -152,13 +159,11 @@ func runNetworkPoint(load float64, opts Options) (*network.Stats, error) {
 	cfg.Route = opts.Topo.routeMode()
 	cfg.VCs = 64
 	cfg.Seed = opts.Seed
-	cfg.Workers = opts.NetWorkers
 	cfg.NoIdleSkip = opts.NoIdleSkip
 	n, err := network.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer n.Shutdown()
 	rng := sim.NewRNG(opts.Seed*104729 + uint64(load*1000))
 	inj := make([]float64, tp.Nodes)
 	for fails := 0; fails < 300; {

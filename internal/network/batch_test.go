@@ -68,8 +68,6 @@ func batchMatchesSerial(t *testing.T, route routing.RouteMode) {
 	}
 
 	serial, batched := build(), build()
-	defer serial.Shutdown()
-	defer batched.Shutdown()
 	res := batched.OpenBatch(reqs)
 	accepted := 0
 	for i, r := range reqs {

@@ -12,8 +12,8 @@ import (
 // checkpoint.go serializes the complete mutable state of a Network and
 // restores it into a freshly built one, bit-exactly: a restored fabric
 // stepped to cycle M produces the same statistics, metrics, session log
-// and flight-recorder contents as the uninterrupted run, for any worker
-// count and gating mode (the config hash deliberately excludes both).
+// and flight-recorder contents as the uninterrupted run, in either gating
+// mode (the config hash deliberately excludes it).
 //
 // This file holds what is one-sided — when a fabric can be written, the
 // canonical form it is put in first, what a restore rebuilds rather than
@@ -35,11 +35,6 @@ func (n *Network) EncodeState() ([]byte, error) {
 	for _, nd := range n.nodes {
 		if len(nd.dropCredits) != 0 {
 			return nil, fmt.Errorf("network: cannot checkpoint mid-cycle: node %d has staged drop credits", nd.id)
-		}
-		for p := range nd.claim {
-			if nd.claim[p].vc != -1 {
-				return nil, fmt.Errorf("network: cannot checkpoint mid-cycle: node %d has a staged VC claim on port %d", nd.id, p)
-			}
 		}
 	}
 	if err := n.quiesce(); err != nil {
@@ -63,7 +58,7 @@ func (n *Network) EncodeState() ([]byte, error) {
 
 // RestoreState deserializes a payload produced by EncodeState into n,
 // which must be freshly built by New with an equivalent configuration
-// (same geometry, seed and policies; worker count and gating are free).
+// (same geometry, seed and policies; gating is free).
 // Do not call ApplyPlan or schedule anything before restoring — the
 // checkpoint carries the fault schedule and every pending event. After
 // a successful restore the global resource invariants are audited.
@@ -170,8 +165,7 @@ func (n *Network) SaveCheckpoint(path string) error {
 // RestoreCheckpoint builds a fresh network for cfg and restores the
 // checkpoint at path into it. cfg must describe the same fabric the
 // checkpoint was taken from (enforced via the envelope's config hash);
-// Workers and NoIdleSkip are free to differ — restores are bit-exact
-// across both.
+// NoIdleSkip is free to differ — restores are bit-exact across it.
 func RestoreCheckpoint(cfg Config, path string) (*Network, error) {
 	n, err := New(cfg)
 	if err != nil {
@@ -199,9 +193,9 @@ func (n *Network) RestoreStateVersion(payload []byte, ver uint32) error {
 // ConfigHash returns the FNV-1a hash of everything about the
 // configuration that determines simulation behaviour: topology wiring,
 // link geometry, buffering, scheduling scheme and policies, and the
-// seed. Workers and NoIdleSkip are deliberately excluded — they select
-// an execution strategy, not a simulation, and checkpoints restore
-// bit-exactly across them.
+// seed. NoIdleSkip is deliberately excluded — it selects an execution
+// strategy, not a simulation, and checkpoints restore bit-exactly across
+// it.
 func (n *Network) ConfigHash() uint64 {
 	const (
 		offset64 = 14695981039346656037

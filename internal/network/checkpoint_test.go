@@ -19,8 +19,8 @@ import (
 
 // detConfig rebuilds the detScenario configuration on a fresh topology
 // (topologies carry mutable link state, so restored networks need their
-// own) with the given execution strategy.
-func detConfig(t testing.TB, workers int, noIdleSkip bool) Config {
+// own) with the given gating mode.
+func detConfig(t testing.TB, noIdleSkip bool) Config {
 	t.Helper()
 	tp, err := topology.Mesh(4, 4, 4)
 	if err != nil {
@@ -28,7 +28,6 @@ func detConfig(t testing.TB, workers int, noIdleSkip bool) Config {
 	}
 	cfg := DefaultConfig(tp)
 	cfg.Seed = 11
-	cfg.Workers = workers
 	cfg.NoIdleSkip = noIdleSkip
 	cfg.Fault = FaultPolicy{Restore: true, MaxRetries: 4, RetryBackoff: 32, Degrade: true, Paranoid: true}
 	return cfg
@@ -37,16 +36,15 @@ func detConfig(t testing.TB, workers int, noIdleSkip bool) Config {
 // TestCheckpointRoundTripBitExact is the tentpole's core proof: snapshot
 // the loaded fault-plan scenario mid-run at cycle 1200 (links down,
 // routers down, restorations and fault-plan events pending, flits in
-// flight), restore the payload into freshly built fabrics at every
-// worker count with gating both on and off, run everything to cycle
+// flight), restore the payload into freshly built fabrics with gating
+// both on and off, run everything to cycle
 // 3000, and require the restored runs to be indistinguishable from the
 // uninterrupted one: identical statistics (floating-point accumulator
 // state compared exactly), identical session logs, and — the strongest
 // form — byte-identical re-checkpoints at both the snapshot point and
 // the end state.
 func TestCheckpointRoundTripBitExact(t *testing.T) {
-	ref := buildDetNetwork(t, 1, true)
-	defer ref.Shutdown()
+	ref := buildDetNetwork(t, true)
 	ref.Run(1200)
 	snap, err := ref.EncodeState()
 	if err != nil {
@@ -63,45 +61,37 @@ func TestCheckpointRoundTripBitExact(t *testing.T) {
 	}
 
 	for _, noIdleSkip := range []bool{false, true} {
-		for _, w := range []int{1, 2, 4} {
-			n, err := New(detConfig(t, w, noIdleSkip))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := n.RestoreState(snap); err != nil {
-				n.Shutdown()
-				t.Fatalf("workers=%d gated=%v: restore: %v", w, !noIdleSkip, err)
-			}
-			if n.Now() != 1200 {
-				t.Fatalf("restored clock %d, want 1200", n.Now())
-			}
-			resnap, err := n.EncodeState()
-			if err != nil {
-				t.Fatalf("workers=%d gated=%v: re-encode: %v", w, !noIdleSkip, err)
-			}
-			if !bytes.Equal(snap, resnap) {
-				t.Errorf("workers=%d gated=%v: restored state re-encodes differently (%d vs %d bytes)",
-					w, !noIdleSkip, len(snap), len(resnap))
-			}
-			n.Run(3000)
-			st, ev := n.Stats(), n.SessionEvents()
-			if !reflect.DeepEqual(refStats, st) {
-				t.Errorf("workers=%d gated=%v: stats diverged after restore:\nref:      %+v\nrestored: %+v",
-					w, !noIdleSkip, refStats, st)
-			}
-			if !reflect.DeepEqual(refEvents, ev) {
-				t.Errorf("workers=%d gated=%v: session log diverged (%d vs %d events)",
-					w, !noIdleSkip, len(refEvents), len(ev))
-			}
-			final, err := n.EncodeState()
-			if err != nil {
-				t.Fatalf("workers=%d gated=%v: final encode: %v", w, !noIdleSkip, err)
-			}
-			if !bytes.Equal(refFinal, final) {
-				t.Errorf("workers=%d gated=%v: end state not byte-identical to uninterrupted run (%d vs %d bytes)",
-					w, !noIdleSkip, len(refFinal), len(final))
-			}
-			n.Shutdown()
+		n, err := New(detConfig(t, noIdleSkip))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.RestoreState(snap); err != nil {
+			t.Fatalf("gated=%v: restore: %v", !noIdleSkip, err)
+		}
+		if n.Now() != 1200 {
+			t.Fatalf("restored clock %d, want 1200", n.Now())
+		}
+		resnap, err := n.EncodeState()
+		if err != nil {
+			t.Fatalf("gated=%v: re-encode: %v", !noIdleSkip, err)
+		}
+		if !bytes.Equal(snap, resnap) {
+			t.Errorf("gated=%v: restored state re-encodes differently (%d vs %d bytes)", !noIdleSkip, len(snap), len(resnap))
+		}
+		n.Run(3000)
+		st, ev := n.Stats(), n.SessionEvents()
+		if !reflect.DeepEqual(refStats, st) {
+			t.Errorf("gated=%v: stats diverged after restore:\nref:      %+v\nrestored: %+v", !noIdleSkip, refStats, st)
+		}
+		if !reflect.DeepEqual(refEvents, ev) {
+			t.Errorf("gated=%v: session log diverged (%d vs %d events)", !noIdleSkip, len(refEvents), len(ev))
+		}
+		final, err := n.EncodeState()
+		if err != nil {
+			t.Fatalf("gated=%v: final encode: %v", !noIdleSkip, err)
+		}
+		if !bytes.Equal(refFinal, final) {
+			t.Errorf("gated=%v: end state not byte-identical to uninterrupted run (%d vs %d bytes)", !noIdleSkip, len(refFinal), len(final))
 		}
 	}
 }
@@ -111,8 +101,7 @@ func TestCheckpointRoundTripBitExact(t *testing.T) {
 // fabric from it, and a configuration mismatch (different seed) is
 // refused at the envelope hash before any state is touched.
 func TestCheckpointFileRoundTrip(t *testing.T) {
-	ref := buildDetNetwork(t, 2, true)
-	defer ref.Shutdown()
+	ref := buildDetNetwork(t, true)
 	ref.Run(1000)
 	path := filepath.Join(t.TempDir(), "fabric.ckpt")
 	if err := ref.SaveCheckpoint(path); err != nil {
@@ -120,17 +109,16 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 	ref.Run(2200)
 
-	n, err := RestoreCheckpoint(detConfig(t, 4, false), path)
+	n, err := RestoreCheckpoint(detConfig(t, false), path)
 	if err != nil {
 		t.Fatalf("RestoreCheckpoint: %v", err)
 	}
-	defer n.Shutdown()
 	n.Run(2200)
 	if !reflect.DeepEqual(ref.Stats(), n.Stats()) {
 		t.Errorf("file round-trip diverged:\nref:      %+v\nrestored: %+v", ref.Stats(), n.Stats())
 	}
 
-	badCfg := detConfig(t, 1, false)
+	badCfg := detConfig(t, false)
 	badCfg.Seed = 12
 	if _, err := RestoreCheckpoint(badCfg, path); err == nil ||
 		!strings.Contains(err.Error(), "different fabric configuration") {
@@ -148,7 +136,6 @@ func TestEncodeStateRefusesNonDurablePending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Shutdown()
 	n.Run(10)
 	n.Schedule(100, func() {})
 	if _, err := n.EncodeState(); err == nil || !strings.Contains(err.Error(), "durable journal") {
@@ -160,8 +147,7 @@ func TestEncodeStateRefusesNonDurablePending(t *testing.T) {
 // already run or holds connections must be refused — restore composes
 // with New, never with live state.
 func TestRestoreStateRequiresFreshNetwork(t *testing.T) {
-	ref := buildDetNetwork(t, 1, false)
-	defer ref.Shutdown()
+	ref := buildDetNetwork(t, false)
 	ref.Run(50)
 	snap, err := ref.EncodeState()
 	if err != nil {
@@ -175,7 +161,6 @@ func TestRestoreStateRequiresFreshNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer used.Shutdown()
 	if _, err := used.Open(0, 5, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 20 * traffic.Mbps}); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +174,7 @@ func TestRestoreStateRequiresFreshNetwork(t *testing.T) {
 // unified (ec620f6, where EncodeState and RestoreState were two
 // hand-mirrored functions), from a throwaway test in that tree:
 //
-//	n := buildDetNetwork(t, 1, withFaults) // v4-clean.ckpt: false, v4-faults.ckpt: true
+//	n := buildDetNetwork(t, withFaults) // v4-clean.ckpt: false, v4-faults.ckpt: true
 //	n.Run(1200)
 //	n.SaveCheckpoint("v4-....ckpt")
 //
@@ -199,7 +184,7 @@ func TestRestoreStateRequiresFreshNetwork(t *testing.T) {
 // checkpoint.Version is bumped.
 func goldenPayload(t testing.TB, name string) []byte {
 	t.Helper()
-	n, err := New(detConfig(t, 1, false))
+	n, err := New(detConfig(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +208,10 @@ func TestCheckpointGoldens(t *testing.T) {
 	}{{"v4-clean.ckpt", false}, {"v4-faults.ckpt", true}} {
 		t.Run(g.name, func(t *testing.T) {
 			payload := goldenPayload(t, g.name)
-			n, err := New(detConfig(t, 1, false))
+			n, err := New(detConfig(t, false))
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer n.Shutdown()
 			if err := n.RestoreState(payload); err != nil {
 				t.Fatalf("restore: %v", err)
 			}
@@ -244,8 +228,7 @@ func TestCheckpointGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			ref := buildDetNetwork(t, 1, g.withFaults)
-			defer ref.Shutdown()
+			ref := buildDetNetwork(t, g.withFaults)
 			ref.Run(1700)
 			want, err := ref.EncodeState()
 			if err != nil {
@@ -292,7 +275,7 @@ func TestRestoreStateMutatedWords(t *testing.T) {
 
 	accepted, asserted := 0, 0
 	for _, in := range inputs {
-		n, err := New(detConfig(t, 1, false))
+		n, err := New(detConfig(t, false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +304,6 @@ func TestRestoreStateMutatedWords(t *testing.T) {
 			}
 			asserted++
 		}
-		n.Shutdown()
 	}
 	t.Logf("%d inputs: %d accepted, of which %d tripped a simulator assertion within 200 cycles", len(inputs), accepted, asserted)
 }
@@ -340,11 +322,10 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(goldenPayload(f, "v4-clean.ckpt"))
 	f.Add(goldenPayload(f, "v4-faults.ckpt"))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		n, err := New(detConfig(t, 1, false))
+		n, err := New(detConfig(t, false))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer n.Shutdown()
 		if n.RestoreState(payload) != nil {
 			return
 		}
@@ -362,8 +343,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 // still holds the frame time it was built with, cycle 0, however late the
 // clock) and continues bit-exactly.
 func TestCheckpointUntickedSources(t *testing.T) {
-	ref := buildDetNetwork(t, 1, false)
-	defer ref.Shutdown()
+	ref := buildDetNetwork(t, false)
 	ref.Run(5000)
 	opened := 0
 	for src := 0; src < 16 && opened < 3; src++ {
@@ -379,11 +359,10 @@ func TestCheckpointUntickedSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := New(detConfig(t, 1, false))
+	n, err := New(detConfig(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Shutdown()
 	if err := n.RestoreState(snap); err != nil {
 		t.Fatalf("restore: %v", err)
 	}

@@ -11,47 +11,40 @@ import (
 	"mmr/internal/vcm"
 )
 
-// The flit cycle is organized as three phases run by the shard-resident
-// executor (workers.go): each worker sweeps its own shard block through
-// deliver and schedule (fused — no synchronization between them), then
-// crosses the cycle's single sequence point, then commits. Every
-// cross-node effect moves through a single-writer staging lane
-// (lanes.go) or a single-writer claim slot consumed a sequence point
-// later, so the simulation is bit-identical for any worker or shard
-// count — including Workers=1, which runs the same per-shard passes
-// inline.
-//
-// Why deliver and schedule can fuse: the only cross-node reads in the
-// schedule phase are VC reservation state (FindFree's InUse scan,
-// routePackets' FreeVCs count), and delivery mutates only buffer
-// occupancy — disjoint state. The single exception is an impairment
-// drop, which releases the dead packet's VC reservation during
-// delivery; cycles with impairments active therefore keep a
-// deliver→schedule sequence point (cycSplitImpair), everything else
-// runs the one-barrier form.
+// The flit cycle is three passes over the nodes that have work — all
+// deliver, then all schedule, then all commit — run one after the other
+// on the caller's goroutine (docs/performance.md, "Why the cycle is
+// serial"). The phase contract: within a pass no node reads what another
+// node writes in that same pass, so the order the nodes are visited in
+// cannot change the result (TestPassOrderIndependent steps them backwards
+// and compares bytes). Every effect that crosses nodes is written in one
+// pass and read in a later one — through a single-writer staging lane
+// (lanes.go), or directly where the reader's pass is over.
 //
 //	deliver   (receiver-driven) round boundary; drain inbound credit
 //	          lanes into the local shadow; drain inbound flit lanes into
 //	          the local VCMs, applying link impairments with the
-//	          receiver's RNG stream (drop-synthesized credits are staged
-//	          node-locally).
+//	          receiver's RNG stream. An impairment drop releases the dead
+//	          packet's VC (node-local), and the credit it synthesizes is
+//	          staged node-locally: its lane is being drained in this pass.
 //	schedule  route buffered best-effort packets (cross-node *reads* of
 //	          neighbor free-VC counts only); link scheduling and switch
 //	          arbitration over local state; resolve each grant to a
-//	          target VC — packets claim a downstream VC by reading the
-//	          neighbor's memory and staging the claim in a sender-owned
-//	          slot (nothing mutates VC reservations in this phase, so
-//	          the reads are race-free and the claim stays valid).
-//	commit    (sender-driven, local writes + own lanes only) flush
-//	          staged drop credits; execute grants — pop, return credits
-//	          onto own lanes, append flits to own pipes, eject into the
-//	          local stats shard; commit inbound claims (each input port
-//	          has exactly one wired upstream, so at most one claim
-//	          targets a given memory); inject from sources homed here.
+//	          target VC — a packet picks a free VC at the next router by
+//	          reading that router's memory. Nothing mutates a VC
+//	          reservation in this pass, so the pick stays valid.
+//	commit    (sender-driven) flush staged drop credits; execute grants —
+//	          pop, return credits onto own lanes, append flits to own
+//	          pipes, eject into the local stats shard, and reserve the VC
+//	          a forwarded packet picked at the next router; inject from
+//	          sources homed here. The one cross-node write is that
+//	          reservation: the VC was free at schedule, commit passes only
+//	          *free* other VCs of that memory, and the memory's input port
+//	          has this node as its only wired upstream, so nothing else
+//	          reads or writes that VC's reservation in this pass.
 //
-// Claims survive the gap between schedule and commit because commit only
-// ever *frees* VCs before applying claims, and fault transitions fire on
-// the serial event path between cycles, never mid-cycle.
+// Fault transitions fire on the event path between cycles, never
+// mid-cycle.
 
 // creditMsg is a credit travelling back upstream.
 type creditMsg struct {
@@ -96,7 +89,7 @@ const idleForecastHorizon = 4096
 // AddBestEffortFlow injects Poisson best-effort packets (one flit each,
 // §3.4) from the host at src to the host at dst at the given mean rate in
 // packets per cycle. The generator is bound to the source node's RNG
-// stream so injection is independent of worker scheduling. The returned
+// stream so injection does not depend on what other nodes draw. The returned
 // FlowID is the owner handle for CloseFlow.
 func (n *Network) AddBestEffortFlow(src, dst int, packetsPerCycle float64) (FlowID, error) {
 	if src < 0 || src >= len(n.nodes) || dst < 0 || dst >= len(n.nodes) || src == dst {
@@ -140,12 +133,11 @@ func (n *Network) CloseFlow(id FlowID) error {
 	return fmt.Errorf("network: no best-effort flow %d", id)
 }
 
-// Step advances the whole network by one flit cycle: session events fire
-// serially, then the shard-resident cycle runs across the worker pool —
-// over the compact per-worker active lists when gating is on, over every
-// worker's resident block with NoIdleSkip. Step always advances exactly
-// one cycle; the whole-clock fast-forward across fully idle stretches
-// lives in Run.
+// Step advances the whole network by one flit cycle: session events
+// fire, then the three passes run over the nodes whose wake-table entry
+// has come (over every node with NoIdleSkip). Step always advances
+// exactly one cycle; the whole-clock fast-forward across fully idle
+// stretches lives in Run.
 func (n *Network) Step() { n.cycle(0) }
 
 // Run advances the network the given number of cycles. With gating on,
@@ -162,30 +154,28 @@ func (n *Network) Run(cycles int64) {
 }
 
 // cycle is the one cycle body behind Step and Run: session events, pool
-// rebalance, active set, the shard-resident cycle, the wake-table settle,
-// the clock. When gating finds the active set empty and skipTo lies
-// ahead, the cycle is elided instead: the clock jumps to the next wake-up
-// at or before skipTo.
+// rebalance, active set, the three passes, the wake-table settle, the
+// clock. When gating finds the active set empty and skipTo lies ahead,
+// the cycle is elided instead: the clock jumps to the next wake-up at or
+// before skipTo.
 func (n *Network) cycle(skipTo int64) {
 	t := n.now
 
 	// Session-level events scheduled for this cycle (connection arrivals,
-	// teardowns, fault transitions) fire first, on the stepping goroutine.
+	// teardowns, fault transitions) fire first.
 	n.events.Run(simTime(t))
 
 	// Flits are minted from the source node's pool and retired into the
 	// destination node's, so free lists drift toward the sinks; level them
-	// periodically (serial, hence worker-count independent) so
-	// source-heavy pools stop hitting the allocator.
+	// periodically so source-heavy pools stop hitting the allocator.
 	if t%poolRebalanceInterval == 0 {
 		n.rebalancePools()
 	}
 
-	if n.cfg.NoIdleSkip {
-		n.runCycle(t, len(n.nodes), n.allBoundary, true)
-	} else {
-		total, boundary := n.buildActive(t)
-		if total == 0 && skipTo > t {
+	list := n.nodes
+	if !n.cfg.NoIdleSkip {
+		n.buildActive(t)
+		if len(n.active) == 0 && skipTo > t {
 			next := n.nextWake(t, skipTo)
 			// If a pool-rebalance boundary falls inside the skipped
 			// stretch, level once now: the free lists cannot change again
@@ -200,7 +190,18 @@ func (n *Network) cycle(skipTo int64) {
 			n.now = next
 			return
 		}
-		n.runCycle(t, total, boundary, false)
+		list = n.active
+	}
+	for _, nd := range list {
+		n.phaseDeliver(nd, t)
+	}
+	for _, nd := range list {
+		n.phaseSchedule(nd, t)
+	}
+	for _, nd := range list {
+		n.phaseCommit(nd, t)
+	}
+	if !n.cfg.NoIdleSkip {
 		n.settle(t)
 	}
 	n.now++
@@ -212,6 +213,16 @@ func (n *Network) cycle(skipTo int64) {
 // stays only because perfbench, frozen for this change, compiles against
 // it; it goes with wl.fused_drain_share.
 func (n *Network) FusedDrainCycles() int64 { return 0 }
+
+// SetWorkers does nothing: the worker pool it sized is gone (the cycle
+// is serial). The method stays only because perfbench, frozen for this
+// change, compiles against it; it goes with wl.step_ns_per_cycle_w2.
+func (n *Network) SetWorkers(int) {}
+
+// Shutdown does nothing: there are no worker goroutines to stop. The
+// method stays only because perfbench, frozen for this change, compiles
+// against it; it goes with wl.par_eff_w2.
+func (n *Network) Shutdown() {}
 
 // ResetStats discards accumulated statistics (warmup boundary). Metric
 // shards reset too, so hot-path series (per-class histograms, grant
@@ -230,7 +241,7 @@ func (n *Network) ResetStats() {
 // inbound lane — credits and flits its wired peers staged for it — in
 // ascending port order. All writes are nd-local (its shadow credits, its
 // VCMs, its stats shard); peers' lanes are advanced via the head index,
-// which the owner only touches in its commit phase, a barrier away.
+// which the owner only touches in its commit phase.
 func (n *Network) phaseDeliver(nd *node, t int64) {
 	// Round boundary (§4.1): per-round bandwidth accounting resets. Lazy:
 	// instead of firing on the exact modulo cycle, each node records the
@@ -321,12 +332,9 @@ func (n *Network) phaseDeliver(nd *node, t int64) {
 // phaseSchedule routes packets, nominates candidates, arbitrates the
 // switch and resolves every grant to a target VC. Cross-node access is
 // read-only (neighbor free-VC counts and FindFree scans); nothing in this
-// phase mutates any VC reservation, so the reads race with nothing. ws is
-// the executing worker's resident state: staging a claim on a gated-out
-// receiver records the receiver in ws.extras right here, so the commit
-// side knows there is claim work without ever re-scanning claim slots —
-// and a cycle that stages no claims pays nothing at all.
-func (n *Network) phaseSchedule(nd *node, t int64, ws *workerRun) {
+// phase mutates any VC reservation, so what a node reads of a neighbor
+// does not depend on which of the two ran first.
+func (n *Network) phaseSchedule(nd *node, t int64) {
 	n.routePackets(nd)
 	// Per-port skip: a port with zero buffered flits cannot nominate —
 	// Candidates on an empty memory is provably a pure no-op (empty
@@ -387,24 +395,15 @@ func (n *Network) phaseSchedule(nd *node, t int64, ws *workerRun) {
 				nd.ms.Inc(n.nm.deadOutput)
 			}
 		case isPacket:
-			// VCT: claim a VC at the next router now (§3.4); skip the
-			// grant if none is free this cycle. The reservation itself
-			// is committed by the receiver (commit phase).
+			// VCT: pick a VC at the next router now (§3.4); skip the
+			// grant if none is free this cycle. executeGrants reserves
+			// it (commit phase).
 			nb := n.cfg.Topology.Neighbor(nd.id, cand.Output)
 			pp := n.cfg.Topology.PeerPort(nd.id, cand.Output)
 			targetVC := n.nodes[nb].mems[pp].FindFree(nd.rng.Intn(n.cfg.VCs))
 			if targetVC < 0 {
 				nd.ms.Inc(n.nm.claimFailed)
 				continue
-			}
-			nd.claim[cand.Output] = claimSlot{vc: targetVC, class: st.Class}
-			if !n.cfg.NoIdleSkip && n.actStamp[nb] != t {
-				// The receiver is gated out this cycle: record it so the
-				// commit side runs its claim commit (consumer-side slot
-				// clearing requires every staged claim to be consumed in
-				// its own cycle). Dedup happens at consume time via the
-				// extra stamp; with gating off every node commits anyway.
-				ws.extras = append(ws.extras, n.nodes[nb])
 			}
 			if !n.ud.IsUp(nd.id, cand.Output) {
 				head.Packet.WentDown = true
@@ -422,13 +421,12 @@ func (n *Network) phaseSchedule(nd *node, t int64, ws *workerRun) {
 }
 
 // phaseCommit is the sender side of the cycle: flush staged drop credits,
-// execute this node's grants onto its own lanes, commit the claims its
-// wired upstreams staged on it, and inject from the sources homed here.
-// Every write is to nd-local state or an nd-owned lane.
+// execute this node's grants onto its own lanes and inject from the
+// sources homed here. Every write is to nd-local state or an nd-owned
+// lane, but for the downstream VC a forwarded packet reserves.
 func (n *Network) phaseCommit(nd *node, t int64) {
-	// Drop-synthesized credits staged during delivery go out first,
-	// preserving the serial engine's order (drop credits precede this
-	// cycle's transmit credits on the same lane).
+	// Drop-synthesized credits staged during delivery go out first (drop
+	// credits precede this cycle's transmit credits on the same lane).
 	if len(nd.dropCredits) > 0 {
 		for _, sc := range nd.dropCredits {
 			nd.credOut[sc.port].push(sc.cm)
@@ -438,7 +436,6 @@ func (n *Network) phaseCommit(nd *node, t int64) {
 	}
 
 	n.executeGrants(nd, t)
-	n.commitClaims(nd)
 	n.injectStreams(nd, t)
 	n.injectPackets(nd, t)
 }
@@ -454,8 +451,8 @@ func (n *Network) executeGrants(nd *node, t int64) {
 		cand := nd.cands[in][g]
 		nd.ms.Inc(n.nm.grantsByPort[cand.Output])
 		mem := nd.mems[in]
-		st := mem.State(cand.VC)
-		isPacket := st.Class == flit.ClassBestEffort || st.Class == flit.ClassControl
+		class := mem.State(cand.VC).Class
+		isPacket := class == flit.ClassBestEffort || class == flit.ClassControl
 		if !isPacket && targetVC >= 0 {
 			if !nd.shadow[in].Consume(cand.VC) {
 				panic("network: scheduler granted a VC without credits")
@@ -484,6 +481,19 @@ func (n *Network) executeGrants(nd *node, t int64) {
 			n.eject(nd, t, f)
 			continue
 		}
+		if isPacket {
+			// Reserve the VC picked in the schedule phase. The arriving
+			// packet has no upstream to credit: its sender's VC is
+			// already released (single-flit packets).
+			rx := n.nodes[nd.outPeer[cand.Output]]
+			pp := n.cfg.Topology.WiredPeer(nd.id, cand.Output)
+			if !rx.mems[pp].Reserve(targetVC, vcm.VCState{
+				Conn: flit.InvalidConn, Class: class, Output: -1,
+			}) {
+				panic("network: picked VC no longer free at commit")
+			}
+			rx.upstream[pp][targetVC] = noUpstream
+		}
 		nd.pipes[cand.Output].push(linkFlit{
 			arriveAt: t + n.cfg.LinkDelay,
 			vc:       targetVC,
@@ -491,35 +501,6 @@ func (n *Network) executeGrants(nd *node, t int64) {
 		})
 		n.notePush(nd, cand.Output)
 		nd.stats.linkFlits++
-	}
-}
-
-// commitClaims applies the packet VC claims this node's wired upstreams
-// staged during the schedule phase. Each input port has exactly one wired
-// upstream, so each memory sees at most one claim; the claimed VC is
-// still free because the commit phase only releases VCs before this point.
-//
-// The consumer clears the slot it reads (the unique-reader rule makes the
-// cross-node write race-free: the producer only writes its slots in the
-// schedule phase, a barrier away). Consumer-side clearing is what keeps
-// the claim-slot invariant — every slot is -1 at the start of every cycle
-// — without requiring every producer to run a schedule phase each cycle.
-func (n *Network) commitClaims(nd *node) {
-	for i := range nd.in {
-		e := &nd.in[i]
-		slot := n.claims[e.lane]
-		if slot.vc < 0 {
-			continue
-		}
-		n.claims[e.lane].vc = -1
-		if !nd.mems[e.port].Reserve(slot.vc, vcm.VCState{
-			Conn: flit.InvalidConn, Class: slot.class, Output: -1,
-		}) {
-			panic("network: claimed VC no longer free at commit")
-		}
-		// The sender released its own VC already (single-flit packets);
-		// the arriving packet has no upstream to credit.
-		nd.upstream[e.port][slot.vc] = noUpstream
 	}
 }
 
@@ -593,14 +574,10 @@ func (n *Network) injectStreams(nd *node, t int64) {
 		}
 		return
 	}
-	if nd.calStale {
-		nd.rebuildCalendar()
-	}
-	for _, e := range nd.cal.Take(t) {
-		c := e.Item
+	// srcConns is ID-ascending.
+	nd.cal.Visit(t, nd.srcConns, (*Conn).calendarKey, func(c *Conn) {
 		n.injectStream(nd, c, t, c.nextDue <= t)
-		nd.file(c)
-	}
+	})
 }
 
 // injectStream is one session's share of injectStreams: tick the source
@@ -692,8 +669,7 @@ const poolRebalanceInterval = 128
 
 // rebalancePools levels the per-node free lists: every pool ends within
 // one flit (and one packet) of the mean, donors and receivers visited in
-// ascending node order. Runs on the serial path, so the result — like
-// everything else in the cycle — is independent of the worker count.
+// ascending node order.
 func (n *Network) rebalancePools() {
 	if len(n.nodes) < 2 {
 		return

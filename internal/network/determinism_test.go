@@ -11,16 +11,15 @@ import (
 	"mmr/internal/traffic"
 )
 
-// detScenario runs the same loaded 4×4-mesh session at a given worker
-// count and returns everything observable: the statistics snapshot and
-// the session event log. The workload exercises every RNG consumer the
-// parallel phases touch — CBR and VBR stream sources, Poisson best-effort
-// flows, packet VC selection — and, with faults on, link failures with
-// restoration plus per-flit impairment draws.
-func detScenario(t *testing.T, workers int, withFaults bool) (*Stats, []SessionEvent) {
+// detScenario runs the same loaded 4×4-mesh session and returns
+// everything observable: the statistics snapshot and the session event
+// log. The workload exercises every RNG consumer the cycle's phases
+// touch — CBR and VBR stream sources, Poisson best-effort flows, packet
+// VC selection — and, with faults on, link failures with restoration
+// plus per-flit impairment draws.
+func detScenario(t *testing.T, withFaults bool) (*Stats, []SessionEvent) {
 	t.Helper()
-	n := buildDetNetwork(t, workers, withFaults)
-	defer n.Shutdown()
+	n := buildDetNetwork(t, withFaults)
 	n.Run(1200)
 	n.ResetStats()
 	n.Run(1800)
@@ -31,7 +30,7 @@ func detScenario(t *testing.T, workers int, withFaults bool) (*Stats, []SessionE
 // 48 connections, best-effort flows, optional fault plan — without
 // running it, so tests needing a live network handle (metrics,
 // flight-recorder) share the exact same scenario.
-func buildDetNetwork(t *testing.T, workers int, withFaults bool) *Network {
+func buildDetNetwork(t *testing.T, withFaults bool) *Network {
 	t.Helper()
 	tp, err := topology.Mesh(4, 4, 4)
 	if err != nil {
@@ -39,7 +38,6 @@ func buildDetNetwork(t *testing.T, workers int, withFaults bool) *Network {
 	}
 	cfg := DefaultConfig(tp)
 	cfg.Seed = 11
-	cfg.Workers = workers
 	cfg.Fault = FaultPolicy{Restore: true, MaxRetries: 4, RetryBackoff: 32, Degrade: true, Paranoid: true}
 	n, err := New(cfg)
 	if err != nil {
@@ -87,10 +85,12 @@ func buildDetNetwork(t *testing.T, workers int, withFaults bool) *Network {
 	return n
 }
 
-// TestNetworkStepDeterminism: the parallel cycle is bit-identical for
-// every worker count — statistics (including floating-point accumulator
-// state, compared exactly by reflect.DeepEqual) and the session event log
-// must match the serial run, with and without an active fault plan.
+// TestNetworkStepDeterminism: a run is a function of its seed — building
+// and running the same scenario again reproduces the statistics
+// (including floating-point accumulator state, compared exactly by
+// reflect.DeepEqual) and the session event log, with and without an
+// active fault plan. What it catches is map-order dependence and RNG
+// draws that depend on anything but the seed.
 func TestNetworkStepDeterminism(t *testing.T) {
 	for _, withFaults := range []bool{false, true} {
 		name := "clean"
@@ -98,92 +98,56 @@ func TestNetworkStepDeterminism(t *testing.T) {
 			name = "faults"
 		}
 		t.Run(name, func(t *testing.T) {
-			refStats, refEvents := detScenario(t, 1, withFaults)
+			refStats, refEvents := detScenario(t, withFaults)
 			if refStats.FlitsDelivered == 0 || refStats.BEDelivered == 0 {
 				t.Fatalf("degenerate scenario: %v", refStats)
 			}
 			if withFaults && refStats.ConnsBroken == 0 {
 				t.Fatal("fault scenario broke no connections")
 			}
-			for _, w := range []int{2, 4, 8} {
-				st, ev := detScenario(t, w, withFaults)
-				if !reflect.DeepEqual(refStats, st) {
-					t.Errorf("workers=%d diverged from serial:\nserial:  %+v\nworkers: %+v", w, refStats, st)
-				}
-				if !reflect.DeepEqual(refEvents, ev) {
-					t.Errorf("workers=%d session log diverged (%d vs %d events)", w, len(refEvents), len(ev))
-				}
+			st, ev := detScenario(t, withFaults)
+			if !reflect.DeepEqual(refStats, st) {
+				t.Errorf("second run diverged from the first:\nfirst:  %+v\nsecond: %+v", refStats, st)
+			}
+			if !reflect.DeepEqual(refEvents, ev) {
+				t.Errorf("session log diverged (%d vs %d events)", len(refEvents), len(ev))
 			}
 		})
 	}
 }
 
-// TestSetWorkersMidRun: resizing the pool between steps neither leaks
-// goroutines nor changes results — a session stepped 1→4→2→1 workers
-// matches the all-serial run exactly.
-func TestSetWorkersMidRun(t *testing.T) {
-	run := func(resize bool) *Stats {
-		tp, _ := topology.Mesh(3, 3, 4)
-		cfg := DefaultConfig(tp)
-		cfg.Seed = 5
-		n, _ := New(cfg)
-		defer n.Shutdown()
-		for i := 0; i < 5; i++ {
-			n.Open(i, 8-i, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 20 * traffic.Mbps})
-		}
-		n.AddBestEffortFlow(0, 8, 0.01)
-		for seg, w := range []int{1, 4, 2, 1} {
-			if resize {
-				n.SetWorkers(w)
-			}
-			_ = seg
-			n.Run(2000)
-		}
-		return n.Stats()
-	}
-	a, b := run(false), run(true)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("worker resizing changed results:\nserial: %+v\nresized: %+v", a, b)
-	}
-}
-
 // TestNetworkStepSteadyStateAllocs: the warmed-up cycle allocates nothing
-// per step at any worker count — flits come from per-node pools, lanes
-// and rings reuse their backing arrays, and the worker dispatch path is
-// allocation-free. (Staging-lane growth is amortized: the warmup runs
+// per step — flits come from per-node pools, lanes and rings reuse their
+// backing arrays. (Staging-lane growth is amortized: the warmup runs
 // every lane past its high-water mark, after which pushes reuse capacity;
 // testing.AllocsPerTest-style averaging over 400 cycles tolerates the
 // rare residual growth event while still failing on any per-cycle
 // allocation.)
 func TestNetworkStepSteadyStateAllocs(t *testing.T) {
-	for _, w := range []int{1, 2, 4, 8} {
-		tp, _ := topology.Mesh(4, 4, 4)
-		cfg := DefaultConfig(tp)
-		cfg.Seed = 7
-		cfg.Workers = w
-		n, _ := New(cfg)
-		rng := sim.NewRNG(42)
-		for i, opened := 0, 0; i < 400 && opened < 64; i++ {
-			src, dst := rng.Intn(tp.Nodes), rng.Intn(tp.Nodes)
-			if src == dst {
-				continue
-			}
-			rate := traffic.PaperRates[rng.Intn(len(traffic.PaperRates))]
-			if _, err := n.Open(src, dst, traffic.ConnSpec{Class: flit.ClassCBR, Rate: rate}); err == nil {
-				opened++
-			}
+	tp, _ := topology.Mesh(4, 4, 4)
+	cfg := DefaultConfig(tp)
+	cfg.Seed = 7
+	n, _ := New(cfg)
+	rng := sim.NewRNG(42)
+	for i, opened := 0, 0; i < 400 && opened < 64; i++ {
+		src, dst := rng.Intn(tp.Nodes), rng.Intn(tp.Nodes)
+		if src == dst {
+			continue
 		}
-		for i := 0; i < 16; i++ {
-			src, dst := rng.Intn(tp.Nodes), rng.Intn(tp.Nodes)
-			if src != dst {
-				n.AddBestEffortFlow(src, dst, 0.02)
-			}
+		rate := traffic.PaperRates[rng.Intn(len(traffic.PaperRates))]
+		if _, err := n.Open(src, dst, traffic.ConnSpec{Class: flit.ClassCBR, Rate: rate}); err == nil {
+			opened++
 		}
-		n.Run(3000) // past every pool/lane/ring high-water mark
-		avg := testing.AllocsPerRun(400, func() { n.Step() })
-		n.Shutdown()
-		if avg > 0.05 {
-			t.Errorf("workers=%d: steady-state Step allocates %.3f allocs/cycle, want 0", w, avg)
+	}
+	for i := 0; i < 16; i++ {
+		src, dst := rng.Intn(tp.Nodes), rng.Intn(tp.Nodes)
+		if src != dst {
+			n.AddBestEffortFlow(src, dst, 0.02)
 		}
+	}
+	n.Run(3000) // past every pool/lane/ring high-water mark
+	avg := testing.AllocsPerRun(400, func() { n.Step() })
+	if avg > 0.05 {
+		t.Errorf("steady-state Step allocates %.3f allocs/cycle, want 0", avg)
 	}
 }

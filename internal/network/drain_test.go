@@ -14,8 +14,8 @@ import (
 // alternates whole-clock fast-forward with normal cycles — allocates
 // nothing once warm, and neither does the ungated reference stepping the
 // same workload cycle by cycle. The SoA datapath's flat backings (lane
-// arrays, occupancy counters, claim slots) are sized at construction and
-// must never grow in steady state.
+// arrays, occupancy counters) are sized at construction and must never
+// grow in steady state.
 func TestRunSparseSteadyStateAllocs(t *testing.T) {
 	for _, noIdleSkip := range []bool{false, true} {
 		tp, err := topology.Mesh(4, 4, 4)
@@ -52,7 +52,6 @@ func TestRunSparseSteadyStateAllocs(t *testing.T) {
 		if !noIdleSkip && n.idleSkipped == skipped {
 			t.Fatal("Run never fast-forwarded during the alloc measurement: the workload is not sparse")
 		}
-		n.Shutdown()
 	}
 }
 
@@ -69,7 +68,6 @@ func TestBestEffortFlowOwnerIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Shutdown()
 	id1, err := n.AddBestEffortFlow(0, 5, 0.2)
 	if err != nil {
 		t.Fatal(err)

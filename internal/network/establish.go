@@ -267,13 +267,13 @@ func (n *Network) installPath(conn *Conn, l *holds) {
 	if conn.src == nil {
 		switch conn.Spec.Class {
 		case flit.ClassVBR:
-			// The VBR generator draws randomness at injection time, which
-			// runs inside the parallel commit phase: bind it to the source
-			// node's RNG stream so the draw order is per-node and therefore
-			// independent of worker scheduling.
+			// The VBR generator draws randomness at injection time, in
+			// the source node's commit phase: bind it to that node's RNG
+			// stream so the draw order is per-node and does not depend on
+			// which other nodes ran the cycle.
 			conn.src = traffic.NewVBRSource(n.nodes[conn.Src].rng, n.cfg.Link, conn.Spec.Rate, conn.Spec.PeakRate, traffic.DefaultGoP())
 		default:
-			// CBR draws only its phase, here on the serial control path.
+			// CBR draws only its phase, here on the control path.
 			conn.src = traffic.NewCBRSource(n.cfg.Link, conn.Spec.Rate, n.rng.Float64())
 		}
 	}

@@ -17,10 +17,9 @@ import (
 // off and returns everything observable. NoIdleSkip is flipped after
 // construction (it only affects stepping, never setup), so both sides
 // build through the identical code path.
-func gatingScenario(t *testing.T, workers int, withFaults, noIdleSkip bool) (*Stats, []SessionEvent) {
+func gatingScenario(t *testing.T, withFaults, noIdleSkip bool) (*Stats, []SessionEvent) {
 	t.Helper()
-	n := buildDetNetwork(t, workers, withFaults)
-	defer n.Shutdown()
+	n := buildDetNetwork(t, withFaults)
 	n.cfg.NoIdleSkip = noIdleSkip
 	n.Run(1200)
 	n.ResetStats()
@@ -32,8 +31,8 @@ func gatingScenario(t *testing.T, workers int, withFaults, noIdleSkip bool) (*St
 // the active-node worklist, lazy round boundaries, forecast-driven source
 // ticking and whole-clock fast-forward — changes nothing observable. The
 // gated run must reproduce the ungated run bit for bit (floating-point
-// accumulator state compared exactly via reflect.DeepEqual), at every
-// worker count, with and without an active fault plan.
+// accumulator state compared exactly via reflect.DeepEqual), with and
+// without an active fault plan.
 func TestNetworkGatingEquivalence(t *testing.T) {
 	for _, withFaults := range []bool{false, true} {
 		name := "clean"
@@ -41,18 +40,16 @@ func TestNetworkGatingEquivalence(t *testing.T) {
 			name = "faults"
 		}
 		t.Run(name, func(t *testing.T) {
-			refStats, refEvents := gatingScenario(t, 1, withFaults, true)
+			refStats, refEvents := gatingScenario(t, withFaults, true)
 			if refStats.FlitsDelivered == 0 || refStats.BEDelivered == 0 {
 				t.Fatalf("degenerate scenario: %v", refStats)
 			}
-			for _, w := range []int{1, 2, 4} {
-				st, ev := gatingScenario(t, w, withFaults, false)
-				if !reflect.DeepEqual(refStats, st) {
-					t.Errorf("gated workers=%d diverged from ungated serial:\nungated: %+v\ngated:   %+v", w, refStats, st)
-				}
-				if !reflect.DeepEqual(refEvents, ev) {
-					t.Errorf("gated workers=%d session log diverged (%d vs %d events)", w, len(refEvents), len(ev))
-				}
+			st, ev := gatingScenario(t, withFaults, false)
+			if !reflect.DeepEqual(refStats, st) {
+				t.Errorf("gated run diverged from ungated:\nungated: %+v\ngated:   %+v", refStats, st)
+			}
+			if !reflect.DeepEqual(refEvents, ev) {
+				t.Errorf("gated session log diverged (%d vs %d events)", len(refEvents), len(ev))
 			}
 		})
 	}
@@ -93,8 +90,6 @@ func TestNetworkGatingEquivalenceSparse(t *testing.T) {
 	}
 
 	gated, ungated := build(false), build(true)
-	defer gated.Shutdown()
-	defer ungated.Shutdown()
 	gated.Run(20_000)
 	ungated.Run(20_000)
 	if gated.Now() != ungated.Now() {
@@ -146,8 +141,6 @@ func TestModifyBandwidthGatedSourceCatchUp(t *testing.T) {
 	}
 	gated, gc := build(false)
 	ungated, uc := build(true)
-	defer gated.Shutdown()
-	defer ungated.Shutdown()
 
 	// Stop between two arrivals, far enough after the first that the
 	// fabric has drained and the source node is asleep.
@@ -221,8 +214,6 @@ func TestCloseGatedSourceEncodeEqual(t *testing.T) {
 	}
 	gated, gc := build(false)
 	ungated, uc := build(true)
-	defer gated.Shutdown()
-	defer ungated.Shutdown()
 
 	gated.Run(3_000)
 	ungated.Run(3_000)
@@ -301,7 +292,6 @@ func TestBreakStoppedSourceNoReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer n.Shutdown()
 		nets[i] = n
 		c, err := n.Open(0, 15, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 2 * traffic.Mbps})
 		if err != nil {
@@ -388,7 +378,6 @@ func TestBlockedPacketsSleepEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer n.Shutdown()
 				for s := 0; s < 2+tc.from2; s++ {
 					src := 1
 					if s >= 2 {

@@ -1,20 +1,16 @@
 package network
 
-import (
-	"mmr/internal/flit"
-	"mmr/internal/traffic"
-)
+import "mmr/internal/traffic"
 
-// lanes.go holds the single-writer/single-reader staging lanes the
-// parallel cycle is built on. Every cross-node effect of a cycle — a flit
-// leaving on a wire, a credit returning upstream — is appended to a lane
-// owned by the *sender* during the commit phase, and drained by the unique
-// *receiver* (the node wired to the other end) during the next cycle's
-// delivery phase. Because each lane has exactly one writer and one reader,
-// and writer and reader run in different barrier-separated phases, no lane
-// ever needs a lock; and because each receiver drains its inbound lanes in
-// ascending port order, the merge order — and therefore the simulation —
-// is bit-identical for any worker count.
+// lanes.go holds the single-writer/single-reader staging lanes that carry
+// a cycle's effects between nodes. A flit leaving on a wire or a credit
+// returning upstream is appended to a lane owned by the *sender* during
+// the commit phase, and drained by the unique *receiver* (the node wired
+// to the other end) during a later cycle's delivery phase. Each lane has
+// exactly one writer and one reader, in different phases, and each
+// receiver drains its inbound lanes in ascending port order, so the merge
+// order — and therefore the simulation — does not depend on the order the
+// nodes are visited in within a phase.
 //
 // Both lane types are head-indexed rings over a reusable backing slice:
 // the reader advances head past matured entries (O(delivered) per cycle,
@@ -72,7 +68,7 @@ func (l *creditLane) compact() {
 }
 
 // filter drops pending entries rejected by keep — the fault path uses it
-// to cancel in-flight credits of a torn-down connection. Serial-only.
+// to cancel in-flight credits of a torn-down connection. Control path only.
 func (l *creditLane) filter(keep func(creditMsg) bool) {
 	kept := l.buf[l.head:l.head]
 	for _, cm := range l.buf[l.head:] {
@@ -119,7 +115,7 @@ func (l *flitLane) compact() {
 }
 
 // filter drops pending entries rejected by keep (fault teardown purging a
-// broken connection's flits). Serial-only.
+// broken connection's flits). Control path only.
 func (l *flitLane) filter(keep func(linkFlit) bool) {
 	kept := l.buf[l.head:l.head]
 	for _, lf := range l.buf[l.head:] {
@@ -131,7 +127,7 @@ func (l *flitLane) filter(keep func(linkFlit) bool) {
 	l.compact()
 }
 
-// reset empties the lane entirely (link-failure purge). Serial-only.
+// reset empties the lane entirely (link-failure purge). Control path only.
 func (l *flitLane) reset() {
 	l.buf = l.buf[:0]
 	l.head = 0
@@ -140,31 +136,12 @@ func (l *flitLane) reset() {
 
 // stagedCredit is a credit synthesized during the delivery phase (a
 // receiver detecting an impairment drop) that cannot be pushed onto its
-// credit lane immediately: the lane's owner may be draining it in the
-// same phase. It is staged node-locally and flushed to credOut[port] at
-// the start of the commit phase, preserving the serial engine's ordering
-// (drop credits precede that cycle's transmit credits).
+// credit lane immediately: the lane's reader drains it in that same
+// phase, and would or would not see the entry depending on which of the
+// two nodes ran first. It is staged node-locally and flushed to
+// credOut[port] at the start of the commit phase (drop credits precede
+// that cycle's transmit credits).
 type stagedCredit struct {
 	port int // input port whose lane the credit belongs on
 	cm   creditMsg
-}
-
-// claimSlot stages one packet's virtual-channel claim on the downstream
-// router. The scheduling phase decides the target VC by reading the
-// neighbor's memory (reads only — nothing mutates reservations in that
-// phase) and records it in the slot owned by the sender, keyed by output
-// port; the unique receiver commits the reservation in its own commit
-// phase. A claimed VC cannot be stolen in between: the commit phase only
-// ever *frees* VCs before claims are applied, and each input port has
-// exactly one wired upstream, so at most one claim targets a given
-// memory per cycle.
-//
-// The receiver also *clears* the slot it consumes (commitClaims), so the
-// invariant "every slot is -1 at the start of a cycle" holds without the
-// producer rescanning its slots — which matters once activity gating
-// skips idle producers' schedule phases. The cross-node clear is race
-// free for the same unique-reader reason the read is.
-type claimSlot struct {
-	vc    int // claimed VC on the receiver's input port; -1 = no claim
-	class flit.Class
 }

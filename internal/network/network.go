@@ -18,7 +18,6 @@ package network
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"mmr/internal/admission"
 	"mmr/internal/bitvec"
@@ -66,20 +65,6 @@ type Config struct {
 	Concurrency        float64
 	EnforceAllocations bool
 	Seed               uint64
-
-	// Workers is the worker-pool size for the parallel flit cycle: the
-	// fabric is partitioned into one shard per worker and each worker
-	// permanently owns its shard — its nodes, their RNG streams, stats
-	// shards, pools and staging lanes — with cross-shard traffic
-	// synchronized at one sequence point per cycle, so results are
-	// bit-identical for every value. Meshes partition into contiguous
-	// node-ID ranges; generated fabrics (fat tree, dragonfly) partition
-	// region-aligned so only core uplinks and global channels cross
-	// shards. 0 or 1 runs the same passes serially on the stepping
-	// goroutine. An execution strategy, not a model parameter: excluded
-	// from ConfigHash. See docs/performance.md ("Shard-resident parallel
-	// execution").
-	Workers int
 
 	// NoIdleSkip disables activity gating: every node is stepped every
 	// cycle, every port is scanned, and Run never fast-forwards the clock
@@ -206,24 +191,20 @@ var noUpstream = upRef{node: -1}
 // feeds local input port `port`, and the flat index of the peer's
 // outbound lane pair in the network's lane arrays. Wiring is immutable
 // after construction (faults only flip live/up state), so these lists are
-// built once and let the per-cycle passes — delivery, claim commit, the
+// built once and let the per-cycle passes — delivery, the wake table's
 // push lists — use the lane arrays without topology lookups or per-node
 // pointer chasing.
 type inEdge struct {
-	lane     int32 // peer's lane segment index: peer*laneStride + peerPort
+	lane     int32 // peer's lane segment index: peer*radix + peerPort
 	port     int32 // local input port fed by this edge
 	peer     int32 // wired upstream node
 	peerPort int32 // peer's output port (its lane slot within the segment)
 }
 
-// occStride spaces the per-node occupancy counters one cache line apart
-// so parallel workers bumping neighbors' counters never share a line.
-const occStride = 8
-
 // node is one router plus its host interface. Beyond the router state it
-// carries everything one shard of the parallel cycle needs without
-// touching shared mutables: a deterministic RNG stream, a flit pool, a
-// statistics shard, outbound staging lanes and scratch buffers.
+// carries what makes its share of a cycle independent of the order nodes
+// are visited in: a deterministic RNG stream, a flit pool, a statistics
+// shard, outbound staging lanes and scratch buffers.
 type node struct {
 	id    int
 	mems  []*vcm.Memory // per input port
@@ -259,14 +240,9 @@ type node struct {
 	outPeer []int32
 
 	// dropCredits stages credits synthesized by impairment drops during
-	// the delivery phase (the lane owner may be draining concurrently);
+	// the delivery phase (the lane's reader drains it in that same phase);
 	// flushed to credOut at the start of the commit phase.
 	dropCredits []stagedCredit
-
-	// claim[p] stages this node's packet VC claim on the router wired at
-	// output port p (written during scheduling, read by that router
-	// during its commit phase). A subslice view into Network.claims.
-	claim []claimSlot
 
 	// grantVC[in] is the resolved target VC for input in's grant this
 	// cycle: a VC index, grantEject, or grantSkip.
@@ -275,7 +251,7 @@ type node struct {
 	cands  [][]sched.Candidate
 	grants []int
 
-	// Parallel-cycle per-node state: a decorrelated RNG stream (seeded
+	// Per-node state of the cycle: a decorrelated RNG stream (seeded
 	// from the master seed + node index), a private flit pool (flits are
 	// Get from the injecting node's pool and Put by whichever node
 	// retires them — ownership moves with the flit across lane commits),
@@ -288,38 +264,30 @@ type node struct {
 	scratchPorts []int
 	pktSeq       int64 // per-node best-effort sequence counter
 
-	// Observability: this node's metric shard (written only by the
-	// goroutine stepping the node, like the stats shard) and its flight
-	// recorder.
+	// Observability: this node's metric shard (written only while this
+	// node is stepped, like the stats shard) and its flight recorder.
 	ms  *metrics.Shard
 	rec *metrics.Recorder
 
 	// Host-side injectors homed on this node (sources bound to this
-	// node's RNG stream; ticked only by this node's shard).
+	// node's RNG stream; ticked only in this node's commit phase).
 	srcConns []*Conn
 	beSrc    []*beFlow
 
 	// Activity gating (wake.go), all owned by this node. cal files the
-	// stream sessions of srcConns by when injectStreams must look at them;
-	// calStale asks for it to be rebuilt from srcConns before its next use
-	// (set by touch — the control plane edits srcConns, never the
-	// calendar). pushed lists the peers this node's commit phase staged
-	// lane entries for this cycle, inboundAt the earliest entry its
-	// delivery phase left unmatured on its inbound lanes. blocked counts
-	// the buffered packet flits the routing unit could not route this
-	// cycle and stuck marks their VCs (bit port·VCs+vc): until reroute is
-	// set — a VC came free toward this node, or the routing changed — the
-	// routing unit need not try them again. freed lists the upstream
-	// peers of the packet VCs this node released in this cycle's commit
-	// phase.
+	// stream sessions of srcConns by when injectStreams must look at them
+	// (touch invalidates it — the control plane edits srcConns, never the
+	// calendar). inboundAt is the earliest entry its delivery phase left
+	// unmatured on its inbound lanes. blocked counts the buffered packet
+	// flits the routing unit could not route this cycle and stuck marks
+	// their VCs (bit port·VCs+vc): until reroute is set — a VC came free
+	// toward this node, or the routing changed — the routing unit need not
+	// try them again.
 	cal       traffic.Calendar[*Conn]
-	calStale  bool
-	pushed    []int32
 	inboundAt int64
 	blocked   int
 	stuck     *bitvec.Vector
 	reroute   bool
-	freed     []int32
 
 	// lastRound is the most recent round whose boundary reset this node
 	// applied. Round boundaries are applied lazily at the node's next
@@ -472,58 +440,28 @@ type Network struct {
 	nm         *netMetrics
 	flightSink io.Writer
 
-	// Shard-resident worker pool (see workers.go). workers <= 1 means
-	// the per-shard passes run inline on the stepping goroutine. cycMode,
-	// cycT and cycAll are published before the per-cycle wake sends,
-	// which happen-before the workers' reads; wwg is the end-of-cycle
-	// join, midwg the split cycle's single mid-cycle sequence point and
-	// midwg2 the extra deliver→schedule point of impaired cycles.
-	workers int
-	wake    []chan struct{}
-	wwg     sync.WaitGroup
-	midwg   sync.WaitGroup
-	midwg2  sync.WaitGroup
-	cycMode int
-	cycT    int64
-	cycAll  bool
-
-	// Shard partition and ownership (workers.go, partition): one shard
-	// per worker, workerOf[id] the shard — and so the worker — that owns
-	// node id. interior[id] means every wired edge of node id stays
-	// inside its shard, and allBoundary counts the nodes where that
-	// fails — the per-cycle mode selection compares the active boundary
-	// count against zero to run barrier-free interior cycles.
-	numShards   int
-	workerOf    []int32
-	interior    []bool
-	allBoundary int
-	wrk         []workerRun
-
 	// Structure-of-arrays datapath state (docs/performance.md,
-	// "Structure-of-arrays datapath"). The cross-node staging lanes and
-	// claim slots live in network-owned flat arrays indexed
-	// node*laneStride+port; each node's pipes/credOut/claim fields are
-	// subslice views into its own segment, so phase code keeps its
-	// per-node slice form over contiguous memory. occ[id*occStride]
-	// aggregates the buffered-flit count across all of a node's ports,
-	// maintained incrementally by the VCMs (vcm.BindOccupancy), turning
-	// "any buffered flit?" into a single flat-array load.
-	laneStride int
-	laneFlits  []flitLane
-	laneCreds  []creditLane
-	claims     []claimSlot
-	occ        []int64
+	// "Structure-of-arrays datapath"). The cross-node staging lanes live
+	// in network-owned flat arrays indexed node*radix+port; each
+	// node's pipes/credOut fields are subslice views into its own segment,
+	// so phase code keeps its per-node slice form over contiguous memory.
+	// occ[id] aggregates the buffered-flit count across all of a node's
+	// ports, maintained incrementally by the VCMs (vcm.BindOccupancy),
+	// turning "any buffered flit?" into a single flat-array load.
+	laneFlits []flitLane
+	laneCreds []creditLane
+	occ       []int64
 
 	// The wake table (wake.go): per node, the earliest cycle it can have
-	// work. Derived state, written on the serial path only.
+	// work. Derived state, written between cycles and by settle only.
+	// active is this cycle's worklist (ascending node ID); pushed and
+	// freed collect, during the commit phase, the receivers of the cycle's
+	// lane pushes and the upstream peers of the packet VCs it released,
+	// for settle to wake.
 	wakeAt []int64
-
-	// Activity-gating stamps. A stamp equal to the current cycle marks
-	// membership (no per-cycle clearing): actStamp marks the active set
-	// (the per-worker act lists hold the members), extraStamp
-	// deduplicates gated-out claim receivers recorded during scheduling.
-	actStamp   []int64
-	extraStamp []int64
+	active []*node
+	pushed []int32
+	freed  []int32
 
 	// idleSkipped counts cycles Run elided via whole-clock fast-forward
 	// (diagnostics only; results are independent of it by construction).
@@ -581,18 +519,13 @@ func New(cfg Config) (*Network, error) {
 	nNodes := cfg.Topology.Nodes
 
 	// Flat SoA backings shared by every node (see the Network field docs).
-	// The lane stride is the radix rounded up to an even count so each
-	// node's lane segment starts cache-line aligned relative to the last.
-	n.laneStride = (radix + 1) &^ 1
-	n.laneFlits = make([]flitLane, nNodes*n.laneStride)
-	n.laneCreds = make([]creditLane, nNodes*n.laneStride)
-	n.claims = make([]claimSlot, nNodes*n.laneStride)
-	for i := range n.claims {
+	n.laneFlits = make([]flitLane, nNodes*radix)
+	n.laneCreds = make([]creditLane, nNodes*radix)
+	for i := range n.laneFlits {
 		n.laneFlits[i].nextAt = laneIdle
 		n.laneCreds[i].nextAt = laneIdle
-		n.claims[i].vc = -1
 	}
-	n.occ = make([]int64, nNodes*occStride)
+	n.occ = make([]int64, nNodes)
 
 	for id := 0; id < nNodes; id++ {
 		nd := &node{
@@ -601,10 +534,10 @@ func New(cfg Config) (*Network, error) {
 			rng:       sim.NewStreamRNG(cfg.Seed, uint64(id)),
 			pool:      flit.NewPool(),
 			lastRound: -1,
-			calStale:  true,
 			inboundAt: laneIdle,
 			stuck:     bitvec.New(radix * cfg.VCs),
 		}
+		nd.cal.Invalidate()
 		nd.stats.init()
 		// Per-node contiguous blocks: all ports' VC memories, link
 		// schedulers, shadow credit counters and upstream references for
@@ -621,7 +554,7 @@ func New(cfg Config) (*Network, error) {
 			if err := vcm.Init(&memArr[p], vcmCfg); err != nil {
 				return nil, err
 			}
-			memArr[p].BindOccupancy(&n.occ[id*occStride])
+			memArr[p].BindOccupancy(&n.occ[id])
 			nd.mems = append(nd.mems, &memArr[p])
 			a, err := admission.NewLinkAllocator(roundLen, 0, cfg.Concurrency)
 			if err != nil {
@@ -631,10 +564,9 @@ func New(cfg Config) (*Network, error) {
 			nd.shadow = append(nd.shadow, flow.NewCreditsBacked(cfg.Depth, credCounts[p*cfg.VCs:(p+1)*cfg.VCs:(p+1)*cfg.VCs]))
 			nd.upstream = append(nd.upstream, ups[p*cfg.VCs:(p+1)*cfg.VCs:(p+1)*cfg.VCs])
 		}
-		base := id * n.laneStride
+		base := id * radix
 		nd.pipes = n.laneFlits[base : base+radix : base+radix]
 		nd.credOut = n.laneCreds[base : base+radix : base+radix]
-		nd.claim = n.claims[base : base+radix : base+radix]
 		nd.grantVC = make([]int, radix)
 		for p := 0; p < radix; p++ {
 			sched.InitLinkScheduler(&lsArr[p], sched.LinkConfig{
@@ -656,7 +588,7 @@ func New(cfg Config) (*Network, error) {
 	// Precompute each node's wired inbound edges and output peers. Raw
 	// wiring never changes after construction (faults only flip link/router
 	// live state), so these lists replace per-cycle topology lookups in
-	// delivery, claim commit and the wake table's push lists.
+	// delivery and the wake table's push lists.
 	for _, nd := range n.nodes {
 		nd.outPeer = make([]int32, radix)
 		for p := range nd.outPeer {
@@ -670,7 +602,7 @@ func New(cfg Config) (*Network, error) {
 			xp := cfg.Topology.WiredPeer(nd.id, q)
 			nd.outPeer[q] = int32(x)
 			nd.in = append(nd.in, inEdge{
-				lane:     int32(x*n.laneStride + xp),
+				lane:     int32(x*radix + xp),
 				port:     int32(q),
 				peer:     int32(x),
 				peerPort: int32(xp),
@@ -681,17 +613,7 @@ func New(cfg Config) (*Network, error) {
 	// calendar, so a fabric — fresh or just restored from a checkpoint —
 	// derives its gating state in its first cycle.
 	n.wakeAt = make([]int64, len(n.nodes))
-	n.actStamp = make([]int64, len(n.nodes))
-	n.extraStamp = make([]int64, len(n.nodes))
-	for i := range n.actStamp {
-		n.actStamp[i] = -1
-		n.extraStamp[i] = -1
-	}
 	n.initMetrics()
-	n.SetWorkers(cfg.Workers)
-	if len(n.wrk) == 0 {
-		n.partition() // SetWorkers(<=1) on a fresh network early-outs via Shutdown
-	}
 	return n, nil
 }
 
@@ -819,8 +741,7 @@ func (n *Network) Schedule(cycle int64, fn func()) {
 }
 
 // Stats returns a snapshot of the network statistics: the session-level
-// counters plus every node shard merged in ascending node order (the
-// fixed merge order keeps snapshots bit-identical across worker counts).
+// counters plus every node shard merged in ascending node order.
 func (n *Network) Stats() *Stats { return n.snapshotStats() }
 
 // Conns returns all connections ever opened (including closed ones).

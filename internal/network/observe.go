@@ -19,7 +19,7 @@ import (
 // grant counters, claim failures, dead-output skips — record inside the
 // flit cycle, and each of those is a slice increment on the node's own
 // shard. Nothing here enters Stats, so snapshots stay bit-identical to
-// the uninstrumented simulation for every worker count.
+// the uninstrumented simulation.
 
 // flightRingSize is the per-node flight-recorder capacity. 256 events
 // covers several round-trips of fault → teardown → restore on every
@@ -97,7 +97,7 @@ type netMetrics struct {
 	schedBoosted   metrics.Counter
 
 	// Session-level counters, mirrored from netStats into shard 0 (they
-	// are maintained on the serial control path, which has no shard).
+	// are maintained on the control path, which has no shard).
 	setupAttempts  metrics.Counter
 	setupAccepted  metrics.Counter
 	setupRejected  metrics.Counter
@@ -249,7 +249,7 @@ func (n *Network) collectMetrics() {
 		}
 	}
 
-	// Session-level counters live on the serial path; shard 0 carries them.
+	// Session-level counters live on the control path; shard 0 carries them.
 	s0 := n.nodes[0].ms
 	m := &n.m
 	s0.Store(nm.setupAttempts, m.setupAttempts)
@@ -272,8 +272,8 @@ func (n *Network) collectMetrics() {
 // collectors or gathering snapshots).
 func (n *Network) Metrics() *metrics.Registry { return n.nm.reg }
 
-// GatherMetrics snapshots the registry. Call between steps only — the
-// gather is not synchronized with the worker pool.
+// GatherMetrics snapshots the registry. Call between steps only, from the
+// goroutine that steps the network.
 func (n *Network) GatherMetrics() *metrics.Snapshot { return n.nm.reg.Gather() }
 
 // recordFlight appends one event to a node's flight recorder and, when a

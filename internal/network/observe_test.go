@@ -11,7 +11,6 @@ import (
 // (counts equal the delivered counters after a warmup reset).
 func TestMetricsMatchStats(t *testing.T) {
 	n, stats := metricsScenario(t)
-	defer n.Shutdown()
 	snap := n.GatherMetrics()
 
 	intChecks := []struct {
@@ -83,7 +82,7 @@ func TestMetricsMatchStats(t *testing.T) {
 // network (caller shuts it down) so metrics can be gathered from it.
 func metricsScenario(t *testing.T) (*Network, *Stats) {
 	t.Helper()
-	nets := buildDetNetwork(t, 1, true)
+	nets := buildDetNetwork(t, true)
 	nets.Run(1200)
 	nets.ResetStats()
 	nets.Run(1800)
@@ -94,7 +93,6 @@ func metricsScenario(t *testing.T) (*Network, *Stats) {
 // connections appear in the flight-recorder dump with decoded names.
 func TestFlightRecorderCapturesFaults(t *testing.T) {
 	n, st := metricsScenario(t)
-	defer n.Shutdown()
 	if st.FaultsInjected == 0 {
 		t.Fatal("scenario injected no faults")
 	}
@@ -112,8 +110,7 @@ func TestFlightRecorderCapturesFaults(t *testing.T) {
 // dump the recorders automatically.
 func TestFlightSinkDumpsOnFault(t *testing.T) {
 	var b strings.Builder
-	n := buildDetNetwork(t, 1, true)
-	defer n.Shutdown()
+	n := buildDetNetwork(t, true)
 	n.SetFlightSink(&b)
 	n.Run(600) // past the cycle-500 FailLinkAt
 	if out := b.String(); !strings.Contains(out, "fault transition") || !strings.Contains(out, "link-down") {
@@ -121,12 +118,12 @@ func TestFlightSinkDumpsOnFault(t *testing.T) {
 	}
 }
 
-// TestMetricsGatherDeterministic: gathered snapshots are identical
-// across worker counts, like the stats snapshots they mirror.
+// TestMetricsGatherDeterministic: gathered snapshots are identical from
+// one run of a scenario to the next, like the stats snapshots they mirror
+// (the registry and the per-node shards are merged in a fixed order).
 func TestMetricsGatherDeterministic(t *testing.T) {
-	render := func(workers int) string {
-		n := buildDetNetwork(t, workers, true)
-		defer n.Shutdown()
+	render := func() string {
+		n := buildDetNetwork(t, true)
 		n.Run(1200)
 		n.ResetStats()
 		n.Run(800)
@@ -136,8 +133,7 @@ func TestMetricsGatherDeterministic(t *testing.T) {
 		}
 		return b.String()
 	}
-	ref := render(1)
-	if got := render(4); got != ref {
-		t.Error("prometheus rendering differs between workers=1 and workers=4")
+	if ref, got := render(), render(); got != ref {
+		t.Error("prometheus rendering differs between two runs of one scenario")
 	}
 }

@@ -164,7 +164,6 @@ func TestEstablishmentLeavesNoHolds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer n.Shutdown()
 				if sc.arrange != nil {
 					sc.arrange(t, n)
 				}
@@ -256,7 +255,6 @@ func TestOpenWarmAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Shutdown()
 	spec := traffic.ConnSpec{Class: flit.ClassCBR, Rate: 8 * traffic.Mbps}
 	i := 0
 	openClose := func() {

@@ -95,7 +95,6 @@ func TestDegradedSessionRePromoted(t *testing.T) {
 	n, victim := healingScenario(t, FaultPolicy{
 		Restore: false, MaxRetries: 5, RetryBackoff: 32, Degrade: true, Promote: true, Paranoid: true,
 	})
-	defer n.Shutdown()
 	n.Run(10_000) // break at 500, degrade, link repaired at 4000, promotion after
 
 	if victim.Degraded || !victim.Open() || len(victim.VCs) == 0 {
@@ -142,7 +141,6 @@ func TestPromotionDisabledStaysDegraded(t *testing.T) {
 	n, victim := healingScenario(t, FaultPolicy{
 		Restore: false, MaxRetries: 5, RetryBackoff: 32, Degrade: true, Promote: false, Paranoid: true,
 	})
-	defer n.Shutdown()
 	n.Run(10_000)
 	if !victim.Degraded || victim.Open() {
 		t.Fatalf("victim should stay degraded with Promote off: degraded=%v open=%v", victim.Degraded, victim.Open())
@@ -161,7 +159,6 @@ func TestPromotionDisabledStaysDegraded(t *testing.T) {
 // promotes anything — the ladder is exhausted.
 func TestPromotionCapacityAndTriggers(t *testing.T) {
 	n, victims := chainPromotionScenario(t, defaultOpen)
-	defer n.Shutdown()
 
 	// The fallback flows spent 2000 cycles pumping into a dead link, so
 	// the repaired fabric starts jammed: the restore-triggered scan
@@ -266,7 +263,6 @@ func TestPromotionHonorsTenantQuota(t *testing.T) {
 		}
 		return openAs(n, tenant, 0, 2, victimSpec())
 	})
-	defer n.Shutdown()
 
 	// Tenant a may hold one session's worth of guaranteed bandwidth
 	// (its two degraded sessions currently hold none).
@@ -341,7 +337,6 @@ func TestPromotionHonorsTenantQuota(t *testing.T) {
 // degraded population, and complete the recovery once capacity frees.
 func TestPromotionSurvivesCheckpoint(t *testing.T) {
 	n, victims := chainPromotionScenario(t, defaultOpen)
-	defer n.Shutdown()
 
 	if err := n.RestoreLink(0, 0); err != nil {
 		t.Fatal(err)
@@ -378,13 +373,11 @@ func TestPromotionSurvivesCheckpoint(t *testing.T) {
 	}
 
 	cfg2 := chainPromotionConfig(t)
-	cfg2.Workers = 4
 	cfg2.NoIdleSkip = true
 	n2, err := RestoreCheckpoint(cfg2, path)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	defer n2.Shutdown()
 	resnap, err := n2.EncodeState()
 	if err != nil {
 		t.Fatal(err)
@@ -446,7 +439,6 @@ func TestPromotionSurvivesCheckpoint(t *testing.T) {
 // the genuine checkpoint afterwards.
 func TestCheckpointRefusesPreviousVersion(t *testing.T) {
 	n, _ := chainPromotionScenario(t, defaultOpen)
-	defer n.Shutdown()
 	payload, err := n.EncodeState()
 	if err != nil {
 		t.Fatal(err)
@@ -472,7 +464,6 @@ func TestCheckpointRefusesPreviousVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n2.Shutdown()
 	wantVersionErr("RestoreStateVersion", n2.RestoreStateVersion(payload, 3))
 	if err := n2.RestoreStateVersion(payload, checkpoint.Version); err != nil {
 		t.Fatalf("restore after the refusal: %v", err)
@@ -490,7 +481,7 @@ func TestCheckpointRefusesPreviousVersion(t *testing.T) {
 // router 5 down long enough for the short retry ladder to exhaust (its
 // hosts' sessions degrade) and then repairs it (they re-promote), and
 // returns the end-state encoding plus statistics.
-func promoteDetScenario(t *testing.T, workers int, promote bool) ([]byte, *Stats) {
+func promoteDetScenario(t *testing.T, noIdleSkip, promote bool) ([]byte, *Stats) {
 	t.Helper()
 	tp, err := topology.Mesh(4, 4, 4)
 	if err != nil {
@@ -498,13 +489,12 @@ func promoteDetScenario(t *testing.T, workers int, promote bool) ([]byte, *Stats
 	}
 	cfg := DefaultConfig(tp)
 	cfg.Seed = 11
-	cfg.Workers = workers
+	cfg.NoIdleSkip = noIdleSkip
 	cfg.Fault = FaultPolicy{Restore: true, MaxRetries: 2, RetryBackoff: 16, Degrade: true, Promote: promote, Paranoid: true}
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Shutdown()
 	rng := sim.NewRNG(99)
 	for i, opened := 0, 0; i < 300 && opened < 48; i++ {
 		src, dst := rng.Intn(tp.Nodes), rng.Intn(tp.Nodes)
@@ -543,8 +533,8 @@ func promoteDetScenario(t *testing.T, workers int, promote bool) ([]byte, *Stats
 }
 
 // TestPromotionDeterminism: with promotion on or off, the end state is
-// bit-identical at every worker count — the scan rides the serial
-// event path, so parallel execution cannot reorder it.
+// bit-identical with gating on and off — the scan rides the event path
+// between cycles, so which nodes a cycle visits cannot reorder it.
 func TestPromotionDeterminism(t *testing.T) {
 	for _, promote := range []bool{false, true} {
 		name := "off"
@@ -552,7 +542,7 @@ func TestPromotionDeterminism(t *testing.T) {
 			name = "on"
 		}
 		t.Run(name, func(t *testing.T) {
-			ref, st := promoteDetScenario(t, 1, promote)
+			ref, st := promoteDetScenario(t, false, promote)
 			if st.ConnsDegraded == 0 {
 				t.Fatalf("degenerate scenario: nothing degraded (%+v)", st)
 			}
@@ -562,11 +552,8 @@ func TestPromotionDeterminism(t *testing.T) {
 			if !promote && st.ConnsPromoted != 0 {
 				t.Fatalf("ConnsPromoted = %d with promotion off", st.ConnsPromoted)
 			}
-			for _, w := range []int{2, 4} {
-				b, _ := promoteDetScenario(t, w, promote)
-				if !bytes.Equal(ref, b) {
-					t.Errorf("workers=%d end state diverged from serial (%d vs %d bytes)", w, len(ref), len(b))
-				}
+			if b, _ := promoteDetScenario(t, true, promote); !bytes.Equal(ref, b) {
+				t.Errorf("ungated end state diverged from gated (%d vs %d bytes)", len(ref), len(b))
 			}
 		})
 	}
@@ -642,7 +629,6 @@ func TestModifyBandwidthLifecycleErrors(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			n, c := tc.prep()
-			defer n.Shutdown()
 			err := n.ModifyBandwidth(c, 20*traffic.Mbps)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("ModifyBandwidth on %s conn: %v, want mention of %q", tc.name, err, tc.want)
@@ -651,7 +637,6 @@ func TestModifyBandwidthLifecycleErrors(t *testing.T) {
 	}
 	t.Run("nil", func(t *testing.T) {
 		n, _ := mk(FaultPolicy{Paranoid: true})
-		defer n.Shutdown()
 		if err := n.ModifyBandwidth(nil, 20*traffic.Mbps); err == nil || !strings.Contains(err.Error(), "nil connection") {
 			t.Fatalf("ModifyBandwidth(nil): %v", err)
 		}

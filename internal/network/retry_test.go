@@ -54,7 +54,6 @@ func TestOpenWithRetryBackoff(t *testing.T) {
 	const maxRetries = 4
 	const backoff = int64(16)
 	n := retryNet(t, maxRetries, backoff)
-	defer n.Shutdown()
 	n.Run(100)
 
 	impossible := traffic.ConnSpec{Class: flit.ClassCBR, Rate: 2 * n.cfg.Link.Bandwidth}
@@ -103,7 +102,6 @@ func TestOpenWithRetryBackoff(t *testing.T) {
 // synchronously — callback fired before return, nothing journaled.
 func TestOpenWithRetryImmediateSuccess(t *testing.T) {
 	n := retryNet(t, 3, 16)
-	defer n.Shutdown()
 	var got *Conn
 	if err := n.OpenWithRetry(0, 3, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 20 * traffic.Mbps},
 		func(c *Conn, err error) { got = c }); err != nil {
@@ -121,7 +119,6 @@ func TestOpenWithRetryImmediateSuccess(t *testing.T) {
 // delivered synchronously and nothing is journaled.
 func TestOpenWithRetryZeroBudget(t *testing.T) {
 	n := retryNet(t, 0, 16)
-	defer n.Shutdown()
 	var gotErr error
 	if err := n.OpenWithRetry(0, 3, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 2 * n.cfg.Link.Bandwidth},
 		func(c *Conn, err error) { gotErr = err }); err != nil {
@@ -151,7 +148,6 @@ func TestModifyBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Shutdown()
 
 	c, err := n.Open(0, 8, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 40 * traffic.Mbps})
 	if err != nil {

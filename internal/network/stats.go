@@ -15,10 +15,10 @@ func errBadEndpoints(src, dst int) error {
 }
 
 // dpStats is one node's shard of the datapath statistics. Every counter
-// touched inside the parallel phases lives here — a node only ever writes
-// its own shard, so the hot path needs no synchronization and no atomics.
-// Shards are merged in ascending node order when a snapshot is taken,
-// which keeps the reported aggregates identical for every worker count.
+// touched inside the cycle's phases lives here — a node only ever writes
+// its own shard, next to the rest of its state. Shards are merged in
+// ascending node order when a snapshot is taken, which fixes the order of
+// the floating-point accumulator merges.
 // (Per-connection jitter sequences stay exact because a connection's
 // flits all eject at its one destination node, so each tracker sees the
 // full, ordered latency series for the connections ending there.)

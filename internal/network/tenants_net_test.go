@@ -34,7 +34,6 @@ func cbr(mbps int) traffic.ConnSpec {
 // when the tenant's sessions close.
 func TestOpenAsTenantQuota(t *testing.T) {
 	n := tenantTestNetwork(t)
-	defer n.Shutdown()
 	n.Tenants().SetQuota("video", admission.TenantQuota{MaxSessions: 2})
 
 	a, err := openAs(n, "video", 0, 8, cbr(10))
@@ -72,7 +71,6 @@ func TestOpenAsTenantQuota(t *testing.T) {
 // and charge agree exactly.
 func TestOpenAsGuaranteedQuota(t *testing.T) {
 	n := tenantTestNetwork(t)
-	defer n.Shutdown()
 	slot := n.GuaranteedCyclesFor(cbr(10))
 	if slot < 1 {
 		t.Fatalf("GuaranteedCyclesFor = %d, want >= 1", slot)
@@ -95,7 +93,6 @@ func TestOpenAsGuaranteedQuota(t *testing.T) {
 // prefix and refuses the rest within one batch.
 func TestOpenBatchTenantQuota(t *testing.T) {
 	n := tenantTestNetwork(t)
-	defer n.Shutdown()
 	n.Tenants().SetQuota("bulk", admission.TenantQuota{MaxSessions: 2})
 	reqs := []OpenReq{
 		{Src: 0, Dst: 8, Spec: cbr(10), Tenant: "bulk"},
@@ -123,7 +120,6 @@ func TestOpenBatchTenantQuota(t *testing.T) {
 // the probe's flight.
 func TestOpenAsyncTenantQuota(t *testing.T) {
 	n := tenantTestNetwork(t)
-	defer n.Shutdown()
 	n.Tenants().SetQuota("live", admission.TenantQuota{MaxSessions: 1})
 
 	// Launch-time refusal: the budget is already full.
@@ -174,7 +170,6 @@ func TestOpenAsyncTenantQuota(t *testing.T) {
 // the tenant's guaranteed budget; shrink always fits.
 func TestModifyBandwidthTenantQuota(t *testing.T) {
 	n := tenantTestNetwork(t)
-	defer n.Shutdown()
 	slot := n.GuaranteedCyclesFor(cbr(10))
 	n.Tenants().SetQuota("cap", admission.TenantQuota{MaxGuaranteed: slot})
 	c, err := openAs(n, "cap", 0, 8, cbr(10))

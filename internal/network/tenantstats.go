@@ -8,10 +8,9 @@ package network
 // (mmr_net_tenant_delivered_total, mmr_net_tenant_delay_cycles).
 //
 // Storage follows the dpStats pattern: flat per-node arrays indexed by a
-// dense tenant slot, written only by the goroutine stepping the node
-// (eject runs on the destination node's worker), merged in ascending
-// node order at gather time. Tenant slots are assigned on the serial
-// control path the first time a tenant establishes a connection, and the
+// dense tenant slot, written only while the node is stepped (eject runs
+// in the destination node's commit phase), merged in ascending node
+// order at gather time. Tenant slots are assigned on the control path the first time a tenant establishes a connection, and the
 // per-node arrays grow there too — the hot path is two increments and a
 // small bucket scan, zero allocations.
 //
@@ -71,7 +70,7 @@ func (ts *tenantNodeStats) reset() {
 }
 
 // observe records one delivered flit with the given end-to-end delay.
-// Hot path: called from eject on the destination node's worker.
+// Hot path: called from eject at the destination node.
 func (ts *tenantNodeStats) observe(slot int32, delay float64) {
 	ts.delivered[slot]++
 	ts.delayCount[slot]++

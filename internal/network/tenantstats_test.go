@@ -46,7 +46,6 @@ func buildTenantNetwork(t *testing.T) (*Network, Config) {
 // matches its counter.
 func TestTenantDeliveredMetrics(t *testing.T) {
 	n, _ := buildTenantNetwork(t)
-	defer n.Shutdown()
 	n.Run(2000)
 
 	st := n.Stats()
@@ -136,7 +135,6 @@ func TestTenantDeliveredMetrics(t *testing.T) {
 // even though the slots themselves are not part of the payload.
 func TestTenantMetricsSurviveRestore(t *testing.T) {
 	n, cfg := buildTenantNetwork(t)
-	defer n.Shutdown()
 	n.Run(600)
 	blob, err := n.EncodeState()
 	if err != nil {
@@ -150,7 +148,6 @@ func TestTenantMetricsSurviveRestore(t *testing.T) {
 	if err := m.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
-	defer m.Shutdown()
 	m.ResetStats()
 	n.ResetStats()
 	n.Run(1400)

@@ -11,17 +11,18 @@ import (
 //	wakeAt[id]  earliest cycle node id can have work — a buffered flit,
 //	            NI backlog, an inbound lane entry maturing, a source due.
 //
-// It is written only on the serial path, after the end-of-cycle join or
-// between cycles, by exactly three writers:
+// It is written only after a cycle's three passes or between cycles, by
+// exactly three writers:
 //
 //	settle      every node that ran a cycle re-derives its own entry
 //	            from state it owns: occupancy, its source calendar, its
 //	            best-effort flows, and the earliest still-unmatured entry
 //	            it saw on its inbound lanes while delivering (inboundAt).
-//	push lists  a lane push made in the commit phase is noted by the
-//	            sender in its own list (node.pushed, written by the
-//	            sender's worker); after the join the list lowers the
-//	            receivers' wakeAt to the cycle the entry matures.
+//	push list   a lane push made in the commit phase notes its receiver
+//	            (Network.pushed); once every node that ran has settled,
+//	            the list lowers the receivers' wakeAt to the cycle the
+//	            entry matures. A receiver that ran would otherwise
+//	            overwrite the push with its own settle.
 //	touch       every control-plane path that changes a node's sources,
 //	            buffers or lanes marks it due now; it then runs the next
 //	            cycle and settles from scratch.
@@ -33,7 +34,7 @@ import (
 // same way, the link scheduler skips unrouted VCs before any counter,
 // election or RNG draw, so nothing is nominated), and only two things can
 // end the wait, each of which reports it: a VC released at a neighbor's
-// input port (the freed lists from the commit phase, vcFreed from the
+// input port (the freed list from the commit phase, vcFreed from the
 // control plane) wakes the node wired upstream of that port if it holds
 // blocked packets, and a fault transition, which rebuilds the routing,
 // wakes every node that does (wakeBlocked). A third cannot report in
@@ -58,15 +59,15 @@ import (
 // due at cycle 0 and every calendar stale, so a restored checkpoint
 // rebuilds it all in its first cycle, and nothing here is serialized.
 
-// touch marks node id due now. Serial path only.
+// touch marks node id due now. Between cycles only.
 func (n *Network) touch(id int) {
 	n.wakeAt[id] = n.now
-	n.nodes[id].calStale = true
+	n.nodes[id].cal.Invalidate()
 	n.nodes[id].reroute = true
 }
 
 // unblock makes node id, if it holds blocked packets, route them again
-// at cycle at. Serial path only.
+// at cycle at. Between cycles only.
 func (n *Network) unblock(id int, at int64) {
 	if nd := n.nodes[id]; nd.blocked > 0 {
 		nd.reroute = true
@@ -78,7 +79,7 @@ func (n *Network) unblock(id int, at int64) {
 
 // vcFreed reports a VC released at input port port of node id between
 // cycles: the node wired upstream of it is due now if it holds packets
-// that wait for one. Serial path only.
+// that wait for one. Between cycles only.
 func (n *Network) vcFreed(id, port int) {
 	if peer := n.nodes[id].outPeer[port]; peer >= 0 {
 		n.unblock(int(peer), n.now)
@@ -86,7 +87,7 @@ func (n *Network) vcFreed(id, port int) {
 }
 
 // wakeBlocked marks every node that holds unroutable packets due now: the
-// routing tables changed under them. Serial path only.
+// routing tables changed under them. Between cycles only.
 func (n *Network) wakeBlocked() {
 	for id := range n.nodes {
 		n.unblock(id, n.now)
@@ -94,18 +95,18 @@ func (n *Network) wakeBlocked() {
 }
 
 // noteFreed records that nd released a packet's VC at its input port p
-// this cycle. Commit phase; the list is nd's own.
+// this cycle. Commit phase.
 func (n *Network) noteFreed(nd *node, p int) {
 	if peer := nd.outPeer[p]; peer >= 0 && !n.cfg.NoIdleSkip {
-		nd.freed = append(nd.freed, peer)
+		n.freed = append(n.freed, peer)
 	}
 }
 
 // notePush records that nd appended to its outbound lane pair on port p
-// this cycle. Commit phase; the list is nd's own.
+// this cycle. Commit phase.
 func (n *Network) notePush(nd *node, p int) {
 	if !n.cfg.NoIdleSkip {
-		nd.pushed = append(nd.pushed, nd.outPeer[p])
+		n.pushed = append(n.pushed, nd.outPeer[p])
 	}
 }
 
@@ -114,29 +115,27 @@ func (n *Network) notePush(nd *node, p int) {
 // cycle wake their receivers (in that order — a receiver that also ran
 // must not overwrite the push).
 func (n *Network) settle(t int64) {
-	for w := range n.wrk {
-		for _, nd := range n.wrk[w].act {
-			due := nd.cal.NextDue()
-			busy := n.occ[nd.id*occStride] > int64(nd.blocked) || nd.cal.Holding()
-			for _, bf := range nd.beSrc {
-				if bf.nextDue < due {
-					due = bf.nextDue
-				}
-				// A queued packet draws from the node's RNG every cycle
-				// while it hunts for a free VC, so NI backlog forces
-				// activity — as a queued stream flit retrying VC entry does.
-				if bf.niQueue.Len() > 0 {
-					busy = true
-				}
+	for _, nd := range n.active {
+		due := nd.cal.NextDue()
+		busy := n.occ[nd.id] > int64(nd.blocked) || nd.cal.Holding()
+		for _, bf := range nd.beSrc {
+			if bf.nextDue < due {
+				due = bf.nextDue
 			}
-			switch {
-			case busy:
-				n.wakeAt[nd.id] = t + 1
-			case nd.inboundAt < due:
-				n.wakeAt[nd.id] = nd.inboundAt
-			default:
-				n.wakeAt[nd.id] = due
+			// A queued packet draws from the node's RNG every cycle
+			// while it hunts for a free VC, so NI backlog forces
+			// activity — as a queued stream flit retrying VC entry does.
+			if bf.niQueue.Len() > 0 {
+				busy = true
 			}
+		}
+		switch {
+		case busy:
+			n.wakeAt[nd.id] = t + 1
+		case nd.inboundAt < due:
+			n.wakeAt[nd.id] = nd.inboundAt
+		default:
+			n.wakeAt[nd.id] = due
 		}
 	}
 	// A lane entry pushed at t matures at t+LinkDelay and is delivered by
@@ -145,54 +144,29 @@ func (n *Network) settle(t int64) {
 	if arrive <= t {
 		arrive = t + 1
 	}
-	for w := range n.wrk {
-		for _, nd := range n.wrk[w].act {
-			for _, peer := range nd.pushed {
-				if n.wakeAt[peer] > arrive {
-					n.wakeAt[peer] = arrive
-				}
-			}
-			nd.pushed = nd.pushed[:0]
-			// A VC released at t can be claimed from t+1 on, whatever
-			// the link delay: the routing unit reads the neighbor's
-			// reservations directly.
-			for _, peer := range nd.freed {
-				n.unblock(int(peer), t+1)
-			}
-			nd.freed = nd.freed[:0]
+	for _, peer := range n.pushed {
+		if n.wakeAt[peer] > arrive {
+			n.wakeAt[peer] = arrive
 		}
 	}
+	n.pushed = n.pushed[:0]
+	// A VC released at t can be claimed from t+1 on, whatever the link
+	// delay: the routing unit reads the neighbor's reservations directly.
+	for _, peer := range n.freed {
+		n.unblock(int(peer), t+1)
+	}
+	n.freed = n.freed[:0]
 }
 
 // buildActive computes this cycle's worklist — the nodes whose wake-table
-// entry has come — in one pass over the table. The pass runs serially
-// between cycles, so the per-worker lists — and hence the simulation —
-// are deterministic for every worker count.
-//
-// Active nodes are bucketed straight into their owning worker's resident
-// list (ascending node order, since the scan ascends), and the returned
-// counts drive the cycle-mode selection in runCycle: boundary counts the
-// active nodes with at least one cross-shard edge — zero means the
-// workers provably cannot interact this cycle and the whole cycle runs
-// barrier-free (cycFused).
-func (n *Network) buildActive(t int64) (total, boundary int) {
-	for w := range n.wrk {
-		n.wrk[w].act = n.wrk[w].act[:0]
-		n.wrk[w].extras = n.wrk[w].extras[:0]
-	}
+// entry has come, in ascending node order — in one pass over the table.
+func (n *Network) buildActive(t int64) {
+	n.active = n.active[:0]
 	for id, at := range n.wakeAt {
-		if at > t {
-			continue
-		}
-		n.actStamp[id] = t
-		w := n.workerOf[id]
-		n.wrk[w].act = append(n.wrk[w].act, n.nodes[id])
-		total++
-		if !n.interior[id] {
-			boundary++
+		if at <= t {
+			n.active = append(n.active, n.nodes[id])
 		}
 	}
-	return total, boundary
 }
 
 // nextWake returns the earliest cycle in (t, limit] at which anything can
@@ -217,25 +191,16 @@ func (n *Network) nextWake(t, limit int64) int64 {
 // and has a generator.
 func (c *Conn) injecting() bool { return c.open && c.src != nil }
 
-// file puts a stream session where the source calendar will find it
-// next (traffic.Calendar.File): by its forecast while it injects, by its
-// interface queue while that drains.
-func (nd *node) file(c *Conn) {
-	due := traffic.NoEvent
+// calendarKey says where the source calendar files c (traffic.Calendar):
+// by its forecast while it injects, by its interface queue while that
+// drains, nowhere once it is closed or broken.
+func (c *Conn) calendarKey() (due int64, queued bool, id int64) {
+	due, id = traffic.NoEvent, int64(c.ID)
+	if c.closed || c.broken {
+		return due, false, id
+	}
 	if c.injecting() {
 		due = c.nextDue
 	}
-	nd.cal.File(due, c.niQueue.Len() > 0, int64(c.ID), c)
-}
-
-// rebuildCalendar re-files every live session homed on nd. srcConns is
-// ID-ascending, as File requires.
-func (nd *node) rebuildCalendar() {
-	nd.cal.Reset()
-	for _, c := range nd.srcConns {
-		if !c.closed && !c.broken {
-			nd.file(c)
-		}
-	}
-	nd.calStale = false
+	return due, c.niQueue.Len() > 0, id
 }

@@ -171,19 +171,18 @@ var wakeFabrics = []wakeFabric{
 
 // wakeRun is a fabric being stepped under checkWakeTable.
 type wakeRun struct {
-	t       testing.TB
-	fab     wakeFabric
-	cfg     Config // Topology is replaced on every (re)build
-	workers int
-	n       *Network
-	rng     *sim.RNG
-	open    []*Conn
-	flows   []FlowID
-	idle    int // checks that found the whole fabric idle
+	t     testing.TB
+	fab   wakeFabric
+	cfg   Config // Topology is replaced on every (re)build
+	n     *Network
+	rng   *sim.RNG
+	open  []*Conn
+	flows []FlowID
+	idle  int // checks that found the whole fabric idle
 }
 
-func newWakeRun(t testing.TB, fab wakeFabric, linkDelay int64, workers int, seed uint64) *wakeRun {
-	r := &wakeRun{t: t, fab: fab, workers: workers, rng: sim.NewRNG(seed ^ 0xfab)}
+func newWakeRun(t testing.TB, fab wakeFabric, linkDelay int64, seed uint64) *wakeRun {
+	r := &wakeRun{t: t, fab: fab, rng: sim.NewRNG(seed ^ 0xfab)}
 	r.cfg = DefaultConfig(nil)
 	r.cfg.VCs = 8
 	r.cfg.Seed = seed
@@ -206,7 +205,6 @@ func (r *wakeRun) fresh() *Network {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	n.SetWorkers(r.workers)
 	return n
 }
 
@@ -318,7 +316,6 @@ func (r *wakeRun) opRestore() {
 	for _, c := range old {
 		r.open = append(r.open, fresh.conns[c.ID])
 	}
-	r.n.Shutdown()
 	r.n = fresh
 }
 
@@ -431,24 +428,21 @@ func (r *wakeRun) script(withFaults bool) {
 // after every cycle holds the wake table to the scans it replaced
 // (checkWakeTable): mesh / fat tree / dragonfly × LinkDelay 0, 1, 3 — at 3
 // a node that settles itself can have an entry still in flight towards it
-// that it saw unmatured — × workers 1, 2, 4 (the push lists are written
-// by the workers in commit; run under -race) × {clean, a fault plan with
-// impairments and a router failure}.
+// that it saw unmatured — × {clean, a fault plan with impairments and a
+// router failure}. (The w1 in the case names is part of the identifiers
+// these cases are tracked by outside the repository.)
 func TestWakeTableMatchesScan(t *testing.T) {
 	for _, fab := range wakeFabrics {
 		for _, delay := range []int64{0, 1, 3} {
-			for _, workers := range []int{1, 2, 4} {
-				for _, withFaults := range []bool{false, true} {
-					name := fmt.Sprintf("%s/delay%d/w%d/faults=%v", fab.name, delay, workers, withFaults)
-					t.Run(name, func(t *testing.T) {
-						r := newWakeRun(t, fab, delay, workers, 17)
-						defer func() { r.n.Shutdown() }()
-						r.script(withFaults)
-						if r.idle == 0 {
-							t.Fatal("the fabric was never idle at a check: nextWake went uncompared")
-						}
-					})
-				}
+			for _, withFaults := range []bool{false, true} {
+				name := fmt.Sprintf("%s/delay%d/w1/faults=%v", fab.name, delay, withFaults)
+				t.Run(name, func(t *testing.T) {
+					r := newWakeRun(t, fab, delay, 17)
+					r.script(withFaults)
+					if r.idle == 0 {
+						t.Fatal("the fabric was never idle at a check: nextWake went uncompared")
+					}
+				})
 			}
 		}
 	}
@@ -488,7 +482,7 @@ func FuzzWakeTableMatchesScan(f *testing.F) {
 // again and carries on must stay byte-equal to a twin that never encoded.
 func TestEncodeMidGapContinues(t *testing.T) {
 	build := func() *Network {
-		r := newWakeRun(t, wakeFabrics[0], 1, 1, 29)
+		r := newWakeRun(t, wakeFabrics[0], 1, 29)
 		for i := 0; i < 12; i++ {
 			r.opOpen(i%4 != 3)
 		}
@@ -496,8 +490,6 @@ func TestEncodeMidGapContinues(t *testing.T) {
 		return r.n
 	}
 	a, b := build(), build()
-	defer a.Shutdown()
-	defer b.Shutdown()
 	slept := 0
 	for i := 0; i < 60; i++ {
 		a.Run(137)

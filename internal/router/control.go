@@ -115,7 +115,7 @@ func (r *Router) Release(conn *Connection) error {
 	conn.released = true
 	r.AbortFrame(conn) // drain NI queue and VC
 	conn.src = nil
-	r.calStale = true
+	r.cal.Invalidate()
 	mem := r.mems[conn.Spec.In]
 	mem.Release(conn.VC)
 	roundLen := r.cfg.RoundLen()
@@ -180,7 +180,7 @@ func (r *Router) applyControls(t int64) {
 			// on the next injection pass.
 			pc.conn.lastTick = t - 1
 			pc.conn.nextDue = t
-			r.calStale = true
+			r.cal.Invalidate()
 		case flit.CtlSetPriority:
 			st.BasePriority = pc.word.Arg
 			pc.conn.Spec.Priority = pc.word.Arg

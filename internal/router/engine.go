@@ -126,36 +126,22 @@ func (r *Router) injectStreams(t int64) {
 		}
 		return
 	}
-	if r.calStale {
-		r.rebuildCalendar()
-	}
-	for _, e := range r.cal.Take(t) {
-		c := e.Item
+	// r.conns is ID-ascending. The control paths — Establish, Release, a
+	// bandwidth word — only invalidate the calendar.
+	r.cal.Visit(t, r.conns, (*Connection).calendarKey, func(c *Connection) {
 		r.injectStream(c, t, c.nextDue <= t)
-		r.file(c)
-	}
+	})
 }
 
-// file puts a connection where the source calendar will find it next
-// (traffic.Calendar.File): by its forecast while it has a source, by its
-// interface queue while that drains.
-func (r *Router) file(c *Connection) {
-	due := traffic.NoEvent
+// calendarKey says where the source calendar files c (traffic.Calendar):
+// by its forecast while it has a source, by its interface queue while
+// that drains.
+func (c *Connection) calendarKey() (due int64, queued bool, id int64) {
+	due = traffic.NoEvent
 	if c.src != nil {
 		due = c.nextDue
 	}
-	r.cal.File(due, c.niQueue.Len() > 0, int64(c.ID), c)
-}
-
-// rebuildCalendar re-files every connection (r.conns is ID-ascending).
-// The control paths — Establish, Release, a bandwidth word — only mark
-// the calendar stale.
-func (r *Router) rebuildCalendar() {
-	r.cal.Reset()
-	for _, c := range r.conns {
-		r.file(c)
-	}
-	r.calStale = false
+	return due, c.niQueue.Len() > 0, int64(c.ID)
 }
 
 // injectStream is one connection's share of injectStreams.
@@ -302,7 +288,7 @@ func (r *Router) idle(t int64) bool {
 			return false
 		}
 	}
-	if r.calStale || r.cal.Holding() || r.cal.NextDue() <= t {
+	if r.cal.Stale() || r.cal.Holding() || r.cal.NextDue() <= t {
 		return false
 	}
 	for _, pf := range r.ctlFlows {

@@ -251,10 +251,8 @@ type Router struct {
 	arbiter        sched.SwitchScheduler
 
 	conns []*Connection
-	// cal files the connections by when injectStreams must look at them;
-	// calStale asks for it to be rebuilt from conns first (engine.go).
+	// cal files the connections by when injectStreams must look at them.
 	cal        traffic.Calendar[*Connection]
-	calStale   bool
 	beFlows    []*packetFlow
 	ctlFlows   []*packetFlow
 	pendingCtl []pendingControl
@@ -442,7 +440,7 @@ func (r *Router) Establish(spec traffic.ConnSpec) (*Connection, error) {
 		conn.src = traffic.NewVBRSource(r.rng, r.cfg.Link, spec.Rate, spec.PeakRate, traffic.DefaultGoP())
 	}
 	r.conns = append(r.conns, conn)
-	r.calStale = true
+	r.cal.Invalidate()
 	r.m.grow(len(r.conns))
 	return conn, nil
 }
@@ -495,7 +493,7 @@ func (r *Router) EstablishWithSource(spec traffic.ConnSpec, src traffic.Source) 
 		return nil, err
 	}
 	conn.src = src
-	r.calStale = true
+	r.cal.Invalidate()
 	return conn, nil
 }
 

@@ -32,9 +32,9 @@ func NewRNG(seed uint64) *RNG {
 // seed + (k+1)·φ64 (the splitmix64 golden-ratio increment), then run
 // through the usual splitmix64 expansion — so nearby (seed, stream) pairs
 // land far apart in the seeding sequence and the streams are mutually
-// uncorrelated. The parallel network simulation gives every router node
-// its own stream so per-node random decisions are independent of how
-// nodes are scheduled across workers.
+// uncorrelated. The network simulation gives every router node its own
+// stream so a node's random decisions do not depend on which other nodes
+// ran, or drew, before it.
 func NewStreamRNG(seed, stream uint64) *RNG {
 	return NewRNG(seed + (stream+1)*0x9e3779b97f4a7c15)
 }

@@ -14,49 +14,76 @@ const NoEvent int64 = math.MaxInt64
 // so that a session between two arrivals costs its host nothing. A
 // session is filed in one of two places: waiting, in a min-heap on (due
 // cycle, id), until its source's forecast comes due; or held, to be
-// looked at every cycle, while flits queue at its network interface. Take
-// hands out the sessions of one cycle and forgets them; the caller files
-// each again as it finds it. Ids are unique and the sessions come out in
+// looked at every cycle, while flits queue at its network interface.
+// Visit hands one cycle's sessions to the injector and files each again
+// as the injector left it. Ids are unique and the sessions come out in
 // ascending id — the order the engines have always injected in, which is
 // the order VBR sources draw from their host's RNG stream.
 //
 // A calendar is derived state: the engines rebuild it from their session
 // lists and never serialize it.
 type Calendar[T any] struct {
-	heap    []CalendarEntry[T] // waiting sessions
-	held    []CalendarEntry[T] // sessions to visit every cycle, ascending id
-	visit   []CalendarEntry[T] // the slice Take returned last
+	heap    []calendarEntry[T] // waiting sessions
+	held    []calendarEntry[T] // sessions to visit every cycle, ascending id
+	visit   []calendarEntry[T] // the slice take returned last
 	heldDue int64              // earliest due cycle among held, while any is
+	stale   bool               // Invalidate since the sessions were last filed
 }
 
-// CalendarEntry is one filed session.
-type CalendarEntry[T any] struct {
-	Due  int64
-	ID   int64
-	Item T
+// calendarEntry is one filed session.
+type calendarEntry[T any] struct {
+	due  int64
+	id   int64
+	item T
 }
 
-// Reset empties the calendar, keeping its storage.
-func (c *Calendar[T]) Reset() {
-	c.heap, c.held = c.heap[:0], c.held[:0]
+// Invalidate says the injector's session list, or a session's source,
+// changed behind the calendar: the next Visit files every session afresh.
+// The control plane edits session lists, never the calendar.
+func (c *Calendar[T]) Invalidate() { c.stale = true }
+
+// Stale reports an Invalidate no Visit has made good yet; until one does,
+// NextDue and Holding describe the sessions as they were.
+func (c *Calendar[T]) Stale() bool { return c.stale }
+
+// Visit is an injector's one look at its sessions in cycle t. key says
+// where a session belongs, as file takes it: its source's due cycle,
+// whether flits queue at its interface, its id. After an Invalidate the
+// calendar is first emptied and every session of all — the injector's
+// list, ascending id — filed by its key. Then every held session and
+// every waiting one due at or before t goes to inject, in ascending id,
+// and is filed again by its key as inject left it.
+func (c *Calendar[T]) Visit(t int64, all []T, key func(T) (due int64, queued bool, id int64), inject func(T)) {
+	if c.stale {
+		c.heap, c.held = c.heap[:0], c.held[:0]
+		for _, item := range all {
+			c.file(item, key)
+		}
+		c.stale = false
+	}
+	for _, e := range c.take(t) {
+		inject(e.item)
+		c.file(e.item, key)
+	}
 }
 
-// File puts a session where the next Take that concerns it will find it:
-// held — visited at every cycle taken — while queued says flits wait at
-// its network interface (a queued flit retries buffer entry every cycle),
-// waiting for cycle due otherwise, and nowhere once it has nothing queued
-// and its source will never be due again (due == NoEvent). Held sessions
-// must be filed in ascending id between two Takes, as a caller working
-// through Take's result, or through its id-ordered session list, does.
-func (c *Calendar[T]) File(due int64, queued bool, id int64, item T) {
+// file puts a session where the next take that concerns it will find it:
+// held — visited at every cycle taken — while flits wait at its network
+// interface (a queued flit retries buffer entry every cycle), waiting for
+// its due cycle otherwise, and nowhere once it has nothing queued and its
+// source will never be due again (due == NoEvent). Held sessions must be
+// filed in ascending id between two takes, as Visit does working through
+// take's result or the id-ordered session list.
+func (c *Calendar[T]) file(item T, key func(T) (due int64, queued bool, id int64)) {
+	due, queued, id := key(item)
 	switch {
 	case queued:
-		c.held = append(c.held, CalendarEntry[T]{due, id, item})
+		c.held = append(c.held, calendarEntry[T]{due, id, item})
 		if len(c.held) == 1 || due < c.heldDue {
 			c.heldDue = due
 		}
 	case due != NoEvent:
-		c.heap = append(c.heap, CalendarEntry[T]{due, id, item})
+		c.heap = append(c.heap, calendarEntry[T]{due, id, item})
 		c.up(len(c.heap) - 1)
 	}
 }
@@ -70,35 +97,35 @@ func (c *Calendar[T]) NextDue() int64 {
 	if len(c.held) > 0 {
 		due = c.heldDue
 	}
-	if len(c.heap) > 0 && c.heap[0].Due < due {
-		due = c.heap[0].Due
+	if len(c.heap) > 0 && c.heap[0].due < due {
+		due = c.heap[0].due
 	}
 	return due
 }
 
-// Take removes and returns, in ascending id, every held session and
+// take removes and returns, in ascending id, every held session and
 // every waiting one due at or before t. The slice is the calendar's and
-// is good until the next Take.
-func (c *Calendar[T]) Take(t int64) []CalendarEntry[T] {
+// is good until the next take.
+func (c *Calendar[T]) take(t int64) []calendarEntry[T] {
 	c.visit, c.held = c.held, c.visit[:0]
 	v := c.visit
 	sorted := true
-	for len(c.heap) > 0 && c.heap[0].Due <= t {
-		if len(v) > 0 && v[len(v)-1].ID > c.heap[0].ID {
+	for len(c.heap) > 0 && c.heap[0].due <= t {
+		if len(v) > 0 && v[len(v)-1].id > c.heap[0].id {
 			sorted = false
 		}
 		v = append(v, c.pop())
 	}
 	if !sorted {
-		slices.SortFunc(v, func(a, b CalendarEntry[T]) int { return cmp.Compare(a.ID, b.ID) })
+		slices.SortFunc(v, func(a, b calendarEntry[T]) int { return cmp.Compare(a.id, b.id) })
 	}
 	c.visit = v
 	return v
 }
 
 // before orders the heap: by due cycle, then id.
-func (a *CalendarEntry[T]) before(b *CalendarEntry[T]) bool {
-	return a.Due < b.Due || (a.Due == b.Due && a.ID < b.ID)
+func (a *calendarEntry[T]) before(b *calendarEntry[T]) bool {
+	return a.due < b.due || (a.due == b.due && a.id < b.id)
 }
 
 func (c *Calendar[T]) up(i int) {
@@ -120,7 +147,7 @@ func (c *Calendar[T]) up(i int) {
 // session just re-filed is due late and belongs near the bottom, so this
 // spends one comparison per level where the textbook sift-down spends
 // two.
-func (c *Calendar[T]) pop() CalendarEntry[T] {
+func (c *Calendar[T]) pop() calendarEntry[T] {
 	h := c.heap
 	root := h[0]
 	n := len(h) - 1

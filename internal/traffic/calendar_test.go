@@ -8,10 +8,11 @@ import (
 )
 
 // TestCalendarMatchesScan drives a Calendar the way an injector does —
-// Take a cycle's sessions, file each again, now and then Reset and file
-// everything — against a plain table scanned every cycle: Take must hand
+// one Visit a cycle, now and then an Invalidate after the session list
+// changed — against a plain table scanned every cycle: Visit must hand
 // out exactly the held sessions and the waiting ones that are due, in
-// ascending id, and NextDue must be the table's minimum.
+// ascending id, file each again where its key says after the injector
+// has changed it, and NextDue must be the table's minimum.
 func TestCalendarMatchesScan(t *testing.T) {
 	type sess struct {
 		due  int64
@@ -21,22 +22,26 @@ func TestCalendarMatchesScan(t *testing.T) {
 	rng := sim.NewRNG(5)
 	const n = 97
 	tab := make([]sess, n)
-	var cal Calendar[int]
-	file := func(id int) {
-		if s := &tab[id]; s.live {
-			cal.File(s.due, s.held, int64(id), id)
-		}
-	}
-	refile := func() {
-		cal.Reset()
-		for id := range tab {
-			file(id)
-		}
-	}
+	all := make([]int, n)
 	for id := range tab {
 		tab[id] = sess{due: int64(rng.Intn(40)), live: true}
+		all[id] = id
 	}
-	refile()
+	// A session that is gone has nothing queued and no due cycle: it is
+	// filed nowhere, whether the calendar meets it in the list or again
+	// after a visit.
+	key := func(id int) (int64, bool, int64) {
+		if s := tab[id]; s.live {
+			return s.due, s.held, int64(id)
+		}
+		return NoEvent, false, int64(id)
+	}
+	var cal Calendar[int]
+	if cal.Stale() {
+		t.Fatal("a new calendar is stale")
+	}
+	cal.Invalidate()
+	rebuilt := 0
 	for now := int64(0); now < 4000; now++ {
 		var want []int
 		next := NoEvent
@@ -48,16 +53,19 @@ func TestCalendarMatchesScan(t *testing.T) {
 				next = s.due
 			}
 		}
-		if got := cal.NextDue(); got != next {
-			t.Fatalf("cycle %d: NextDue %d, the table's minimum is %d", now, got, next)
+		if !cal.Stale() {
+			// Until the Visit after an Invalidate the calendar describes
+			// the sessions as they were.
+			if got := cal.NextDue(); got != next {
+				t.Fatalf("cycle %d: NextDue %d, the table's minimum is %d", now, got, next)
+			}
+		} else {
+			rebuilt++
 		}
 		var got []int
-		for _, e := range cal.Take(now) {
-			got = append(got, e.Item)
-			s := &tab[e.Item]
-			if s.due != e.Due || int64(e.Item) != e.ID {
-				t.Fatalf("cycle %d: entry %+v filed for session %d due %d", now, e, e.Item, s.due)
-			}
+		cal.Visit(now, all, key, func(id int) {
+			got = append(got, id)
+			s := &tab[id]
 			// What an injector decides after looking at a session: a new
 			// forecast if it was due, whether flits still queue, and once
 			// in a while that it is gone.
@@ -73,20 +81,24 @@ func TestCalendarMatchesScan(t *testing.T) {
 			} else {
 				s.held = rng.Intn(5) == 0
 			}
-			file(e.Item)
+		})
+		if cal.Stale() {
+			t.Fatalf("cycle %d: still stale after a Visit", now)
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("cycle %d: Take handed out %v, the scan says %v", now, got, want)
+			t.Fatalf("cycle %d: Visit handed out %v, the scan says %v", now, got, want)
 		}
 		if cal.Holding() != slices.ContainsFunc(tab, func(s sess) bool { return s.live && s.held }) {
 			t.Fatalf("cycle %d: Holding() = %v disagrees with the table", now, cal.Holding())
 		}
 		if rng.Intn(200) == 0 {
 			// The control plane changed the session list under the
-			// calendar: a session opens, everything is filed afresh.
-			id := rng.Intn(n)
-			tab[id] = sess{due: now + 1, live: true}
-			refile()
+			// calendar: a session opens, everything is to be filed afresh.
+			tab[rng.Intn(n)] = sess{due: now + 1, live: true}
+			cal.Invalidate()
 		}
+	}
+	if rebuilt < 5 {
+		t.Fatalf("only %d rebuilds: the stale path went unexercised", rebuilt)
 	}
 }
