@@ -1,11 +1,12 @@
 package flit
 
 // Pool is a free list of flits (and the packets head flits carry) for one
-// router's flit cycle. The steady-state loop churns through one flit per
-// injected and one per departed flit every cycle; recycling them keeps the
-// hot path allocation-free after warmup. The pool is deliberately NOT
-// concurrency-safe: each router owns its own pool, so parallel simulations
-// (exp.RunGrid cells) never contend on a shared free list.
+// simulation's flit cycle. The steady-state loop churns through one flit
+// per injected and one per departed flit every cycle; recycling them keeps
+// the hot path allocation-free after warmup. The pool is deliberately NOT
+// concurrency-safe: each simulation — a router, a fabric — owns one pool
+// and steps serially, so parallel simulations (exp.RunGrid cells) never
+// contend on a shared free list.
 //
 // Ownership rules (see docs/performance.md):
 //
@@ -92,46 +93,3 @@ func (p *Pool) Puts() int64 { return p.puts }
 
 // FreeLen returns the flits currently parked on the free list.
 func (p *Pool) FreeLen() int { return len(p.flits) }
-
-// FreePackets returns the packets currently parked on the free list.
-func (p *Pool) FreePackets() int { return len(p.packets) }
-
-// MoveFreeFlits transfers up to k parked flits to dst's free list and
-// reports how many moved. The gets/puts counters of both pools are left
-// untouched: the flits were retired and stay retired, they merely change
-// home. Used by multi-pool simulations (one pool per router, flits minted
-// at sources and retired at destinations) to rebalance free lists so
-// source-heavy pools stop allocating.
-func (p *Pool) MoveFreeFlits(dst *Pool, k int) int {
-	if k > len(p.flits) {
-		k = len(p.flits)
-	}
-	if k <= 0 {
-		return 0
-	}
-	cut := len(p.flits) - k
-	dst.flits = append(dst.flits, p.flits[cut:]...)
-	for i := cut; i < len(p.flits); i++ {
-		p.flits[i] = nil
-	}
-	p.flits = p.flits[:cut]
-	return k
-}
-
-// MoveFreePackets transfers up to k parked packets to dst's free list,
-// mirroring MoveFreeFlits.
-func (p *Pool) MoveFreePackets(dst *Pool, k int) int {
-	if k > len(p.packets) {
-		k = len(p.packets)
-	}
-	if k <= 0 {
-		return 0
-	}
-	cut := len(p.packets) - k
-	dst.packets = append(dst.packets, p.packets[cut:]...)
-	for i := cut; i < len(p.packets); i++ {
-		p.packets[i] = nil
-	}
-	p.packets = p.packets[:cut]
-	return k
-}

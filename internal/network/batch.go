@@ -133,7 +133,7 @@ func (n *Network) buildBorders(pre *precheckTables) {
 				continue
 			}
 			if pr := tp.Region(peer); pr != r {
-				h := int64(nd.alloc[p].Headroom())
+				h := int64(nd.Alloc[p].Headroom())
 				pre.outBorder[r] += h
 				pre.inBorder[pr] += h
 			}
@@ -152,13 +152,13 @@ func (n *Network) buildBorders(pre *precheckTables) {
 func (n *Network) precheck(pre *precheckTables, req OpenReq, d demand) error {
 	hp := n.cfg.hostPort()
 	if pre.freeVCs[req.Src] < 0 {
-		pre.freeVCs[req.Src] = int32(n.nodes[req.Src].mems[hp].FreeVCs())
+		pre.freeVCs[req.Src] = int32(n.nodes[req.Src].Mems[hp].FreeVCs())
 	}
 	if pre.freeVCs[req.Src] == 0 {
 		return &precheckError{kind: precheckNoEntryVC, node: req.Src}
 	}
 	if pre.ejHead[req.Dst] < 0 {
-		pre.ejHead[req.Dst] = int32(n.nodes[req.Dst].alloc[hp].Headroom())
+		pre.ejHead[req.Dst] = int32(n.nodes[req.Dst].Alloc[hp].Headroom())
 	}
 	if d.alloc > int(pre.ejHead[req.Dst]) {
 		return &precheckError{kind: precheckNoEjection, node: req.Dst, rate: req.Spec.Rate}

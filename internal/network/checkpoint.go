@@ -124,29 +124,23 @@ func (n *Network) quiesce() error {
 		return nil
 	}
 	t := n.now - 1
-	round := t / int64(n.cfg.K*n.cfg.VCs)
 	for _, nd := range n.nodes {
-		if nd.lastRound != round {
-			nd.lastRound = round
-			for _, ls := range nd.links {
-				ls.OnRoundBoundary()
-			}
-		}
+		nd.BeginCycle(t)
 	}
 	for _, c := range n.conns {
 		if !c.injecting() {
 			continue
 		}
-		if k := traffic.AdvanceSource(c.src, c.lastTick, t); k != 0 {
-			return fmt.Errorf("network: connection %d was due %d flits during elided cycles %d-%d", c.ID, k, c.lastTick+1, t)
+		if k := traffic.AdvanceSource(c.ni.Source, c.ni.LastTick, t); k != 0 {
+			return fmt.Errorf("network: connection %d was due %d flits during elided cycles %d-%d", c.ID, k, c.ni.LastTick+1, t)
 		}
-		c.lastTick = t
+		c.ni.LastTick = t
 	}
 	for i, bf := range n.beFlows {
-		if k := traffic.AdvanceSource(bf.gen, bf.lastTick, t); k != 0 {
-			return fmt.Errorf("network: best-effort flow %d was due %d packets during elided cycles %d-%d", i, k, bf.lastTick+1, t)
+		if k := traffic.AdvanceSource(bf.ni.Source, bf.ni.LastTick, t); k != 0 {
+			return fmt.Errorf("network: best-effort flow %d was due %d packets during elided cycles %d-%d", i, k, bf.ni.LastTick+1, t)
 		}
-		bf.lastTick = t
+		bf.ni.LastTick = t
 	}
 	return nil
 }
@@ -246,7 +240,7 @@ func (n *Network) ConfigHash() uint64 {
 			mix(0)
 		}
 	}
-	mixBool(cfg.EnforceAllocations)
+	mix(1) // per-round allocation enforcement, a knob until format v4 was frozen; always on
 	mix(cfg.Seed)
 	mixBool(cfg.Fault.Restore)
 	mix(uint64(cfg.Fault.MaxRetries))

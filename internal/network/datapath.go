@@ -21,23 +21,25 @@ import (
 // pass and read in a later one — through a single-writer staging lane
 // (lanes.go), or directly where the reader's pass is over.
 //
-//	deliver   (receiver-driven) round boundary; drain inbound credit
-//	          lanes into the local shadow; drain inbound flit lanes into
-//	          the local VCMs, applying link impairments with the
-//	          receiver's RNG stream. An impairment drop releases the dead
-//	          packet's VC (node-local), and the credit it synthesizes is
-//	          staged node-locally: its lane is being drained in this pass.
+//	deliver   (receiver-driven) round boundary (Core.BeginCycle); drain
+//	          inbound credit lanes into the local shadow; drain inbound
+//	          flit lanes into the local VCMs (Core.Enqueue), applying link
+//	          impairments with the receiver's RNG stream. An impairment
+//	          drop releases the dead packet's VC (node-local), and the
+//	          credit it synthesizes is staged node-locally: its lane is
+//	          being drained in this pass.
 //	schedule  route buffered best-effort packets (cross-node *reads* of
 //	          neighbor free-VC counts only); link scheduling and switch
-//	          arbitration over local state; resolve each grant to a
-//	          target VC — a packet picks a free VC at the next router by
-//	          reading that router's memory. Nothing mutates a VC
-//	          reservation in this pass, so the pick stays valid.
+//	          arbitration over local state (Core.Nominate, Core.Arbitrate);
+//	          resolve each grant to a target VC — a packet picks a free VC
+//	          at the next router by reading that router's memory. Nothing
+//	          mutates a VC reservation in this pass, so the pick stays
+//	          valid.
 //	commit    (sender-driven) flush staged drop credits; execute grants —
-//	          pop, return credits onto own lanes, append flits to own
-//	          pipes, eject into the local stats shard, and reserve the VC
-//	          a forwarded packet picked at the next router; inject from
-//	          sources homed here. The one cross-node write is that
+//	          pop (Core.Pop), return credits onto own lanes, append flits
+//	          to own pipes, eject into the local stats shard, and reserve
+//	          the VC a forwarded packet picked at the next router; inject
+//	          from sources homed here. The one cross-node write is that
 //	          reservation: the VC was free at schedule, commit passes only
 //	          *free* other VCs of that memory, and the memory's input port
 //	          has this node as its only wired upstream, so nothing else
@@ -70,21 +72,9 @@ type beFlow struct {
 	// connection retires its flow by this conn ID — without it, every
 	// degraded session would leak its fallback generator and a
 	// long-lived fabric would drown in fallback traffic.
-	conn    flit.ConnID
-	gen     traffic.Source
-	niQueue flit.Ring
-
-	// Activity gating: last cycle the generator was ticked, and the
-	// forecast cycle of its next arrival (see injectPackets).
-	lastTick int64
-	nextDue  int64
+	conn flit.ConnID
+	ni   traffic.Injector // generator and interface queue at the src host
 }
-
-// idleForecastHorizon bounds how far ahead a source forecast looks. A
-// forecast returning the horizon means "nothing before then; re-forecast
-// there", so the constant trades forecast loop length against wake-up
-// frequency for very-low-rate sources; it never affects results.
-const idleForecastHorizon = 4096
 
 // AddBestEffortFlow injects Poisson best-effort packets (one flit each,
 // §3.4) from the host at src to the host at dst at the given mean rate in
@@ -95,7 +85,8 @@ func (n *Network) AddBestEffortFlow(src, dst int, packetsPerCycle float64) (Flow
 	if src < 0 || src >= len(n.nodes) || dst < 0 || dst >= len(n.nodes) || src == dst {
 		return 0, errBadEndpoints(src, dst)
 	}
-	bf := &beFlow{src: src, dst: dst, conn: flit.InvalidConn, gen: traffic.NewBestEffortSource(n.nodes[src].rng, packetsPerCycle)}
+	bf := &beFlow{src: src, dst: dst, conn: flit.InvalidConn}
+	bf.ni.Source = traffic.NewBestEffortSource(n.nodes[src].rng, packetsPerCycle)
 	n.addBEFlow(bf)
 	return bf.id, nil
 }
@@ -106,8 +97,7 @@ func (n *Network) AddBestEffortFlow(src, dst int, packetsPerCycle float64) (Flow
 func (n *Network) addBEFlow(bf *beFlow) {
 	n.nextFlowID++
 	bf.id = n.nextFlowID
-	bf.lastTick = n.now - 1
-	bf.nextDue = n.now
+	bf.ni.Start(n.now)
 	n.beFlows = append(n.beFlows, bf)
 	n.nodes[bf.src].beSrc = append(n.nodes[bf.src].beSrc, bf)
 	n.touch(bf.src)
@@ -153,11 +143,10 @@ func (n *Network) Run(cycles int64) {
 	}
 }
 
-// cycle is the one cycle body behind Step and Run: session events, pool
-// rebalance, active set, the three passes, the wake-table settle, the
-// clock. When gating finds the active set empty and skipTo lies ahead,
-// the cycle is elided instead: the clock jumps to the next wake-up at or
-// before skipTo.
+// cycle is the one cycle body behind Step and Run: session events, active
+// set, the three passes, the wake-table settle, the clock. When gating
+// finds the active set empty and skipTo lies ahead, the cycle is elided
+// instead: the clock jumps to the next wake-up at or before skipTo.
 func (n *Network) cycle(skipTo int64) {
 	t := n.now
 
@@ -165,26 +154,11 @@ func (n *Network) cycle(skipTo int64) {
 	// teardowns, fault transitions) fire first.
 	n.events.Run(simTime(t))
 
-	// Flits are minted from the source node's pool and retired into the
-	// destination node's, so free lists drift toward the sinks; level them
-	// periodically so source-heavy pools stop hitting the allocator.
-	if t%poolRebalanceInterval == 0 {
-		n.rebalancePools()
-	}
-
 	list := n.nodes
 	if !n.cfg.NoIdleSkip {
 		n.buildActive(t)
 		if len(n.active) == 0 && skipTo > t {
 			next := n.nextWake(t, skipTo)
-			// If a pool-rebalance boundary falls inside the skipped
-			// stretch, level once now: the free lists cannot change again
-			// while everything is idle, so one catch-up pass reproduces
-			// every boundary the stretch covers. (The wake cycle itself is
-			// handled by the check above when it runs.)
-			if m := (t/poolRebalanceInterval + 1) * poolRebalanceInterval; m < next {
-				n.rebalancePools()
-			}
 			n.m.cycles += next - t
 			n.idleSkipped += next - t
 			n.now = next
@@ -243,19 +217,7 @@ func (n *Network) ResetStats() {
 // VCMs, its stats shard); peers' lanes are advanced via the head index,
 // which the owner only touches in its commit phase.
 func (n *Network) phaseDeliver(nd *node, t int64) {
-	// Round boundary (§4.1): per-round bandwidth accounting resets. Lazy:
-	// instead of firing on the exact modulo cycle, each node records the
-	// last round it reset for and catches up when it next runs. Equivalent
-	// to the eager reset because Serviced and the excess election are
-	// frozen — and unread — while a node is idle, the catch-up reset runs
-	// before any scheduling this cycle, and resetting once covers any
-	// number of skipped boundaries (the reset is idempotent).
-	if round := t / int64(n.cfg.K*n.cfg.VCs); nd.lastRound != round {
-		nd.lastRound = round
-		for _, ls := range nd.links {
-			ls.OnRoundBoundary()
-		}
-	}
+	nd.BeginCycle(t)
 
 	// inboundAt: the earliest entry this pass leaves behind unmatured, for
 	// the node's settle (wake.go). Entries pushed later this cycle are the
@@ -271,7 +233,7 @@ func (n *Network) phaseDeliver(nd *node, t int64) {
 		for cl.head < len(cl.buf) && cl.buf[cl.head].arriveAt <= t {
 			to := cl.buf[cl.head].to
 			cl.head++
-			nd.shadow[to.port].Return(int(to.vc))
+			nd.Credits[to.port].Return(int(to.vc))
 		}
 		cl.compact()
 		if cl.nextAt < inboundAt {
@@ -289,7 +251,6 @@ func (n *Network) phaseDeliver(nd *node, t int64) {
 			continue
 		}
 		im, impaired := n.impair[[2]int{int(e.peer), int(e.peerPort)}]
-		mem := nd.mems[q]
 		for fl.head < len(fl.buf) && fl.buf[fl.head].arriveAt <= t {
 			lf := fl.buf[fl.head]
 			fl.head++
@@ -298,14 +259,14 @@ func (n *Network) phaseDeliver(nd *node, t int64) {
 				nd.rec.Record(metrics.Event{Cycle: t, Code: evFlitDropped,
 					Node: int16(nd.id), A: int32(q), B: int32(lf.vc), Aux: int64(lf.f.Conn)})
 				if lf.f.Class == flit.ClassBestEffort || lf.f.Class == flit.ClassControl {
-					mem.Release(lf.vc)
+					nd.Mems[q].Release(lf.vc)
 					nd.upstream[q][lf.vc] = noUpstream
 				} else if up := nd.upstream[q][lf.vc]; up.node >= 0 {
 					nd.dropCredits = append(nd.dropCredits, stagedCredit{
 						port: q, cm: creditMsg{arriveAt: t + n.cfg.LinkDelay, to: up},
 					})
 				}
-				nd.pool.Put(lf.f)
+				n.pool.Put(lf.f)
 				continue
 			}
 			if impaired && im.CorruptProb > 0 && nd.rng.Float64() < im.CorruptProb {
@@ -313,11 +274,7 @@ func (n *Network) phaseDeliver(nd *node, t int64) {
 				nd.rec.Record(metrics.Event{Cycle: t, Code: evFlitCorrupted,
 					Node: int16(nd.id), A: int32(q), B: int32(lf.vc), Aux: int64(lf.f.Conn)})
 			}
-			lf.f.ReadyAt = t
-			if mem.Len(lf.vc) == 0 {
-				lf.f.HeadAt = t
-			}
-			if !mem.Push(lf.vc, lf.f) {
+			if !nd.Enqueue(q, lf.vc, lf.f, t) {
 				panic("network: flow control violation — downstream VC full")
 			}
 		}
@@ -336,45 +293,17 @@ func (n *Network) phaseDeliver(nd *node, t int64) {
 // does not depend on which of the two ran first.
 func (n *Network) phaseSchedule(nd *node, t int64) {
 	n.routePackets(nd)
-	// Per-port skip: a port with zero buffered flits cannot nominate —
-	// Candidates on an empty memory is provably a pure no-op (empty
-	// eligible set, zero CreditStalled, early return before the excess
-	// election's RNG-free tie-break), so skipping the scan changes nothing
-	// but the time it takes. sched.TestLinkCountersGatingEquivalence pins
-	// this down at the scheduler level.
-	skipIdlePorts := !n.cfg.NoIdleSkip
-	total := 0
-	for p := range nd.links {
-		if skipIdlePorts && !nd.links[p].Active() {
-			nd.cands[p] = nd.cands[p][:0]
-			continue
-		}
-		nd.cands[p] = nd.links[p].Candidates(t, nd.cands[p][:0])
-		total += len(nd.cands[p])
-	}
-	if skipIdlePorts && total == 0 {
-		// Zero candidates anywhere: the arbiter would deterministically
-		// produce an all-NoGrant matching without drawing RNG (the network
-		// engine always uses the RNG-free priority arbiter), so write that
-		// result directly and skip the iteration machinery. Common when a
-		// node is active only for inbound lane traffic or source injection.
-		for in := range nd.grants {
-			nd.grants[in] = sched.NoGrant
-			nd.grantVC[in] = grantSkip
-		}
-		return
-	}
-	nd.arb.Schedule(nd.cands, nd.grants)
+	nd.Nominate(t)
+	nd.Arbitrate()
 
 	hp := n.cfg.hostPort()
-	for in := range nd.grants {
+	for in, g := range nd.Grants {
 		nd.grantVC[in] = grantSkip
-		g := nd.grants[in]
 		if g == sched.NoGrant {
 			continue
 		}
-		cand := nd.cands[in][g]
-		mem := nd.mems[in]
+		cand := nd.Cands[in][g]
+		mem := nd.Mems[in]
 		head := mem.Peek(cand.VC)
 		if head == nil {
 			panic("network: granted VC empty")
@@ -400,7 +329,7 @@ func (n *Network) phaseSchedule(nd *node, t int64) {
 			// it (commit phase).
 			nb := n.cfg.Topology.Neighbor(nd.id, cand.Output)
 			pp := n.cfg.Topology.PeerPort(nd.id, cand.Output)
-			targetVC := n.nodes[nb].mems[pp].FindFree(nd.rng.Intn(n.cfg.VCs))
+			targetVC := n.nodes[nb].Mems[pp].FindFree(nd.rng.Intn(n.cfg.VCs))
 			if targetVC < 0 {
 				nd.ms.Inc(n.nm.claimFailed)
 				continue
@@ -442,27 +371,20 @@ func (n *Network) phaseCommit(nd *node, t int64) {
 
 // executeGrants performs the transfers resolved in the schedule phase.
 func (n *Network) executeGrants(nd *node, t int64) {
-	for in := range nd.grants {
-		g := nd.grants[in]
+	for in, g := range nd.Grants {
 		if g == sched.NoGrant || nd.grantVC[in] == grantSkip {
 			continue
 		}
 		targetVC := nd.grantVC[in]
-		cand := nd.cands[in][g]
+		cand, f := nd.Pop(in, t)
 		nd.ms.Inc(n.nm.grantsByPort[cand.Output])
-		mem := nd.mems[in]
+		mem := nd.Mems[in]
 		class := mem.State(cand.VC).Class
 		isPacket := class == flit.ClassBestEffort || class == flit.ClassControl
 		if !isPacket && targetVC >= 0 {
-			if !nd.shadow[in].Consume(cand.VC) {
+			if !nd.Credits[in].Consume(cand.VC) {
 				panic("network: scheduler granted a VC without credits")
 			}
-		}
-
-		f := mem.Pop(cand.VC)
-		mem.IncServiced(cand.VC)
-		if next := mem.Peek(cand.VC); next != nil {
-			next.HeadAt = t
 		}
 		// Free the local slot: return a credit upstream (after the wire
 		// delay), unless a host interface feeds this VC directly.
@@ -487,7 +409,7 @@ func (n *Network) executeGrants(nd *node, t int64) {
 			// already released (single-flit packets).
 			rx := n.nodes[nd.outPeer[cand.Output]]
 			pp := n.cfg.Topology.WiredPeer(nd.id, cand.Output)
-			if !rx.mems[pp].Reserve(targetVC, vcm.VCState{
+			if !rx.Mems[pp].Reserve(targetVC, vcm.VCState{
 				Conn: flit.InvalidConn, Class: class, Output: -1,
 			}) {
 				panic("network: picked VC no longer free at commit")
@@ -505,8 +427,7 @@ func (n *Network) executeGrants(nd *node, t int64) {
 }
 
 // eject delivers a flit to the local host, records statistics in this
-// node's shard, and retires the flit to this node's pool (the pooling
-// ownership-transfer rule: whichever node retires a flit puts it).
+// node's shard, and retires the flit.
 func (n *Network) eject(nd *node, t int64, f *flit.Flit) {
 	delay := float64(t - f.CreatedAt)
 	nd.ms.Observe(n.nm.classDelay[f.Class], delay)
@@ -522,27 +443,25 @@ func (n *Network) eject(nd *node, t int64, f *flit.Flit) {
 		nd.stats.delivered++
 		nd.tstats.observe(c.tenantSlot, delay)
 	}
-	nd.pool.Put(f)
+	n.pool.Put(f)
 }
 
 // catchUpSource replays c's source through every cycle before the
-// current one. The ungated engine ticks a source on every cycle, while
-// the gated engine leaves it alone between its forecast events; anything
-// about to change how the source ticks (its rate) or reset lastTick must
-// first replay that gap as it was. A stopped session has no such gap: its
-// source is off in both engines, lastTick frozen where stopSource left
-// it, and the cycles since were never forecast silent.
+// current one (traffic.Injector.CatchUp): anything about to change how the
+// source ticks (its rate) or restart it must first replay the gap the
+// gated engine left it alone for. A stopped session has no such gap: its
+// source is off in both engines, its last tick frozen where stopSource
+// left it, and the cycles since were never forecast silent.
 func (n *Network) catchUpSource(c *Conn) {
-	if !c.injecting() {
-		return
+	if c.injecting() {
+		c.ni.CatchUp(n.now - 1)
 	}
-	traffic.ReplayGap(c.src, c.lastTick, n.now-1)
-	c.lastTick = n.now - 1
 }
 
 // stopSource ends c's injection, first replaying the cycles its source
-// slept through: what a stopped session records (lastTick, the source's
-// accumulator) must not depend on when its node last happened to run.
+// slept through: what a stopped session records (the last tick, the
+// source's accumulator) must not depend on when its node last happened to
+// run.
 func (n *Network) stopSource(c *Conn) {
 	if c.open {
 		n.catchUpSource(c)
@@ -553,18 +472,11 @@ func (n *Network) stopSource(c *Conn) {
 
 // injectStreams moves source flits into the entry VCs of the connections
 // whose source host sits on this node. Sources are bound to this node's
-// RNG stream, and flits come from this node's pool.
-//
-// Gating contract: a source must see every cycle (Tick is stateful, and
-// some draws consume RNG), but the gated engine visits a session only
-// when its source calendar says to — its forecast (c.nextDue) has come
-// due, or flits queue at its interface — in ascending connection ID, the
-// order the ungated engine's walk over srcConns gives the same sessions.
-// A due session first replays the cycles it was left alone for, then
-// ticks the live cycle; the forecast is only recomputed once it expires,
-// and after the tick, so the simulated per-cycle state it was derived
-// from matches the source exactly. A session that is only draining its
-// queue is not ticked: its gap stays whole for the forecast's memo.
+// RNG stream. The gated engine visits a session only when its source
+// calendar says to — its forecast has come due, or flits queue at its
+// interface (traffic.Injector has the protocol) — in ascending connection
+// ID, the order the ungated engine's walk over srcConns gives the same
+// sessions.
 func (n *Network) injectStreams(nd *node, t int64) {
 	if n.cfg.NoIdleSkip {
 		for _, c := range nd.srcConns {
@@ -576,7 +488,7 @@ func (n *Network) injectStreams(nd *node, t int64) {
 	}
 	// srcConns is ID-ascending.
 	nd.cal.Visit(t, nd.srcConns, (*Conn).calendarKey, func(c *Conn) {
-		n.injectStream(nd, c, t, c.nextDue <= t)
+		n.injectStream(nd, c, t, c.ni.NextDue <= t)
 	})
 }
 
@@ -584,33 +496,20 @@ func (n *Network) injectStreams(nd *node, t int64) {
 // if asked to, then drain the interface queue into the entry VC.
 func (n *Network) injectStream(nd *node, c *Conn, t int64, tick bool) {
 	if tick && c.injecting() {
-		traffic.ReplayGap(c.src, c.lastTick, t-1)
-		for k := c.src.Tick(t); k > 0; k-- {
-			f := nd.pool.Get()
+		for k := c.ni.Arrivals(t); k > 0; k-- {
+			f := n.pool.Get()
 			f.Conn, f.Class, f.Type = c.ID, c.Spec.Class, flit.TypeBody
 			f.Seq, f.CreatedAt = c.nextSeq, t
 			f.Src, f.Dst = int32(c.Src), int32(c.Dst)
 			c.nextSeq++
-			c.niQueue.Push(f)
+			c.ni.Queue.Push(f)
 			nd.stats.generated++
 		}
-		c.lastTick = t
-		// Maintained even with gating off: the forecast is part of the
-		// durable fabric state a checkpoint carries, and it must not
-		// depend on the execution strategy that happened to produce it.
-		if c.nextDue <= t {
-			c.nextDue = traffic.ForecastSource(c.src, t, t+idleForecastHorizon)
-		}
 	}
-	mem := nd.mems[n.cfg.hostPort()]
-	entry := c.VCs[0]
-	for c.niQueue.Len() > 0 && mem.Free(entry.VC) > 0 {
-		f := c.niQueue.Pop()
-		f.ReadyAt = t
-		if mem.Len(entry.VC) == 0 {
-			f.HeadAt = t
-		}
-		mem.Push(entry.VC, f)
+	hp, entry := n.cfg.hostPort(), c.VCs[0].VC
+	mem := nd.Mems[hp]
+	for c.ni.Queue.Len() > 0 && mem.Free(entry) > 0 {
+		nd.Enqueue(hp, entry, c.ni.Queue.Pop(), t)
 	}
 }
 
@@ -619,101 +518,32 @@ func (n *Network) injectStream(nd *node, c *Conn, t int64, tick bool) {
 func (n *Network) injectPackets(nd *node, t int64) {
 	hp := n.cfg.hostPort()
 	for _, bf := range nd.beSrc {
-		// Same contract as injectStreams: the gated engine ticks a flow
-		// only once its forecast has come due.
-		if n.cfg.NoIdleSkip || bf.nextDue <= t {
-			traffic.ReplayGap(bf.gen, bf.lastTick, t-1)
-			for k := bf.gen.Tick(t); k > 0; k-- {
+		// As in injectStreams, the gated engine ticks a flow only once its
+		// forecast has come due.
+		if n.cfg.NoIdleSkip || bf.ni.NextDue <= t {
+			for k := bf.ni.Arrivals(t); k > 0; k-- {
 				nd.pktSeq++
 				// Node-unique sequence: local counter tagged with the node id.
 				seq := nd.pktSeq<<20 | int64(nd.id)
-				f := nd.pool.Get()
+				f := n.pool.Get()
 				f.Conn, f.Class, f.Type = flit.InvalidConn, flit.ClassBestEffort, flit.TypeHead
 				f.Seq, f.CreatedAt = seq, t
 				f.Src, f.Dst = int32(bf.src), int32(bf.dst)
-				pk := nd.pool.GetPacket()
+				pk := n.pool.GetPacket()
 				pk.ID, pk.Kind, pk.Size, pk.CreatedAt = seq, flit.PacketBestEffort, 1, t
 				f.Packet = pk
-				bf.niQueue.Push(f)
+				bf.ni.Queue.Push(f)
 				nd.stats.beGenerated++
 			}
-			bf.lastTick = t
-			// Unconditional for the same reason as the stream forecast
-			// above: checkpointed state must be execution-strategy
-			// independent.
-			if bf.nextDue <= t {
-				bf.nextDue = traffic.ForecastSource(bf.gen, t, t+idleForecastHorizon)
-			}
 		}
-		mem := nd.mems[hp]
-		for bf.niQueue.Len() > 0 {
+		mem := nd.Mems[hp]
+		for bf.ni.Queue.Len() > 0 {
 			vc := mem.FindFree(nd.rng.Intn(n.cfg.VCs))
 			if vc < 0 {
 				break // all queued packets need the same resource
 			}
-			f := bf.niQueue.Pop()
 			mem.Reserve(vc, vcm.VCState{Conn: flit.InvalidConn, Class: flit.ClassBestEffort, Output: -1})
-			f.ReadyAt = t
-			f.HeadAt = t
-			mem.Push(vc, f)
-		}
-	}
-}
-
-// poolRebalanceInterval is how often (in cycles) free flits are leveled
-// across the per-node pools. Short enough that a source-heavy node's
-// share covers its outflow between rebalances once the free population
-// has grown to match the workload; long enough that the O(nodes) scan is
-// noise.
-const poolRebalanceInterval = 128
-
-// rebalancePools levels the per-node free lists: every pool ends within
-// one flit (and one packet) of the mean, donors and receivers visited in
-// ascending node order.
-func (n *Network) rebalancePools() {
-	if len(n.nodes) < 2 {
-		return
-	}
-	var totalF, totalP int
-	for _, nd := range n.nodes {
-		totalF += nd.pool.FreeLen()
-		totalP += nd.pool.FreePackets()
-	}
-	meanF := totalF / len(n.nodes)
-	meanP := totalP / len(n.nodes)
-
-	di := 0 // donor cursor: donors are consumed in ascending order
-	for _, rd := range n.nodes {
-		need := meanF - rd.pool.FreeLen()
-		for need > 0 && di < len(n.nodes) {
-			donor := n.nodes[di]
-			surplus := donor.pool.FreeLen() - meanF
-			if donor == rd || surplus <= 0 {
-				di++
-				continue
-			}
-			k := surplus
-			if k > need {
-				k = need
-			}
-			need -= donor.pool.MoveFreeFlits(rd.pool, k)
-		}
-	}
-	di = 0
-	for _, rd := range n.nodes {
-		need := meanP - rd.pool.FreePackets()
-		for need > 0 && di < len(n.nodes) {
-			donor := n.nodes[di]
-			surplus := donor.pool.FreePackets() - meanP
-			if donor == rd || surplus <= 0 {
-				di++
-				continue
-			}
-			k := surplus
-			if k > need {
-				k = need
-			}
-			need -= donor.pool.MoveFreePackets(rd.pool, k)
+			nd.Enqueue(hp, vc, bf.ni.Queue.Pop(), t)
 		}
 	}
 }
@@ -740,8 +570,7 @@ func (n *Network) routePackets(nd *node) {
 		nd.reroute = false
 	}
 	blocked := 0
-	for p := range nd.mems {
-		mem := nd.mems[p]
+	for p, mem := range nd.Mems {
 		avail := mem.FlitsAvailable()
 		for vc := avail.NextSet(0); vc >= 0; vc = avail.NextSet(vc + 1) {
 			st := mem.State(vc)
@@ -765,7 +594,7 @@ func (n *Network) routePackets(nd *node) {
 			nd.scratchPorts = n.ud.NextPorts(nd.id, dst, wentDown, nd.scratchPorts[:0])
 			for _, q := range nd.scratchPorts {
 				nb := n.cfg.Topology.Neighbor(nd.id, q)
-				if n.nodes[nb].mems[n.cfg.Topology.PeerPort(nd.id, q)].FreeVCs() > 0 {
+				if n.nodes[nb].Mems[n.cfg.Topology.PeerPort(nd.id, q)].FreeVCs() > 0 {
 					st.Output = q
 					break
 				}

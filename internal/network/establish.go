@@ -230,7 +230,7 @@ func (n *Network) installPath(conn *Conn, l *holds) {
 	roundLen := n.cfg.K * n.cfg.VCs
 	interval := float64(roundLen) / float64(d.alloc)
 	install := func(nodeID, inPort, vc, outPort int) {
-		mem := n.nodes[nodeID].mems[inPort]
+		mem := n.nodes[nodeID].Mems[inPort]
 		mem.Release(vc) // the transient hold
 		mem.Reserve(vc, vcm.VCState{
 			Conn: conn.ID, Class: conn.Spec.Class,
@@ -264,28 +264,26 @@ func (n *Network) installPath(conn *Conn, l *holds) {
 	// Final router: eject to the host port.
 	install(cur, inPort, inVC, hp)
 
-	if conn.src == nil {
+	if conn.ni.Source == nil {
 		switch conn.Spec.Class {
 		case flit.ClassVBR:
 			// The VBR generator draws randomness at injection time, in
 			// the source node's commit phase: bind it to that node's RNG
 			// stream so the draw order is per-node and does not depend on
 			// which other nodes ran the cycle.
-			conn.src = traffic.NewVBRSource(n.nodes[conn.Src].rng, n.cfg.Link, conn.Spec.Rate, conn.Spec.PeakRate, traffic.DefaultGoP())
+			conn.ni.Source = traffic.NewVBRSource(n.nodes[conn.Src].rng, n.cfg.Link, conn.Spec.Rate, conn.Spec.PeakRate, traffic.DefaultGoP())
 		default:
 			// CBR draws only its phase, here on the control path.
-			conn.src = traffic.NewCBRSource(n.cfg.Link, conn.Spec.Rate, n.rng.Float64())
+			conn.ni.Source = traffic.NewCBRSource(n.cfg.Link, conn.Spec.Rate, n.rng.Float64())
 		}
 	}
 	conn.open = true
 	conn.closed = false
 	conn.broken = false
-	// Activity-gating bookkeeping: ticking (re)starts at the current
-	// cycle. Critically, this also resets lastTick after a fault
-	// restoration, so the broken period is not replayed into the source —
+	// Ticking (re)starts at the current cycle. Critically, after a fault
+	// restoration the broken period is not replayed into the source —
 	// matching the ungated engine, which never ticks a broken connection.
-	conn.lastTick = n.now - 1
-	conn.nextDue = n.now
+	conn.ni.Start(n.now)
 	n.touch(conn.Src)
 	l.settle()
 }
@@ -320,19 +318,19 @@ func (n *Network) Close(conn *Conn) error {
 	// reusing it cannot corrupt flow control) — before touching anything.
 	for i, ref := range conn.VCs {
 		x := n.nodes[conn.Nodes[i]]
-		if x.mems[ref.Port].Len(ref.VC) != 0 {
+		if x.Mems[ref.Port].Len(ref.VC) != 0 {
 			return fmt.Errorf("network: connection %d still has flits buffered at node %d (hop %d)", conn.ID, conn.Nodes[i], i)
 		}
-		if x.shadow[ref.Port].Available(ref.VC) != n.cfg.Depth {
+		if x.Credits[ref.Port].Available(ref.VC) != n.cfg.Depth {
 			return fmt.Errorf("network: connection %d has credits in flight at node %d (hop %d)", conn.ID, conn.Nodes[i], i)
 		}
 	}
-	if conn.niQueue.Len() != 0 {
-		return fmt.Errorf("network: connection %d still has %d flits at the source interface", conn.ID, conn.niQueue.Len())
+	if conn.ni.Queue.Len() != 0 {
+		return fmt.Errorf("network: connection %d still has %d flits at the source interface", conn.ID, conn.ni.Queue.Len())
 	}
 	n.stopSource(conn)
 	conn.closed = true
-	conn.src = nil
+	conn.ni.Source = nil
 	n.releasePath(conn)
 	n.dropSrcConn(conn)
 	n.m.closed++
@@ -352,7 +350,7 @@ func (n *Network) releasePath(conn *Conn) {
 	d := n.demandFor(conn.Spec)
 	for i, ref := range conn.VCs {
 		x := n.nodes[conn.Nodes[i]]
-		x.mems[ref.Port].Release(ref.VC)
+		x.Mems[ref.Port].Release(ref.VC)
 		n.vcFreed(x.id, ref.Port)
 		x.cmap.Unmap(routing.VCRef{Port: ref.Port, VC: ref.VC})
 		x.upstream[ref.Port][ref.VC] = noUpstream

@@ -195,10 +195,10 @@ func (n *Network) purgePipe(nodeID, port, peer, peerPort int) {
 		if lf.f.Class == flit.ClassBestEffort || lf.f.Class == flit.ClassControl {
 			// The packet dies here; free the input VC it had reserved at
 			// the receiver.
-			n.nodes[peer].mems[peerPort].Release(lf.vc)
+			n.nodes[peer].Mems[peerPort].Release(lf.vc)
 			n.nodes[peer].upstream[peerPort][lf.vc] = noUpstream
 		}
-		nd.pool.Put(lf.f)
+		n.pool.Put(lf.f)
 	}
 	nd.pipes[port].reset()
 	// Not needed for safety: emptying the lane can only leave the peer's
@@ -213,8 +213,8 @@ func (n *Network) purgePipe(nodeID, port, peer, peerPort int) {
 // over the surviving up*/down* tree.
 func (n *Network) clearStaleOutputs(nodeID, port int) {
 	nd := n.nodes[nodeID]
-	for p := range nd.mems {
-		mem := nd.mems[p]
+	for p := range nd.Mems {
+		mem := nd.Mems[p]
 		for vc := 0; vc < n.cfg.VCs; vc++ {
 			st := mem.State(vc)
 			if st.InUse && st.Class == flit.ClassBestEffort && st.Output == port {
@@ -234,7 +234,7 @@ func (n *Network) breakConn(c *Conn, reason string) {
 	if c.closed || c.broken || c.Degraded {
 		return
 	}
-	// Without this, installPath's lastTick reset at restoration would
+	// Without this, installPath's restart of the source at restoration would
 	// silently discard the cycles the source's node slept through.
 	n.catchUpSource(c)
 	c.broken = true
@@ -244,12 +244,10 @@ func (n *Network) breakConn(c *Conn, reason string) {
 	n.logEvent(SessionEvent{Kind: "conn-broken", Conn: c.ID, Node: c.Src, Port: -1, Detail: reason})
 	n.recordFlight(c.Src, evConnBroken, int32(c.Dst), -1, int64(c.ID))
 
-	// Source-interface queue: flits not yet in the fabric are dropped
-	// (back into the source node's pool, which minted them).
-	n.m.faultFlitsLost += int64(c.niQueue.Len())
-	srcPool := n.nodes[c.Src].pool
-	for c.niQueue.Len() > 0 {
-		srcPool.Put(c.niQueue.Pop())
+	// Source-interface queue: flits not yet in the fabric are dropped.
+	n.m.faultFlitsLost += int64(c.ni.Queue.Len())
+	for c.ni.Queue.Len() > 0 {
+		n.pool.Put(c.ni.Queue.Pop())
 	}
 
 	// In-flight flits of this connection on any pipe along its path.
@@ -258,7 +256,7 @@ func (n *Network) breakConn(c *Conn, reason string) {
 		nd.pipes[hop.Port].filter(func(lf linkFlit) bool {
 			if lf.f.Conn == c.ID {
 				n.m.faultFlitsLost++
-				nd.pool.Put(lf.f)
+				n.pool.Put(lf.f)
 				return false
 			}
 			return true
@@ -282,11 +280,11 @@ func (n *Network) breakConn(c *Conn, reason string) {
 	// a graceful close would.
 	for i, ref := range c.VCs {
 		x := n.nodes[c.Nodes[i]]
-		for x.mems[ref.Port].Len(ref.VC) > 0 {
-			x.pool.Put(x.mems[ref.Port].Pop(ref.VC))
+		for x.Mems[ref.Port].Len(ref.VC) > 0 {
+			n.pool.Put(x.Mems[ref.Port].Pop(ref.VC))
 			n.m.faultFlitsLost++
 		}
-		x.shadow[ref.Port].Reset(ref.VC)
+		x.Credits[ref.Port].Reset(ref.VC)
 		// Every router on the path lost buffered flits, staged lane
 		// entries or (the first) a source.
 		n.touch(c.Nodes[i])
@@ -329,10 +327,9 @@ func (n *Network) abandon(c *Conn) {
 		// budget: the session continues, but only as best-effort. The
 		// session count stays charged until the session closes or is lost.
 		n.tenants.ReleaseGuaranteed(c.Tenant, n.demandFor(c.Spec).alloc)
-		n.addBEFlow(&beFlow{
-			src: c.Src, dst: c.Dst, conn: c.ID,
-			gen: traffic.NewCBRSource(n.cfg.Link, c.Spec.Rate, 0),
-		})
+		bf := &beFlow{src: c.Src, dst: c.Dst, conn: c.ID}
+		bf.ni.Source = traffic.NewCBRSource(n.cfg.Link, c.Spec.Rate, 0)
+		n.addBEFlow(bf)
 		n.dropSrcConn(c)
 		n.logEvent(SessionEvent{Kind: "conn-degraded", Conn: c.ID, Node: c.Src, Port: -1,
 			Detail: "restoration failed; continuing best-effort"})

@@ -447,9 +447,9 @@ func TestDrainAndCloseUnderContention(t *testing.T) {
 	// flight, so a 1-cycle drain limit cannot possibly finish (the flit
 	// must still traverse hops, and its credits take another wire delay).
 	buffered := func(c *Conn) int {
-		total := c.niQueue.Len()
+		total := c.ni.Queue.Len()
 		for i, ref := range c.VCs {
-			total += n.nodes[c.Nodes[i]].mems[ref.Port].Len(ref.VC)
+			total += n.nodes[c.Nodes[i]].Mems[ref.Port].Len(ref.VC)
 		}
 		return total
 	}

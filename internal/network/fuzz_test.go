@@ -134,13 +134,13 @@ func FuzzNetworkChurn(f *testing.F) {
 func networkInvariants(n *Network) bool {
 	var buffered, inflight, queued int64
 	for _, nd := range n.nodes {
-		for p, mem := range nd.mems {
+		for p, mem := range nd.Mems {
 			occ := mem.Occupied()
 			if occ < 0 || occ > n.cfg.VCs*n.cfg.Depth {
 				return false
 			}
 			buffered += int64(occ)
-			if nd.alloc[p].Guaranteed() < 0 {
+			if nd.Alloc[p].Guaranteed() < 0 {
 				return false
 			}
 		}
@@ -149,10 +149,10 @@ func networkInvariants(n *Network) bool {
 		}
 	}
 	for _, c := range n.conns {
-		queued += int64(c.niQueue.Len())
+		queued += int64(c.ni.Queue.Len())
 	}
 	for _, bf := range n.beFlows {
-		queued += int64(bf.niQueue.Len())
+		queued += int64(bf.ni.Queue.Len())
 	}
 	var gen, del, lost int64
 	for _, nd := range n.nodes {

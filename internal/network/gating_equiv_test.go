@@ -149,8 +149,8 @@ func TestModifyBandwidthGatedSourceCatchUp(t *testing.T) {
 	if gated.idleSkipped == 0 {
 		t.Fatal("the gated fabric skipped no cycles: the source node never slept")
 	}
-	if gc.lastTick >= gated.Now()-1 {
-		t.Fatalf("source ticked through cycle %d at cycle %d: nothing was elided before the modify", gc.lastTick, gated.Now())
+	if gc.ni.LastTick >= gated.Now()-1 {
+		t.Fatalf("source ticked through cycle %d at cycle %d: nothing was elided before the modify", gc.ni.LastTick, gated.Now())
 	}
 	for _, m := range []struct {
 		n *Network
@@ -218,8 +218,8 @@ func TestCloseGatedSourceEncodeEqual(t *testing.T) {
 	gated.Run(3_000)
 	ungated.Run(3_000)
 	for _, c := range gc {
-		if c.lastTick >= gated.Now()-1 {
-			t.Fatalf("source of conn %d ticked through cycle %d at cycle %d: nothing was elided before the close", c.ID, c.lastTick, gated.Now())
+		if c.ni.LastTick >= gated.Now()-1 {
+			t.Fatalf("source of conn %d ticked through cycle %d at cycle %d: nothing was elided before the close", c.ID, c.ni.LastTick, gated.Now())
 		}
 	}
 	same := func(when string) {
@@ -306,10 +306,10 @@ func TestBreakStoppedSourceNoReplay(t *testing.T) {
 		if err := n.DrainAndClose(c, 0); err == nil {
 			t.Fatal("drain with no cycles closed a session with a flit in flight")
 		}
-		stopped := c.lastTick
+		stopped := c.ni.LastTick
 		n.Run(8 * period) // several arrivals' worth of silence
-		if c.lastTick != stopped || c.closed || c.src == nil {
-			t.Fatalf("stopped session moved: lastTick %d -> %d, closed %v", stopped, c.lastTick, c.closed)
+		if c.ni.LastTick != stopped || c.closed || c.ni.Source == nil {
+			t.Fatalf("stopped session moved: lastTick %d -> %d, closed %v", stopped, c.ni.LastTick, c.closed)
 		}
 		if err := n.FailLink(c.Path[0].Node, c.Path[0].Port); err != nil {
 			t.Fatal(err)

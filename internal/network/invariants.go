@@ -53,7 +53,7 @@ func (n *Network) CheckInvariants() error {
 				return fmt.Errorf("invariant: VC %v claimed by both conn %d and conn %d", k, other, c.ID)
 			}
 			claimed[k] = c.ID
-			st := n.nodes[c.Nodes[i]].mems[ref.Port].State(ref.VC)
+			st := n.nodes[c.Nodes[i]].Mems[ref.Port].State(ref.VC)
 			if !st.InUse || st.Conn != c.ID {
 				return fmt.Errorf("invariant: conn %d hop %d VC %v not reserved for it (inUse=%v conn=%d)",
 					c.ID, i, k, st.InUse, st.Conn)
@@ -86,7 +86,7 @@ func (n *Network) CheckInvariants() error {
 				return fmt.Errorf("invariant: conn %d hop %d returns credits to %+v, its route came from node %d VC %+v",
 					c.ID, i, ref, c.Nodes[i], up)
 			}
-			shadow := n.nodes[c.Nodes[i]].shadow[up.Port].Available(up.VC)
+			shadow := n.nodes[c.Nodes[i]].Credits[up.Port].Available(up.VC)
 			// Credits returning for this hop can only sit in the outbound
 			// credit lane of the downstream node (the unique emitter).
 			inflight := 0
@@ -95,7 +95,7 @@ func (n *Network) CheckInvariants() error {
 					inflight++
 				}
 			}
-			buffered := n.nodes[c.Nodes[i+1]].mems[down.Port].Len(down.VC)
+			buffered := n.nodes[c.Nodes[i+1]].Mems[down.Port].Len(down.VC)
 			onLink := 0
 			for _, lf := range n.nodes[c.Path[i].Node].pipes[c.Path[i].Port].pending() {
 				if lf.f.Conn == c.ID {
@@ -112,7 +112,7 @@ func (n *Network) CheckInvariants() error {
 	// Sweep every VC: claimed ones were verified above; anything else in
 	// use must be a packet in flight or a transient probe hold.
 	for _, nd := range n.nodes {
-		for p, mem := range nd.mems {
+		for p, mem := range nd.Mems {
 			for vc := 0; vc < n.cfg.VCs; vc++ {
 				st := mem.State(vc)
 				if !st.InUse {
@@ -139,7 +139,7 @@ func (n *Network) CheckInvariants() error {
 	// Bandwidth registers: exact when no probe is mid-search, otherwise
 	// the transient holds may only add.
 	for _, nd := range n.nodes {
-		for p, a := range nd.alloc {
+		for p, a := range nd.Alloc {
 			want := wantBW[outKey{nd.id, p}]
 			got := a.Guaranteed()
 			if got < want || (n.activeProbes == 0 && got != want) {

@@ -64,9 +64,9 @@ func (n *Network) ModifyBandwidth(c *Conn, rate traffic.Rate) error {
 	}
 	outs = append(outs, out{c.Dst, n.cfg.hostPort()})
 	for i, o := range outs {
-		if !n.nodes[o.node].alloc[o.port].AdjustCBR(delta) {
+		if !n.nodes[o.node].Alloc[o.port].AdjustCBR(delta) {
 			for _, u := range outs[:i] {
-				n.nodes[u.node].alloc[u.port].AdjustCBR(-delta)
+				n.nodes[u.node].Alloc[u.port].AdjustCBR(-delta)
 			}
 			n.tenants.AdjustGuaranteed(c.Tenant, -delta)
 			n.m.setupRejected++
@@ -78,12 +78,12 @@ func (n *Network) ModifyBandwidth(c *Conn, rate traffic.Rate) error {
 	roundLen := n.cfg.K * n.cfg.VCs
 	interval := float64(roundLen) / float64(dNew.alloc)
 	for i, ref := range c.VCs {
-		st := n.nodes[c.Nodes[i]].mems[ref.Port].State(ref.VC)
+		st := n.nodes[c.Nodes[i]].Mems[ref.Port].State(ref.VC)
 		st.Allocated = dNew.alloc
 		st.Peak = dNew.peak
 		st.InterArrival = interval
 	}
-	if src, ok := c.src.(*traffic.CBRSource); ok {
+	if src, ok := c.ni.Source.(*traffic.CBRSource); ok {
 		// The cycles a gated-out source node slept through ran at the old
 		// rate; replay them before the rate changes.
 		n.catchUpSource(c)
@@ -95,7 +95,7 @@ func (n *Network) ModifyBandwidth(c *Conn, rate traffic.Rate) error {
 	// the next cycle so it is recomputed. (Identical under every
 	// execution strategy: the gated and ungated paths both refresh a due
 	// forecast on the next injection pass.)
-	c.nextDue = n.now
+	c.ni.Start(n.now)
 	n.touch(c.Src)
 
 	n.logEvent(SessionEvent{Kind: "conn-modified", Conn: c.ID, Node: c.Src, Port: -1,

@@ -23,8 +23,8 @@ import (
 	"mmr/internal/bitvec"
 	"mmr/internal/faults"
 	"mmr/internal/flit"
-	"mmr/internal/flow"
 	"mmr/internal/metrics"
+	"mmr/internal/router"
 	"mmr/internal/routing"
 	"mmr/internal/sched"
 	"mmr/internal/sim"
@@ -62,9 +62,8 @@ type Config struct {
 	LinkDelay  int64
 	HopLatency int64
 
-	Concurrency        float64
-	EnforceAllocations bool
-	Seed               uint64
+	Concurrency float64
+	Seed        uint64
 
 	// NoIdleSkip disables activity gating: every node is stepped every
 	// cycle, every port is scanned, and Run never fast-forwards the clock
@@ -112,18 +111,17 @@ type FaultPolicy struct {
 // paper link geometry, 64 VCs per port, biased scheduling.
 func DefaultConfig(t *topology.Topology) Config {
 	return Config{
-		Topology:           t,
-		Link:               traffic.PaperLink,
-		VCs:                64,
-		Depth:              4,
-		K:                  2,
-		MaxCandidates:      8,
-		Scheme:             sched.Biased{},
-		LinkDelay:          1,
-		HopLatency:         4,
-		Concurrency:        2,
-		EnforceAllocations: true,
-		Seed:               1,
+		Topology:      t,
+		Link:          traffic.PaperLink,
+		VCs:           64,
+		Depth:         4,
+		K:             2,
+		MaxCandidates: 8,
+		Scheme:        sched.Biased{},
+		LinkDelay:     1,
+		HopLatency:    4,
+		Concurrency:   2,
+		Seed:          1,
 		Fault: FaultPolicy{
 			Restore:      true,
 			MaxRetries:   5,
@@ -201,24 +199,23 @@ type inEdge struct {
 	peerPort int32 // peer's output port (its lane slot within the segment)
 }
 
-// node is one router plus its host interface. Beyond the router state it
-// carries what makes its share of a cycle independent of the order nodes
-// are visited in: a deterministic RNG stream, a flit pool, a statistics
-// shard, outbound staging lanes and scratch buffers.
+// node is one router plus its host interface: the shared router.Core —
+// VC memories, link schedulers, bandwidth registers, switch scheduler —
+// and around it what a fabric adds: staging lanes to its wired peers,
+// upstream credit pointers, the channel mapping, the routing unit's
+// state, and what makes its share of a cycle independent of the order
+// nodes are visited in (a deterministic RNG stream, a statistics shard,
+// scratch buffers).
+//
+// Core.Credits[p] is the shadow credit view the link scheduler of input
+// port p ANDs with flits_available: one counter per local input VC,
+// mirroring the downstream buffer that VC's flits move into. Stream VCs
+// track the reserved next-hop VC; packet VCs stay full (their next-hop VC
+// is reserved per packet at transmit time, §3.4).
 type node struct {
-	id    int
-	mems  []*vcm.Memory // per input port
-	links []*sched.LinkScheduler
-	alloc []*admission.LinkAllocator // per output port
-	cmap  *routing.ChannelMap
-	arb   sched.SwitchScheduler
-
-	// shadow[p] is the credit view the link scheduler of input port p
-	// ANDs with flits_available: one bit per local input VC, mirroring
-	// the downstream buffer that VC's flits move into. Stream VCs track
-	// the reserved next-hop VC; packet VCs stay full (their next-hop VC
-	// is reserved per packet at transmit time, §3.4).
-	shadow []*flow.Credits
+	router.Core
+	id   int
+	cmap *routing.ChannelMap
 
 	// upstream[p][v] says where to return a credit when a flit pops from
 	// input port p, VC v.
@@ -248,17 +245,10 @@ type node struct {
 	// cycle: a VC index, grantEject, or grantSkip.
 	grantVC []int
 
-	cands  [][]sched.Candidate
-	grants []int
-
 	// Per-node state of the cycle: a decorrelated RNG stream (seeded
-	// from the master seed + node index), a private flit pool (flits are
-	// Get from the injecting node's pool and Put by whichever node
-	// retires them — ownership moves with the flit across lane commits),
-	// a statistics shard merged in ascending node order at snapshot, and
-	// routing scratch.
+	// from the master seed + node index), a statistics shard merged in
+	// ascending node order at snapshot, and routing scratch.
 	rng          *sim.RNG
-	pool         *flit.Pool
 	stats        dpStats
 	tstats       tenantNodeStats // per-tenant delivery shard (tenantstats.go)
 	scratchPorts []int
@@ -288,13 +278,6 @@ type node struct {
 	blocked   int
 	stuck     *bitvec.Vector
 	reroute   bool
-
-	// lastRound is the most recent round whose boundary reset this node
-	// applied. Round boundaries are applied lazily at the node's next
-	// wake-up (phaseDeliver), which is equivalent to the every-cycle
-	// modulo check because an idle node's Serviced counters and excess
-	// election are frozen and unread until it wakes.
-	lastRound int64
 }
 
 // Sentinels for node.grantVC.
@@ -321,21 +304,13 @@ type Conn struct {
 	Restores int  // successful re-establishments after faults
 	Degraded bool // downgraded to a best-effort flow after restoration failed
 
-	src      traffic.Source
-	niQueue  flit.Ring
+	ni       traffic.Injector // source and interface queue at the Src host
 	nextSeq  int64
 	open     bool  // injection enabled
 	closed   bool  // resources released
 	broken   bool  // torn down by a fault; restoration may be pending
 	lost     bool  // restoration exhausted and degradation disabled
 	brokenAt int64 // cycle of the most recent fault teardown
-
-	// Activity gating (see datapath.go): lastTick is the last cycle the
-	// source was ticked, so a wake-up after skipped cycles can replay the
-	// provably-silent gap Ticks in order; nextDue caches the source's
-	// forecast next event so idle cycles need no per-conn work at all.
-	lastTick int64
-	nextDue  int64
 
 	// dstSlot is this connection's index in the destination node's jitter
 	// tracker. Slots are per-destination (assigned in establishment order
@@ -376,6 +351,11 @@ type Network struct {
 	mp    *routing.Multipath
 	nodes []*node
 	now   int64
+
+	// pool is the fabric's one flit free list: a flit is minted from it at
+	// the source host and retired to it by whichever node ejects, drops or
+	// purges it.
+	pool *flit.Pool
 
 	conns   []*Conn
 	beFlows []*beFlow
@@ -445,12 +425,8 @@ type Network struct {
 	// in network-owned flat arrays indexed node*radix+port; each
 	// node's pipes/credOut fields are subslice views into its own segment,
 	// so phase code keeps its per-node slice form over contiguous memory.
-	// occ[id] aggregates the buffered-flit count across all of a node's
-	// ports, maintained incrementally by the VCMs (vcm.BindOccupancy),
-	// turning "any buffered flit?" into a single flat-array load.
 	laneFlits []flitLane
 	laneCreds []creditLane
-	occ       []int64
 
 	// The wake table (wake.go): per node, the earliest cycle it can have
 	// work. Derived state, written between cycles and by settle only.
@@ -503,6 +479,7 @@ func New(cfg Config) (*Network, error) {
 		rng:         sim.NewRNG(cfg.Seed),
 		dists:       routing.NewDists(cfg.Topology),
 		events:      sim.NewEngine(),
+		pool:        flit.NewPool(),
 		impair:      map[[2]int]faults.Impairment{},
 		durables:    map[uint64]*durableEvent{},
 		openRetries: map[int64]*openRetry{},
@@ -511,11 +488,21 @@ func New(cfg Config) (*Network, error) {
 	n.ud = routing.NewUpDown(cfg.Topology, n.dists)
 	n.mp = routing.NewMultipath(cfg.Topology, n.dists, n.ud)
 	radix := cfg.radix()
-	vcmCfg := vcm.Config{
-		VirtualChannels: cfg.VCs, Depth: cfg.Depth,
-		Banks: 8, PhitsPerFlit: cfg.Link.PhitsPerFlit(), PhitBufferDepth: 2 * cfg.Link.PhitsPerFlit(),
+	// A fabric node is the paper's router at the topology's radix plus a
+	// host port, under the MMR's own priority switch scheduler.
+	core := router.Config{
+		Ports: radix,
+		VCM: vcm.Config{
+			VirtualChannels: cfg.VCs, Depth: cfg.Depth,
+			Banks: 8, PhitsPerFlit: cfg.Link.PhitsPerFlit(), PhitBufferDepth: 2 * cfg.Link.PhitsPerFlit(),
+		},
+		K:             cfg.K,
+		MaxCandidates: cfg.MaxCandidates,
+		Scheme:        cfg.Scheme,
+		ArbiterIters:  cfg.ArbiterIters,
+		Concurrency:   cfg.Concurrency,
+		NoIdleSkip:    cfg.NoIdleSkip,
 	}
-	roundLen := cfg.K * cfg.VCs
 	nNodes := cfg.Topology.Nodes
 
 	// Flat SoA backings shared by every node (see the Network field docs).
@@ -525,63 +512,32 @@ func New(cfg Config) (*Network, error) {
 		n.laneFlits[i].nextAt = laneIdle
 		n.laneCreds[i].nextAt = laneIdle
 	}
-	n.occ = make([]int64, nNodes)
 
 	for id := 0; id < nNodes; id++ {
 		nd := &node{
 			id:        id,
 			cmap:      routing.NewChannelMap(radix, cfg.VCs),
 			rng:       sim.NewStreamRNG(cfg.Seed, uint64(id)),
-			pool:      flit.NewPool(),
-			lastRound: -1,
 			inboundAt: laneIdle,
 			stuck:     bitvec.New(radix * cfg.VCs),
+			grantVC:   make([]int, radix),
+		}
+		if err := nd.Core.Init(&core, nd.rng); err != nil {
+			return nil, err
 		}
 		nd.cal.Invalidate()
 		nd.stats.init()
-		// Per-node contiguous blocks: all ports' VC memories, link
-		// schedulers, shadow credit counters and upstream references for
-		// one node are single allocations, so the per-cycle port scans
-		// walk adjacent memory instead of chasing per-port heap objects.
-		memArr := make([]vcm.Memory, radix)
-		lsArr := make([]sched.LinkScheduler, radix)
-		credCounts := make([]int, radix*cfg.VCs)
+		// One block of upstream references for all of the node's ports.
 		ups := make([]upRef, radix*cfg.VCs)
 		for i := range ups {
 			ups[i] = noUpstream
 		}
 		for p := 0; p < radix; p++ {
-			if err := vcm.Init(&memArr[p], vcmCfg); err != nil {
-				return nil, err
-			}
-			memArr[p].BindOccupancy(&n.occ[id])
-			nd.mems = append(nd.mems, &memArr[p])
-			a, err := admission.NewLinkAllocator(roundLen, 0, cfg.Concurrency)
-			if err != nil {
-				return nil, err
-			}
-			nd.alloc = append(nd.alloc, a)
-			nd.shadow = append(nd.shadow, flow.NewCreditsBacked(cfg.Depth, credCounts[p*cfg.VCs:(p+1)*cfg.VCs:(p+1)*cfg.VCs]))
 			nd.upstream = append(nd.upstream, ups[p*cfg.VCs:(p+1)*cfg.VCs:(p+1)*cfg.VCs])
 		}
 		base := id * radix
 		nd.pipes = n.laneFlits[base : base+radix : base+radix]
 		nd.credOut = n.laneCreds[base : base+radix : base+radix]
-		nd.grantVC = make([]int, radix)
-		for p := 0; p < radix; p++ {
-			sched.InitLinkScheduler(&lsArr[p], sched.LinkConfig{
-				Input:         p,
-				MaxCandidates: cfg.MaxCandidates,
-				Outputs:       radix,
-				Scheme:        cfg.Scheme,
-				RNG:           nd.rng,
-				NoEnforce:     !cfg.EnforceAllocations,
-			}, nd.mems[p], nd.shadow[p])
-			nd.links = append(nd.links, &lsArr[p])
-		}
-		nd.arb = sched.NewPriorityArbiter(cfg.ArbiterIters)
-		nd.cands = make([][]sched.Candidate, radix)
-		nd.grants = make([]int, radix)
 		n.nodes = append(n.nodes, nd)
 	}
 
@@ -684,14 +640,13 @@ func (n *Network) insertSrcConn(c *Conn) {
 func (n *Network) Tenants() *admission.TenantTable { return n.tenants }
 
 // removeBEFlowAt unregisters beFlows[i]: queued NI packets return to the
-// source node's pool, and the flow leaves both the global registry and
-// its source node's injector list.
+// pool, and the flow leaves both the global registry and its source
+// node's injector list.
 func (n *Network) removeBEFlowAt(i int) {
 	bf := n.beFlows[i]
 	n.touch(bf.src)
-	pool := n.nodes[bf.src].pool
-	for bf.niQueue.Len() > 0 {
-		pool.Put(bf.niQueue.Pop())
+	for bf.ni.Queue.Len() > 0 {
+		n.pool.Put(bf.ni.Queue.Pop())
 	}
 	n.beFlows = append(n.beFlows[:i], n.beFlows[i+1:]...)
 	nd := n.nodes[bf.src]
@@ -713,7 +668,7 @@ func (n *Network) dropBEFlow(id flit.ConnID) bool {
 		if bf.conn != id {
 			continue
 		}
-		n.m.faultFlitsLost += int64(bf.niQueue.Len())
+		n.m.faultFlitsLost += int64(bf.ni.Queue.Len())
 		n.removeBEFlowAt(i)
 		return true
 	}
@@ -750,11 +705,11 @@ func (n *Network) Conns() []*Conn { return n.conns }
 // FreeVCsAt reports the unreserved virtual channels on a node's input
 // port — the resource a probe checks before advancing (§3.5).
 func (n *Network) FreeVCsAt(node, port int) int {
-	return n.nodes[node].mems[port].FreeVCs()
+	return n.nodes[node].Mems[port].FreeVCs()
 }
 
 // GuaranteedLoadAt reports the guaranteed-bandwidth fraction allocated on
 // a node's output port.
 func (n *Network) GuaranteedLoadAt(node, port int) float64 {
-	return n.nodes[node].alloc[port].GuaranteedLoad()
+	return n.nodes[node].Alloc[port].GuaranteedLoad()
 }

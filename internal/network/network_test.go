@@ -59,11 +59,11 @@ func TestOpenReservesPath(t *testing.T) {
 	}
 	// Bandwidth charged along the path and at the destination host port.
 	for _, hop := range conn.Path {
-		if n.nodes[hop.Node].alloc[hop.Port].Guaranteed() == 0 {
+		if n.nodes[hop.Node].Alloc[hop.Port].Guaranteed() == 0 {
 			t.Fatalf("no allocation at hop %+v", hop)
 		}
 	}
-	if n.nodes[8].alloc[n.cfg.hostPort()].Guaranteed() == 0 {
+	if n.nodes[8].Alloc[n.cfg.hostPort()].Guaranteed() == 0 {
 		t.Fatal("no ejection allocation at destination")
 	}
 }
@@ -142,7 +142,7 @@ func TestFlitConservationAcrossNetwork(t *testing.T) {
 	// generated = delivered + in NI queues + buffered in VCMs + on wires.
 	var buffered, queued, inflight int64
 	for _, nd := range n.nodes {
-		for _, mem := range nd.mems {
+		for _, mem := range nd.Mems {
 			buffered += int64(mem.Occupied())
 		}
 		for q := range nd.pipes {
@@ -150,7 +150,7 @@ func TestFlitConservationAcrossNetwork(t *testing.T) {
 		}
 	}
 	for _, c := range n.conns {
-		queued += int64(c.niQueue.Len())
+		queued += int64(c.ni.Queue.Len())
 	}
 	if st.FlitsGenerated != st.FlitsDelivered+buffered+queued+inflight {
 		t.Fatalf("conservation: gen=%d del=%d buf=%d q=%d wire=%d",
@@ -170,11 +170,11 @@ func TestCloseReleasesEverything(t *testing.T) {
 	}
 	// All VCs free again, all allocations zero.
 	for id, nd := range n.nodes {
-		for p, mem := range nd.mems {
+		for p, mem := range nd.Mems {
 			if mem.FreeVCs() != n.cfg.VCs {
 				t.Fatalf("node %d port %d leaked VCs", id, p)
 			}
-			if nd.alloc[p].Guaranteed() != 0 {
+			if nd.Alloc[p].Guaranteed() != 0 {
 				t.Fatalf("node %d port %d leaked bandwidth", id, p)
 			}
 		}
@@ -210,7 +210,7 @@ func TestBestEffortAcrossNetwork(t *testing.T) {
 	}
 	// All packet VCs released.
 	for id, nd := range n.nodes {
-		for p, mem := range nd.mems {
+		for p, mem := range nd.Mems {
 			if got := n.cfg.VCs - mem.FreeVCs(); got != int(0) {
 				if int64(got) > st.BEGenerated-st.BEDelivered {
 					t.Fatalf("node %d port %d holds %d VCs", id, p, got)
@@ -271,7 +271,7 @@ func TestVBRConnection(t *testing.T) {
 	}
 	ref := conn.VCs[1]
 	nd := n.nodes[n.cfg.Topology.Neighbor(conn.Path[0].Node, conn.Path[0].Port)]
-	vs := nd.mems[ref.Port].State(ref.VC)
+	vs := nd.Mems[ref.Port].State(ref.VC)
 	if vs.Peak <= vs.Allocated {
 		t.Fatal("VBR peak not installed along the path")
 	}

@@ -226,15 +226,15 @@ func (n *Network) collectMetrics() {
 		var nom, stall, exh, boost int64
 		var grants int64
 		for p := 0; p < radix; p++ {
-			lc := nd.links[p].Counters()
+			lc := nd.Links[p].Counters()
 			nom += lc.Nominated
 			stall += lc.CreditStalled
 			exh += lc.RoundExhausted
 			boost += lc.BiasBoosted
 
-			nd.ms.Set(nm.vcOccupied[p], float64(nd.mems[p].Occupied()))
-			nd.ms.Set(nm.vcReserved[p], float64(nd.mems[p].ReservedVector().Count()))
-			nd.ms.Set(nm.guaranteedLoad[p], nd.alloc[p].GuaranteedLoad())
+			nd.ms.Set(nm.vcOccupied[p], float64(nd.Mems[p].Occupied()))
+			nd.ms.Set(nm.vcReserved[p], float64(nd.Mems[p].ReservedVector().Count()))
+			nd.ms.Set(nm.guaranteedLoad[p], nd.Alloc[p].GuaranteedLoad())
 		}
 		nd.ms.Store(nm.schedNominated, nom)
 		nd.ms.Store(nm.schedStalled, stall)

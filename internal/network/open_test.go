@@ -39,7 +39,7 @@ type heldResources struct {
 func snapshotHeld(n *Network) heldResources {
 	var h heldResources
 	for node := range n.nodes {
-		for port := range n.nodes[node].mems {
+		for port := range n.nodes[node].Mems {
 			h.free = append(h.free, n.FreeVCsAt(node, port))
 			h.load = append(h.load, n.GuaranteedLoadAt(node, port))
 		}

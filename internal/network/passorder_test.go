@@ -19,9 +19,6 @@ import (
 func stepReversed(n *Network) {
 	t := n.now
 	n.events.Run(simTime(t))
-	if t%poolRebalanceInterval == 0 {
-		n.rebalancePools()
-	}
 	for i := len(n.nodes) - 1; i >= 0; i-- {
 		n.phaseDeliver(n.nodes[i], t)
 	}

@@ -44,16 +44,16 @@ func (n *Network) GuaranteedCyclesFor(spec traffic.ConnSpec) int {
 
 func (n *Network) admitOut(x *node, p int, spec traffic.ConnSpec, d demand) bool {
 	if spec.Class == flit.ClassVBR {
-		return x.alloc[p].AdmitVBR(d.alloc, d.peak)
+		return x.Alloc[p].AdmitVBR(d.alloc, d.peak)
 	}
-	return x.alloc[p].AdmitCBR(d.alloc)
+	return x.Alloc[p].AdmitCBR(d.alloc)
 }
 
 func (n *Network) releaseOut(x *node, p int, spec traffic.ConnSpec, d demand) {
 	if spec.Class == flit.ClassVBR {
-		x.alloc[p].ReleaseVBR(d.alloc, d.peak)
+		x.Alloc[p].ReleaseVBR(d.alloc, d.peak)
 	} else {
-		x.alloc[p].ReleaseCBR(d.alloc)
+		x.Alloc[p].ReleaseCBR(d.alloc)
 	}
 }
 
@@ -122,7 +122,7 @@ func (l *holds) transient() vcm.VCState {
 // enter takes the entry VC on the source router's host input port.
 func (l *holds) enter() error {
 	n := l.n
-	mem := n.nodes[l.req.Src].mems[n.cfg.hostPort()]
+	mem := n.nodes[l.req.Src].Mems[n.cfg.hostPort()]
 	vc := mem.FindFree(n.rng.Intn(n.cfg.VCs))
 	if vc < 0 {
 		return fmt.Errorf("network: no free VC on host port of node %d", l.req.Src)
@@ -144,7 +144,7 @@ func (l *holds) reserve(node, port int) bool {
 	if nb < 0 {
 		return false
 	}
-	mem := n.nodes[nb].mems[n.cfg.Topology.PeerPort(node, port)]
+	mem := n.nodes[nb].Mems[n.cfg.Topology.PeerPort(node, port)]
 	vc := mem.FindFree(n.rng.Intn(n.cfg.VCs))
 	if vc < 0 || !n.admitOut(n.nodes[node], port, l.req.Spec, l.d) {
 		return false
@@ -164,7 +164,7 @@ func (l *holds) release(node, port int) {
 	}
 	n, tp := l.n, l.n.cfg.Topology
 	n.releaseOut(n.nodes[node], port, l.req.Spec, l.d)
-	n.nodes[tp.Wired(node, port)].mems[tp.WiredPeer(node, port)].Release(l.hops[top].vc)
+	n.nodes[tp.Wired(node, port)].Mems[tp.WiredPeer(node, port)].Release(l.hops[top].vc)
 	n.vcFreed(tp.Wired(node, port), tp.WiredPeer(node, port))
 	l.hops = l.hops[:top]
 }
@@ -189,7 +189,7 @@ func (l *holds) unwind() {
 		l.release(l.hops[i].node, l.hops[i].port)
 	}
 	if l.entryVC >= 0 {
-		n.nodes[l.req.Src].mems[hp].Release(l.entryVC)
+		n.nodes[l.req.Src].Mems[hp].Release(l.entryVC)
 	}
 	l.settle()
 }

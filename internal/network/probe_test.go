@@ -74,7 +74,7 @@ func TestOpenAsyncFailureReleasesResources(t *testing.T) {
 		t.Fatal("probe should have failed on a VC-saturated link")
 	}
 	// Allocator state must reflect exactly the two live connections.
-	if got := n.nodes[0].alloc[0].Connections(); got != 2 {
+	if got := n.nodes[0].Alloc[0].Connections(); got != 2 {
 		t.Fatalf("allocator holds %d connections, want 2", got)
 	}
 	st := n.Stats()
@@ -112,7 +112,7 @@ func TestOpenAsyncBacktracksAndSucceeds(t *testing.T) {
 	n := meshNet(t, 3, 3)
 	// Saturate the input VCs of node 1's west port (fed by node 0 east).
 	pp := n.cfg.Topology.PeerPort(0, 0)
-	mem := n.nodes[1].mems[pp]
+	mem := n.nodes[1].Mems[pp]
 	for vc := 0; vc < n.cfg.VCs; vc++ {
 		if !mem.State(vc).InUse {
 			mem.Reserve(vc, vcmHold())

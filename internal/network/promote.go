@@ -105,7 +105,7 @@ func (n *Network) promoteScan(gen int64, attempt int) {
 
 // finishPromotion completes one successful re-promotion: establish has
 // already installed the guaranteed path (with installPath's
-// lastTick/nextDue gating resets), so what remains is retiring the
+// restart of its source), so what remains is retiring the
 // best-effort fallback flow by its owner ID, restoring the conn's live
 // flags and injector-list membership, and announcing the transition.
 func (n *Network) finishPromotion(c *Conn, attempt int) {

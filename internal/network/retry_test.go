@@ -164,7 +164,7 @@ func TestModifyBandwidth(t *testing.T) {
 	}
 	d := n.demandFor(c.Spec)
 	for i, ref := range c.VCs {
-		st := n.nodes[c.Nodes[i]].mems[ref.Port].State(ref.VC)
+		st := n.nodes[c.Nodes[i]].Mems[ref.Port].State(ref.VC)
 		if st.Allocated != d.alloc {
 			t.Fatalf("hop %d allocation %d, want %d", i, st.Allocated, d.alloc)
 		}
@@ -182,18 +182,18 @@ func TestModifyBandwidth(t *testing.T) {
 	// Impossible growth: rejected with no register drift.
 	gBefore := make([]int, len(c.Path)+1)
 	for i, h := range c.Path {
-		gBefore[i] = n.nodes[h.Node].alloc[h.Port].Guaranteed()
+		gBefore[i] = n.nodes[h.Node].Alloc[h.Port].Guaranteed()
 	}
-	gBefore[len(c.Path)] = n.nodes[c.Dst].alloc[n.cfg.hostPort()].Guaranteed()
+	gBefore[len(c.Path)] = n.nodes[c.Dst].Alloc[n.cfg.hostPort()].Guaranteed()
 	if err := n.ModifyBandwidth(c, 2*n.cfg.Link.Bandwidth); err == nil {
 		t.Fatal("impossible growth admitted")
 	}
 	for i, h := range c.Path {
-		if got := n.nodes[h.Node].alloc[h.Port].Guaranteed(); got != gBefore[i] {
+		if got := n.nodes[h.Node].Alloc[h.Port].Guaranteed(); got != gBefore[i] {
 			t.Fatalf("rejected growth drifted hop %d register: %d -> %d", i, gBefore[i], got)
 		}
 	}
-	if got := n.nodes[c.Dst].alloc[n.cfg.hostPort()].Guaranteed(); got != gBefore[len(c.Path)] {
+	if got := n.nodes[c.Dst].Alloc[n.cfg.hostPort()].Guaranteed(); got != gBefore[len(c.Path)] {
 		t.Fatalf("rejected growth drifted destination register")
 	}
 	if c.Spec.Rate != 160*traffic.Mbps {

@@ -350,10 +350,10 @@ func (n *Network) connState(c *codec) {
 		c.Bool(&cn.broken)
 		c.Bool(&cn.lost)
 		c.I64(&cn.brokenAt)
-		c.I64(&cn.lastTick)
-		c.I64(&cn.nextDue)
+		c.I64(&cn.ni.LastTick)
+		c.I64(&cn.ni.NextDue)
 		c.I64(&cn.nextSeq)
-		has := cn.src != nil
+		has := cn.ni.Source != nil
 		c.Bool(&has)
 		if has {
 			// A decoded source is built against the owning node's RNG as
@@ -361,15 +361,15 @@ func (n *Network) connState(c *codec) {
 			// randomness, so the streams stay aligned until nodeState
 			// restores the per-node RNG states.
 			if c.Decoding() && cn.Spec.Class == flit.ClassVBR {
-				cn.src = traffic.NewVBRSource(home.rng, n.cfg.Link, cn.Spec.Rate, cn.Spec.PeakRate, traffic.DefaultGoP())
+				cn.ni.Source = traffic.NewVBRSource(home.rng, n.cfg.Link, cn.Spec.Rate, cn.Spec.PeakRate, traffic.DefaultGoP())
 			} else if c.Decoding() {
-				cn.src = traffic.NewCBRSource(n.cfg.Link, cn.Spec.Rate, 0)
+				cn.ni.Source = traffic.NewCBRSource(n.cfg.Link, cn.Spec.Rate, 0)
 			}
-			if next := c.source(cn.src, "connection", i); cn.open {
-				c.inStep(cn.lastTick, next, "connection", i)
+			if next := c.source(cn.ni.Source, "connection", i); cn.open {
+				c.inStep(cn.ni.LastTick, next, "connection", i)
 			}
 		}
-		seq(c, cn.niQueue.Len(), "interface queue", cn.niQueue.At, func(f **flit.Flit) { c.flit(f, home) }, cn.niQueue.Push)
+		seq(c, cn.ni.Queue.Len(), "interface queue", cn.ni.Queue.At, c.flit, cn.ni.Queue.Push)
 		if c.Decoding() && c.Err() == nil {
 			n.adoptConn(c, cn)
 		}
@@ -415,7 +415,7 @@ func (n *Network) flowState(c *codec) {
 		home := n.nodes[bf.src]
 		// Generator tag: 0 Poisson, 1 a degraded connection's CBR fallback.
 		var tag uint8
-		if _, cbr := bf.gen.(*traffic.CBRSource); cbr {
+		if _, cbr := bf.ni.Source.(*traffic.CBRSource); cbr {
 			tag = 1
 		}
 		c.U8(&tag)
@@ -423,15 +423,15 @@ func (n *Network) flowState(c *codec) {
 			// The constructor draws one inter-arrival from the node RNG;
 			// the draw is undone when nodeState restores the RNG, and the
 			// state below reinstates the true next arrival.
-			bf.gen = traffic.NewBestEffortSource(home.rng, 1)
+			bf.ni.Source = traffic.NewBestEffortSource(home.rng, 1)
 		} else if c.Decoding() && tag == 1 {
-			bf.gen = traffic.NewCBRSource(n.cfg.Link, 0, 0)
+			bf.ni.Source = traffic.NewCBRSource(n.cfg.Link, 0, 0)
 		}
-		next := c.source(bf.gen, "best-effort flow", i) // fails on any other tag: no generator
-		c.I64(&bf.lastTick)
-		c.I64(&bf.nextDue)
-		c.inStep(bf.lastTick, next, "best-effort flow", i)
-		seq(c, bf.niQueue.Len(), "flow interface queue", bf.niQueue.At, func(f **flit.Flit) { c.flit(f, home) }, bf.niQueue.Push)
+		next := c.source(bf.ni.Source, "best-effort flow", i) // fails on any other tag: no generator
+		c.I64(&bf.ni.LastTick)
+		c.I64(&bf.ni.NextDue)
+		c.inStep(bf.ni.LastTick, next, "best-effort flow", i)
+		seq(c, bf.ni.Queue.Len(), "flow interface queue", bf.ni.Queue.At, c.flit, bf.ni.Queue.Push)
 		if c.Decoding() {
 			home.beSrc = append(home.beSrc, bf)
 		}
@@ -442,7 +442,7 @@ func (n *Network) flowState(c *codec) {
 func (n *Network) nodeState(c *codec, nd *node) {
 	c.rng(nd.rng)
 	c.I64(&nd.pktSeq)
-	c.I64(&nd.lastRound)
+	c.I64(&nd.LastRound)
 
 	d := &nd.stats
 	c.I64(&d.generated)
@@ -469,7 +469,7 @@ func (n *Network) nodeState(c *codec, nd *node) {
 		tr.RestoreBaseline(i, prev, seen)
 	}
 
-	for p := range nd.mems {
+	for p := range nd.Mems {
 		n.portState(c, nd, p)
 	}
 
@@ -515,7 +515,7 @@ func (n *Network) nodeState(c *codec, nd *node) {
 // VC memory, shadow credits and upstream pointers, the output side's
 // bandwidth registers, the link scheduler, and the two outbound lanes.
 func (n *Network) portState(c *codec, nd *node, p int) {
-	mem, depth := nd.mems[p], n.cfg.Depth
+	mem, depth := nd.Mems[p], n.cfg.Depth
 
 	c.sparse("reserved VCs", func(v int) bool { return mem.State(v).InUse }, func(v int) {
 		st := mem.State(v)
@@ -535,14 +535,14 @@ func (n *Network) portState(c *codec, nd *node, p int) {
 	})
 
 	c.sparse("buffered VCs", func(v int) bool { return mem.Len(v) > 0 }, func(v int) {
-		seq(c, mem.Len(v), "buffered flits", func(i int) *flit.Flit { return mem.FlitAt(v, i) }, func(f **flit.Flit) { c.flit(f, nd) }, func(f *flit.Flit) {
+		seq(c, mem.Len(v), "buffered flits", func(i int) *flit.Flit { return mem.FlitAt(v, i) }, c.flit, func(f *flit.Flit) {
 			if !mem.Push(v, f) {
 				c.Failf("network: checkpoint overflows VC %d on node %d port %d", v, nd.id, p)
 			}
 		})
 	})
 
-	shadow := nd.shadow[p]
+	shadow := nd.Credits[p]
 	c.sparse("shadow credits", func(v int) bool { return shadow.Available(v) != depth }, func(v int) {
 		avail := shadow.Available(v)
 		c.Range(&avail, 0, depth+1, "credit count")
@@ -552,28 +552,27 @@ func (n *Network) portState(c *codec, nd *node, p int) {
 	ups := nd.upstream[p]
 	c.sparse("upstream refs", func(v int) bool { return ups[v] != noUpstream }, func(v int) { c.upRef(&ups[v]) })
 
-	a := nd.alloc[p]
+	a := nd.Alloc[p]
 	guaranteed, peak, conns := a.Guaranteed(), a.PeakTotal(), a.Connections()
 	c.Range(&guaranteed, 0, math.MaxInt, "guaranteed bandwidth")
 	c.Range(&peak, 0, math.MaxInt, "peak bandwidth")
 	c.Range(&conns, 0, math.MaxInt, "admitted connections")
 	a.RestoreState(guaranteed, peak, conns)
 
-	excess, lc := nd.links[p].ExportState()
+	excess, lc := nd.Links[p].ExportState()
 	c.Range(&excess, -1, n.cfg.VCs, "excess VC") // -1: none elected
 	c.I64(&lc.Nominated)
 	c.I64(&lc.CreditStalled)
 	c.I64(&lc.RoundExhausted)
 	c.I64(&lc.BiasBoosted)
-	nd.links[p].RestoreState(excess, lc)
+	nd.Links[p].RestoreState(excess, lc)
 
-	// The outbound lanes' undelivered entries, oldest first. Flits come
-	// from nd's pool: the sender owns them until the peer delivers.
+	// The outbound lanes' undelivered entries, oldest first.
 	flits := nd.pipes[p].pending()
 	seq(c, len(flits), "pipe entries", func(i int) linkFlit { return flits[i] }, func(lf *linkFlit) {
 		c.I64(&lf.arriveAt)
 		vcIdx(c, &lf.vc)
-		c.flit(&lf.f, nd)
+		c.flit(&lf.f)
 	}, nd.pipes[p].push)
 	credits := nd.credOut[p].pending()
 	seq(c, len(credits), "credit entries", func(i int) creditMsg { return credits[i] }, func(cm *creditMsg) {
@@ -582,14 +581,12 @@ func (n *Network) portState(c *codec, nd *node, p int) {
 	}, nd.credOut[p].push)
 }
 
-// flit walks one flit and the packet it may carry; a decoded flit is
-// minted from home's pool, the node that will own it after the restore.
-// Probe-carrying packets never appear in the network datapath
-// (establishment is synchronous); hitting one is a checkpoint bug, not a
-// user error.
-func (c *codec) flit(pf **flit.Flit, home *node) {
+// flit walks one flit and the packet it may carry. Probe-carrying
+// packets never appear in the network datapath (establishment is
+// synchronous); hitting one is a checkpoint bug, not a user error.
+func (c *codec) flit(pf **flit.Flit) {
 	if c.Decoding() {
-		*pf = home.pool.Get()
+		*pf = c.n.pool.Get()
 	}
 	f := *pf
 	connIdx(c, &f.Conn)
@@ -612,7 +609,7 @@ func (c *codec) flit(pf **flit.Flit, home *node) {
 		return
 	}
 	if c.Decoding() {
-		f.Packet = home.pool.GetPacket()
+		f.Packet = c.n.pool.GetPacket()
 	}
 	pk := f.Packet
 	if pk.Probe != nil {

@@ -117,15 +117,15 @@ func (n *Network) notePush(nd *node, p int) {
 func (n *Network) settle(t int64) {
 	for _, nd := range n.active {
 		due := nd.cal.NextDue()
-		busy := n.occ[nd.id] > int64(nd.blocked) || nd.cal.Holding()
+		busy := nd.Occ > int64(nd.blocked) || nd.cal.Holding()
 		for _, bf := range nd.beSrc {
-			if bf.nextDue < due {
-				due = bf.nextDue
+			if bf.ni.NextDue < due {
+				due = bf.ni.NextDue
 			}
 			// A queued packet draws from the node's RNG every cycle
 			// while it hunts for a free VC, so NI backlog forces
 			// activity — as a queued stream flit retrying VC entry does.
-			if bf.niQueue.Len() > 0 {
+			if bf.ni.Queue.Len() > 0 {
 				busy = true
 			}
 		}
@@ -189,7 +189,7 @@ func (n *Network) nextWake(t, limit int64) int64 {
 
 // injecting reports whether c's source is live: a session that is open
 // and has a generator.
-func (c *Conn) injecting() bool { return c.open && c.src != nil }
+func (c *Conn) injecting() bool { return c.open && c.ni.Source != nil }
 
 // calendarKey says where the source calendar files c (traffic.Calendar):
 // by its forecast while it injects, by its interface queue while that
@@ -200,7 +200,7 @@ func (c *Conn) calendarKey() (due int64, queued bool, id int64) {
 		return due, false, id
 	}
 	if c.injecting() {
-		due = c.nextDue
+		due = c.ni.NextDue
 	}
-	return due, c.niQueue.Len() > 0, id
+	return due, c.ni.Queue.Len() > 0, id
 }

@@ -27,7 +27,7 @@ import (
 // were let sleep, and so does every packet while links are impaired.
 func (n *Network) referenceBuffered(nd *node) (movable, unrouted bool) {
 	tp := n.cfg.Topology
-	for _, mem := range nd.mems {
+	for _, mem := range nd.Mems {
 		for vc := 0; vc < mem.NumVCs(); vc++ {
 			if mem.Len(vc) == 0 {
 				continue
@@ -39,7 +39,7 @@ func (n *Network) referenceBuffered(nd *node) (movable, unrouted bool) {
 			}
 			free := false
 			for _, q := range n.ud.NextPorts(nd.id, int(head.Dst), head.Packet.WentDown, nil) {
-				if n.nodes[tp.Neighbor(nd.id, q)].mems[tp.PeerPort(nd.id, q)].FreeVCs() > 0 {
+				if n.nodes[tp.Neighbor(nd.id, q)].Mems[tp.PeerPort(nd.id, q)].FreeVCs() > 0 {
 					free = true
 				}
 			}
@@ -71,15 +71,15 @@ func (n *Network) referenceNodeActive(nd *node, t int64) bool {
 		if c.closed || c.broken {
 			continue
 		}
-		if c.niQueue.Len() > 0 {
+		if c.ni.Queue.Len() > 0 {
 			return true
 		}
-		if c.open && c.src != nil && c.nextDue <= t {
+		if c.open && c.ni.Source != nil && c.ni.NextDue <= t {
 			return true
 		}
 	}
 	for _, bf := range nd.beSrc {
-		if bf.niQueue.Len() > 0 || bf.nextDue <= t {
+		if bf.ni.Queue.Len() > 0 || bf.ni.NextDue <= t {
 			return true
 		}
 	}
@@ -105,13 +105,13 @@ func (n *Network) referenceNextWake(t, limit int64) int64 {
 	}
 	for _, nd := range n.nodes {
 		for _, c := range nd.srcConns {
-			if !c.closed && !c.broken && c.open && c.src != nil && c.nextDue < next {
-				next = c.nextDue
+			if !c.closed && !c.broken && c.open && c.ni.Source != nil && c.ni.NextDue < next {
+				next = c.ni.NextDue
 			}
 		}
 		for _, bf := range nd.beSrc {
-			if bf.nextDue < next {
-				next = bf.nextDue
+			if bf.ni.NextDue < next {
+				next = bf.ni.NextDue
 			}
 		}
 	}
@@ -495,7 +495,7 @@ func TestEncodeMidGapContinues(t *testing.T) {
 		a.Run(137)
 		b.Run(137)
 		for _, c := range a.conns {
-			if c.injecting() && c.lastTick < a.now-1 {
+			if c.injecting() && c.ni.LastTick < a.now-1 {
 				slept++
 			}
 		}

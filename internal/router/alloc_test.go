@@ -78,22 +78,22 @@ func TestPoolRecycleBalance(t *testing.T) {
 	}
 	// Drain destructively: NI queues first, then every VC of every port.
 	for _, c := range r.Connections() {
-		for c.niQueue.Len() > 0 {
-			note(c.niQueue.Pop(), "conn NI queue")
+		for c.ni.Queue.Len() > 0 {
+			note(c.ni.Queue.Pop(), "conn NI queue")
 		}
 	}
 	for _, pf := range r.ctlFlows {
-		for pf.niQueue.Len() > 0 {
-			note(pf.niQueue.Pop(), "control NI queue")
+		for pf.ni.Queue.Len() > 0 {
+			note(pf.ni.Queue.Pop(), "control NI queue")
 		}
 	}
 	for _, pf := range r.beFlows {
-		for pf.niQueue.Len() > 0 {
-			note(pf.niQueue.Pop(), "best-effort NI queue")
+		for pf.ni.Queue.Len() > 0 {
+			note(pf.ni.Queue.Pop(), "best-effort NI queue")
 		}
 	}
 	for p := 0; p < r.cfg.Ports; p++ {
-		mem := r.mems[p]
+		mem := r.Mems[p]
 		for vc := 0; vc < mem.NumVCs(); vc++ {
 			for mem.Len(vc) > 0 {
 				note(mem.Pop(vc), "VCM")
@@ -135,16 +135,16 @@ func TestRecycledFlitNotRetained(t *testing.T) {
 	// is either still queued or parked on the free list.
 	queued := int64(0)
 	for _, c := range r.Connections() {
-		queued += int64(c.niQueue.Len())
+		queued += int64(c.ni.Queue.Len())
 	}
 	for _, pf := range r.ctlFlows {
-		queued += int64(pf.niQueue.Len())
+		queued += int64(pf.ni.Queue.Len())
 	}
 	for _, pf := range r.beFlows {
-		queued += int64(pf.niQueue.Len())
+		queued += int64(pf.ni.Queue.Len())
 	}
 	for p := 0; p < r.cfg.Ports; p++ {
-		queued += int64(r.mems[p].Occupied())
+		queued += int64(r.Mems[p].Occupied())
 	}
 	if pool.Live() != queued {
 		t.Fatalf("pool.Live() = %d but %d flits are queued: a departed flit is retained or leaked",

@@ -34,22 +34,24 @@ func (r *Router) SetBandwidth(conn *Connection, rate traffic.Rate) error {
 	if rate <= 0 {
 		return fmt.Errorf("router: invalid rate %v", rate)
 	}
-	newAlloc := r.cfg.Link.CyclesPerRound(rate, r.cfg.RoundLen())
-	oldAlloc := r.mems[conn.Spec.In].State(conn.VC).Allocated
-	// Admission on the delta, so shrinking always succeeds and growth is
-	// subject to the same §4.2 test as establishment.
+	// Admission on the delta against what the output link holds for the
+	// connection, so shrinking always succeeds and growth is subject to
+	// the same §4.2 test as establishment.
 	switch r.cfg.Admission {
 	case AdmitRate:
-		delta := float64(rate-conn.Spec.Rate) / float64(r.cfg.Link.Bandwidth)
+		delta := float64(rate-conn.admitted) / float64(r.cfg.Link.Bandwidth)
 		if r.rateGuaranteed[conn.Spec.Out]+delta > 1+1e-9 {
 			return fmt.Errorf("router: output %d cannot grow connection %d to %v", conn.Spec.Out, conn.ID, rate)
 		}
 		r.rateGuaranteed[conn.Spec.Out] += delta
 	default:
-		if !r.alloc[conn.Spec.Out].AdjustCBR(newAlloc - oldAlloc) {
+		roundLen := r.cfg.RoundLen()
+		delta := r.cfg.Link.CyclesPerRound(rate, roundLen) - r.cfg.Link.CyclesPerRound(conn.admitted, roundLen)
+		if !r.Alloc[conn.Spec.Out].AdjustCBR(delta) {
 			return fmt.Errorf("router: output %d cannot grow connection %d to %v", conn.Spec.Out, conn.ID, rate)
 		}
 	}
+	conn.admitted = rate
 	r.pendingCtl = append(r.pendingCtl, pendingControl{
 		applyAt: r.now + 1,
 		conn:    conn,
@@ -80,11 +82,11 @@ func (r *Router) SetPriority(conn *Connection, priority int) error {
 // returns the number of flits dropped.
 func (r *Router) AbortFrame(conn *Connection) int {
 	dropped := 0
-	for conn.niQueue.Len() > 0 {
-		r.pool.Put(conn.niQueue.Pop())
+	for conn.ni.Queue.Len() > 0 {
+		r.pool.Put(conn.ni.Queue.Pop())
 		dropped++
 	}
-	mem := r.mems[conn.Spec.In]
+	mem := r.Mems[conn.Spec.In]
 	for mem.Len(conn.VC) > 0 {
 		r.pool.Put(mem.Pop(conn.VC))
 		dropped++
@@ -100,7 +102,9 @@ func (r *Router) AbortFrame(conn *Connection) int {
 // Release tears a connection down: injection stops, buffered flits are
 // discarded (counted as dropped), the virtual channel is freed and the
 // output link's bandwidth registers are decremented (§4.2: the register
-// "is decremented when a connection is removed"). The Connection must
+// "is decremented when a connection is removed") by what admission holds
+// for it — the rate of a bandwidth word still in flight, which will now
+// never land, not the rate it would have replaced. The Connection must
 // not be used afterwards.
 func (r *Router) Release(conn *Connection) error {
 	if conn.released {
@@ -109,23 +113,23 @@ func (r *Router) Release(conn *Connection) error {
 	// A credit still in flight from the sink would be returned to
 	// whatever connection reuses this VC, corrupting flow control; the
 	// return path is one cycle, so the caller just steps the router.
-	if r.credits[conn.Spec.In].Available(conn.VC) != r.cfg.VCM.Depth {
+	if r.Credits[conn.Spec.In].Available(conn.VC) != r.cfg.VCM.Depth {
 		return fmt.Errorf("router: connection %d has credits in flight; run a cycle and retry", conn.ID)
 	}
 	conn.released = true
 	r.AbortFrame(conn) // drain NI queue and VC
-	conn.src = nil
+	conn.ni.Source = nil
 	r.cal.Invalidate()
-	mem := r.mems[conn.Spec.In]
+	mem := r.Mems[conn.Spec.In]
 	mem.Release(conn.VC)
 	roundLen := r.cfg.RoundLen()
-	alloc := r.cfg.Link.CyclesPerRound(conn.Spec.Rate, roundLen)
+	alloc := r.cfg.Link.CyclesPerRound(conn.admitted, roundLen)
 	switch r.cfg.Admission {
 	case AdmitRate:
-		r.rateGuaranteed[conn.Spec.Out] -= float64(conn.Spec.Rate) / float64(r.cfg.Link.Bandwidth)
+		r.rateGuaranteed[conn.Spec.Out] -= float64(conn.admitted) / float64(r.cfg.Link.Bandwidth)
 		if conn.Spec.Class == flit.ClassVBR {
 			peakFrac := float64(conn.Spec.PeakRate) / float64(r.cfg.Link.Bandwidth)
-			if pf := float64(conn.Spec.Rate) / float64(r.cfg.Link.Bandwidth); peakFrac < pf {
+			if pf := float64(conn.admitted) / float64(r.cfg.Link.Bandwidth); peakFrac < pf {
 				peakFrac = pf
 			}
 			r.ratePeak[conn.Spec.Out] -= peakFrac
@@ -136,9 +140,9 @@ func (r *Router) Release(conn *Connection) error {
 			if peak < alloc {
 				peak = alloc
 			}
-			r.alloc[conn.Spec.Out].ReleaseVBR(alloc, peak)
+			r.Alloc[conn.Spec.Out].ReleaseVBR(alloc, peak)
 		} else {
-			r.alloc[conn.Spec.Out].ReleaseCBR(alloc)
+			r.Alloc[conn.Spec.Out].ReleaseCBR(alloc)
 		}
 	}
 	return nil
@@ -152,7 +156,7 @@ func (r *Router) applyControls(t int64) {
 		if pc.conn.released {
 			continue // the connection was torn down while the word was in flight
 		}
-		st := r.mems[pc.conn.Spec.In].State(pc.conn.VC)
+		st := r.Mems[pc.conn.Spec.In].State(pc.conn.VC)
 		switch pc.word.Op {
 		case flit.CtlSetBandwidth:
 			rate := traffic.Rate(pc.word.Arg)
@@ -163,10 +167,10 @@ func (r *Router) applyControls(t int64) {
 			pc.conn.Spec.Rate = rate
 			// The cycles the source was left alone for ran at the old
 			// rate; replay them before the rate changes.
-			if pc.conn.src != nil {
-				traffic.ReplayGap(pc.conn.src, pc.conn.lastTick, t-1)
+			if pc.conn.ni.Source != nil {
+				pc.conn.ni.CatchUp(t - 1)
 			}
-			if src, ok := pc.conn.src.(*traffic.CBRSource); ok {
+			if src, ok := pc.conn.ni.Source.(*traffic.CBRSource); ok {
 				// Retune the live source in place, keeping its fractional
 				// accumulator: a renegotiation changes the rate, it does
 				// not restart the stream, so no phase jump or burst.
@@ -174,12 +178,11 @@ func (r *Router) applyControls(t int64) {
 				st.PerCycle = r.cfg.Link.FlitsPerCycle(rate)
 				src.RestoreState(st)
 			} else {
-				pc.conn.src = traffic.NewCBRSource(r.cfg.Link, rate, r.rng.Float64())
+				pc.conn.ni.Source = traffic.NewCBRSource(r.cfg.Link, rate, r.rng.Float64())
 			}
 			// The old forecast was computed at the old rate; recompute it
 			// on the next injection pass.
-			pc.conn.lastTick = t - 1
-			pc.conn.nextDue = t
+			pc.conn.ni.Start(t)
 			r.cal.Invalidate()
 		case flit.CtlSetPriority:
 			st.BasePriority = pc.word.Arg

@@ -127,14 +127,14 @@ func TestAbortFrame(t *testing.T) {
 	conn, _ := r.Establish(traffic.ConnSpec{Class: flit.ClassVBR, Rate: 20 * traffic.Mbps, PeakRate: 60 * traffic.Mbps, In: 0, Out: 1})
 	// Build a backlog by injecting directly.
 	for i := 0; i < 20; i++ {
-		conn.niQueue.Push(&flit.Flit{Conn: conn.ID, Class: flit.ClassVBR})
+		conn.ni.Queue.Push(&flit.Flit{Conn: conn.ID, Class: flit.ClassVBR})
 	}
 	r.Step() // some flits enter the VC
 	dropped := r.AbortFrame(conn)
 	if dropped == 0 {
 		t.Fatal("nothing dropped")
 	}
-	if conn.niQueue.Len() != 0 || r.Memory(0).Len(conn.VC) != 0 {
+	if conn.ni.Queue.Len() != 0 || r.Memory(0).Len(conn.VC) != 0 {
 		t.Fatal("abort left flits queued")
 	}
 	m := r.Run(0, 1)
@@ -232,5 +232,40 @@ func TestPendingControlOnReleasedConnIgnored(t *testing.T) {
 	r.Step()
 	if c2.VC == conn.VC && r.Memory(0).State(c2.VC).BasePriority == 9 {
 		t.Fatal("stale control word applied to a reused VC")
+	}
+}
+
+// TestReleaseWithBandwidthWordInFlight: SetBandwidth charges admission at
+// once, the control word lands a cycle later, and a Release in between
+// must refund what admission holds — the new rate — not the rate the
+// connection still carries in its spec. The output link ends up empty and
+// admits a full-rate connection.
+func TestReleaseWithBandwidthWordInFlight(t *testing.T) {
+	for _, mode := range []AdmissionMode{AdmitRate, AdmitAllocation} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Admission = mode
+			r, _ := New(cfg)
+			conn, err := r.Establish(traffic.ConnSpec{Class: flit.ClassCBR, Rate: 10 * traffic.Mbps, In: 0, Out: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.SetBandwidth(conn, 500*traffic.Mbps); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Release(conn); err != nil {
+				t.Fatal(err)
+			}
+			r.Step() // the word arrives at a released connection and is dropped
+			if g := r.rateGuaranteed[1]; math.Abs(g) > 1e-12 {
+				t.Errorf("rate register of output 1 holds %g with no connection", g)
+			}
+			if a := r.Allocator(1); a.Guaranteed() != 0 || a.Connections() != 0 {
+				t.Errorf("allocator of output 1 holds %d cycles for %d connections with none established", a.Guaranteed(), a.Connections())
+			}
+			if _, err := r.Establish(traffic.ConnSpec{Class: flit.ClassCBR, Rate: cfg.Link.Bandwidth, In: 2, Out: 1}); err != nil {
+				t.Errorf("full-rate connection on the emptied output refused: %v", err)
+			}
+		})
 	}
 }

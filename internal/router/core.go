@@ -1,0 +1,192 @@
+package router
+
+import (
+	"mmr/internal/admission"
+	"mmr/internal/flit"
+	"mmr/internal/flow"
+	"mmr/internal/sched"
+	"mmr/internal/sim"
+	"mmr/internal/vcm"
+)
+
+// Core is the router of Figure 1 and the flit cycle of §3.4, once: per
+// input port a virtual channel memory, a link scheduler and the credit
+// counters it nominates against, per output link the §4.2 bandwidth
+// registers, and one switch scheduler. Both engines embed it by value and
+// step it through the same stages —
+//
+//	BeginCycle  round boundary (§4.1)
+//	Enqueue     a flit enters an input virtual channel
+//	Nominate    link scheduling (§4.3)
+//	Arbitrate   switch scheduling (§4.4)
+//	Pop         a granted flit leaves its virtual channel
+//
+// — and add around it what is theirs: Router the sink, the crossbar model
+// and the asynchronous control cut-through of the single-chip experiments,
+// network's node the lanes, channel mappings and routing unit of a fabric.
+//
+// All ports' memories, schedulers and credit counters are single
+// contiguous allocations (the per-port slices hold interior pointers), so
+// the per-cycle port scans walk adjacent memory. A Core must not be copied
+// once Init has run: the memories count their flits into Occ.
+type Core struct {
+	Mems    []*vcm.Memory              // per input port
+	Links   []*sched.LinkScheduler     // per input port
+	Credits []*flow.Credits            // per input port: the downstream buffers its VCs' flits move into
+	Alloc   []*admission.LinkAllocator // per output link
+	Arbiter sched.SwitchScheduler
+
+	// Cands[in] is input in's nominations this cycle, best first, and
+	// Grants[in] the index into it the switch scheduler granted, or
+	// sched.NoGrant.
+	Cands  [][]sched.Candidate
+	Grants []int
+
+	// Occ is the number of flits buffered across every input port, kept by
+	// the memories as they push and pop: "any buffered flit?" is one load.
+	Occ int64
+
+	// LastRound is the last round whose boundary reset ran (BeginCycle).
+	LastRound int64
+
+	roundLen  int64
+	skipIdle  bool
+	nominated int
+}
+
+// Init builds the core cfg describes; randomized selection and matching
+// draw from rng.
+func (c *Core) Init(cfg *Config, rng *sim.RNG) error {
+	ports, vcs := cfg.Ports, cfg.VCM.VirtualChannels
+	*c = Core{
+		Mems:      make([]*vcm.Memory, ports),
+		Links:     make([]*sched.LinkScheduler, ports),
+		Credits:   make([]*flow.Credits, ports),
+		Alloc:     make([]*admission.LinkAllocator, ports),
+		Cands:     make([][]sched.Candidate, ports),
+		Grants:    make([]int, ports),
+		LastRound: -1,
+		roundLen:  int64(cfg.RoundLen()),
+		skipIdle:  !cfg.NoIdleSkip,
+	}
+	mems := make([]vcm.Memory, ports)
+	links := make([]sched.LinkScheduler, ports)
+	counts := make([]int, ports*vcs)
+	for p := 0; p < ports; p++ {
+		if err := vcm.Init(&mems[p], cfg.VCM); err != nil {
+			return err
+		}
+		mems[p].BindOccupancy(&c.Occ)
+		c.Mems[p] = &mems[p]
+		c.Credits[p] = flow.NewCreditsBacked(cfg.VCM.Depth, counts[p*vcs:(p+1)*vcs:(p+1)*vcs])
+		sched.InitLinkScheduler(&links[p], sched.LinkConfig{
+			Input:         p,
+			MaxCandidates: cfg.MaxCandidates,
+			Outputs:       ports,
+			Scheme:        cfg.Scheme,
+			Selection:     cfg.Selection,
+			RNG:           rng,
+		}, c.Mems[p], c.Credits[p])
+		c.Links[p] = &links[p]
+		// Candidates selects in place: one entry per distinct output
+		// before it cuts to MaxCandidates.
+		c.Cands[p] = make([]sched.Candidate, 0, ports)
+		a, err := admission.NewLinkAllocator(cfg.RoundLen(), 0, cfg.Concurrency)
+		if err != nil {
+			return err
+		}
+		c.Alloc[p] = a
+	}
+	iters := cfg.ArbiterIters
+	if iters < 1 && (cfg.Arbiter == ArbAutonet || cfg.Arbiter == ArbISLIP) {
+		iters = 3
+	}
+	switch cfg.Arbiter {
+	case ArbAutonet:
+		c.Arbiter = sched.NewPIMArbiter(rng, iters)
+	case ArbPerfect:
+		c.Arbiter = sched.PerfectSwitch{}
+	case ArbISLIP:
+		c.Arbiter = sched.NewISLIPArbiter(iters)
+	default:
+		c.Arbiter = sched.NewPriorityArbiter(iters)
+	}
+	return nil
+}
+
+// BeginCycle resets the per-round service counters (§4.1) if cycle t is the
+// first this core steps in its round. Lazy: cycles an engine elides catch
+// up here. Equivalent to the eager modulo check because the counters and
+// the excess election are frozen — and unread — while the core is idle,
+// the reset runs before any scheduling of the cycle, and one reset covers
+// any number of skipped boundaries (it is idempotent).
+func (c *Core) BeginCycle(t int64) {
+	if round := t / c.roundLen; c.LastRound != round {
+		c.LastRound = round
+		for _, ls := range c.Links {
+			ls.OnRoundBoundary()
+		}
+	}
+}
+
+// Enqueue buffers f in virtual channel vc of input in at cycle t, stamping
+// its entry and — if it goes straight to the head, ready to cross the
+// switch — §5's delay reference point. It reports false if the VC is full.
+func (c *Core) Enqueue(in, vc int, f *flit.Flit, t int64) bool {
+	mem := c.Mems[in]
+	f.ReadyAt = t
+	if mem.Len(vc) == 0 {
+		f.HeadAt = t
+	}
+	return mem.Push(vc, f)
+}
+
+// Nominate runs every input's link scheduler (§4.3) on the state the
+// previous cycle left — in hardware, arbitration for cycle t overlaps
+// transmission of cycle t-1 — and returns the candidates nominated. A port
+// with no buffered flit is skipped: Candidates on an empty memory is
+// provably a pure no-op (empty eligible set, zero CreditStalled, early
+// return before the excess election; sched.LinkScheduler.Active).
+func (c *Core) Nominate(t int64) int {
+	c.nominated = 0
+	for p, ls := range c.Links {
+		if c.skipIdle && !ls.Active() {
+			c.Cands[p] = c.Cands[p][:0]
+			continue
+		}
+		c.Cands[p] = ls.Candidates(t, c.Cands[p][:0])
+		c.nominated += len(c.Cands[p])
+	}
+	return c.nominated
+}
+
+// Arbitrate runs the switch scheduler (§4.4) over Cands into Grants. With
+// nothing nominated every scheduler grants nothing, drawing no RNG and
+// moving no pointer, so that result is written directly. (The engine may
+// have removed candidates since Nominate, never added any.)
+func (c *Core) Arbitrate() {
+	if c.skipIdle && c.nominated == 0 {
+		for in := range c.Grants {
+			c.Grants[in] = sched.NoGrant
+		}
+		return
+	}
+	c.Arbiter.Schedule(c.Cands, c.Grants)
+}
+
+// Pop takes the flit input in was granted out of its virtual channel at
+// cycle t: the VC is charged one flit cycle of its round (§4.3) and the
+// next flit, if any, reaches the head now.
+func (c *Core) Pop(in int, t int64) (sched.Candidate, *flit.Flit) {
+	cand := c.Cands[in][c.Grants[in]]
+	mem := c.Mems[in]
+	f := mem.Pop(cand.VC)
+	if f == nil {
+		panic("router: granted VC has no flit")
+	}
+	mem.IncServiced(cand.VC)
+	if next := mem.Peek(cand.VC); next != nil {
+		next.HeadAt = t
+	}
+	return cand, f
+}

@@ -7,62 +7,34 @@ import (
 	"mmr/internal/traffic"
 )
 
-// idleForecastHorizon bounds how far ahead a source forecast looks. A
-// forecast returning the horizon means "nothing before then; re-forecast
-// there", so the constant only trades forecast loop length against
-// wake-up frequency for very-low-rate sources; it never affects results.
-const idleForecastHorizon = 4096
-
-// Step advances the router by one flit cycle (§3.4): credits return,
-// sources inject, link schedulers nominate candidates, the switch
-// scheduler arbitrates, winning flits traverse the crossbar and the
-// output links, and per-round bandwidth accounting rolls over at round
-// boundaries. Arbitration for cycle t+1 conceptually overlaps the
-// transmission of cycle t in hardware; the software model runs them in
-// sequence inside one tick, which preserves the observable timing.
+// Step advances the router by one flit cycle (§3.4), driving the Core's
+// stages: per-round bandwidth accounting rolls over at round boundaries
+// (BeginCycle), credits return, link schedulers nominate candidates
+// (Nominate), the switch scheduler arbitrates (Arbitrate), winning flits
+// leave their VCs (Pop) and traverse the crossbar and the output links,
+// and sources inject (Enqueue). Arbitration for cycle t+1 conceptually
+// overlaps the transmission of cycle t in hardware; the software model
+// runs them in sequence inside one tick, which preserves the observable
+// timing.
 func (r *Router) Step() {
 	t := r.now
 
-	// Round boundary: reset per-round service counters (§4.1). Lazy —
-	// the reset fires on the first cycle actually stepped in each round,
-	// so idle cycles elided by Run catch up here. Equivalent to the eager
-	// modulo check because per-round counters are frozen and unread while
-	// the router is idle and the reset is idempotent across any number of
-	// skipped boundaries.
-	if round := t / int64(r.cfg.RoundLen()); r.lastRound != round {
-		r.lastRound = round
-		for _, ls := range r.links {
-			ls.OnRoundBoundary()
-		}
-	}
+	r.BeginCycle(t)
 
 	// Credit return: sinks drained earlier flits.
 	for p := range r.pipes {
-		r.pipes[p].DeliverTo(t, r.credits[p])
+		r.pipes[p].DeliverTo(t, r.Credits[p])
 	}
 
 	// In-band management commands whose propagation delay elapsed (§4.3).
 	r.applyControls(t)
 
-	// Link scheduling: each input port nominates candidates (§4.3) based
-	// on the state at the end of the previous cycle — in hardware,
-	// arbitration for cycle t overlaps transmission of cycle t-1. Ports
-	// with zero buffered flits are skipped: Candidates on an empty memory
-	// is provably a pure no-op (see sched.LinkScheduler.Active).
-	skipIdle := !r.cfg.NoIdleSkip
-	for p := 0; p < r.cfg.Ports; p++ {
-		if skipIdle && !r.links[p].Active() {
-			r.cands[p] = r.cands[p][:0]
-			continue
-		}
-		r.cands[p] = r.links[p].Candidates(t, r.cands[p][:0])
-	}
-	// Outputs claimed by an asynchronous control cut-through last cycle
-	// are busy during this cycle's arbitration (§3.4).
+	// Link scheduling (§4.3), less the outputs an asynchronous control
+	// cut-through claimed last cycle — busy during this cycle's
+	// arbitration (§3.4) — then switch scheduling (§4.4).
+	r.Nominate(t)
 	r.maskAsyncOutputs()
-
-	// Switch scheduling (§4.4).
-	r.arbiter.Schedule(r.cands, r.grants)
+	r.Arbitrate()
 
 	// Transmission: winners cross the switch and leave on output links.
 	r.transmit(t)
@@ -94,31 +66,23 @@ func (r *Router) maskAsyncOutputs() {
 	if !anyBusy {
 		return
 	}
-	for p := range r.cands {
-		kept := r.cands[p][:0]
-		for _, c := range r.cands[p] {
+	for p := range r.Cands {
+		kept := r.Cands[p][:0]
+		for _, c := range r.Cands[p] {
 			if !r.outputBusyAsync[c.Output] {
 				kept = append(kept, c)
 			}
 		}
-		r.cands[p] = kept
+		r.Cands[p] = kept
 	}
 }
 
 // injectStreams ticks the connection sources and moves flits from NI
-// queues into input virtual channels.
-//
-// Gating contract: sources are stateful and must see every cycle, but the
-// gated engine visits a connection only when the source calendar says to
-// — its forecast (c.nextDue) has come due, or flits queue at its
-// interface — in ascending connection ID, the order the ungated engine's
-// walk over every connection gives the same ones. A due source first
-// replays the cycles it was left alone for (no-ops by construction: the
-// forecast promised no arrivals and gap ticks draw no RNG; the sum is the
-// one the forecast already made, see traffic.Forecaster), then ticks the
-// live cycle. The forecast is recomputed only once it expires, after the
-// tick, so it always describes the source's actual per-cycle state. A
-// connection that is only draining its queue is not ticked.
+// queues into input virtual channels. The gated engine visits a
+// connection only when the source calendar says to — its forecast has come
+// due, or flits queue at its interface (traffic.Injector has the protocol)
+// — in ascending connection ID, the order the ungated engine's walk over
+// every connection gives the same ones.
 func (r *Router) injectStreams(t int64) {
 	if r.cfg.NoIdleSkip {
 		for _, c := range r.conns {
@@ -129,7 +93,7 @@ func (r *Router) injectStreams(t int64) {
 	// r.conns is ID-ascending. The control paths — Establish, Release, a
 	// bandwidth word — only invalidate the calendar.
 	r.cal.Visit(t, r.conns, (*Connection).calendarKey, func(c *Connection) {
-		r.injectStream(c, t, c.nextDue <= t)
+		r.injectStream(c, t, c.ni.NextDue <= t)
 	})
 }
 
@@ -138,17 +102,16 @@ func (r *Router) injectStreams(t int64) {
 // that drains.
 func (c *Connection) calendarKey() (due int64, queued bool, id int64) {
 	due = traffic.NoEvent
-	if c.src != nil {
-		due = c.nextDue
+	if c.ni.Source != nil {
+		due = c.ni.NextDue
 	}
-	return due, c.niQueue.Len() > 0, int64(c.ID)
+	return due, c.ni.Queue.Len() > 0, int64(c.ID)
 }
 
 // injectStream is one connection's share of injectStreams.
 func (r *Router) injectStream(c *Connection, t int64, tick bool) {
-	if tick && c.src != nil {
-		traffic.ReplayGap(c.src, c.lastTick, t-1)
-		for n := c.src.Tick(t); n > 0; n-- {
+	if tick && c.ni.Source != nil {
+		for n := c.ni.Arrivals(t); n > 0; n-- {
 			f := r.pool.Get()
 			f.Conn = c.ID
 			f.Class = c.Spec.Class
@@ -158,25 +121,14 @@ func (r *Router) injectStream(c *Connection, t int64, tick bool) {
 			f.SrcPort = int16(c.Spec.In)
 			f.DstPort = int16(c.Spec.Out)
 			c.nextSeq++
-			c.niQueue.Push(f)
+			c.ni.Queue.Push(f)
 			r.m.generated++
-		}
-		c.lastTick = t
-		if !r.cfg.NoIdleSkip && c.nextDue <= t {
-			c.nextDue = traffic.ForecastSource(c.src, t, t+idleForecastHorizon)
 		}
 	}
 	// Drain the NI queue into the VC while there is room.
-	mem := r.mems[c.Spec.In]
-	for c.niQueue.Len() > 0 && mem.Free(c.VC) > 0 {
-		f := c.niQueue.Pop()
-		f.ReadyAt = t // VCM entry
-		if mem.Len(c.VC) == 0 {
-			// Straight to the head: ready to transmit through the
-			// switch — §5's delay reference point.
-			f.HeadAt = t
-		}
-		mem.Push(c.VC, f)
+	mem := r.Mems[c.Spec.In]
+	for c.ni.Queue.Len() > 0 && mem.Free(c.VC) > 0 {
+		r.Enqueue(c.Spec.In, c.VC, c.ni.Queue.Pop(), t)
 		c.injected++
 	}
 }
@@ -184,7 +136,8 @@ func (r *Router) injectStream(c *Connection, t int64, tick bool) {
 // transmit pops granted flits, moves them through the crossbar model,
 // records statistics and returns credits into the pipes.
 func (r *Router) transmit(t int64) {
-	if !r.arbiter.OutputSharing() {
+	shared := r.Arbiter.OutputSharing()
+	if !shared {
 		// Configure the multiplexed crossbar for this flit cycle; the
 		// reconfiguration clock cycle is hidden inside the flit cycle
 		// (§3.3-3.4).
@@ -193,36 +146,25 @@ func (r *Router) transmit(t int64) {
 		}
 		for in := range r.xcfg {
 			r.xcfg[in] = crossbar.Unconnected
-			if g := r.grants[in]; g != sched.NoGrant {
-				r.xcfg[in] = r.cands[in][g].Output
+			if g := r.Grants[in]; g != sched.NoGrant {
+				r.xcfg[in] = r.Cands[in][g].Output
 			}
 		}
 		if err := r.xbar.Configure(r.xcfg); err != nil {
 			panic("router: arbiter produced conflicting matching: " + err.Error())
 		}
 	}
-	for in := 0; in < r.cfg.Ports; in++ {
-		g := r.grants[in]
+	for in, g := range r.Grants {
 		if g == sched.NoGrant {
 			continue
 		}
-		cand := r.cands[in][g]
-		mem := r.mems[in]
-		f := mem.Pop(cand.VC)
-		if f == nil {
-			panic("router: granted VC has no flit")
-		}
-		if !r.arbiter.OutputSharing() {
+		cand, f := r.Pop(in, t)
+		if !shared {
 			r.xbar.Transmit(in)
 		}
-		mem.IncServiced(cand.VC)
 		// Sink-side credit: consume on transmit, returned next cycle.
-		if r.credits[in].Consume(cand.VC) {
+		if r.Credits[in].Consume(cand.VC) {
 			r.pipes[in].Send(t, cand.VC)
-		}
-		// The next flit (if any) reaches the head of the VC now.
-		if next := mem.Peek(cand.VC); next != nil {
-			next.HeadAt = t
 		}
 		r.m.recordDeparture(t, f, cand)
 		if f.Class == flit.ClassControl || f.Class == flit.ClassBestEffort {
@@ -272,7 +214,7 @@ func (r *Router) runCycles(cycles int64) {
 // source whose forecast says it is due. Everything here is a pure read,
 // so the check cannot perturb the simulation.
 func (r *Router) idle(t int64) bool {
-	if r.occ > 0 {
+	if r.Occ > 0 {
 		return false
 	}
 	for _, p := range r.pipes {
@@ -294,12 +236,12 @@ func (r *Router) idle(t int64) bool {
 	for _, pf := range r.ctlFlows {
 		// A queued packet retries VC allocation (an RNG draw) every cycle,
 		// so a non-empty NI queue forces activity.
-		if pf.niQueue.Len() > 0 || pf.nextDue <= t {
+		if pf.ni.Queue.Len() > 0 || pf.ni.NextDue <= t {
 			return false
 		}
 	}
 	for _, pf := range r.beFlows {
-		if pf.niQueue.Len() > 0 || pf.nextDue <= t {
+		if pf.ni.Queue.Len() > 0 || pf.ni.NextDue <= t {
 			return false
 		}
 	}
@@ -315,13 +257,13 @@ func (r *Router) nextWake(t, limit int64) int64 {
 		next = due
 	}
 	for _, pf := range r.ctlFlows {
-		if pf.nextDue < next {
-			next = pf.nextDue
+		if pf.ni.NextDue < next {
+			next = pf.ni.NextDue
 		}
 	}
 	for _, pf := range r.beFlows {
-		if pf.nextDue < next {
-			next = pf.nextDue
+		if pf.ni.NextDue < next {
+			next = pf.ni.NextDue
 		}
 	}
 	if next <= t {

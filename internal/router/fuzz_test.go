@@ -83,13 +83,13 @@ func TestRouterFuzzInvariants(t *testing.T) {
 				buffered += int64(occ)
 			}
 			for _, c := range r.Connections() {
-				queued += int64(c.niQueue.Len())
+				queued += int64(c.ni.Queue.Len())
 			}
 			for _, pf := range r.beFlows {
-				queued += int64(pf.niQueue.Len())
+				queued += int64(pf.ni.Queue.Len())
 			}
 			for _, pf := range r.ctlFlows {
-				queued += int64(pf.niQueue.Len())
+				queued += int64(pf.ni.Queue.Len())
 			}
 			gen := r.m.generated
 			for _, n := range r.m.pktGenerated {

@@ -113,14 +113,14 @@ func (r *Router) collectMetrics() {
 
 	var nom, stall, exh, boost int64
 	for p := 0; p < r.cfg.Ports; p++ {
-		lc := r.links[p].Counters()
+		lc := r.Links[p].Counters()
 		nom += lc.Nominated
 		stall += lc.CreditStalled
 		exh += lc.RoundExhausted
 		boost += lc.BiasBoosted
-		sh.Set(om.vcOccupied[p], float64(r.mems[p].Occupied()))
-		sh.Set(om.vcReserved[p], float64(r.mems[p].ReservedVector().Count()))
-		sh.Set(om.guarLoad[p], r.alloc[p].GuaranteedLoad())
+		sh.Set(om.vcOccupied[p], float64(r.Mems[p].Occupied()))
+		sh.Set(om.vcReserved[p], float64(r.Mems[p].ReservedVector().Count()))
+		sh.Set(om.guarLoad[p], r.Alloc[p].GuaranteedLoad())
 	}
 	sh.Store(om.schedNominated, nom)
 	sh.Store(om.schedStalled, stall)

@@ -14,50 +14,30 @@ import (
 type packetFlow struct {
 	kind    flit.PacketKind
 	in, out int
-	src     traffic.Source
-	niQueue flit.Ring // packets waiting for a free VC or fast path
-
-	// Activity gating: last cycle the source was ticked, and the forecast
-	// cycle of its next arrival (see pumpPacketFlow).
-	lastTick int64
-	nextDue  int64
+	ni      traffic.Injector // its queue: packets waiting for a free VC or the fast path
 }
 
 // AddBestEffortFlow attaches a Poisson best-effort packet flow producing
 // packetsPerCycle single-flit packets on average from input in to output
 // out.
 func (r *Router) AddBestEffortFlow(in, out int, packetsPerCycle float64) error {
-	if err := r.checkPorts(in, out); err != nil {
-		return err
-	}
-	r.beFlows = append(r.beFlows, &packetFlow{
-		kind: flit.PacketBestEffort,
-		in:   in, out: out,
-		src:      traffic.NewBestEffortSource(r.rng, packetsPerCycle),
-		lastTick: r.now - 1, nextDue: r.now,
-	})
-	return nil
+	return r.addPacketFlow(&r.beFlows, flit.PacketBestEffort, in, out, packetsPerCycle)
 }
 
 // AddControlFlow attaches a Poisson control-message flow (probes,
 // acknowledgments, management commands) between the given ports.
 func (r *Router) AddControlFlow(in, out int, packetsPerCycle float64) error {
-	if err := r.checkPorts(in, out); err != nil {
-		return err
-	}
-	r.ctlFlows = append(r.ctlFlows, &packetFlow{
-		kind: flit.PacketControl,
-		in:   in, out: out,
-		src:      traffic.NewBestEffortSource(r.rng, packetsPerCycle),
-		lastTick: r.now - 1, nextDue: r.now,
-	})
-	return nil
+	return r.addPacketFlow(&r.ctlFlows, flit.PacketControl, in, out, packetsPerCycle)
 }
 
-func (r *Router) checkPorts(in, out int) error {
+func (r *Router) addPacketFlow(flows *[]*packetFlow, kind flit.PacketKind, in, out int, packetsPerCycle float64) error {
 	if in < 0 || in >= r.cfg.Ports || out < 0 || out >= r.cfg.Ports {
 		return fmt.Errorf("router: ports (%d,%d) out of range", in, out)
 	}
+	pf := &packetFlow{kind: kind, in: in, out: out}
+	pf.ni.Source = traffic.NewBestEffortSource(r.rng, packetsPerCycle)
+	pf.ni.Start(r.now)
+	*flows = append(*flows, pf)
 	return nil
 }
 
@@ -82,12 +62,10 @@ func (r *Router) injectPackets(t int64) {
 }
 
 func (r *Router) pumpPacketFlow(t int64, pf *packetFlow) {
-	// Same gating contract as injectStreams: the gated engine ticks a flow
-	// only once its forecast has come due (Poisson gap ticks are total
-	// no-ops).
-	if r.cfg.NoIdleSkip || pf.nextDue <= t {
-		traffic.ReplayGap(pf.src, pf.lastTick, t-1)
-		for n := pf.src.Tick(t); n > 0; n-- {
+	// As in injectStreams, the gated engine ticks a flow only once its
+	// forecast has come due.
+	if r.cfg.NoIdleSkip || pf.ni.NextDue <= t {
+		for n := pf.ni.Arrivals(t); n > 0; n-- {
 			r.pktSeq++
 			class := flit.ClassBestEffort
 			if pf.kind == flit.PacketControl {
@@ -107,26 +85,22 @@ func (r *Router) pumpPacketFlow(t int64, pf *packetFlow) {
 			pk.Size = 1
 			pk.CreatedAt = t
 			f.Packet = pk
-			pf.niQueue.Push(f)
+			pf.ni.Queue.Push(f)
 			r.m.pktGenerated[class]++
-		}
-		pf.lastTick = t
-		if !r.cfg.NoIdleSkip && pf.nextDue <= t {
-			pf.nextDue = traffic.ForecastSource(pf.src, t, t+idleForecastHorizon)
 		}
 	}
 	// Drain the NI queue in order, stopping at the first packet that does
 	// not fit: all packets of a flow need the same resource (a free VC on
 	// the input port), so scanning past a failure cannot succeed and
 	// would make a backlogged flow cost O(queue) per cycle.
-	for pf.niQueue.Len() > 0 && r.placePacket(t, pf) {
+	for pf.ni.Queue.Len() > 0 && r.placePacket(t, pf) {
 	}
 }
 
 // placePacket attempts delivery or buffering of the flow's head packet,
 // popping it from the NI queue and reporting success.
 func (r *Router) placePacket(t int64, pf *packetFlow) bool {
-	f := pf.niQueue.Peek()
+	f := pf.ni.Queue.Peek()
 	// Control fast path (§3.4): if the requested switch input port and
 	// output link are both free this flit cycle (and the output is not
 	// already claimed by another cut-through), the packet is forwarded
@@ -135,12 +109,12 @@ func (r *Router) placePacket(t int64, pf *packetFlow) bool {
 	if pf.kind == flit.PacketControl && !r.outputBusyAsync[pf.out] && r.portsIdleThisCycle(pf.in, pf.out) {
 		r.outputBusyAsync[pf.out] = true
 		r.m.recordPacketDelivery(t, f, true)
-		pf.niQueue.Pop()
+		pf.ni.Queue.Pop()
 		r.pool.Put(f) // delivered: the cut-through leaves the router now
 		return true
 	}
 	// Buffered path: reserve a free VC on the input port.
-	mem := r.mems[pf.in]
+	mem := r.Mems[pf.in]
 	vc := mem.FindFree(r.rng.Intn(mem.NumVCs()))
 	if vc < 0 {
 		return false // blocked: no free VC (§3.4)
@@ -154,10 +128,8 @@ func (r *Router) placePacket(t int64, pf *packetFlow) bool {
 		Class:  class,
 		Output: pf.out,
 	})
-	f.ReadyAt = t
-	f.HeadAt = t
-	pf.niQueue.Pop()
-	mem.Push(vc, f)
+	pf.ni.Queue.Pop()
+	r.Enqueue(pf.in, vc, f, t)
 	return true
 }
 
@@ -165,7 +137,7 @@ func (r *Router) placePacket(t int64, pf *packetFlow) bool {
 // no flit during the current flit cycle. For the perfect switch (no
 // crossbar state) the fast path is always available.
 func (r *Router) portsIdleThisCycle(in, out int) bool {
-	if r.arbiter.OutputSharing() {
+	if r.Arbiter.OutputSharing() {
 		return true
 	}
 	return r.xbar.InputFor(out) < 0 && r.xbar.OutputFor(in) < 0
@@ -175,7 +147,7 @@ func (r *Router) portsIdleThisCycle(in, out int) bool {
 // flit has left (§3.4: "When a control or a best-effort packet is
 // completely transmitted, the corresponding virtual channel is released").
 func (r *Router) finishPacketFlit(in, vc int, f *flit.Flit) {
-	mem := r.mems[in]
+	mem := r.Mems[in]
 	if mem.Len(vc) == 0 {
 		mem.Release(vc)
 	}

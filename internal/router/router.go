@@ -1,12 +1,14 @@
 // Package router implements the MMR single-chip router (Figure 1 of the
-// paper): per-input-link virtual channel memories and link schedulers, a
-// multiplexed crossbar, an input-driven switch scheduler, round-based
-// bandwidth accounting and credit flow control — driven by a
-// cycle-synchronous engine whose tick is one flit cycle (§3.4). This is
-// the model behind every figure in §5: CBR/VBR connections feed input
-// virtual channels, the link schedulers nominate candidates, the switch
-// scheduler sets the crossbar, and delay/jitter are measured exactly as
-// the paper defines them.
+// paper). Core is the router itself — per-input-link virtual channel
+// memories and link schedulers, an input-driven switch scheduler,
+// round-based bandwidth accounting — and the stages of its flit cycle
+// (§3.4); the fabric nodes of internal/network embed the same Core.
+// Router puts a multiplexed crossbar, credit flow control toward traffic
+// sinks and a cycle-synchronous engine around it. This is the model behind
+// every figure in §5: CBR/VBR connections feed input virtual channels, the
+// link schedulers nominate candidates, the switch scheduler sets the
+// crossbar, and delay/jitter are measured exactly as the paper defines
+// them.
 package router
 
 import (
@@ -127,16 +129,8 @@ type Config struct {
 	Arbiter      ArbiterKind
 	ArbiterIters int // grant/accept iterations; 0 = until converged
 
-	// BEReservePerRound holds back flit cycles each round for best-effort
-	// traffic (§4.2); Concurrency is the VBR concurrency factor.
-	BEReservePerRound int
-	Concurrency       float64
-
-	// EnforceAllocations applies per-round bandwidth enforcement to
-	// stream VCs (§4.3): a VC that has consumed its cycles/round waits
-	// for the next round. Disabling it lets backlogged connections catch
-	// up with unreserved bandwidth.
-	EnforceAllocations bool
+	// Concurrency is the VBR concurrency factor (§4.2).
+	Concurrency float64
 
 	// Admission selects the admission test. AdmitAllocation is the §4.2
 	// hardware mechanism (integer flit cycles/round registers); because
@@ -166,19 +160,18 @@ type Config struct {
 // two-round multiplier.
 func PaperConfig() Config {
 	return Config{
-		Ports:              8,
-		Link:               traffic.PaperLink,
-		VCM:                vcm.PaperConfig(),
-		K:                  2,
-		MaxCandidates:      8,
-		Scheme:             sched.Biased{},
-		Selection:          sched.SelectPriority,
-		Arbiter:            ArbPriority,
-		Concurrency:        2,
-		EnforceAllocations: true,
-		Admission:          AdmitRate,
-		FixedAssign:        PriorityByRate,
-		Seed:               1,
+		Ports:         8,
+		Link:          traffic.PaperLink,
+		VCM:           vcm.PaperConfig(),
+		K:             2,
+		MaxCandidates: 8,
+		Scheme:        sched.Biased{},
+		Selection:     sched.SelectPriority,
+		Arbiter:       ArbPriority,
+		Concurrency:   2,
+		Admission:     AdmitRate,
+		FixedAssign:   PriorityByRate,
+		Seed:          1,
 	}
 }
 
@@ -210,45 +203,35 @@ type Connection struct {
 	Spec traffic.ConnSpec
 	VC   int // input virtual channel
 
-	src      traffic.Source
-	niQueue  flit.Ring // network-interface queue (policed injection, §4.2)
+	ni       traffic.Injector // source and interface queue (policed injection, §4.2)
 	nextSeq  int64
 	injected int64
 	released bool
 
-	// Activity gating: last cycle the source was ticked, and the forecast
-	// cycle of its next arrival (see injectStreams).
-	lastTick int64
-	nextDue  int64
+	// admitted is the rate admission holds bandwidth for at the output
+	// link: Spec.Rate, but for the flit cycle a SetBandwidth word travels.
+	admitted traffic.Rate
 }
 
-// Router is a single MMR instance.
+// Router is a single MMR instance: the shared Core plus what only the
+// single-chip experiments of §5 have — traffic sinks behind credit pipes,
+// the multiplexed crossbar model, in-band control words, the asynchronous
+// control cut-through (§3.4) and the paper's measurements.
 type Router struct {
+	Core
 	cfg  Config
 	rng  *sim.RNG
 	now  int64
 	pool *flit.Pool // per-router free list; see docs/performance.md
 
-	// lastRound is the last round whose boundary reset ran — lazy round
-	// accounting, so idle-skipped cycles catch up on wake (engine.go).
-	lastRound int64
-
-	mems    []*vcm.Memory      // one VCM per input port
-	credits []*flow.Credits    // sink-side credits per input port VC
-	pipes   []*flow.CreditPipe // credit return latency
-	links   []*sched.LinkScheduler
-
-	// occ aggregates buffered-flit occupancy across every input port,
-	// maintained incrementally by the VCMs (vcm.BindOccupancy), so the
-	// per-cycle idle check reads one counter instead of scanning ports.
-	occ   int64
-	alloc []*admission.LinkAllocator // per output link
+	// Core.Credits are the sink-side credits per input port VC; pipes
+	// carry their one-cycle return.
+	pipes []*flow.CreditPipe
 	// Rate-based admission accumulators (AdmitRate mode), as a fraction
 	// of link bandwidth per output.
 	rateGuaranteed []float64
 	ratePeak       []float64
 	xbar           *crossbar.Crossbar
-	arbiter        sched.SwitchScheduler
 
 	conns []*Connection
 	// cal files the connections by when injectStreams must look at them.
@@ -262,10 +245,7 @@ type Router struct {
 	// cut-through that overruns the current flit cycle (§3.4).
 	outputBusyAsync []bool
 
-	// scratch
-	cands  [][]sched.Candidate
-	grants []int
-	xcfg   []int
+	xcfg []int // scratch
 
 	m       measurement
 	om      *routerMetrics // observability layer (observe.go)
@@ -283,72 +263,18 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:             cfg,
 		rng:             sim.NewRNG(cfg.Seed),
-		lastRound:       -1,
 		pool:            flit.NewPool(),
-		mems:            make([]*vcm.Memory, cfg.Ports),
-		credits:         make([]*flow.Credits, cfg.Ports),
 		pipes:           make([]*flow.CreditPipe, cfg.Ports),
-		links:           make([]*sched.LinkScheduler, cfg.Ports),
-		alloc:           make([]*admission.LinkAllocator, cfg.Ports),
 		rateGuaranteed:  make([]float64, cfg.Ports),
 		ratePeak:        make([]float64, cfg.Ports),
 		xbar:            crossbar.New(cfg.Ports),
 		outputBusyAsync: make([]bool, cfg.Ports),
-		cands:           make([][]sched.Candidate, cfg.Ports),
-		grants:          make([]int, cfg.Ports),
 	}
-	// Structure-of-arrays port state: all ports' VC memories, link
-	// schedulers and sink-side credit counters are single contiguous
-	// allocations (the per-port slices hold interior pointers), so the
-	// per-cycle port scans walk adjacent memory.
-	memArr := make([]vcm.Memory, cfg.Ports)
-	lsArr := make([]sched.LinkScheduler, cfg.Ports)
-	credCounts := make([]int, cfg.Ports*cfg.VCM.VirtualChannels)
-	vcs := cfg.VCM.VirtualChannels
-	for p := 0; p < cfg.Ports; p++ {
-		if err := vcm.Init(&memArr[p], cfg.VCM); err != nil {
-			return nil, err
-		}
-		memArr[p].BindOccupancy(&r.occ)
-		r.mems[p] = &memArr[p]
-		r.credits[p] = flow.NewCreditsBacked(cfg.VCM.Depth, credCounts[p*vcs:(p+1)*vcs:(p+1)*vcs])
+	if err := r.Core.Init(&r.cfg, r.rng); err != nil {
+		return nil, err
+	}
+	for p := range r.pipes {
 		r.pipes[p] = flow.NewCreditPipe(1)
-		sched.InitLinkScheduler(&lsArr[p], sched.LinkConfig{
-			Input:         p,
-			MaxCandidates: cfg.MaxCandidates,
-			Outputs:       cfg.Ports,
-			Scheme:        cfg.Scheme,
-			Selection:     cfg.Selection,
-			RNG:           r.rng,
-			NoEnforce:     !cfg.EnforceAllocations,
-		}, r.mems[p], r.credits[p])
-		r.links[p] = &lsArr[p]
-		// Candidates selects in place: one entry per distinct output
-		// before it cuts to MaxCandidates.
-		r.cands[p] = make([]sched.Candidate, 0, cfg.Ports)
-		a, err := admission.NewLinkAllocator(cfg.RoundLen(), cfg.BEReservePerRound, cfg.Concurrency)
-		if err != nil {
-			return nil, err
-		}
-		r.alloc[p] = a
-	}
-	switch cfg.Arbiter {
-	case ArbAutonet:
-		iters := cfg.ArbiterIters
-		if iters < 1 {
-			iters = 3
-		}
-		r.arbiter = sched.NewPIMArbiter(r.rng, iters)
-	case ArbPerfect:
-		r.arbiter = sched.PerfectSwitch{}
-	case ArbISLIP:
-		iters := cfg.ArbiterIters
-		if iters < 1 {
-			iters = 3
-		}
-		r.arbiter = sched.NewISLIPArbiter(iters)
-	default:
-		r.arbiter = sched.NewPriorityArbiter(cfg.ArbiterIters)
 	}
 	r.m.init()
 	return r, nil
@@ -364,10 +290,10 @@ func (r *Router) Now() int64 { return r.now }
 func (r *Router) Connections() []*Connection { return r.conns }
 
 // Allocator exposes an output link's admission state.
-func (r *Router) Allocator(out int) *admission.LinkAllocator { return r.alloc[out] }
+func (r *Router) Allocator(out int) *admission.LinkAllocator { return r.Alloc[out] }
 
 // Memory exposes an input port's VCM (primarily for tests and tools).
-func (r *Router) Memory(in int) *vcm.Memory { return r.mems[in] }
+func (r *Router) Memory(in int) *vcm.Memory { return r.Mems[in] }
 
 // Pool exposes the router's flit free list (primarily for tests asserting
 // get/put balance and recycling hygiene).
@@ -385,7 +311,7 @@ func (r *Router) Establish(spec traffic.ConnSpec) (*Connection, error) {
 	if !spec.Class.IsStream() {
 		return nil, fmt.Errorf("router: Establish is for stream classes, got %v", spec.Class)
 	}
-	mem := r.mems[spec.In]
+	mem := r.Mems[spec.In]
 	vc := mem.FindFree(r.rng.Intn(mem.NumVCs()))
 	if vc < 0 {
 		return nil, fmt.Errorf("router: no free virtual channel on input %d", spec.In)
@@ -431,13 +357,13 @@ func (r *Router) Establish(spec traffic.ConnSpec) (*Connection, error) {
 		InterArrival: interval,
 		Output:       spec.Out,
 	})
-	conn := &Connection{ID: id, Spec: spec, VC: vc,
-		lastTick: r.now - 1, nextDue: r.now}
+	conn := &Connection{ID: id, Spec: spec, VC: vc, admitted: spec.Rate}
+	conn.ni.Start(r.now)
 	switch spec.Class {
 	case flit.ClassCBR:
-		conn.src = traffic.NewCBRSource(r.cfg.Link, spec.Rate, r.rng.Float64())
+		conn.ni.Source = traffic.NewCBRSource(r.cfg.Link, spec.Rate, r.rng.Float64())
 	case flit.ClassVBR:
-		conn.src = traffic.NewVBRSource(r.rng, r.cfg.Link, spec.Rate, spec.PeakRate, traffic.DefaultGoP())
+		conn.ni.Source = traffic.NewVBRSource(r.rng, r.cfg.Link, spec.Rate, spec.PeakRate, traffic.DefaultGoP())
 	}
 	r.conns = append(r.conns, conn)
 	r.cal.Invalidate()
@@ -470,11 +396,11 @@ func (r *Router) admit(spec traffic.ConnSpec, alloc, peak int) error {
 	default:
 		switch spec.Class {
 		case flit.ClassVBR:
-			if !r.alloc[spec.Out].AdmitVBR(alloc, peak) {
+			if !r.Alloc[spec.Out].AdmitVBR(alloc, peak) {
 				return fmt.Errorf("router: output %d cannot admit VBR %v/%v", spec.Out, spec.Rate, spec.PeakRate)
 			}
 		default:
-			if !r.alloc[spec.Out].AdmitCBR(alloc) {
+			if !r.Alloc[spec.Out].AdmitCBR(alloc) {
 				return fmt.Errorf("router: output %d cannot admit %v CBR", spec.Out, spec.Rate)
 			}
 		}
@@ -492,7 +418,7 @@ func (r *Router) EstablishWithSource(spec traffic.ConnSpec, src traffic.Source) 
 	if err != nil {
 		return nil, err
 	}
-	conn.src = src
+	conn.ni.Source = src
 	r.cal.Invalidate()
 	return conn, nil
 }

@@ -178,7 +178,7 @@ func TestFlitConservation(t *testing.T) {
 	}
 	queued := int64(0)
 	for _, c := range r.Connections() {
-		queued += int64(c.niQueue.Len())
+		queued += int64(c.ni.Queue.Len())
 	}
 	if m.FlitsGenerated != m.FlitsDelivered+buffered+queued {
 		t.Fatalf("conservation violated: gen=%d del=%d buf=%d queued=%d",
@@ -193,7 +193,7 @@ func TestRoundBandwidthEnforcement(t *testing.T) {
 	// Pre-load the VC far beyond its allocation by injecting a burst
 	// directly into the NI queue.
 	for i := 0; i < 200; i++ {
-		conn.niQueue.Push(&flit.Flit{Conn: conn.ID, Class: flit.ClassCBR, Seq: int64(i)})
+		conn.ni.Queue.Push(&flit.Flit{Conn: conn.ID, Class: flit.ClassCBR, Seq: int64(i)})
 	}
 	alloc := r.Memory(0).State(conn.VC).Allocated
 	roundLen := int64(r.cfg.RoundLen())

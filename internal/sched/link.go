@@ -31,11 +31,6 @@ type LinkConfig struct {
 	Scheme    PriorityScheme
 	Selection Selection
 	RNG       *sim.RNG // required for SelectRandom
-	// NoEnforce disables per-round bandwidth enforcement: stream VCs are
-	// always eligible at guaranteed precedence regardless of their
-	// serviced count. Used to isolate scheduling effects from allocation
-	// quantization.
-	NoEnforce bool
 }
 
 // LinkScheduler nominates up to MaxCandidates virtual channels from one
@@ -141,14 +136,11 @@ func (ls *LinkScheduler) classify(vc int, st *vcm.VCState) (phase Phase, ok bool
 	case flit.ClassControl:
 		return PhaseControl, true
 	case flit.ClassCBR:
-		if ls.cfg.NoEnforce || ls.mem.Serviced(vc) < st.Allocated {
+		if ls.mem.Serviced(vc) < st.Allocated {
 			return PhaseGuaranteed, true
 		}
 		return 0, false
 	case flit.ClassVBR:
-		if ls.cfg.NoEnforce {
-			return PhaseGuaranteed, true
-		}
 		serviced := ls.mem.Serviced(vc)
 		if serviced < st.Allocated {
 			return PhaseGuaranteed, true

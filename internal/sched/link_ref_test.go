@@ -87,7 +87,6 @@ type selectionCase struct {
 	tableSize int // LinkConfig.Outputs: 0 makes the slot table grow on use
 	fixed     bool
 	random    bool
-	noEnforce bool
 }
 
 const (
@@ -118,7 +117,7 @@ func checkSelection(t *testing.T, tc selectionCase) {
 	build := func() port {
 		mem := vcm.MustNew(vcm.Config{VirtualChannels: selVCs, Depth: selDepth, Banks: 4, PhitsPerFlit: 8, PhitBufferDepth: 8})
 		cr := flow.NewCredits(selVCs, selDepth)
-		cfg := LinkConfig{Input: 3, MaxCandidates: tc.maxCand, Outputs: tc.tableSize, NoEnforce: tc.noEnforce, RNG: sim.NewRNG(tc.seed ^ 0x9e3779b97f4a7c15)}
+		cfg := LinkConfig{Input: 3, MaxCandidates: tc.maxCand, Outputs: tc.tableSize, RNG: sim.NewRNG(tc.seed ^ 0x9e3779b97f4a7c15)}
 		if tc.fixed {
 			cfg.Scheme = Fixed{}
 		}
@@ -213,14 +212,13 @@ func checkSelection(t *testing.T, tc selectionCase) {
 // selectionCaseFrom maps fuzz inputs onto a valid case.
 func selectionCaseFrom(seed uint64, maxCand, outputs, flags uint8) selectionCase {
 	tc := selectionCase{
-		seed:      seed,
-		outputs:   int(outputs)%16 + 1,
-		fixed:     flags&1 != 0,
-		random:    flags&2 != 0,
-		noEnforce: flags&4 != 0,
+		seed:    seed,
+		outputs: int(outputs)%16 + 1,
+		fixed:   flags&1 != 0,
+		random:  flags&2 != 0,
 	}
 	tc.maxCand = int(maxCand)%tc.outputs + 1
-	if flags&8 == 0 {
+	if flags&4 == 0 {
 		tc.tableSize = tc.outputs
 	}
 	return tc
@@ -229,12 +227,12 @@ func selectionCaseFrom(seed uint64, maxCand, outputs, flags uint8) selectionCase
 // TestCandidatesMatchesSortedReference sweeps the one-pass selection
 // against the sorted reference: every MaxCandidates from 1 to the output
 // count, both selection policies, biased and fixed (tie-heavy) priorities,
-// enforcement on and off, and a slot table that starts empty.
+// and a slot table that starts empty.
 func TestCandidatesMatchesSortedReference(t *testing.T) {
 	const outputs = 8
 	for seed := uint64(1); seed <= 6; seed++ {
 		for maxCand := 1; maxCand <= outputs; maxCand++ {
-			for flags := uint8(0); flags < 16; flags++ {
+			for flags := uint8(0); flags < 8; flags++ {
 				// The fuzz mapping is n%range + 1, hence the -1s.
 				checkSelection(t, selectionCaseFrom(seed, uint8(maxCand-1), outputs-1, flags))
 			}
@@ -248,8 +246,8 @@ func FuzzCandidatesMatchesSortedReference(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(7), uint8(0))  // 1C biased, the paper's 8 outputs
 	f.Add(uint64(2), uint8(7), uint8(7), uint8(1))  // 8C fixed: ties everywhere
 	f.Add(uint64(3), uint8(3), uint8(7), uint8(2))  // random selection
-	f.Add(uint64(4), uint8(1), uint8(15), uint8(8)) // slot table grows from empty
-	f.Add(uint64(5), uint8(2), uint8(0), uint8(4))  // one output, no enforcement
+	f.Add(uint64(4), uint8(1), uint8(15), uint8(4)) // slot table grows from empty
+	f.Add(uint64(5), uint8(2), uint8(0), uint8(0))  // one output
 	f.Fuzz(func(t *testing.T, seed uint64, maxCand, outputs, flags uint8) {
 		checkSelection(t, selectionCaseFrom(seed, maxCand, outputs, flags))
 	})

@@ -250,13 +250,3 @@ func AdvanceSource(src Source, from, to int64) int {
 	}
 	return tickThrough(src, from, to)
 }
-
-// ReplayGap brings a source last ticked at cycle last through cycle to on
-// an engine's datapath, where every cycle of the gap lies before the
-// source's forecast: the replay is a promised no-op — no flits, no RNG —
-// that leaves the accumulators exactly where per-cycle ticks would have.
-func ReplayGap(src Source, last, to int64) {
-	if last < to && AdvanceSource(src, last, to) != 0 {
-		panic("traffic: a source produced flits during cycles its forecast promised silent")
-	}
-}

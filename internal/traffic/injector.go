@@ -1,0 +1,67 @@
+package traffic
+
+import "mmr/internal/flit"
+
+// forecastHorizon bounds how far ahead a source forecast looks. A forecast
+// returning the horizon means "nothing before then; re-forecast there", so
+// the constant trades forecast loop length against wake-up frequency for
+// very-low-rate sources; it never affects results.
+const forecastHorizon = 4096
+
+// Injector is one session's host interface: its traffic source, the
+// network-interface queue its flits wait in for buffer space, and the
+// source-gating protocol every engine runs it under.
+//
+// A source is stateful and must see every cycle, but an engine looks at a
+// session only when NextDue has come or flits queue at its interface.
+// Arrivals makes good the cycles in between: it first replays them (no-ops
+// by construction — the forecast promised no arrivals and gap ticks draw no
+// RNG; the sum is the one the forecast already made, see Forecaster), then
+// ticks the live cycle, and only then, once the forecast has expired,
+// forecasts again — after the tick, so the forecast always describes the
+// source's actual per-cycle state. LastTick and NextDue are maintained the
+// same way whether or not the engine gates on them: they are durable state
+// a checkpoint carries, and must not depend on the execution strategy
+// (ForecastEvent touches no simulated state). A session that is only
+// draining its queue is not ticked: its gap stays whole for the forecast's
+// memo.
+type Injector struct {
+	Source Source    // nil once the session is torn down
+	Queue  flit.Ring // flits minted and not yet in a virtual channel
+
+	LastTick int64 // last cycle Source was ticked
+	NextDue  int64 // forecast cycle of Source's next arrival or RNG draw
+}
+
+// Start makes cycle now the first the source is ticked in: whatever came
+// before — a broken period, a rate whose forecast no longer holds — is not
+// replayed, and the first look at the session forecasts afresh.
+func (in *Injector) Start(now int64) {
+	in.LastTick = now - 1
+	in.NextDue = now
+}
+
+// Arrivals returns the flits the source emits in cycle t; every cycle
+// between LastTick and t must lie before NextDue.
+func (in *Injector) Arrivals(t int64) int {
+	in.CatchUp(t - 1)
+	k := in.Source.Tick(t)
+	in.LastTick = t
+	if in.NextDue <= t {
+		in.NextDue = ForecastSource(in.Source, t, t+forecastHorizon)
+	}
+	return k
+}
+
+// CatchUp replays the cycles after LastTick up to and including through,
+// all of which lie before NextDue. Anything about to change how the source
+// ticks (its rate) or to stop it must first replay the gap as it was.
+func (in *Injector) CatchUp(through int64) {
+	if in.LastTick >= through {
+		return
+	}
+	if AdvanceSource(in.Source, in.LastTick, through) != 0 {
+		panic("traffic: a source produced flits during cycles its forecast promised silent")
+	}
+	in.LastTick = through
+}
