@@ -293,7 +293,7 @@ func (n *Network) phaseDeliver(nd *node, t int64) {
 // does not depend on which of the two ran first.
 func (n *Network) phaseSchedule(nd *node, t int64) {
 	n.routePackets(nd)
-	nd.Nominate(t)
+	nd.Nominate(t, !n.cfg.NoIdleSkip)
 	nd.Arbitrate()
 
 	hp := n.cfg.hostPort()

@@ -93,7 +93,7 @@ func TestPoolRecycleBalance(t *testing.T) {
 		}
 	}
 	for p := 0; p < r.cfg.Ports; p++ {
-		mem := r.Mems[p]
+		mem := r.core.Mems[p]
 		for vc := 0; vc < mem.NumVCs(); vc++ {
 			for mem.Len(vc) > 0 {
 				note(mem.Pop(vc), "VCM")
@@ -144,7 +144,7 @@ func TestRecycledFlitNotRetained(t *testing.T) {
 		queued += int64(pf.ni.Queue.Len())
 	}
 	for p := 0; p < r.cfg.Ports; p++ {
-		queued += int64(r.Mems[p].Occupied())
+		queued += int64(r.core.Mems[p].Occupied())
 	}
 	if pool.Live() != queued {
 		t.Fatalf("pool.Live() = %d but %d flits are queued: a departed flit is retained or leaked",

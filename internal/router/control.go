@@ -47,7 +47,7 @@ func (r *Router) SetBandwidth(conn *Connection, rate traffic.Rate) error {
 	default:
 		roundLen := r.cfg.RoundLen()
 		delta := r.cfg.Link.CyclesPerRound(rate, roundLen) - r.cfg.Link.CyclesPerRound(conn.admitted, roundLen)
-		if !r.Alloc[conn.Spec.Out].AdjustCBR(delta) {
+		if !r.core.Alloc[conn.Spec.Out].AdjustCBR(delta) {
 			return fmt.Errorf("router: output %d cannot grow connection %d to %v", conn.Spec.Out, conn.ID, rate)
 		}
 	}
@@ -86,7 +86,7 @@ func (r *Router) AbortFrame(conn *Connection) int {
 		r.pool.Put(conn.ni.Queue.Pop())
 		dropped++
 	}
-	mem := r.Mems[conn.Spec.In]
+	mem := r.core.Mems[conn.Spec.In]
 	for mem.Len(conn.VC) > 0 {
 		r.pool.Put(mem.Pop(conn.VC))
 		dropped++
@@ -113,14 +113,14 @@ func (r *Router) Release(conn *Connection) error {
 	// A credit still in flight from the sink would be returned to
 	// whatever connection reuses this VC, corrupting flow control; the
 	// return path is one cycle, so the caller just steps the router.
-	if r.Credits[conn.Spec.In].Available(conn.VC) != r.cfg.VCM.Depth {
+	if r.core.Credits[conn.Spec.In].Available(conn.VC) != r.cfg.VCM.Depth {
 		return fmt.Errorf("router: connection %d has credits in flight; run a cycle and retry", conn.ID)
 	}
 	conn.released = true
 	r.AbortFrame(conn) // drain NI queue and VC
 	conn.ni.Source = nil
 	r.cal.Invalidate()
-	mem := r.Mems[conn.Spec.In]
+	mem := r.core.Mems[conn.Spec.In]
 	mem.Release(conn.VC)
 	roundLen := r.cfg.RoundLen()
 	alloc := r.cfg.Link.CyclesPerRound(conn.admitted, roundLen)
@@ -140,9 +140,9 @@ func (r *Router) Release(conn *Connection) error {
 			if peak < alloc {
 				peak = alloc
 			}
-			r.Alloc[conn.Spec.Out].ReleaseVBR(alloc, peak)
+			r.core.Alloc[conn.Spec.Out].ReleaseVBR(alloc, peak)
 		} else {
-			r.Alloc[conn.Spec.Out].ReleaseCBR(alloc)
+			r.core.Alloc[conn.Spec.Out].ReleaseCBR(alloc)
 		}
 	}
 	return nil
@@ -156,7 +156,7 @@ func (r *Router) applyControls(t int64) {
 		if pc.conn.released {
 			continue // the connection was torn down while the word was in flight
 		}
-		st := r.Mems[pc.conn.Spec.In].State(pc.conn.VC)
+		st := r.core.Mems[pc.conn.Spec.In].State(pc.conn.VC)
 		switch pc.word.Op {
 		case flit.CtlSetBandwidth:
 			rate := traffic.Rate(pc.word.Arg)

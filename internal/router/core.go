@@ -12,7 +12,7 @@ import (
 // Core is the router of Figure 1 and the flit cycle of §3.4, once: per
 // input port a virtual channel memory, a link scheduler and the credit
 // counters it nominates against, per output link the §4.2 bandwidth
-// registers, and one switch scheduler. Both engines embed it by value and
+// registers, and one switch scheduler. Both engines hold it by value and
 // step it through the same stages —
 //
 //	BeginCycle  round boundary (§4.1)
@@ -34,7 +34,7 @@ type Core struct {
 	Links   []*sched.LinkScheduler     // per input port
 	Credits []*flow.Credits            // per input port: the downstream buffers its VCs' flits move into
 	Alloc   []*admission.LinkAllocator // per output link
-	Arbiter sched.SwitchScheduler
+	arbiter sched.SwitchScheduler
 
 	// Cands[in] is input in's nominations this cycle, best first, and
 	// Grants[in] the index into it the switch scheduler granted, or
@@ -49,9 +49,10 @@ type Core struct {
 	// LastRound is the last round whose boundary reset ran (BeginCycle).
 	LastRound int64
 
-	roundLen  int64
-	skipIdle  bool
-	nominated int
+	roundLen int64
+	// quiet: this cycle's Nominate was told to skip idle work and found
+	// nothing to arbitrate.
+	quiet bool
 }
 
 // Init builds the core cfg describes; randomized selection and matching
@@ -67,7 +68,6 @@ func (c *Core) Init(cfg *Config, rng *sim.RNG) error {
 		Grants:    make([]int, ports),
 		LastRound: -1,
 		roundLen:  int64(cfg.RoundLen()),
-		skipIdle:  !cfg.NoIdleSkip,
 	}
 	mems := make([]vcm.Memory, ports)
 	links := make([]sched.LinkScheduler, ports)
@@ -88,9 +88,6 @@ func (c *Core) Init(cfg *Config, rng *sim.RNG) error {
 			RNG:           rng,
 		}, c.Mems[p], c.Credits[p])
 		c.Links[p] = &links[p]
-		// Candidates selects in place: one entry per distinct output
-		// before it cuts to MaxCandidates.
-		c.Cands[p] = make([]sched.Candidate, 0, ports)
 		a, err := admission.NewLinkAllocator(cfg.RoundLen(), 0, cfg.Concurrency)
 		if err != nil {
 			return err
@@ -103,13 +100,13 @@ func (c *Core) Init(cfg *Config, rng *sim.RNG) error {
 	}
 	switch cfg.Arbiter {
 	case ArbAutonet:
-		c.Arbiter = sched.NewPIMArbiter(rng, iters)
+		c.arbiter = sched.NewPIMArbiter(rng, iters)
 	case ArbPerfect:
-		c.Arbiter = sched.PerfectSwitch{}
+		c.arbiter = sched.PerfectSwitch{}
 	case ArbISLIP:
-		c.Arbiter = sched.NewISLIPArbiter(iters)
+		c.arbiter = sched.NewISLIPArbiter(iters)
 	default:
-		c.Arbiter = sched.NewPriorityArbiter(iters)
+		c.arbiter = sched.NewPriorityArbiter(iters)
 	}
 	return nil
 }
@@ -143,35 +140,39 @@ func (c *Core) Enqueue(in, vc int, f *flit.Flit, t int64) bool {
 
 // Nominate runs every input's link scheduler (§4.3) on the state the
 // previous cycle left — in hardware, arbitration for cycle t overlaps
-// transmission of cycle t-1 — and returns the candidates nominated. A port
-// with no buffered flit is skipped: Candidates on an empty memory is
-// provably a pure no-op (empty eligible set, zero CreditStalled, early
-// return before the excess election; sched.LinkScheduler.Active).
-func (c *Core) Nominate(t int64) int {
-	c.nominated = 0
+// transmission of cycle t-1 — and returns the candidates nominated. With
+// skipIdle (the engine's activity gating, read from its Config every
+// cycle; off is the reference) a port with no buffered flit is skipped:
+// Candidates on an empty memory is provably a pure no-op (empty eligible
+// set, zero CreditStalled, early return before the excess election;
+// sched.LinkScheduler.Active).
+func (c *Core) Nominate(t int64, skipIdle bool) int {
+	total := 0
 	for p, ls := range c.Links {
-		if c.skipIdle && !ls.Active() {
+		if skipIdle && !ls.Active() {
 			c.Cands[p] = c.Cands[p][:0]
 			continue
 		}
 		c.Cands[p] = ls.Candidates(t, c.Cands[p][:0])
-		c.nominated += len(c.Cands[p])
+		total += len(c.Cands[p])
 	}
-	return c.nominated
+	c.quiet = skipIdle && total == 0
+	return total
 }
 
 // Arbitrate runs the switch scheduler (§4.4) over Cands into Grants. With
 // nothing nominated every scheduler grants nothing, drawing no RNG and
-// moving no pointer, so that result is written directly. (The engine may
-// have removed candidates since Nominate, never added any.)
+// moving no pointer, so a gated Nominate that found nothing has that result
+// written directly. (The engine may have removed candidates since Nominate,
+// never added any.)
 func (c *Core) Arbitrate() {
-	if c.skipIdle && c.nominated == 0 {
+	if c.quiet {
 		for in := range c.Grants {
 			c.Grants[in] = sched.NoGrant
 		}
 		return
 	}
-	c.Arbiter.Schedule(c.Cands, c.Grants)
+	c.arbiter.Schedule(c.Cands, c.Grants)
 }
 
 // Pop takes the flit input in was granted out of its virtual channel at

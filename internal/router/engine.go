@@ -19,11 +19,11 @@ import (
 func (r *Router) Step() {
 	t := r.now
 
-	r.BeginCycle(t)
+	r.core.BeginCycle(t)
 
 	// Credit return: sinks drained earlier flits.
 	for p := range r.pipes {
-		r.pipes[p].DeliverTo(t, r.Credits[p])
+		r.pipes[p].DeliverTo(t, r.core.Credits[p])
 	}
 
 	// In-band management commands whose propagation delay elapsed (§4.3).
@@ -32,9 +32,9 @@ func (r *Router) Step() {
 	// Link scheduling (§4.3), less the outputs an asynchronous control
 	// cut-through claimed last cycle — busy during this cycle's
 	// arbitration (§3.4) — then switch scheduling (§4.4).
-	r.Nominate(t)
+	r.core.Nominate(t, !r.cfg.NoIdleSkip)
 	r.maskAsyncOutputs()
-	r.Arbitrate()
+	r.core.Arbitrate()
 
 	// Transmission: winners cross the switch and leave on output links.
 	r.transmit(t)
@@ -66,14 +66,14 @@ func (r *Router) maskAsyncOutputs() {
 	if !anyBusy {
 		return
 	}
-	for p := range r.Cands {
-		kept := r.Cands[p][:0]
-		for _, c := range r.Cands[p] {
+	for p := range r.core.Cands {
+		kept := r.core.Cands[p][:0]
+		for _, c := range r.core.Cands[p] {
 			if !r.outputBusyAsync[c.Output] {
 				kept = append(kept, c)
 			}
 		}
-		r.Cands[p] = kept
+		r.core.Cands[p] = kept
 	}
 }
 
@@ -126,9 +126,9 @@ func (r *Router) injectStream(c *Connection, t int64, tick bool) {
 		}
 	}
 	// Drain the NI queue into the VC while there is room.
-	mem := r.Mems[c.Spec.In]
+	mem := r.core.Mems[c.Spec.In]
 	for c.ni.Queue.Len() > 0 && mem.Free(c.VC) > 0 {
-		r.Enqueue(c.Spec.In, c.VC, c.ni.Queue.Pop(), t)
+		r.core.Enqueue(c.Spec.In, c.VC, c.ni.Queue.Pop(), t)
 		c.injected++
 	}
 }
@@ -136,7 +136,7 @@ func (r *Router) injectStream(c *Connection, t int64, tick bool) {
 // transmit pops granted flits, moves them through the crossbar model,
 // records statistics and returns credits into the pipes.
 func (r *Router) transmit(t int64) {
-	shared := r.Arbiter.OutputSharing()
+	shared := r.core.arbiter.OutputSharing()
 	if !shared {
 		// Configure the multiplexed crossbar for this flit cycle; the
 		// reconfiguration clock cycle is hidden inside the flit cycle
@@ -146,24 +146,24 @@ func (r *Router) transmit(t int64) {
 		}
 		for in := range r.xcfg {
 			r.xcfg[in] = crossbar.Unconnected
-			if g := r.Grants[in]; g != sched.NoGrant {
-				r.xcfg[in] = r.Cands[in][g].Output
+			if g := r.core.Grants[in]; g != sched.NoGrant {
+				r.xcfg[in] = r.core.Cands[in][g].Output
 			}
 		}
 		if err := r.xbar.Configure(r.xcfg); err != nil {
 			panic("router: arbiter produced conflicting matching: " + err.Error())
 		}
 	}
-	for in, g := range r.Grants {
+	for in, g := range r.core.Grants {
 		if g == sched.NoGrant {
 			continue
 		}
-		cand, f := r.Pop(in, t)
+		cand, f := r.core.Pop(in, t)
 		if !shared {
 			r.xbar.Transmit(in)
 		}
 		// Sink-side credit: consume on transmit, returned next cycle.
-		if r.Credits[in].Consume(cand.VC) {
+		if r.core.Credits[in].Consume(cand.VC) {
 			r.pipes[in].Send(t, cand.VC)
 		}
 		r.m.recordDeparture(t, f, cand)
@@ -214,7 +214,7 @@ func (r *Router) runCycles(cycles int64) {
 // source whose forecast says it is due. Everything here is a pure read,
 // so the check cannot perturb the simulation.
 func (r *Router) idle(t int64) bool {
-	if r.Occ > 0 {
+	if r.core.Occ > 0 {
 		return false
 	}
 	for _, p := range r.pipes {

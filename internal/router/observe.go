@@ -113,14 +113,14 @@ func (r *Router) collectMetrics() {
 
 	var nom, stall, exh, boost int64
 	for p := 0; p < r.cfg.Ports; p++ {
-		lc := r.Links[p].Counters()
+		lc := r.core.Links[p].Counters()
 		nom += lc.Nominated
 		stall += lc.CreditStalled
 		exh += lc.RoundExhausted
 		boost += lc.BiasBoosted
-		sh.Set(om.vcOccupied[p], float64(r.Mems[p].Occupied()))
-		sh.Set(om.vcReserved[p], float64(r.Mems[p].ReservedVector().Count()))
-		sh.Set(om.guarLoad[p], r.Alloc[p].GuaranteedLoad())
+		sh.Set(om.vcOccupied[p], float64(r.core.Mems[p].Occupied()))
+		sh.Set(om.vcReserved[p], float64(r.core.Mems[p].ReservedVector().Count()))
+		sh.Set(om.guarLoad[p], r.core.Alloc[p].GuaranteedLoad())
 	}
 	sh.Store(om.schedNominated, nom)
 	sh.Store(om.schedStalled, stall)

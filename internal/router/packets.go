@@ -114,7 +114,7 @@ func (r *Router) placePacket(t int64, pf *packetFlow) bool {
 		return true
 	}
 	// Buffered path: reserve a free VC on the input port.
-	mem := r.Mems[pf.in]
+	mem := r.core.Mems[pf.in]
 	vc := mem.FindFree(r.rng.Intn(mem.NumVCs()))
 	if vc < 0 {
 		return false // blocked: no free VC (§3.4)
@@ -129,7 +129,7 @@ func (r *Router) placePacket(t int64, pf *packetFlow) bool {
 		Output: pf.out,
 	})
 	pf.ni.Queue.Pop()
-	r.Enqueue(pf.in, vc, f, t)
+	r.core.Enqueue(pf.in, vc, f, t)
 	return true
 }
 
@@ -137,7 +137,7 @@ func (r *Router) placePacket(t int64, pf *packetFlow) bool {
 // no flit during the current flit cycle. For the perfect switch (no
 // crossbar state) the fast path is always available.
 func (r *Router) portsIdleThisCycle(in, out int) bool {
-	if r.Arbiter.OutputSharing() {
+	if r.core.arbiter.OutputSharing() {
 		return true
 	}
 	return r.xbar.InputFor(out) < 0 && r.xbar.OutputFor(in) < 0
@@ -147,7 +147,7 @@ func (r *Router) portsIdleThisCycle(in, out int) bool {
 // flit has left (§3.4: "When a control or a best-effort packet is
 // completely transmitted, the corresponding virtual channel is released").
 func (r *Router) finishPacketFlit(in, vc int, f *flit.Flit) {
-	mem := r.Mems[in]
+	mem := r.core.Mems[in]
 	if mem.Len(vc) == 0 {
 		mem.Release(vc)
 	}

@@ -218,13 +218,13 @@ type Connection struct {
 // the multiplexed crossbar model, in-band control words, the asynchronous
 // control cut-through (§3.4) and the paper's measurements.
 type Router struct {
-	Core
+	core Core // by value, and named: its stages are not Router's API
 	cfg  Config
 	rng  *sim.RNG
 	now  int64
 	pool *flit.Pool // per-router free list; see docs/performance.md
 
-	// Core.Credits are the sink-side credits per input port VC; pipes
+	// core.Credits are the sink-side credits per input port VC; pipes
 	// carry their one-cycle return.
 	pipes []*flow.CreditPipe
 	// Rate-based admission accumulators (AdmitRate mode), as a fraction
@@ -270,7 +270,7 @@ func New(cfg Config) (*Router, error) {
 		xbar:            crossbar.New(cfg.Ports),
 		outputBusyAsync: make([]bool, cfg.Ports),
 	}
-	if err := r.Core.Init(&r.cfg, r.rng); err != nil {
+	if err := r.core.Init(&r.cfg, r.rng); err != nil {
 		return nil, err
 	}
 	for p := range r.pipes {
@@ -290,10 +290,10 @@ func (r *Router) Now() int64 { return r.now }
 func (r *Router) Connections() []*Connection { return r.conns }
 
 // Allocator exposes an output link's admission state.
-func (r *Router) Allocator(out int) *admission.LinkAllocator { return r.Alloc[out] }
+func (r *Router) Allocator(out int) *admission.LinkAllocator { return r.core.Alloc[out] }
 
 // Memory exposes an input port's VCM (primarily for tests and tools).
-func (r *Router) Memory(in int) *vcm.Memory { return r.Mems[in] }
+func (r *Router) Memory(in int) *vcm.Memory { return r.core.Mems[in] }
 
 // Pool exposes the router's flit free list (primarily for tests asserting
 // get/put balance and recycling hygiene).
@@ -311,7 +311,7 @@ func (r *Router) Establish(spec traffic.ConnSpec) (*Connection, error) {
 	if !spec.Class.IsStream() {
 		return nil, fmt.Errorf("router: Establish is for stream classes, got %v", spec.Class)
 	}
-	mem := r.Mems[spec.In]
+	mem := r.core.Mems[spec.In]
 	vc := mem.FindFree(r.rng.Intn(mem.NumVCs()))
 	if vc < 0 {
 		return nil, fmt.Errorf("router: no free virtual channel on input %d", spec.In)
@@ -396,11 +396,11 @@ func (r *Router) admit(spec traffic.ConnSpec, alloc, peak int) error {
 	default:
 		switch spec.Class {
 		case flit.ClassVBR:
-			if !r.Alloc[spec.Out].AdmitVBR(alloc, peak) {
+			if !r.core.Alloc[spec.Out].AdmitVBR(alloc, peak) {
 				return fmt.Errorf("router: output %d cannot admit VBR %v/%v", spec.Out, spec.Rate, spec.PeakRate)
 			}
 		default:
-			if !r.Alloc[spec.Out].AdmitCBR(alloc) {
+			if !r.core.Alloc[spec.Out].AdmitCBR(alloc) {
 				return fmt.Errorf("router: output %d cannot admit %v CBR", spec.Out, spec.Rate)
 			}
 		}
