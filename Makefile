@@ -51,8 +51,10 @@ race:
 # the checkpoint decoder against damaged payloads (its seeds are 80 kB
 # each, so minimizing a new input is capped or it eats the budget), a
 # source's one-call gap replay against per-cycle ticks, the link
-# scheduler's one-pass selection against its sorted reference, and the
-# EPB search against its map-based reference.
+# scheduler's one-pass selection against its sorted reference, the EPB
+# search against its map-based reference, and the VC memory's mirrors
+# (status vectors, Busy bit, head stamp, round-stamped accounts) against a
+# plain model.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzNetworkChurn -fuzztime=$(FUZZTIME) ./internal/network
 	$(GO) test -run='^$$' -fuzz=FuzzWakeTableMatchesScan -fuzztime=$(FUZZTIME) ./internal/network
@@ -60,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAdvanceToMatchesTicks -fuzztime=$(FUZZTIME) ./internal/traffic
 	$(GO) test -run='^$$' -fuzz=FuzzCandidatesMatchesSortedReference -fuzztime=$(FUZZTIME) ./internal/sched
 	$(GO) test -run='^$$' -fuzz=FuzzSearchIntoMatchesReference -fuzztime=$(FUZZTIME) ./internal/routing
+	$(GO) test -run='^$$' -fuzz=FuzzMemoryMirrors -fuzztime=$(FUZZTIME) ./internal/vcm
 
 # Million-event churn soak: Poisson session arrivals/departures, flash
 # crowds, regional outages, and kill+restore cycles from checkpoints at

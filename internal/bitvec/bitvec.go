@@ -16,22 +16,55 @@ import (
 	"strings"
 )
 
-const wordBits = 64
+const (
+	wordBits = 64
+	// inlineWords is how many words a Vector stores in itself: 256 bits, the
+	// paper's VCs per link (§5), so a status vector's length, header and bits
+	// are one 64-byte object and reading one is a single cache line.
+	inlineWords = 4
+)
 
 // Vector is a fixed-length bit vector. The length is set at construction
 // and logical operations require equal lengths (mirroring fixed-width
 // hardware registers). The zero value is an empty vector of length 0.
+//
+// A vector of up to 256 bits keeps its words inline, words pointing into the
+// vector itself, so a Vector must not be copied once sized: the copy would
+// alias the original's bits. go vet's copylocks check enforces it (noCopy).
 type Vector struct {
-	n     int
-	words []uint64
+	_      noCopy
+	n      int
+	words  []uint64
+	inline [inlineWords]uint64
 }
+
+// noCopy makes go vet's copylocks check reject by-value copies of whatever
+// embeds it (the sync package's convention).
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // New returns an all-zero vector holding n bits. It panics if n < 0.
 func New(n int) *Vector {
+	v := new(Vector)
+	v.Init(n)
+	return v
+}
+
+// Init sizes v in place to n all-zero bits — the form for a vector held by
+// value inside its owner. It panics if n < 0.
+func (v *Vector) Init(n int) {
 	if n < 0 {
 		panic("bitvec: negative length")
 	}
-	return &Vector{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
+	v.n = n
+	v.inline = [inlineWords]uint64{}
+	if nw := (n + wordBits - 1) / wordBits; nw <= inlineWords {
+		v.words = v.inline[:nw]
+	} else {
+		v.words = make([]uint64, nw)
+	}
 }
 
 // Len returns the number of bits in the vector.
@@ -204,6 +237,37 @@ func (v *Vector) NextSetWrap(from int) int {
 		return i
 	}
 	return v.NextSet(0)
+}
+
+// NextClearWrap returns the first clear bit at or after from, wrapping to
+// the start of the vector, or -1 if every bit is set.
+func (v *Vector) NextClearWrap(from int) int {
+	if v.n == 0 {
+		return -1
+	}
+	from %= v.n
+	if from < 0 {
+		from += v.n
+	}
+	if i := v.nextClear(from); i >= 0 {
+		return i
+	}
+	return v.nextClear(0)
+}
+
+// nextClear returns the first clear bit at or after from (< Len), or -1.
+func (v *Vector) nextClear(from int) int {
+	mask := ^uint64(0) << (uint(from) % wordBits) // bits below from, in its word, do not count
+	for wi := from / wordBits; wi < len(v.words); wi++ {
+		if w := ^v.words[wi] & mask; w != 0 {
+			if i := wi*wordBits + bits.TrailingZeros64(w); i < v.n {
+				return i
+			}
+			return -1 // only the unused high bits of the last word are clear
+		}
+		mask = ^uint64(0)
+	}
+	return -1
 }
 
 // ForEach calls fn with the index of every set bit, in ascending order.

@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -160,6 +161,59 @@ func TestNextSetWrap(t *testing.T) {
 	}
 	if got := New(0).NextSetWrap(0); got != -1 {
 		t.Fatalf("NextSetWrap on zero-length = %d, want -1", got)
+	}
+}
+
+// TestNextClearWrap holds the word scan to the bit-by-bit walk it stands
+// for, on lengths around the word and inline-storage boundaries.
+func TestNextClearWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 7, 63, 64, 65, 128, 255, 256, 257, 300} {
+		v := New(n)
+		for step := 0; step < 2000 && n > 0; step++ {
+			switch i := rng.Intn(n); rng.Intn(8) {
+			case 0:
+				v.Fill()
+			case 1, 2, 3, 4:
+				v.Set(i)
+			default:
+				v.Clear(i)
+			}
+			from := rng.Intn(3*n) - n
+			want := -1
+			for k := 0; k < n; k++ {
+				if i := ((from%n+n)%n + k) % n; !v.Test(i) {
+					want = i
+					break
+				}
+			}
+			if got := v.NextClearWrap(from); got != want {
+				t.Fatalf("len %d, %v: NextClearWrap(%d) = %d, want %d", n, v, from, got, want)
+			}
+		}
+		if n == 0 && v.NextClearWrap(0) != -1 {
+			t.Fatal("NextClearWrap on zero-length should be -1")
+		}
+	}
+}
+
+// TestInitInPlace: a vector held by value and sized with Init behaves as one
+// from New, at inline and at heap sizes, and Init again resizes and clears.
+func TestInitInPlace(t *testing.T) {
+	var holder struct {
+		pad uint64
+		v   Vector
+	}
+	for _, n := range []int{256, 1000, 64} {
+		holder.v.Init(n)
+		if holder.v.Len() != n || holder.v.Any() {
+			t.Fatalf("Init(%d): len %d, any %v", n, holder.v.Len(), holder.v.Any())
+		}
+		holder.v.Set(n - 1)
+		holder.v.Set(0)
+		if holder.v.Count() != 2 || holder.v.NextSet(1) != n-1 {
+			t.Fatalf("Init(%d): count %d, NextSet(1) = %d", n, holder.v.Count(), holder.v.NextSet(1))
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 type Credits struct {
 	max    int
 	counts []int
-	avail  *bitvec.Vector // credit>0, one bit per VC (§4.1 credits_available)
+	avail  bitvec.Vector // credit>0, one bit per VC (§4.1 credits_available)
 }
 
 // NewCredits returns a tracker for vcs virtual channels, each starting
@@ -39,7 +39,8 @@ func NewCreditsBacked(depth int, counts []int) *Credits {
 	if len(counts) < 1 || depth < 1 {
 		panic(fmt.Sprintf("flow: invalid geometry vcs=%d depth=%d", len(counts), depth))
 	}
-	c := &Credits{max: depth, counts: counts, avail: bitvec.New(len(counts))}
+	c := &Credits{max: depth, counts: counts}
+	c.avail.Init(len(counts))
 	for i := range c.counts {
 		c.counts[i] = depth
 	}
@@ -54,7 +55,7 @@ func (c *Credits) Available(vc int) int { return c.counts[vc] }
 func (c *Credits) Has(vc int) bool { return c.counts[vc] > 0 }
 
 // Vector returns the credits_available status bit vector (read-only).
-func (c *Credits) Vector() *bitvec.Vector { return c.avail }
+func (c *Credits) Vector() *bitvec.Vector { return &c.avail }
 
 // Consume spends one credit of VC vc before transmitting a flit. It
 // reports false — and consumes nothing — if no credit is held; sending

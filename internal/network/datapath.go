@@ -297,19 +297,15 @@ func (n *Network) phaseSchedule(nd *node, t int64) {
 	nd.Arbitrate()
 
 	hp := n.cfg.hostPort()
-	for in, g := range nd.Grants {
+	for _, in := range nd.Nominated {
+		g := nd.Grants[in]
 		nd.grantVC[in] = grantSkip
 		if g == sched.NoGrant {
 			continue
 		}
 		cand := nd.Cands[in][g]
 		mem := nd.Mems[in]
-		head := mem.Peek(cand.VC)
-		if head == nil {
-			panic("network: granted VC empty")
-		}
-		st := mem.State(cand.VC)
-		isPacket := st.Class == flit.ClassBestEffort || st.Class == flit.ClassControl
+		isPacket := cand.Phase == sched.PhaseBestEffort || cand.Phase == sched.PhaseControl
 
 		switch {
 		case cand.Output == hp:
@@ -320,7 +316,7 @@ func (n *Network) phaseSchedule(nd *node, t int64) {
 			// reach here — a failure tears their connection down before
 			// the next transmit.)
 			if isPacket {
-				st.Output = -1
+				mem.SetOutput(cand.VC, -1)
 				nd.ms.Inc(n.nm.deadOutput)
 			}
 		case isPacket:
@@ -335,7 +331,7 @@ func (n *Network) phaseSchedule(nd *node, t int64) {
 				continue
 			}
 			if !n.ud.IsUp(nd.id, cand.Output) {
-				head.Packet.WentDown = true
+				mem.Peek(cand.VC).Packet.WentDown = true
 			}
 			nd.grantVC[in] = targetVC
 		default:
@@ -371,11 +367,11 @@ func (n *Network) phaseCommit(nd *node, t int64) {
 
 // executeGrants performs the transfers resolved in the schedule phase.
 func (n *Network) executeGrants(nd *node, t int64) {
-	for in, g := range nd.Grants {
-		if g == sched.NoGrant || nd.grantVC[in] == grantSkip {
-			continue
-		}
+	for _, in := range nd.Nominated {
 		targetVC := nd.grantVC[in]
+		if targetVC == grantSkip {
+			continue // no grant, or one phaseSchedule abandoned
+		}
 		cand, f := nd.Pop(in, t)
 		nd.ms.Inc(n.nm.grantsByPort[cand.Output])
 		mem := nd.Mems[in]
@@ -550,12 +546,13 @@ func (n *Network) injectPackets(nd *node, t int64) {
 
 // routePackets runs the routing unit for buffered best-effort packets
 // that have no output assignment yet: pick an up*/down* legal port
-// (minimal first) whose downstream router has a free VC. Neighbor state
-// is read-only here. The flits it has to leave unrouted are counted in
-// nd.blocked and their VCs marked in nd.stuck: they cannot move until a
-// VC comes free at a neighbor or the routing changes, both of which
-// report to the wake table and set nd.reroute (wake.go); until then they
-// neither keep the node awake nor are tried again.
+// (minimal first) whose downstream router has a free VC. Its worklist is the
+// unrouted vectors of the memories in Busy, so it loads no record of a routed
+// or stream VC. Neighbor state is read-only here. The flits it has to leave
+// unrouted are counted in nd.blocked and their VCs marked in nd.stuck: they
+// cannot move until a VC comes free at a neighbor or the routing changes,
+// both of which report to the wake table and set nd.reroute (wake.go); until
+// then they neither keep the node awake nor are tried again.
 func (n *Network) routePackets(nd *node) {
 	hp := n.cfg.hostPort()
 	// A packet dropped on an impaired link frees its VC in the deliver
@@ -570,36 +567,38 @@ func (n *Network) routePackets(nd *node) {
 		nd.reroute = false
 	}
 	blocked := 0
-	for p, mem := range nd.Mems {
-		avail := mem.FlitsAvailable()
-		for vc := avail.NextSet(0); vc >= 0; vc = avail.NextSet(vc + 1) {
-			st := mem.State(vc)
-			if st.Class != flit.ClassBestEffort || st.Output >= 0 {
-				continue
-			}
+	for p := nd.Busy.NextSet(0); p >= 0; p = nd.Busy.NextSet(p + 1) {
+		mem := nd.Mems[p]
+		unrouted := mem.Unrouted()
+		for vc := unrouted.NextSet(0); vc >= 0; vc = unrouted.NextSet(vc + 1) {
+			nd.routeVisited++
 			if memo && nd.stuck.Test(p*n.cfg.VCs+vc) {
 				blocked += mem.Len(vc)
 				continue
 			}
 			head := mem.Peek(vc)
-			if head == nil || head.Packet == nil {
+			if head.Packet == nil {
 				continue
 			}
+			nd.routeTried++
 			dst := int(head.Dst)
 			if dst == nd.id {
-				st.Output = hp
+				mem.SetOutput(vc, hp)
 				continue
 			}
 			wentDown := head.Packet.WentDown
 			nd.scratchPorts = n.ud.NextPorts(nd.id, dst, wentDown, nd.scratchPorts[:0])
+			out := -1
 			for _, q := range nd.scratchPorts {
 				nb := n.cfg.Topology.Neighbor(nd.id, q)
 				if n.nodes[nb].Mems[n.cfg.Topology.PeerPort(nd.id, q)].FreeVCs() > 0 {
-					st.Output = q
+					out = q
 					break
 				}
 			}
-			if st.Output < 0 && memo {
+			if out >= 0 {
+				mem.SetOutput(vc, out)
+			} else if memo {
 				blocked += mem.Len(vc)
 				nd.stuck.Set(p*n.cfg.VCs + vc)
 			}

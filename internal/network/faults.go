@@ -218,7 +218,7 @@ func (n *Network) clearStaleOutputs(nodeID, port int) {
 		for vc := 0; vc < n.cfg.VCs; vc++ {
 			st := mem.State(vc)
 			if st.InUse && st.Class == flit.ClassBestEffort && st.Output == port {
-				st.Output = -1
+				mem.SetOutput(vc, -1)
 			}
 		}
 	}

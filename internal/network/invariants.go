@@ -29,6 +29,9 @@ import (
 //  3. Per output link, the guaranteed bandwidth register equals the sum
 //     of the live connections' demands crossing it (with transient probe
 //     holds allowed to push it higher, never lower).
+//  4. The mirrors the datapath steers by say what they mirror: every
+//     memory's status vectors, Busy bit and head stamps
+//     (vcm.Memory.CheckMirrors).
 //
 // "Live" means established and not closed, fault-broken, or degraded —
 // a broken or degraded connection must hold nothing at all (a degraded
@@ -113,14 +116,19 @@ func (n *Network) CheckInvariants() error {
 	// use must be a packet in flight or a transient probe hold.
 	for _, nd := range n.nodes {
 		for p, mem := range nd.Mems {
-			for vc := 0; vc < n.cfg.VCs; vc++ {
-				st := mem.State(vc)
-				if !st.InUse {
-					if l := mem.Len(vc); l != 0 {
-						return fmt.Errorf("invariant: node %d port %d VC %d free but holds %d flits", nd.id, p, vc, l)
-					}
-					continue
+			if err := mem.CheckMirrors(); err != nil {
+				return fmt.Errorf("invariant: node %d port %d: %v", nd.id, p, err)
+			}
+			// The vectors now stand for the records, so only the VCs that
+			// matter are loaded again.
+			avail, reserved := mem.FlitsAvailable(), mem.ReservedVector()
+			for vc := avail.NextSet(0); vc >= 0; vc = avail.NextSet(vc + 1) {
+				if !reserved.Test(vc) {
+					return fmt.Errorf("invariant: node %d port %d VC %d free but holds %d flits", nd.id, p, vc, mem.Len(vc))
 				}
+			}
+			for vc := reserved.NextSet(0); vc >= 0; vc = reserved.NextSet(vc + 1) {
+				st := mem.State(vc)
 				if _, ok := claimed[vcKey{nd.id, p, vc}]; ok {
 					continue
 				}

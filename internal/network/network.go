@@ -278,6 +278,10 @@ type node struct {
 	blocked   int
 	stuck     *bitvec.Vector
 	reroute   bool
+
+	// The routing unit's rows of the work ledger (Core.Work has the rest):
+	// unrouted packets looked at and, of those, tried (the others were stuck).
+	routeVisited, routeTried int64
 }
 
 // Sentinels for node.grantVC.

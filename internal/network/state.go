@@ -526,7 +526,8 @@ func (n *Network) portState(c *codec, nd *node, p int) {
 		serviced := mem.Serviced(v)
 		c.Int(&serviced)
 		c.Int(&st.BasePriority)
-		c.F64(&st.Bias)
+		bias := 0.0 // retired: VCState.Bias, which nothing ever wrote
+		c.F64(&bias)
 		c.F64(&st.InterArrival)
 		idx(c, &st.Output, -1, n.cfg.radix(), "output port") // -1: an unrouted packet
 		st.InUse = true

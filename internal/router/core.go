@@ -2,6 +2,7 @@ package router
 
 import (
 	"mmr/internal/admission"
+	"mmr/internal/bitvec"
 	"mmr/internal/flit"
 	"mmr/internal/flow"
 	"mmr/internal/sched"
@@ -26,9 +27,9 @@ import (
 // network's node the lanes, channel mappings and routing unit of a fabric.
 //
 // All ports' memories, schedulers and credit counters are single
-// contiguous allocations (the per-port slices hold interior pointers), so
-// the per-cycle port scans walk adjacent memory. A Core must not be copied
-// once Init has run: the memories count their flits into Occ.
+// contiguous allocations (the per-port slices hold interior pointers), and
+// the link schedulers share one scratch. A Core must not be copied once Init
+// has run: the memories count their flits into Occ and Busy.
 type Core struct {
 	Mems    []*vcm.Memory              // per input port
 	Links   []*sched.LinkScheduler     // per input port
@@ -38,21 +39,24 @@ type Core struct {
 
 	// Cands[in] is input in's nominations this cycle, best first, and
 	// Grants[in] the index into it the switch scheduler granted, or
-	// sched.NoGrant.
-	Cands  [][]sched.Candidate
-	Grants []int
+	// sched.NoGrant. Nominated lists, ascending, the inputs that nominated
+	// (with gating off, every input): the others have no candidate and no
+	// grant, so what follows nomination walks the list, not the ports.
+	Cands     [][]sched.Candidate
+	Grants    []int
+	Nominated []int
 
-	// Occ is the number of flits buffered across every input port, kept by
-	// the memories as they push and pop: "any buffered flit?" is one load.
-	Occ int64
+	// Occ is the number of flits buffered across every input port and Busy
+	// has bit p set while input p buffers any, kept by the memories as they
+	// push and pop: "any buffered flit?" is one load, "where?" a word scan.
+	Occ  int64
+	Busy bitvec.Vector
+	Work sched.Work // exact counts of what the stages below did
 
 	// LastRound is the last round whose boundary reset ran (BeginCycle).
 	LastRound int64
 
 	roundLen int64
-	// quiet: this cycle's Nominate was told to skip idle work and found
-	// nothing to arbitrate.
-	quiet bool
 }
 
 // Init builds the core cfg describes; randomized selection and matching
@@ -66,27 +70,29 @@ func (c *Core) Init(cfg *Config, rng *sim.RNG) error {
 		Alloc:     make([]*admission.LinkAllocator, ports),
 		Cands:     make([][]sched.Candidate, ports),
 		Grants:    make([]int, ports),
+		Nominated: make([]int, 0, ports),
 		LastRound: -1,
 		roundLen:  int64(cfg.RoundLen()),
 	}
+	c.Busy.Init(ports)
 	mems := make([]vcm.Memory, ports)
 	links := make([]sched.LinkScheduler, ports)
 	counts := make([]int, ports*vcs)
+	scratch := sched.NewLinkScratch(vcs, ports, &c.Work)
 	for p := 0; p < ports; p++ {
 		if err := vcm.Init(&mems[p], cfg.VCM); err != nil {
 			return err
 		}
-		mems[p].BindOccupancy(&c.Occ)
+		mems[p].BindOccupancy(&c.Occ, &c.Busy, p)
 		c.Mems[p] = &mems[p]
 		c.Credits[p] = flow.NewCreditsBacked(cfg.VCM.Depth, counts[p*vcs:(p+1)*vcs:(p+1)*vcs])
 		sched.InitLinkScheduler(&links[p], sched.LinkConfig{
 			Input:         p,
 			MaxCandidates: cfg.MaxCandidates,
-			Outputs:       ports,
 			Scheme:        cfg.Scheme,
 			Selection:     cfg.Selection,
 			RNG:           rng,
-		}, c.Mems[p], c.Credits[p])
+		}, c.Mems[p], c.Credits[p], scratch)
 		c.Links[p] = &links[p]
 		a, err := admission.NewLinkAllocator(cfg.RoundLen(), 0, cfg.Concurrency)
 		if err != nil {
@@ -138,26 +144,27 @@ func (c *Core) Enqueue(in, vc int, f *flit.Flit, t int64) bool {
 	return mem.Push(vc, f)
 }
 
-// Nominate runs every input's link scheduler (§4.3) on the state the
+// Nominate runs the inputs' link schedulers (§4.3) on the state the
 // previous cycle left — in hardware, arbitration for cycle t overlaps
-// transmission of cycle t-1 — and returns the candidates nominated. With
-// skipIdle (the engine's activity gating, read from its Config every
-// cycle; off is the reference) a port with no buffered flit is skipped:
-// Candidates on an empty memory is provably a pure no-op (empty eligible
-// set, zero CreditStalled, early return before the excess election;
-// sched.LinkScheduler.Active).
-func (c *Core) Nominate(t int64, skipIdle bool) int {
-	total := 0
+// transmission of cycle t-1. With skipIdle (the engine's activity gating,
+// read from its Config every cycle; off is the reference, which runs every
+// port) only the inputs in Busy run: Candidates on a memory that buffers
+// nothing is a pure no-op (sched.LinkScheduler.Candidates).
+func (c *Core) Nominate(t int64, skipIdle bool) {
+	for _, p := range c.Nominated {
+		c.Cands[p] = c.Cands[p][:0]
+	}
+	c.Nominated = c.Nominated[:0]
 	for p, ls := range c.Links {
-		if skipIdle && !ls.Active() {
-			c.Cands[p] = c.Cands[p][:0]
+		if skipIdle && !c.Busy.Test(p) {
 			continue
 		}
 		c.Cands[p] = ls.Candidates(t, c.Cands[p][:0])
-		total += len(c.Cands[p])
+		c.Work.PortsScanned++
+		if len(c.Cands[p]) > 0 || !skipIdle {
+			c.Nominated = append(c.Nominated, p)
+		}
 	}
-	c.quiet = skipIdle && total == 0
-	return total
 }
 
 // Arbitrate runs the switch scheduler (§4.4) over Cands into Grants. With
@@ -166,7 +173,7 @@ func (c *Core) Nominate(t int64, skipIdle bool) int {
 // written directly. (The engine may have removed candidates since Nominate,
 // never added any.)
 func (c *Core) Arbitrate() {
-	if c.quiet {
+	if len(c.Nominated) == 0 {
 		for in := range c.Grants {
 			c.Grants[in] = sched.NoGrant
 		}
@@ -186,6 +193,7 @@ func (c *Core) Pop(in int, t int64) (sched.Candidate, *flit.Flit) {
 		panic("router: granted VC has no flit")
 	}
 	mem.IncServiced(cand.VC)
+	c.Work.Grants++
 	if next := mem.Peek(cand.VC); next != nil {
 		next.HeadAt = t
 	}

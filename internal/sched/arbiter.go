@@ -18,13 +18,15 @@ type PriorityArbiter struct {
 	augment    bool
 	name       string
 
-	// scratch, reused across cycles to stay allocation-free.
-	grantIn   []int // per output: granted input, or -1
-	grantIdx  []int // per output: candidate index at that input
-	inMatched []bool
-	outTaken  []bool
-	visited   []bool
-	matchIn   []int // per output: matched input during augmentation
+	// scratch, reused across cycles to stay allocation-free. The per-output
+	// tables are read only at the outputs some candidate requests this
+	// cycle, so nothing clears them between cycles but seen.
+	ins, outs []int  // requesting inputs (ascending); requested outputs
+	seen      []bool // per output: listed in outs
+	grantIn   []int  // per output: granted input this iteration, or -1
+	grantIdx  []int  // per output: candidate index at that input
+	matchIn   []int  // per output: the input matched to it, or -1
+	visited   []bool // per output: on the current augmenting search's path
 }
 
 // NewPriorityArbiter returns an arbiter that runs up to iterations
@@ -59,116 +61,100 @@ func (a *PriorityArbiter) OutputSharing() bool { return false }
 func (a *PriorityArbiter) Name() string { return a.name }
 
 func (a *PriorityArbiter) grow(n int) {
-	if cap(a.grantIn) < n {
-		a.grantIn = make([]int, n)
-		a.grantIdx = make([]int, n)
-		a.inMatched = make([]bool, n)
-		a.outTaken = make([]bool, n)
-		a.visited = make([]bool, n)
-		a.matchIn = make([]int, n)
+	if len(a.seen) == n {
+		return
 	}
-	a.grantIn = a.grantIn[:n]
-	a.grantIdx = a.grantIdx[:n]
-	a.inMatched = a.inMatched[:n]
-	a.outTaken = a.outTaken[:n]
-	a.visited = a.visited[:n]
-	a.matchIn = a.matchIn[:n]
-	for i := 0; i < n; i++ {
-		a.inMatched[i] = false
-		a.outTaken[i] = false
-	}
+	a.ins, a.outs = make([]int, 0, n), make([]int, 0, n)
+	a.seen = make([]bool, n)
+	a.grantIn, a.grantIdx, a.matchIn = make([]int, n), make([]int, n), make([]int, n)
+	a.visited = make([]bool, n)
 }
 
-// Schedule implements SwitchScheduler.
+// Schedule implements SwitchScheduler. After one pass over the ports to
+// clear grants and list the inputs that nominated, it walks that list and
+// the outputs its candidates ask for: a cycle's cost follows the candidates,
+// whatever the switch width.
 func (a *PriorityArbiter) Schedule(cands [][]Candidate, grants []int) {
 	n := len(grants)
 	a.grow(n)
-	for i := range grants {
-		grants[i] = NoGrant
+	free := a.ins[:0] // the requesting inputs still unmatched, ascending
+	for in := range grants {
+		grants[in] = NoGrant
+		if in < len(cands) && len(cands[in]) > 0 {
+			free = append(free, in)
+		}
 	}
+	outs := a.outs[:0] // the outputs requested; listed by the first grant phase
 	maxIter := a.iterations
 	if maxIter <= 0 {
 		maxIter = n // convergence bound: one new match minimum per round
 	}
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < maxIter && len(free) > 0; iter++ {
 		// Grant phase: each free output picks the best requesting candidate
 		// from unmatched inputs.
-		for o := 0; o < n; o++ {
+		for _, o := range outs {
 			a.grantIn[o] = -1
 		}
-		for in := 0; in < n && in < len(cands); in++ {
-			if a.inMatched[in] {
-				continue
-			}
+		for _, in := range free {
 			for ci, c := range cands[in] {
 				o := c.Output
-				if o < 0 || o >= n || a.outTaken[o] {
+				if o < 0 || o >= n {
 					continue
 				}
-				if a.grantIn[o] < 0 || Better(c, cands[a.grantIn[o]][a.grantIdx[o]]) {
-					a.grantIn[o] = in
-					a.grantIdx[o] = ci
+				if !a.seen[o] {
+					a.seen[o], a.matchIn[o], a.grantIn[o] = true, -1, -1
+					outs = append(outs, o)
+				}
+				if a.matchIn[o] >= 0 {
+					continue
+				}
+				if g := a.grantIn[o]; g < 0 || Better(c, cands[g][a.grantIdx[o]]) {
+					a.grantIn[o], a.grantIdx[o] = in, ci
 				}
 			}
 		}
-		// Accept phase: each input takes the best grant it received.
-		progress := false
-		for o := 0; o < n; o++ {
+		// Accept phase: each input takes the best grant it received (of
+		// equals, the lowest output's), collected in its grants entry.
+		for _, o := range outs {
 			in := a.grantIn[o]
-			if in < 0 || a.inMatched[in] {
+			if in < 0 {
 				continue
 			}
-			// The input may have been granted several outputs; accept the
-			// best of them.
-			best, bestIdx := o, a.grantIdx[o]
-			for o2 := o + 1; o2 < n; o2++ {
-				if a.grantIn[o2] == in && Better(cands[in][a.grantIdx[o2]], cands[in][bestIdx]) {
-					best, bestIdx = o2, a.grantIdx[o2]
-				}
-			}
-			grants[in] = bestIdx
-			a.inMatched[in] = true
-			a.outTaken[best] = true
-			progress = true
-			// Invalidate this input's other grants for this iteration.
-			for o2 := 0; o2 < n; o2++ {
-				if a.grantIn[o2] == in && o2 != best {
-					a.grantIn[o2] = -1
-				}
+			ci := a.grantIdx[o]
+			if best := grants[in]; best == NoGrant {
+				grants[in] = ci
+			} else if c, b := cands[in][ci], cands[in][best]; Better(c, b) || (!Better(b, c) && o < b.Output) {
+				grants[in] = ci
 			}
 		}
-		if !progress {
+		unmatched := free[:0]
+		for _, in := range free {
+			if g := grants[in]; g != NoGrant {
+				a.matchIn[cands[in][g].Output] = in
+			} else {
+				unmatched = append(unmatched, in)
+			}
+		}
+		if len(unmatched) == len(free) {
 			break
 		}
+		free = unmatched
 	}
+	// Extend the priority-seeded matching to a maximum matching via
+	// augmenting paths (Hungarian-style DFS) from the inputs still
+	// unmatched. Matched pairs keep their priority ordering; augmentation
+	// only re-routes inputs to alternative candidates so that unmatched
+	// ports can transmit too.
 	if a.augment {
-		a.augmentMatching(cands, grants)
-	}
-}
-
-// augmentMatching extends the priority-seeded matching to a maximum
-// matching via augmenting paths (Hungarian-style DFS). Matched pairs from
-// the grant/accept phase keep their priority ordering; augmentation only
-// re-routes inputs to alternative candidates so that unmatched ports can
-// transmit too.
-func (a *PriorityArbiter) augmentMatching(cands [][]Candidate, grants []int) {
-	n := len(grants)
-	for o := 0; o < n; o++ {
-		a.matchIn[o] = -1
-	}
-	for in, g := range grants {
-		if g != NoGrant {
-			a.matchIn[cands[in][g].Output] = in
+		for _, in := range free {
+			for _, o := range outs {
+				a.visited[o] = false
+			}
+			a.tryAugment(cands, grants, in)
 		}
 	}
-	for in := 0; in < n && in < len(cands); in++ {
-		if grants[in] != NoGrant || len(cands[in]) == 0 {
-			continue
-		}
-		for o := 0; o < n; o++ {
-			a.visited[o] = false
-		}
-		a.tryAugment(cands, grants, in)
+	for _, o := range outs {
+		a.seen[o] = false
 	}
 }
 

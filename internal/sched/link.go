@@ -25,8 +25,9 @@ type LinkConfig struct {
 	Input         int
 	MaxCandidates int // the paper sweeps 1, 2, 4, 8 (§5)
 	// Outputs is the router's output port count, sizing the per-output
-	// slot table at construction. Zero is allowed (the table grows on
-	// first use) but costs one allocation per new high-water output index.
+	// slot table of a scheduler built with NewLinkScheduler. Zero is
+	// allowed (the table grows on first use) but costs one allocation per
+	// new high-water output index.
 	Outputs   int
 	Scheme    PriorityScheme
 	Selection Selection
@@ -43,20 +44,50 @@ type LinkScheduler struct {
 	cfg     LinkConfig
 	mem     *vcm.Memory
 	credits *flow.Credits
-
-	eligible *bitvec.Vector // scratch: flits ∧ credits
-	// slot is the port-indexed table behind the per-output selection:
-	// slot[o] is 1 + the position, among the candidates appended this
-	// cycle, of output o's entry, or 0 while o has none. It is all zeros
-	// between calls.
-	slot    []int32
-	shuffle []Candidate // scratch, SelectRandom only: the set Fisher–Yates permutes
+	*LinkScratch
 
 	// excessVC is the VBR connection currently draining its excess
 	// bandwidth (§4.3 serves excess one connection at a time). -1 if none.
 	excessVC int
 
 	counters LinkCounters
+}
+
+// LinkScratch is the working storage of a Candidates call, which leaves it
+// clean, and the work ledger the call charges. A router's link schedulers
+// run one after another, so they share one: the scratch stays hot across
+// the ports instead of costing each port lines of its own.
+type LinkScratch struct {
+	eligible bitvec.Vector // flits ∧ credits
+	// slot is the port-indexed table behind the per-output selection:
+	// slot[o] is 1 + the position, among the candidates appended this
+	// cycle, of output o's entry, or 0 while o has none. It is all zeros
+	// between calls.
+	slot    []int32
+	shuffle []Candidate // SelectRandom only: the set Fisher–Yates permutes
+	work    *Work
+}
+
+// NewLinkScratch returns scratch for schedulers over memories of vcs
+// virtual channels nominating for the given number of outputs, charging
+// work.
+func NewLinkScratch(vcs, outputs int, work *Work) *LinkScratch {
+	sc := &LinkScratch{slot: make([]int32, outputs), work: work}
+	sc.eligible.Init(vcs)
+	return sc
+}
+
+// Work is the exact count of what a router's scheduling stages did — one
+// field per kind of event, charged where it happens, in the shape of
+// Hornet's per-router statistics. The counts depend on the seed alone, so a
+// test can gate on them on any host, which it cannot on a timer. They are
+// not simulated state: nothing reads them back and no checkpoint holds them.
+type Work struct {
+	PortsScanned  int64 // link schedulers run
+	VCsVisited    int64 // VC records a link scheduler loaded
+	PriorityEvals int64 // PriorityScheme.Priority calls
+	Candidates    int64 // candidates handed to the switch scheduler
+	Grants        int64 // granted flits popped from their VC
 }
 
 // LinkCounters are plain cumulative event counts a scheduler maintains
@@ -82,33 +113,26 @@ type LinkCounters struct {
 func (ls *LinkScheduler) Counters() LinkCounters { return ls.counters }
 
 // NewLinkScheduler returns a scheduler over the port's VCM and its
-// downstream credit state.
+// downstream credit state, with scratch of its own.
 func NewLinkScheduler(cfg LinkConfig, mem *vcm.Memory, credits *flow.Credits) *LinkScheduler {
 	ls := new(LinkScheduler)
-	InitLinkScheduler(ls, cfg, mem, credits)
+	InitLinkScheduler(ls, cfg, mem, credits, NewLinkScratch(mem.NumVCs(), cfg.Outputs, new(Work)))
 	return ls
 }
 
-// InitLinkScheduler initializes ls in place — the structure-of-arrays
-// allocation form: a router lays its per-port schedulers out in one
-// contiguous slice and Inits each element, so the cross-cycle scheduler
-// state (excess election, counters) of adjacent ports shares cache lines
-// instead of being scattered across the heap.
-func InitLinkScheduler(ls *LinkScheduler, cfg LinkConfig, mem *vcm.Memory, credits *flow.Credits) {
+// InitLinkScheduler initializes ls in place over scratch sc: a router lays
+// its per-port schedulers out in one contiguous slice and Inits each
+// element, so the cross-cycle scheduler state (excess election, counters)
+// of adjacent ports shares cache lines instead of being scattered across
+// the heap.
+func InitLinkScheduler(ls *LinkScheduler, cfg LinkConfig, mem *vcm.Memory, credits *flow.Credits, sc *LinkScratch) {
 	if cfg.MaxCandidates < 1 {
 		cfg.MaxCandidates = 1
 	}
 	if cfg.Scheme == nil {
 		cfg.Scheme = Biased{}
 	}
-	*ls = LinkScheduler{
-		cfg:      cfg,
-		mem:      mem,
-		credits:  credits,
-		eligible: bitvec.New(mem.NumVCs()),
-		slot:     make([]int32, cfg.Outputs),
-		excessVC: -1,
-	}
+	*ls = LinkScheduler{cfg: cfg, mem: mem, credits: credits, LinkScratch: sc, excessVC: -1}
 }
 
 // Config returns the scheduler's configuration.
@@ -120,14 +144,6 @@ func (ls *LinkScheduler) OnRoundBoundary() {
 	ls.mem.ResetRound()
 	ls.excessVC = -1
 }
-
-// Active reports whether calling Candidates could do anything at all this
-// cycle. With zero buffered flits, Candidates is provably a no-op: the
-// eligibility vector comes out empty, CreditStalled advances by zero, no
-// RNG is drawn and no counter or election state changes — so a port with
-// an empty VC memory may be skipped without touching its memories. The
-// occupancy count is maintained incrementally by the VCM, making this O(1).
-func (ls *LinkScheduler) Active() bool { return ls.mem.Occupied() > 0 }
 
 // classify returns the service phase of VC vc (whose state is st) right
 // now; ok is false if the VC has exhausted its bandwidth for this round.
@@ -155,7 +171,10 @@ func (ls *LinkScheduler) classify(vc int, st *vcm.VCState) (phase Phase, ok bool
 }
 
 // Candidates appends up to MaxCandidates candidates for the next flit
-// cycle to dst and returns the extended slice, best first. dst is also the
+// cycle to dst and returns the extended slice, best first. On a memory that
+// buffers no flit it is a pure no-op — empty eligible set, zero
+// CreditStalled, the return before the excess election, no RNG draw — which
+// is what lets a gating engine skip the port. dst is also the
 // working set of the selection, so it holds up to one entry per distinct
 // output before the cut: a caller that wants no allocation passes a slice
 // with that much room.
@@ -187,11 +206,13 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 	base := len(dst)
 	ls.shuffle = ls.shuffle[:0]
 	excessSeen := false
+	visited, evals := int64(0), int64(0)
 	// Word-level scan of the eligibility vector (bits.TrailingZeros64 under
 	// NextSet) instead of a per-bit callback: this loop runs for every
 	// eligible VC on every port every cycle.
 	for vc := ls.eligible.NextSet(0); vc >= 0; vc = ls.eligible.NextSet(vc + 1) {
 		st := ls.mem.State(vc)
+		visited++
 		if st.Output < 0 {
 			continue // unrouted VC (header still in the routing unit)
 		}
@@ -209,7 +230,8 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 				continue
 			}
 		}
-		prio := ls.cfg.Scheme.Priority(now, st, ls.mem.Peek(vc))
+		prio := ls.cfg.Scheme.Priority(now, st)
+		evals++
 		if prio > float64(st.BasePriority) {
 			ls.counters.BiasBoosted++
 		}
@@ -267,6 +289,9 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 		}
 	}
 	ls.counters.Nominated += int64(len(dst) - base)
+	ls.work.VCsVisited += visited
+	ls.work.PriorityEvals += evals
+	ls.work.Candidates += int64(len(dst) - base)
 	return dst
 }
 
@@ -309,6 +334,7 @@ func (ls *LinkScheduler) electExcess() {
 	best, bestPrio := -1, 0
 	for vc := ls.eligible.NextSet(0); vc >= 0; vc = ls.eligible.NextSet(vc + 1) {
 		st := ls.mem.State(vc)
+		ls.work.VCsVisited++
 		if phase, ok := ls.classify(vc, st); ok && phase == PhaseExcess {
 			p := st.BasePriority
 			if best < 0 || p > bestPrio {
@@ -321,8 +347,7 @@ func (ls *LinkScheduler) electExcess() {
 
 // ExportState returns the scheduler's cross-cycle state for
 // checkpointing: the elected excess VC and the cumulative counters.
-// Everything else the scheduler holds (eligibility vector, slot table,
-// shuffle scratch) is recomputed from scratch each cycle.
+// Everything else it uses (LinkScratch) is recomputed each cycle.
 func (ls *LinkScheduler) ExportState() (excessVC int, c LinkCounters) {
 	return ls.excessVC, ls.counters
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mmr/internal/bitvec"
 	"mmr/internal/flit"
 	"mmr/internal/flow"
 	"mmr/internal/vcm"
@@ -12,7 +13,7 @@ import (
 // TestLinkCountersGatingEquivalence drives two identical ports through the
 // same intermittent workload — flit bursts separated by idle gaps, credit
 // starvation windows, round-boundary resets — with one port scanned every
-// cycle and the other scanned only when Active() reports buffered flits
+// cycle and the other scanned only while its memory holds its Busy bit set
 // (exactly the skip rule the activity-gated engines apply). The candidate
 // stream and every LinkCounters field (Nominated, CreditStalled,
 // RoundExhausted, BiasBoosted) must match bit for bit: skipping a port on
@@ -32,6 +33,10 @@ func TestLinkCountersGatingEquivalence(t *testing.T) {
 	}
 	lsAll, memAll, crAll := build()
 	lsGated, memGated, crGated := build()
+	// The gated port sits at bit 2 of a router's Busy vector.
+	var occ int64
+	busy := bitvec.New(4)
+	memGated.BindOccupancy(&occ, busy, 2)
 
 	skipped := 0
 	for now := int64(0); now < 2000; now++ {
@@ -70,7 +75,10 @@ func TestLinkCountersGatingEquivalence(t *testing.T) {
 
 		candsAll := lsAll.Candidates(now, nil)
 		var candsGated []Candidate
-		if lsGated.Active() {
+		if busy.Count() > 1 || busy.Test(2) != (memGated.Occupied() > 0) || occ != int64(memGated.Occupied()) {
+			t.Fatalf("cycle %d: Busy %v and count %d with %d flits buffered", now, busy, occ, memGated.Occupied())
+		}
+		if busy.Test(2) {
 			candsGated = lsGated.Candidates(now, nil)
 		} else {
 			skipped++
@@ -78,7 +86,7 @@ func TestLinkCountersGatingEquivalence(t *testing.T) {
 				t.Fatalf("cycle %d: gated port idle but ungated port nominated %+v", now, candsAll)
 			}
 		}
-		if lsGated.Active() && !reflect.DeepEqual(candsAll, candsGated) {
+		if busy.Test(2) && !reflect.DeepEqual(candsAll, candsGated) {
 			t.Fatalf("cycle %d: candidates diverged\nall:   %+v\ngated: %+v", now, candsAll, candsGated)
 		}
 		// Grant the best candidate: pop the flit and count it serviced,

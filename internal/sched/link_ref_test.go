@@ -42,7 +42,10 @@ func referenceCandidates(ls *LinkScheduler, now int64, dst []Candidate) []Candid
 				continue
 			}
 		}
-		prio := ls.cfg.Scheme.Priority(now, st, ls.mem.Peek(vc))
+		if head := ls.mem.Peek(vc); st.HeadReadyAt() != head.ReadyAt {
+			panic("sched: VC record's head stamp is not its head flit's")
+		}
+		prio := ls.cfg.Scheme.Priority(now, st)
 		if prio > float64(st.BasePriority) {
 			ls.counters.BiasBoosted++
 		}

@@ -1,16 +1,15 @@
 package sched
 
-import (
-	"mmr/internal/flit"
-	"mmr/internal/vcm"
-)
+import "mmr/internal/vcm"
 
 // PriorityScheme computes the scheduling priority of the flit at the head
 // of a virtual channel. The paper recomputes head-flit priorities every
 // flit cycle (§4.4); computing them on demand from timestamps is
-// equivalent and cheaper in software.
+// equivalent and cheaper in software. Everything a scheme reads is in the
+// VC's record — the head flit's arrival stamp is mirrored there — so a
+// priority evaluation never loads the flit.
 type PriorityScheme interface {
-	Priority(now int64, st *vcm.VCState, head *flit.Flit) float64
+	Priority(now int64, st *vcm.VCState) float64
 	Name() string
 }
 
@@ -23,8 +22,8 @@ type PriorityScheme interface {
 type Biased struct{}
 
 // Priority implements PriorityScheme.
-func (Biased) Priority(now int64, st *vcm.VCState, head *flit.Flit) float64 {
-	waited := float64(now - head.ReadyAt)
+func (Biased) Priority(now int64, st *vcm.VCState) float64 {
+	waited := float64(now - st.HeadReadyAt())
 	if waited < 0 {
 		waited = 0
 	}
@@ -46,7 +45,7 @@ func (Biased) Name() string { return "biased" }
 type Fixed struct{}
 
 // Priority implements PriorityScheme.
-func (Fixed) Priority(_ int64, st *vcm.VCState, _ *flit.Flit) float64 {
+func (Fixed) Priority(_ int64, st *vcm.VCState) float64 {
 	return float64(st.BasePriority)
 }
 
@@ -61,8 +60,8 @@ func (Fixed) Name() string { return "fixed" }
 type OldestFirst struct{}
 
 // Priority implements PriorityScheme.
-func (OldestFirst) Priority(now int64, st *vcm.VCState, head *flit.Flit) float64 {
-	waited := float64(now - head.ReadyAt)
+func (OldestFirst) Priority(now int64, st *vcm.VCState) float64 {
+	waited := float64(now - st.HeadReadyAt())
 	if waited < 0 {
 		waited = 0
 	}

@@ -48,45 +48,51 @@ func TestSortCandidates(t *testing.T) {
 	}
 }
 
+// headOf returns the record of a VC reserved with st whose head flit
+// entered the memory at readyAt — what a PriorityScheme reads.
+func headOf(st vcm.VCState, readyAt int64) *vcm.VCState {
+	mem := vcm.MustNew(vcm.Config{VirtualChannels: 1, Depth: 1, Banks: 1, PhitsPerFlit: 1})
+	mem.Reserve(0, st)
+	mem.Push(0, &flit.Flit{ReadyAt: readyAt})
+	return mem.State(0)
+}
+
 func TestBiasedPriorityGrowth(t *testing.T) {
 	var b Biased
-	st := &vcm.VCState{InterArrival: 10}
-	head := &flit.Flit{ReadyAt: 100}
-	p1 := b.Priority(110, st, head) // waited 10 = 1 inter-arrival
-	p2 := b.Priority(150, st, head) // waited 50 = 5 inter-arrivals
+	st := headOf(vcm.VCState{InterArrival: 10}, 100)
+	p1 := b.Priority(110, st) // waited 10 = 1 inter-arrival
+	p2 := b.Priority(150, st) // waited 50 = 5 inter-arrivals
 	if p1 != 1 || p2 != 5 {
 		t.Fatalf("biased priorities = %v, %v; want 1, 5", p1, p2)
 	}
 	// Faster connection (smaller inter-arrival) grows faster.
-	fast := &vcm.VCState{InterArrival: 2}
-	if b.Priority(110, fast, head) <= p1 {
+	fast := headOf(vcm.VCState{InterArrival: 2}, 100)
+	if b.Priority(110, fast) <= p1 {
 		t.Fatal("fast connection should outgrow slow one")
 	}
 	// Negative wait clamps to zero (flit ready in the future).
-	if p := b.Priority(90, st, head); p != 0 {
+	if p := b.Priority(90, st); p != 0 {
 		t.Fatalf("future-ready flit priority = %v, want 0", p)
 	}
 	// Packet VCs (no inter-arrival) age in raw cycles.
-	pkt := &vcm.VCState{}
-	if p := b.Priority(105, pkt, head); p != 5 {
+	pkt := headOf(vcm.VCState{}, 100)
+	if p := b.Priority(105, pkt); p != 5 {
 		t.Fatalf("packet aging = %v, want 5", p)
 	}
 }
 
 func TestFixedPriorityStatic(t *testing.T) {
 	var f Fixed
-	st := &vcm.VCState{BasePriority: 3, InterArrival: 10}
-	head := &flit.Flit{ReadyAt: 0}
-	if f.Priority(0, st, head) != 3 || f.Priority(1_000_000, st, head) != 3 {
+	st := headOf(vcm.VCState{BasePriority: 3, InterArrival: 10}, 0)
+	if f.Priority(0, st) != 3 || f.Priority(1_000_000, st) != 3 {
 		t.Fatal("fixed priority must not depend on waiting time")
 	}
 }
 
 func TestOldestFirstPriority(t *testing.T) {
 	var o OldestFirst
-	st := &vcm.VCState{InterArrival: 1000}
-	head := &flit.Flit{ReadyAt: 40}
-	if p := o.Priority(100, st, head); p != 60 {
+	st := headOf(vcm.VCState{InterArrival: 1000}, 40)
+	if p := o.Priority(100, st); p != 60 {
 		t.Fatalf("oldest-first = %v, want 60", p)
 	}
 }

@@ -39,8 +39,8 @@ func (c Config) validate() error {
 	if c.VirtualChannels < 1 {
 		return fmt.Errorf("vcm: need at least one virtual channel, got %d", c.VirtualChannels)
 	}
-	if c.Depth < 1 {
-		return fmt.Errorf("vcm: per-VC depth must be >= 1, got %d", c.Depth)
+	if c.Depth < 1 || c.Depth > maxDepth {
+		return fmt.Errorf("vcm: per-VC depth must be in [1, %d], got %d", maxDepth, c.Depth)
 	}
 	if c.Banks < 1 {
 		return fmt.Errorf("vcm: need at least one bank, got %d", c.Banks)
@@ -51,24 +51,28 @@ func (c Config) validate() error {
 	return nil
 }
 
-// VCState is the per-virtual-channel scheduling state the paper stores
-// alongside the buffers (§3.2, §4.3): connection identity, class,
-// bandwidth allocation in flit cycles/round, what has been serviced this
-// round, and the (dynamic) priority.
-type VCState struct {
-	Conn  flit.ConnID
-	Class flit.Class
+// maxDepth is the deepest per-VC buffer a record's one-byte ring position
+// can address. The MMR's buffers are a few flits (§1).
+const maxDepth = 255
 
+// VCState is the one record the VCM keeps per virtual channel — the paper
+// stores a channel's scheduling state beside its buffer (§3.2, §4.3), and so
+// does this: connection identity, class, bandwidth allocation in flit
+// cycles/round and what has been serviced this round, the priority, the
+// switch output, and the position of the channel's ring in the flit store
+// with the head flit's arrival stamp. Everything the link scheduler, Push,
+// Pop and Free read or write for one channel is here, and the record is one
+// cache line (TestVCRecordLayout), so visiting a channel costs one line and
+// never the flit itself.
+type VCState struct {
 	// Allocated is the reserved flit cycles per round (CBR allocation, or
 	// VBR permanent bandwidth). Peak is the VBR peak allocation.
 	Allocated int
 	Peak      int
 
 	// BasePriority is the static VBR priority (dynamically modifiable via
-	// control words, §4.3). Bias is the dynamic priority-biasing value the
-	// switch scheduler updates every flit cycle (§4.4).
+	// control words, §4.3).
 	BasePriority int
-	Bias         float64
 
 	// InterArrival caches the connection's flit inter-arrival time in
 	// cycles; the biased scheduler grows priority at a rate proportional
@@ -76,53 +80,68 @@ type VCState struct {
 	InterArrival float64
 
 	// Output is the switch output port this VC is mapped to (the direct
-	// channel mapping, §3.5). -1 when unmapped.
+	// channel mapping, §3.5). -1 when unmapped. A buffered best-effort
+	// packet's output changes through Memory.SetOutput only: the memory
+	// keeps the unrouted ones in a status vector.
 	Output int
+
+	// headReadyAt mirrors the head flit's ReadyAt while the VC buffers one
+	// (written by Push into an empty VC and by Pop).
+	headReadyAt int64
+
+	Conn flit.ConnID
+
+	// serviced counts the flit cycles consumed in round servicedRound of
+	// the memory (§4.1); in any other round the VC has consumed none.
+	serviced      int32
+	servicedRound uint32
+
+	Class flit.Class
 
 	// InUse marks the VC as reserved by a connection or an in-flight
 	// packet.
 	InUse bool
+
+	// The VC's FIFO ring over its Depth slots of the flit store.
+	qhead, qsize uint8
 }
 
-// Memory is one input link's virtual channel memory. Its state is laid
-// out structure-of-arrays style: queue rings share one contiguous backing
-// array, scheduling state is one contiguous []VCState, and the per-round
-// serviced counters live in their own compact array so a round-boundary
-// reset is a single memclr instead of a strided walk over fat structs.
-//
-// The per-VC FIFO rings are pure index arithmetic over the shared
-// backing: VC vc owns qbuf[vc*Depth : (vc+1)*Depth), with qhead/qsize
-// tracking its ring position. Earlier versions kept a 40-byte ring
-// struct (slice header + two ints) per VC; at datacenter scale — 4k
-// routers × 33 ports × 64 VCs ≈ 8.6M rings — the two packed int32
-// arrays save ~270 MB while compiling to the same ring operations.
+// HeadReadyAt returns the cycle the VC's head flit entered the memory.
+// Meaningful only while the VC buffers a flit.
+func (st *VCState) HeadReadyAt() int64 { return st.headReadyAt }
+
+// Memory is one input link's virtual channel memory: one VCState record per
+// VC, the flit store the records' rings index — VC vc owns
+// qbuf[vc*Depth : (vc+1)*Depth) — and the status bit vectors (§4.1), held by
+// value so each is one line beside the memory's header.
 type Memory struct {
 	cfg   Config
 	qbuf  []*flit.Flit
-	qhead []int32
-	qsize []int32
 	state []VCState
 
-	// serviced[vc] counts flit cycles consumed in the current round
-	// (§4.1). Kept out of VCState: it is the only per-VC field written on
-	// every grant and cleared wholesale at round boundaries, so a packed
-	// array keeps both touches on a handful of cache lines.
-	serviced []int32
-
-	// Status bit vectors (§4.1). FlitsAvailable has a set bit for every VC
-	// with at least one buffered flit; Full for every VC at capacity;
-	// Reserved for every in-use VC.
-	flitsAvailable *bitvec.Vector
-	full           *bitvec.Vector
-	reserved       *bitvec.Vector
+	// round is the current round's stamp: a record's serviced count is live
+	// only under it, so a round boundary is one increment (ResetRound).
+	round uint32
 
 	occupied int // total flits buffered across VCs
 
-	// ext, when bound, is an external aggregate occupancy counter kept in
-	// lock-step with occupied. The network binds every memory of a node to
-	// one per-node slot so its activity scan reads a flat array instead of
-	// chasing per-port Memory pointers.
-	ext *int64
+	// ext and busy, when bound, mirror occupied outside the memory: *ext
+	// counts the flits buffered across every memory bound to it, and bit
+	// port of busy is set while this memory buffers any. The engines bind
+	// every memory of a router to one counter and one vector so "anything
+	// buffered?" is one load and the ports worth visiting are a word scan.
+	ext  *int64
+	busy *bitvec.Vector
+	port int
+
+	// Status bit vectors. flitsAvailable has a set bit for every VC with at
+	// least one buffered flit; full for every VC at capacity; reserved for
+	// every in-use VC; unrouted for every VC that buffers a best-effort
+	// packet with no output yet — the routing unit's worklist.
+	flitsAvailable bitvec.Vector
+	full           bitvec.Vector
+	reserved       bitvec.Vector
+	unrouted       bitvec.Vector
 }
 
 // New returns an empty VCM with the given configuration.
@@ -134,25 +153,24 @@ func New(cfg Config) (*Memory, error) {
 	return m, nil
 }
 
-// Init initializes m in place — the structure-of-arrays allocation form:
-// callers lay several Memory values out in one contiguous slice and Init
-// each element, so a router's per-port state is adjacent in memory.
+// Init initializes m in place: callers lay several Memory values out in one
+// contiguous slice and Init each element, so a router's per-port headers
+// and status vectors are adjacent in memory. An initialized Memory must not
+// be copied (its vectors hold their bits inline).
 func Init(m *Memory, cfg Config) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
 	*m = Memory{
-		cfg:   cfg,
+		cfg: cfg,
+		// Pointer-free and a multiple of 64 bytes long, so the allocator's
+		// size classes place the block on a line boundary and every record
+		// is exactly one line (TestVCRecordLayout).
 		state: make([]VCState, cfg.VirtualChannels),
-		// One backing array for every VC ring: queue i occupies the
-		// slots [i*Depth, (i+1)*Depth).
-		qbuf:           make([]*flit.Flit, cfg.VirtualChannels*cfg.Depth),
-		qhead:          make([]int32, cfg.VirtualChannels),
-		qsize:          make([]int32, cfg.VirtualChannels),
-		serviced:       make([]int32, cfg.VirtualChannels),
-		flitsAvailable: bitvec.New(cfg.VirtualChannels),
-		full:           bitvec.New(cfg.VirtualChannels),
-		reserved:       bitvec.New(cfg.VirtualChannels),
+		qbuf:  make([]*flit.Flit, cfg.VirtualChannels*cfg.Depth),
+	}
+	for _, v := range []*bitvec.Vector{&m.flitsAvailable, &m.full, &m.reserved, &m.unrouted} {
+		v.Init(cfg.VirtualChannels)
 	}
 	for i := range m.state {
 		m.state[i].Output = -1
@@ -160,12 +178,13 @@ func Init(m *Memory, cfg Config) error {
 	return nil
 }
 
-// BindOccupancy points the memory's aggregate occupancy mirror at ext:
-// every Push/Pop updates *ext alongside the internal count. Bind before
-// buffering any flits (the mirror starts from the current occupancy).
-func (m *Memory) BindOccupancy(ext *int64) {
-	m.ext = ext
+// BindOccupancy points the memory's occupancy mirrors at ext and at bit
+// port of busy: every Push/Pop keeps them in step with the internal count.
+// Bind before buffering any flits.
+func (m *Memory) BindOccupancy(ext *int64, busy *bitvec.Vector, port int) {
+	m.ext, m.busy, m.port = ext, busy, port
 	*ext += int64(m.occupied)
+	busy.SetTo(port, m.occupied > 0)
 }
 
 // MustNew is New for static configurations known to be valid.
@@ -183,35 +202,54 @@ func (m *Memory) Config() Config { return m.cfg }
 // NumVCs returns the number of virtual channels.
 func (m *Memory) NumVCs() int { return m.cfg.VirtualChannels }
 
-// State returns the mutable scheduling state of VC vc.
+// State returns the mutable scheduling state of VC vc. Output is the one
+// field with a mirror outside the record: write it through SetOutput.
 func (m *Memory) State(vc int) *VCState { return &m.state[vc] }
 
 // Len returns the number of flits buffered in VC vc.
-func (m *Memory) Len(vc int) int { return int(m.qsize[vc]) }
+func (m *Memory) Len(vc int) int { return int(m.state[vc].qsize) }
 
 // Occupied returns the total flits buffered across all VCs.
 func (m *Memory) Occupied() int { return m.occupied }
 
 // Free returns the remaining flit slots in VC vc — the credit count the
 // upstream node holds for this VC under link-level flow control.
-func (m *Memory) Free(vc int) int { return m.cfg.Depth - int(m.qsize[vc]) }
+func (m *Memory) Free(vc int) int { return m.cfg.Depth - int(m.state[vc].qsize) }
+
+// awaitsRoute reports whether st, if it buffers a flit, belongs in the
+// unrouted vector.
+func (st *VCState) awaitsRoute() bool { return st.Class == flit.ClassBestEffort && st.Output < 0 }
 
 // Push appends a flit to VC vc. It reports false (dropping nothing —
 // callers must hold a credit before sending, so a full queue is a flow
 // control protocol violation they can surface) when the VC is full.
 func (m *Memory) Push(vc int, f *flit.Flit) bool {
-	depth := int32(m.cfg.Depth)
-	if m.qsize[vc] == depth {
+	st := &m.state[vc]
+	depth := m.cfg.Depth
+	if int(st.qsize) == depth {
 		return false
 	}
-	m.qbuf[vc*m.cfg.Depth+int((m.qhead[vc]+m.qsize[vc])%depth)] = f
-	m.qsize[vc]++
+	slot := int(st.qhead) + int(st.qsize)
+	if slot >= depth {
+		slot -= depth
+	}
+	m.qbuf[vc*depth+slot] = f
+	if st.qsize == 0 {
+		st.headReadyAt = f.ReadyAt
+		m.flitsAvailable.Set(vc)
+		if st.awaitsRoute() {
+			m.unrouted.Set(vc)
+		}
+		if m.occupied == 0 && m.busy != nil {
+			m.busy.Set(m.port)
+		}
+	}
+	st.qsize++
 	m.occupied++
 	if m.ext != nil {
 		*m.ext++
 	}
-	m.flitsAvailable.Set(vc)
-	if m.qsize[vc] == depth {
+	if int(st.qsize) == depth {
 		m.full.Set(vc)
 	}
 	return true
@@ -219,28 +257,42 @@ func (m *Memory) Push(vc int, f *flit.Flit) bool {
 
 // Peek returns the head flit of VC vc without removing it, or nil.
 func (m *Memory) Peek(vc int) *flit.Flit {
-	if m.qsize[vc] == 0 {
+	st := &m.state[vc]
+	if st.qsize == 0 {
 		return nil
 	}
-	return m.qbuf[vc*m.cfg.Depth+int(m.qhead[vc])]
+	return m.qbuf[vc*m.cfg.Depth+int(st.qhead)]
 }
 
 // Pop removes and returns the head flit of VC vc, or nil if empty.
 func (m *Memory) Pop(vc int) *flit.Flit {
-	if m.qsize[vc] == 0 {
+	st := &m.state[vc]
+	if st.qsize == 0 {
 		return nil
 	}
-	i := vc*m.cfg.Depth + int(m.qhead[vc])
+	depth := m.cfg.Depth
+	i := vc*depth + int(st.qhead)
 	f := m.qbuf[i]
 	m.qbuf[i] = nil
-	m.qhead[vc] = (m.qhead[vc] + 1) % int32(m.cfg.Depth)
-	m.qsize[vc]--
+	st.qhead++
+	if int(st.qhead) == depth {
+		st.qhead = 0
+	}
+	st.qsize--
 	m.occupied--
 	if m.ext != nil {
 		*m.ext--
 	}
-	if m.qsize[vc] == 0 {
+	if st.qsize == 0 {
 		m.flitsAvailable.Clear(vc)
+		if st.awaitsRoute() {
+			m.unrouted.Clear(vc)
+		}
+		if m.occupied == 0 && m.busy != nil {
+			m.busy.Clear(m.port)
+		}
+	} else {
+		st.headReadyAt = m.qbuf[vc*depth+int(st.qhead)].ReadyAt
 	}
 	m.full.Clear(vc)
 	return f
@@ -248,35 +300,57 @@ func (m *Memory) Pop(vc int) *flit.Flit {
 
 // FlitsAvailable returns the flits_available status vector. Callers must
 // treat it as read-only; it stays current as flits move.
-func (m *Memory) FlitsAvailable() *bitvec.Vector { return m.flitsAvailable }
+func (m *Memory) FlitsAvailable() *bitvec.Vector { return &m.flitsAvailable }
 
 // FullVector returns the input_buffer_full status vector (read-only).
-func (m *Memory) FullVector() *bitvec.Vector { return m.full }
+func (m *Memory) FullVector() *bitvec.Vector { return &m.full }
 
 // ReservedVector returns the in-use status vector (read-only).
-func (m *Memory) ReservedVector() *bitvec.Vector { return m.reserved }
+func (m *Memory) ReservedVector() *bitvec.Vector { return &m.reserved }
+
+// Unrouted returns the status vector of VCs buffering a best-effort packet
+// that has no output yet (read-only).
+func (m *Memory) Unrouted() *bitvec.Vector { return &m.unrouted }
+
+// SetOutput maps VC vc to switch output out (-1: none).
+func (m *Memory) SetOutput(vc, out int) {
+	st := &m.state[vc]
+	st.Output = out
+	m.unrouted.SetTo(vc, st.qsize > 0 && st.awaitsRoute())
+}
+
+// keepBuffer copies into st what old holds of its VC's buffer — ring
+// position and head stamp — so that st can overwrite old.
+func (st *VCState) keepBuffer(old *VCState) {
+	st.qhead, st.qsize, st.headReadyAt = old.qhead, old.qsize, old.headReadyAt
+}
 
 // Reserve claims VC vc for a connection or packet, recording its class,
 // mapping and allocation. It reports false if the VC is already in use.
 func (m *Memory) Reserve(vc int, st VCState) bool {
-	if m.state[vc].InUse {
+	old := &m.state[vc]
+	if old.InUse {
 		return false
 	}
 	st.InUse = true
-	m.state[vc] = st
-	m.serviced[vc] = 0
+	st.keepBuffer(old)
+	st.serviced = 0
+	*old = st
 	m.reserved.Set(vc)
+	if st.qsize > 0 { // an empty VC's unrouted bit is clear already
+		m.unrouted.SetTo(vc, st.awaitsRoute())
+	}
 	return true
 }
 
 // Release frees VC vc. Buffered flits must have drained first; releasing a
 // non-empty VC panics because it would leak flits mid-connection.
 func (m *Memory) Release(vc int) {
-	if m.qsize[vc] != 0 {
-		panic(fmt.Sprintf("vcm: release of non-empty VC %d (%d flits)", vc, m.qsize[vc]))
+	st := &m.state[vc]
+	if st.qsize != 0 {
+		panic(fmt.Sprintf("vcm: release of non-empty VC %d (%d flits)", vc, st.qsize))
 	}
-	m.state[vc] = VCState{Output: -1}
-	m.serviced[vc] = 0
+	*st = VCState{Output: -1}
 	m.reserved.Clear(vc)
 }
 
@@ -284,57 +358,108 @@ func (m *Memory) Release(vc int) {
 // the head) without removing it. Checkpointing uses it to serialize
 // queue contents; i outside [0, Len) panics.
 func (m *Memory) FlitAt(vc, i int) *flit.Flit {
-	if i < 0 || i >= int(m.qsize[vc]) {
-		panic(fmt.Sprintf("vcm: FlitAt(%d, %d) outside queue of %d flits", vc, i, m.qsize[vc]))
+	st := &m.state[vc]
+	if i < 0 || i >= int(st.qsize) {
+		panic(fmt.Sprintf("vcm: FlitAt(%d, %d) outside queue of %d flits", vc, i, st.qsize))
 	}
-	return m.qbuf[vc*m.cfg.Depth+(int(m.qhead[vc])+i)%m.cfg.Depth]
+	return m.qbuf[vc*m.cfg.Depth+(int(st.qhead)+i)%m.cfg.Depth]
 }
 
 // RestoreState overwrites VC vc's scheduling state wholesale, setting
 // the reserved bit from st.InUse. Unlike Reserve it does not force
-// InUse, so checkpoint restore can reinstate both free and reserved VCs
-// with exact Bias values (per-round serviced counters are restored
-// separately via SetServiced). Buffered flits are restored via Push.
+// InUse, so checkpoint restore can reinstate both free and reserved VCs,
+// and it leaves the VC's round account alone (restored separately via
+// SetServiced). Buffered flits are restored via Push.
 func (m *Memory) RestoreState(vc int, st VCState) {
-	m.state[vc] = st
-	if st.InUse {
-		m.reserved.Set(vc)
-	} else {
-		m.reserved.Clear(vc)
-	}
+	old := &m.state[vc]
+	st.keepBuffer(old)
+	st.serviced, st.servicedRound = old.serviced, old.servicedRound
+	*old = st
+	m.reserved.SetTo(vc, st.InUse)
+	m.unrouted.SetTo(vc, st.qsize > 0 && st.awaitsRoute())
 }
 
 // FindFree returns a VC that is not in use, scanning round-robin from the
 // given position, or -1 if every VC is reserved.
-func (m *Memory) FindFree(from int) int {
-	n := m.cfg.VirtualChannels
-	for i := 0; i < n; i++ {
-		vc := (from + i) % n
-		if !m.state[vc].InUse {
-			return vc
-		}
-	}
-	return -1
-}
+func (m *Memory) FindFree(from int) int { return m.reserved.NextClearWrap(from) }
 
 // FreeVCs returns the number of unreserved virtual channels.
 func (m *Memory) FreeVCs() int { return m.cfg.VirtualChannels - m.reserved.Count() }
 
 // Serviced returns the flit cycles VC vc has consumed this round.
-func (m *Memory) Serviced(vc int) int { return int(m.serviced[vc]) }
+func (m *Memory) Serviced(vc int) int {
+	if st := &m.state[vc]; st.servicedRound == m.round {
+		return int(st.serviced)
+	}
+	return 0
+}
 
 // IncServiced charges one flit cycle to VC vc's round account.
-func (m *Memory) IncServiced(vc int) { m.serviced[vc]++ }
+func (m *Memory) IncServiced(vc int) { m.SetServiced(vc, m.Serviced(vc)+1) }
 
 // SetServiced overwrites VC vc's round account (checkpoint restore,
 // tests constructing mid-round states).
-func (m *Memory) SetServiced(vc, n int) { m.serviced[vc] = int32(n) }
+func (m *Memory) SetServiced(vc, n int) {
+	st := &m.state[vc]
+	st.serviced, st.servicedRound = int32(n), m.round
+}
 
-// ResetRound clears every VC's serviced counter — called at each round
-// (frame) boundary by the link scheduler (§4.1). The counters are a
-// packed array precisely so this compiles to one memclr.
+// ResetRound zeroes every VC's serviced counter — called at each round
+// (frame) boundary (§4.1). The counters are stamped with the round they
+// were written in, so a new stamp retires them all at once — but for the
+// one boundary in 2³² where the stamp wraps and counts from its last lap
+// would read live again: that one walks the records.
 func (m *Memory) ResetRound() {
-	for i := range m.serviced {
-		m.serviced[i] = 0
+	m.round++
+	if m.round == 0 {
+		for i := range m.state {
+			m.state[i].serviced, m.state[i].servicedRound = 0, 0
+		}
 	}
+}
+
+// CheckMirrors audits everything the memory keeps in step with its records
+// and flit store — the four status vectors, each non-empty VC's head stamp,
+// the flit count and the bound Busy bit — and returns the first mirror that
+// does not say what it mirrors. The datapath steers by these without looking
+// behind them, so the engines' invariant audits call this. A vector is right
+// when every bit the records call for is set and it has no more bits than
+// that, so the one pass over the records tests only the bits of VCs that are
+// reserved or buffer a flit.
+func (m *Memory) CheckMirrors() error {
+	vecs := [...]*bitvec.Vector{&m.flitsAvailable, &m.full, &m.reserved, &m.unrouted}
+	names := [...]string{"flits_available", "full", "reserved", "unrouted"}
+	var want [len(vecs)]int
+	total := 0
+	for vc := range m.state {
+		st, n := &m.state[vc], int(m.state[vc].qsize)
+		if n == 0 && !st.InUse {
+			continue // calls for no bit
+		}
+		total += n
+		for i, called := range [...]bool{n > 0, n == m.cfg.Depth, st.InUse, n > 0 && st.awaitsRoute()} {
+			if !called {
+				continue
+			}
+			want[i]++
+			if !vecs[i].Test(vc) {
+				return fmt.Errorf("vcm: VC %d %s bit is clear (class=%v output=%d inUse=%v flits=%d)", vc, names[i], st.Class, st.Output, st.InUse, n)
+			}
+		}
+		if head := m.Peek(vc); head != nil && st.headReadyAt != head.ReadyAt {
+			return fmt.Errorf("vcm: VC %d record says its head arrived at %d, the flit at %d", vc, st.headReadyAt, head.ReadyAt)
+		}
+	}
+	for i, v := range vecs {
+		if v.Count() != want[i] {
+			return fmt.Errorf("vcm: %s vector %v has %d bits set, the records call for %d", names[i], v, v.Count(), want[i])
+		}
+	}
+	if total != m.occupied {
+		return fmt.Errorf("vcm: %d flits counted, %d queued", m.occupied, total)
+	}
+	if m.busy != nil && m.busy.Test(m.port) != (total > 0) {
+		return fmt.Errorf("vcm: Busy bit %d is %v with %d flits queued", m.port, total == 0, total)
+	}
+	return nil
 }

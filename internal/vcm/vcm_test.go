@@ -20,6 +20,7 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{VirtualChannels: 0, Depth: 1, Banks: 1, PhitsPerFlit: 1},
 		{VirtualChannels: 1, Depth: 0, Banks: 1, PhitsPerFlit: 1},
+		{VirtualChannels: 1, Depth: 256, Banks: 1, PhitsPerFlit: 1}, // past a record's one-byte ring position
 		{VirtualChannels: 1, Depth: 1, Banks: 0, PhitsPerFlit: 1},
 		{VirtualChannels: 1, Depth: 1, Banks: 1, PhitsPerFlit: 0},
 	}
