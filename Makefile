@@ -50,7 +50,8 @@ race:
 # against the activity scans it replaced under the same operation stream,
 # the checkpoint decoder against damaged payloads (its seeds are 80 kB
 # each, so minimizing a new input is capped or it eats the budget), a
-# source's one-call gap replay against per-cycle ticks, the link
+# source's one-call gap replay against per-cycle ticks, a forecast's
+# closed-form accumulator sum against the add loop it replaced, the link
 # scheduler's one-pass selection against its sorted reference, the EPB
 # search against its map-based reference, and the VC memory's mirrors
 # (status vectors, Busy bit, head stamp, round-stamped accounts) against a
@@ -60,6 +61,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWakeTableMatchesScan -fuzztime=$(FUZZTIME) ./internal/network
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/network
 	$(GO) test -run='^$$' -fuzz=FuzzAdvanceToMatchesTicks -fuzztime=$(FUZZTIME) ./internal/traffic
+	$(GO) test -run='^$$' -fuzz=FuzzSumBelowOne -fuzztime=$(FUZZTIME) ./internal/traffic
 	$(GO) test -run='^$$' -fuzz=FuzzCandidatesMatchesSortedReference -fuzztime=$(FUZZTIME) ./internal/sched
 	$(GO) test -run='^$$' -fuzz=FuzzSearchIntoMatchesReference -fuzztime=$(FUZZTIME) ./internal/routing
 	$(GO) test -run='^$$' -fuzz=FuzzMemoryMirrors -fuzztime=$(FUZZTIME) ./internal/vcm

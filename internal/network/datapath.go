@@ -39,11 +39,14 @@ import (
 //	          pop (Core.Pop), return credits onto own lanes, append flits
 //	          to own pipes, eject into the local stats shard, and reserve
 //	          the VC a forwarded packet picked at the next router; inject
-//	          from sources homed here. The one cross-node write is that
+//	          from sources homed here. Two writes cross nodes. One is that
 //	          reservation: the VC was free at schedule, commit passes only
 //	          *free* other VCs of that memory, and the memory's input port
 //	          has this node as its only wired upstream, so nothing else
-//	          reads or writes that VC's reservation in this pass.
+//	          reads or writes that VC's reservation in this pass. The other
+//	          is the receiver's inbound bit set with every lane push
+//	          (notePush): an OR, so commutative, of a bit only this node
+//	          sets, read only by a later deliver pass.
 //
 // Fault transitions fire on the event path between cycles, never
 // mid-cycle.
@@ -211,79 +214,89 @@ func (n *Network) ResetStats() {
 	}
 }
 
-// phaseDeliver is the receiver side of the cycle: node nd drains every
-// inbound lane — credits and flits its wired peers staged for it — in
-// ascending port order. All writes are nd-local (its shadow credits, its
-// VCMs, its stats shard); peers' lanes are advanced via the head index,
-// which the owner only touches in its commit phase.
+// phaseDeliver is the receiver side of the cycle: node nd drains its
+// inbound lanes — credits and flits its wired peers staged for it — in
+// ascending port order: the pairs its inbound vector marks or, under
+// NoIdleSkip, every wired one. All writes are nd-local (its shadow credits,
+// its VCMs, its stats shard, its inbound bits); peers' lanes are advanced
+// via the head index, which the owner only touches in its commit phase.
 func (n *Network) phaseDeliver(nd *node, t int64) {
 	nd.BeginCycle(t)
 
 	// inboundAt: the earliest entry this pass leaves behind unmatured, for
 	// the node's settle (wake.go). Entries pushed later this cycle are the
 	// senders' to report.
-	inboundAt := laneIdle
-	for i := range nd.in {
-		e := &nd.in[i]
-		q := int(e.port)
-
-		// Credits our downstream neighbor returned for flits it drained:
-		// they mature into this node's shadow credit view.
-		cl := &n.laneCreds[e.lane]
-		for cl.head < len(cl.buf) && cl.buf[cl.head].arriveAt <= t {
-			to := cl.buf[cl.head].to
-			cl.head++
-			nd.Credits[to.port].Return(int(to.vc))
-		}
-		cl.compact()
-		if cl.nextAt < inboundAt {
-			inboundAt = cl.nextAt
-		}
-
-		// Flits in flight toward input port q, applying the directed
-		// link's impairments with this receiver's RNG stream: a dropped
-		// flit is detected by CRC and discarded — a dropped packet dies
-		// with its reserved VC released; a dropped stream flit's buffer
-		// slot never fills, so its credit returns upstream immediately
-		// (staged: the lane owner may be draining it this phase).
-		fl := &n.laneFlits[e.lane]
-		if fl.head == len(fl.buf) {
-			continue
-		}
-		im, impaired := n.impair[[2]int{int(e.peer), int(e.peerPort)}]
-		for fl.head < len(fl.buf) && fl.buf[fl.head].arriveAt <= t {
-			lf := fl.buf[fl.head]
-			fl.head++
-			if impaired && im.DropProb > 0 && nd.rng.Float64() < im.DropProb {
-				nd.stats.flitsDropped++
-				nd.rec.Record(metrics.Event{Cycle: t, Code: evFlitDropped,
-					Node: int16(nd.id), A: int32(q), B: int32(lf.vc), Aux: int64(lf.f.Conn)})
-				if lf.f.Class == flit.ClassBestEffort || lf.f.Class == flit.ClassControl {
-					nd.Mems[q].Release(lf.vc)
-					nd.upstream[q][lf.vc] = noUpstream
-				} else if up := nd.upstream[q][lf.vc]; up.node >= 0 {
-					nd.dropCredits = append(nd.dropCredits, stagedCredit{
-						port: q, cm: creditMsg{arriveAt: t + n.cfg.LinkDelay, to: up},
-					})
-				}
-				n.pool.Put(lf.f)
-				continue
-			}
-			if impaired && im.CorruptProb > 0 && nd.rng.Float64() < im.CorruptProb {
-				nd.stats.flitsCorrupted++
-				nd.rec.Record(metrics.Event{Cycle: t, Code: evFlitCorrupted,
-					Node: int16(nd.id), A: int32(q), B: int32(lf.vc), Aux: int64(lf.f.Conn)})
-			}
-			if !nd.Enqueue(q, lf.vc, lf.f, t) {
-				panic("network: flow control violation — downstream VC full")
+	nd.inboundAt = laneIdle
+	gated := !n.cfg.NoIdleSkip
+	for i := 0; i < len(nd.in); i++ {
+		if gated {
+			if i = nd.inbound.NextSet(i); i < 0 {
+				break
 			}
 		}
-		fl.compact()
-		if fl.nextAt < inboundAt {
-			inboundAt = fl.nextAt
+		at := n.deliverLanes(nd, &nd.in[i], t)
+		if nd.inboundAt = min(nd.inboundAt, at); gated && at == laneIdle {
+			nd.inbound.Clear(i) // both lanes empty: the next push sets it again
 		}
 	}
-	nd.inboundAt = inboundAt
+}
+
+// deliverLanes drains what has matured by cycle t on the lane pair of nd's
+// inbound edge e and returns the earliest entry left behind (laneIdle: none).
+func (n *Network) deliverLanes(nd *node, e *inEdge, t int64) int64 {
+	nd.lanesPolled++
+	q := int(e.port)
+
+	// Credits our downstream neighbor returned for flits it drained:
+	// they mature into this node's shadow credit view.
+	cl := &n.laneCreds[e.lane]
+	for cl.head < len(cl.buf) && cl.buf[cl.head].arriveAt <= t {
+		to := cl.buf[cl.head].to
+		cl.head++
+		nd.Credits[to.port].Return(int(to.vc))
+	}
+	cl.compact()
+
+	// Flits in flight toward input port q, applying the directed
+	// link's impairments with this receiver's RNG stream: a dropped
+	// flit is detected by CRC and discarded — a dropped packet dies
+	// with its reserved VC released; a dropped stream flit's buffer
+	// slot never fills, so its credit returns upstream immediately
+	// (staged: the lane owner may be draining it this phase).
+	fl := &n.laneFlits[e.lane]
+	if fl.head == len(fl.buf) {
+		return cl.nextAt
+	}
+	im, impaired := n.impair[[2]int{int(e.peer), int(e.peerPort)}]
+	for fl.head < len(fl.buf) && fl.buf[fl.head].arriveAt <= t {
+		lf := fl.buf[fl.head]
+		fl.head++
+		if impaired && im.DropProb > 0 && nd.rng.Float64() < im.DropProb {
+			nd.stats.flitsDropped++
+			nd.rec.Record(metrics.Event{Cycle: t, Code: evFlitDropped,
+				Node: int16(nd.id), A: int32(q), B: int32(lf.vc), Aux: int64(lf.f.Conn)})
+			if lf.f.Class == flit.ClassBestEffort || lf.f.Class == flit.ClassControl {
+				nd.Mems[q].Release(lf.vc)
+				nd.upstream[q][lf.vc] = noUpstream
+			} else if up := nd.upstream[q][lf.vc]; up.node >= 0 {
+				nd.dropCredits = append(nd.dropCredits, stagedCredit{
+					port: q, cm: creditMsg{arriveAt: t + n.cfg.LinkDelay, to: up},
+				})
+			}
+			n.pool.Put(lf.f)
+			continue
+		}
+		if impaired && im.CorruptProb > 0 && nd.rng.Float64() < im.CorruptProb {
+			nd.stats.flitsCorrupted++
+			nd.rec.Record(metrics.Event{Cycle: t, Code: evFlitCorrupted,
+				Node: int16(nd.id), A: int32(q), B: int32(lf.vc), Aux: int64(lf.f.Conn)})
+		}
+		if !nd.Enqueue(q, lf.vc, lf.f, t) {
+			panic("network: flow control violation — downstream VC full")
+		}
+	}
+	fl.compact()
+	return min(cl.nextAt, fl.nextAt)
 }
 
 // phaseSchedule routes packets, nominates candidates, arbitrates the

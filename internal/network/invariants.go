@@ -31,7 +31,8 @@ import (
 //     holds allowed to push it higher, never lower).
 //  4. The mirrors the datapath steers by say what they mirror: every
 //     memory's status vectors, Busy bit and head stamps
-//     (vcm.Memory.CheckMirrors).
+//     (vcm.Memory.CheckMirrors), and a node's inbound bit is clear only
+//     over a lane pair that holds nothing.
 //
 // "Live" means established and not closed, fault-broken, or degraded —
 // a broken or degraded connection must hold nothing at all (a degraded
@@ -115,6 +116,11 @@ func (n *Network) CheckInvariants() error {
 	// Sweep every VC: claimed ones were verified above; anything else in
 	// use must be a packet in flight or a transient probe hold.
 	for _, nd := range n.nodes {
+		for i, e := range nd.in {
+			if !nd.inbound.Test(i) && len(n.laneCreds[e.lane].pending())+len(n.laneFlits[e.lane].pending()) > 0 {
+				return fmt.Errorf("invariant: node %d port %d: inbound bit clear over a lane pair that holds entries", nd.id, e.port)
+			}
+		}
 		for p, mem := range nd.Mems {
 			if err := mem.CheckMirrors(); err != nil {
 				return fmt.Errorf("invariant: node %d port %d: %v", nd.id, p, err)

@@ -231,10 +231,15 @@ type node struct {
 	credOut []creditLane
 
 	// in lists this node's wired inbound edges in ascending input-port
-	// order; outPeer[p] is the node wired at output port p (-1 unwired).
-	// Precomputed at construction — wiring never changes.
+	// order; outPeer[p] is the node wired at output port p (-1 unwired) and
+	// peerIn[p] the index in that node's in list of the edge from here.
+	// Precomputed at construction — wiring never changes. inbound has bit i
+	// set while the lane pair of in[i] may hold an entry: the sender sets it
+	// with every push (notePush), the gated deliver pass clears it.
 	in      []inEdge
 	outPeer []int32
+	peerIn  []int32
+	inbound bitvec.Vector
 
 	// dropCredits stages credits synthesized by impairment drops during
 	// the delivery phase (the lane's reader drains it in that same phase);
@@ -279,9 +284,9 @@ type node struct {
 	stuck     *bitvec.Vector
 	reroute   bool
 
-	// The routing unit's rows of the work ledger (Core.Work has the rest):
-	// unrouted packets looked at and, of those, tried (the others were stuck).
-	routeVisited, routeTried int64
+	// More rows of the work ledger (Core.Work has the rest): unrouted packets
+	// looked at and, of those, tried (not stuck); inbound lane pairs polled.
+	routeVisited, routeTried, lanesPolled int64
 }
 
 // Sentinels for node.grantVC.
@@ -437,11 +442,14 @@ type Network struct {
 	// active is this cycle's worklist (ascending node ID); pushed and
 	// freed collect, during the commit phase, the receivers of the cycle's
 	// lane pushes and the upstream peers of the packet VCs it released,
-	// for settle to wake.
-	wakeAt []int64
-	active []*node
-	pushed []int32
-	freed  []int32
+	// for settle to wake. blockAt bounds each block of wakeAt from below and
+	// wakeReads counts the words of both that buildActive read (work ledger).
+	wakeAt    []int64
+	blockAt   []int64
+	wakeReads int64
+	active    []*node
+	pushed    []int32
+	freed     []int32
 
 	// idleSkipped counts cycles Run elided via whole-clock fast-forward
 	// (diagnostics only; results are independent of it by construction).
@@ -525,6 +533,7 @@ func New(cfg Config) (*Network, error) {
 			inboundAt: laneIdle,
 			stuck:     bitvec.New(radix * cfg.VCs),
 			grantVC:   make([]int, radix),
+			peerIn:    make([]int32, radix),
 		}
 		if err := nd.Core.Init(&core, nd.rng); err != nil {
 			return nil, err
@@ -561,6 +570,7 @@ func New(cfg Config) (*Network, error) {
 			}
 			xp := cfg.Topology.WiredPeer(nd.id, q)
 			nd.outPeer[q] = int32(x)
+			n.nodes[x].peerIn[xp] = int32(len(nd.in))
 			nd.in = append(nd.in, inEdge{
 				lane:     int32(x*radix + xp),
 				port:     int32(q),
@@ -568,11 +578,14 @@ func New(cfg Config) (*Network, error) {
 				peerPort: int32(xp),
 			})
 		}
+		nd.inbound.Init(len(nd.in))
+		nd.inbound.Fill()
 	}
 	// Every node starts due at cycle 0 (the zero wake table) with a stale
-	// calendar, so a fabric — fresh or just restored from a checkpoint —
-	// derives its gating state in its first cycle.
+	// calendar and a full inbound vector, so a fabric — fresh or just restored
+	// from a checkpoint — derives its gating state in its first cycle.
 	n.wakeAt = make([]int64, len(n.nodes))
+	n.blockAt = make([]int64, (len(n.nodes)+wakeBlock-1)/wakeBlock)
 	n.initMetrics()
 	return n, nil
 }

@@ -11,8 +11,8 @@ import (
 //	wakeAt[id]  earliest cycle node id can have work — a buffered flit,
 //	            NI backlog, an inbound lane entry maturing, a source due.
 //
-// It is written only after a cycle's three passes or between cycles, by
-// exactly three writers:
+// It is written only after a cycle's three passes or between cycles, in one
+// place — setWake — by three callers:
 //
 //	settle      every node that ran a cycle re-derives its own entry
 //	            from state it owns: occupancy, its source calendar, its
@@ -26,6 +26,12 @@ import (
 //	touch       every control-plane path that changes a node's sources,
 //	            buffers or lanes marks it due now; it then runs the next
 //	            cycle and settles from scratch.
+//
+// blockAt[b], derived and never serialized, bounds wakeAt[16b … 16b+15] from
+// below: setWake lowers it with the entry it writes and never raises it, so
+// it may be early — harmless, as below — until buildActive, which descends
+// only into blocks whose bound has come, takes it again from the entries it
+// leaves. nextWake reads the bounds alone; NoIdleSkip reads neither level.
 //
 // Buffered flits keep a node awake with one exception: packets the
 // routing unit could not route (node.blocked) — every legal next router's
@@ -59,11 +65,23 @@ import (
 // due at cycle 0 and every calendar stale, so a restored checkpoint
 // rebuilds it all in its first cycle, and nothing here is serialized.
 
-// touch marks node id due now. Between cycles only.
+// setWake is the one place a wake-table entry is written; wakeBlock entries
+// share a block bound.
+const wakeBlock = 16
+
+func (n *Network) setWake(id int, at int64) {
+	n.wakeAt[id] = at
+	if b := id / wakeBlock; at < n.blockAt[b] {
+		n.blockAt[b] = at
+	}
+}
+
+// touch marks node id, inbound lanes and all, due now. Between cycles only.
 func (n *Network) touch(id int) {
-	n.wakeAt[id] = n.now
+	n.setWake(id, n.now)
 	n.nodes[id].cal.Invalidate()
 	n.nodes[id].reroute = true
+	n.nodes[id].inbound.Fill()
 }
 
 // unblock makes node id, if it holds blocked packets, route them again
@@ -72,7 +90,7 @@ func (n *Network) unblock(id int, at int64) {
 	if nd := n.nodes[id]; nd.blocked > 0 {
 		nd.reroute = true
 		if n.wakeAt[id] > at {
-			n.wakeAt[id] = at
+			n.setWake(id, at)
 		}
 	}
 }
@@ -103,8 +121,10 @@ func (n *Network) noteFreed(nd *node, p int) {
 }
 
 // notePush records that nd appended to its outbound lane pair on port p
-// this cycle. Commit phase.
+// this cycle: in the receiver's inbound vector — whatever NoIdleSkip says,
+// so a flip of the flag finds it true — and in the push list. Commit phase.
 func (n *Network) notePush(nd *node, p int) {
+	n.nodes[nd.outPeer[p]].inbound.Set(int(nd.peerIn[p]))
 	if !n.cfg.NoIdleSkip {
 		n.pushed = append(n.pushed, nd.outPeer[p])
 	}
@@ -131,12 +151,11 @@ func (n *Network) settle(t int64) {
 		}
 		switch {
 		case busy:
-			n.wakeAt[nd.id] = t + 1
+			due = t + 1
 		case nd.inboundAt < due:
-			n.wakeAt[nd.id] = nd.inboundAt
-		default:
-			n.wakeAt[nd.id] = due
+			due = nd.inboundAt
 		}
+		n.setWake(nd.id, due)
 	}
 	// A lane entry pushed at t matures at t+LinkDelay and is delivered by
 	// the first cycle after t that reaches it.
@@ -146,7 +165,7 @@ func (n *Network) settle(t int64) {
 	}
 	for _, peer := range n.pushed {
 		if n.wakeAt[peer] > arrive {
-			n.wakeAt[peer] = arrive
+			n.setWake(int(peer), arrive)
 		}
 	}
 	n.pushed = n.pushed[:0]
@@ -159,13 +178,27 @@ func (n *Network) settle(t int64) {
 }
 
 // buildActive computes this cycle's worklist — the nodes whose wake-table
-// entry has come, in ascending node order — in one pass over the table.
+// entry has come, in ascending node order — in one pass over the block
+// bounds and the blocks that are due, whose bounds it takes again.
 func (n *Network) buildActive(t int64) {
 	n.active = n.active[:0]
-	for id, at := range n.wakeAt {
-		if at <= t {
-			n.active = append(n.active, n.nodes[id])
+	n.wakeReads += int64(len(n.blockAt))
+	for b, bound := range n.blockAt {
+		if bound > t {
+			continue
 		}
+		bound = laneIdle
+		lo := b * wakeBlock
+		block := n.wakeAt[lo:min(lo+wakeBlock, len(n.wakeAt))]
+		n.wakeReads += int64(len(block))
+		for i, at := range block {
+			if at <= t {
+				n.active = append(n.active, n.nodes[lo+i])
+			} else if at < bound {
+				bound = at
+			}
+		}
+		n.blockAt[b] = bound
 	}
 }
 
@@ -176,7 +209,7 @@ func (n *Network) nextWake(t, limit int64) int64 {
 	if at, ok := n.events.NextAt(); ok && int64(at) < next {
 		next = int64(at)
 	}
-	for _, at := range n.wakeAt {
+	for _, at := range n.blockAt {
 		if at < next {
 			next = at
 		}

@@ -127,13 +127,19 @@ func (n *Network) referenceNextWake(t, limit int64) int64 {
 // with the scanned wake-up. One
 // early wake is allowed: a node holding unroutable packets is woken by
 // any VC released toward it and by any fault transition, whether or not
-// that helps the packets it holds. It reports whether the fabric was
-// idle.
+// that helps the packets it holds. The second level must bound the first:
+// no block's blockAt above any of its entries. It reports whether the
+// fabric was idle.
 func checkWakeTable(t testing.TB, n *Network) (idle bool) {
 	t.Helper()
 	now := n.now
 	idle = true
 	early := false
+	for id, at := range n.wakeAt {
+		if b := n.blockAt[id/wakeBlock]; b > at {
+			t.Fatalf("cycle %d node %d: wakeAt %d lies under its block's bound %d", now, id, at, b)
+		}
+	}
 	for _, nd := range n.nodes {
 		want := n.referenceNodeActive(nd, now)
 		if got := n.wakeAt[nd.id] <= now; got != want {

@@ -11,11 +11,10 @@ import (
 	"mmr/internal/traffic"
 )
 
-// buildDense is perfbench's fabric_dense on FatTree(k) — k = 16 there, 4 at
-// toy size: every edge host filled to 0.6 of its link by sessions at the
-// paper's rates to random other edge routers, plus one light best-effort flow
-// per host.
-func buildDense(t *testing.T, k int, noIdleSkip bool) *Network {
+// fatTreeFabric builds FatTree(k) with the shipped defaults and returns, for
+// the work-ledger workloads below, the edge routers of its first pods, the
+// workload RNG and a draw of another edge router than self.
+func fatTreeFabric(t *testing.T, k, pods int, noIdleSkip bool) (n *Network, edges []int, rng *sim.RNG, other func(self int) int) {
 	t.Helper()
 	tp, err := topology.FatTree(k)
 	if err != nil {
@@ -23,25 +22,32 @@ func buildDense(t *testing.T, k int, noIdleSkip bool) *Network {
 	}
 	cfg := DefaultConfig(tp)
 	cfg.NoIdleSkip = noIdleSkip
-	n, err := New(cfg)
-	if err != nil {
+	if n, err = New(cfg); err != nil {
 		t.Fatal(err)
 	}
-	var edges []int
-	for p := 0; p < k; p++ {
+	for p := 0; p < pods; p++ {
 		for i := 0; i < k/2; i++ {
 			edges = append(edges, p*k+i)
 		}
 	}
-	rng := sim.NewRNG(1)
-	other := func(self int) int {
+	rng = sim.NewRNG(1)
+	return n, edges, rng, func(self int) int {
 		for {
 			if d := edges[rng.Intn(len(edges))]; d != self {
 				return d
 			}
 		}
 	}
-	target, smallest := 0.6*float64(cfg.Link.Bandwidth), float64(traffic.PaperRates[0])
+}
+
+// buildDense is perfbench's fabric_dense on FatTree(k) — k = 16 there, 4 at
+// toy size: every edge host filled to 0.6 of its link by sessions at the
+// paper's rates to random other edge routers, plus one light best-effort flow
+// per host.
+func buildDense(t *testing.T, k int, noIdleSkip bool) *Network {
+	t.Helper()
+	n, edges, rng, other := fatTreeFabric(t, k, k, noIdleSkip)
+	target, smallest := 0.6*float64(n.cfg.Link.Bandwidth), float64(traffic.PaperRates[0])
 	var reqs []OpenReq
 	for _, src := range edges {
 		for sum := 0.0; sum+smallest <= target; {
@@ -86,18 +92,26 @@ func workOf(n *Network, nodeCycles int64) fabricWork {
 	return w
 }
 
-// stepCountingBusy is Network.cycle spelled out again (as stepReversed is)
-// so that, between the deliver and the schedule pass, it can count by scan —
-// not from the Busy vectors — the ports that buffer a flit at the nodes about
-// to be scheduled: what a gated schedule pass should poll, and no more. It
-// also returns the number of nodes it ran.
-func stepCountingBusy(n *Network) (busyPorts, nodeCycles int64) {
+// stepCounting is Network.cycle spelled out again (as stepReversed is) so
+// that it can count by scan — not from the vectors the gated passes walk —
+// what those passes should poll, and no more: before the deliver pass the
+// inbound lane pairs of the nodes about to run that hold an entry, and
+// between the deliver and the schedule pass their ports that buffer a flit.
+// It also returns the number of nodes it ran.
+func stepCounting(n *Network) (heldLanes, busyPorts, nodeCycles int64) {
 	t := n.now
 	n.events.Run(simTime(t))
 	list := n.nodes
 	if !n.cfg.NoIdleSkip {
 		n.buildActive(t)
 		list = n.active
+	}
+	for _, nd := range list {
+		for _, e := range nd.in {
+			if len(n.laneCreds[e.lane].pending())+len(n.laneFlits[e.lane].pending()) > 0 {
+				heldLanes++
+			}
+		}
 	}
 	for _, nd := range list {
 		n.phaseDeliver(nd, t)
@@ -120,7 +134,12 @@ func stepCountingBusy(n *Network) (busyPorts, nodeCycles int64) {
 	}
 	n.now++
 	n.m.cycles++
-	return busyPorts, int64(len(list))
+	return heldLanes, busyPorts, int64(len(list))
+}
+
+func stepCountingBusy(n *Network) (busyPorts, nodeCycles int64) {
+	_, busyPorts, nodeCycles = stepCounting(n)
+	return busyPorts, nodeCycles
 }
 
 // TestDenseWorkGolden pins the work ledger of the dense toy fabric: the
@@ -198,6 +217,120 @@ func TestDenseWorkFullSize(t *testing.T) {
 	logWork(t, n, nodeCycles)
 }
 
+// buildSparse is perfbench's fabric_sparse on FatTree(k) — k = 16 with 512
+// sessions in 4 pods there, 4 with 24 in one pod at toy size: sessions at the
+// three slowest paper rates, in rotation, between the edge routers of the
+// first pods only, plus one trickle of best-effort packets per such pod.
+func buildSparse(t *testing.T, k, pods, sessions int, noIdleSkip bool) *Network {
+	t.Helper()
+	n, edges, rng, other := fatTreeFabric(t, k, pods, noIdleSkip)
+	var reqs []OpenReq
+	for len(reqs) < sessions {
+		src := edges[rng.Intn(len(edges))]
+		reqs = append(reqs, OpenReq{Src: src, Dst: other(src),
+			Spec: traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.PaperRates[len(reqs)%3]}})
+	}
+	for _, r := range n.OpenBatch(reqs) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	for p := 0; p < pods; p++ {
+		if _, err := n.AddBestEffortFlow(p*k, other(p*k), 0.0005); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
+}
+
+// sparseWork is the ledger of the sparse shape: fabricWork's rows and the two
+// the idle side of the cycle adds — inbound lane pairs the deliver passes
+// polled, wake-table words buildActive read.
+type sparseWork struct {
+	fabricWork
+	LanesPolled, WakeReads int64
+}
+
+// runSparse zeroes n's work ledger, steps it and returns the ledger beside
+// what stepCounting's scans say LanesPolled and PortsScanned should be.
+func runSparse(n *Network, cycles int) (w sparseWork, heldLanes, busyPorts int64) {
+	n.wakeReads = 0
+	for _, nd := range n.nodes {
+		nd.Core.Work, nd.routeVisited, nd.routeTried, nd.lanesPolled = sched.Work{}, 0, 0, 0
+	}
+	var nodeCycles int64
+	for i := 0; i < cycles; i++ {
+		h, b, c := stepCounting(n)
+		heldLanes, busyPorts, nodeCycles = heldLanes+h, busyPorts+b, nodeCycles+c
+	}
+	w.fabricWork, w.WakeReads = workOf(n, nodeCycles), n.wakeReads
+	for _, nd := range n.nodes {
+		w.LanesPolled += nd.lanesPolled
+	}
+	return w, heldLanes, busyPorts
+}
+
+// TestSparseWorkGolden is TestDenseWorkGolden's sparse twin: slow sessions
+// in one pod of the toy fat tree, most node-cycles idle. After one cycle —
+// a fabric fresh from New looks at every lane once — it holds the gated
+// passes to their worklists over 20,000 cycles: the deliver pass polls
+// exactly the lane pairs that held an entry when it began and the schedule
+// pass the ports that buffer a flit, while the reference polls every wired
+// lane pair and every port of every node and reads no wake table; the two
+// fabrics end byte-equal, and the gated counts are pinned.
+func TestSparseWorkGolden(t *testing.T) {
+	const cycles = 20000
+	gated, all := buildSparse(t, 4, 1, 24, false), buildSparse(t, 4, 1, 24, true)
+	stepCounting(gated)
+	stepCounting(all)
+	gw, heldLanes, busyPorts := runSparse(gated, cycles)
+	aw, _, _ := runSparse(all, cycles)
+	gs, err := gated.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if as, err := all.EncodeState(); err != nil || !bytes.Equal(gs, as) {
+		t.Fatalf("gated and NoIdleSkip sparse fabrics diverged (err %v)", err)
+	}
+	if err := gated.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	if gw.LanesPolled != heldLanes || gw.PortsScanned != busyPorts {
+		t.Errorf("gated passes polled %d lane pairs and %d ports; %d held an entry and %d buffered a flit",
+			gw.LanesPolled, gw.PortsScanned, heldLanes, busyPorts)
+	}
+	wired := int64(0)
+	for _, nd := range all.nodes {
+		wired += int64(len(nd.in))
+	}
+	radix, nodes := int64(all.cfg.radix()), int64(len(all.nodes))
+	if aw.NodeCycles != nodes*cycles || aw.LanesPolled != wired*cycles || aw.PortsScanned != radix*aw.NodeCycles || aw.WakeReads != 0 {
+		t.Errorf("NoIdleSkip ran %d node-cycles, polled %d lane pairs and %d ports and read %d wake words; want %d, %d, %d and 0",
+			aw.NodeCycles, aw.LanesPolled, aw.PortsScanned, aw.WakeReads, nodes*cycles, wired*cycles, radix*nodes*cycles)
+	}
+	if aw.Grants != gw.Grants || aw.VCsVisited != gw.VCsVisited || aw.Candidates != gw.Candidates {
+		t.Errorf("work differs beyond the polls:\ngated      %+v\nNoIdleSkip %+v", gw, aw)
+	}
+
+	st := gated.Stats()
+	flits := st.FlitsDelivered + st.BEDelivered
+	t.Logf("%d cycles, %d node-cycles, %d flits delivered; per node-cycle: %.2f lane pairs polled (NoIdleSkip %.2f), %.2f ports polled (NoIdleSkip %d); per cycle: %.2f wake words read of %d",
+		cycles, gw.NodeCycles, flits, per(gw.LanesPolled, gw.NodeCycles), per(aw.LanesPolled, aw.NodeCycles),
+		per(gw.PortsScanned, gw.NodeCycles), radix, per(gw.WakeReads, cycles), len(gated.wakeAt)+len(gated.blockAt))
+	want := sparseWork{
+		fabricWork: fabricWork{
+			Work:       sched.Work{PortsScanned: 723, VCsVisited: 728, PriorityEvals: 728, Candidates: 723, Grants: 723},
+			NodeCycles: 1424, RouteVisited: 48, RouteTried: 48,
+		},
+		LanesPolled: 931, WakeReads: 57792,
+	}
+	const wantFlits = 241
+	if gw != want || flits != wantFlits {
+		t.Errorf("work ledger moved:\ngot  %+v, %d flits delivered\nwant %+v, %d", gw, flits, want, wantFlits)
+	}
+}
+
 // logWork logs n's work ledger per node-cycle and per delivered flit, and
 // returns the flits delivered.
 func logWork(t *testing.T, n *Network, nodeCycles int64) int64 {
@@ -212,3 +345,48 @@ func logWork(t *testing.T, n *Network, nodeCycles int64) int64 {
 }
 
 func per(count, base int64) float64 { return float64(count) / float64(base) }
+
+// TestGatingFlipMidTraffic: the engines can change places in mid-run. A
+// fabric that runs gated, then under NoIdleSkip, then gated again — every
+// node touched on the way back, since the reference kept neither the wake
+// table nor the calendars — stays byte-equal to a twin that never flipped,
+// on the loaded fabric and on the one that is mostly asleep. The inbound
+// vectors are kept by both engines (notePush): the audit at the end of a
+// NoIdleSkip leg, entered without a touch, holds them to the lanes.
+func TestGatingFlipMidTraffic(t *testing.T) {
+	for _, fab := range []struct {
+		name  string
+		build func() *Network
+	}{
+		{"dense", func() *Network { return buildDense(t, 4, false) }},
+		{"sparse", func() *Network { return buildSparse(t, 4, 1, 24, false) }},
+	} {
+		t.Run(fab.name, func(t *testing.T) {
+			flipped, twin := fab.build(), fab.build()
+			for _, leg := range []struct {
+				cycles     int64
+				noIdleSkip bool
+			}{{1300, false}, {700, true}, {1100, false}, {450, true}, {1450, false}} {
+				flipped.cfg.NoIdleSkip = leg.noIdleSkip
+				for id := 0; !leg.noIdleSkip && id < len(flipped.nodes); id++ {
+					flipped.touch(id)
+				}
+				flipped.Run(leg.cycles)
+				twin.Run(leg.cycles)
+				if err := flipped.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fb, err := flipped.EncodeState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tb, err := twin.EncodeState(); err != nil || !bytes.Equal(fb, tb) {
+				t.Fatalf("a fabric that changed engines in mid-run diverged from its twin (err %v)", err)
+			}
+			if st := twin.Stats(); st.FlitsDelivered == 0 {
+				t.Fatalf("degenerate scenario: %+v", st)
+			}
+		})
+	}
+}

@@ -148,18 +148,20 @@ func (c *Core) Enqueue(in, vc int, f *flit.Flit, t int64) bool {
 // previous cycle left — in hardware, arbitration for cycle t overlaps
 // transmission of cycle t-1. With skipIdle (the engine's activity gating,
 // read from its Config every cycle; off is the reference, which runs every
-// port) only the inputs in Busy run: Candidates on a memory that buffers
+// port) the loop walks Busy's set bits: Candidates on a memory that buffers
 // nothing is a pure no-op (sched.LinkScheduler.Candidates).
 func (c *Core) Nominate(t int64, skipIdle bool) {
 	for _, p := range c.Nominated {
 		c.Cands[p] = c.Cands[p][:0]
 	}
 	c.Nominated = c.Nominated[:0]
-	for p, ls := range c.Links {
-		if skipIdle && !c.Busy.Test(p) {
-			continue
+	for p := 0; p < len(c.Links); p++ {
+		if skipIdle {
+			if p = c.Busy.NextSet(p); p < 0 {
+				break
+			}
 		}
-		c.Cands[p] = ls.Candidates(t, c.Cands[p][:0])
+		c.Cands[p] = c.Links[p].Candidates(t, c.Cands[p][:0])
 		c.Work.PortsScanned++
 		if len(c.Cands[p]) > 0 || !skipIdle {
 			c.Nominated = append(c.Nominated, p)

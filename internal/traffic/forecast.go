@@ -24,15 +24,15 @@ import "math"
 // those cycles silent; it returns the flits the ticks produced, which is
 // 0 whenever the promise held.
 //
-// Implementations must replicate Tick's exact per-cycle floating-point
-// operation order when simulating accumulators: batching k cycles into one
-// multiply would diverge from the stepwise sum under IEEE-754 rounding and
-// break bit-identical equivalence with ungated stepping. That stepwise sum
-// is what makes a forecast cost as much as the ticks it lets the engine
-// skip, so a forecast keeps the sum it ends on (gapMemo) and AdvanceTo
-// assigns it instead of adding the gap up a second time (a replay that
-// stops short — a checkpoint in mid-gap — adds up its part and leaves the
-// memo standing for the rest). The memo is a cache, not simulated state:
+// Implementations must end on the very sum Tick's per-cycle adds end on:
+// one multiply by the gap length diverges from the stepwise sum under
+// IEEE-754 rounding and would break bit-identical equivalence with ungated
+// stepping. sumBelowOne makes that sum exactly without making every add — a
+// few per binade the accumulator crosses — so a forecast costs tens of
+// nanoseconds whatever the gap. It still keeps the sum it ends on (gapMemo)
+// and AdvanceTo assigns it rather than make it a second time (a replay that
+// stops short — a checkpoint in mid-gap — sums its part afresh and leaves
+// the memo standing for the rest). The memo is a cache, not simulated state:
 // it is keyed by every value the sum depends on, so a source whose
 // accumulator or rate moved in between (RestoreState, a rate change)
 // simply misses and is ticked cycle by cycle, and it is never exported.
@@ -49,6 +49,68 @@ type gapMemo struct {
 	rate       float64
 }
 
+// sumBelowOne makes Tick's silent adds: rate is added to acc, one rounded
+// add at a time, until the next sum would reach 1 or max adds are made. It
+// returns how many were made and the sum they end on — bit for bit the
+// loop's, in a few real adds (the third result) per binade the sum crosses
+// instead of one per cycle.
+//
+// Between two powers of two every double is a multiple of one spacing u and
+// consecutive doubles are consecutive integers as bit patterns. A sum a = k·u
+// that rate = (r+f)·u (r whole, 0 <= f < 1) leaves inside its binade is
+// therefore (k+r)·u or (k+r+1)·u: the bit pattern moves by r where f < 1/2
+// and by r+1 where f > 1/2, whatever k is. At the tie f = 1/2 the add rounds
+// to the even neighbour, so a sum that is itself the result of such an add is
+// even, and from an even k the pattern moves by whichever of r, r+1 is even —
+// even again, so constant too. Hence: once two adds in a row have started and
+// ended in one binade, the second one's stride s = bits(next) - bits(a) is
+// every later add's, for as long as the pattern stays below the binade's top;
+// (top-1-bits)/s of them are taken by one integer multiply (a pattern the
+// stride keeps under top is a sum the exact add keeps under it too, so none
+// rounds at the next binade's spacing), and the add that crosses is made for
+// real. s = 0 is a sum that stands still — NaN and -Inf included — and takes
+// all that max allows. Every binade holding a sum below 1 lies wholly below 1
+// and next >= 1 is tested on each real add, so the jumps skip no stop. A sum
+// moving toward zero (rate and sum of opposite signs) meets the binade's
+// bottom, where the argument needs another bound; no source has one, and it
+// is stepped plainly. So are the first few adds of any sum: most forecasts
+// are a fast session's, over before a stride could be measured.
+func sumBelowOne(acc, rate float64, max int64) (steps int64, sum float64, adds int) {
+	const mantissa, lead = 1<<52 - 1, 8
+	a, inBinade := acc, 0
+	for ; steps < min(max, lead); steps++ { // a short gap ends here, at the loop's price
+		next := a + rate
+		if next >= 1 {
+			return steps, a, int(steps) + 1
+		}
+		a = next
+	}
+	adds = int(steps)
+	for steps < max {
+		next := a + rate // same op order as Tick
+		adds++
+		if next >= 1 { // int(a) >= 1 ⟺ a >= 1 for a >= 0
+			break
+		}
+		ab, nb := math.Float64bits(a), math.Float64bits(next)
+		a, steps = next, steps+1
+		if (ab^nb)>>52 != 0 { // sign or exponent moved
+			inBinade = 0
+			continue
+		}
+		if inBinade++; inBinade < 2 || nb < ab {
+			continue
+		}
+		n, stride := max-steps, nb-ab
+		if stride != 0 {
+			n = min(n, int64((nb|mantissa-nb)/stride))
+		}
+		a = math.Float64frombits(nb + uint64(n)*stride)
+		steps += n
+	}
+	return steps, a, adds
+}
+
 // forecastAcc steps an accumulator from acc, adding rate once per cycle
 // after now, and returns the first cycle before limit whose sum reaches 1
 // — or limit — recording in m the sum the cycles before it add up to.
@@ -56,23 +118,15 @@ func (m *gapMemo) forecastAcc(acc, rate float64, now, limit int64) int64 {
 	if limit <= now {
 		return limit
 	}
-	a := acc
-	c := now + 1
-	for ; c < limit; c++ {
-		next := a + rate // same op order as Tick
-		if next >= 1 {   // int(a) >= 1 ⟺ a >= 1 for a >= 0
-			break
-		}
-		a = next
-	}
-	*m = gapMemo{n: c - 1 - now, start: acc, end: a, rate: rate}
-	return c
+	n, end, _ := sumBelowOne(acc, rate, limit-1-now)
+	*m = gapMemo{n: n, start: acc, end: end, rate: rate}
+	return now + 1 + n
 }
 
 // replay adds rate to *acc n times, silently, if the memo vouches for
-// it: the whole gap it measured is assigned, a prefix of it is added up
-// step by step — the memo then stands for the rest, whose sum still ends
-// where the forecast's did — and anything else is refused.
+// it: the whole gap it measured is assigned, a prefix of it is summed
+// afresh — the memo then stands for the rest, whose sum still ends where
+// the forecast's did — and anything else is refused.
 func (m *gapMemo) replay(acc *float64, rate float64, n int64) bool {
 	if m.start != *acc || m.rate != rate || n > m.n {
 		return false
@@ -81,10 +135,7 @@ func (m *gapMemo) replay(acc *float64, rate float64, n int64) bool {
 		*acc = m.end
 		return true
 	}
-	a := *acc
-	for i := int64(0); i < n; i++ {
-		a += rate // same op order as Tick
-	}
+	_, a, _ := sumBelowOne(*acc, rate, n) // no partial sum of the gap reaches 1
 	*acc, m.start, m.n = a, a, m.n-n
 	return true
 }

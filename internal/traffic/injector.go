@@ -4,8 +4,9 @@ import "mmr/internal/flit"
 
 // forecastHorizon bounds how far ahead a source forecast looks. A forecast
 // returning the horizon means "nothing before then; re-forecast there", so
-// the constant trades forecast loop length against wake-up frequency for
-// very-low-rate sources; it never affects results.
+// the constant is only how often a silent source is looked at again — a
+// forecast costs the same whatever it spans (sumBelowOne). It never affects
+// results, but NextDue rides checkpoints, which is why it is not raised.
 const forecastHorizon = 4096
 
 // Injector is one session's host interface: its traffic source, the
