@@ -111,13 +111,8 @@ func (c *Credits) SetAvailable(vc, n int) {
 // become visible to the sender only after a fixed delay in cycles. The
 // zero delay degenerates to immediate visibility.
 type CreditPipe struct {
-	delay   int64
-	pending []creditEvent
-}
-
-type creditEvent struct {
-	at int64
-	vc int
+	delay int64
+	lane  Lane[int] // the VC each credit in flight is for
 }
 
 // NewCreditPipe returns a pipe with the given propagation delay.
@@ -130,36 +125,18 @@ func NewCreditPipe(delay int64) *CreditPipe {
 
 // Send enqueues a credit for VC vc at time now; it becomes deliverable at
 // now+delay.
-func (p *CreditPipe) Send(now int64, vc int) {
-	p.pending = append(p.pending, creditEvent{at: now + p.delay, vc: vc})
-}
+func (p *CreditPipe) Send(now int64, vc int) { p.lane.Push(now+p.delay, vc) }
 
-// Deliver invokes fn for every credit that has arrived by time now, in
-// send order, and removes them from the pipe.
-func (p *CreditPipe) Deliver(now int64, fn func(vc int)) {
-	i := 0
-	for ; i < len(p.pending) && p.pending[i].at <= now; i++ {
-		fn(p.pending[i].vc)
-	}
-	if i > 0 {
-		p.pending = append(p.pending[:0], p.pending[i:]...)
-	}
-}
-
-// DeliverTo returns every credit that has arrived by time now directly
-// into cr, in send order, and reports how many were delivered. It is the
-// closure-free form of Deliver for the per-cycle hot path: the common
-// no-credit case is a single comparison.
+// DeliverTo returns every credit that has arrived by time now into cr, in
+// send order, and reports how many were delivered.
 func (p *CreditPipe) DeliverTo(now int64, cr *Credits) int {
-	i := 0
-	for ; i < len(p.pending) && p.pending[i].at <= now; i++ {
-		cr.Return(p.pending[i].vc)
+	n := 0
+	for ; p.lane.Ready(now); n++ {
+		cr.Return(p.lane.Pop())
 	}
-	if i > 0 {
-		p.pending = append(p.pending[:0], p.pending[i:]...)
-	}
-	return i
+	p.lane.Settle()
+	return n
 }
 
 // InFlight returns the credits still travelling back to the sender.
-func (p *CreditPipe) InFlight() int { return len(p.pending) }
+func (p *CreditPipe) InFlight() int { return len(p.lane.Pending()) }

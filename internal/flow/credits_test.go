@@ -86,20 +86,19 @@ func TestCreditsInvariantProperty(t *testing.T) {
 
 func TestCreditPipeDelay(t *testing.T) {
 	p := NewCreditPipe(5)
+	c := NewCredits(4, 1)
+	c.Consume(2)
+	c.Consume(3)
 	p.Send(10, 2)
 	p.Send(11, 3)
-	var got []int
-	p.Deliver(14, func(vc int) { got = append(got, vc) })
-	if len(got) != 0 {
-		t.Fatalf("credits delivered early: %v", got)
+	if n := p.DeliverTo(14, c); n != 0 || c.Has(2) || c.Has(3) {
+		t.Fatalf("%d credits delivered early", n)
 	}
-	p.Deliver(15, func(vc int) { got = append(got, vc) })
-	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("at t=15 want [2], got %v", got)
+	if n := p.DeliverTo(15, c); n != 1 || !c.Has(2) || c.Has(3) {
+		t.Fatalf("at t=15 want VC 2's credit alone, got %d (VC 2 %v, VC 3 %v)", n, c.Has(2), c.Has(3))
 	}
-	p.Deliver(16, func(vc int) { got = append(got, vc) })
-	if len(got) != 2 || got[1] != 3 {
-		t.Fatalf("at t=16 want [2 3], got %v", got)
+	if n := p.DeliverTo(16, c); n != 1 || !c.Has(3) {
+		t.Fatalf("at t=16 want VC 3's credit, got %d", n)
 	}
 	if p.InFlight() != 0 {
 		t.Fatalf("in-flight = %d, want 0", p.InFlight())
@@ -108,24 +107,32 @@ func TestCreditPipeDelay(t *testing.T) {
 
 func TestCreditPipeZeroDelay(t *testing.T) {
 	p := NewCreditPipe(-7) // negative clamps to immediate
+	c := NewCredits(2, 1)
+	c.Consume(1)
 	p.Send(4, 1)
-	n := 0
-	p.Deliver(4, func(int) { n++ })
-	if n != 1 {
+	if p.DeliverTo(4, c) != 1 || !c.Has(1) {
 		t.Fatal("zero-delay credit not immediately deliverable")
 	}
 }
 
+// Credits come back in send order: sent one a cycle, after each delivery
+// exactly the VCs sent so far hold theirs (Lane's own tests pin the order
+// of entries that mature together).
 func TestCreditPipeOrder(t *testing.T) {
 	p := NewCreditPipe(1)
+	c := NewCredits(5, 1)
 	for vc := 0; vc < 5; vc++ {
-		p.Send(0, vc)
+		c.Consume(vc)
+		p.Send(int64(vc), vc)
 	}
-	var got []int
-	p.Deliver(1, func(vc int) { got = append(got, vc) })
-	for i, vc := range got {
-		if vc != i {
-			t.Fatalf("credits out of order: %v", got)
+	for now := int64(1); now <= 5; now++ {
+		if n := p.DeliverTo(now, c); n != 1 {
+			t.Fatalf("t=%d: %d credits delivered, want 1", now, n)
+		}
+		for vc := 0; vc < 5; vc++ {
+			if c.Has(vc) != (int64(vc) < now) {
+				t.Fatalf("t=%d: credits out of order at VC %d", now, vc)
+			}
 		}
 	}
 }
@@ -140,7 +147,7 @@ func TestEndToEndBackpressureProperty(t *testing.T) {
 		pipe := NewCreditPipe(delay)
 		occupancy := 0 // receiver buffer fill
 		for now := int64(0); now < int64(len(sendPattern)); now++ {
-			pipe.Deliver(now, func(int) { c.Return(0) })
+			pipe.DeliverTo(now, c)
 			if sendPattern[now] && c.Consume(0) {
 				occupancy++
 			}

@@ -267,15 +267,22 @@ func (s *Shard) RestoreState(counters []int64, gauges []float64, histBuf, histCo
 	return nil
 }
 
-// Observe records one histogram sample: a linear scan over the (small,
-// fixed) bound ladder plus three increments. Zero allocations.
-func (s *Shard) Observe(h Histogram, v float64) {
-	bounds := s.reg.hists[h].bounds
+// Bucket returns the index of the bucket v falls in under the ascending
+// upper bounds: the first i with v <= bounds[i], len(bounds) — the
+// overflow bucket — when there is none. A linear scan: the ladders are
+// small and fixed, and most samples land near the bottom.
+func Bucket(bounds []float64, v float64) int {
 	i := 0
 	for i < len(bounds) && v > bounds[i] {
 		i++
 	}
-	s.histBuf[s.reg.histBase[h]+i]++
+	return i
+}
+
+// Observe records one histogram sample: a bucket scan plus three
+// increments. Zero allocations.
+func (s *Shard) Observe(h Histogram, v float64) {
+	s.histBuf[s.reg.histBase[h]+Bucket(s.reg.hists[h].bounds, v)]++
 	s.histCount[h]++
 	s.histSum[h] += v
 }

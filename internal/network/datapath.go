@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mmr/internal/flit"
+	"mmr/internal/flow"
 	"mmr/internal/metrics"
 	"mmr/internal/routing"
 	"mmr/internal/sched"
@@ -50,12 +51,6 @@ import (
 //
 // Fault transitions fire on the event path between cycles, never
 // mid-cycle.
-
-// creditMsg is a credit travelling back upstream.
-type creditMsg struct {
-	arriveAt int64
-	to       upRef
-}
 
 // FlowID identifies a best-effort packet flow registered with
 // AddBestEffortFlow. IDs start at 1 (0 is never issued, so it can serve
@@ -226,7 +221,7 @@ func (n *Network) phaseDeliver(nd *node, t int64) {
 	// inboundAt: the earliest entry this pass leaves behind unmatured, for
 	// the node's settle (wake.go). Entries pushed later this cycle are the
 	// senders' to report.
-	nd.inboundAt = laneIdle
+	nd.inboundAt = flow.Never
 	gated := !n.cfg.NoIdleSkip
 	for i := 0; i < len(nd.in); i++ {
 		if gated {
@@ -235,27 +230,26 @@ func (n *Network) phaseDeliver(nd *node, t int64) {
 			}
 		}
 		at := n.deliverLanes(nd, &nd.in[i], t)
-		if nd.inboundAt = min(nd.inboundAt, at); gated && at == laneIdle {
+		if nd.inboundAt = min(nd.inboundAt, at); gated && at == flow.Never {
 			nd.inbound.Clear(i) // both lanes empty: the next push sets it again
 		}
 	}
 }
 
 // deliverLanes drains what has matured by cycle t on the lane pair of nd's
-// inbound edge e and returns the earliest entry left behind (laneIdle: none).
+// inbound edge e and returns the earliest entry left behind (flow.Never: none).
 func (n *Network) deliverLanes(nd *node, e *inEdge, t int64) int64 {
 	nd.lanesPolled++
 	q := int(e.port)
+	w := &n.wires[e.lane]
 
 	// Credits our downstream neighbor returned for flits it drained:
 	// they mature into this node's shadow credit view.
-	cl := &n.laneCreds[e.lane]
-	for cl.head < len(cl.buf) && cl.buf[cl.head].arriveAt <= t {
-		to := cl.buf[cl.head].to
-		cl.head++
+	for w.credits.Ready(t) {
+		to := w.credits.Pop()
 		nd.Credits[to.port].Return(int(to.vc))
 	}
-	cl.compact()
+	at := w.credits.Settle()
 
 	// Flits in flight toward input port q, applying the directed
 	// link's impairments with this receiver's RNG stream: a dropped
@@ -263,14 +257,12 @@ func (n *Network) deliverLanes(nd *node, e *inEdge, t int64) int64 {
 	// with its reserved VC released; a dropped stream flit's buffer
 	// slot never fills, so its credit returns upstream immediately
 	// (staged: the lane owner may be draining it this phase).
-	fl := &n.laneFlits[e.lane]
-	if fl.head == len(fl.buf) {
-		return cl.nextAt
+	if !w.flits.Ready(t) {
+		return min(at, w.flits.NextAt())
 	}
 	im, impaired := n.impair[[2]int{int(e.peer), int(e.peerPort)}]
-	for fl.head < len(fl.buf) && fl.buf[fl.head].arriveAt <= t {
-		lf := fl.buf[fl.head]
-		fl.head++
+	for w.flits.Ready(t) {
+		lf := w.flits.Pop()
 		if impaired && im.DropProb > 0 && nd.rng.Float64() < im.DropProb {
 			nd.stats.flitsDropped++
 			nd.rec.Record(metrics.Event{Cycle: t, Code: evFlitDropped,
@@ -279,9 +271,7 @@ func (n *Network) deliverLanes(nd *node, e *inEdge, t int64) int64 {
 				nd.Mems[q].Release(lf.vc)
 				nd.upstream[q][lf.vc] = noUpstream
 			} else if up := nd.upstream[q][lf.vc]; up.node >= 0 {
-				nd.dropCredits = append(nd.dropCredits, stagedCredit{
-					port: q, cm: creditMsg{arriveAt: t + n.cfg.LinkDelay, to: up},
-				})
+				nd.dropCredits = append(nd.dropCredits, stagedCredit{port: q, at: t + n.cfg.LinkDelay, to: up})
 			}
 			n.pool.Put(lf.f)
 			continue
@@ -295,8 +285,7 @@ func (n *Network) deliverLanes(nd *node, e *inEdge, t int64) int64 {
 			panic("network: flow control violation — downstream VC full")
 		}
 	}
-	fl.compact()
-	return min(cl.nextAt, fl.nextAt)
+	return min(at, w.flits.Settle())
 }
 
 // phaseSchedule routes packets, nominates candidates, arbitrates the
@@ -367,7 +356,7 @@ func (n *Network) phaseCommit(nd *node, t int64) {
 	// credits precede this cycle's transmit credits on the same lane).
 	if len(nd.dropCredits) > 0 {
 		for _, sc := range nd.dropCredits {
-			nd.credOut[sc.port].push(sc.cm)
+			nd.out[sc.port].credits.Push(sc.at, sc.to)
 			n.notePush(nd, sc.port)
 		}
 		nd.dropCredits = nd.dropCredits[:0]
@@ -398,7 +387,7 @@ func (n *Network) executeGrants(nd *node, t int64) {
 		// Free the local slot: return a credit upstream (after the wire
 		// delay), unless a host interface feeds this VC directly.
 		if up := nd.upstream[in][cand.VC]; up.node >= 0 {
-			nd.credOut[in].push(creditMsg{arriveAt: t + n.cfg.LinkDelay, to: up})
+			nd.out[in].credits.Push(t+n.cfg.LinkDelay, up)
 			n.notePush(nd, in)
 		}
 		if isPacket {
@@ -425,11 +414,7 @@ func (n *Network) executeGrants(nd *node, t int64) {
 			}
 			rx.upstream[pp][targetVC] = noUpstream
 		}
-		nd.pipes[cand.Output].push(linkFlit{
-			arriveAt: t + n.cfg.LinkDelay,
-			vc:       targetVC,
-			f:        f,
-		})
+		nd.out[cand.Output].flits.Push(t+n.cfg.LinkDelay, linkFlit{vc: targetVC, f: f})
 		n.notePush(nd, cand.Output)
 		nd.stats.linkFlits++
 	}

@@ -189,8 +189,9 @@ func (n *Network) afterTransition() {
 // purgePipe drops every flit in flight from (nodeID, port) toward the
 // receiver at (peer, peerPort).
 func (n *Network) purgePipe(nodeID, port, peer, peerPort int) {
-	nd := n.nodes[nodeID]
-	for _, lf := range nd.pipes[port].pending() {
+	lane := &n.nodes[nodeID].out[port].flits
+	for _, e := range lane.Pending() {
+		lf := e.V
 		n.m.faultFlitsLost++
 		if lf.f.Class == flit.ClassBestEffort || lf.f.Class == flit.ClassControl {
 			// The packet dies here; free the input VC it had reserved at
@@ -200,7 +201,7 @@ func (n *Network) purgePipe(nodeID, port, peer, peerPort int) {
 		}
 		n.pool.Put(lf.f)
 	}
-	nd.pipes[port].reset()
+	lane.Reset()
 	// Not needed for safety: emptying the lane can only leave the peer's
 	// wake entry early. It re-derives the entry so the table stays equal
 	// to the scan (TestWakeTableMatchesScan), at the price of one early
@@ -252,8 +253,7 @@ func (n *Network) breakConn(c *Conn, reason string) {
 
 	// In-flight flits of this connection on any pipe along its path.
 	for _, hop := range c.Path {
-		nd := n.nodes[hop.Node]
-		nd.pipes[hop.Port].filter(func(lf linkFlit) bool {
+		n.nodes[hop.Node].out[hop.Port].flits.Filter(func(lf linkFlit) bool {
 			if lf.f.Conn == c.ID {
 				n.m.faultFlitsLost++
 				n.pool.Put(lf.f)
@@ -270,8 +270,8 @@ func (n *Network) breakConn(c *Conn, reason string) {
 	// can only sit in that node's outbound credit lane for that port.
 	for i := 0; i+1 < len(c.VCs); i++ {
 		target := upRef{node: int32(c.Nodes[i]), port: int16(c.VCs[i].Port), vc: int16(c.VCs[i].VC)}
-		lane := &n.nodes[c.Nodes[i+1]].credOut[c.VCs[i+1].Port]
-		lane.filter(func(cm creditMsg) bool { return cm.to != target })
+		lane := &n.nodes[c.Nodes[i+1]].out[c.VCs[i+1].Port].credits
+		lane.Filter(func(to upRef) bool { return to != target })
 	}
 
 	// Hop-by-hop release: drain buffered flits and reset the shadow

@@ -144,8 +144,8 @@ func networkInvariants(n *Network) bool {
 				return false
 			}
 		}
-		for q := range nd.pipes {
-			inflight += int64(len(nd.pipes[q].pending()))
+		for q := range nd.out {
+			inflight += int64(len(nd.out[q].flits.Pending()))
 		}
 	}
 	for _, c := range n.conns {

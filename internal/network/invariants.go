@@ -94,15 +94,15 @@ func (n *Network) CheckInvariants() error {
 			// Credits returning for this hop can only sit in the outbound
 			// credit lane of the downstream node (the unique emitter).
 			inflight := 0
-			for _, cm := range n.nodes[c.Nodes[i+1]].credOut[down.Port].pending() {
-				if int(cm.to.node) == c.Nodes[i] && int(cm.to.port) == up.Port && int(cm.to.vc) == up.VC {
+			for _, cm := range n.nodes[c.Nodes[i+1]].out[down.Port].credits.Pending() {
+				if int(cm.V.node) == c.Nodes[i] && int(cm.V.port) == up.Port && int(cm.V.vc) == up.VC {
 					inflight++
 				}
 			}
 			buffered := n.nodes[c.Nodes[i+1]].Mems[down.Port].Len(down.VC)
 			onLink := 0
-			for _, lf := range n.nodes[c.Path[i].Node].pipes[c.Path[i].Port].pending() {
-				if lf.f.Conn == c.ID {
+			for _, lf := range n.nodes[c.Path[i].Node].out[c.Path[i].Port].flits.Pending() {
+				if lf.V.f.Conn == c.ID {
 					onLink++
 				}
 			}
@@ -117,7 +117,7 @@ func (n *Network) CheckInvariants() error {
 	// use must be a packet in flight or a transient probe hold.
 	for _, nd := range n.nodes {
 		for i, e := range nd.in {
-			if !nd.inbound.Test(i) && len(n.laneCreds[e.lane].pending())+len(n.laneFlits[e.lane].pending()) > 0 {
+			if w := &n.wires[e.lane]; !nd.inbound.Test(i) && len(w.credits.Pending())+len(w.flits.Pending()) > 0 {
 				return fmt.Errorf("invariant: node %d port %d: inbound bit clear over a lane pair that holds entries", nd.id, e.port)
 			}
 		}

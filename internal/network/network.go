@@ -23,6 +23,7 @@ import (
 	"mmr/internal/bitvec"
 	"mmr/internal/faults"
 	"mmr/internal/flit"
+	"mmr/internal/flow"
 	"mmr/internal/metrics"
 	"mmr/internal/router"
 	"mmr/internal/routing"
@@ -166,9 +167,8 @@ func (c *Config) radix() int { return c.Topology.Ports + 1 }
 // linkFlit is a flit in flight on an inter-router link, addressed to a
 // reserved VC on the far input port.
 type linkFlit struct {
-	arriveAt int64
-	vc       int
-	f        *flit.Flit
+	vc int
+	f  *flit.Flit
 }
 
 // upRef points at the upstream buffer slot a flit occupied before this
@@ -187,13 +187,13 @@ var noUpstream = upRef{node: -1}
 
 // inEdge is one precomputed wired inbound link of a node: the peer that
 // feeds local input port `port`, and the flat index of the peer's
-// outbound lane pair in the network's lane arrays. Wiring is immutable
+// outbound lane pair in the network's wire array. Wiring is immutable
 // after construction (faults only flip live/up state), so these lists are
 // built once and let the per-cycle passes — delivery, the wake table's
-// push lists — use the lane arrays without topology lookups or per-node
+// push lists — use the wire array without topology lookups or per-node
 // pointer chasing.
 type inEdge struct {
-	lane     int32 // peer's lane segment index: peer*radix + peerPort
+	lane     int32 // peer's wire index: peer*radix + peerPort
 	port     int32 // local input port fed by this edge
 	peer     int32 // wired upstream node
 	peerPort int32 // peer's output port (its lane slot within the segment)
@@ -221,14 +221,11 @@ type node struct {
 	// input port p, VC v.
 	upstream [][]upRef
 
-	// Outbound staging lanes, one per port. pipes[p] holds flits sent
-	// from output port p toward Wired(id, p); credOut[p] holds credits
-	// returning to Wired(id, p), the node feeding input port p. This
-	// node is the only writer (commit phase); the wired peer is the only
-	// reader (its next delivery phase). Both are subslice views into the
-	// network's flat lane arrays (SoA layout; see Network.laneFlits).
-	pipes   []flitLane
-	credOut []creditLane
+	// Outbound staging lanes, one pair per port (lanes.go). This node is
+	// the only writer (commit phase); the wired peer is the only reader
+	// (its next delivery phase). A subslice view into the network's flat
+	// array (see Network.wires).
+	out []wire
 
 	// in lists this node's wired inbound edges in ascending input-port
 	// order; outPeer[p] is the node wired at output port p (-1 unwired) and
@@ -431,11 +428,10 @@ type Network struct {
 
 	// Structure-of-arrays datapath state (docs/performance.md,
 	// "Structure-of-arrays datapath"). The cross-node staging lanes live
-	// in network-owned flat arrays indexed node*radix+port; each
-	// node's pipes/credOut fields are subslice views into its own segment,
-	// so phase code keeps its per-node slice form over contiguous memory.
-	laneFlits []flitLane
-	laneCreds []creditLane
+	// in one network-owned flat array indexed node*radix+port; each
+	// node's out field is a subslice view into its own segment, so phase
+	// code keeps its per-node slice form over contiguous memory.
+	wires []wire
 
 	// The wake table (wake.go): per node, the earliest cycle it can have
 	// work. Derived state, written between cycles and by settle only.
@@ -517,20 +513,13 @@ func New(cfg Config) (*Network, error) {
 	}
 	nNodes := cfg.Topology.Nodes
 
-	// Flat SoA backings shared by every node (see the Network field docs).
-	n.laneFlits = make([]flitLane, nNodes*radix)
-	n.laneCreds = make([]creditLane, nNodes*radix)
-	for i := range n.laneFlits {
-		n.laneFlits[i].nextAt = laneIdle
-		n.laneCreds[i].nextAt = laneIdle
-	}
-
+	n.wires = make([]wire, nNodes*radix) // every node's lanes, flat (see the field)
 	for id := 0; id < nNodes; id++ {
 		nd := &node{
 			id:        id,
 			cmap:      routing.NewChannelMap(radix, cfg.VCs),
 			rng:       sim.NewStreamRNG(cfg.Seed, uint64(id)),
-			inboundAt: laneIdle,
+			inboundAt: flow.Never,
 			stuck:     bitvec.New(radix * cfg.VCs),
 			grantVC:   make([]int, radix),
 			peerIn:    make([]int32, radix),
@@ -549,8 +538,7 @@ func New(cfg Config) (*Network, error) {
 			nd.upstream = append(nd.upstream, ups[p*cfg.VCs:(p+1)*cfg.VCs:(p+1)*cfg.VCs])
 		}
 		base := id * radix
-		nd.pipes = n.laneFlits[base : base+radix : base+radix]
-		nd.credOut = n.laneCreds[base : base+radix : base+radix]
+		nd.out = n.wires[base : base+radix : base+radix]
 		n.nodes = append(n.nodes, nd)
 	}
 

@@ -145,8 +145,8 @@ func TestFlitConservationAcrossNetwork(t *testing.T) {
 		for _, mem := range nd.Mems {
 			buffered += int64(mem.Occupied())
 		}
-		for q := range nd.pipes {
-			inflight += int64(len(nd.pipes[q].pending()))
+		for q := range nd.out {
+			inflight += int64(len(nd.out[q].flits.Pending()))
 		}
 	}
 	for _, c := range n.conns {

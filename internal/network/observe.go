@@ -8,6 +8,7 @@ import (
 
 	"mmr/internal/flit"
 	"mmr/internal/metrics"
+	"mmr/internal/router"
 )
 
 // observe.go is the network's observability layer: a zero-alloc metrics
@@ -83,7 +84,7 @@ type netMetrics struct {
 	classDelay   [flit.NumClasses]metrics.Histogram
 	classJitter  [flit.NumClasses]metrics.Histogram
 
-	// Mirrored from dpStats / scheduler counters at gather time.
+	// Mirrored from dpStats at gather time.
 	generated      metrics.Counter
 	delivered      metrics.Counter
 	linkFlits      metrics.Counter
@@ -91,10 +92,6 @@ type netMetrics struct {
 	beDelivered    metrics.Counter
 	flitsDropped   metrics.Counter
 	flitsCorrupted metrics.Counter
-	schedNominated metrics.Counter
-	schedStalled   metrics.Counter
-	schedExhausted metrics.Counter
-	schedBoosted   metrics.Counter
 
 	// Session-level counters, mirrored from netStats into shard 0 (they
 	// are maintained on the control path, which has no shard).
@@ -112,12 +109,13 @@ type netMetrics struct {
 	connsPromoted  metrics.Counter
 	connsLost      metrics.Counter
 
+	// Mirrored out of each node's Core (router.Core.Mirror): the link
+	// schedulers' counters and the per-port VC and bandwidth gauges.
+	core router.CoreSeries
+
 	// Gauges computed from live state by the gather collector.
-	cycles         metrics.Gauge
-	vcOccupied     []metrics.Gauge // buffered flits per input port
-	vcReserved     []metrics.Gauge // in-use VCs per input port
-	guaranteedLoad []metrics.Gauge // allocated bandwidth fraction per output port
-	switchUtil     metrics.Gauge   // executed grants / (cycles × radix), per node
+	cycles     metrics.Gauge
+	switchUtil metrics.Gauge // executed grants / (cycles × radix), per node
 }
 
 // classLabel renders a flit class as a metric label value.
@@ -149,11 +147,11 @@ func (n *Network) initMetrics() {
 		port := strconv.Itoa(p)
 		nm.grantsByPort = append(nm.grantsByPort, reg.Counter(
 			"mmr_net_grants_total", "switch grants executed per output port", "port", port))
-		nm.vcOccupied = append(nm.vcOccupied, reg.Gauge(
+		nm.core.VCOccupied = append(nm.core.VCOccupied, reg.Gauge(
 			"mmr_net_vc_occupied_flits", "flits buffered per input port", "port", port))
-		nm.vcReserved = append(nm.vcReserved, reg.Gauge(
+		nm.core.VCReserved = append(nm.core.VCReserved, reg.Gauge(
 			"mmr_net_vc_reserved", "virtual channels in use per input port", "port", port))
-		nm.guaranteedLoad = append(nm.guaranteedLoad, reg.Gauge(
+		nm.core.GuaranteedLoad = append(nm.core.GuaranteedLoad, reg.Gauge(
 			"mmr_net_guaranteed_load", "guaranteed-bandwidth fraction allocated per output port", "port", port))
 	}
 	nm.claimFailed = reg.Counter("mmr_net_claim_failed_total",
@@ -175,10 +173,10 @@ func (n *Network) initMetrics() {
 	nm.beDelivered = reg.Counter("mmr_net_be_delivered_total", "best-effort packets ejected")
 	nm.flitsDropped = reg.Counter("mmr_net_flits_dropped_total", "flits dropped by link impairments")
 	nm.flitsCorrupted = reg.Counter("mmr_net_flits_corrupted_total", "flits corrupted by link impairments")
-	nm.schedNominated = reg.Counter("mmr_net_sched_nominated_total", "candidates handed to the switch arbiter")
-	nm.schedStalled = reg.Counter("mmr_net_sched_credit_stalled_total", "VC-cycles with a flit buffered but no downstream credit")
-	nm.schedExhausted = reg.Counter("mmr_net_sched_round_exhausted_total", "VC-cycles passed over: per-round allocation consumed")
-	nm.schedBoosted = reg.Counter("mmr_net_sched_bias_boosted_total", "nominated candidates lifted above base priority by the dynamic bias")
+	nm.core.Nominated = reg.Counter("mmr_net_sched_nominated_total", "candidates handed to the switch arbiter")
+	nm.core.CreditStalled = reg.Counter("mmr_net_sched_credit_stalled_total", "VC-cycles with a flit buffered but no downstream credit")
+	nm.core.RoundExhausted = reg.Counter("mmr_net_sched_round_exhausted_total", "VC-cycles passed over: per-round allocation consumed")
+	nm.core.BiasBoosted = reg.Counter("mmr_net_sched_bias_boosted_total", "nominated candidates lifted above base priority by the dynamic bias")
 
 	nm.setupAttempts = reg.Counter("mmr_net_setup_attempts_total", "connection establishment attempts")
 	nm.setupAccepted = reg.Counter("mmr_net_setup_accepted_total", "connection establishments accepted")
@@ -223,25 +221,10 @@ func (n *Network) collectMetrics() {
 		nd.ms.Store(nm.flitsDropped, d.flitsDropped)
 		nd.ms.Store(nm.flitsCorrupted, d.flitsCorrupted)
 
-		var nom, stall, exh, boost int64
-		var grants int64
-		for p := 0; p < radix; p++ {
-			lc := nd.Links[p].Counters()
-			nom += lc.Nominated
-			stall += lc.CreditStalled
-			exh += lc.RoundExhausted
-			boost += lc.BiasBoosted
-
-			nd.ms.Set(nm.vcOccupied[p], float64(nd.Mems[p].Occupied()))
-			nd.ms.Set(nm.vcReserved[p], float64(nd.Mems[p].ReservedVector().Count()))
-			nd.ms.Set(nm.guaranteedLoad[p], nd.Alloc[p].GuaranteedLoad())
-		}
-		nd.ms.Store(nm.schedNominated, nom)
-		nd.ms.Store(nm.schedStalled, stall)
-		nd.ms.Store(nm.schedExhausted, exh)
-		nd.ms.Store(nm.schedBoosted, boost)
+		nd.Mirror(nd.ms, &nm.core)
 
 		if n.m.cycles > 0 {
+			var grants int64
 			for p := 0; p < radix; p++ {
 				grants += nd.ms.CounterValue(nm.grantsByPort[p])
 			}

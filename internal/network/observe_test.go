@@ -3,6 +3,8 @@ package network
 import (
 	"strings"
 	"testing"
+
+	"mmr/internal/topology"
 )
 
 // TestMetricsMatchStats: the mirrored metric families on a gathered
@@ -136,4 +138,95 @@ func TestMetricsGatherDeterministic(t *testing.T) {
 	if ref, got := render(), render(); got != ref {
 		t.Error("prometheus rendering differs between two runs of one scenario")
 	}
+}
+
+// TestMetricSeriesOrder pins the order the fabric registers its series
+// in. That order is checkpoint wire format: a checkpoint carries each
+// node's shard as bare tables (nodeState), restore checks only their
+// lengths, and a registry that registered two counters the other way round
+// would load every checkpoint written before it with the two silently
+// swapped. The lists are the order at the commit this test was added on
+// (a two-router wire: radix 2, so two of each per-port series); adding a
+// series is a format change and appends here, nothing reorders.
+func TestMetricSeriesOrder(t *testing.T) {
+	tp := topology.New(2, 1)
+	if err := tp.Connect(0, 0, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(DefaultConfig(tp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := n.GatherMetrics()
+	var counters, gauges, hists []string
+	for _, s := range snap.Counters {
+		counters = append(counters, s.Name+"{"+s.Labels+"}")
+	}
+	for _, s := range snap.Gauges {
+		gauges = append(gauges, s.Name+"{"+s.Labels+"}")
+	}
+	for _, s := range snap.Histograms {
+		hists = append(hists, s.Name+"{"+s.Labels+"}")
+	}
+	check := func(kind string, got, want []string) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Errorf("%d %s series registered, the checkpoint format has %d", len(got), kind, len(want))
+		}
+		for i := 0; i < min(len(got), len(want)); i++ {
+			if got[i] != want[i] {
+				t.Errorf("%s %d is %s, the checkpoint format has %s there", kind, i, got[i], want[i])
+			}
+		}
+	}
+	check("counter", counters, []string{
+		`mmr_net_grants_total{port="0"}`,
+		`mmr_net_grants_total{port="1"}`,
+		`mmr_net_claim_failed_total{}`,
+		`mmr_net_dead_output_skips_total{}`,
+		`mmr_net_flits_generated_total{}`,
+		`mmr_net_flits_delivered_total{}`,
+		`mmr_net_link_flits_total{}`,
+		`mmr_net_be_generated_total{}`,
+		`mmr_net_be_delivered_total{}`,
+		`mmr_net_flits_dropped_total{}`,
+		`mmr_net_flits_corrupted_total{}`,
+		`mmr_net_sched_nominated_total{}`,
+		`mmr_net_sched_credit_stalled_total{}`,
+		`mmr_net_sched_round_exhausted_total{}`,
+		`mmr_net_sched_bias_boosted_total{}`,
+		`mmr_net_setup_attempts_total{}`,
+		`mmr_net_setup_accepted_total{}`,
+		`mmr_net_setup_rejected_total{}`,
+		`mmr_net_setup_retries_total{}`,
+		`mmr_net_conns_closed_total{}`,
+		`mmr_net_faults_injected_total{}`,
+		`mmr_net_faults_repaired_total{}`,
+		`mmr_net_fault_flits_lost_total{}`,
+		`mmr_net_conns_broken_total{}`,
+		`mmr_net_conns_restored_total{}`,
+		`mmr_net_conns_degraded_total{}`,
+		`mmr_net_conns_promoted_total{}`,
+		`mmr_net_conns_lost_total{}`,
+	})
+	check("gauge", gauges, []string{
+		`mmr_net_vc_occupied_flits{port="0"}`,
+		`mmr_net_vc_reserved{port="0"}`,
+		`mmr_net_guaranteed_load{port="0"}`,
+		`mmr_net_vc_occupied_flits{port="1"}`,
+		`mmr_net_vc_reserved{port="1"}`,
+		`mmr_net_guaranteed_load{port="1"}`,
+		`mmr_net_cycles{}`,
+		`mmr_net_switch_utilization{}`,
+	})
+	check("histogram", hists, []string{
+		`mmr_net_delay_cycles{class="cbr"}`,
+		`mmr_net_jitter_cycles{class="cbr"}`,
+		`mmr_net_delay_cycles{class="vbr"}`,
+		`mmr_net_jitter_cycles{class="vbr"}`,
+		`mmr_net_delay_cycles{class="control"}`,
+		`mmr_net_jitter_cycles{class="control"}`,
+		`mmr_net_delay_cycles{class="best-effort"}`,
+		`mmr_net_jitter_cycles{class="best-effort"}`,
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"mmr/internal/checkpoint"
 	"mmr/internal/faults"
 	"mmr/internal/flit"
+	"mmr/internal/flow"
 	"mmr/internal/metrics"
 	"mmr/internal/routing"
 	"mmr/internal/sim"
@@ -128,6 +129,16 @@ func seq[T any](c *codec, k int, what string, get func(i int) T, fields func(*T)
 			put(x)
 		}
 	}
+}
+
+// lane walks a staging lane's undelivered entries, oldest first: each
+// one's arrival cycle, then what fields walks of its value.
+func lane[T any](c *codec, l *flow.Lane[T], what string, fields func(*T)) {
+	pending := l.Pending()
+	seq(c, len(pending), what, func(i int) flow.Timed[T] { return pending[i] }, func(e *flow.Timed[T]) {
+		c.I64(&e.At)
+		fields(&e.V)
+	}, func(e flow.Timed[T]) { l.Push(e.At, e.V) })
 }
 
 // fixed walks a count that is the build's to decide — the topology's,
@@ -569,17 +580,11 @@ func (n *Network) portState(c *codec, nd *node, p int) {
 	nd.Links[p].RestoreState(excess, lc)
 
 	// The outbound lanes' undelivered entries, oldest first.
-	flits := nd.pipes[p].pending()
-	seq(c, len(flits), "pipe entries", func(i int) linkFlit { return flits[i] }, func(lf *linkFlit) {
-		c.I64(&lf.arriveAt)
+	lane(c, &nd.out[p].flits, "pipe entries", func(lf *linkFlit) {
 		vcIdx(c, &lf.vc)
 		c.flit(&lf.f)
-	}, nd.pipes[p].push)
-	credits := nd.credOut[p].pending()
-	seq(c, len(credits), "credit entries", func(i int) creditMsg { return credits[i] }, func(cm *creditMsg) {
-		c.I64(&cm.arriveAt)
-		c.upRef(&cm.to)
-	}, nd.credOut[p].push)
+	})
+	lane(c, &nd.out[p].credits, "credit entries", c.upRef)
 }
 
 // flit walks one flit and the packet it may carry. Probe-carrying

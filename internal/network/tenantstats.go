@@ -35,21 +35,20 @@ import (
 var tenantDelayBuckets = metrics.Pow2Buckets(1, 14) // 1 .. 8192 cycles
 
 // tenantNodeStats is one node's shard of the per-tenant telemetry.
-// Slices are indexed by tenant slot; buckets is the flattened histogram
-// (tenant-major, len(tenantDelayBuckets)+1 slots each, the last being
-// overflow).
+// Slices are indexed by tenant slot: delivered is both the counter and
+// the histogram's sample count (every delivered flit is one sample);
+// buckets is the flattened histogram (tenant-major,
+// len(tenantDelayBuckets)+1 slots each, the last being overflow).
 type tenantNodeStats struct {
-	delivered  []int64
-	delayCount []int64
-	delaySum   []float64
-	buckets    []int64
+	delivered []int64
+	delaySum  []float64
+	buckets   []int64
 }
 
 // grow sizes the shard for n tenant slots (control path only).
 func (ts *tenantNodeStats) grow(n int) {
 	for len(ts.delivered) < n {
 		ts.delivered = append(ts.delivered, 0)
-		ts.delayCount = append(ts.delayCount, 0)
 		ts.delaySum = append(ts.delaySum, 0)
 		for i := 0; i <= len(tenantDelayBuckets); i++ {
 			ts.buckets = append(ts.buckets, 0)
@@ -61,7 +60,6 @@ func (ts *tenantNodeStats) grow(n int) {
 func (ts *tenantNodeStats) reset() {
 	for i := range ts.delivered {
 		ts.delivered[i] = 0
-		ts.delayCount[i] = 0
 		ts.delaySum[i] = 0
 	}
 	for i := range ts.buckets {
@@ -73,13 +71,8 @@ func (ts *tenantNodeStats) reset() {
 // Hot path: called from eject at the destination node.
 func (ts *tenantNodeStats) observe(slot int32, delay float64) {
 	ts.delivered[slot]++
-	ts.delayCount[slot]++
 	ts.delaySum[slot] += delay
-	i := 0
-	for i < len(tenantDelayBuckets) && delay > tenantDelayBuckets[i] {
-		i++
-	}
-	ts.buckets[int(slot)*(len(tenantDelayBuckets)+1)+i]++
+	ts.buckets[int(slot)*(len(tenantDelayBuckets)+1)+metrics.Bucket(tenantDelayBuckets, delay)]++
 }
 
 // tenantSlotFor returns the dense telemetry slot for a tenant name,
@@ -135,7 +128,7 @@ func (n *Network) appendTenantMetrics(snap *metrics.Snapshot) {
 				continue
 			}
 			cs.Total += ts.delivered[ti]
-			hs.Count += ts.delayCount[ti]
+			hs.Count += ts.delivered[ti]
 			hs.Sum += ts.delaySum[ti]
 			for b := 0; b < stride; b++ {
 				hs.Buckets[b] += ts.buckets[ti*stride+b]

@@ -187,7 +187,7 @@ func (n *Network) buildActive(t int64) {
 		if bound > t {
 			continue
 		}
-		bound = laneIdle
+		bound = traffic.NoEvent
 		lo := b * wakeBlock
 		block := n.wakeAt[lo:min(lo+wakeBlock, len(n.wakeAt))]
 		n.wakeReads += int64(len(block))

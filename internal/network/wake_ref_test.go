@@ -62,8 +62,8 @@ func (n *Network) referenceNodeActive(nd *node, t int64) bool {
 		return true
 	}
 	for i := range nd.in {
-		lane := nd.in[i].lane
-		if n.laneCreds[lane].nextAt <= t || n.laneFlits[lane].nextAt <= t {
+		w := &n.wires[nd.in[i].lane]
+		if w.credits.NextAt() <= t || w.flits.NextAt() <= t {
 			return true
 		}
 	}
@@ -95,11 +95,11 @@ func (n *Network) referenceNextWake(t, limit int64) int64 {
 	if at, ok := n.events.NextAt(); ok && int64(at) < next {
 		next = int64(at)
 	}
-	for i := range n.laneFlits {
-		if la := n.laneFlits[i].nextAt; la < next {
+	for i := range n.wires {
+		if la := n.wires[i].flits.NextAt(); la < next {
 			next = la
 		}
-		if la := n.laneCreds[i].nextAt; la < next {
+		if la := n.wires[i].credits.NextAt(); la < next {
 			next = la
 		}
 	}

@@ -108,7 +108,7 @@ func stepCounting(n *Network) (heldLanes, busyPorts, nodeCycles int64) {
 	}
 	for _, nd := range list {
 		for _, e := range nd.in {
-			if len(n.laneCreds[e.lane].pending())+len(n.laneFlits[e.lane].pending()) > 0 {
+			if w := &n.wires[e.lane]; len(w.credits.Pending())+len(w.flits.Pending()) > 0 {
 				heldLanes++
 			}
 		}

@@ -17,9 +17,8 @@ import (
 
 // pendingControl is a command in flight toward the router.
 type pendingControl struct {
-	applyAt int64
-	conn    *Connection
-	word    flit.ControlWord
+	conn *Connection
+	word flit.ControlWord
 }
 
 // SetBandwidth asks the source interface to change a CBR connection's
@@ -52,10 +51,9 @@ func (r *Router) SetBandwidth(conn *Connection, rate traffic.Rate) error {
 		}
 	}
 	conn.admitted = rate
-	r.pendingCtl = append(r.pendingCtl, pendingControl{
-		applyAt: r.now + 1,
-		conn:    conn,
-		word:    flit.ControlWord{VC: conn.VC, Op: flit.CtlSetBandwidth, Arg: int(rate), Conn: conn.ID},
+	r.pendingCtl.Push(r.now+1, pendingControl{
+		conn: conn,
+		word: flit.ControlWord{VC: conn.VC, Op: flit.CtlSetBandwidth, Arg: int(rate), Conn: conn.ID},
 	})
 	return nil
 }
@@ -67,10 +65,9 @@ func (r *Router) SetPriority(conn *Connection, priority int) error {
 	if conn.Spec.Class != flit.ClassVBR {
 		return fmt.Errorf("router: SetPriority supports VBR connections, got %v", conn.Spec.Class)
 	}
-	r.pendingCtl = append(r.pendingCtl, pendingControl{
-		applyAt: r.now + 1,
-		conn:    conn,
-		word:    flit.ControlWord{VC: conn.VC, Op: flit.CtlSetPriority, Arg: priority, Conn: conn.ID},
+	r.pendingCtl.Push(r.now+1, pendingControl{
+		conn: conn,
+		word: flit.ControlWord{VC: conn.VC, Op: flit.CtlSetPriority, Arg: priority, Conn: conn.ID},
 	})
 	return nil
 }
@@ -150,9 +147,8 @@ func (r *Router) Release(conn *Connection) error {
 
 // applyControls executes control words whose propagation delay elapsed.
 func (r *Router) applyControls(t int64) {
-	i := 0
-	for ; i < len(r.pendingCtl) && r.pendingCtl[i].applyAt <= t; i++ {
-		pc := r.pendingCtl[i]
+	for r.pendingCtl.Ready(t) {
+		pc := r.pendingCtl.Pop()
 		if pc.conn.released {
 			continue // the connection was torn down while the word was in flight
 		}
@@ -190,7 +186,5 @@ func (r *Router) applyControls(t int64) {
 		}
 		r.m.controlWords++
 	}
-	if i > 0 {
-		r.pendingCtl = append(r.pendingCtl[:0], r.pendingCtl[i:]...)
-	}
+	r.pendingCtl.Settle()
 }

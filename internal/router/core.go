@@ -5,6 +5,7 @@ import (
 	"mmr/internal/bitvec"
 	"mmr/internal/flit"
 	"mmr/internal/flow"
+	"mmr/internal/metrics"
 	"mmr/internal/sched"
 	"mmr/internal/sim"
 	"mmr/internal/vcm"
@@ -200,4 +201,35 @@ func (c *Core) Pop(in int, t int64) (sched.Candidate, *flit.Flit) {
 		next.HeadAt = t
 	}
 	return cand, f
+}
+
+// CoreSeries are the handles of the series an engine mirrors out of its
+// Core at gather time. The engine registers them — the names, help texts
+// and order are its own (the fabric's order rides its checkpoints).
+type CoreSeries struct {
+	// The link schedulers' event counters (sched.LinkCounters), summed
+	// over the input ports.
+	Nominated, CreditStalled, RoundExhausted, BiasBoosted metrics.Counter
+	// Per port: flits buffered and VCs in use at the input, the
+	// guaranteed-bandwidth fraction allocated at the output.
+	VCOccupied, VCReserved, GuaranteedLoad []metrics.Gauge
+}
+
+// Mirror copies the Core's live state into sh under the handles s.
+func (c *Core) Mirror(sh *metrics.Shard, s *CoreSeries) {
+	var sum sched.LinkCounters
+	for p, link := range c.Links {
+		lc := link.Counters()
+		sum.Nominated += lc.Nominated
+		sum.CreditStalled += lc.CreditStalled
+		sum.RoundExhausted += lc.RoundExhausted
+		sum.BiasBoosted += lc.BiasBoosted
+		sh.Set(s.VCOccupied[p], float64(c.Mems[p].Occupied()))
+		sh.Set(s.VCReserved[p], float64(c.Mems[p].ReservedVector().Count()))
+		sh.Set(s.GuaranteedLoad[p], c.Alloc[p].GuaranteedLoad())
+	}
+	sh.Store(s.Nominated, sum.Nominated)
+	sh.Store(s.CreditStalled, sum.CreditStalled)
+	sh.Store(s.RoundExhausted, sum.RoundExhausted)
+	sh.Store(s.BiasBoosted, sum.BiasBoosted)
 }

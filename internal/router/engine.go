@@ -176,7 +176,7 @@ func (r *Router) transmit(t int64) {
 			r.pool.Put(f)
 		}
 	}
-	r.m.cycleDone(r.cfg.Ports)
+	r.m.cycleDone()
 }
 
 // Run executes warmup cycles, resets measurement state, then executes
@@ -222,7 +222,7 @@ func (r *Router) idle(t int64) bool {
 			return false
 		}
 	}
-	if len(r.pendingCtl) > 0 {
+	if len(r.pendingCtl.Pending()) > 0 {
 		return false
 	}
 	for _, b := range r.outputBusyAsync {

@@ -25,8 +25,6 @@ type measurement struct {
 
 	delayHist  *stats.Histogram // head-delay distribution (cycles)
 	jitterHist *stats.Histogram // jitter distribution (cycles)
-	lastDelay  []float64        // per conn, for jitter histogram samples
-	lastSeen   []bool
 
 	perClass     [flit.NumClasses]int64
 	pktGenerated [flit.NumClasses]int64
@@ -52,14 +50,6 @@ func (m *measurement) init() {
 	m.jitterHist = stats.NewHistogram(0, 256, 512)
 }
 
-func (m *measurement) grow(nconns int) {
-	m.tracker.Grow(nconns)
-	for len(m.lastDelay) < nconns {
-		m.lastDelay = append(m.lastDelay, 0)
-		m.lastSeen = append(m.lastSeen, false)
-	}
-}
-
 func (m *measurement) reset() {
 	m.cycles = 0
 	m.generated = 0
@@ -80,7 +70,7 @@ func (m *measurement) reset() {
 	}
 }
 
-func (m *measurement) cycleDone(ports int) { m.cycles++ }
+func (m *measurement) cycleDone() { m.cycles++ }
 
 // recordDeparture notes a flit leaving the switch at cycle t. Delay is
 // "the difference between the times a flit is ready to be transmitted
@@ -91,26 +81,19 @@ func (m *measurement) recordDeparture(t int64, f *flit.Flit, cand sched.Candidat
 	m.perClass[f.Class]++
 	if f.Class.IsStream() {
 		delay := float64(t - f.HeadAt)
-		m.tracker.Record(int(f.Conn), delay)
+		jitter, hasJitter := m.tracker.Record(int(f.Conn), delay)
 		m.vcmDelay.Add(float64(t - f.ReadyAt))
 		m.totalDelay.Add(float64(t - f.CreatedAt))
 		m.delayHist.Add(delay)
 		if m.obs != nil {
 			m.obs.Observe(m.obsDelay[f.Class], delay)
 		}
-		c := int(f.Conn)
-		if m.lastSeen[c] {
-			d := delay - m.lastDelay[c]
-			if d < 0 {
-				d = -d
-			}
-			m.jitterHist.Add(d)
+		if hasJitter {
+			m.jitterHist.Add(jitter)
 			if m.obs != nil {
-				m.obs.Observe(m.obsJitter[f.Class], d)
+				m.obs.Observe(m.obsJitter[f.Class], jitter)
 			}
 		}
-		m.lastDelay[c] = delay
-		m.lastSeen[c] = true
 	}
 }
 

@@ -38,16 +38,10 @@ type routerMetrics struct {
 	framesAbort metrics.Counter
 	dropped     metrics.Counter
 
-	schedNominated metrics.Counter
-	schedStalled   metrics.Counter
-	schedExhausted metrics.Counter
-	schedBoosted   metrics.Counter
+	core CoreSeries // the link-scheduler counters and per-port gauges
 
-	cycles     metrics.Gauge
-	util       metrics.Gauge
-	vcOccupied []metrics.Gauge
-	vcReserved []metrics.Gauge
-	guarLoad   []metrics.Gauge
+	cycles metrics.Gauge
+	util   metrics.Gauge
 }
 
 func (r *Router) initMetrics() {
@@ -71,19 +65,19 @@ func (r *Router) initMetrics() {
 	om.ctlWords = reg.Counter("mmr_router_control_words_total", "in-band management commands applied")
 	om.framesAbort = reg.Counter("mmr_router_frames_aborted_total", "frames aborted by bandwidth management")
 	om.dropped = reg.Counter("mmr_router_flits_dropped_total", "flits dropped by frame aborts")
-	om.schedNominated = reg.Counter("mmr_router_sched_nominated_total", "candidates handed to the switch arbiter")
-	om.schedStalled = reg.Counter("mmr_router_sched_credit_stalled_total", "VC-cycles with a flit buffered but no downstream credit")
-	om.schedExhausted = reg.Counter("mmr_router_sched_round_exhausted_total", "VC-cycles passed over: per-round allocation consumed")
-	om.schedBoosted = reg.Counter("mmr_router_sched_bias_boosted_total", "candidates lifted above base priority by the dynamic bias")
+	om.core.Nominated = reg.Counter("mmr_router_sched_nominated_total", "candidates handed to the switch arbiter")
+	om.core.CreditStalled = reg.Counter("mmr_router_sched_credit_stalled_total", "VC-cycles with a flit buffered but no downstream credit")
+	om.core.RoundExhausted = reg.Counter("mmr_router_sched_round_exhausted_total", "VC-cycles passed over: per-round allocation consumed")
+	om.core.BiasBoosted = reg.Counter("mmr_router_sched_bias_boosted_total", "candidates lifted above base priority by the dynamic bias")
 	om.cycles = reg.Gauge("mmr_router_cycles", "flit cycles in the measurement window")
 	om.util = reg.Gauge("mmr_router_switch_utilization", "transmitted flits / (ports x cycles)")
 	for p := 0; p < r.cfg.Ports; p++ {
 		port := strconv.Itoa(p)
-		om.vcOccupied = append(om.vcOccupied, reg.Gauge(
+		om.core.VCOccupied = append(om.core.VCOccupied, reg.Gauge(
 			"mmr_router_vc_occupied_flits", "flits buffered per input port", "port", port))
-		om.vcReserved = append(om.vcReserved, reg.Gauge(
+		om.core.VCReserved = append(om.core.VCReserved, reg.Gauge(
 			"mmr_router_vc_reserved", "virtual channels in use per input port", "port", port))
-		om.guarLoad = append(om.guarLoad, reg.Gauge(
+		om.core.GuaranteedLoad = append(om.core.GuaranteedLoad, reg.Gauge(
 			"mmr_router_guaranteed_load", "guaranteed-bandwidth fraction allocated per output port", "port", port))
 	}
 
@@ -111,21 +105,7 @@ func (r *Router) collectMetrics() {
 	sh.Store(om.framesAbort, m.framesAborted)
 	sh.Store(om.dropped, m.flitsDropped)
 
-	var nom, stall, exh, boost int64
-	for p := 0; p < r.cfg.Ports; p++ {
-		lc := r.core.Links[p].Counters()
-		nom += lc.Nominated
-		stall += lc.CreditStalled
-		exh += lc.RoundExhausted
-		boost += lc.BiasBoosted
-		sh.Set(om.vcOccupied[p], float64(r.core.Mems[p].Occupied()))
-		sh.Set(om.vcReserved[p], float64(r.core.Mems[p].ReservedVector().Count()))
-		sh.Set(om.guarLoad[p], r.core.Alloc[p].GuaranteedLoad())
-	}
-	sh.Store(om.schedNominated, nom)
-	sh.Store(om.schedStalled, stall)
-	sh.Store(om.schedExhausted, exh)
-	sh.Store(om.schedBoosted, boost)
+	r.core.Mirror(sh, &om.core)
 
 	sh.Set(om.cycles, float64(m.cycles))
 	if m.cycles > 0 {

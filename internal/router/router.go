@@ -238,7 +238,7 @@ type Router struct {
 	cal        traffic.Calendar[*Connection]
 	beFlows    []*packetFlow
 	ctlFlows   []*packetFlow
-	pendingCtl []pendingControl
+	pendingCtl flow.Lane[pendingControl] // control words in flight (control.go)
 	pktSeq     int64
 
 	// outputBusyAsync marks outputs occupied by an asynchronous control
@@ -367,7 +367,7 @@ func (r *Router) Establish(spec traffic.ConnSpec) (*Connection, error) {
 	}
 	r.conns = append(r.conns, conn)
 	r.cal.Invalidate()
-	r.m.grow(len(r.conns))
+	r.m.tracker.Grow(len(r.conns))
 	return conn, nil
 }
 

@@ -99,11 +99,3 @@ func (j *JitterTracker) Reset() {
 		j.perDelay[i].Reset()
 	}
 }
-
-// ResetAll clears statistics and baselines both.
-func (j *JitterTracker) ResetAll() {
-	j.Reset()
-	for i := range j.seen {
-		j.seen[i] = false
-	}
-}

@@ -24,8 +24,6 @@ func (w *advTwin) forget() {
 		x.memo = gapMemo{}
 	case *VBRSource:
 		x.memo = gapMemo{}
-	case *OnOffSource:
-		x.memo = gapMemo{}
 	}
 }
 
@@ -41,21 +39,18 @@ func (w *advTwin) retune(k float64) {
 
 func newAdvTwin(kind uint8, seed uint64, rate Rate) *advTwin {
 	w := &advTwin{liveRNG: sim.NewRNG(seed), refRNG: sim.NewRNG(seed)}
-	switch kind % 5 {
+	switch kind % 4 {
 	case 0:
 		phase := sim.NewRNG(seed ^ 0x9e37).Float64()
 		w.live, w.ref = NewCBRSource(PaperLink, rate, phase), NewCBRSource(PaperLink, rate, phase)
 		w.liveRNG, w.refRNG = nil, nil
 	case 1, 2:
 		gop := DefaultGoP()
-		if kind%5 == 1 {
+		if kind%4 == 1 {
 			gop.Sigma = 0
 		}
 		w.live = NewVBRSource(w.liveRNG, PaperLink, rate, 3*rate, gop)
 		w.ref = NewVBRSource(w.refRNG, PaperLink, rate, 3*rate, gop)
-	case 3:
-		per := PaperLink.FlitsPerCycle(rate) * 8
-		w.live, w.ref = NewOnOffSource(w.liveRNG, per, 300, 900), NewOnOffSource(w.refRNG, per, 300, 900)
 	default:
 		per := PaperLink.FlitsPerCycle(rate)
 		w.live, w.ref = NewBestEffortSource(w.liveRNG, per), NewBestEffortSource(w.refRNG, per)
@@ -73,10 +68,6 @@ func advState(s Source) any {
 		return x.ExportState()
 	case *BestEffortSource:
 		return x.ExportState()
-	case *OnOffSource:
-		c := *x
-		c.memo, c.rng = gapMemo{}, nil
-		return c
 	}
 	panic("unknown source kind")
 }
@@ -159,7 +150,7 @@ func runAdvance(t testing.TB, w *advTwin, script []byte, until int64) {
 // — ExportState and RNG position — whether the forecast's memo is valid,
 // stale or absent.
 func TestAdvanceToMatchesTicks(t *testing.T) {
-	names := []string{"cbr", "vbr-sigma0", "vbr", "onoff", "besteffort"}
+	names := []string{"cbr", "vbr-sigma0", "vbr", "besteffort"}
 	scripts := [][]byte{{0}, {1, 90, 201}, {2}, {3}, {4, 0, 64, 1}, {0, 1, 2, 3, 4, 131, 77, 248, 9}}
 	for kind, name := range names {
 		for _, rate := range []Rate{64 * Kbps, 1.54 * Mbps, 20 * Mbps, 120 * Mbps} {

@@ -246,41 +246,6 @@ func (s *VBRSource) AdvanceTo(from, to int64) int {
 	return tickThrough(s, from, to)
 }
 
-// ForecastEvent implements Forecaster. In the OFF state Ticks are no-ops
-// until the toggle (an RNG draw); in the ON state the accumulator may
-// cross 1 before the toggle does.
-func (s *OnOffSource) ForecastEvent(now, horizon int64) int64 {
-	tc := int64(math.Ceil(s.toggleAt))
-	if tc <= now {
-		return now + 1 // toggle already due: Tick would draw RNG
-	}
-	limit := tc
-	if limit > horizon {
-		limit = horizon
-	}
-	if !s.on {
-		return limit
-	}
-	return s.memo.forecastAcc(s.acc, s.peakPerCycle, now, limit)
-}
-
-// AdvanceTo implements Forecaster. Before the next toggle an OFF source
-// does nothing and an ON source only accumulates.
-func (s *OnOffSource) AdvanceTo(from, to int64) int {
-	if to <= from {
-		return 0
-	}
-	if float64(to) < s.toggleAt {
-		if !s.on {
-			return 0
-		}
-		if s.memo.replay(&s.acc, s.peakPerCycle, to-from) {
-			return 0
-		}
-	}
-	return tickThrough(s, from, to)
-}
-
 // ForecastSource forecasts an arbitrary Source: sources implementing
 // Forecaster answer exactly; anything else (externally supplied trace
 // sources via EstablishWithSource) is conservatively "always due", so the

@@ -110,17 +110,6 @@ func TestForecastEventVBR(t *testing.T) {
 	}
 }
 
-func TestForecastEventOnOff(t *testing.T) {
-	s := NewOnOffSource(sim.NewRNG(31), 0.05, 200, 800)
-	clone := func() (Source, *sim.RNG) {
-		c := *s
-		r := *s.rng
-		c.rng = &r
-		return &c, c.rng
-	}
-	checkForecast(t, "onoff", s, clone, 100000)
-}
-
 // TestForecastSourceFallback: sources without a forecast are always due
 // next cycle, so the engines never skip across an unpredictable source.
 func TestForecastSourceFallback(t *testing.T) {

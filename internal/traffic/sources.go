@@ -69,44 +69,3 @@ func (s *BestEffortSource) Tick(cycle int64) int {
 	}
 	return n
 }
-
-// OnOffSource alternates exponentially distributed ON periods (emitting at
-// peakPerCycle) and OFF periods (silent). It is the classic bursty-traffic
-// model and backs the best-effort ablations.
-type OnOffSource struct {
-	rng          *sim.RNG
-	peakPerCycle float64
-	meanOn       float64 // cycles
-	meanOff      float64 // cycles
-	on           bool
-	toggleAt     float64
-	acc          float64
-	memo         gapMemo // last forecast's sum (forecast.go)
-}
-
-// NewOnOffSource returns a bursty source. The long-run average rate is
-// peakPerCycle * meanOn / (meanOn + meanOff).
-func NewOnOffSource(rng *sim.RNG, peakPerCycle, meanOn, meanOff float64) *OnOffSource {
-	s := &OnOffSource{rng: rng, peakPerCycle: peakPerCycle, meanOn: meanOn, meanOff: meanOff, on: true}
-	s.toggleAt = rng.Exp(meanOn)
-	return s
-}
-
-// Tick implements Source.
-func (s *OnOffSource) Tick(cycle int64) int {
-	for float64(cycle) >= s.toggleAt {
-		if s.on {
-			s.toggleAt += s.rng.Exp(s.meanOff)
-		} else {
-			s.toggleAt += s.rng.Exp(s.meanOn)
-		}
-		s.on = !s.on
-	}
-	if !s.on {
-		return 0
-	}
-	s.acc += s.peakPerCycle
-	n := int(s.acc)
-	s.acc -= float64(n)
-	return n
-}

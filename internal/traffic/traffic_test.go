@@ -156,21 +156,6 @@ func TestBestEffortZeroRate(t *testing.T) {
 	}
 }
 
-func TestOnOffSourceMeanRate(t *testing.T) {
-	rng := sim.NewRNG(2)
-	// peak 0.4 flits/cycle, on 1000, off 3000 → mean 0.1.
-	s := NewOnOffSource(rng, 0.4, 1000, 3000)
-	const cycles = 2_000_000
-	n := 0
-	for c := int64(0); c < cycles; c++ {
-		n += s.Tick(c)
-	}
-	got := float64(n) / cycles
-	if math.Abs(got-0.1) > 0.01 {
-		t.Fatalf("on-off mean rate = %.4f, want ~0.1", got)
-	}
-}
-
 func TestVBRSourceMeanRate(t *testing.T) {
 	rng := sim.NewRNG(3)
 	l := PaperLink
