@@ -1,6 +1,7 @@
 package network
 
 import (
+	"runtime"
 	"testing"
 
 	"mmr/internal/flit"
@@ -135,5 +136,61 @@ func TestCloseFlowRefusesDegradedFallback(t *testing.T) {
 	}
 	if err := n.CloseFlow(fallback); err == nil {
 		t.Fatal("fallback flow survived its connection's close")
+	}
+}
+
+// TestDrainAndCloseAllocsIndependentOfWait: DrainAndClose polls a predicate
+// that formats nothing, so how many cycles it waits does not change what it
+// allocates. The same session shape is drained over short and long wires
+// (different waits) and must allocate the same.
+func TestDrainAndCloseAllocsIndependentOfWait(t *testing.T) {
+	drain := func(linkDelay int64) (waited int64, allocs uint64) {
+		tp, err := topology.Mesh(3, 1, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(tp)
+		cfg.VCs = 16
+		cfg.LinkDelay = linkDelay
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := n.Open(0, 2, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 55 * traffic.Mbps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Run(3000)
+		// Step until a flit or a credit is in the fabric, so the drain must wait.
+		inFabric := func() bool {
+			for i, ref := range c.VCs {
+				x := n.nodes[c.Nodes[i]]
+				if x.Mems[ref.Port].Len(ref.VC) != 0 || x.Credits[ref.Port].Available(ref.VC) != cfg.Depth {
+					return true
+				}
+			}
+			return false
+		}
+		for i := 0; i < 10_000 && !inFabric(); i++ {
+			n.Step()
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		start := n.Now()
+		runtime.ReadMemStats(&before)
+		err = n.DrainAndClose(c, 10_000)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("link delay %d: %v", linkDelay, err)
+		}
+		return n.Now() - start, after.Mallocs - before.Mallocs
+	}
+	shortWait, shortAllocs := drain(1)
+	longWait, longAllocs := drain(6)
+	if shortWait == longWait || shortWait == 0 {
+		t.Fatalf("drains waited %d and %d cycles: want two different, nonzero waits", shortWait, longWait)
+	}
+	if shortAllocs != longAllocs {
+		t.Errorf("a drain waiting %d cycles allocated %d times, one waiting %d cycles %d times", shortWait, shortAllocs, longWait, longAllocs)
 	}
 }

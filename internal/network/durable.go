@@ -120,9 +120,7 @@ func (n *Network) restoreAttempt(c *Conn, attempt int) {
 		n.logEvent(SessionEvent{Kind: "conn-restored", Conn: c.ID, Node: c.Src, Port: -1,
 			Detail: fmt.Sprintf("after %d cycles, attempt %d", n.now-c.brokenAt, attempt+1)})
 		n.recordFlight(c.Src, evConnRestored, int32(c.Dst), int32(attempt+1), int64(c.ID))
-		if n.cfg.Fault.Paranoid {
-			n.mustInvariants()
-		}
+		n.mustInvariants()
 		// A successful restoration proves establishment is finding
 		// resources again — give degraded sessions a shot too.
 		n.schedulePromotion()

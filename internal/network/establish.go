@@ -313,19 +313,10 @@ func (n *Network) Close(conn *Conn) error {
 	if conn.broken {
 		return fmt.Errorf("network: connection %d is fault-broken; its resources are already released", conn.ID)
 	}
-	// Check every hop is empty — buffers drained and all credits home
-	// (a full shadow proves no credit is still in flight for the VC, so
-	// reusing it cannot corrupt flow control) — before touching anything.
-	for i, ref := range conn.VCs {
-		x := n.nodes[conn.Nodes[i]]
-		if x.Mems[ref.Port].Len(ref.VC) != 0 {
-			return fmt.Errorf("network: connection %d still has flits buffered at node %d (hop %d)", conn.ID, conn.Nodes[i], i)
-		}
-		if x.Credits[ref.Port].Available(ref.VC) != n.cfg.Depth {
-			return fmt.Errorf("network: connection %d has credits in flight at node %d (hop %d)", conn.ID, conn.Nodes[i], i)
-		}
-	}
-	if conn.ni.Queue.Len() != 0 {
+	switch hop, what := n.undrained(conn); {
+	case hop >= 0:
+		return fmt.Errorf("network: connection %d %s at node %d (hop %d)", conn.ID, what, conn.Nodes[hop], hop)
+	case what != "":
 		return fmt.Errorf("network: connection %d still has %d flits at the source interface", conn.ID, conn.ni.Queue.Len())
 	}
 	n.stopSource(conn)
@@ -339,6 +330,27 @@ func (n *Network) Close(conn *Conn) error {
 	// degraded session may be waiting on.
 	n.schedulePromotion()
 	return nil
+}
+
+// undrained is the test Close gates on and DrainAndClose polls, so it
+// formats nothing. It names what conn still holds at the first hop that
+// holds anything — flits buffered, or credits not all home (a full shadow
+// proves none is still in flight, so reusing the VC cannot corrupt flow
+// control) — else at the source interface (hop -1), else "".
+func (n *Network) undrained(conn *Conn) (hop int, what string) {
+	for i, ref := range conn.VCs {
+		x := n.nodes[conn.Nodes[i]]
+		if x.Mems[ref.Port].Len(ref.VC) != 0 {
+			return i, "still has flits buffered"
+		}
+		if x.Credits[ref.Port].Available(ref.VC) != n.cfg.Depth {
+			return i, "has credits in flight"
+		}
+	}
+	if conn.ni.Queue.Len() != 0 {
+		return -1, "still has flits at the source interface"
+	}
+	return -1, ""
 }
 
 // releasePath returns every resource an installed connection holds: VC
@@ -373,8 +385,8 @@ func (n *Network) DrainAndClose(conn *Conn, limit int64) error {
 			// already closed): nothing left to release.
 			return fmt.Errorf("network: connection %d already closed", conn.ID)
 		}
-		if err := n.Close(conn); err == nil {
-			return nil
+		if _, what := n.undrained(conn); conn.Degraded || !conn.broken && what == "" {
+			break // Close succeeds now
 		}
 		n.Step()
 	}

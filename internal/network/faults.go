@@ -181,9 +181,7 @@ func (n *Network) afterTransition() {
 	n.ud.Rebuild()
 	n.wakeBlocked()
 	n.dumpFlightOnFault()
-	if n.cfg.Fault.Paranoid {
-		n.mustInvariants()
-	}
+	n.mustInvariants()
 }
 
 // purgePipe drops every flit in flight from (nodeID, port) toward the
@@ -214,8 +212,7 @@ func (n *Network) purgePipe(nodeID, port, peer, peerPort int) {
 // over the surviving up*/down* tree.
 func (n *Network) clearStaleOutputs(nodeID, port int) {
 	nd := n.nodes[nodeID]
-	for p := range nd.Mems {
-		mem := nd.Mems[p]
+	for _, mem := range nd.Mems {
 		for vc := 0; vc < n.cfg.VCs; vc++ {
 			st := mem.State(vc)
 			if st.InUse && st.Class == flit.ClassBestEffort && st.Output == port {

@@ -3,6 +3,7 @@ package network
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"mmr/internal/flit"
 	"mmr/internal/topology"
@@ -98,7 +99,7 @@ func TestFabricFootprintBudget(t *testing.T) {
 
 // TestLargeFabricSmoke is the CI large-fabric job: a 1280-router
 // fat tree (k=32) brought up with >100k batched sessions, stepped,
-// and checkpointed, with the heap held to a few GB. Compact buffering
+// checkpointed and audited, with the heap held to a few GB. Compact buffering
 // (Depth=2, K=1) keeps the datapath arrays proportionate to the scale.
 func TestLargeFabricSmoke(t *testing.T) {
 	if testing.Short() {
@@ -112,7 +113,9 @@ func TestLargeFabricSmoke(t *testing.T) {
 	cfg.VCs = 256
 	cfg.Depth = 2
 	cfg.K = 1
-	cfg.Fault.Paranoid = false // O(network) audits are too slow at this scale
+	// Paranoid stays as shipped: no fault or bandwidth change below would
+	// trigger an audit, so the one audit is the explicit call after the
+	// checkpoint — over every VC, hop and output of the fabric.
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -165,12 +168,17 @@ func TestLargeFabricSmoke(t *testing.T) {
 	if len(blob) == 0 {
 		t.Fatal("empty checkpoint")
 	}
+	start := time.Now()
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatalf("audit at scale: %v", err)
+	}
+	audit := time.Since(start)
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	if ms.HeapAlloc > 3<<30 {
 		t.Fatalf("heap %d bytes exceeds the 3 GB smoke bound", ms.HeapAlloc)
 	}
-	t.Logf("1280 routers, %d sessions, %d-byte checkpoint, heap %.2f GB",
-		opened, len(blob), float64(ms.HeapAlloc)/(1<<30))
+	t.Logf("1280 routers, %d sessions, %d-byte checkpoint, audit %v, heap %.2f GB",
+		opened, len(blob), audit.Round(time.Millisecond), float64(ms.HeapAlloc)/(1<<30))
 }

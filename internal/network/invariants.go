@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 
+	"mmr/internal/bitvec"
 	"mmr/internal/flit"
 )
 
@@ -38,13 +39,15 @@ import (
 // a broken or degraded connection must hold nothing at all (a degraded
 // session's traffic rides an unreserved best-effort fallback flow).
 func (n *Network) CheckInvariants() error {
-	type vcKey struct{ node, port, vc int }
-	type outKey struct{ node, port int }
-
-	claimed := map[vcKey]flit.ConnID{}
-	wantBW := map[outKey]int{}
-	wantPeak := map[outKey]int{}
-	hp := n.cfg.hostPort()
+	type vcKey struct{ node, port, vc int } // how the messages name a VC
+	// Flat scratch, no hash table: a claim bit per VC and the guaranteed and
+	// peak cycles the live connections demand of each output.
+	radix, vcs := n.cfg.radix(), n.cfg.VCs
+	if n.claimed == nil {
+		n.claimed, n.want = bitvec.New(len(n.nodes)*radix*vcs), make([][2]int, len(n.nodes)*radix)
+	}
+	n.claimed.Reset()
+	clear(n.want)
 
 	for _, c := range n.conns {
 		if c.closed || c.broken || c.Degraded {
@@ -53,32 +56,34 @@ func (n *Network) CheckInvariants() error {
 		d := n.demandFor(c.Spec)
 		for i, ref := range c.VCs {
 			k := vcKey{c.Nodes[i], ref.Port, ref.VC}
-			if other, dup := claimed[k]; dup {
-				return fmt.Errorf("invariant: VC %v claimed by both conn %d and conn %d", k, other, c.ID)
+			st := n.nodes[k.node].Mems[k.port].State(k.vc)
+			bit := (k.node*radix+k.port)*vcs + k.vc
+			if n.claimed.Test(bit) {
+				// The first claimer passed the record check below, so the
+				// record names it.
+				return fmt.Errorf("invariant: VC %v claimed by both conn %d and conn %d", k, st.Conn, c.ID)
 			}
-			claimed[k] = c.ID
-			st := n.nodes[c.Nodes[i]].Mems[ref.Port].State(ref.VC)
+			n.claimed.Set(bit)
 			if !st.InUse || st.Conn != c.ID {
 				return fmt.Errorf("invariant: conn %d hop %d VC %v not reserved for it (inUse=%v conn=%d)",
 					c.ID, i, k, st.InUse, st.Conn)
 			}
-			var out outKey
+			outNode, outPort := c.Nodes[i], n.cfg.hostPort()
 			if i < len(c.Path) {
-				out = outKey{c.Path[i].Node, c.Path[i].Port}
-				if next := n.nodes[c.Nodes[i]].cmap.Direct(ref); next.Port != out.port || next.VC != c.VCs[i+1].VC {
+				outNode, outPort = c.Path[i].Node, c.Path[i].Port
+				if next := n.nodes[c.Nodes[i]].cmap.Direct(ref); next.Port != outPort || next.VC != c.VCs[i+1].VC {
 					return fmt.Errorf("invariant: conn %d hop %d VC %v maps to %+v, its route leaves by port %d for VC %d",
-						c.ID, i, k, next, out.port, c.VCs[i+1].VC)
+						c.ID, i, k, next, outPort, c.VCs[i+1].VC)
 				}
-			} else {
-				out = outKey{c.Nodes[i], hp}
 			}
-			if st.Output != out.port {
+			if st.Output != outPort {
 				return fmt.Errorf("invariant: conn %d hop %d VC %v is switched to port %d, its route leaves by port %d",
-					c.ID, i, k, st.Output, out.port)
+					c.ID, i, k, st.Output, outPort)
 			}
-			wantBW[out] += d.alloc
+			want := &n.want[outNode*radix+outPort]
+			want[0] += d.alloc
 			if c.Spec.Class == flit.ClassVBR {
-				wantPeak[out] += d.peak
+				want[1] += d.peak
 			}
 		}
 
@@ -135,10 +140,7 @@ func (n *Network) CheckInvariants() error {
 			}
 			for vc := reserved.NextSet(0); vc >= 0; vc = reserved.NextSet(vc + 1) {
 				st := mem.State(vc)
-				if _, ok := claimed[vcKey{nd.id, p, vc}]; ok {
-					continue
-				}
-				if st.Class == flit.ClassBestEffort || st.Class == flit.ClassControl {
+				if n.claimed.Test((nd.id*radix+p)*vcs+vc) || st.Class == flit.ClassBestEffort || st.Class == flit.ClassControl {
 					continue
 				}
 				if st.Conn == flit.InvalidConn && n.activeProbes > 0 {
@@ -154,28 +156,26 @@ func (n *Network) CheckInvariants() error {
 	// the transient holds may only add.
 	for _, nd := range n.nodes {
 		for p, a := range nd.Alloc {
-			want := wantBW[outKey{nd.id, p}]
-			got := a.Guaranteed()
-			if got < want || (n.activeProbes == 0 && got != want) {
-				return fmt.Errorf("invariant: node %d port %d guaranteed bandwidth %d cycles, connections demand %d (probes=%d)",
-					nd.id, p, got, want, n.activeProbes)
-			}
-			wantP := wantPeak[outKey{nd.id, p}]
-			gotP := a.PeakTotal()
-			if gotP < wantP || (n.activeProbes == 0 && gotP != wantP) {
-				return fmt.Errorf("invariant: node %d port %d peak bandwidth %d cycles, connections demand %d (probes=%d)",
-					nd.id, p, gotP, wantP, n.activeProbes)
+			got, want := [2]int{a.Guaranteed(), a.PeakTotal()}, n.want[nd.id*radix+p]
+			for r, name := range [2]string{"guaranteed", "peak"} {
+				if got[r] < want[r] || (n.activeProbes == 0 && got[r] != want[r]) {
+					return fmt.Errorf("invariant: node %d port %d %s bandwidth %d cycles, connections demand %d (probes=%d)",
+						nd.id, p, name, got[r], want[r], n.activeProbes)
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// mustInvariants panics on an invariant violation — the paranoid-mode
-// hook run after every fault transition. The flight recorders are
-// dumped first, so the post-mortem shows what the routers were doing in
-// the cycles leading up to the violation.
+// mustInvariants is the paranoid-mode hook run after every fault
+// transition, restoration, re-promotion and bandwidth change: under
+// Fault.Paranoid it audits and panics on a violation, dumping the flight
+// recorders first so the post-mortem shows the cycles leading up to it.
 func (n *Network) mustInvariants() {
+	if !n.cfg.Fault.Paranoid {
+		return
+	}
 	if err := n.CheckInvariants(); err != nil {
 		n.recordFlight(0, evInvariantFail, -1, -1, 0)
 		n.dumpFlightOnInvariant(err)

@@ -101,9 +101,7 @@ func (n *Network) ModifyBandwidth(c *Conn, rate traffic.Rate) error {
 	n.logEvent(SessionEvent{Kind: "conn-modified", Conn: c.ID, Node: c.Src, Port: -1,
 		Detail: fmt.Sprintf("rate %v -> %v", oldSpec.Rate, rate)})
 	n.recordFlight(c.Src, evConnModified, int32(c.Dst), int32(dNew.alloc), int64(c.ID))
-	if n.cfg.Fault.Paranoid {
-		n.mustInvariants()
-	}
+	n.mustInvariants()
 	if delta < 0 {
 		// Shrinking frees guaranteed cycles along the path — capacity a
 		// degraded session's re-promotion may now fit into.

@@ -18,6 +18,7 @@ package network
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"mmr/internal/admission"
 	"mmr/internal/bitvec"
@@ -454,6 +455,11 @@ type Network struct {
 	// lastPayload is the length of the last EncodeState payload (0 before
 	// the first): the next encode's buffer is sized from it.
 	lastPayload int
+
+	// CheckInvariants' scratch (invariants.go): sized by its first call, so
+	// a fabric that never audits pays nothing, and never serialized.
+	claimed *bitvec.Vector
+	want    [][2]int
 }
 
 // SessionEvent records one connection- or fault-level transition for
@@ -612,11 +618,8 @@ func (c *Conn) terminal() bool { return c.closed || c.lost || c.Degraded }
 func (n *Network) dropSrcConn(c *Conn) {
 	n.touch(c.Src)
 	nd := n.nodes[c.Src]
-	for i, x := range nd.srcConns {
-		if x == c {
-			nd.srcConns = append(nd.srcConns[:i], nd.srcConns[i+1:]...)
-			return
-		}
+	if i := slices.Index(nd.srcConns, c); i >= 0 {
+		nd.srcConns = slices.Delete(nd.srcConns, i, i+1)
 	}
 }
 
@@ -634,9 +637,7 @@ func (n *Network) insertSrcConn(c *Conn) {
 	for i > 0 && nd.srcConns[i-1].ID > c.ID {
 		i--
 	}
-	nd.srcConns = append(nd.srcConns, nil)
-	copy(nd.srcConns[i+1:], nd.srcConns[i:])
-	nd.srcConns[i] = c
+	nd.srcConns = slices.Insert(nd.srcConns, i, c)
 }
 
 // Tenants exposes the per-tenant admission quota table. Mutate it only
@@ -653,31 +654,25 @@ func (n *Network) removeBEFlowAt(i int) {
 	for bf.ni.Queue.Len() > 0 {
 		n.pool.Put(bf.ni.Queue.Pop())
 	}
-	n.beFlows = append(n.beFlows[:i], n.beFlows[i+1:]...)
+	n.beFlows = slices.Delete(n.beFlows, i, i+1)
 	nd := n.nodes[bf.src]
-	for j, x := range nd.beSrc {
-		if x == bf {
-			nd.beSrc = append(nd.beSrc[:j], nd.beSrc[j+1:]...)
-			break
-		}
+	if j := slices.Index(nd.beSrc, bf); j >= 0 {
+		nd.beSrc = slices.Delete(nd.beSrc, j, j+1)
 	}
 }
 
 // dropBEFlow retires the best-effort fallback flow owned by a degraded
 // connection: the generator stops and packets still queued at the source
 // interface are counted lost (flits already in the fabric drain
-// normally — best-effort packets hold no reserved resources). Reports
-// whether a flow was found.
-func (n *Network) dropBEFlow(id flit.ConnID) bool {
+// normally — best-effort packets hold no reserved resources).
+func (n *Network) dropBEFlow(id flit.ConnID) {
 	for i, bf := range n.beFlows {
-		if bf.conn != id {
-			continue
+		if bf.conn == id {
+			n.m.faultFlitsLost += int64(bf.ni.Queue.Len())
+			n.removeBEFlowAt(i)
+			return
 		}
-		n.m.faultFlitsLost += int64(bf.ni.Queue.Len())
-		n.removeBEFlowAt(i)
-		return true
 	}
-	return false
 }
 
 // Config returns the network configuration.

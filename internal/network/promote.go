@@ -125,9 +125,7 @@ func (n *Network) finishPromotion(c *Conn, attempt int) {
 		Detail: fmt.Sprintf("guaranteed service restored %d cycles after the fault; fallback flow %d retired (scan attempt %d)",
 			n.now-c.brokenAt, fallback, attempt+1)})
 	n.recordFlight(c.Src, evConnPromoted, int32(c.Dst), int32(attempt+1), int64(c.ID))
-	if n.cfg.Fault.Paranoid {
-		n.mustInvariants()
-	}
+	n.mustInvariants()
 }
 
 // CheckBEFlowOwners audits the degraded-session ↔ fallback-flow
