@@ -6,7 +6,6 @@ import (
 
 	"mmr/internal/checkpoint"
 	"mmr/internal/routing"
-	"mmr/internal/traffic"
 )
 
 // checkpoint.go serializes the complete mutable state of a Network and
@@ -128,19 +127,14 @@ func (n *Network) quiesce() error {
 		nd.BeginCycle(t)
 	}
 	for _, c := range n.conns {
-		if !c.injecting() {
-			continue
+		if c.injecting() && c.ni.Replay(t) != 0 {
+			return fmt.Errorf("network: connection %d was due flits during cycles elided through %d", c.ID, t)
 		}
-		if k := traffic.AdvanceSource(c.ni.Source, c.ni.LastTick, t); k != 0 {
-			return fmt.Errorf("network: connection %d was due %d flits during elided cycles %d-%d", c.ID, k, c.ni.LastTick+1, t)
-		}
-		c.ni.LastTick = t
 	}
-	for i, bf := range n.beFlows {
-		if k := traffic.AdvanceSource(bf.ni.Source, bf.ni.LastTick, t); k != 0 {
-			return fmt.Errorf("network: best-effort flow %d was due %d packets during elided cycles %d-%d", i, k, bf.ni.LastTick+1, t)
+	for _, bf := range n.beFlows {
+		if bf.ni.Replay(t) != 0 {
+			return fmt.Errorf("network: best-effort flow %d was due packets during cycles elided through %d", bf.id, t)
 		}
-		bf.ni.LastTick = t
 	}
 	return nil
 }

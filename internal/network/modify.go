@@ -83,19 +83,9 @@ func (n *Network) ModifyBandwidth(c *Conn, rate traffic.Rate) error {
 		st.Peak = dNew.peak
 		st.InterArrival = interval
 	}
-	if src, ok := c.ni.Source.(*traffic.CBRSource); ok {
-		// The cycles a gated-out source node slept through ran at the old
-		// rate; replay them before the rate changes.
-		n.catchUpSource(c)
-		st := src.ExportState()
-		st.PerCycle = n.cfg.Link.FlitsPerCycle(rate)
-		src.RestoreState(st)
-	}
-	// The old forecast was computed at the old rate; wake the source on
-	// the next cycle so it is recomputed. (Identical under every
-	// execution strategy: the gated and ungated paths both refresh a due
-	// forecast on the next injection pass.)
-	c.ni.Start(n.now)
+	// The source changes rate from this cycle on, due at once so that
+	// either engine forecasts it afresh on the next injection pass.
+	c.ni.Retune(n.now-1, n.cfg.Link.FlitsPerCycle(rate))
 	n.touch(c.Src)
 
 	n.logEvent(SessionEvent{Kind: "conn-modified", Conn: c.ID, Node: c.Src, Port: -1,

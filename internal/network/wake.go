@@ -15,9 +15,11 @@ import (
 // place — setWake — by three callers:
 //
 //	settle      every node that ran a cycle re-derives its own entry
-//	            from state it owns: occupancy, its source calendar, its
-//	            best-effort flows, and the earliest still-unmatured entry
-//	            it saw on its inbound lanes while delivering (inboundAt).
+//	            from state it owns: occupancy, its two source calendars
+//	            (the stream sessions' and the best-effort flows' — it
+//	            reads no session or flow list), and the earliest
+//	            still-unmatured entry it saw on its inbound lanes while
+//	            delivering (inboundAt).
 //	push list   a lane push made in the commit phase notes its receiver
 //	            (Network.pushed); once every node that ran has settled,
 //	            the list lowers the receivers' wakeAt to the cycle the
@@ -80,6 +82,7 @@ func (n *Network) setWake(id int, at int64) {
 func (n *Network) touch(id int) {
 	n.setWake(id, n.now)
 	n.nodes[id].cal.Invalidate()
+	n.nodes[id].pcal.Invalidate()
 	n.nodes[id].reroute = true
 	n.nodes[id].inbound.Fill()
 }
@@ -136,21 +139,9 @@ func (n *Network) notePush(nd *node, p int) {
 // must not overwrite the push).
 func (n *Network) settle(t int64) {
 	for _, nd := range n.active {
-		due := nd.cal.NextDue()
-		busy := nd.Occ > int64(nd.blocked) || nd.cal.Holding()
-		for _, bf := range nd.beSrc {
-			if bf.ni.NextDue < due {
-				due = bf.ni.NextDue
-			}
-			// A queued packet draws from the node's RNG every cycle
-			// while it hunts for a free VC, so NI backlog forces
-			// activity — as a queued stream flit retrying VC entry does.
-			if bf.ni.Queue.Len() > 0 {
-				busy = true
-			}
-		}
+		due := min(nd.cal.NextDue(), nd.pcal.NextDue())
 		switch {
-		case busy:
+		case nd.Occ > int64(nd.blocked) || nd.cal.Holding() || nd.pcal.Holding():
 			due = t + 1
 		case nd.inboundAt < due:
 			due = nd.inboundAt
@@ -236,4 +227,10 @@ func (c *Conn) calendarKey() (due int64, queued bool, id int64) {
 		due = c.ni.NextDue
 	}
 	return due, c.ni.Queue.Len() > 0, id
+}
+
+// calendarKey says where the packet calendar files bf: by its forecast,
+// and every cycle while packets queue at its interface.
+func (bf *beFlow) calendarKey() (due int64, queued bool, id int64) {
+	return bf.ni.NextDue, bf.ni.Queue.Len() > 0, int64(bf.id)
 }

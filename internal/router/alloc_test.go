@@ -82,14 +82,9 @@ func TestPoolRecycleBalance(t *testing.T) {
 			note(c.ni.Queue.Pop(), "conn NI queue")
 		}
 	}
-	for _, pf := range r.ctlFlows {
+	for _, pf := range r.flows {
 		for pf.ni.Queue.Len() > 0 {
-			note(pf.ni.Queue.Pop(), "control NI queue")
-		}
-	}
-	for _, pf := range r.beFlows {
-		for pf.ni.Queue.Len() > 0 {
-			note(pf.ni.Queue.Pop(), "best-effort NI queue")
+			note(pf.ni.Queue.Pop(), "packet flow NI queue")
 		}
 	}
 	for p := 0; p < r.cfg.Ports; p++ {
@@ -137,10 +132,7 @@ func TestRecycledFlitNotRetained(t *testing.T) {
 	for _, c := range r.Connections() {
 		queued += int64(c.ni.Queue.Len())
 	}
-	for _, pf := range r.ctlFlows {
-		queued += int64(pf.ni.Queue.Len())
-	}
-	for _, pf := range r.beFlows {
+	for _, pf := range r.flows {
 		queued += int64(pf.ni.Queue.Len())
 	}
 	for p := 0; p < r.cfg.Ports; p++ {

@@ -161,24 +161,9 @@ func (r *Router) applyControls(t int64) {
 			st.Peak = alloc
 			st.InterArrival = float64(r.cfg.RoundLen()) / float64(alloc)
 			pc.conn.Spec.Rate = rate
-			// The cycles the source was left alone for ran at the old
-			// rate; replay them before the rate changes.
-			if pc.conn.ni.Source != nil {
-				pc.conn.ni.CatchUp(t - 1)
-			}
-			if src, ok := pc.conn.ni.Source.(*traffic.CBRSource); ok {
-				// Retune the live source in place, keeping its fractional
-				// accumulator: a renegotiation changes the rate, it does
-				// not restart the stream, so no phase jump or burst.
-				st := src.ExportState()
-				st.PerCycle = r.cfg.Link.FlitsPerCycle(rate)
-				src.RestoreState(st)
-			} else {
+			if !pc.conn.ni.Retune(t-1, r.cfg.Link.FlitsPerCycle(rate)) {
 				pc.conn.ni.Source = traffic.NewCBRSource(r.cfg.Link, rate, r.rng.Float64())
 			}
-			// The old forecast was computed at the old rate; recompute it
-			// on the next injection pass.
-			pc.conn.ni.Start(t)
 			r.cal.Invalidate()
 		case flit.CtlSetPriority:
 			st.BasePriority = pc.word.Arg

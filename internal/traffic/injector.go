@@ -58,11 +58,38 @@ func (in *Injector) Arrivals(t int64) int {
 // all of which lie before NextDue. Anything about to change how the source
 // ticks (its rate) or to stop it must first replay the gap as it was.
 func (in *Injector) CatchUp(through int64) {
-	if in.LastTick >= through {
-		return
-	}
-	if AdvanceSource(in.Source, in.LastTick, through) != 0 {
+	if in.Replay(through) != 0 {
 		panic("traffic: a source produced flits during cycles its forecast promised silent")
 	}
+}
+
+// Replay is CatchUp for a caller that reports a broken forecast itself: it
+// returns the flits the replayed cycles produced — 0 whenever the forecast
+// held — instead of panicking on them.
+func (in *Injector) Replay(through int64) int {
+	if in.LastTick >= through {
+		return 0
+	}
+	k := AdvanceSource(in.Source, in.LastTick, through)
 	in.LastTick = through
+	return k
+}
+
+// Retune makes a CBR source emit perCycle flits a cycle from cycle
+// through+1 on. The cycles it was left alone for ran at the old rate and
+// are replayed first; its fractional accumulator is kept — a renegotiation
+// changes the rate, it does not restart the stream, so there is no phase
+// jump or burst — and the forecast, made at the old rate, starts afresh.
+// For any other source it replays and restarts alike but changes no rate,
+// and reports false.
+func (in *Injector) Retune(through int64, perCycle float64) bool {
+	if in.Source != nil {
+		in.CatchUp(through)
+	}
+	in.Start(through + 1)
+	src, ok := in.Source.(*CBRSource)
+	if ok {
+		src.perCycle = perCycle
+	}
+	return ok
 }

@@ -153,3 +153,78 @@ func TestInjectorGatedMatchesPerCycle(t *testing.T) {
 		})
 	}
 }
+
+// TestInjectorRetune: a rate change through Retune replays the cycles a
+// gated source slept through at the old rate, keeps the accumulator and
+// restarts the forecast, so a source retuned in mid-gap goes on exactly as
+// a twin ticked every cycle and retuned at the same cycle; a source that is
+// not CBR keeps its rate and says so.
+func TestInjectorRetune(t *testing.T) {
+	const retuneAt, end = 2500, 6000
+	var inj [2]Injector // 0 per-cycle, 1 gated
+	for i := range inj {
+		inj[i].Source = NewCBRSource(PaperLink, 5*Mbps, 0.37)
+		inj[i].Start(0)
+	}
+	fast := PaperLink.FlitsPerCycle(120 * Mbps)
+	for c := int64(0); c < end; c++ {
+		if c == retuneAt {
+			if inj[1].LastTick >= c-1 {
+				t.Fatal("the gated source was not mid-gap at the rate change: nothing to replay")
+			}
+			for i := range inj {
+				if !inj[i].Retune(c-1, fast) {
+					t.Fatal("Retune refused a CBR source")
+				}
+			}
+			if a, b := inj[0].Source.(*CBRSource).ExportState(), inj[1].Source.(*CBRSource).ExportState(); a != b || b.PerCycle != fast {
+				t.Fatalf("after Retune: per-cycle %+v, gated %+v, want rate %v", a, b, fast)
+			}
+			if inj[1].LastTick != c-1 || inj[1].NextDue != c {
+				t.Fatalf("after Retune: LastTick %d NextDue %d, want %d and %d", inj[1].LastTick, inj[1].NextDue, c-1, c)
+			}
+		}
+		var got [2]int
+		for i := range inj {
+			if i == 0 || inj[i].NextDue <= c {
+				got[i] = inj[i].Arrivals(c)
+			}
+		}
+		if got[0] != got[1] {
+			t.Fatalf("cycle %d: %d arrivals per-cycle, %d gated", c, got[0], got[1])
+		}
+	}
+
+	var vbr Injector
+	vbr.Source = NewVBRSource(sim.NewRNG(3), PaperLink, 20*Mbps, 60*Mbps, DefaultGoP())
+	vbr.Start(0)
+	before := vbr.Source.(*VBRSource).ExportState()
+	if vbr.Retune(-1, fast) {
+		t.Fatal("Retune changed the rate of a VBR source")
+	}
+	if st := vbr.Source.(*VBRSource).ExportState(); st.PerCycle != before.PerCycle || vbr.LastTick != -1 || vbr.NextDue != 0 {
+		t.Fatalf("VBR after Retune: rate %v (was %v), LastTick %d, NextDue %d", st.PerCycle, before.PerCycle, vbr.LastTick, vbr.NextDue)
+	}
+}
+
+// TestInjectorReplayReportsStrays: Replay hands back what a broken forecast
+// let through instead of panicking as CatchUp does, and still moves
+// LastTick, so a caller can report the fault and the state stays in step.
+func TestInjectorReplayReportsStrays(t *testing.T) {
+	var in Injector
+	in.Source = NewCBRSource(PaperLink, 600*Mbps, 0)
+	in.Start(0)
+	in.NextDue = 1 << 40 // a forecast that lies: the source emits every few cycles
+	if k := in.Replay(99); k == 0 || in.LastTick != 99 {
+		t.Fatalf("Replay over 100 cycles at 600 Mb/s: %d strays, LastTick %d", k, in.LastTick)
+	}
+	if k := in.Replay(99); k != 0 {
+		t.Fatalf("a second Replay to the same cycle replayed %d flits", k)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CatchUp over a broken forecast did not panic")
+		}
+	}()
+	in.CatchUp(199)
+}
