@@ -157,7 +157,7 @@ func networkInvariants(n *Network) bool {
 	var gen, del, lost int64
 	for _, nd := range n.nodes {
 		gen += nd.stats.generated + nd.stats.beGenerated
-		del += nd.stats.delivered + nd.stats.beDelivered
+		del += nd.stats.sink.Streams() + nd.stats.sink.Delivered[flit.ClassBestEffort]
 		lost += nd.stats.flitsDropped
 	}
 	lost += n.m.faultFlitsLost

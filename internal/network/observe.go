@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 
 	"mmr/internal/flit"
 	"mmr/internal/metrics"
@@ -81,8 +82,7 @@ type netMetrics struct {
 	grantsByPort []metrics.Counter // executed switch grants, per output port
 	claimFailed  metrics.Counter   // packet grants dropped: no free VC downstream
 	deadOutput   metrics.Counter   // packet grants dropped: chosen output link down
-	classDelay   [flit.NumClasses]metrics.Histogram
-	classJitter  [flit.NumClasses]metrics.Histogram
+	sink         *router.SinkSeries
 
 	// Mirrored from dpStats at gather time.
 	generated      metrics.Counter
@@ -118,20 +118,6 @@ type netMetrics struct {
 	switchUtil metrics.Gauge // executed grants / (cycles × radix), per node
 }
 
-// classLabel renders a flit class as a metric label value.
-func classLabel(c flit.Class) string {
-	switch c {
-	case flit.ClassCBR:
-		return "cbr"
-	case flit.ClassVBR:
-		return "vbr"
-	case flit.ClassControl:
-		return "control"
-	default:
-		return "best-effort"
-	}
-}
-
 // initMetrics registers the network's metric catalog, creates one shard
 // per node, and installs the gather-time collector. Must run after the
 // nodes are built (New) and before any Step.
@@ -139,9 +125,6 @@ func (n *Network) initMetrics() {
 	reg := metrics.NewSharded("node")
 	nm := &netMetrics{reg: reg}
 	radix := n.cfg.radix()
-
-	delayBuckets := metrics.Pow2Buckets(1, 14)  // 1 .. 8192 cycles
-	jitterBuckets := metrics.Pow2Buckets(1, 10) // 1 .. 512 cycles
 
 	for p := 0; p < radix; p++ {
 		port := strconv.Itoa(p)
@@ -158,13 +141,11 @@ func (n *Network) initMetrics() {
 		"packet grants dropped because no downstream VC was free")
 	nm.deadOutput = reg.Counter("mmr_net_dead_output_skips_total",
 		"packet grants dropped because the chosen output link was down")
-	for c := 0; c < flit.NumClasses; c++ {
-		cl := classLabel(flit.Class(c))
-		nm.classDelay[c] = reg.Histogram("mmr_net_delay_cycles",
-			"end-to-end delay by service class", delayBuckets, "class", cl)
-		nm.classJitter[c] = reg.Histogram("mmr_net_jitter_cycles",
-			"delay difference between successive flits of a connection", jitterBuckets, "class", cl)
-	}
+	// A packet's latency is its end-to-end delay: every class is a sample.
+	nm.sink = router.RegisterSink(reg, func(c flit.Class) string { return strings.ToLower(c.String()) },
+		router.Family{Name: "mmr_net_delay_cycles", Help: "end-to-end delay by service class", Buckets: metrics.Pow2Buckets(1, 14)},
+		router.Family{Name: "mmr_net_jitter_cycles", Help: "delay difference between successive flits of a connection", Buckets: metrics.Pow2Buckets(1, 10)},
+		true)
 
 	nm.generated = reg.Counter("mmr_net_flits_generated_total", "stream flits injected")
 	nm.delivered = reg.Counter("mmr_net_flits_delivered_total", "stream flits ejected")
@@ -198,6 +179,7 @@ func (n *Network) initMetrics() {
 
 	for _, nd := range n.nodes {
 		nd.ms = reg.NewShard()
+		nd.stats.sink.Bind(nd.ms, nm.sink)
 		nd.rec = metrics.NewRecorder(flightRingSize)
 	}
 	reg.OnGather(n.collectMetrics)
@@ -214,10 +196,10 @@ func (n *Network) collectMetrics() {
 	for _, nd := range n.nodes {
 		d := &nd.stats
 		nd.ms.Store(nm.generated, d.generated)
-		nd.ms.Store(nm.delivered, d.delivered)
+		nd.ms.Store(nm.delivered, d.sink.Streams())
 		nd.ms.Store(nm.linkFlits, d.linkFlits)
 		nd.ms.Store(nm.beGenerated, d.beGenerated)
-		nd.ms.Store(nm.beDelivered, d.beDelivered)
+		nd.ms.Store(nm.beDelivered, d.sink.Delivered[flit.ClassBestEffort])
 		nd.ms.Store(nm.flitsDropped, d.flitsDropped)
 		nd.ms.Store(nm.flitsCorrupted, d.flitsCorrupted)
 

@@ -455,19 +455,25 @@ func (n *Network) nodeState(c *codec, nd *node) {
 	c.I64(&nd.pktSeq)
 	c.I64(&nd.LastRound)
 
-	d := &nd.stats
+	// The fabric reads only the sum of the sink's stream classes, and the
+	// format keeps only it: a restored node counts it all as CBR.
+	d, sk := &nd.stats, &nd.stats.sink
+	streams := sk.Streams()
 	c.I64(&d.generated)
-	c.I64(&d.delivered)
+	c.I64(&streams)
 	c.I64(&d.linkFlits)
 	c.I64(&d.beGenerated)
-	c.I64(&d.beDelivered)
-	c.acc(&d.beLatency)
+	c.I64(&sk.Delivered[flit.ClassBestEffort])
+	c.acc(&sk.Latency[flit.ClassBestEffort])
 	c.I64(&d.flitsDropped)
 	c.I64(&d.flitsCorrupted)
+	if c.Decoding() {
+		sk.Delivered[flit.ClassCBR], sk.Delivered[flit.ClassVBR] = streams, 0
+	}
 
 	// One tracker slot per connection ejecting here; adoptConn has grown
 	// the tracker to the restored connections' count.
-	tr := d.tracker
+	tr := &sk.Tracker
 	c.fixed(tr.NumConns(), "tracked connections")
 	c.acc(tr.Delay())
 	c.acc(tr.Jitter())

@@ -3,6 +3,8 @@ package network
 import (
 	"fmt"
 
+	"mmr/internal/flit"
+	"mmr/internal/router"
 	"mmr/internal/sim"
 	"mmr/internal/stats"
 )
@@ -20,18 +22,16 @@ func errBadEndpoints(src, dst int) error {
 // ascending node order when a snapshot is taken, which fixes the order of
 // the floating-point accumulator merges.
 // (Per-connection jitter sequences stay exact because a connection's
-// flits all eject at its one destination node, so each tracker sees the
-// full, ordered latency series for the connections ending there.)
+// flits all eject at its one destination node, so each sink's tracker sees
+// the full, ordered latency series for the connections ending there.)
 type dpStats struct {
-	generated int64
-	delivered int64
-	linkFlits int64
-
-	tracker *stats.JitterTracker // streams ejected at this node
-
+	generated   int64
+	linkFlits   int64
 	beGenerated int64
-	beDelivered int64
-	beLatency   stats.Accumulator
+
+	// sink is where the flits ejected here end (eject): stream delay and
+	// jitter, the delivered counts, best-effort latency.
+	sink router.Sink
 
 	// Impairment counters survive reset like the session statistics:
 	// they describe injected faults, not the warmed-up datapath.
@@ -39,16 +39,13 @@ type dpStats struct {
 	flitsCorrupted int64
 }
 
-func (d *dpStats) init() { d.tracker = stats.NewJitterTracker(0) }
-
+// reset starts a measurement window, the metric shard the sink observes
+// into with it.
 func (d *dpStats) reset() {
 	d.generated = 0
-	d.delivered = 0
 	d.linkFlits = 0
-	d.tracker.Reset()
 	d.beGenerated = 0
-	d.beDelivered = 0
-	d.beLatency.Reset()
+	d.sink.Reset()
 }
 
 // netStats is the session-level statistics state: everything incremented
@@ -149,15 +146,15 @@ func (n *Network) snapshotStats() *Stats {
 	for _, nd := range n.nodes {
 		d := &nd.stats
 		s.FlitsGenerated += d.generated
-		s.FlitsDelivered += d.delivered
+		s.FlitsDelivered += d.sink.Streams()
 		s.LinkFlits += d.linkFlits
 		s.BEGenerated += d.beGenerated
-		s.BEDelivered += d.beDelivered
+		s.BEDelivered += d.sink.Delivered[flit.ClassBestEffort]
 		s.FlitsDropped += d.flitsDropped
 		s.FlitsCorrupted += d.flitsCorrupted
-		s.Latency.Merge(d.tracker.Delay())
-		s.Jitter.Merge(d.tracker.Jitter())
-		s.BELatency.Merge(&d.beLatency)
+		s.Latency.Merge(d.sink.Tracker.Delay())
+		s.Jitter.Merge(d.sink.Tracker.Jitter())
+		s.BELatency.Merge(&d.sink.Latency[flit.ClassBestEffort])
 	}
 	return s
 }

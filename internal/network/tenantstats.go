@@ -9,10 +9,11 @@ package network
 //
 // Storage follows the dpStats pattern: flat per-node arrays indexed by a
 // dense tenant slot, written only while the node is stepped (eject runs
-// in the destination node's commit phase), merged in ascending node
-// order at gather time. Tenant slots are assigned on the control path the first time a tenant establishes a connection, and the
-// per-node arrays grow there too — the hot path is two increments and a
-// small bucket scan, zero allocations.
+// in the destination node's commit phase), merged in ascending node order
+// at gather time. Tenant slots are assigned on the control path the first
+// time a tenant establishes a connection, and the per-node arrays grow
+// there too — the hot path is two increments and a small bucket scan,
+// zero allocations.
 //
 // The registry freezes ordinary series registration once shards exist,
 // and the tenant label set only emerges at runtime, so these families

@@ -5,20 +5,18 @@ import (
 	"strings"
 
 	"mmr/internal/flit"
-	"mmr/internal/metrics"
-	"mmr/internal/sched"
 	"mmr/internal/stats"
 )
 
-// measurement is the router's live statistics state. It is reset at the
-// warmup/measurement boundary so steady-state numbers exclude the
-// transient (§5).
+// measurement is the router's live statistics state: its Sink, and what
+// only the single-chip experiments of §5 report besides. It is reset at the
+// warmup/measurement boundary so steady-state numbers exclude the transient
+// (§5).
 type measurement struct {
-	cycles      int64
-	generated   int64
-	transmitted int64
+	cycles    int64
+	generated int64
 
-	tracker *stats.JitterTracker // stream delay/jitter per §5 definitions
+	sink Sink // where departing flits end: delay/jitter per §5, delivered counts, packet latency
 
 	totalDelay stats.Accumulator // creation→departure, incl. NI queueing
 	vcmDelay   stats.Accumulator // VCM entry→departure
@@ -26,85 +24,47 @@ type measurement struct {
 	delayHist  *stats.Histogram // head-delay distribution (cycles)
 	jitterHist *stats.Histogram // jitter distribution (cycles)
 
-	perClass     [flit.NumClasses]int64
 	pktGenerated [flit.NumClasses]int64
-	pktLatency   [flit.NumClasses]stats.Accumulator
 	ctlFastPath  int64
 
 	controlWords  int64 // in-band management commands applied (§4.3)
 	framesAborted int64
 	flitsDropped  int64
-
-	// Observability hooks (observe.go): the router's metric shard and
-	// the per-class histogram handles recordDeparture feeds. nil until
-	// initMetrics wires them (and in tests constructing measurement
-	// directly).
-	obs       *metrics.Shard
-	obsDelay  [flit.NumClasses]metrics.Histogram
-	obsJitter [flit.NumClasses]metrics.Histogram
-}
-
-func (m *measurement) init() {
-	m.tracker = stats.NewJitterTracker(0)
-	m.delayHist = stats.NewHistogram(0, 512, 512)
-	m.jitterHist = stats.NewHistogram(0, 256, 512)
 }
 
 func (m *measurement) reset() {
 	m.cycles = 0
 	m.generated = 0
-	m.transmitted = 0
-	m.tracker.Reset() // keeps per-connection delay baselines (no fake jitter spike)
+	m.sink.Reset()
 	m.totalDelay.Reset()
 	m.vcmDelay.Reset()
 	m.delayHist = stats.NewHistogram(0, 512, 512)
 	m.jitterHist = stats.NewHistogram(0, 256, 512)
-	for i := range m.perClass {
-		m.perClass[i] = 0
-		m.pktGenerated[i] = 0
-		m.pktLatency[i].Reset()
-	}
+	m.pktGenerated = [flit.NumClasses]int64{}
 	m.ctlFastPath = 0
-	if m.obs != nil {
-		m.obs.Reset() // histograms track the same measurement window
-	}
 }
 
-func (m *measurement) cycleDone() { m.cycles++ }
-
-// recordDeparture notes a flit leaving the switch at cycle t. Delay is
-// "the difference between the times a flit is ready to be transmitted
-// through the switch and the time it actually leaves the switch" (§5):
-// the wait at the head of the virtual channel.
-func (m *measurement) recordDeparture(t int64, f *flit.Flit, cand sched.Candidate) {
-	m.transmitted++
-	m.perClass[f.Class]++
-	if f.Class.IsStream() {
-		delay := float64(t - f.HeadAt)
-		jitter, hasJitter := m.tracker.Record(int(f.Conn), delay)
-		m.vcmDelay.Add(float64(t - f.ReadyAt))
-		m.totalDelay.Add(float64(t - f.CreatedAt))
-		m.delayHist.Add(delay)
-		if m.obs != nil {
-			m.obs.Observe(m.obsDelay[f.Class], delay)
-		}
-		if hasJitter {
-			m.jitterHist.Add(jitter)
-			if m.obs != nil {
-				m.obs.Observe(m.obsJitter[f.Class], jitter)
-			}
-		}
+// transmitted returns the flits through the switch, cut-throughs included.
+func (m *measurement) transmitted() int64 {
+	var n int64
+	for _, d := range m.sink.Delivered {
+		n += d
 	}
+	return n
 }
 
-// recordPacketDelivery notes a VCT packet completing, either via the
-// asynchronous fast path or after synchronous scheduling.
-func (m *measurement) recordPacketDelivery(t int64, f *flit.Flit, fastPath bool) {
-	m.pktLatency[f.Class].Add(float64(t - f.CreatedAt))
-	if fastPath {
-		m.ctlFastPath++
-		m.perClass[f.Class]++
-		m.transmitted++
+// recordDeparture notes a stream flit leaving the switch at cycle t. Delay
+// is "the difference between the times a flit is ready to be transmitted
+// through the switch and the time it actually leaves the switch" (§5): the
+// wait at the head of the virtual channel.
+func (m *measurement) recordDeparture(t int64, f *flit.Flit) {
+	delay := float64(t - f.HeadAt)
+	jitter, hasJitter := m.sink.Stream(f.Class, int(f.Conn), delay)
+	m.vcmDelay.Add(float64(t - f.ReadyAt))
+	m.totalDelay.Add(float64(t - f.CreatedAt))
+	m.delayHist.Add(delay)
+	if hasJitter {
+		m.jitterHist.Add(jitter)
 	}
 }
 
@@ -168,22 +128,22 @@ func (m *measurement) snapshot(r *Router) *Metrics {
 	out := &Metrics{
 		Cycles:            m.cycles,
 		FlitsGenerated:    m.generated,
-		FlitsDelivered:    m.perClass[flit.ClassCBR] + m.perClass[flit.ClassVBR],
-		Delay:             *m.tracker.Delay(),
+		FlitsDelivered:    m.sink.Streams(),
+		Delay:             *m.sink.Tracker.Delay(),
 		VCMDelay:          m.vcmDelay,
 		TotalDelay:        m.totalDelay,
-		Jitter:            *m.tracker.Jitter(),
-		PerClassDelivered: m.perClass,
+		Jitter:            *m.sink.Tracker.Jitter(),
+		PerClassDelivered: m.sink.Delivered,
 		PacketsGenerated:  m.pktGenerated,
-		ControlLatency:    m.pktLatency[flit.ClassControl],
-		BestEffortLatency: m.pktLatency[flit.ClassBestEffort],
+		ControlLatency:    m.sink.Latency[flit.ClassControl],
+		BestEffortLatency: m.sink.Latency[flit.ClassBestEffort],
 		ControlFastPath:   m.ctlFastPath,
 		ControlWords:      m.controlWords,
 		FramesAborted:     m.framesAborted,
 		FlitsDropped:      m.flitsDropped,
 	}
 	if m.cycles > 0 {
-		out.SwitchUtilization = float64(m.transmitted) / (float64(r.cfg.Ports) * float64(m.cycles))
+		out.SwitchUtilization = float64(m.transmitted()) / (float64(r.cfg.Ports) * float64(m.cycles))
 	}
 	out.DelayMicros = out.Delay.Mean() * r.cfg.Link.FlitCycleNanos() / 1e3
 	out.DelayP50 = m.delayHist.Quantile(0.5)
@@ -191,10 +151,11 @@ func (m *measurement) snapshot(r *Router) *Metrics {
 	out.JitterP99 = m.jitterHist.Quantile(0.99)
 	out.ConnDelay = make([]stats.Accumulator, len(r.conns))
 	out.ConnJitter = make([]stats.Accumulator, len(r.conns))
+	tr := &m.sink.Tracker
 	for i := range r.conns {
-		out.ConnDelay[i] = *m.tracker.ConnDelay(i)
-		out.ConnJitter[i] = *m.tracker.ConnJitter(i)
-		if cj := m.tracker.ConnJitter(i); cj.N() > 0 {
+		out.ConnDelay[i] = *tr.ConnDelay(i)
+		out.ConnJitter[i] = *tr.ConnJitter(i)
+		if cj := tr.ConnJitter(i); cj.N() > 0 {
 			out.ConnMeanJitter.Add(cj.Mean())
 		}
 	}

@@ -10,10 +10,10 @@ import (
 // observe.go exports the single-router simulation's state as a metric
 // registry, mirroring the measurement struct, the link schedulers'
 // event counters and the live VCM/allocator state at gather time. The
-// only hot-path additions are the per-class delay and jitter histogram
-// observes in recordDeparture — a bounded bucket scan and three
-// increments per departing stream flit, nothing allocated — so the
-// router's zero-alloc and throughput gates hold unchanged.
+// only hot-path additions are the Sink's per-class delay and jitter
+// histogram observes — a bounded bucket scan and three increments per
+// departing stream flit, nothing allocated — so the router's zero-alloc
+// and throughput gates hold unchanged.
 //
 // The registry is lazy: nothing is built until EnableMetrics (or the
 // first gather), so router construction — which sweeps pay for on
@@ -26,9 +26,6 @@ import (
 type routerMetrics struct {
 	reg *metrics.Registry
 	sh  *metrics.Shard
-
-	classDelay  [flit.NumClasses]metrics.Histogram
-	classJitter [flit.NumClasses]metrics.Histogram
 
 	generated   metrics.Counter
 	transmitted metrics.Counter
@@ -48,16 +45,14 @@ func (r *Router) initMetrics() {
 	reg := metrics.New()
 	om := &routerMetrics{reg: reg}
 
-	delayBuckets := metrics.Pow2Buckets(1, 12)
-	jitterBuckets := metrics.Pow2Buckets(1, 9)
-	for c := 0; c < flit.NumClasses; c++ {
-		cl := flit.Class(c).String()
-		om.classDelay[c] = reg.Histogram("mmr_router_delay_cycles",
-			"head-of-VC delay by service class", delayBuckets, "class", cl)
-		om.classJitter[c] = reg.Histogram("mmr_router_jitter_cycles",
-			"delay difference between successive flits of a connection", jitterBuckets, "class", cl)
+	// A packet has no head-of-VC delay: only streams are delay samples.
+	sink := RegisterSink(reg, flit.Class.String,
+		Family{Name: "mmr_router_delay_cycles", Help: "head-of-VC delay by service class", Buckets: metrics.Pow2Buckets(1, 12)},
+		Family{Name: "mmr_router_jitter_cycles", Help: "delay difference between successive flits of a connection", Buckets: metrics.Pow2Buckets(1, 9)},
+		false)
+	for c := range flit.NumClasses {
 		om.classDone[c] = reg.Counter("mmr_router_delivered_total",
-			"flits transmitted by service class", "class", cl)
+			"flits transmitted by service class", "class", flit.Class(c).String())
 	}
 	om.generated = reg.Counter("mmr_router_flits_generated_total", "stream flits injected")
 	om.transmitted = reg.Counter("mmr_router_flits_transmitted_total", "flits through the switch")
@@ -83,9 +78,7 @@ func (r *Router) initMetrics() {
 
 	om.sh = reg.NewShard()
 	r.om = om
-	r.m.obs = om.sh
-	r.m.obsDelay = om.classDelay
-	r.m.obsJitter = om.classJitter
+	r.m.sink.Bind(om.sh, sink)
 	reg.OnGather(r.collectMetrics)
 }
 
@@ -96,9 +89,9 @@ func (r *Router) collectMetrics() {
 	sh := om.sh
 	m := &r.m
 	sh.Store(om.generated, m.generated)
-	sh.Store(om.transmitted, m.transmitted)
-	for c := 0; c < flit.NumClasses; c++ {
-		sh.Store(om.classDone[c], m.perClass[c])
+	sh.Store(om.transmitted, m.transmitted())
+	for c, n := range m.sink.Delivered {
+		sh.Store(om.classDone[c], n)
 	}
 	sh.Store(om.ctlFast, m.ctlFastPath)
 	sh.Store(om.ctlWords, m.controlWords)
@@ -109,7 +102,7 @@ func (r *Router) collectMetrics() {
 
 	sh.Set(om.cycles, float64(m.cycles))
 	if m.cycles > 0 {
-		sh.Set(om.util, float64(m.transmitted)/(float64(r.cfg.Ports)*float64(m.cycles)))
+		sh.Set(om.util, float64(m.transmitted())/(float64(r.cfg.Ports)*float64(m.cycles)))
 	}
 }
 

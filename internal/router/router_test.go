@@ -199,9 +199,9 @@ func TestRoundBandwidthEnforcement(t *testing.T) {
 	roundLen := int64(r.cfg.RoundLen())
 	delivered := make(map[int64]int64) // per round
 	for r.Now() < 10*roundLen {
-		before := r.m.perClass[flit.ClassCBR]
+		before := r.m.sink.Delivered[flit.ClassCBR]
 		r.Step()
-		if d := r.m.perClass[flit.ClassCBR] - before; d > 0 {
+		if d := r.m.sink.Delivered[flit.ClassCBR] - before; d > 0 {
 			delivered[(r.Now()-1)/roundLen] += d
 		}
 	}
