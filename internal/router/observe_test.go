@@ -56,8 +56,8 @@ func TestRouterMetricsMatchMeasurement(t *testing.T) {
 }
 
 // TestStepZeroAllocWithMetricsEnabled: enabling the registry must not
-// cost the hot path its zero-alloc property — the recordDeparture
-// histogram observes are bounded bucket scans into preallocated arrays.
+// cost the hot path its zero-alloc property — the Sink's histogram
+// observes are bounded bucket scans into preallocated arrays.
 func TestStepZeroAllocWithMetricsEnabled(t *testing.T) {
 	cfg := PaperConfig()
 	r, err := New(cfg)

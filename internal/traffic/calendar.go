@@ -28,6 +28,10 @@ type Calendar[T any] struct {
 	visit   []calendarEntry[T] // the slice take returned last
 	heldDue int64              // earliest due cycle among held, while any is
 	stale   bool               // Invalidate since the sessions were last filed
+	// from is the first cycle a Visit has work in: at once while the
+	// calendar is stale or holds a session, else when the first waiting
+	// one comes due.
+	from int64
 }
 
 // calendarEntry is one filed session.
@@ -40,7 +44,7 @@ type calendarEntry[T any] struct {
 // Invalidate says the injector's session list, or a session's source,
 // changed behind the calendar: the next Visit files every session afresh.
 // The control plane edits session lists, never the calendar.
-func (c *Calendar[T]) Invalidate() { c.stale = true }
+func (c *Calendar[T]) Invalidate() { c.stale, c.from = true, math.MinInt64 }
 
 // Stale reports an Invalidate no Visit has made good yet; until one does,
 // NextDue and Holding describe the sessions as they were.
@@ -53,7 +57,17 @@ func (c *Calendar[T]) Stale() bool { return c.stale }
 // list, ascending id — filed by its key. Then every held session and
 // every waiting one due at or before t goes to inject, in ascending id,
 // and is filed again by its key as inject left it.
+//
+// Most cycles of most injectors have nothing held or due: Visit is then
+// one compare, inlined at its caller.
 func (c *Calendar[T]) Visit(t int64, all []T, key func(T) (due int64, queued bool, id int64), inject func(T)) {
+	if t >= c.from {
+		c.work(t, all, key, inject)
+	}
+}
+
+// work is Visit when there is work.
+func (c *Calendar[T]) work(t int64, all []T, key func(T) (due int64, queued bool, id int64), inject func(T)) {
 	if c.stale {
 		c.heap, c.held = c.heap[:0], c.held[:0]
 		for _, item := range all {
@@ -64,6 +78,14 @@ func (c *Calendar[T]) Visit(t int64, all []T, key func(T) (due int64, queued boo
 	for _, e := range c.take(t) {
 		inject(e.item)
 		c.file(e.item, key)
+	}
+	switch {
+	case len(c.held) > 0:
+		c.from = math.MinInt64
+	case len(c.heap) > 0:
+		c.from = c.heap[0].due
+	default:
+		c.from = NoEvent
 	}
 }
 
