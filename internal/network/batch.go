@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 
+	"mmr/internal/router"
 	"mmr/internal/routing"
 	"mmr/internal/traffic"
 )
@@ -149,7 +150,7 @@ func (n *Network) buildBorders(pre *precheckTables) {
 // of the source's outbound cut or the destination's inbound cut can
 // carry. Each check fails only when real establishment must fail too, so
 // pre-checked batches accept exactly the sessions serial Open would.
-func (n *Network) precheck(pre *precheckTables, req OpenReq, d demand) error {
+func (n *Network) precheck(pre *precheckTables, req OpenReq, d router.Demand) error {
 	hp := n.cfg.hostPort()
 	if pre.freeVCs[req.Src] < 0 {
 		pre.freeVCs[req.Src] = int32(n.nodes[req.Src].Mems[hp].FreeVCs())
@@ -160,7 +161,7 @@ func (n *Network) precheck(pre *precheckTables, req OpenReq, d demand) error {
 	if pre.ejHead[req.Dst] < 0 {
 		pre.ejHead[req.Dst] = int32(n.nodes[req.Dst].Alloc[hp].Headroom())
 	}
-	if d.alloc > int(pre.ejHead[req.Dst]) {
+	if d.Alloc > int(pre.ejHead[req.Dst]) {
 		return &precheckError{kind: precheckNoEjection, node: req.Dst, rate: req.Spec.Rate}
 	}
 	// Regional aggregates only apply under minimal routing: a Valiant
@@ -173,10 +174,10 @@ func (n *Network) precheck(pre *precheckTables, req OpenReq, d demand) error {
 			if !pre.borderReady {
 				n.buildBorders(pre)
 			}
-			if pre.outBorder[sr] < int64(d.alloc) {
+			if pre.outBorder[sr] < int64(d.Alloc) {
 				return &precheckError{kind: precheckNoBorder, node: sr, rate: req.Spec.Rate, dir: "outbound"}
 			}
-			if pre.inBorder[dr] < int64(d.alloc) {
+			if pre.inBorder[dr] < int64(d.Alloc) {
 				return &precheckError{kind: precheckNoBorder, node: dr, rate: req.Spec.Rate, dir: "inbound"}
 			}
 		}
@@ -185,18 +186,18 @@ func (n *Network) precheck(pre *precheckTables, req OpenReq, d demand) error {
 }
 
 // precheckCommit updates the tables after an accepted establishment: one entry
-// VC at the source, d.alloc ejection cycles at the destination (both
-// exact), and d.alloc against each border aggregate a cross-region path
+// VC at the source, d.Alloc ejection cycles at the destination (both
+// exact), and d.Alloc against each border aggregate a cross-region path
 // must have crossed (keeping the aggregates upper bounds — a path may
 // cross a cut more than once, never less).
-func (n *Network) precheckCommit(pre *precheckTables, req OpenReq, d demand) {
+func (n *Network) precheckCommit(pre *precheckTables, req OpenReq, d router.Demand) {
 	pre.freeVCs[req.Src]--
-	pre.ejHead[req.Dst] -= int32(d.alloc)
+	pre.ejHead[req.Dst] -= int32(d.Alloc)
 	if pre.borderReady {
 		tp := n.cfg.Topology
 		if sr, dr := tp.Region(req.Src), tp.Region(req.Dst); sr != dr {
-			pre.outBorder[sr] -= int64(d.alloc)
-			pre.inBorder[dr] -= int64(d.alloc)
+			pre.outBorder[sr] -= int64(d.Alloc)
+			pre.inBorder[dr] -= int64(d.Alloc)
 		}
 	}
 }

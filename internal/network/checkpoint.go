@@ -98,7 +98,7 @@ func (n *Network) RestoreState(payload []byte) error {
 		}
 		g := 0
 		if c.open || c.broken {
-			g = n.demandFor(c.Spec).alloc
+			g = n.demandFor(c.Spec).Alloc
 		}
 		n.tenants.RestoreSession(c.Tenant, g)
 	}

@@ -327,7 +327,7 @@ func (n *Network) phaseSchedule(nd *node, t int64) {
 			// it (commit phase).
 			nb := n.cfg.Topology.Neighbor(nd.id, cand.Output)
 			pp := n.cfg.Topology.PeerPort(nd.id, cand.Output)
-			targetVC := n.nodes[nb].Mems[pp].FindFree(nd.rng.Intn(n.cfg.VCs))
+			targetVC := n.nodes[nb].Mems[pp].PickFree(nd.rng)
 			if targetVC < 0 {
 				nd.ms.Inc(n.nm.claimFailed)
 				continue
@@ -459,30 +459,23 @@ func (n *Network) stopSource(c *Conn) {
 }
 
 // injectStreams moves source flits into the entry VCs of the connections
-// whose source host sits on this node. Sources are bound to this node's
-// RNG stream. The gated engine visits a session only when its source
-// calendar says to — its forecast has come due, or flits queue at its
-// interface (traffic.Injector has the protocol) — in ascending connection
-// ID, the order the ungated engine's walk over srcConns gives the same
-// sessions.
+// whose source host sits on this node, for the sessions the source calendar
+// hands over (traffic.Calendar.Visit: gated, those whose forecast has come
+// due or whose interface queues flits; under NoIdleSkip, every one).
+// Sources are bound to this node's RNG stream. srcConns is ID-ascending.
 func (n *Network) injectStreams(nd *node, t int64) {
-	if n.cfg.NoIdleSkip {
-		for _, c := range nd.srcConns {
-			if !c.closed && !c.broken {
-				n.injectStream(nd, c, t, true)
-			}
-		}
-		return
-	}
-	// srcConns is ID-ascending.
-	nd.cal.Visit(t, nd.srcConns, (*Conn).calendarKey, func(c *Conn) {
-		n.injectStream(nd, c, t, c.ni.NextDue <= t)
+	nd.cal.Visit(t, n.cfg.NoIdleSkip, nd.srcConns, (*Conn).calendarKey, func(c *Conn, tick bool) {
+		n.injectStream(nd, c, t, tick)
 	})
 }
 
 // injectStream is one session's share of injectStreams: tick the source
-// if asked to, then drain the interface queue into the entry VC.
+// if asked to, then drain the interface queue into the entry VC. A closed
+// or broken session has neither a source nor a queue.
 func (n *Network) injectStream(nd *node, c *Conn, t int64, tick bool) {
+	if c.closed || c.broken {
+		return
+	}
 	if tick && c.injecting() {
 		for k := c.ni.Arrivals(t); k > 0; k-- {
 			f := n.pool.Get()
@@ -502,25 +495,18 @@ func (n *Network) injectStream(nd *node, c *Conn, t int64, tick bool) {
 }
 
 // injectPackets places best-effort packets from the flows homed on this
-// node into free VCs on its host port. As injectStreams does with the
-// sessions, the gated engine visits a flow only when the packet calendar
-// says to, in ascending FlowID, the order the ungated engine's walk over
-// beSrc gives the same flows.
+// node into free VCs on its host port, for the flows the packet calendar
+// hands over, as injectStreams does with the sessions. beSrc is
+// FlowID-ascending.
 func (n *Network) injectPackets(nd *node, t int64) {
-	if n.cfg.NoIdleSkip {
-		for _, bf := range nd.beSrc {
-			n.injectPacketFlow(nd, bf, t, true)
-		}
-		return
-	}
-	// beSrc is FlowID-ascending.
-	nd.pcal.Visit(t, nd.beSrc, (*beFlow).calendarKey, func(bf *beFlow) {
-		n.injectPacketFlow(nd, bf, t, bf.ni.NextDue <= t)
+	nd.pcal.Visit(t, n.cfg.NoIdleSkip, nd.beSrc, (*beFlow).calendarKey, func(bf *beFlow, tick bool) {
+		n.injectPacketFlow(nd, bf, t, tick)
 	})
 }
 
 // injectPacketFlow is one flow's share of injectPackets: tick the source
-// if asked to, then place the queued packets while VCs are free.
+// if asked to, then place the queued packets while VCs are free — all of
+// them need the same resource, so the first that finds none stops it.
 func (n *Network) injectPacketFlow(nd *node, bf *beFlow, t int64, tick bool) {
 	if tick {
 		for k := bf.ni.Arrivals(t); k > 0; k-- {
@@ -538,15 +524,8 @@ func (n *Network) injectPacketFlow(nd *node, bf *beFlow, t int64, tick bool) {
 			nd.stats.beGenerated++
 		}
 	}
-	hp := n.cfg.hostPort()
-	mem := nd.Mems[hp]
-	for bf.ni.Queue.Len() > 0 {
-		vc := mem.FindFree(nd.rng.Intn(n.cfg.VCs))
-		if vc < 0 {
-			break // all queued packets need the same resource
-		}
-		mem.Reserve(vc, vcm.VCState{Conn: flit.InvalidConn, Class: flit.ClassBestEffort, Output: -1})
-		nd.Enqueue(hp, vc, bf.ni.Queue.Pop(), t)
+	for bf.ni.Queue.Len() > 0 && nd.BufferPacket(n.cfg.hostPort(), -1, bf.ni.Queue.Peek(), t, nd.rng) {
+		bf.ni.Queue.Pop()
 	}
 }
 

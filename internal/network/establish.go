@@ -5,6 +5,7 @@ import (
 
 	"mmr/internal/admission"
 	"mmr/internal/flit"
+	"mmr/internal/router"
 	"mmr/internal/routing"
 	"mmr/internal/traffic"
 	"mmr/internal/vcm"
@@ -124,14 +125,14 @@ func (n *Network) open(req OpenReq, pre *precheckTables) (*Conn, error) {
 // fabric: well-formed endpoints, then — counted as a set-up attempt, and
 // as a rejection if refused — the tenant's quota (the cheapest check of
 // all: no fabric state read) and, in a batch, the pre-check tables.
-func (n *Network) preAdmit(req OpenReq, pre *precheckTables) (demand, error) {
+func (n *Network) preAdmit(req OpenReq, pre *precheckTables) (router.Demand, error) {
 	if err := n.checkEndpoints(req); err != nil {
-		return demand{}, err
+		return router.Demand{}, err
 	}
 	n.m.setupAttempts++
 	d := n.demandFor(req.Spec)
 	var err error
-	if !n.tenants.CanAdmit(req.Tenant, d.alloc) {
+	if !n.tenants.CanAdmit(req.Tenant, d.Alloc) {
 		err = tenantQuotaError(req.Tenant, n.tenants)
 	} else if pre != nil {
 		err = n.precheck(pre, req, d)
@@ -150,7 +151,7 @@ func (n *Network) preAdmit(req OpenReq, pre *precheckTables) (demand, error) {
 // acknowledgment would.
 func (n *Network) register(l *holds) (*Conn, error) {
 	req := l.req
-	if !n.tenants.AdmitSession(req.Tenant, l.d.alloc) {
+	if !n.tenants.AdmitSession(req.Tenant, l.d.Alloc) {
 		return nil, tenantQuotaError(req.Tenant, n.tenants)
 	}
 	conn := n.arena.conn()
@@ -227,18 +228,11 @@ func (n *Network) installPath(conn *Conn, l *holds) {
 	d, entryVC, hops := l.d, l.entryVC, l.hops
 	conn.Backtracks, conn.SetupTime = l.backtracks, l.setupTime
 	hp := n.cfg.hostPort()
-	roundLen := n.cfg.K * n.cfg.VCs
-	interval := float64(roundLen) / float64(d.alloc)
 	install := func(nodeID, inPort, vc, outPort int) {
 		mem := n.nodes[nodeID].Mems[inPort]
 		mem.Release(vc) // the transient hold
-		mem.Reserve(vc, vcm.VCState{
-			Conn: conn.ID, Class: conn.Spec.Class,
-			Allocated: d.alloc, Peak: d.peak,
-			BasePriority: conn.Spec.Priority,
-			InterArrival: interval,
-			Output:       outPort,
-		})
+		mem.Reserve(vc, vcm.VCState{Conn: conn.ID, Class: conn.Spec.Class, BasePriority: conn.Spec.Priority, Output: outPort})
+		n.nodes[nodeID].Retune(inPort, vc, d)
 	}
 
 	conn.Path = refit(conn.Path, &n.arena.hops, len(hops))
@@ -325,7 +319,7 @@ func (n *Network) Close(conn *Conn) error {
 	n.releasePath(conn)
 	n.dropSrcConn(conn)
 	n.m.closed++
-	n.tenants.ReleaseAll(conn.Tenant, n.demandFor(conn.Spec).alloc)
+	n.tenants.ReleaseAll(conn.Tenant, n.demandFor(conn.Spec).Alloc)
 	// The close freed guaranteed cycles along the whole path — capacity a
 	// degraded session may be waiting on.
 	n.schedulePromotion()
@@ -368,9 +362,9 @@ func (n *Network) releasePath(conn *Conn) {
 		x.upstream[ref.Port][ref.VC] = noUpstream
 		if i < len(conn.Path) {
 			hop := conn.Path[i]
-			n.releaseOut(n.nodes[hop.Node], hop.Port, conn.Spec, d)
+			n.nodes[hop.Node].ReleaseAt(hop.Port, conn.Spec.Class, d)
 		} else {
-			n.releaseOut(x, n.cfg.hostPort(), conn.Spec, d)
+			x.ReleaseAt(n.cfg.hostPort(), conn.Spec.Class, d)
 		}
 	}
 }

@@ -323,7 +323,7 @@ func (n *Network) abandon(c *Conn) {
 		// The guaranteed-bandwidth charge is returned to the tenant's
 		// budget: the session continues, but only as best-effort. The
 		// session count stays charged until the session closes or is lost.
-		n.tenants.ReleaseGuaranteed(c.Tenant, n.demandFor(c.Spec).alloc)
+		n.tenants.ReleaseGuaranteed(c.Tenant, n.demandFor(c.Spec).Alloc)
 		bf := &beFlow{src: c.Src, dst: c.Dst, conn: c.ID}
 		bf.ni.Source = traffic.NewCBRSource(n.cfg.Link, c.Spec.Rate, 0)
 		n.addBEFlow(bf)
@@ -336,7 +336,7 @@ func (n *Network) abandon(c *Conn) {
 	c.lost = true
 	n.dropSrcConn(c)
 	n.m.connsLost++
-	n.tenants.ReleaseGuaranteed(c.Tenant, n.demandFor(c.Spec).alloc)
+	n.tenants.ReleaseGuaranteed(c.Tenant, n.demandFor(c.Spec).Alloc)
 	n.tenants.ReleaseSession(c.Tenant)
 	n.logEvent(SessionEvent{Kind: "conn-lost", Conn: c.ID, Node: c.Src, Port: -1,
 		Detail: "restoration failed; session dropped"})

@@ -81,9 +81,9 @@ func (n *Network) CheckInvariants() error {
 					c.ID, i, k, st.Output, outPort)
 			}
 			want := &n.want[outNode*radix+outPort]
-			want[0] += d.alloc
+			want[0] += d.Alloc
 			if c.Spec.Class == flit.ClassVBR {
-				want[1] += d.peak
+				want[1] += d.Peak
 			}
 		}
 

@@ -46,7 +46,7 @@ func (n *Network) ModifyBandwidth(c *Conn, rate traffic.Rate) error {
 	newSpec.Rate = rate
 	dOld := n.demandFor(oldSpec)
 	dNew := n.demandFor(newSpec)
-	delta := dNew.alloc - dOld.alloc
+	delta := dNew.Alloc - dOld.Alloc
 
 	// Growth is charged against the tenant's guaranteed-bandwidth budget
 	// before any link register is touched; shrinking refunds it.
@@ -75,13 +75,8 @@ func (n *Network) ModifyBandwidth(c *Conn, rate traffic.Rate) error {
 	}
 
 	c.Spec = newSpec
-	roundLen := n.cfg.K * n.cfg.VCs
-	interval := float64(roundLen) / float64(dNew.alloc)
 	for i, ref := range c.VCs {
-		st := n.nodes[c.Nodes[i]].Mems[ref.Port].State(ref.VC)
-		st.Allocated = dNew.alloc
-		st.Peak = dNew.peak
-		st.InterArrival = interval
+		n.nodes[c.Nodes[i]].Retune(ref.Port, ref.VC, dNew)
 	}
 	// The source changes rate from this cycle on, due at once so that
 	// either engine forecasts it afresh on the next injection pass.
@@ -90,7 +85,7 @@ func (n *Network) ModifyBandwidth(c *Conn, rate traffic.Rate) error {
 
 	n.logEvent(SessionEvent{Kind: "conn-modified", Conn: c.ID, Node: c.Src, Port: -1,
 		Detail: fmt.Sprintf("rate %v -> %v", oldSpec.Rate, rate)})
-	n.recordFlight(c.Src, evConnModified, int32(c.Dst), int32(dNew.alloc), int64(c.ID))
+	n.recordFlight(c.Src, evConnModified, int32(c.Dst), int32(dNew.Alloc), int64(c.ID))
 	n.mustInvariants()
 	if delta < 0 {
 		// Shrinking frees guaranteed cycles along the path — capacity a

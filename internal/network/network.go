@@ -508,6 +508,7 @@ func New(cfg Config) (*Network, error) {
 	// host port, under the MMR's own priority switch scheduler.
 	core := router.Config{
 		Ports: radix,
+		Link:  cfg.Link,
 		VCM: vcm.Config{
 			VirtualChannels: cfg.VCs, Depth: cfg.Depth,
 			Banks: 8, PhitsPerFlit: cfg.Link.PhitsPerFlit(), PhitBufferDepth: 2 * cfg.Link.PhitsPerFlit(),

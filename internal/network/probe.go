@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"mmr/internal/flit"
+	"mmr/internal/router"
 	"mmr/internal/routing"
 	"mmr/internal/traffic"
 	"mmr/internal/vcm"
@@ -16,45 +17,16 @@ import (
 // search), and the event-driven probe that takes one EPB step per
 // HopLatency cycles. establish.go is the admission side.
 
-// demand is a connection's resource demand in allocation units.
-type demand struct {
-	alloc, peak int
-}
-
-func (n *Network) demandFor(spec traffic.ConnSpec) demand {
-	roundLen := n.cfg.K * n.cfg.VCs
-	d := demand{alloc: n.cfg.Link.CyclesPerRound(spec.Rate, roundLen)}
-	d.peak = d.alloc
-	if spec.Class == flit.ClassVBR {
-		d.peak = n.cfg.Link.CyclesPerRound(spec.PeakRate, roundLen)
-		if d.peak < d.alloc {
-			d.peak = d.alloc
-		}
-	}
-	return d
-}
+// demandFor is spec's reservation at every hop: the nodes' Cores share one
+// geometry, so any of them converts it.
+func (n *Network) demandFor(spec traffic.ConnSpec) router.Demand { return n.nodes[0].DemandOf(spec) }
 
 // GuaranteedCyclesFor returns the guaranteed cycles/round a session of
 // the given spec is charged — the unit tenant quotas are denominated
 // in. The daemon uses it to convert Mbps quota requests into
 // allocation units.
 func (n *Network) GuaranteedCyclesFor(spec traffic.ConnSpec) int {
-	return n.demandFor(spec).alloc
-}
-
-func (n *Network) admitOut(x *node, p int, spec traffic.ConnSpec, d demand) bool {
-	if spec.Class == flit.ClassVBR {
-		return x.Alloc[p].AdmitVBR(d.alloc, d.peak)
-	}
-	return x.Alloc[p].AdmitCBR(d.alloc)
-}
-
-func (n *Network) releaseOut(x *node, p int, spec traffic.ConnSpec, d demand) {
-	if spec.Class == flit.ClassVBR {
-		x.Alloc[p].ReleaseVBR(d.alloc, d.peak)
-	} else {
-		x.Alloc[p].ReleaseCBR(d.alloc)
-	}
+	return n.demandFor(spec).Alloc
 }
 
 // searchHook, when non-nil, runs inside every per-hop reservation. Tests
@@ -89,7 +61,7 @@ type probeHop struct {
 type holds struct {
 	n   *Network
 	req OpenReq // endpoints and spec the path is for
-	d   demand
+	d   router.Demand
 
 	entryVC  int // -1: not held
 	hops     []probeHop
@@ -103,7 +75,7 @@ type holds struct {
 }
 
 // begin empties the ledger for a new establishment.
-func (l *holds) begin(n *Network, req OpenReq, d demand) {
+func (l *holds) begin(n *Network, req OpenReq, d router.Demand) {
 	l.n, l.req, l.d = n, req, d
 	l.settle()
 }
@@ -123,7 +95,7 @@ func (l *holds) transient() vcm.VCState {
 func (l *holds) enter() error {
 	n := l.n
 	mem := n.nodes[l.req.Src].Mems[n.cfg.hostPort()]
-	vc := mem.FindFree(n.rng.Intn(n.cfg.VCs))
+	vc := mem.PickFree(n.rng)
 	if vc < 0 {
 		return fmt.Errorf("network: no free VC on host port of node %d", l.req.Src)
 	}
@@ -145,8 +117,8 @@ func (l *holds) reserve(node, port int) bool {
 		return false
 	}
 	mem := n.nodes[nb].Mems[n.cfg.Topology.PeerPort(node, port)]
-	vc := mem.FindFree(n.rng.Intn(n.cfg.VCs))
-	if vc < 0 || !n.admitOut(n.nodes[node], port, l.req.Spec, l.d) {
+	vc := mem.PickFree(n.rng)
+	if vc < 0 || !n.nodes[node].AdmitAt(port, l.req.Spec.Class, l.d) {
 		return false
 	}
 	mem.Reserve(vc, l.transient())
@@ -163,7 +135,7 @@ func (l *holds) release(node, port int) {
 		panic(fmt.Sprintf("network: release of hop %d.%d, which is not the newest hold", node, port))
 	}
 	n, tp := l.n, l.n.cfg.Topology
-	n.releaseOut(n.nodes[node], port, l.req.Spec, l.d)
+	n.nodes[node].ReleaseAt(port, l.req.Spec.Class, l.d)
 	n.nodes[tp.Wired(node, port)].Mems[tp.WiredPeer(node, port)].Release(l.hops[top].vc)
 	n.vcFreed(tp.Wired(node, port), tp.WiredPeer(node, port))
 	l.hops = l.hops[:top]
@@ -172,7 +144,7 @@ func (l *holds) release(node, port int) {
 // eject takes the ejection bandwidth on the destination's host port.
 func (l *holds) eject() error {
 	n := l.n
-	if !n.admitOut(n.nodes[l.req.Dst], n.cfg.hostPort(), l.req.Spec, l.d) {
+	if !n.nodes[l.req.Dst].AdmitAt(n.cfg.hostPort(), l.req.Spec.Class, l.d) {
 		return fmt.Errorf("network: destination host port of node %d cannot admit %v", l.req.Dst, l.req.Spec.Rate)
 	}
 	l.ejecting = true
@@ -183,7 +155,7 @@ func (l *holds) eject() error {
 func (l *holds) unwind() {
 	n, hp := l.n, l.n.cfg.hostPort()
 	if l.ejecting {
-		n.releaseOut(n.nodes[l.req.Dst], hp, l.req.Spec, l.d)
+		n.nodes[l.req.Dst].ReleaseAt(hp, l.req.Spec.Class, l.d)
 	}
 	for i := len(l.hops) - 1; i >= 0; i-- {
 		l.release(l.hops[i].node, l.hops[i].port)

@@ -76,12 +76,12 @@ func (n *Network) promoteScan(gen int64, attempt int) {
 		// Quota first, search second: re-promotion re-enters admission, so
 		// an over-budget tenant's sessions stay degraded without spending
 		// any of the scan's establishment budget on them.
-		if !n.tenants.ChargeGuaranteed(c.Tenant, d.alloc) {
+		if !n.tenants.ChargeGuaranteed(c.Tenant, d.Alloc) {
 			continue
 		}
 		budget--
 		if err := n.establish(c); err != nil {
-			n.tenants.ReleaseGuaranteed(c.Tenant, d.alloc)
+			n.tenants.ReleaseGuaranteed(c.Tenant, d.Alloc)
 			continue
 		}
 		n.finishPromotion(c, attempt)

@@ -165,8 +165,8 @@ func TestModifyBandwidth(t *testing.T) {
 	d := n.demandFor(c.Spec)
 	for i, ref := range c.VCs {
 		st := n.nodes[c.Nodes[i]].Mems[ref.Port].State(ref.VC)
-		if st.Allocated != d.alloc {
-			t.Fatalf("hop %d allocation %d, want %d", i, st.Allocated, d.alloc)
+		if st.Allocated != d.Alloc {
+			t.Fatalf("hop %d allocation %d, want %d", i, st.Allocated, d.Alloc)
 		}
 	}
 	if err := n.CheckInvariants(); err != nil {

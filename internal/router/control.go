@@ -44,8 +44,9 @@ func (r *Router) SetBandwidth(conn *Connection, rate traffic.Rate) error {
 		}
 		r.rateGuaranteed[conn.Spec.Out] += delta
 	default:
-		roundLen := r.cfg.RoundLen()
-		delta := r.cfg.Link.CyclesPerRound(rate, roundLen) - r.cfg.Link.CyclesPerRound(conn.admitted, roundLen)
+		next := conn.Spec
+		next.Rate = rate
+		delta := r.core.DemandOf(next).Alloc - r.core.DemandOf(conn.held()).Alloc
 		if !r.core.Alloc[conn.Spec.Out].AdjustCBR(delta) {
 			return fmt.Errorf("router: output %d cannot grow connection %d to %v", conn.Spec.Out, conn.ID, rate)
 		}
@@ -117,32 +118,23 @@ func (r *Router) Release(conn *Connection) error {
 	r.AbortFrame(conn) // drain NI queue and VC
 	conn.ni.Source = nil
 	r.cal.Invalidate()
-	mem := r.core.Mems[conn.Spec.In]
-	mem.Release(conn.VC)
-	roundLen := r.cfg.RoundLen()
-	alloc := r.cfg.Link.CyclesPerRound(conn.admitted, roundLen)
-	switch r.cfg.Admission {
-	case AdmitRate:
-		r.rateGuaranteed[conn.Spec.Out] -= float64(conn.admitted) / float64(r.cfg.Link.Bandwidth)
-		if conn.Spec.Class == flit.ClassVBR {
-			peakFrac := float64(conn.Spec.PeakRate) / float64(r.cfg.Link.Bandwidth)
-			if pf := float64(conn.admitted) / float64(r.cfg.Link.Bandwidth); peakFrac < pf {
-				peakFrac = pf
-			}
-			r.ratePeak[conn.Spec.Out] -= peakFrac
-		}
-	default:
-		if conn.Spec.Class == flit.ClassVBR {
-			peak := r.cfg.Link.CyclesPerRound(conn.Spec.PeakRate, roundLen)
-			if peak < alloc {
-				peak = alloc
-			}
-			r.core.Alloc[conn.Spec.Out].ReleaseVBR(alloc, peak)
-		} else {
-			r.core.Alloc[conn.Spec.Out].ReleaseCBR(alloc)
-		}
+	r.core.Mems[conn.Spec.In].Release(conn.VC)
+	if r.cfg.Admission == AdmitRate {
+		g, p := r.rateShare(conn.held())
+		r.rateGuaranteed[conn.Spec.Out] -= g
+		r.ratePeak[conn.Spec.Out] -= p
+	} else {
+		r.core.ReleaseAt(conn.Spec.Out, conn.Spec.Class, r.core.DemandOf(conn.held()))
 	}
 	return nil
+}
+
+// held is the spec admission holds bandwidth for: conn's, at the rate it
+// admitted.
+func (conn *Connection) held() traffic.ConnSpec {
+	spec := conn.Spec
+	spec.Rate = conn.admitted
+	return spec
 }
 
 // applyControls executes control words whose propagation delay elapsed.
@@ -152,21 +144,17 @@ func (r *Router) applyControls(t int64) {
 		if pc.conn.released {
 			continue // the connection was torn down while the word was in flight
 		}
-		st := r.core.Mems[pc.conn.Spec.In].State(pc.conn.VC)
 		switch pc.word.Op {
 		case flit.CtlSetBandwidth:
 			rate := traffic.Rate(pc.word.Arg)
-			alloc := r.cfg.Link.CyclesPerRound(rate, r.cfg.RoundLen())
-			st.Allocated = alloc
-			st.Peak = alloc
-			st.InterArrival = float64(r.cfg.RoundLen()) / float64(alloc)
 			pc.conn.Spec.Rate = rate
+			r.core.Retune(pc.conn.Spec.In, pc.conn.VC, r.core.DemandOf(pc.conn.Spec))
 			if !pc.conn.ni.Retune(t-1, r.cfg.Link.FlitsPerCycle(rate)) {
 				pc.conn.ni.Source = traffic.NewCBRSource(r.cfg.Link, rate, r.rng.Float64())
 			}
 			r.cal.Invalidate()
 		case flit.CtlSetPriority:
-			st.BasePriority = pc.word.Arg
+			r.core.Mems[pc.conn.Spec.In].State(pc.conn.VC).BasePriority = pc.word.Arg
 			pc.conn.Spec.Priority = pc.word.Arg
 		}
 		r.m.controlWords++

@@ -8,6 +8,7 @@ import (
 	"mmr/internal/metrics"
 	"mmr/internal/sched"
 	"mmr/internal/sim"
+	"mmr/internal/traffic"
 	"mmr/internal/vcm"
 )
 
@@ -26,6 +27,11 @@ import (
 // — and add around it what is theirs: Router the sink, the crossbar model
 // and the asynchronous control cut-through of the single-chip experiments,
 // network's node the lanes, channel mappings and routing unit of a fabric.
+// Core also owns what a reservation at one hop is (§4.2–4.3): a stream's
+// Demand, its charge to an output's registers (AdmitAt, ReleaseAt), its VC's
+// allocation and aging interval (Retune), and a buffered packet's
+// VC (BufferPacket); the engines keep only their own admission variants,
+// base priorities and error texts.
 //
 // All ports' memories, schedulers and credit counters are single
 // contiguous allocations (the per-port slices hold interior pointers), and
@@ -58,6 +64,7 @@ type Core struct {
 	LastRound int64
 
 	roundLen int64
+	link     traffic.Link
 }
 
 // Init builds the core cfg describes; randomized selection and matching
@@ -74,6 +81,7 @@ func (c *Core) Init(cfg *Config, rng *sim.RNG) error {
 		Nominated: make([]int, 0, ports),
 		LastRound: -1,
 		roundLen:  int64(cfg.RoundLen()),
+		link:      cfg.Link,
 	}
 	c.Busy.Init(ports)
 	mems := make([]vcm.Memory, ports)
@@ -201,6 +209,71 @@ func (c *Core) Pop(in int, t int64) (sched.Candidate, *flit.Flit) {
 		next.HeadAt = t
 	}
 	return cand, f
+}
+
+// Demand is a stream's reservation at one hop in flit cycles per round
+// (§4.2): Alloc guaranteed, and Peak — a VBR stream's peak, never below its
+// Alloc; a CBR stream's Alloc.
+type Demand struct{ Alloc, Peak int }
+
+// DemandOf converts spec's rates into the core's allocation units.
+func (c *Core) DemandOf(spec traffic.ConnSpec) Demand {
+	d := Demand{Alloc: c.link.CyclesPerRound(spec.Rate, int(c.roundLen))}
+	d.Peak = d.Alloc
+	if spec.Class == flit.ClassVBR {
+		d.Peak = max(d.Alloc, c.link.CyclesPerRound(spec.PeakRate, int(c.roundLen)))
+	}
+	return d
+}
+
+// AdmitAt charges d to output out's two registers (§4.2) — a CBR stream its
+// allocation, a VBR stream its allocation and its peak — or, when d does not
+// fit, charges nothing and reports false.
+func (c *Core) AdmitAt(out int, class flit.Class, d Demand) bool {
+	if class == flit.ClassVBR {
+		return c.Alloc[out].AdmitVBR(d.Alloc, d.Peak)
+	}
+	return c.Alloc[out].AdmitCBR(d.Alloc)
+}
+
+// ReleaseAt returns what AdmitAt charged.
+func (c *Core) ReleaseAt(out int, class flit.Class, d Demand) {
+	if class == flit.ClassVBR {
+		c.Alloc[out].ReleaseVBR(d.Alloc, d.Peak)
+	} else {
+		c.Alloc[out].ReleaseCBR(d.Alloc)
+	}
+}
+
+// Retune makes stream VC vc of input in hold d, at establishment and at
+// each renegotiation: its allocation and peak, and the interval the biased
+// scheme normalizes a head flit's waiting time by — the guaranteed service
+// interval roundLen/Alloc, the QoS metric the router holds for the
+// connection (§4.4: priorities grow "at a rate [that] is a function of the
+// QoS metric used for the corresponding connection"). For connections
+// whose allocation is not quantized up this equals the flit inter-arrival
+// time; for very slow connections it caps the aging horizon at one round,
+// keeping their delay (and hence jitter) bounded by the round length
+// rather than by their enormous inter-arrival times.
+func (c *Core) Retune(in, vc int, d Demand) {
+	st := c.Mems[in].State(vc)
+	st.Allocated, st.Peak = d.Alloc, d.Peak
+	st.InterArrival = float64(c.roundLen) / float64(d.Alloc)
+}
+
+// BufferPacket takes a free VC of input in (vcm.Memory.PickFree, drawing
+// from rng) for packet flit f bound for output out (-1: not routed yet) and
+// buffers f there at cycle t. With every VC in use it takes nothing and
+// reports false.
+func (c *Core) BufferPacket(in, out int, f *flit.Flit, t int64, rng *sim.RNG) bool {
+	mem := c.Mems[in]
+	vc := mem.PickFree(rng)
+	if vc < 0 {
+		return false
+	}
+	mem.Reserve(vc, vcm.VCState{Conn: flit.InvalidConn, Class: f.Class, Output: out})
+	c.Enqueue(in, vc, f, t)
+	return true
 }
 
 // CoreSeries are the handles of the series an engine mirrors out of its

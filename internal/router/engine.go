@@ -78,22 +78,14 @@ func (r *Router) maskAsyncOutputs() {
 }
 
 // injectStreams ticks the connection sources and moves flits from NI
-// queues into input virtual channels. The gated engine visits a
-// connection only when the source calendar says to — its forecast has come
-// due, or flits queue at its interface (traffic.Injector has the protocol)
-// — in ascending connection ID, the order the ungated engine's walk over
-// every connection gives the same ones.
+// queues into input virtual channels, for the connections the source
+// calendar hands over (traffic.Calendar.Visit: gated, those whose forecast
+// has come due or whose interface queues flits; under NoIdleSkip, every
+// one). r.conns is ID-ascending; the control paths — Establish, Release, a
+// bandwidth word — only invalidate the calendar.
 func (r *Router) injectStreams(t int64) {
-	if r.cfg.NoIdleSkip {
-		for _, c := range r.conns {
-			r.injectStream(c, t, true)
-		}
-		return
-	}
-	// r.conns is ID-ascending. The control paths — Establish, Release, a
-	// bandwidth word — only invalidate the calendar.
-	r.cal.Visit(t, r.conns, (*Connection).calendarKey, func(c *Connection) {
-		r.injectStream(c, t, c.ni.NextDue <= t)
+	r.cal.Visit(t, r.cfg.NoIdleSkip, r.conns, (*Connection).calendarKey, func(c *Connection, tick bool) {
+		r.injectStream(c, t, tick)
 	})
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"mmr/internal/flit"
 	"mmr/internal/traffic"
-	"mmr/internal/vcm"
 )
 
 // packetFlow is a generator of VCT packets between one input/output port
@@ -64,18 +63,11 @@ func (pf *packetFlow) calendarKey() (due int64, queued bool, id int64) {
 //   - With no free VC the packet blocks in the NI queue (at a previous
 //     router in the real network).
 //
-// As injectStreams does with the connections, the gated engine visits a
-// flow only when the packet calendar says to, in the order the ungated
-// engine's walk over every flow gives the same ones.
+// As injectStreams does with the connections, it visits the flows the
+// packet calendar hands over.
 func (r *Router) injectPackets(t int64) {
-	if r.cfg.NoIdleSkip {
-		for _, pf := range r.flows {
-			r.injectPacketFlow(t, pf, true)
-		}
-		return
-	}
-	r.pcal.Visit(t, r.flows, (*packetFlow).calendarKey, func(pf *packetFlow) {
-		r.injectPacketFlow(t, pf, pf.ni.NextDue <= t)
+	r.pcal.Visit(t, r.cfg.NoIdleSkip, r.flows, (*packetFlow).calendarKey, func(pf *packetFlow, tick bool) {
+		r.injectPacketFlow(t, pf, tick)
 	})
 }
 
@@ -131,19 +123,12 @@ func (r *Router) placePacket(t int64, pf *packetFlow) bool {
 		r.pool.Put(f) // delivered: the cut-through leaves the router now
 		return true
 	}
-	// Buffered path: reserve a free VC on the input port.
-	mem := r.core.Mems[pf.in]
-	vc := mem.FindFree(r.rng.Intn(mem.NumVCs()))
-	if vc < 0 {
-		return false // blocked: no free VC (§3.4)
+	// Buffered path: reserve a free VC on the input port, or block in the
+	// NI queue with none free (§3.4).
+	if !r.core.BufferPacket(pf.in, pf.out, f, t, r.rng) {
+		return false
 	}
-	mem.Reserve(vc, vcm.VCState{
-		Conn:   flit.InvalidConn,
-		Class:  f.Class,
-		Output: pf.out,
-	})
 	pf.ni.Queue.Pop()
-	r.core.Enqueue(pf.in, vc, f, t)
 	return true
 }
 

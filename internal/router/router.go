@@ -24,38 +24,6 @@ import (
 	"mmr/internal/vcm"
 )
 
-// PriorityAssignment selects the static priority given to a connection
-// under the fixed scheme.
-type PriorityAssignment int
-
-// Static priority assignments.
-const (
-	// PriorityByRate derives the static priority from the connection's
-	// bandwidth — the QoS-class priority whose dynamic counterpart is the
-	// biased scheme (which grows priorities at a rate ∝ connection speed,
-	// §5.1). Strict priority by rate is stable below saturation: every
-	// class sees capacity left by faster classes.
-	PriorityByRate PriorityAssignment = iota
-	// PriorityByIndex gives earlier-established connections strictly
-	// higher priority — an ablation exhibiting classic static-priority
-	// starvation.
-	PriorityByIndex
-	// PriorityFromSpec uses ConnSpec.Priority untouched.
-	PriorityFromSpec
-)
-
-// String implements fmt.Stringer.
-func (p PriorityAssignment) String() string {
-	switch p {
-	case PriorityByRate:
-		return "by-rate"
-	case PriorityByIndex:
-		return "by-index"
-	default:
-		return "from-spec"
-	}
-}
-
 // AdmissionMode selects how Establish tests output-link capacity.
 type AdmissionMode int
 
@@ -141,10 +109,6 @@ type Config struct {
 	// the integer allocation.
 	Admission AdmissionMode
 
-	// FixedAssign selects how static priorities are assigned to
-	// connections when Scheme is sched.Fixed (§4.4 "static priorities").
-	FixedAssign PriorityAssignment
-
 	// NoIdleSkip disables activity gating: every port is scanned and
 	// every cycle is stepped even when provably nothing can happen. The
 	// gated and ungated engines produce bit-identical results (the
@@ -170,7 +134,6 @@ func PaperConfig() Config {
 		Arbiter:       ArbPriority,
 		Concurrency:   2,
 		Admission:     AdmitRate,
-		FixedAssign:   PriorityByRate,
 		Seed:          1,
 	}
 }
@@ -313,52 +276,26 @@ func (r *Router) Establish(spec traffic.ConnSpec) (*Connection, error) {
 	if !spec.Class.IsStream() {
 		return nil, fmt.Errorf("router: Establish is for stream classes, got %v", spec.Class)
 	}
-	mem := r.core.Mems[spec.In]
-	vc := mem.FindFree(r.rng.Intn(mem.NumVCs()))
+	vc := r.core.Mems[spec.In].PickFree(r.rng)
 	if vc < 0 {
 		return nil, fmt.Errorf("router: no free virtual channel on input %d", spec.In)
 	}
-	roundLen := r.cfg.RoundLen()
-	alloc := r.cfg.Link.CyclesPerRound(spec.Rate, roundLen)
-	peak := alloc
-	if spec.Class == flit.ClassVBR {
-		peak = r.cfg.Link.CyclesPerRound(spec.PeakRate, roundLen)
-		if peak < alloc {
-			peak = alloc
-		}
-	}
-	if err := r.admit(spec, alloc, peak); err != nil {
+	d := r.core.DemandOf(spec)
+	if err := r.admit(spec, d); err != nil {
 		return nil, err
 	}
 	id := flit.ConnID(len(r.conns))
+	// Under the fixed scheme a connection's static priority is its rate
+	// (§4.4 "static priorities"), the QoS class whose dynamic counterpart is
+	// the biased scheme (which grows priorities at a rate ∝ connection speed,
+	// §5.1). Strict priority by rate is stable below saturation: every class
+	// sees capacity left by faster classes.
 	base := spec.Priority
 	if _, isFixed := r.cfg.Scheme.(sched.Fixed); isFixed {
-		switch r.cfg.FixedAssign {
-		case PriorityByRate:
-			base = int(spec.Rate / 1000) // Kbps granularity
-		case PriorityByIndex:
-			base = -int(id)
-		}
+		base = int(spec.Rate / 1000) // Kbps granularity
 	}
-	// The biased scheme normalizes a head flit's waiting time by the
-	// connection's guaranteed service interval — roundLen/allocation, the
-	// QoS metric the router holds for the connection (§4.4: priorities
-	// grow "at a rate [that] is a function of the QoS metric used for the
-	// corresponding connection"). For connections whose allocation is not
-	// quantized up this equals the flit inter-arrival time; for very slow
-	// connections it caps the aging horizon at one round, keeping their
-	// delay (and hence jitter) bounded by the round length rather than by
-	// their enormous inter-arrival times.
-	interval := float64(roundLen) / float64(alloc)
-	mem.Reserve(vc, vcm.VCState{
-		Conn:         id,
-		Class:        spec.Class,
-		Allocated:    alloc,
-		Peak:         peak,
-		BasePriority: base,
-		InterArrival: interval,
-		Output:       spec.Out,
-	})
+	r.core.Mems[spec.In].Reserve(vc, vcm.VCState{Conn: id, Class: spec.Class, BasePriority: base, Output: spec.Out})
+	r.core.Retune(spec.In, vc, d)
 	conn := &Connection{ID: id, Spec: spec, VC: vc, admitted: spec.Rate}
 	conn.ni.Start(r.now)
 	switch spec.Class {
@@ -373,41 +310,44 @@ func (r *Router) Establish(spec traffic.ConnSpec) (*Connection, error) {
 	return conn, nil
 }
 
-// admit runs the configured admission test and charges the accounting
-// registers for a stream connection.
-func (r *Router) admit(spec traffic.ConnSpec, alloc, peak int) error {
-	switch r.cfg.Admission {
-	case AdmitRate:
+// admit runs the configured admission test at spec's output and charges
+// the accounting registers for a stream connection holding d.
+func (r *Router) admit(spec traffic.ConnSpec, d Demand) error {
+	if r.cfg.Admission == AdmitRate {
 		const eps = 1e-9
-		frac := float64(spec.Rate) / float64(r.cfg.Link.Bandwidth)
-		if r.rateGuaranteed[spec.Out]+frac > 1+eps {
+		g, p := r.rateShare(spec)
+		if r.rateGuaranteed[spec.Out]+g > 1+eps {
 			return fmt.Errorf("router: output %d cannot admit %v (rate admission)", spec.Out, spec.Rate)
 		}
 		if spec.Class == flit.ClassVBR {
-			peakFrac := float64(spec.PeakRate) / float64(r.cfg.Link.Bandwidth)
-			if peakFrac < frac {
-				peakFrac = frac
-			}
-			if r.ratePeak[spec.Out]+peakFrac > r.cfg.Concurrency+eps {
+			if r.ratePeak[spec.Out]+p > r.cfg.Concurrency+eps {
 				return fmt.Errorf("router: output %d cannot admit VBR peak %v (rate admission)", spec.Out, spec.PeakRate)
 			}
-			r.ratePeak[spec.Out] += peakFrac
+			r.ratePeak[spec.Out] += p
 		}
-		r.rateGuaranteed[spec.Out] += frac
-		return nil
-	default:
-		switch spec.Class {
-		case flit.ClassVBR:
-			if !r.core.Alloc[spec.Out].AdmitVBR(alloc, peak) {
-				return fmt.Errorf("router: output %d cannot admit VBR %v/%v", spec.Out, spec.Rate, spec.PeakRate)
-			}
-		default:
-			if !r.core.Alloc[spec.Out].AdmitCBR(alloc) {
-				return fmt.Errorf("router: output %d cannot admit %v CBR", spec.Out, spec.Rate)
-			}
-		}
+		r.rateGuaranteed[spec.Out] += g
 		return nil
 	}
+	switch {
+	case r.core.AdmitAt(spec.Out, spec.Class, d):
+		return nil
+	case spec.Class == flit.ClassVBR:
+		return fmt.Errorf("router: output %d cannot admit VBR %v/%v", spec.Out, spec.Rate, spec.PeakRate)
+	default:
+		return fmt.Errorf("router: output %d cannot admit %v CBR", spec.Out, spec.Rate)
+	}
+}
+
+// rateShare is what rate admission charges spec at its output, as
+// fractions of link bandwidth: its rate and, for VBR, its peak, never below
+// the rate (0 for CBR).
+func (r *Router) rateShare(spec traffic.ConnSpec) (g, p float64) {
+	bw := float64(r.cfg.Link.Bandwidth)
+	g = float64(spec.Rate) / bw
+	if spec.Class == flit.ClassVBR {
+		p = max(g, float64(spec.PeakRate)/bw)
+	}
+	return g, p
 }
 
 // EstablishWithSource is Establish with a caller-provided flit source —

@@ -373,7 +373,7 @@ func TestEstablishWorkload(t *testing.T) {
 }
 
 func TestFixedPriorityAssignments(t *testing.T) {
-	// By rate (default): faster connection gets strictly higher priority.
+	// Fixed: the faster connection gets strictly higher priority.
 	cfg := smallConfig()
 	cfg.Scheme = sched.Fixed{}
 	r, _ := New(cfg)
@@ -383,22 +383,6 @@ func TestFixedPriorityAssignments(t *testing.T) {
 		t.Fatal("by-rate priorities not ordered by rate")
 	}
 
-	// By index: earlier connection wins regardless of rate.
-	cfg.FixedAssign = PriorityByIndex
-	r2, _ := New(cfg)
-	c0, _ := r2.Establish(traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.Mbps, In: 0, Out: 1})
-	c1, _ := r2.Establish(traffic.ConnSpec{Class: flit.ClassCBR, Rate: 55 * traffic.Mbps, In: 0, Out: 2})
-	if r2.Memory(0).State(c0.VC).BasePriority <= r2.Memory(0).State(c1.VC).BasePriority {
-		t.Fatal("by-index priorities not descending")
-	}
-
-	// From spec: the workload's priority field is used untouched.
-	cfg.FixedAssign = PriorityFromSpec
-	r3, _ := New(cfg)
-	c, _ := r3.Establish(traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.Mbps, In: 0, Out: 1, Priority: 42})
-	if r3.Memory(0).State(c.VC).BasePriority != 42 {
-		t.Fatal("from-spec priority not preserved")
-	}
 	// Under the biased scheme the spec priority is also preserved.
 	cfg.Scheme = sched.Biased{}
 	r4, _ := New(cfg)

@@ -50,24 +50,37 @@ func (c *Calendar[T]) Invalidate() { c.stale, c.from = true, math.MinInt64 }
 // NextDue and Holding describe the sessions as they were.
 func (c *Calendar[T]) Stale() bool { return c.stale }
 
-// Visit is an injector's one look at its sessions in cycle t. key says
-// where a session belongs, as file takes it: its source's due cycle,
-// whether flits queue at its interface, its id. After an Invalidate the
-// calendar is first emptied and every session of all — the injector's
-// list, ascending id — filed by its key. Then every held session and
-// every waiting one due at or before t goes to inject, in ascending id,
+// Visit is an injector's one look at its sessions in cycle t: it hands
+// inject each session the cycle must look at, with tick set when its source
+// is due. key says where a session belongs, as file takes it: its source's
+// due cycle, whether flits queue at its interface, its id. After an
+// Invalidate the calendar is first emptied and every session of all — the
+// injector's list, ascending id — filed by its key. Then every held session
+// and every waiting one due at or before t goes to inject, in ascending id,
 // and is filed again by its key as inject left it.
 //
-// Most cycles of most injectors have nothing held or due: Visit is then
-// one compare, inlined at its caller.
-func (c *Calendar[T]) Visit(t int64, all []T, key func(T) (due int64, queued bool, id int64), inject func(T)) {
-	if t >= c.from {
-		c.work(t, all, key, inject)
+// With every set — the engine's NoIdleSkip, the reference — Visit hands
+// over every session of all instead, in list order and each with tick set,
+// and leaves the calendar stale: whenever a gated Visit comes next, it files
+// every session afresh.
+//
+// Most cycles of most gated injectors have nothing held or due: Visit is
+// then one compare, inlined at its caller.
+func (c *Calendar[T]) Visit(t int64, every bool, all []T, key func(T) (due int64, queued bool, id int64), inject func(item T, tick bool)) {
+	if every || t >= c.from {
+		c.work(t, every, all, key, inject)
 	}
 }
 
 // work is Visit when there is work.
-func (c *Calendar[T]) work(t int64, all []T, key func(T) (due int64, queued bool, id int64), inject func(T)) {
+func (c *Calendar[T]) work(t int64, every bool, all []T, key func(T) (due int64, queued bool, id int64), inject func(item T, tick bool)) {
+	if every {
+		for _, item := range all {
+			inject(item, true)
+		}
+		c.Invalidate()
+		return
+	}
 	if c.stale {
 		c.heap, c.held = c.heap[:0], c.held[:0]
 		for _, item := range all {
@@ -76,7 +89,7 @@ func (c *Calendar[T]) work(t int64, all []T, key func(T) (due int64, queued bool
 		c.stale = false
 	}
 	for _, e := range c.take(t) {
-		inject(e.item)
+		inject(e.item, e.due <= t)
 		c.file(e.item, key)
 	}
 	switch {

@@ -12,6 +12,7 @@ import (
 
 	"mmr/internal/bitvec"
 	"mmr/internal/flit"
+	"mmr/internal/sim"
 )
 
 // Config sizes one input link's VCM.
@@ -382,6 +383,11 @@ func (m *Memory) RestoreState(vc int, st VCState) {
 // FindFree returns a VC that is not in use, scanning round-robin from the
 // given position, or -1 if every VC is reserved.
 func (m *Memory) FindFree(from int) int { return m.reserved.NextClearWrap(from) }
+
+// PickFree is the one free-VC pick every reservation makes — a stream's
+// entry and per-hop VCs, a buffered packet's: FindFree from a position
+// drawn from rng.
+func (m *Memory) PickFree(rng *sim.RNG) int { return m.FindFree(rng.Intn(m.NumVCs())) }
 
 // FreeVCs returns the number of unreserved virtual channels.
 func (m *Memory) FreeVCs() int { return m.cfg.VirtualChannels - m.reserved.Count() }
