@@ -69,9 +69,9 @@ const (
 	// control-loop iterations.
 	publishEvery = 16
 	// quiesceBudget bounds how many cycles a snapshot may run the fabric
-	// forward to let in-flight establishment probes settle. Checkpoints
-	// refuse to encode mid-probe state (probes are not durable), so a
-	// snapshot requested during a connection bring-up drains it first.
+	// forward to let events scheduled outside the durable journal fire.
+	// Checkpoints refuse to encode such events (their closures cannot be
+	// serialized), so a snapshot steps past them first.
 	quiesceBudget = 1 << 16
 	// paceBurst caps how many cycles a paced loop iteration may advance
 	// at once to catch up with wall time (after a stall or a large

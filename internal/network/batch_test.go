@@ -359,41 +359,3 @@ func TestRouteModeChangesConfigHash(t *testing.T) {
 		t.Fatal("route modes must hash to distinct configurations")
 	}
 }
-
-// TestQuiesceProbes asserts a fabric with establishment probes in flight
-// refuses to checkpoint, quiesces in bounded time, and then checkpoints
-// cleanly — the daemon's snapshot-during-bring-up path.
-func TestQuiesceProbes(t *testing.T) {
-	tp, err := topology.Mesh(4, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(DefaultConfig(tp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := traffic.ConnSpec{Class: flit.ClassCBR, Rate: 8 * traffic.Mbps}
-	opened := 0
-	for i := 0; i < 6; i++ {
-		err := openProbe(n, "", i, 15-i, spec, func(c *Conn, err error) {
-			if err == nil {
-				opened++
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := n.EncodeState(); err == nil {
-		t.Fatal("EncodeState must refuse while probes are in flight")
-	}
-	if err := n.QuiesceProbes(100_000); err != nil {
-		t.Fatal(err)
-	}
-	if opened == 0 {
-		t.Fatal("no probe completed during quiesce")
-	}
-	if _, err := n.EncodeState(); err != nil {
-		t.Fatalf("EncodeState after quiesce: %v", err)
-	}
-}

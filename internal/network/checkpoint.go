@@ -21,13 +21,10 @@ import (
 
 // EncodeState serializes the network's full mutable state. It must be
 // called between cycles (never from inside an event or phase) and
-// refuses to run while state that cannot round-trip is in flight: an
-// active establishment probe, or a pending event that is not in the
-// durable journal (anything scheduled via Network.Schedule directly).
+// refuses to run while state that cannot round-trip is in flight: a
+// pending event that is not in the durable journal (anything scheduled
+// via Network.Schedule directly).
 func (n *Network) EncodeState() ([]byte, error) {
-	if n.activeProbes > 0 {
-		return nil, fmt.Errorf("network: cannot checkpoint with %d establishment probes in flight", n.activeProbes)
-	}
 	if p := n.events.Pending(); p != len(n.durables) {
 		return nil, fmt.Errorf("network: cannot checkpoint: %d pending events but only %d in the durable journal (events scheduled via Schedule hold closures a checkpoint cannot serialize)", p, len(n.durables))
 	}
@@ -257,18 +254,17 @@ func (n *Network) ConfigHash() uint64 {
 	return h
 }
 
-// QuiesceProbes steps the fabric until no establishment probe is in
-// flight and every pending event sits in the durable journal, bounded by
-// limit cycles — the preamble a live checkpoint needs when sessions are
-// still being set up. Probes resolve in bounded time (each advances or
-// backtracks every HopLatency cycles and the search space is finite), so
-// a limit of a few HopLatency × fabric-diameter × probes cycles is ample.
+// QuiesceProbes steps the fabric until every pending event sits in the
+// durable journal, bounded by limit cycles — the preamble a live
+// checkpoint needs while closures scheduled through Schedule are pending.
+// (The name predates the synchronous establishment model: no probe is
+// ever in flight between calls.)
 func (n *Network) QuiesceProbes(limit int64) error {
 	deadline := n.now + limit
-	for n.activeProbes > 0 || n.events.Pending() != len(n.durables) {
+	for n.events.Pending() != len(n.durables) {
 		if n.now >= deadline {
-			return fmt.Errorf("network: %d probes and %d non-durable events still in flight after %d quiesce cycles",
-				n.activeProbes, n.events.Pending()-len(n.durables), limit)
+			return fmt.Errorf("network: %d non-durable events still pending after %d quiesce cycles",
+				n.events.Pending()-len(n.durables), limit)
 		}
 		n.Step()
 	}

@@ -157,7 +157,7 @@ func (n *Network) cycle(skipTo int64) {
 		n.buildActive(t)
 		if len(n.active) == 0 && skipTo > t {
 			next := n.nextWake(t, skipTo)
-			n.m.cycles += next - t
+			n.m.Cycles += next - t
 			n.idleSkipped += next - t
 			n.now = next
 			return
@@ -177,7 +177,7 @@ func (n *Network) cycle(skipTo int64) {
 		n.settle(t)
 	}
 	n.now++
-	n.m.cycles++
+	n.m.Cycles++
 }
 
 // FusedDrainCycles is always 0: the fused drain kernel it counted is
@@ -200,9 +200,10 @@ func (n *Network) Shutdown() {}
 // shards reset with the sinks bound to them (router.Sink.Reset), so
 // hot-path series (per-class histograms, grant counters) cover the same
 // measurement window as the stats snapshot; mirrored series lose nothing —
-// the next gather rewrites them.
+// the next gather rewrites them. The setup and fault counters survive: they
+// describe session-level behaviour, not the warmed-up datapath.
 func (n *Network) ResetStats() {
-	n.m.reset()
+	n.m.Cycles = 0
 	for _, nd := range n.nodes {
 		nd.stats.reset()
 		nd.tstats.reset()

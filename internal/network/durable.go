@@ -115,8 +115,8 @@ func (n *Network) restoreAttempt(c *Conn, attempt int) {
 	if err := n.establish(c); err == nil {
 		c.broken = false
 		c.Restores++
-		n.m.connsRestored++
-		n.m.restoreLatency.Add(float64(n.now - c.brokenAt))
+		n.m.ConnsRestored++
+		n.m.RestoreLatency.Add(float64(n.now - c.brokenAt))
 		n.logEvent(SessionEvent{Kind: "conn-restored", Conn: c.ID, Node: c.Src, Port: -1,
 			Detail: fmt.Sprintf("after %d cycles, attempt %d", n.now-c.brokenAt, attempt+1)})
 		n.recordFlight(c.Src, evConnRestored, int32(c.Dst), int32(attempt+1), int64(c.ID))
@@ -131,7 +131,7 @@ func (n *Network) restoreAttempt(c *Conn, attempt int) {
 		return
 	}
 	delay := n.retryBackoff(attempt)
-	n.m.setupRetries++
+	n.m.SetupRetries++
 	n.scheduleDurable(n.now+delay, durRestore, int64(c.ID), int64(attempt+1))
 }
 
@@ -155,6 +155,6 @@ func (n *Network) openAttempt(id int64, or *openRetry) {
 	}
 	delay := n.retryBackoff(or.attempt)
 	or.attempt++
-	n.m.setupRetries++
+	n.m.SetupRetries++
 	n.scheduleDurable(n.now+delay, durOpenRetry, id, 0)
 }

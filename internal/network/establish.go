@@ -15,7 +15,7 @@ import (
 // ways in (Open, OpenWithRetry, OpenBatch in batch.go, and OpenRequest,
 // which they are forms of), the one pre-admission check and the one
 // registration every new session passes, and teardown. The reservation
-// side — the hold ledger, the EPB search, the probe — is probe.go.
+// side — the hold ledger and the EPB search — is probe.go.
 
 // OpenReq is one connection request.
 type OpenReq struct {
@@ -41,11 +41,6 @@ const (
 	// journal (durable.go) and survive a checkpoint; the callback does
 	// not: a restored fabric replays them and reports to no one.
 	FormRetry
-	// FormProbe launches an event-driven EPB probe that advances one hop
-	// per HopLatency cycles and races every other probe in flight; an
-	// acknowledgment retraces the path before the session is reported and
-	// injection starts (probe.go).
-	FormProbe
 )
 
 // OpenRequest establishes a connection from the host at req.Src to the
@@ -76,8 +71,6 @@ func (n *Network) OpenRequest(req OpenReq, form Form, done func(*Conn, error)) e
 		done(n.open(req, nil))
 	case FormRetry:
 		n.openAttempt(-1, &openRetry{req: req, done: done})
-	case FormProbe:
-		n.launchProbe(req, done)
 	default:
 		return fmt.Errorf("network: unknown establishment form %d", form)
 	}
@@ -104,17 +97,11 @@ func (n *Network) open(req OpenReq, pre *precheckTables) (*Conn, error) {
 	}
 	l := &n.sync
 	l.begin(n, req, d)
-	var conn *Conn
-	if err = n.reservePath(l); err == nil {
-		err = l.try(func() (err error) {
-			conn, err = n.register(l)
-			return err
-		})
-	}
-	if err != nil {
-		n.m.setupRejected++
+	if err = n.reservePath(l); err != nil {
+		n.m.SetupRejected++
 		return nil, err
 	}
+	conn := n.register(l)
 	if pre != nil {
 		n.precheckCommit(pre, req, d)
 	}
@@ -129,7 +116,7 @@ func (n *Network) preAdmit(req OpenReq, pre *precheckTables) (router.Demand, err
 	if err := n.checkEndpoints(req); err != nil {
 		return router.Demand{}, err
 	}
-	n.m.setupAttempts++
+	n.m.SetupAttempts++
 	d := n.demandFor(req.Spec)
 	var err error
 	if !n.tenants.CanAdmit(req.Tenant, d.Alloc) {
@@ -138,32 +125,28 @@ func (n *Network) preAdmit(req OpenReq, pre *precheckTables) (router.Demand, err
 		err = n.precheck(pre, req, d)
 	}
 	if err != nil {
-		n.m.setupRejected++
+		n.m.SetupRejected++
 	}
 	return d, err
 }
 
 // register turns a complete reservation into a session: the tenant is
 // charged, the path installed, the connection recorded and counted. The
-// charge can only be refused to a probe — its tenant's budget may have
-// filled while it was in flight — and then nothing has been touched; the
-// caller's try gives the reservation back, exactly as a failed
-// acknowledgment would.
-func (n *Network) register(l *holds) (*Conn, error) {
+// charge cannot be refused: preAdmit checked the quota and nothing since
+// has charged the tenant.
+func (n *Network) register(l *holds) *Conn {
 	req := l.req
-	if !n.tenants.AdmitSession(req.Tenant, l.d.Alloc) {
-		return nil, tenantQuotaError(req.Tenant, n.tenants)
-	}
+	n.tenants.AdmitSession(req.Tenant, l.d.Alloc)
 	conn := n.arena.conn()
 	*conn = Conn{ID: flit.ConnID(len(n.conns)), Src: req.Src, Dst: req.Dst, Tenant: req.Tenant, Spec: req.Spec, dstSlot: -1}
 	n.installPath(conn, l)
 	n.conns = append(n.conns, conn)
 	n.nodes[req.Src].srcConns = append(n.nodes[req.Src].srcConns, conn)
 	n.assignTrackerSlot(conn)
-	n.m.setupAccepted++
-	n.m.setupLatency.Add(float64(conn.SetupTime))
-	n.m.setupBacktracks.Add(float64(conn.Backtracks))
-	return conn, nil
+	n.m.SetupAccepted++
+	n.m.SetupLatency.Add(float64(conn.SetupTime))
+	n.m.SetupBacktracks.Add(float64(conn.Backtracks))
+	return conn
 }
 
 // establish reserves a path for an existing connection and installs it:
@@ -300,7 +283,7 @@ func (n *Network) Close(conn *Conn) error {
 		n.dropBEFlow(conn.ID)
 		conn.closed = true
 		n.degradedLive--
-		n.m.closed++
+		n.m.Closed++
 		n.tenants.ReleaseSession(conn.Tenant)
 		return nil
 	}
@@ -318,7 +301,7 @@ func (n *Network) Close(conn *Conn) error {
 	conn.ni.Source = nil
 	n.releasePath(conn)
 	n.dropSrcConn(conn)
-	n.m.closed++
+	n.m.Closed++
 	n.tenants.ReleaseAll(conn.Tenant, n.demandFor(conn.Spec).Alloc)
 	// The close freed guaranteed cycles along the whole path — capacity a
 	// degraded session may be waiting on.

@@ -85,7 +85,7 @@ func (n *Network) RestoreLink(nodeID, port int) error {
 		return nil
 	}
 	tp.SetLinkUp(nodeID, port, true)
-	n.m.faultsRepaired++
+	n.m.FaultsRepaired++
 	n.logEvent(SessionEvent{Kind: "link-up", Conn: flit.InvalidConn, Node: nodeID, Port: port})
 	n.recordFlight(nodeID, evLinkUp, int32(port), int32(tp.Wired(nodeID, port)), 0)
 	n.afterTransition()
@@ -121,7 +121,7 @@ func (n *Network) RestoreRouter(nodeID int) error {
 	for p := 0; p < tp.Ports; p++ {
 		if tp.Wired(nodeID, p) >= 0 && !tp.LinkUp(nodeID, p) {
 			tp.SetLinkUp(nodeID, p, true)
-			n.m.faultsRepaired++
+			n.m.FaultsRepaired++
 			n.logEvent(SessionEvent{Kind: "link-up", Conn: flit.InvalidConn, Node: nodeID, Port: p})
 			n.recordFlight(nodeID, evLinkUp, int32(p), int32(tp.Wired(nodeID, p)), 0)
 			restored = true
@@ -141,7 +141,7 @@ func (n *Network) failLink(nodeID, port int) {
 	peer := tp.Wired(nodeID, port)
 	peerPort := tp.WiredPeer(nodeID, port)
 	tp.SetLinkUp(nodeID, port, false)
-	n.m.faultsInjected++
+	n.m.FaultsInjected++
 	n.logEvent(SessionEvent{Kind: "link-down", Conn: flit.InvalidConn, Node: nodeID, Port: port})
 	n.recordFlight(nodeID, evLinkDown, int32(port), int32(peer), 0)
 
@@ -190,7 +190,7 @@ func (n *Network) purgePipe(nodeID, port, peer, peerPort int) {
 	lane := &n.nodes[nodeID].out[port].flits
 	for _, e := range lane.Pending() {
 		lf := e.V
-		n.m.faultFlitsLost++
+		n.m.FaultFlitsLost++
 		if lf.f.Class == flit.ClassBestEffort || lf.f.Class == flit.ClassControl {
 			// The packet dies here; free the input VC it had reserved at
 			// the receiver.
@@ -238,12 +238,12 @@ func (n *Network) breakConn(c *Conn, reason string) {
 	c.broken = true
 	c.open = false
 	c.brokenAt = n.now
-	n.m.connsBroken++
+	n.m.ConnsBroken++
 	n.logEvent(SessionEvent{Kind: "conn-broken", Conn: c.ID, Node: c.Src, Port: -1, Detail: reason})
 	n.recordFlight(c.Src, evConnBroken, int32(c.Dst), -1, int64(c.ID))
 
 	// Source-interface queue: flits not yet in the fabric are dropped.
-	n.m.faultFlitsLost += int64(c.ni.Queue.Len())
+	n.m.FaultFlitsLost += int64(c.ni.Queue.Len())
 	for c.ni.Queue.Len() > 0 {
 		n.pool.Put(c.ni.Queue.Pop())
 	}
@@ -252,7 +252,7 @@ func (n *Network) breakConn(c *Conn, reason string) {
 	for _, hop := range c.Path {
 		n.nodes[hop.Node].out[hop.Port].flits.Filter(func(lf linkFlit) bool {
 			if lf.f.Conn == c.ID {
-				n.m.faultFlitsLost++
+				n.m.FaultFlitsLost++
 				n.pool.Put(lf.f)
 				return false
 			}
@@ -279,7 +279,7 @@ func (n *Network) breakConn(c *Conn, reason string) {
 		x := n.nodes[c.Nodes[i]]
 		for x.Mems[ref.Port].Len(ref.VC) > 0 {
 			n.pool.Put(x.Mems[ref.Port].Pop(ref.VC))
-			n.m.faultFlitsLost++
+			n.m.FaultFlitsLost++
 		}
 		x.Credits[ref.Port].Reset(ref.VC)
 		// Every router on the path lost buffered flits, staged lane
@@ -318,7 +318,7 @@ func (n *Network) abandon(c *Conn) {
 	if n.cfg.Fault.Degrade {
 		c.Degraded = true
 		c.broken = false
-		n.m.connsDegraded++
+		n.m.ConnsDegraded++
 		n.degradedLive++
 		// The guaranteed-bandwidth charge is returned to the tenant's
 		// budget: the session continues, but only as best-effort. The
@@ -335,7 +335,7 @@ func (n *Network) abandon(c *Conn) {
 	}
 	c.lost = true
 	n.dropSrcConn(c)
-	n.m.connsLost++
+	n.m.ConnsLost++
 	n.tenants.ReleaseGuaranteed(c.Tenant, n.demandFor(c.Spec).Alloc)
 	n.tenants.ReleaseSession(c.Tenant)
 	n.logEvent(SessionEvent{Kind: "conn-lost", Conn: c.ID, Node: c.Src, Port: -1,

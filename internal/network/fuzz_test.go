@@ -11,11 +11,12 @@ import (
 )
 
 // churn drives a small mesh with random interleaved operations —
-// synchronous opens, async probes, retried opens, teardowns, best-effort
-// flows, link failures and repairs, cycle bursts — and checks invariants
-// after each: flit conservation across VCMs, wires, queues and fault
-// losses; allocator registers never negative; the resource bookkeeping
-// of closed and fault-broken connections fully released (CheckInvariants).
+// single opens for the default tenant and a named one, retried opens,
+// teardowns, best-effort flows, link failures and repairs, cycle
+// bursts — and checks invariants after each: flit conservation across
+// VCMs, wires, queues and fault losses; allocator registers never
+// negative; the resource bookkeeping of closed and fault-broken
+// connections fully released (CheckInvariants).
 // Panics (flow-control violations, double releases, paranoid-mode audits)
 // fail the property. Shared by the quick.Check test and the native
 // fuzzers.
@@ -51,13 +52,13 @@ func churnOps(seed uint64, linkDelay int64, ops []byte, run func(n *Network, cyc
 			if c, err := n.Open(src, dst, traffic.ConnSpec{Class: flit.ClassCBR, Rate: rate}); err == nil {
 				open = append(open, c)
 			}
-		case 2: // async probe
+		case 2: // a tenant's single attempt
 			src, dst := rng.Intn(9), rng.Intn(9)
 			if src == dst {
 				break
 			}
-			openProbe(n, "", src, dst, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 10 * traffic.Mbps},
-				func(c *Conn, err error) {
+			n.OpenRequest(OpenReq{Src: src, Dst: dst, Spec: traffic.ConnSpec{Class: flit.ClassCBR, Rate: 10 * traffic.Mbps}, Tenant: "fuzz"},
+				FormOnce, func(c *Conn, err error) {
 					if err == nil {
 						open = append(open, c)
 					}
@@ -160,7 +161,7 @@ func networkInvariants(n *Network) bool {
 		del += nd.stats.sink.Streams() + nd.stats.sink.Delivered[flit.ClassBestEffort]
 		lost += nd.stats.flitsDropped
 	}
-	lost += n.m.faultFlitsLost
+	lost += n.m.FaultFlitsLost
 	if gen != del+buffered+queued+inflight+lost {
 		return false
 	}

@@ -22,14 +22,13 @@ import (
 //  1. Every VC a live connection claims is reserved for it and switched
 //     to its route's next port, with a channel mapping to the next VC
 //     and an upstream pointer back on non-final hops; every other in-use
-//     VC is a best-effort/control packet in flight — or, while probes
-//     are active, a transient search hold.
+//     VC is a best-effort/control packet in flight. Establishment installs
+//     or releases its holds before it returns, so none is ever excused.
 //  2. Per stream hop, credits are conserved: shadow credits + credits in
 //     flight upstream + flits buffered downstream + flits on the link
 //     pipe account for exactly the downstream buffer depth.
-//  3. Per output link, the guaranteed bandwidth register equals the sum
-//     of the live connections' demands crossing it (with transient probe
-//     holds allowed to push it higher, never lower).
+//  3. Per output link, the guaranteed and peak bandwidth registers equal
+//     the sums of the live connections' demands crossing it.
 //  4. The mirrors the datapath steers by say what they mirror: every
 //     memory's status vectors, Busy bit and head stamps
 //     (vcm.Memory.CheckMirrors), and a node's inbound bit is clear only
@@ -119,7 +118,7 @@ func (n *Network) CheckInvariants() error {
 	}
 
 	// Sweep every VC: claimed ones were verified above; anything else in
-	// use must be a packet in flight or a transient probe hold.
+	// use must be a packet in flight.
 	for _, nd := range n.nodes {
 		for i, e := range nd.in {
 			if w := &n.wires[e.lane]; !nd.inbound.Test(i) && len(w.credits.Pending())+len(w.flits.Pending()) > 0 {
@@ -143,24 +142,20 @@ func (n *Network) CheckInvariants() error {
 				if n.claimed.Test((nd.id*radix+p)*vcs+vc) || st.Class == flit.ClassBestEffort || st.Class == flit.ClassControl {
 					continue
 				}
-				if st.Conn == flit.InvalidConn && n.activeProbes > 0 {
-					continue // transient EPB search hold
-				}
 				return fmt.Errorf("invariant: node %d port %d VC %d leaked (class=%v conn=%d, no live connection claims it)",
 					nd.id, p, vc, st.Class, st.Conn)
 			}
 		}
 	}
 
-	// Bandwidth registers: exact when no probe is mid-search, otherwise
-	// the transient holds may only add.
+	// Bandwidth registers: exact.
 	for _, nd := range n.nodes {
 		for p, a := range nd.Alloc {
 			got, want := [2]int{a.Guaranteed(), a.PeakTotal()}, n.want[nd.id*radix+p]
 			for r, name := range [2]string{"guaranteed", "peak"} {
-				if got[r] < want[r] || (n.activeProbes == 0 && got[r] != want[r]) {
-					return fmt.Errorf("invariant: node %d port %d %s bandwidth %d cycles, connections demand %d (probes=%d)",
-						nd.id, p, name, got[r], want[r], n.activeProbes)
+				if got[r] != want[r] {
+					return fmt.Errorf("invariant: node %d port %d %s bandwidth %d cycles, connections demand %d",
+						nd.id, p, name, got[r], want[r])
 				}
 			}
 		}

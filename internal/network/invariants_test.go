@@ -287,6 +287,16 @@ var auditCorruptions = []struct {
 			n.nodes[s.node].Busy.Clear(s.port)
 			return fmt.Sprintf("invariant: node %d port %d: vcm: Busy bit %d ", s.node, s.port, s.port)
 		}},
+	{"an establishment hold outlives its attempt",
+		func(n *Network) []auditSite {
+			return nodeVCs(n, func(nd *node, p, vc int) bool { return !nd.Mems[p].State(vc).InUse && nd.Mems[p].Len(vc) == 0 })
+		},
+		func(n *Network, s auditSite) string {
+			// The transient state holds.reserve gives a VC: no connection yet.
+			n.nodes[s.node].Mems[s.port].Reserve(s.vc, vcm.VCState{Class: flit.ClassCBR, Conn: flit.InvalidConn, Output: -1})
+			return fmt.Sprintf("invariant: node %d port %d VC %d leaked (class=%v conn=%d, no live connection claims it)",
+				s.node, s.port, s.vc, flit.ClassCBR, flit.InvalidConn)
+		}},
 }
 
 // checkCorruptions restores blob once per corruption into a fresh fabric,
@@ -317,8 +327,9 @@ func checkCorruptions(t *testing.T, seed uint64, blob []byte, pick func(sites in
 // on a loaded fabric, every class of violation — a VC claimed twice or by
 // the wrong record, a wrong channel mapping, output or upstream pointer, a
 // lost credit, a leaked VC, a free VC holding a packet, either bandwidth
-// register off, a clear inbound or Busy bit over held entries — is caught,
-// and reported as that violation with its message.
+// register off, a clear inbound or Busy bit over held entries, a hold no
+// connection owns — is caught, and reported as that violation with its
+// message.
 func TestCheckInvariantsCatchesEachViolation(t *testing.T) {
 	checkCorruptions(t, 1, auditSnapshot(t, 1), func(int) int { return 0 })
 }

@@ -51,7 +51,7 @@ func (n *Network) ModifyBandwidth(c *Conn, rate traffic.Rate) error {
 	// Growth is charged against the tenant's guaranteed-bandwidth budget
 	// before any link register is touched; shrinking refunds it.
 	if !n.tenants.AdjustGuaranteed(c.Tenant, delta) {
-		n.m.setupRejected++
+		n.m.SetupRejected++
 		return fmt.Errorf("network: tenant %q over guaranteed-bandwidth quota growing connection %d to %v", c.Tenant, c.ID, rate)
 	}
 
@@ -69,7 +69,7 @@ func (n *Network) ModifyBandwidth(c *Conn, rate traffic.Rate) error {
 				n.nodes[u.node].Alloc[u.port].AdjustCBR(-delta)
 			}
 			n.tenants.AdjustGuaranteed(c.Tenant, -delta)
-			n.m.setupRejected++
+			n.m.SetupRejected++
 			return fmt.Errorf("network: output %d:%d cannot grow connection %d to %v", o.node, o.port, c.ID, rate)
 		}
 	}

@@ -408,12 +408,10 @@ type Network struct {
 	tenantSlots map[string]int32
 	tenantNames []string
 
-	// Fault-injection runtime: per-directed-link impairments, in-flight
-	// probe count (transient VC holds the invariant checker must allow),
-	// and the session event log.
-	impair       map[[2]int]faults.Impairment
-	activeProbes int
-	sessionLog   []SessionEvent
+	// Fault-injection runtime: per-directed-link impairments and the
+	// session event log.
+	impair     map[[2]int]faults.Impairment
+	sessionLog []SessionEvent
 
 	// Establishment state: sync is the hold ledger (and EPB search
 	// scratch) of the synchronous attempt in progress — Open, OpenBatch,
@@ -422,7 +420,8 @@ type Network struct {
 	sync  holds
 	arena connArena
 
-	m netStats
+	// m is the session-level statistics record (stats.go).
+	m Stats
 
 	// Observability layer (observe.go): metric handles + registry, and
 	// the sink automatic flight-recorder dumps go to.
@@ -671,7 +670,7 @@ func (n *Network) removeBEFlowAt(i int) {
 func (n *Network) dropBEFlow(id flit.ConnID) {
 	for i, bf := range n.beFlows {
 		if bf.conn == id {
-			n.m.faultFlitsLost += int64(bf.ni.Queue.Len())
+			n.m.FaultFlitsLost += int64(bf.ni.Queue.Len())
 			n.removeBEFlowAt(i)
 			return
 		}

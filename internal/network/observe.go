@@ -15,8 +15,8 @@ import (
 // observe.go is the network's observability layer: a zero-alloc metrics
 // registry sharded per node exactly like dpStats, plus one flight
 // recorder per node. Counters the simulator already maintains (dpStats,
-// netStats, scheduler counters) are mirrored into the registry at
-// gather time so the hot path is not charged twice for them; only
+// the session record, scheduler counters) are mirrored into the registry
+// at gather time so the hot path is not charged twice for them; only
 // genuinely new series — per-class delay/jitter histograms, per-output
 // grant counters, claim failures, dead-output skips — record inside the
 // flit cycle, and each of those is a slice increment on the node's own
@@ -93,21 +93,10 @@ type netMetrics struct {
 	flitsDropped   metrics.Counter
 	flitsCorrupted metrics.Counter
 
-	// Session-level counters, mirrored from netStats into shard 0 (they
-	// are maintained on the control path, which has no shard).
-	setupAttempts  metrics.Counter
-	setupAccepted  metrics.Counter
-	setupRejected  metrics.Counter
-	setupRetries   metrics.Counter
-	closed         metrics.Counter
-	faultsInjected metrics.Counter
-	faultsRepaired metrics.Counter
-	faultFlitsLost metrics.Counter
-	connsBroken    metrics.Counter
-	connsRestored  metrics.Counter
-	connsDegraded  metrics.Counter
-	connsPromoted  metrics.Counter
-	connsLost      metrics.Counter
+	// Session-level counters, one per entry of Stats.sessionCounters,
+	// mirrored into shard 0 (they are maintained on the control path,
+	// which has no shard).
+	session []metrics.Counter
 
 	// Mirrored out of each node's Core (router.Core.Mirror): the link
 	// schedulers' counters and the per-port VC and bandwidth gauges.
@@ -159,19 +148,9 @@ func (n *Network) initMetrics() {
 	nm.core.RoundExhausted = reg.Counter("mmr_net_sched_round_exhausted_total", "VC-cycles passed over: per-round allocation consumed")
 	nm.core.BiasBoosted = reg.Counter("mmr_net_sched_bias_boosted_total", "nominated candidates lifted above base priority by the dynamic bias")
 
-	nm.setupAttempts = reg.Counter("mmr_net_setup_attempts_total", "connection establishment attempts")
-	nm.setupAccepted = reg.Counter("mmr_net_setup_accepted_total", "connection establishments accepted")
-	nm.setupRejected = reg.Counter("mmr_net_setup_rejected_total", "connection establishments rejected")
-	nm.setupRetries = reg.Counter("mmr_net_setup_retries_total", "establishment re-searches scheduled")
-	nm.closed = reg.Counter("mmr_net_conns_closed_total", "connections closed gracefully")
-	nm.faultsInjected = reg.Counter("mmr_net_faults_injected_total", "link-down transitions applied")
-	nm.faultsRepaired = reg.Counter("mmr_net_faults_repaired_total", "link-up transitions applied")
-	nm.faultFlitsLost = reg.Counter("mmr_net_fault_flits_lost_total", "flits purged by link failures and teardowns")
-	nm.connsBroken = reg.Counter("mmr_net_conns_broken_total", "connections torn down by faults")
-	nm.connsRestored = reg.Counter("mmr_net_conns_restored_total", "connections re-established on a surviving path")
-	nm.connsDegraded = reg.Counter("mmr_net_conns_degraded_total", "connections downgraded to best-effort")
-	nm.connsPromoted = reg.Counter("mmr_net_conns_promoted_total", "connections re-promoted from best-effort to guaranteed service")
-	nm.connsLost = reg.Counter("mmr_net_conns_lost_total", "connections abandoned after failed restoration")
+	for _, sc := range n.m.sessionCounters() {
+		nm.session = append(nm.session, reg.Counter(sc.name, sc.help))
+	}
 
 	nm.cycles = reg.Gauge("mmr_net_cycles", "flit cycles simulated since the last stats reset")
 	nm.switchUtil = reg.Gauge("mmr_net_switch_utilization",
@@ -205,32 +184,21 @@ func (n *Network) collectMetrics() {
 
 		nd.Mirror(nd.ms, &nm.core)
 
-		if n.m.cycles > 0 {
+		if n.m.Cycles > 0 {
 			var grants int64
 			for p := 0; p < radix; p++ {
 				grants += nd.ms.CounterValue(nm.grantsByPort[p])
 			}
-			nd.ms.Set(nm.switchUtil, float64(grants)/float64(n.m.cycles)/float64(radix))
+			nd.ms.Set(nm.switchUtil, float64(grants)/float64(n.m.Cycles)/float64(radix))
 		}
 	}
 
 	// Session-level counters live on the control path; shard 0 carries them.
 	s0 := n.nodes[0].ms
-	m := &n.m
-	s0.Store(nm.setupAttempts, m.setupAttempts)
-	s0.Store(nm.setupAccepted, m.setupAccepted)
-	s0.Store(nm.setupRejected, m.setupRejected)
-	s0.Store(nm.setupRetries, m.setupRetries)
-	s0.Store(nm.closed, m.closed)
-	s0.Store(nm.faultsInjected, m.faultsInjected)
-	s0.Store(nm.faultsRepaired, m.faultsRepaired)
-	s0.Store(nm.faultFlitsLost, m.faultFlitsLost)
-	s0.Store(nm.connsBroken, m.connsBroken)
-	s0.Store(nm.connsRestored, m.connsRestored)
-	s0.Store(nm.connsDegraded, m.connsDegraded)
-	s0.Store(nm.connsPromoted, m.connsPromoted)
-	s0.Store(nm.connsLost, m.connsLost)
-	s0.Set(nm.cycles, float64(m.cycles))
+	for i, sc := range n.m.sessionCounters() {
+		s0.Store(nm.session[i], *sc.v)
+	}
+	s0.Set(nm.cycles, float64(n.m.Cycles))
 }
 
 // Metrics returns the network's metric registry (for registering extra

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"mmr/internal/admission"
 	"mmr/internal/flit"
 	"mmr/internal/topology"
 	"mmr/internal/traffic"
@@ -21,11 +20,6 @@ func openAs(n *Network, tenant string, src, dst int, spec traffic.ConnSpec) (c *
 		return nil, verr
 	}
 	return c, err
-}
-
-// openProbe launches an event-driven EPB probe on behalf of a tenant.
-func openProbe(n *Network, tenant string, src, dst int, spec traffic.ConnSpec, done func(*Conn, error)) error {
-	return n.OpenRequest(OpenReq{Src: src, Dst: dst, Spec: spec, Tenant: tenant}, FormProbe, done)
 }
 
 // heldResources is what establishment takes from the fabric: free VCs
@@ -60,10 +54,10 @@ func portTo(t *testing.T, tp *topology.Topology, a, b int) int {
 }
 
 // TestEstablishmentLeavesNoHolds drives each reservation shape — the
-// fixed candidate path, the synchronous EPB search, the event-driven
-// probe — into each way an establishment can end without a session, and
-// asserts the fabric is exactly as it was before the attempt: the
-// invariants hold, and every port has its VCs and bandwidth back.
+// fixed candidate path, the EPB search — into each way an establishment
+// can end without a session, and asserts the fabric is exactly as it was
+// before the attempt: the invariants hold, and every port has its VCs and
+// bandwidth back.
 func TestEstablishmentLeavesNoHolds(t *testing.T) {
 	// Both fabrics put 4 hops between the endpoints: a 5-router chain
 	// (one path, so one blocked link refuses the attempt) and opposite
@@ -72,24 +66,17 @@ func TestEstablishmentLeavesNoHolds(t *testing.T) {
 	spec := traffic.ConnSpec{Class: flit.ClassCBR, Rate: 100 * traffic.Mbps}
 
 	type scenario struct {
-		name   string
-		shapes []string
-		chain  bool // run on the chain instead of the mesh
-		// arrange prepares the fabric before the baseline snapshot;
-		// during runs with the probe in flight (after the given number of
-		// cycles); settle undoes what during did, before the comparison.
+		name  string
+		chain bool // run on the chain instead of the mesh
+		// arrange prepares the fabric before the baseline snapshot.
 		arrange func(t *testing.T, n *Network)
 		hookAt  int // panic inside the hookAt-th per-hop reservation (1-based)
-		after   int64
-		during  func(t *testing.T, n *Network)
-		settle  func(t *testing.T, n *Network)
 		wantErr string
 	}
-	all := []string{"fixed", "epb", "probe"}
 	var scenarios []scenario
 	for k := 1; k < len(chain)-1; k++ {
 		scenarios = append(scenarios, scenario{
-			name: fmt.Sprintf("refusal at hop %d", k), shapes: all, chain: true,
+			name: fmt.Sprintf("refusal at hop %d", k), chain: true,
 			// Sessions from k to k+1 hold every VC of that link.
 			arrange: func(t *testing.T, n *Network) {
 				for i := 0; i < n.cfg.VCs; i++ {
@@ -102,7 +89,7 @@ func TestEstablishmentLeavesNoHolds(t *testing.T) {
 		})
 	}
 	scenarios = append(scenarios, scenario{
-		name: "refusal at ejection", shapes: all,
+		name: "refusal at ejection",
 		// Fill the destination's host port over both links into it, until
 		// it admits no session of the attempt's rate.
 		arrange: func(t *testing.T, n *Network) {
@@ -117,37 +104,11 @@ func TestEstablishmentLeavesNoHolds(t *testing.T) {
 		wantErr: "destination host port",
 	})
 	for k := 1; k <= 4; k++ {
-		scenarios = append(scenarios, scenario{name: fmt.Sprintf("panic in reservation %d", k), shapes: all, hookAt: k})
+		scenarios = append(scenarios, scenario{name: fmt.Sprintf("panic in reservation %d", k), hookAt: k})
 	}
-	scenarios = append(scenarios,
-		scenario{
-			name: "link failed during the ack", shapes: []string{"probe"},
-			// 4 hops out take 16 cycles; the ack is then on its way back.
-			after:   22,
-			during:  func(t *testing.T, n *Network) { n.FailLink(mesh[1], portTo(t, n.cfg.Topology, mesh[1], mesh[2])) },
-			wantErr: "failed during establishment",
-		},
-		scenario{
-			name: "tenant budget filled in flight", shapes: []string{"probe"},
-			arrange: func(t *testing.T, n *Network) {
-				n.Tenants().SetQuota("t", admission.TenantQuota{MaxSessions: 1})
-			},
-			after: 10,
-			during: func(t *testing.T, n *Network) {
-				if _, err := openAs(n, "t", 3, 4, traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.Mbps}); err != nil {
-					t.Fatal(err)
-				}
-			},
-			settle: func(t *testing.T, n *Network) {
-				if err := n.DrainAndClose(n.conns[len(n.conns)-1], 10000); err != nil {
-					t.Fatal(err)
-				}
-			},
-			wantErr: "over admission quota",
-		})
 
 	for _, sc := range scenarios {
-		for _, shape := range sc.shapes {
+		for _, shape := range []string{"fixed", "epb"} {
 			t.Run(sc.name+"/"+shape, func(t *testing.T) {
 				route, w, h := mesh, 3, 3
 				if sc.chain {
@@ -193,17 +154,6 @@ func TestEstablishmentLeavesNoHolds(t *testing.T) {
 						outcome = l.try(func() error { return l.along(ports) })
 					case "epb":
 						_, outcome = openAs(n, req.Tenant, src, dst, spec)
-					case "probe":
-						reported := false
-						openProbe(n, req.Tenant, src, dst, spec, func(_ *Conn, err error) { reported, outcome = true, err })
-						if sc.during != nil {
-							n.Run(sc.after)
-							sc.during(t, n)
-						}
-						n.Run(400)
-						if !reported {
-							t.Fatal("probe never reported")
-						}
 					}
 					return false
 				}()
@@ -218,19 +168,13 @@ func TestEstablishmentLeavesNoHolds(t *testing.T) {
 				case shape != "fixed" && !strings.Contains(outcome.Error(), sc.wantErr):
 					t.Fatalf("refused with %q, want %q", outcome, sc.wantErr)
 				}
-				if sc.settle != nil {
-					sc.settle(t, n)
-				}
-				if n.activeProbes != 0 {
-					t.Fatalf("%d probes still counted in flight", n.activeProbes)
-				}
 				if err := n.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
 				if after := snapshotHeld(n); !reflect.DeepEqual(before, after) {
 					t.Fatalf("holds leaked:\\n before %v\\n after  %v", before, after)
 				}
-				if sc.settle == nil && len(n.conns) != conns {
+				if len(n.conns) != conns {
 					t.Fatalf("%d sessions registered by a failed attempt", len(n.conns)-conns)
 				}
 			})

@@ -29,7 +29,7 @@ func stepReversed(n *Network) {
 		n.phaseCommit(n.nodes[i], t)
 	}
 	n.now++
-	n.m.cycles++
+	n.m.Cycles++
 }
 
 // buildContendedNetwork is a 4×4 mesh with few VCs, a handful of

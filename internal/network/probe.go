@@ -12,10 +12,9 @@ import (
 )
 
 // probe.go is the reservation side of connection establishment (§3.5,
-// §4.2): the hold ledger every path reservation goes through, the two
-// synchronous walks over it (a fixed Valiant/UGAL candidate path, the EPB
-// search), and the event-driven probe that takes one EPB step per
-// HopLatency cycles. establish.go is the admission side.
+// §4.2): the hold ledger every path reservation goes through and the two
+// walks over it (a fixed Valiant/UGAL candidate path, the EPB search).
+// establish.go is the admission side.
 
 // demandFor is spec's reservation at every hop: the nodes' Cores share one
 // geometry, so any of them converts it.
@@ -45,14 +44,14 @@ type probeHop struct {
 	vc         int // VC reserved at the neighbor's input
 }
 
-// holds is the hold ledger of one establishment in flight: the entry VC
-// on the source router's host port, a stack of reserved hops, and the
-// ejection bandwidth at the destination. Every reservation shape — the
-// fixed candidate path, the synchronous EPB search, the event-driven
-// probe — takes and gives back fabric resources through it and nowhere
-// else, so what an abandoned attempt must release is always exactly what
-// the ledger lists. VCs are held with a transient state (no connection)
-// until installPath replaces it.
+// holds is the hold ledger of the establishment in progress: the entry
+// VC on the source router's host port, a stack of reserved hops, and the
+// ejection bandwidth at the destination. Both reservation shapes — the
+// fixed candidate path and the EPB search — take and give back fabric
+// resources through it and nowhere else, so what an abandoned attempt
+// must release is always exactly what the ledger lists. VCs are held with
+// a transient state (no connection) until installPath replaces it; the
+// attempt installs or releases every hold before it returns.
 //
 // The hops are a stack because EPB over minimal paths only ever undoes
 // the hop that led to the node it is backtracking off: the path is
@@ -67,8 +66,8 @@ type holds struct {
 	hops     []probeHop
 	ejecting bool // ejection bandwidth held on dst's host port
 
-	// The walk that filled the ledger: EPB position and history stores,
-	// then what the session records of it.
+	// The walk that filled the ledger: EPB history stores, then what the
+	// session records of it.
 	walk       routing.SearchScratch
 	backtracks int
 	setupTime  int64
@@ -86,7 +85,7 @@ func (l *holds) settle() {
 	l.entryVC, l.hops, l.ejecting = -1, l.hops[:0], false
 }
 
-// transient is the state of a VC held by an establishment in flight.
+// transient is the state of a VC held by the establishment in progress.
 func (l *holds) transient() vcm.VCState {
 	return vcm.VCState{Conn: flit.InvalidConn, Class: l.req.Spec.Class, Output: -1}
 }
@@ -233,95 +232,4 @@ func (n *Network) reservePath(l *holds) error {
 		}
 	}
 	return l.try(l.search)
-}
-
-// probe is one event-driven establishment: its ledger, and the request
-// and callback the outcome goes to. Unlike the synchronous walks,
-// concurrent probes interleave and race for resources, exactly as in the
-// real router: each takes what it passes, and sees what the others hold.
-type probe struct {
-	holds
-	done    func(*Conn, error)
-	started int64
-	acking  int // ack hops still to retrace; 0 while the probe searches
-}
-
-// launchProbe sends an EPB probe from the source host toward req.Dst.
-// The tenant quota is checked now (an over-budget tenant's probe never
-// enters the fabric) and charged when the acknowledgment completes.
-func (n *Network) launchProbe(req OpenReq, done func(*Conn, error)) {
-	d, err := n.preAdmit(req, nil)
-	if err != nil {
-		done(nil, err)
-		return
-	}
-	p := &probe{done: done, started: n.now}
-	p.begin(n, req, d)
-	if err := p.enter(); err != nil {
-		n.m.setupRejected++
-		done(nil, err)
-		return
-	}
-	p.walk.Begin(req.Src)
-	p.hop()
-}
-
-// hop schedules the probe's next move one HopLatency away. activeProbes
-// counts the moves pending, which is the probes in flight.
-func (p *probe) hop() {
-	p.n.activeProbes++
-	p.n.Schedule(p.n.now+p.n.cfg.HopLatency, p.step)
-}
-
-// step is one probe event: a move, then the outcome if the move ended
-// the establishment either way. A failed (or panicking) move has already
-// given everything back when try returns.
-func (p *probe) step() {
-	p.n.activeProbes--
-	var conn *Conn
-	err := p.try(func() (err error) {
-		conn, err = p.advance()
-		return err
-	})
-	switch {
-	case err != nil:
-		p.n.m.setupRejected++
-		p.done(nil, err)
-	case conn != nil:
-		p.done(conn, nil)
-	default:
-		p.hop()
-	}
-}
-
-// advance moves the probe one hop forward or back, or its acknowledgment
-// one hop home; it returns the session once the ack has arrived.
-func (p *probe) advance() (*Conn, error) {
-	n := p.n
-	if p.acking > 0 {
-		if p.acking--; p.acking > 0 {
-			return nil, nil
-		}
-		// A link on the path may have failed while the ack was retracing
-		// it; the real ack would never have made it back to the source.
-		for _, h := range p.hops {
-			if !n.cfg.Topology.LinkUp(h.node, h.port) {
-				return nil, fmt.Errorf("network: link %d.%d failed during establishment", h.node, h.port)
-			}
-		}
-		p.setupTime = n.now - p.started
-		return n.register(&p.holds)
-	}
-	switch p.walk.Step(n.cfg.Topology, n.dists, p.req.Dst, p.reserve, p.release) {
-	case routing.StepFailed:
-		return nil, fmt.Errorf("network: no minimal path with free resources from %d to %d", p.req.Src, p.req.Dst)
-	case routing.StepBack:
-		p.backtracks++
-	case routing.StepArrived:
-		// Ejection bandwidth now; then the ack retraces the path before
-		// data may flow (§4.2).
-		p.acking = len(p.hops)
-		return nil, p.eject()
-	}
-	return nil, nil
 }

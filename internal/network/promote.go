@@ -120,7 +120,7 @@ func (n *Network) finishPromotion(c *Conn, attempt int) {
 	c.Degraded = false
 	n.degradedLive--
 	n.insertSrcConn(c)
-	n.m.connsPromoted++
+	n.m.ConnsPromoted++
 	n.logEvent(SessionEvent{Kind: "conn-promoted", Conn: c.ID, Node: c.Src, Port: -1,
 		Detail: fmt.Sprintf("guaranteed service restored %d cycles after the fault; fallback flow %d retired (scan attempt %d)",
 			n.now-c.brokenAt, fallback, attempt+1)})

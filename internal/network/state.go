@@ -279,26 +279,24 @@ func (n *Network) linkState(c *codec) {
 	})
 }
 
-// netStatsState: the session-level counters. connsPromoted joined them
-// in format 4 and rides the trailer.
+// netStatsState: the session record — the clock, then the session
+// counters in table order, the five setup counters followed by the setup
+// accumulators. connsPromoted joined them in format 4 and rides the
+// trailer.
 func (n *Network) netStatsState(c *codec) {
-	m := &n.m
-	c.I64(&m.cycles)
-	c.I64(&m.setupAttempts)
-	c.I64(&m.setupAccepted)
-	c.I64(&m.setupRejected)
-	c.I64(&m.setupRetries)
-	c.I64(&m.closed)
-	c.acc(&m.setupLatency)
-	c.acc(&m.setupBacktracks)
-	c.I64(&m.faultsInjected)
-	c.I64(&m.faultsRepaired)
-	c.I64(&m.faultFlitsLost)
-	c.I64(&m.connsBroken)
-	c.I64(&m.connsRestored)
-	c.I64(&m.connsDegraded)
-	c.I64(&m.connsLost)
-	c.acc(&m.restoreLatency)
+	m, sc := &n.m, n.m.sessionCounters()
+	c.I64(&m.Cycles)
+	for _, s := range sc[:5] {
+		c.I64(s.v)
+	}
+	c.acc(&m.SetupLatency)
+	c.acc(&m.SetupBacktracks)
+	for _, s := range sc[5:] {
+		if s.v != &m.ConnsPromoted {
+			c.I64(s.v)
+		}
+	}
+	c.acc(&m.RestoreLatency)
 }
 
 func (n *Network) sessionLogState(c *codec) {
@@ -710,6 +708,6 @@ func (n *Network) tenantState(c *codec, retryIDs []int64) {
 		c.Range(&q.MaxGuaranteed, 0, math.MaxInt, "bandwidth quota")
 		n.tenants.SetQuota(*name, q)
 	})
-	c.I64(&n.m.connsPromoted)
+	c.I64(&n.m.ConnsPromoted)
 	c.I64(&n.promoteGen)
 }

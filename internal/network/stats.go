@@ -48,40 +48,11 @@ func (d *dpStats) reset() {
 	d.sink.Reset()
 }
 
-// netStats is the session-level statistics state: everything incremented
-// on the serial control path (establishment, teardown, faults) plus the
-// cycle counter. Datapath counters live in the per-node dpStats shards.
-type netStats struct {
-	cycles int64
-
-	setupAttempts   int64
-	setupAccepted   int64
-	setupRejected   int64
-	setupRetries    int64
-	closed          int64
-	setupLatency    stats.Accumulator
-	setupBacktracks stats.Accumulator
-
-	// Fault injection and self-healing. Like the setup statistics these
-	// survive ResetStats: they describe session-level behaviour.
-	faultsInjected int64             // link-down transitions applied
-	faultsRepaired int64             // link-up transitions applied
-	faultFlitsLost int64             // flits purged by link failures and teardowns
-	connsBroken    int64             // connections torn down by faults
-	connsRestored  int64             // re-established on a surviving path
-	connsDegraded  int64             // downgraded to best-effort after failed restore
-	connsPromoted  int64             // re-promoted from best-effort back to guaranteed
-	connsLost      int64             // abandoned (restore exhausted, degrade disabled)
-	restoreLatency stats.Accumulator // cycles from teardown to re-establishment
-}
-
-func (m *netStats) reset() {
-	m.cycles = 0
-	// Setup and fault statistics survive reset: they describe
-	// session-level behaviour, not the warmed-up datapath.
-}
-
-// Stats is an immutable snapshot of network statistics.
+// Stats is a snapshot of network statistics. The Network keeps one as its
+// session-level record (Network.m): the cycle counter and everything
+// incremented on the serial control path (establishment, teardown,
+// faults). Its datapath fields stay zero there; they live in the per-node
+// dpStats shards and are merged in when a snapshot is taken.
 type Stats struct {
 	Cycles         int64
 	FlitsGenerated int64
@@ -119,30 +90,39 @@ type Stats struct {
 	RestoreLatency stats.Accumulator
 }
 
-// snapshotStats merges the session counters with every node's datapath
-// shard, in ascending node order so the floating-point accumulator merges
-// are deterministic.
-func (n *Network) snapshotStats() *Stats {
-	m := &n.m
-	s := &Stats{
-		Cycles:          m.cycles,
-		SetupAttempts:   m.setupAttempts,
-		SetupAccepted:   m.setupAccepted,
-		SetupRejected:   m.setupRejected,
-		SetupRetries:    m.setupRetries,
-		Closed:          m.closed,
-		SetupLatency:    m.setupLatency,
-		SetupBacktracks: m.setupBacktracks,
-		FaultsInjected:  m.faultsInjected,
-		FaultsRepaired:  m.faultsRepaired,
-		FaultFlitsLost:  m.faultFlitsLost,
-		ConnsBroken:     m.connsBroken,
-		ConnsRestored:   m.connsRestored,
-		ConnsDegraded:   m.connsDegraded,
-		ConnsPromoted:   m.connsPromoted,
-		ConnsLost:       m.connsLost,
-		RestoreLatency:  m.restoreLatency,
+// sessionCounter is one control-path counter of a Stats record and the
+// series that mirrors it.
+type sessionCounter struct {
+	v          *int64
+	name, help string
+}
+
+// sessionCounters lists m's control-path counters in the order their
+// series are registered (observe.go) and the checkpoint walks them
+// (state.go): both orders are format, so an entry is never moved.
+func (m *Stats) sessionCounters() [13]sessionCounter {
+	return [...]sessionCounter{
+		{&m.SetupAttempts, "mmr_net_setup_attempts_total", "connection establishment attempts"},
+		{&m.SetupAccepted, "mmr_net_setup_accepted_total", "connection establishments accepted"},
+		{&m.SetupRejected, "mmr_net_setup_rejected_total", "connection establishments rejected"},
+		{&m.SetupRetries, "mmr_net_setup_retries_total", "establishment re-searches scheduled"},
+		{&m.Closed, "mmr_net_conns_closed_total", "connections closed gracefully"},
+		{&m.FaultsInjected, "mmr_net_faults_injected_total", "link-down transitions applied"},
+		{&m.FaultsRepaired, "mmr_net_faults_repaired_total", "link-up transitions applied"},
+		{&m.FaultFlitsLost, "mmr_net_fault_flits_lost_total", "flits purged by link failures and teardowns"},
+		{&m.ConnsBroken, "mmr_net_conns_broken_total", "connections torn down by faults"},
+		{&m.ConnsRestored, "mmr_net_conns_restored_total", "connections re-established on a surviving path"},
+		{&m.ConnsDegraded, "mmr_net_conns_degraded_total", "connections downgraded to best-effort"},
+		{&m.ConnsPromoted, "mmr_net_conns_promoted_total", "connections re-promoted from best-effort to guaranteed service"},
+		{&m.ConnsLost, "mmr_net_conns_lost_total", "connections abandoned after failed restoration"},
 	}
+}
+
+// snapshotStats copies the session record and merges every node's
+// datapath shard into it, in ascending node order so the floating-point
+// accumulator merges are deterministic.
+func (n *Network) snapshotStats() *Stats {
+	s := n.m
 	for _, nd := range n.nodes {
 		d := &nd.stats
 		s.FlitsGenerated += d.generated
@@ -156,7 +136,7 @@ func (n *Network) snapshotStats() *Stats {
 		s.Jitter.Merge(d.sink.Tracker.Jitter())
 		s.BELatency.Merge(&d.sink.Latency[flit.ClassBestEffort])
 	}
-	return s
+	return &s
 }
 
 // AcceptanceRate returns accepted/attempted connection setups.

@@ -114,58 +114,6 @@ func TestOpenBatchTenantQuota(t *testing.T) {
 	}
 }
 
-// TestOpenAsyncTenantQuota: the probe path checks the budget twice —
-// at launch (an over-budget probe never enters the fabric) and again
-// when the acknowledgment completes, because concurrent admissions race
-// the probe's flight.
-func TestOpenAsyncTenantQuota(t *testing.T) {
-	n := tenantTestNetwork(t)
-	n.Tenants().SetQuota("live", admission.TenantQuota{MaxSessions: 1})
-
-	// Launch-time refusal: the budget is already full.
-	if _, err := openAs(n, "live", 0, 8, cbr(10)); err != nil {
-		t.Fatal(err)
-	}
-	var launchErr error
-	called := false
-	if err := openProbe(n, "live", 1, 7, cbr(10), func(c *Conn, err error) {
-		called, launchErr = true, err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !called || launchErr == nil || !strings.Contains(launchErr.Error(), "over admission quota") {
-		t.Fatalf("launch-time check: called=%v err=%v", called, launchErr)
-	}
-
-	// Completion-time refusal: budget free at launch, stolen by a
-	// synchronous admission while the probe is in flight.
-	n.Tenants().SetQuota("race", admission.TenantQuota{MaxSessions: 1})
-	var raceConn *Conn
-	var raceErr error
-	done := false
-	if err := openProbe(n, "race", 2, 6, cbr(10), func(c *Conn, err error) {
-		done, raceConn, raceErr = true, c, err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := openAs(n, "race", 3, 5, cbr(10)); err != nil {
-		t.Fatalf("synchronous steal failed: %v", err)
-	}
-	n.Run(500) // probe completes and must hit the re-check
-	if !done {
-		t.Fatal("probe never completed")
-	}
-	if raceConn != nil || raceErr == nil || !strings.Contains(raceErr.Error(), "over admission quota") {
-		t.Fatalf("completion-time check: conn=%v err=%v", raceConn, raceErr)
-	}
-	if u := n.Tenants().Usage("race"); u.Sessions != 1 {
-		t.Fatalf("usage %+v after refused probe, want the 1 stolen session only", u)
-	}
-	if err := n.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after refused probe: %v", err)
-	}
-}
-
 // TestModifyBandwidthTenantQuota: §4.3 growth is quota-tested against
 // the tenant's guaranteed budget; shrink always fits.
 func TestModifyBandwidthTenantQuota(t *testing.T) {

@@ -133,7 +133,7 @@ func stepCounting(n *Network) (heldLanes, busyPorts, nodeCycles int64) {
 		n.settle(t)
 	}
 	n.now++
-	n.m.cycles++
+	n.m.Cycles++
 	return heldLanes, busyPorts, int64(len(list))
 }
 

@@ -70,16 +70,15 @@ type SearchResult struct {
 	Visited    int       // total forward hops taken, including undone ones
 }
 
-// SearchScratch is the state of one EPB probe: where it stands, the
-// hops behind it and one history store per node on that path — in
-// hardware this state lives with the input VC the probe occupies (§3.5).
-// A minimal path never revisits a node, so the stores form a stack that
-// grows and shrinks with the path, and a node the probe backtracked off
-// and later re-enters starts a fresh exhaustive scan. The zero value is
-// ready to use, and one scratch serves any number of searches in turn
-// without allocating once its slices have grown to the longest path met.
+// SearchScratch is the state of one EPB search: the hops behind the
+// probe and one history store per node on that path — in hardware this
+// state lives with the input VC the probe occupies (§3.5). A minimal path
+// never revisits a node, so the stores form a stack that grows and
+// shrinks with the path, and a node the probe backtracked off and later
+// re-enters starts a fresh exhaustive scan. The zero value is ready to
+// use, and one scratch serves any number of searches in turn without
+// allocating once its slices have grown to the longest path met.
 type SearchScratch struct {
-	node int
 	hist []History // hist[i] belongs to the node at depth i of the path
 	res  SearchResult
 }
@@ -89,64 +88,14 @@ type SearchScratch struct {
 // kept for callers written against the earlier flat-array scratch.
 func NewSearchScratch(nodes int) *SearchScratch { return &SearchScratch{} }
 
-// Begin places the probe at src with nothing searched.
-func (s *SearchScratch) Begin(src int) {
-	s.node = src
-	s.hist = append(s.hist[:0], History{})
-	s.res = SearchResult{Path: s.res.Path[:0]}
-}
-
-// Step is the outcome of one probe move.
-type Step uint8
-
-const (
-	StepForward Step = iota // advanced one hop
-	StepArrived             // advanced one hop, onto dest
-	StepBack                // backtracked one hop, releasing it
-	StepFailed              // backtracked past the source: no minimal path has resources
-)
-
-// Step moves the probe once: forward over the first profitable link
-// that reserves, or — when every profitable link of the current node has
-// been searched — back over the hop that led here, releasing it. reserve
-// and release are the resource callbacks (nil to search topology-only).
-// Releases are LIFO by construction: only the newest hop is ever undone.
-// The synchronous SearchInto loops over Step; the event-driven probes of
-// the network package take one Step per HopLatency cycles.
-func (s *SearchScratch) Step(t *topology.Topology, d *Dists, dest int,
-	reserve func(node, port int) bool, release func(node, port int)) Step {
-
-	canUse := func(p int) bool { return reserve == nil || reserve(s.node, p) }
-	if port, ok := EPBStep(t, d, s.node, dest, &s.hist[len(s.hist)-1], canUse); ok {
-		s.res.Path = append(s.res.Path, PathHop{Node: s.node, Port: port})
-		s.res.Visited++
-		s.node = t.Neighbor(s.node, port)
-		if s.node == dest {
-			return StepArrived
-		}
-		s.hist = append(s.hist, History{})
-		return StepForward
-	}
-	if len(s.res.Path) == 0 {
-		return StepFailed
-	}
-	s.hist = s.hist[:len(s.hist)-1]
-	last := s.res.Path[len(s.res.Path)-1]
-	s.res.Path = s.res.Path[:len(s.res.Path)-1]
-	if release != nil {
-		release(last.Node, last.Port)
-	}
-	s.res.Backtracks++
-	s.node = last.Node
-	return StepBack
-}
-
 // SearchInto runs the complete EPB protocol over a topology as a
 // synchronous algorithm against caller-owned scratch: the probe advances
-// over profitable links that reserve successfully, backtracks when a
-// node's profitable links are exhausted, and fails only after
-// backtracking past the source — at which point EPB has provably
-// searched every minimal path (§3.5). The returned result aliases the
+// over the first profitable link that reserves, backtracks — releasing
+// the hop that led to the node — when a node's profitable links are
+// exhausted, and fails only after backtracking past the source — at which
+// point EPB has provably searched every minimal path (§3.5). reserve and
+// release are the resource callbacks (nil to search topology-only);
+// releases are LIFO by construction. The returned result aliases the
 // scratch and is valid until its next search.
 func SearchInto(t *topology.Topology, d *Dists, src, dest int,
 	reserve func(node, port int) bool, release func(node, port int), scr *SearchScratch) (*SearchResult, error) {
@@ -154,16 +103,30 @@ func SearchInto(t *topology.Topology, d *Dists, src, dest int,
 	if src < 0 || src >= t.Nodes || dest < 0 || dest >= t.Nodes {
 		return nil, fmt.Errorf("routing: endpoints (%d,%d) out of range", src, dest)
 	}
-	scr.Begin(src)
-	if src == dest {
-		return &scr.res, nil
-	}
-	for {
-		switch scr.Step(t, d, dest, reserve, release) {
-		case StepArrived:
-			return &scr.res, nil
-		case StepFailed:
+	scr.hist = append(scr.hist[:0], History{})
+	res := &scr.res
+	*res = SearchResult{Path: res.Path[:0]}
+	node := src
+	canUse := func(p int) bool { return reserve == nil || reserve(node, p) }
+	for node != dest {
+		if port, ok := EPBStep(t, d, node, dest, &scr.hist[len(scr.hist)-1], canUse); ok {
+			res.Path = append(res.Path, PathHop{Node: node, Port: port})
+			res.Visited++
+			node = t.Neighbor(node, port)
+			scr.hist = append(scr.hist, History{})
+			continue
+		}
+		if len(res.Path) == 0 {
 			return nil, fmt.Errorf("routing: no minimal path with free resources from %d to %d", src, dest)
 		}
+		scr.hist = scr.hist[:len(scr.hist)-1]
+		last := res.Path[len(res.Path)-1]
+		res.Path = res.Path[:len(res.Path)-1]
+		if release != nil {
+			release(last.Node, last.Port)
+		}
+		res.Backtracks++
+		node = last.Node
 	}
+	return res, nil
 }
