@@ -9,15 +9,18 @@ package flow
 
 import (
 	"fmt"
+	"math"
 
 	"mmr/internal/bitvec"
 )
 
 // Credits tracks the sender-side credit counters for one physical link's
-// virtual channels, mirroring the free space of the downstream VCM.
+// virtual channels, mirroring the free space of the downstream VCM. A
+// count is one byte: the buffer it mirrors holds a few flits (§1), and a
+// VC memory's buffers are at most 255 flits deep.
 type Credits struct {
-	max    int
-	counts []int
+	max    uint8
+	counts []uint8
 	avail  bitvec.Vector // credit>0, one bit per VC (§4.1 credits_available)
 }
 
@@ -27,7 +30,7 @@ func NewCredits(vcs, depth int) *Credits {
 	if vcs < 1 {
 		panic(fmt.Sprintf("flow: invalid geometry vcs=%d depth=%d", vcs, depth))
 	}
-	return NewCreditsBacked(depth, make([]int, vcs))
+	return NewCreditsBacked(depth, make([]uint8, vcs))
 }
 
 // NewCreditsBacked is NewCredits with caller-provided counter storage —
@@ -35,21 +38,21 @@ func NewCredits(vcs, depth int) *Credits {
 // all its ports and hands each tracker a len(vcs) window, so every credit
 // counter the per-cycle scans touch sits in one contiguous block. counts
 // is overwritten to the full depth.
-func NewCreditsBacked(depth int, counts []int) *Credits {
-	if len(counts) < 1 || depth < 1 {
+func NewCreditsBacked(depth int, counts []uint8) *Credits {
+	if len(counts) < 1 || depth < 1 || depth > math.MaxUint8 {
 		panic(fmt.Sprintf("flow: invalid geometry vcs=%d depth=%d", len(counts), depth))
 	}
-	c := &Credits{max: depth, counts: counts}
+	c := &Credits{max: uint8(depth), counts: counts}
 	c.avail.Init(len(counts))
 	for i := range c.counts {
-		c.counts[i] = depth
+		c.counts[i] = c.max
 	}
 	c.avail.Fill()
 	return c
 }
 
 // Available returns the credits held for VC vc.
-func (c *Credits) Available(vc int) int { return c.counts[vc] }
+func (c *Credits) Available(vc int) int { return int(c.counts[vc]) }
 
 // Has reports whether VC vc has at least one credit.
 func (c *Credits) Has(vc int) bool { return c.counts[vc] > 0 }
@@ -96,10 +99,10 @@ func (c *Credits) Reset(vc int) {
 // balances; n outside [0, depth] panics as it could never arise from
 // the protocol.
 func (c *Credits) SetAvailable(vc, n int) {
-	if n < 0 || n > c.max {
+	if n < 0 || n > int(c.max) {
 		panic(fmt.Sprintf("flow: restored credit count %d outside [0,%d]", n, c.max))
 	}
-	c.counts[vc] = n
+	c.counts[vc] = uint8(n)
 	if n > 0 {
 		c.avail.Set(vc)
 	} else {

@@ -21,24 +21,32 @@ type Event struct {
 // One recorder per router, written only by whichever goroutine is
 // stepping that router, keeps recording single-writer and worker-count
 // independent, exactly like the statistics shards. Recording overwrites
-// the oldest entry once the ring is full; nothing on the record path
+// the oldest entry once the ring is full. The first Record allocates the
+// ring, so a router that never records holds none; nothing after
 // allocates.
 type Recorder struct {
-	buf  []Event
-	next int   // next write position
-	n    int64 // total events ever recorded
+	size int
+	buf  []Event // nil until the first Record
+	next int     // next write position
+	n    int64   // total events ever recorded
 }
 
 // NewRecorder returns a recorder holding the most recent size events.
 func NewRecorder(size int) *Recorder {
-	if size < 1 {
-		size = 1
+	return &Recorder{size: max(size, 1)}
+}
+
+// ring allocates the ring on first use. A recorder whose total is
+// nonzero always has one.
+func (r *Recorder) ring() {
+	if r.buf == nil {
+		r.buf = make([]Event, r.size)
 	}
-	return &Recorder{buf: make([]Event, size)}
 }
 
 // Record appends one event, overwriting the oldest when full.
 func (r *Recorder) Record(ev Event) {
+	r.ring()
 	r.buf[r.next] = ev
 	r.next++
 	if r.next == len(r.buf) {
@@ -48,12 +56,7 @@ func (r *Recorder) Record(ev Event) {
 }
 
 // Len returns the number of events currently retained.
-func (r *Recorder) Len() int {
-	if r.n < int64(len(r.buf)) {
-		return int(r.n)
-	}
-	return len(r.buf)
-}
+func (r *Recorder) Len() int { return int(min(r.n, int64(r.size))) }
 
 // Total returns the number of events ever recorded (including those the
 // ring has since overwritten).
@@ -73,7 +76,7 @@ func (r *Recorder) Events(dst []Event) []Event {
 	return dst
 }
 
-// Reset discards every retained event but keeps the total count.
+// Reset discards every retained event and the total count.
 func (r *Recorder) Reset() { r.next = 0; r.n = 0 }
 
 // SetTotal forces the total-events counter without touching the
@@ -81,7 +84,12 @@ func (r *Recorder) Reset() { r.next = 0; r.n = 0 }
 // Record (which resets the total to the retained count) and then
 // reinstates the true lifetime total with SetTotal; ring rotation state
 // is unobservable, so the rebuilt recorder behaves identically.
-func (r *Recorder) SetTotal(n int64) { r.n = n }
+func (r *Recorder) SetTotal(n int64) {
+	if n > 0 {
+		r.ring()
+	}
+	r.n = n
+}
 
 // Dump writes the retained events oldest-first as one line each, using
 // name to decode event codes (nil falls back to the numeric code).

@@ -72,7 +72,7 @@ func measureFootprint(tb testing.TB) (bytesPerRouter, bytesPerFlow float64) {
 
 // TestFabricFootprintBudget holds the fitted per-router and per-flow heap
 // cost under absolute ceilings (bytes are host-independent, so this gates
-// on any runner; 1.5× headroom over the measured 261 kB/router, ~2× over
+// on any runner; 1.2× headroom over the measured 201 kB/router, ~2× over
 // 621 B/flow) and extrapolates the fit to the datacenter target: 4096
 // routers carrying one million flows must fit in well under 4 GB of state.
 func TestFabricFootprintBudget(t *testing.T) {
@@ -80,7 +80,7 @@ func TestFabricFootprintBudget(t *testing.T) {
 		t.Skip("footprint fit is slow under -short")
 	}
 	bpr, bpf := measureFootprint(t)
-	const maxBytesPerRouter, maxBytesPerFlow = 400_000, 1_200
+	const maxBytesPerRouter, maxBytesPerFlow = 240_000, 1_200
 	const routers, flows = 4096, 1e6
 	total := bpr*routers + bpf*flows
 	const budget = 4 << 30

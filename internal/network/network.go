@@ -18,6 +18,7 @@ package network
 import (
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"mmr/internal/admission"
@@ -147,6 +148,9 @@ func (c *Config) validate() error {
 	if c.VCs < 1 || c.Depth < 1 || c.K < 1 {
 		return fmt.Errorf("network: invalid buffering VCs=%d depth=%d K=%d", c.VCs, c.Depth, c.K)
 	}
+	if max(c.VCs, c.radix(), c.Topology.Nodes) > math.MaxInt16 { // upRef, ChannelMap, metrics.Event
+		return fmt.Errorf("network: VCs=%d, radix=%d and nodes=%d must each be at most %d", c.VCs, c.radix(), c.Topology.Nodes, math.MaxInt16)
+	}
 	if c.MaxCandidates < 1 {
 		return fmt.Errorf("network: need at least one candidate")
 	}
@@ -174,10 +178,8 @@ type linkFlit struct {
 
 // upRef points at the upstream buffer slot a flit occupied before this
 // hop, so draining it returns a credit there (link-level VC flow control).
-// Packed to 8 bytes: a fabric holds radix×VCs of these per router, so at
-// datacenter scale (4k routers × 33 ports × 64 VCs) the upstream tables
-// alone are ~8.6M entries — int32/int16 fields cut them 3× versus three
-// ints while still covering 2³¹ nodes and 2¹⁵ ports/VCs.
+// Packed to 8 bytes, one per input VC of the fabric; validate keeps ports
+// and VCs within the int16s.
 type upRef struct {
 	node     int32
 	port, vc int16
@@ -556,16 +558,13 @@ func New(cfg Config) (*Network, error) {
 	// delivery and the wake table's push lists.
 	for _, nd := range n.nodes {
 		nd.outPeer = make([]int32, radix)
-		for p := range nd.outPeer {
-			nd.outPeer[p] = -1
-		}
+		nd.outPeer[cfg.hostPort()] = -1
 		for q := 0; q < cfg.Topology.Ports; q++ {
 			x := cfg.Topology.Wired(nd.id, q)
-			if x < 0 {
+			if nd.outPeer[q] = int32(x); x < 0 {
 				continue
 			}
 			xp := cfg.Topology.WiredPeer(nd.id, q)
-			nd.outPeer[q] = int32(x)
 			n.nodes[x].peerIn[xp] = int32(len(nd.in))
 			nd.in = append(nd.in, inEdge{
 				lane:     int32(x*radix + xp),

@@ -2,6 +2,7 @@ package network
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mmr/internal/flit"
@@ -39,6 +40,42 @@ func TestConfigValidation(t *testing.T) {
 	bad.VCs = 0
 	if _, err := New(bad); err == nil {
 		t.Fatal("zero VCs accepted")
+	}
+}
+
+// TestConfigRejectsOversizedGeometry: upstream references, channel-map
+// entries and flight-recorder events keep ports, VCs and node IDs in 16
+// bits and credit counts in 8, so New refuses — naming the bound — any
+// geometry past them instead of truncating an index, and accepts one at
+// the bound.
+func TestConfigRejectsOversizedGeometry(t *testing.T) {
+	mesh := func(w, h, ports int) *topology.Topology {
+		tp, err := topology.Mesh(w, h, ports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tp
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		bound string
+	}{
+		{"VCs", func() Config { c := DefaultConfig(mesh(2, 2, 4)); c.VCs = 40000; return c }(), "32767"},
+		{"VCs", func() Config { c := DefaultConfig(mesh(2, 2, 4)); c.VCs = 32768; return c }(), "32767"},
+		{"radix", DefaultConfig(mesh(2, 1, 32767)), "32767"},
+		{"nodes", DefaultConfig(mesh(32768, 1, 4)), "32767"},
+		{"depth", func() Config { c := DefaultConfig(mesh(2, 2, 4)); c.Depth = 256; return c }(), "255"},
+	} {
+		_, err := New(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.bound) {
+			t.Errorf("%s past its bound: New returned %v, want an error naming %s", tc.name, err, tc.bound)
+		}
+	}
+	atBound := DefaultConfig(mesh(2, 1, 4))
+	atBound.VCs = 32767
+	if _, err := New(atBound); err != nil {
+		t.Fatalf("32767 VCs refused: %v", err)
 	}
 }
 

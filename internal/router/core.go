@@ -86,7 +86,7 @@ func (c *Core) Init(cfg *Config, rng *sim.RNG) error {
 	c.Busy.Init(ports)
 	mems := make([]vcm.Memory, ports)
 	links := make([]sched.LinkScheduler, ports)
-	counts := make([]int, ports*vcs)
+	counts := make([]uint8, ports*vcs)
 	scratch := sched.NewLinkScratch(vcs, ports, &c.Work)
 	for p := 0; p < ports; p++ {
 		if err := vcm.Init(&mems[p], cfg.VCM); err != nil {

@@ -7,36 +7,57 @@ import (
 )
 
 // Dists is an all-pairs hop-distance table over a topology, the basis for
-// "profitable" (minimal-path) decisions.
+// "profitable" (minimal-path) decisions. It is one flat table, row a
+// holding the distances from node a, that Recompute refills in place.
 type Dists struct {
-	d [][]int
+	nodes int
+	d     []int32 // d[a*nodes+b]: hops from a to b, -1 if unreachable
+	queue []int32 // BFS scratch
 }
 
 // NewDists precomputes BFS distances from every node.
 func NewDists(t *topology.Topology) *Dists {
-	d := &Dists{d: make([][]int, t.Nodes)}
+	d := &Dists{nodes: t.Nodes, d: make([]int32, t.Nodes*t.Nodes), queue: make([]int32, t.Nodes)}
 	d.Recompute(t)
 	return d
 }
 
 // Recompute refreshes the table after a topology change (a link failing
 // or being restored): distances follow only the currently-up links, so
-// minimal-path searches route around failures.
+// minimal-path searches route around failures. It allocates nothing.
 func (d *Dists) Recompute(t *topology.Topology) {
-	for s := 0; s < t.Nodes; s++ {
-		d.d[s] = t.ShortestDists(s)
+	for s := 0; s < d.nodes; s++ {
+		row := d.d[s*d.nodes : (s+1)*d.nodes]
+		for i := range row {
+			row[i] = -1
+		}
+		row[s] = 0
+		q := append(d.queue[:0], int32(s))
+		for head := 0; head < len(q); head++ {
+			n := int(q[head])
+			for p := 0; p < t.Ports; p++ {
+				if m := t.Neighbor(n, p); m >= 0 && row[m] < 0 {
+					row[m] = row[n] + 1
+					q = append(q, int32(m))
+				}
+			}
+		}
 	}
 }
 
 // Between returns the hop distance from a to b (-1 if unreachable).
-func (d *Dists) Between(a, b int) int { return d.d[a][b] }
+func (d *Dists) Between(a, b int) int { return int(d.d[a*d.nodes+b]) }
 
 // Profitable reports whether taking port p from node n moves strictly
 // closer to dest — the EPB definition of a profitable link ("an
 // exhaustive search of the minimal paths", §3.5).
 func (d *Dists) Profitable(t *topology.Topology, n, p, dest int) bool {
 	m := t.Neighbor(n, p)
-	return m >= 0 && d.d[m][dest] >= 0 && d.d[m][dest] < d.d[n][dest]
+	if m < 0 {
+		return false
+	}
+	dm := d.d[m*d.nodes+dest]
+	return dm >= 0 && dm < d.d[n*d.nodes+dest]
 }
 
 // EPBStep makes one routing decision for a probe at node n heading to
