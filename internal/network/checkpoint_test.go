@@ -349,6 +349,33 @@ func TestRestoreStateMutatedWords(t *testing.T) {
 	t.Logf("%d inputs: %d accepted, of which %d tripped a simulator assertion within 200 cycles", len(inputs), accepted, asserted)
 }
 
+// TestRestoreFlitOnPortWithoutVC: a payload that buffers a flit on a port
+// where it reserves no VC — so the port has no records when the decode
+// reaches the flit — is refused by the post-restore audit, not by a panic.
+func TestRestoreFlitOnPortWithoutVC(t *testing.T) {
+	src, err := New(detConfig(t, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := src.nodes[5].Mems[2]
+	mem.Materialize() // what the decode will have to do
+	mem.Push(3, &flit.Flit{Conn: flit.InvalidConn, Class: flit.ClassBestEffort, Src: 1, Dst: 5})
+	payload, err := src.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(detConfig(t, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := panicOf(func() { err = n.RestoreState(payload) }); p != nil {
+		t.Fatalf("RestoreState panicked: %v", p)
+	}
+	if want := "node 5 port 2 VC 3 free but holds 1 flits"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("restore returned %v, want the audit's %q", err, want)
+	}
+}
+
 // panicOf runs fn and returns what it panicked with, nil if it returned.
 func panicOf(fn func()) (p any) {
 	defer func() { p = recover() }()

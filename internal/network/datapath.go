@@ -180,21 +180,14 @@ func (n *Network) cycle(skipTo int64) {
 	n.m.Cycles++
 }
 
-// FusedDrainCycles is always 0: the fused drain kernel it counted is
-// gone (all it elided was one empty-heap check per cycle). The method
-// stays only because perfbench, frozen for this change, compiles against
-// it; it goes with wl.fused_drain_share.
+// FusedDrainCycles (always 0), SetWorkers and Shutdown (no-ops) are what is
+// left of the fused drain kernel, which elided one empty-heap check per
+// cycle, and of the worker pool: the cycle is serial. They stay only because
+// perfbench compiles against them, and go with wl.fused_drain_share,
+// wl.step_ns_per_cycle_w2 and wl.par_eff_w2.
 func (n *Network) FusedDrainCycles() int64 { return 0 }
-
-// SetWorkers does nothing: the worker pool it sized is gone (the cycle
-// is serial). The method stays only because perfbench, frozen for this
-// change, compiles against it; it goes with wl.step_ns_per_cycle_w2.
-func (n *Network) SetWorkers(int) {}
-
-// Shutdown does nothing: there are no worker goroutines to stop. The
-// method stays only because perfbench, frozen for this change, compiles
-// against it; it goes with wl.par_eff_w2.
-func (n *Network) Shutdown() {}
+func (n *Network) SetWorkers(int)          {}
+func (n *Network) Shutdown()               {}
 
 // ResetStats discards accumulated statistics (warmup boundary). Metric
 // shards reset with the sinks bound to them (router.Sink.Reset), so
@@ -377,9 +370,7 @@ func (n *Network) executeGrants(nd *node, t int64) {
 		}
 		cand, f := nd.Pop(in, t)
 		nd.ms.Inc(n.nm.grantsByPort[cand.Output])
-		mem := nd.Mems[in]
-		class := mem.State(cand.VC).Class
-		isPacket := class == flit.ClassBestEffort || class == flit.ClassControl
+		isPacket := cand.Phase == sched.PhaseBestEffort || cand.Phase == sched.PhaseControl
 		if !isPacket && targetVC >= 0 {
 			if !nd.Credits[in].Consume(cand.VC) {
 				panic("network: scheduler granted a VC without credits")
@@ -393,7 +384,7 @@ func (n *Network) executeGrants(nd *node, t int64) {
 		}
 		if isPacket {
 			// Single-flit packet: its VC frees entirely.
-			mem.Release(cand.VC)
+			nd.Mems[in].Release(cand.VC)
 			nd.upstream[in][cand.VC] = noUpstream
 			n.noteFreed(nd, in)
 		}
@@ -408,9 +399,7 @@ func (n *Network) executeGrants(nd *node, t int64) {
 			// already released (single-flit packets).
 			rx := n.nodes[nd.outPeer[cand.Output]]
 			pp := n.cfg.Topology.WiredPeer(nd.id, cand.Output)
-			if !rx.Mems[pp].Reserve(targetVC, vcm.VCState{
-				Conn: flit.InvalidConn, Class: class, Output: -1,
-			}) {
+			if !rx.Mems[pp].Reserve(targetVC, vcm.VCState{Conn: flit.InvalidConn, Class: f.Class, Output: -1}) {
 				panic("network: picked VC no longer free at commit")
 			}
 			rx.upstream[pp][targetVC] = noUpstream

@@ -213,9 +213,9 @@ func (n *Network) purgePipe(nodeID, port, peer, peerPort int) {
 func (n *Network) clearStaleOutputs(nodeID, port int) {
 	nd := n.nodes[nodeID]
 	for _, mem := range nd.Mems {
-		for vc := 0; vc < n.cfg.VCs; vc++ {
-			st := mem.State(vc)
-			if st.InUse && st.Class == flit.ClassBestEffort && st.Output == port {
+		reserved := mem.ReservedVector()
+		for vc := reserved.NextSet(0); vc >= 0; vc = reserved.NextSet(vc + 1) {
+			if st := mem.State(vc); st.Class == flit.ClassBestEffort && st.Output == port {
 				mem.SetOutput(vc, -1)
 			}
 		}

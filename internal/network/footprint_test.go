@@ -32,10 +32,19 @@ func buildFatTreeNet(tb testing.TB, k int) *Network {
 	return n
 }
 
-// measureFootprint fits bytes/router from two fabric sizes (the delta
-// cancels fixed process overhead) and bytes/flow from a batched bring-up
-// on the larger fabric.
-func measureFootprint(tb testing.TB) (bytesPerRouter, bytesPerFlow float64) {
+// footprint is the fabric's heap cost in three terms. A port's VC records
+// and flit ring exist from its first reservation on, so an empty router
+// costs PerRouter, each port holding a VC adds PerPort once, and a flow adds
+// PerFlow on ports that already hold storage.
+type footprint struct {
+	PerRouter, PerPort, PerFlow float64
+	Radix                       int // ports per router of the fitted fabric
+}
+
+// measureFootprint fits bytes/router from two empty fabric sizes (the delta
+// cancels fixed process overhead), bytes per port from materializing every
+// port of the larger one, and bytes/flow from a batched bring-up on it.
+func measureFootprint(tb testing.TB) footprint {
 	tb.Helper()
 	base := heapAfterGC()
 	small := buildFatTreeNet(tb, 8)
@@ -44,12 +53,22 @@ func measureFootprint(tb testing.TB) (bytesPerRouter, bytesPerFlow float64) {
 	afterBig := heapAfterGC()
 	runtime.KeepAlive(small)
 
+	var fp footprint
 	smallNodes := topology.FatTreeNodes(8)
 	bigNodes := topology.FatTreeNodes(16)
-	bytesPerRouter = float64(afterBig-afterSmall) / float64(bigNodes-smallNodes)
-	if afterSmall <= base || bytesPerRouter <= 0 {
+	fp.PerRouter = float64(afterBig-afterSmall) / float64(bigNodes-smallNodes)
+	if afterSmall <= base || fp.PerRouter <= 0 {
 		tb.Fatalf("implausible fabric footprint: base=%d small=%d big=%d", base, afterSmall, afterBig)
 	}
+
+	fp.Radix = big.cfg.radix()
+	empty := heapAfterGC()
+	for _, nd := range big.nodes {
+		for _, mem := range nd.Mems {
+			mem.Materialize()
+		}
+	}
+	fp.PerPort = float64(heapAfterGC()-empty) / float64(bigNodes*fp.Radix)
 
 	spec := traffic.ConnSpec{Class: flit.ClassCBR, Rate: 1 * traffic.Mbps}
 	reqs := batchReqs(bigNodes, 40, spec) // 40 sessions per router
@@ -65,36 +84,94 @@ func measureFootprint(tb testing.TB) (bytesPerRouter, bytesPerFlow float64) {
 	if opened < len(reqs)*9/10 {
 		tb.Fatalf("flow footprint needs a mostly-accepted workload: %d/%d opened", opened, len(reqs))
 	}
-	bytesPerFlow = float64(after-before) / float64(opened)
+	fp.PerFlow = float64(after-before) / float64(opened)
 	runtime.KeepAlive(big)
-	return bytesPerRouter, bytesPerFlow
+	return fp
 }
 
-// TestFabricFootprintBudget holds the fitted per-router and per-flow heap
-// cost under absolute ceilings (bytes are host-independent, so this gates
-// on any runner; 1.2× headroom over the measured 201 kB/router, ~2× over
-// 621 B/flow) and extrapolates the fit to the datacenter target: 4096
-// routers carrying one million flows must fit in well under 4 GB of state.
+// TestFabricFootprintBudget holds the fitted heap cost under absolute
+// ceilings, 1.2× the measured 55.8 kB/router, 6,144 B/port and 621 B/flow
+// (bytes are host-independent, so this gates on any runner), and
+// extrapolates the fit to the datacenter target with every port holding its
+// VC storage: 4096 routers carrying one million flows must fit in well
+// under 4 GB of state.
 func TestFabricFootprintBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("footprint fit is slow under -short")
 	}
-	bpr, bpf := measureFootprint(t)
-	const maxBytesPerRouter, maxBytesPerFlow = 240_000, 1_200
+	fp := measureFootprint(t)
+	const maxPerRouter, maxPerPort, maxPerFlow = 67_000, 7_400, 745
 	const routers, flows = 4096, 1e6
-	total := bpr*routers + bpf*flows
+	total := (fp.PerRouter+float64(fp.Radix)*fp.PerPort)*routers + fp.PerFlow*flows
 	const budget = 4 << 30
-	t.Logf("fit: %.0f bytes/router, %.0f bytes/flow → %.2f GB at %d routers / %g flows",
-		bpr, bpf, total/(1<<30), routers, float64(flows))
-	if bpr > maxBytesPerRouter {
-		t.Errorf("%.0f bytes/router exceeds the %d ceiling", bpr, maxBytesPerRouter)
-	}
-	if bpf > maxBytesPerFlow {
-		t.Errorf("%.0f bytes/flow exceeds the %d ceiling", bpf, maxBytesPerFlow)
+	t.Logf("fit: %.0f bytes/router, %.0f bytes/port, %.0f bytes/flow → %.2f GB at %d routers × %d ports / %g flows",
+		fp.PerRouter, fp.PerPort, fp.PerFlow, total/(1<<30), routers, fp.Radix, float64(flows))
+	for _, c := range []struct {
+		what      string
+		got, ceil float64
+	}{{"bytes/router", fp.PerRouter, maxPerRouter}, {"bytes/port", fp.PerPort, maxPerPort}, {"bytes/flow", fp.PerFlow, maxPerFlow}} {
+		if c.got > c.ceil {
+			t.Errorf("%.0f %s exceeds the %.0f ceiling", c.got, c.what, c.ceil)
+		}
 	}
 	if total >= budget {
 		t.Errorf("extrapolated fabric state %.2f GB exceeds the 4 GB budget", total/(1<<30))
 	}
+}
+
+// TestVCStorageOnFirstUse: New gives no port its VC records and flit ring —
+// a FatTree(16) fabric at the defaults allocates at most 16 MB, where one
+// with storage on every port took 48.3 MB — and after fabric_sparse's
+// bring-up the ports holding storage are exactly the ports holding a VC.
+func TestVCStorageOnFirstUse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("FatTree(16) bring-up is slow under -short")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := buildFatTreeNet(t, 16)
+	runtime.ReadMemStats(&after)
+	newBytes := after.TotalAlloc - before.TotalAlloc
+	if newBytes > 16<<20 {
+		t.Errorf("New(FatTree(16)) allocated %d bytes, more than 16 MB", newBytes)
+	}
+	if got := materializedPorts(n); got != 0 {
+		t.Errorf("New gave %d ports their VC storage", got)
+	}
+	runtime.KeepAlive(n)
+
+	n = buildSparse(t, 16, 4, 512, false)
+	held, reserved := 0, 0
+	for _, nd := range n.nodes {
+		for p, mem := range nd.Mems {
+			if mem.Materialized() {
+				held++
+			}
+			if mem.ReservedVector().Any() {
+				reserved++
+				if !mem.Materialized() {
+					t.Fatalf("node %d port %d holds a VC and no records", nd.id, p)
+				}
+			}
+		}
+	}
+	if held != reserved {
+		t.Errorf("after bring-up %d ports hold VC storage, %d hold a VC", held, reserved)
+	}
+	t.Logf("New allocated %d bytes; %d of %d ports hold VC storage after bring-up", newBytes, held, len(n.nodes)*n.cfg.radix())
+}
+
+// materializedPorts counts the ports of n that hold their VC storage.
+func materializedPorts(n *Network) int {
+	k := 0
+	for _, nd := range n.nodes {
+		for _, mem := range nd.Mems {
+			if mem.Materialized() {
+				k++
+			}
+		}
+	}
+	return k
 }
 
 // TestLargeFabricSmoke is the CI large-fabric job: a 1280-router

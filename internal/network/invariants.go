@@ -55,7 +55,11 @@ func (n *Network) CheckInvariants() error {
 		d := n.demandFor(c.Spec)
 		for i, ref := range c.VCs {
 			k := vcKey{c.Nodes[i], ref.Port, ref.VC}
-			st := n.nodes[k.node].Mems[k.port].State(k.vc)
+			mem := n.nodes[k.node].Mems[k.port]
+			if !mem.Materialized() { // nothing was ever reserved on the port
+				return fmt.Errorf("invariant: conn %d hop %d VC %v not reserved for it (its port has no records)", c.ID, i, k)
+			}
+			st := mem.State(k.vc)
 			bit := (k.node*radix+k.port)*vcs + k.vc
 			if n.claimed.Test(bit) {
 				// The first claimer passed the record check below, so the

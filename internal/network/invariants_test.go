@@ -119,6 +119,13 @@ func nodeVCs(n *Network, keep func(nd *node, p, vc int) bool) []auditSite {
 	return s
 }
 
+// freeEmptyVC accepts a VC that is neither reserved nor buffers a flit —
+// read from the vectors, since a port where nothing was ever reserved has
+// no records.
+func freeEmptyVC(nd *node, p, vc int) bool {
+	return !nd.Mems[p].ReservedVector().Test(vc) && !nd.Mems[p].FlitsAvailable().Test(vc)
+}
+
 // nodePorts lists every (node, port) that keep accepts.
 func nodePorts(n *Network, keep func(nd *node, p int) bool) []auditSite {
 	return nodeVCs(n, func(nd *node, p, vc int) bool { return vc == 0 && keep(nd, p) })
@@ -225,7 +232,7 @@ var auditCorruptions = []struct {
 		}},
 	{"a VC leaks to a connection nobody holds",
 		func(n *Network) []auditSite {
-			return nodeVCs(n, func(nd *node, p, vc int) bool { return !nd.Mems[p].State(vc).InUse && nd.Mems[p].Len(vc) == 0 })
+			return nodeVCs(n, freeEmptyVC)
 		},
 		func(n *Network, s auditSite) string {
 			ghost := flit.ConnID(len(n.conns) + 1000)
@@ -236,8 +243,8 @@ var auditCorruptions = []struct {
 	{"a free VC holds a packet",
 		func(n *Network) []auditSite {
 			return nodeVCs(n, func(nd *node, p, vc int) bool {
-				st := nd.Mems[p].State(vc)
-				return st.InUse && st.Class == flit.ClassBestEffort && nd.Mems[p].Len(vc) > 0
+				mem := nd.Mems[p]
+				return mem.ReservedVector().Test(vc) && mem.FlitsAvailable().Test(vc) && mem.State(vc).Class == flit.ClassBestEffort
 			})
 		},
 		func(n *Network, s auditSite) string {
@@ -289,7 +296,7 @@ var auditCorruptions = []struct {
 		}},
 	{"an establishment hold outlives its attempt",
 		func(n *Network) []auditSite {
-			return nodeVCs(n, func(nd *node, p, vc int) bool { return !nd.Mems[p].State(vc).InUse && nd.Mems[p].Len(vc) == 0 })
+			return nodeVCs(n, freeEmptyVC)
 		},
 		func(n *Network, s auditSite) string {
 			// The transient state holds.reserve gives a VC: no connection yet.

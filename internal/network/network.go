@@ -522,6 +522,8 @@ func New(cfg Config) (*Network, error) {
 		NoIdleSkip:    cfg.NoIdleSkip,
 	}
 	nNodes := cfg.Topology.Nodes
+	// VC storage, carved 128 ports a chunk so the Opens that pay for one stay rare.
+	store := vcm.NewStore(min(128, nNodes*radix))
 
 	n.wires = make([]wire, nNodes*radix) // every node's lanes, flat (see the field)
 	for id := 0; id < nNodes; id++ {
@@ -534,7 +536,7 @@ func New(cfg Config) (*Network, error) {
 			grantVC:   make([]int, radix),
 			peerIn:    make([]int32, radix),
 		}
-		if err := nd.Core.Init(&core, nd.rng); err != nil {
+		if err := nd.Core.Init(&core, nd.rng, store); err != nil {
 			return nil, err
 		}
 		nd.cal.Invalidate()

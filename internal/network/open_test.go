@@ -220,3 +220,61 @@ func TestOpenWarmAllocs(t *testing.T) {
 		t.Fatalf("warm Open+Close allocates %.1f times, want at most 2", got)
 	}
 }
+
+// TestOpenCarvesStorageByChunk guards the Open path against paying an
+// allocation per port for VC storage: the same opens across ports no VC was
+// ever reserved on allocate, beyond what they allocate on a twin whose every
+// port already holds storage, one chunk — its records and its flit slots —
+// per 128 ports they give storage to, at most.
+func TestOpenCarvesStorageByChunk(t *testing.T) {
+	const k, perCall, chunkPorts = 16, 96, 128
+	tp, err := topology.FatTree(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The warm-up call opens sessions among the edge routers of the first
+	// half of the pods, the measured one among those of the second, which
+	// nothing has crossed yet.
+	edge := func(half, j int) int { return (half*k/2+j/(k/2)%(k/2))*k + j%(k/2) }
+	session := func(i int) (src, dst int) {
+		half := i / perCall % 2
+		return edge(half, i), edge(half, 5*i+3)
+	}
+	spec := traffic.ConnSpec{Class: flit.ClassCBR, Rate: 8 * traffic.Mbps}
+	allocs := func(warm bool) (perRun float64, fresh int) {
+		n, err := New(DefaultConfig(tp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nd := range n.nodes {
+			for _, mem := range nd.Mems {
+				if warm {
+					mem.Materialize()
+				}
+			}
+		}
+		next := 0
+		perRun = testing.AllocsPerRun(1, func() {
+			had := materializedPorts(n)
+			for range perCall {
+				src, dst := session(next)
+				if _, err := n.Open(src, dst, spec); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}
+			fresh = materializedPorts(n) - had
+		})
+		return perRun, fresh
+	}
+	warm, _ := allocs(true)
+	cold, fresh := allocs(false)
+	chunks := (fresh + chunkPorts - 1) / chunkPorts
+	t.Logf("%d opens: %.0f allocations on storage-holding ports, %.0f across %d ports given storage", perCall, warm, cold, fresh)
+	if fresh <= chunkPorts {
+		t.Fatalf("degenerate: the opens gave only %d ports storage", fresh)
+	}
+	if extra := cold - warm; extra > float64(2*chunks) {
+		t.Errorf("giving %d ports storage cost %.0f allocations, more than %d chunks' %d", fresh, extra, chunks, 2*chunks)
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"mmr/internal/stats"
 	"mmr/internal/topology"
 	"mmr/internal/traffic"
+	"mmr/internal/vcm"
 )
 
 // state.go is the checkpoint payload, format version 4, written once:
@@ -532,25 +533,28 @@ func (n *Network) nodeState(c *codec, nd *node) {
 func (n *Network) portState(c *codec, nd *node, p int) {
 	mem, depth := nd.Mems[p], n.cfg.Depth
 
-	c.sparse("reserved VCs", func(v int) bool { return mem.State(v).InUse }, func(v int) {
-		st := mem.State(v)
+	// The vectors pick the VCs: a port has no records before its first reservation.
+	c.sparse("reserved VCs", mem.ReservedVector().Test, func(v int) {
+		st, serviced := vcm.VCState{InUse: true}, 0 // RestoreState sets the reserved bit
+		if !c.Decoding() {
+			st, serviced = *mem.State(v), mem.Serviced(v)
+		}
 		connIdx(c, &st.Conn)
 		class(c, &st.Class)
 		c.Int(&st.Allocated)
 		c.Int(&st.Peak)
-		serviced := mem.Serviced(v)
 		c.Int(&serviced)
 		c.Int(&st.BasePriority)
 		bias := 0.0 // retired: VCState.Bias, which nothing ever wrote
 		c.F64(&bias)
 		c.F64(&st.InterArrival)
 		idx(c, &st.Output, -1, n.cfg.radix(), "output port") // -1: an unrouted packet
-		st.InUse = true
-		mem.RestoreState(v, *st) // sets the reserved bit
+		mem.RestoreState(v, st)
 		mem.SetServiced(v, serviced)
 	})
 
-	c.sparse("buffered VCs", func(v int) bool { return mem.Len(v) > 0 }, func(v int) {
+	c.sparse("buffered VCs", mem.FlitsAvailable().Test, func(v int) {
+		mem.Materialize() // flits where nothing is reserved fail the audit, not Push
 		seq(c, mem.Len(v), "buffered flits", func(i int) *flit.Flit { return mem.FlitAt(v, i) }, c.flit, func(f *flit.Flit) {
 			if !mem.Push(v, f) {
 				c.Failf("network: checkpoint overflows VC %d on node %d port %d", v, nd.id, p)

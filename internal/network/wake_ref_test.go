@@ -28,7 +28,7 @@ import (
 func (n *Network) referenceBuffered(nd *node) (movable, unrouted bool) {
 	tp := n.cfg.Topology
 	for _, mem := range nd.Mems {
-		for vc := 0; vc < mem.NumVCs(); vc++ {
+		for vc := 0; mem.Materialized() && vc < mem.NumVCs(); vc++ { // a port without records buffers nothing
 			if mem.Len(vc) == 0 {
 				continue
 			}

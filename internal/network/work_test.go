@@ -86,6 +86,7 @@ func workOf(n *Network, nodeCycles int64) fabricWork {
 		w.PriorityEvals += c.PriorityEvals
 		w.Candidates += c.Candidates
 		w.Grants += c.Grants
+		w.Enqueued += c.Enqueued
 		w.RouteVisited += nd.routeVisited
 		w.RouteTried += nd.routeTried
 	}
@@ -188,7 +189,7 @@ func TestDenseWorkGolden(t *testing.T) {
 
 	w, flits := workOf(gated, gatedCycles), logWork(t, gated, gatedCycles)
 	want := fabricWork{
-		Work:       sched.Work{PortsScanned: 32945, VCsVisited: 85185, PriorityEvals: 66483, Candidates: 38050, Grants: 28891},
+		Work:       sched.Work{PortsScanned: 32945, VCsVisited: 85185, PriorityEvals: 66483, Candidates: 38050, Grants: 28891, Enqueued: 29029},
 		NodeCycles: 13964, RouteVisited: 456, RouteTried: 456,
 	}
 	const wantFlits = 5939
@@ -309,7 +310,7 @@ func TestSparseWorkGolden(t *testing.T) {
 		t.Errorf("NoIdleSkip ran %d node-cycles, polled %d lane pairs and %d ports and read %d wake words; want %d, %d, %d and 0",
 			aw.NodeCycles, aw.LanesPolled, aw.PortsScanned, aw.WakeReads, nodes*cycles, wired*cycles, radix*nodes*cycles)
 	}
-	if aw.Grants != gw.Grants || aw.VCsVisited != gw.VCsVisited || aw.Candidates != gw.Candidates {
+	if aw.Grants != gw.Grants || aw.Enqueued != gw.Enqueued || aw.VCsVisited != gw.VCsVisited || aw.Candidates != gw.Candidates {
 		t.Errorf("work differs beyond the polls:\ngated      %+v\nNoIdleSkip %+v", gw, aw)
 	}
 
@@ -320,7 +321,7 @@ func TestSparseWorkGolden(t *testing.T) {
 		per(gw.PortsScanned, gw.NodeCycles), radix, per(gw.WakeReads, cycles), len(gated.wakeAt)+len(gated.blockAt))
 	want := sparseWork{
 		fabricWork: fabricWork{
-			Work:       sched.Work{PortsScanned: 723, VCsVisited: 728, PriorityEvals: 728, Candidates: 723, Grants: 723},
+			Work:       sched.Work{PortsScanned: 723, VCsVisited: 728, PriorityEvals: 728, Candidates: 723, Grants: 723, Enqueued: 723},
 			NodeCycles: 1424, RouteVisited: 48, RouteTried: 48,
 		},
 		LanesPolled: 931, WakeReads: 57792,

@@ -68,8 +68,8 @@ type Core struct {
 }
 
 // Init builds the core cfg describes; randomized selection and matching
-// draw from rng.
-func (c *Core) Init(cfg *Config, rng *sim.RNG) error {
+// draw from rng, and a memory's first reservation carves from store.
+func (c *Core) Init(cfg *Config, rng *sim.RNG, store *vcm.Store) error {
 	ports, vcs := cfg.Ports, cfg.VCM.VirtualChannels
 	*c = Core{
 		Mems:      make([]*vcm.Memory, ports),
@@ -89,7 +89,7 @@ func (c *Core) Init(cfg *Config, rng *sim.RNG) error {
 	counts := make([]uint8, ports*vcs)
 	scratch := sched.NewLinkScratch(vcs, ports, &c.Work)
 	for p := 0; p < ports; p++ {
-		if err := vcm.Init(&mems[p], cfg.VCM); err != nil {
+		if err := vcm.Init(&mems[p], cfg.VCM, store); err != nil {
 			return err
 		}
 		mems[p].BindOccupancy(&c.Occ, &c.Busy, p)
@@ -141,15 +141,16 @@ func (c *Core) BeginCycle(t int64) {
 	}
 }
 
-// Enqueue buffers f in virtual channel vc of input in at cycle t, stamping
-// its entry and — if it goes straight to the head, ready to cross the
-// switch — §5's delay reference point. It reports false if the VC is full.
+// Enqueue buffers f in VC vc of input in at cycle t, stamping its entry and
+// — at the head, ready to cross the switch — §5's delay reference point. It
+// reports false if the VC is full; no caller lets that pass, so Work counts calls.
 func (c *Core) Enqueue(in, vc int, f *flit.Flit, t int64) bool {
 	mem := c.Mems[in]
 	f.ReadyAt = t
 	if mem.Len(vc) == 0 {
 		f.HeadAt = t
 	}
+	c.Work.Enqueued++
 	return mem.Push(vc, f)
 }
 

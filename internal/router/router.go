@@ -235,7 +235,7 @@ func New(cfg Config) (*Router, error) {
 		xbar:            crossbar.New(cfg.Ports),
 		outputBusyAsync: make([]bool, cfg.Ports),
 	}
-	if err := r.core.Init(&r.cfg, r.rng); err != nil {
+	if err := r.core.Init(&r.cfg, r.rng, vcm.NewStore(cfg.Ports)); err != nil {
 		return nil, err
 	}
 	for p := range r.pipes {

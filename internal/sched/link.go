@@ -88,6 +88,7 @@ type Work struct {
 	PriorityEvals int64 // PriorityScheme.Priority calls
 	Candidates    int64 // candidates handed to the switch scheduler
 	Grants        int64 // granted flits popped from their VC
+	Enqueued      int64 // flits written into a VC
 }
 
 // LinkCounters are plain cumulative event counts a scheduler maintains

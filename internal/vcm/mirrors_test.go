@@ -10,26 +10,44 @@ import (
 	"mmr/internal/flit"
 )
 
-// TestVCRecordLayout holds the per-VC record to one cache line: at most 64
+// TestVCRecordLayout holds the per-VC record to one cache line: exactly 64
 // bytes, and a memory's block of them starting on a line boundary, so
-// record vc is exactly line vc of the block.
+// record vc is exactly line vc of the block — for a memory with a chunk of
+// its own and for memories carved one after another from a shared chunk,
+// below the allocator's 32 KB large-object threshold and above it.
 func TestVCRecordLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(VCState{}); sz > 64 {
-		t.Fatalf("VCState is %d bytes, more than a cache line", sz)
+	if sz := unsafe.Sizeof(VCState{}); sz != 64 {
+		t.Fatalf("VCState is %d bytes, not one cache line", sz)
+	}
+	// A router lays its memories out in one slice: whole lines each, so every
+	// memory's four status vectors are a line apiece.
+	if sz := unsafe.Sizeof(Memory{}); sz%64 != 0 || unsafe.Offsetof(Memory{}.flitsAvailable)%64 != 0 {
+		t.Fatalf("Memory is %d bytes with its vectors from offset %d: not whole lines", sz, unsafe.Offsetof(Memory{}.flitsAvailable))
 	}
 	for _, vcs := range []int{1, 3, 13, 17, 64, 100, 256} {
-		for i := 0; i < 8; i++ {
-			m := mk(t, vcs, 4)
-			if off := uintptr(unsafe.Pointer(&m.state[0])) % 64; off != 0 {
-				t.Fatalf("%d VCs: state block starts %d bytes into a cache line", vcs, off)
+		for _, ports := range []int{1, 3, 17, 32} {
+			store := NewStore(ports)
+			for i := 0; i < 2*ports+1; i++ {
+				var m Memory
+				if err := Init(&m, Config{VirtualChannels: vcs, Depth: 4, Banks: 4, PhitsPerFlit: 8}, store); err != nil {
+					t.Fatal(err)
+				}
+				m.Reserve(0, VCState{})
+				if off := uintptr(unsafe.Pointer(&m.state[0])) % 64; off != 0 {
+					t.Fatalf("%d VCs, %d-port chunks, memory %d: state block starts %d bytes into a cache line", vcs, ports, i, off)
+				}
 			}
 		}
 	}
 }
 
-// findFreeRef is the record-by-record walk FindFree's word scan replaced.
+// findFreeRef is the record-by-record walk FindFree's word scan replaced. A
+// memory without records has every VC free.
 func findFreeRef(m *Memory, from int) int {
 	n := m.cfg.VirtualChannels
+	if !m.Materialized() {
+		return from
+	}
 	for i := 0; i < n; i++ {
 		if vc := (from + i) % n; !m.state[vc].InUse {
 			return vc
@@ -89,21 +107,35 @@ type refVC struct {
 // bit and the flit count, the head stamp, and the round accounts — with the
 // round stamp now and then run on to the end of its uint32 lap, so that the
 // next boundary wraps it onto stamps the records still hold from the start.
+// The memory starts as New leaves it, without records, carved from a chunk
+// it shares with a neighbour that must never see its flits: until a Reserve
+// or RestoreState materializes it only those two and the round boundary
+// apply, and the vectors, FindFree and the audit must answer as for a
+// memory with every VC free and empty.
 func FuzzMemoryMirrors(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add(int64(7), []byte{0, 8, 16, 24, 1, 9, 17, 6, 6, 6, 6, 2, 10, 5, 3, 4, 7})
 	f.Add(int64(3), []byte{0, 7, 15, 6, 7, 6, 6, 15, 6, 6, 6, 6})
+	f.Add(int64(5), []byte{1, 2, 6, 7, 6, 3, 4, 13, 5, 1, 9, 2})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		const vcs, depth = 6, 3
+		cfg := Config{VirtualChannels: vcs, Depth: depth, Banks: 4, PhitsPerFlit: 8}
 		rng := rand.New(rand.NewSource(seed))
-		m := mk(t, vcs, depth)
+		store := NewStore(2)
+		var m, neighbour Memory
+		for _, mem := range []*Memory{&neighbour, &m} {
+			if err := Init(mem, cfg, store); err != nil {
+				t.Fatal(err)
+			}
+		}
+		neighbour.Materialize()
+		for v := 0; v < vcs; v++ {
+			neighbour.Push(v, &flit.Flit{Seq: -1})
+		}
 		var occ int64
 		busy := bitvec.New(3)
 		m.BindOccupancy(&occ, busy, 1)
 		ref := make([]refVC, vcs)
-		for i := range ref {
-			ref[i].st.Output = -1
-		}
 		classes := []flit.Class{flit.ClassCBR, flit.ClassVBR, flit.ClassBestEffort, flit.ClassControl}
 		randState := func() VCState {
 			return VCState{
@@ -116,6 +148,9 @@ func FuzzMemoryMirrors(f *testing.F) {
 		for _, op := range ops {
 			vc, r := int(op>>3)%vcs, &ref[int(op>>3)%vcs]
 			now++
+			if k := op & 7; !m.Materialized() && k != 0 && k != 5 && k != 6 {
+				continue // only Reserve and RestoreState give a memory records
+			}
 			switch op & 7 {
 			case 0: // Reserve
 				st := randState()
@@ -146,7 +181,7 @@ func FuzzMemoryMirrors(f *testing.F) {
 			case 4: // Release
 				if len(r.q) == 0 {
 					m.Release(vc)
-					r.st, r.serviced = VCState{Output: -1}, 0
+					r.st, r.serviced = VCState{}, 0
 				}
 			case 5: // RestoreState
 				r.st = randState()
@@ -172,9 +207,18 @@ func FuzzMemoryMirrors(f *testing.F) {
 
 			total := 0
 			for v := range ref {
-				r, st := &ref[v], m.State(v)
+				r := &ref[v]
 				total += len(r.q)
-				want := r.st
+				unrouted := len(r.q) > 0 && r.st.Class == flit.ClassBestEffort && r.st.Output < 0
+				if m.FlitsAvailable().Test(v) != (len(r.q) > 0) || m.FullVector().Test(v) != (len(r.q) == depth) ||
+					m.ReservedVector().Test(v) != r.st.InUse || m.Unrouted().Test(v) != unrouted {
+					t.Fatalf("VC %d: status bits avail=%v full=%v reserved=%v unrouted=%v for %d flits, state %+v", v,
+						m.FlitsAvailable().Test(v), m.FullVector().Test(v), m.ReservedVector().Test(v), m.Unrouted().Test(v), len(r.q), r.st)
+				}
+				if !m.Materialized() {
+					continue // every VC free and empty, as the vectors just said
+				}
+				st, want := m.State(v), r.st
 				got := VCState{Conn: st.Conn, Class: st.Class, Allocated: st.Allocated, Peak: st.Peak, BasePriority: st.BasePriority,
 					InterArrival: st.InterArrival, Output: st.Output, InUse: st.InUse}
 				if got != want {
@@ -194,12 +238,6 @@ func FuzzMemoryMirrors(f *testing.F) {
 				if len(r.q) == 0 && m.Peek(v) != nil {
 					t.Fatalf("VC %d: Peek on an empty VC", v)
 				}
-				unrouted := len(r.q) > 0 && r.st.Class == flit.ClassBestEffort && r.st.Output < 0
-				if m.FlitsAvailable().Test(v) != (len(r.q) > 0) || m.FullVector().Test(v) != (len(r.q) == depth) ||
-					m.ReservedVector().Test(v) != r.st.InUse || m.Unrouted().Test(v) != unrouted {
-					t.Fatalf("VC %d: status bits avail=%v full=%v reserved=%v unrouted=%v for %d flits, state %+v", v,
-						m.FlitsAvailable().Test(v), m.FullVector().Test(v), m.ReservedVector().Test(v), m.Unrouted().Test(v), len(r.q), r.st)
-				}
 				if m.Serviced(v) != r.serviced {
 					t.Fatalf("VC %d: Serviced %d, want %d (round stamp %d)", v, m.Serviced(v), r.serviced, m.round)
 				}
@@ -207,12 +245,17 @@ func FuzzMemoryMirrors(f *testing.F) {
 			if m.Occupied() != total || occ != int64(total) || busy.Test(1) != (total > 0) || busy.Count() > 1 {
 				t.Fatalf("occupied %d, mirror %d, Busy %v with %d flits queued", m.Occupied(), occ, busy, total)
 			}
-			if got, want := m.FindFree(vc), findFreeRef(m, vc); got != want {
+			if got, want := m.FindFree(vc), findFreeRef(&m, vc); got != want {
 				t.Fatalf("FindFree(%d) = %d, want %d", vc, got, want)
 			}
 			// The memory's own audit, which the engines rely on, agrees.
 			if err := m.CheckMirrors(); err != nil {
 				t.Fatal(err)
+			}
+			for v := 0; v < vcs; v++ {
+				if f := neighbour.Peek(v); f == nil || f.Seq != -1 || neighbour.Len(v) != 1 {
+					t.Fatalf("the neighbour's VC %d changed: %v", v, f)
+				}
 			}
 		}
 	})
@@ -252,5 +295,31 @@ func TestCheckMirrorsDetects(t *testing.T) {
 		if err := m.CheckMirrors(); err != nil {
 			t.Fatalf("%s: after repair: %v", name, err)
 		}
+	}
+
+	// A memory without records calls for no bit at all: a stray one in any
+	// vector, a stray Busy bit or a stray flit count is named without a record
+	// being read, and the audit does not materialize the memory.
+	b := bare(t, 4, 2)
+	b.BindOccupancy(&occ, busy, 0)
+	for name, damage := range map[string]func() (repair func()){
+		"flits_available": func() func() { b.flitsAvailable.Set(2); return func() { b.flitsAvailable.Clear(2) } },
+		"full":            func() func() { b.full.Set(3); return func() { b.full.Clear(3) } },
+		"reserved":        func() func() { b.reserved.Set(0); return func() { b.reserved.Clear(0) } },
+		"unrouted":        func() func() { b.unrouted.Set(1); return func() { b.unrouted.Clear(1) } },
+		"flit count":      func() func() { b.occupied++; return func() { b.occupied-- } },
+		"busy":            func() func() { busy.Set(0); return func() { busy.Clear(0) } },
+	} {
+		repair := damage()
+		if err := b.CheckMirrors(); err == nil {
+			t.Errorf("no records, %s: damage not detected", name)
+		}
+		repair()
+		if err := b.CheckMirrors(); err != nil {
+			t.Fatalf("no records, %s: after repair: %v", name, err)
+		}
+	}
+	if b.Materialized() {
+		t.Fatal("the audit materialized the memory")
 	}
 }

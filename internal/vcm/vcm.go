@@ -81,9 +81,10 @@ type VCState struct {
 	InterArrival float64
 
 	// Output is the switch output port this VC is mapped to (the direct
-	// channel mapping, §3.5). -1 when unmapped. A buffered best-effort
-	// packet's output changes through Memory.SetOutput only: the memory
-	// keeps the unrouted ones in a status vector.
+	// channel mapping, §3.5). -1 when unmapped; a free VC's record is the
+	// zero record, and nothing reads a free VC's output. A buffered
+	// best-effort packet's output changes through Memory.SetOutput only: the
+	// memory keeps the unrouted ones in a status vector.
 	Output int
 
 	// headReadyAt mirrors the head flit's ReadyAt while the VC buffers one
@@ -114,26 +115,30 @@ func (st *VCState) HeadReadyAt() int64 { return st.headReadyAt }
 // Memory is one input link's virtual channel memory: one VCState record per
 // VC, the flit store the records' rings index — VC vc owns
 // qbuf[vc*Depth : (vc+1)*Depth) — and the status bit vectors (§4.1), held by
-// value so each is one line beside the memory's header.
+// value so each is one line beside the memory's header. The records and the
+// flit store exist from the memory's first Reserve or RestoreState on
+// (Materialize); until then every vector is empty.
 type Memory struct {
 	cfg   Config
 	qbuf  []*flit.Flit
 	state []VCState
+	store *Store // where Materialize carves qbuf and state from
 
 	// round is the current round's stamp: a record's serviced count is live
 	// only under it, so a round boundary is one increment (ResetRound).
 	round uint32
 
-	occupied int // total flits buffered across VCs
-
-	// ext and busy, when bound, mirror occupied outside the memory: *ext
-	// counts the flits buffered across every memory bound to it, and bit
-	// port of busy is set while this memory buffers any. The engines bind
+	// ext, busy and port, when bound, mirror occupied outside the memory:
+	// *ext counts the flits buffered across every memory bound to it, and
+	// bit port of busy is set while this memory buffers any. The engines bind
 	// every memory of a router to one counter and one vector so "anything
 	// buffered?" is one load and the ports worth visiting are a word scan.
+	// (port shares round's word: the header stays two lines.)
+	port int32
 	ext  *int64
 	busy *bitvec.Vector
-	port int
+
+	occupied int // total flits buffered across VCs
 
 	// Status bit vectors. flitsAvailable has a set bit for every VC with at
 	// least one buffered flit; full for every VC at capacity; reserved for
@@ -145,45 +150,89 @@ type Memory struct {
 	unrouted       bitvec.Vector
 }
 
-// New returns an empty VCM with the given configuration.
+// New returns an empty VCM with the given configuration, which allocates
+// its records and flit store for itself on first use.
 func New(cfg Config) (*Memory, error) {
 	m := &Memory{}
-	if err := Init(m, cfg); err != nil {
+	if err := Init(m, cfg, nil); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// Init initializes m in place: callers lay several Memory values out in one
-// contiguous slice and Init each element, so a router's per-port headers
-// and status vectors are adjacent in memory. An initialized Memory must not
-// be copied (its vectors hold their bits inline).
-func Init(m *Memory, cfg Config) error {
+// Init initializes m in place to its header and its four status vectors,
+// all empty — which already answer FindFree, PickFree, FreeVCs, Unrouted and
+// FlitsAvailable — and no records or flit store: the first Reserve or
+// RestoreState carves those from store (nil: an allocation of the memory's
+// own), so a port no VC is ever reserved on costs no more. Callers lay
+// several Memory values out in one contiguous slice and Init each element,
+// so a router's per-port headers and status vectors are adjacent in memory.
+// An initialized Memory must not be copied (its vectors hold their bits
+// inline).
+func Init(m *Memory, cfg Config, store *Store) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	*m = Memory{
-		cfg: cfg,
-		// Pointer-free and a multiple of 64 bytes long, so the allocator's
-		// size classes place the block on a line boundary and every record
-		// is exactly one line (TestVCRecordLayout).
-		state: make([]VCState, cfg.VirtualChannels),
-		qbuf:  make([]*flit.Flit, cfg.VirtualChannels*cfg.Depth),
-	}
+	*m = Memory{cfg: cfg, store: store}
 	for _, v := range []*bitvec.Vector{&m.flitsAvailable, &m.full, &m.reserved, &m.unrouted} {
 		v.Init(cfg.VirtualChannels)
 	}
-	for i := range m.state {
-		m.state[i].Output = -1
-	}
 	return nil
 }
+
+// Store is the chunk allocator the memories of one owner carve their
+// records and flit stores from: it allocates the storage of ports memories
+// at a time, so the first reservations across many never-used ports cost
+// one allocation pair per chunk, not per port. A chunk's records are
+// pointer-free and a multiple of 64 bytes long, so the allocator's size
+// classes — and above 32 KB its whole pages — start them on a line
+// boundary, and every record carved from it is exactly one line
+// (TestVCRecordLayout). A Store is not safe for concurrent use.
+type Store struct {
+	ports int
+	state []VCState    // the current chunk's records not yet carved
+	qbuf  []*flit.Flit // and its flit slots
+}
+
+// NewStore returns a store that allocates ports memories' storage at a time.
+func NewStore(ports int) *Store { return &Store{ports: max(ports, 1)} }
+
+// carve hands out vcs records and slots flit slots of the current chunk,
+// starting the next chunk when this one has too few left.
+func (s *Store) carve(vcs, slots int) ([]VCState, []*flit.Flit) {
+	if len(s.state) < vcs || len(s.qbuf) < slots {
+		s.state, s.qbuf = make([]VCState, s.ports*vcs), make([]*flit.Flit, s.ports*slots)
+	}
+	state, qbuf := s.state[:vcs:vcs], s.qbuf[:slots:slots]
+	s.state, s.qbuf = s.state[vcs:], s.qbuf[slots:]
+	return state, qbuf
+}
+
+// Materialize gives the memory its records and flit store if it has none
+// yet. Reserve and RestoreState call it; so must a caller about to Push into
+// a memory where nothing is reserved. Every fresh record is the zero record,
+// a free VC's.
+func (m *Memory) Materialize() {
+	if m.state == nil {
+		m.materialize()
+	}
+}
+
+func (m *Memory) materialize() {
+	if m.store == nil {
+		m.store = NewStore(1)
+	}
+	m.state, m.qbuf = m.store.carve(m.cfg.VirtualChannels, m.cfg.VirtualChannels*m.cfg.Depth)
+}
+
+// Materialized reports whether the memory holds its records and flit store.
+func (m *Memory) Materialized() bool { return m.state != nil }
 
 // BindOccupancy points the memory's occupancy mirrors at ext and at bit
 // port of busy: every Push/Pop keeps them in step with the internal count.
 // Bind before buffering any flits.
 func (m *Memory) BindOccupancy(ext *int64, busy *bitvec.Vector, port int) {
-	m.ext, m.busy, m.port = ext, busy, port
+	m.ext, m.busy, m.port = ext, busy, int32(port)
 	*ext += int64(m.occupied)
 	busy.SetTo(port, m.occupied > 0)
 }
@@ -242,7 +291,7 @@ func (m *Memory) Push(vc int, f *flit.Flit) bool {
 			m.unrouted.Set(vc)
 		}
 		if m.occupied == 0 && m.busy != nil {
-			m.busy.Set(m.port)
+			m.busy.Set(int(m.port))
 		}
 	}
 	st.qsize++
@@ -290,7 +339,7 @@ func (m *Memory) Pop(vc int) *flit.Flit {
 			m.unrouted.Clear(vc)
 		}
 		if m.occupied == 0 && m.busy != nil {
-			m.busy.Clear(m.port)
+			m.busy.Clear(int(m.port))
 		}
 	} else {
 		st.headReadyAt = m.qbuf[vc*depth+int(st.qhead)].ReadyAt
@@ -329,6 +378,7 @@ func (st *VCState) keepBuffer(old *VCState) {
 // Reserve claims VC vc for a connection or packet, recording its class,
 // mapping and allocation. It reports false if the VC is already in use.
 func (m *Memory) Reserve(vc int, st VCState) bool {
+	m.Materialize()
 	old := &m.state[vc]
 	if old.InUse {
 		return false
@@ -351,7 +401,7 @@ func (m *Memory) Release(vc int) {
 	if st.qsize != 0 {
 		panic(fmt.Sprintf("vcm: release of non-empty VC %d (%d flits)", vc, st.qsize))
 	}
-	*st = VCState{Output: -1}
+	*st = VCState{}
 	m.reserved.Clear(vc)
 }
 
@@ -372,6 +422,7 @@ func (m *Memory) FlitAt(vc, i int) *flit.Flit {
 // and it leaves the VC's round account alone (restored separately via
 // SetServiced). Buffered flits are restored via Push.
 func (m *Memory) RestoreState(vc int, st VCState) {
+	m.Materialize()
 	old := &m.state[vc]
 	st.keepBuffer(old)
 	st.serviced, st.servicedRound = old.serviced, old.servicedRound
@@ -431,7 +482,8 @@ func (m *Memory) ResetRound() {
 // behind them, so the engines' invariant audits call this. A vector is right
 // when every bit the records call for is set and it has no more bits than
 // that, so the one pass over the records tests only the bits of VCs that are
-// reserved or buffer a flit.
+// reserved or buffer a flit. A memory without records calls for none: its
+// four vectors must be empty and its Busy bit clear, and there is no pass.
 func (m *Memory) CheckMirrors() error {
 	vecs := [...]*bitvec.Vector{&m.flitsAvailable, &m.full, &m.reserved, &m.unrouted}
 	names := [...]string{"flits_available", "full", "reserved", "unrouted"}
@@ -464,7 +516,7 @@ func (m *Memory) CheckMirrors() error {
 	if total != m.occupied {
 		return fmt.Errorf("vcm: %d flits counted, %d queued", m.occupied, total)
 	}
-	if m.busy != nil && m.busy.Test(m.port) != (total > 0) {
+	if m.busy != nil && m.busy.Test(int(m.port)) != (total > 0) {
 		return fmt.Errorf("vcm: Busy bit %d is %v with %d flits queued", m.port, total == 0, total)
 	}
 	return nil

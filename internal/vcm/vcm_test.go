@@ -4,16 +4,141 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mmr/internal/bitvec"
 	"mmr/internal/flit"
+	"mmr/internal/sim"
 )
 
+// mk returns a memory with its records and flit store, so a test may push
+// into VCs it never reserved; bare returns one as New leaves it, without.
 func mk(t *testing.T, vcs, depth int) *Memory {
+	t.Helper()
+	m := bare(t, vcs, depth)
+	m.Materialize()
+	return m
+}
+
+func bare(t *testing.T, vcs, depth int) *Memory {
 	t.Helper()
 	m, err := New(Config{VirtualChannels: vcs, Depth: depth, Banks: 4, PhitsPerFlit: 8, PhitBufferDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// TestMemoryWithoutRecords: until its first reservation a memory holds no
+// records and no flit store, and it answers everything that reads only its
+// vectors — FindFree, PickFree, FreeVCs, the vectors themselves and the
+// mirror audit — exactly as a materialized memory with nothing reserved
+// does. Its first Reserve materializes it, and every other VC's record is
+// then the zero record of a free VC.
+func TestMemoryWithoutRecords(t *testing.T) {
+	for _, vcs := range []int{1, 5, 64, 100, 256, 300} {
+		empty, lazy := mk(t, vcs, 2), bare(t, vcs, 2)
+		var occ int64
+		busy := bitvec.New(2)
+		lazy.BindOccupancy(&occ, busy, 1)
+		if lazy.Materialized() || lazy.state != nil || lazy.qbuf != nil {
+			t.Fatalf("%d VCs: New materialized the memory", vcs)
+		}
+		for from := 0; from < vcs; from++ {
+			if got, want := lazy.FindFree(from), empty.FindFree(from); got != want {
+				t.Fatalf("%d VCs: FindFree(%d) = %d, an empty memory's %d", vcs, from, got, want)
+			}
+		}
+		if lazy.FreeVCs() != vcs || lazy.Occupied() != 0 {
+			t.Fatalf("%d VCs: %d free VCs, %d flits", vcs, lazy.FreeVCs(), lazy.Occupied())
+		}
+		if a, b := lazy.PickFree(sim.NewRNG(3)), empty.PickFree(sim.NewRNG(3)); a != b {
+			t.Fatalf("%d VCs: PickFree %d, an empty memory's %d", vcs, a, b)
+		}
+		for i, v := range []*bitvec.Vector{lazy.FlitsAvailable(), lazy.FullVector(), lazy.ReservedVector(), lazy.Unrouted()} {
+			if v.Len() != vcs || v.Any() {
+				t.Fatalf("%d VCs: vector %d is %v", vcs, i, v)
+			}
+		}
+		if err := lazy.CheckMirrors(); err != nil || busy.Any() {
+			t.Fatalf("%d VCs: audit %v, Busy %v", vcs, err, busy)
+		}
+		lazy.ResetRound() // nothing to walk
+
+		vc := vcs / 2
+		if !lazy.Reserve(vc, VCState{Conn: 3, Class: flit.ClassVBR, Allocated: 2, Output: 1}) || !lazy.Materialized() {
+			t.Fatalf("%d VCs: Reserve did not materialize", vcs)
+		}
+		for v := 0; v < vcs; v++ {
+			if st := *lazy.State(v); v != vc && st != (VCState{}) {
+				t.Fatalf("%d VCs: free VC %d has record %+v", vcs, v, st)
+			}
+		}
+		if !lazy.Push(vc, &flit.Flit{ReadyAt: 4}) || occ != 1 || !busy.Test(1) {
+			t.Fatalf("%d VCs: push after materializing: occupancy %d, Busy %v", vcs, occ, busy)
+		}
+		if err := lazy.CheckMirrors(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStoreCarvesChunks: memories sharing a Store allocate their storage a
+// chunk at a time — two allocations, records and flit slots, per chunk of
+// ports — and never share a record or a slot.
+func TestStoreCarvesChunks(t *testing.T) {
+	const perChunk, perCall = 32, 64
+	cfg := Config{VirtualChannels: 64, Depth: 4, Banks: 8, PhitsPerFlit: 8, PhitBufferDepth: 16}
+	store := NewStore(perChunk)
+	mems := make([]Memory, 2*perCall)
+	next := 0
+	materialize := func() {
+		for i := 0; i < perCall; i++ {
+			m := &mems[next]
+			next++
+			if err := Init(m, cfg, store); err != nil {
+				t.Fatal(err)
+			}
+			m.Reserve(i%cfg.VirtualChannels, VCState{Class: flit.ClassCBR, Output: 0})
+		}
+	}
+	if got := testing.AllocsPerRun(1, materialize); got != 2*perCall/perChunk {
+		t.Fatalf("materializing %d ports allocated %.0f times, want %d", perCall, got, 2*perCall/perChunk)
+	}
+	seen := map[*VCState]bool{}
+	slots := map[**flit.Flit]bool{}
+	for i := range mems {
+		m := &mems[i]
+		if len(m.state) != cfg.VirtualChannels || len(m.qbuf) != cfg.VirtualChannels*cfg.Depth {
+			t.Fatalf("memory %d carved %d records and %d slots", i, len(m.state), len(m.qbuf))
+		}
+		for v := range m.state {
+			if seen[&m.state[v]] {
+				t.Fatalf("memory %d VC %d shares its record", i, v)
+			}
+			seen[&m.state[v]] = true
+		}
+		for s := range m.qbuf {
+			if slots[&m.qbuf[s]] {
+				t.Fatalf("memory %d shares flit slot %d", i, s)
+			}
+			slots[&m.qbuf[s]] = true
+		}
+		// Filling every VC of one memory leaves its neighbours' untouched.
+		for v := 0; v < cfg.VirtualChannels; v++ {
+			for d := 0; d < cfg.Depth; d++ {
+				m.Push(v, &flit.Flit{Seq: int64(i)})
+			}
+		}
+	}
+	for i := range mems {
+		if err := mems[i].CheckMirrors(); err != nil {
+			t.Fatalf("memory %d: %v", i, err)
+		}
+		for v := 0; v < cfg.VirtualChannels; v++ {
+			if f := mems[i].Peek(v); f.Seq != int64(i) {
+				t.Fatalf("memory %d VC %d holds memory %d's flit", i, v, f.Seq)
+			}
+		}
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -131,8 +256,8 @@ func TestReserveReleaseFindFree(t *testing.T) {
 		t.Fatalf("FindFree(2) = %d, want 3", vc)
 	}
 	m.Release(2)
-	if m.State(2).InUse || m.State(2).Output != -1 {
-		t.Fatal("release did not clear state")
+	if *m.State(2) != (VCState{}) {
+		t.Fatalf("release left record %+v, not a free VC's zero record", *m.State(2))
 	}
 	for i := 0; i < 4; i++ {
 		m.Reserve(i, VCState{})
