@@ -7,11 +7,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"mmr/internal/checkpoint"
 	"mmr/internal/flit"
+	"mmr/internal/metrics"
 	"mmr/internal/sim"
 	"mmr/internal/topology"
 	"mmr/internal/traffic"
@@ -92,6 +94,82 @@ func TestCheckpointRoundTripBitExact(t *testing.T) {
 		}
 		if !bytes.Equal(refFinal, final) {
 			t.Errorf("gated=%v: end state not byte-identical to uninterrupted run (%d vs %d bytes)", !noIdleSkip, len(refFinal), len(final))
+		}
+	}
+}
+
+// TestCheckpointResumeMatchesTwin pins what a checkpoint must preserve,
+// read from the outside: the detScenario fabric, clean and under its fault
+// plan, is checkpointed at cycle 1200 and restored into fresh fabrics gated
+// and NoIdleSkip; each then runs 5,000 cycles beside a twin of its engine
+// that was never checkpointed. Statistics, the session log, the end state's
+// bytes and the metric snapshot in both renderings must be the twin's. The
+// per-tenant delivery families are left out of the snapshot: tenantstats.go
+// keeps them outside EncodeState, so a restored fabric counts them from
+// zero.
+func TestCheckpointResumeMatchesTwin(t *testing.T) {
+	const at, after = 1200, 5000
+	render := func(n *Network) (prom, js string) {
+		var p, j bytes.Buffer
+		snap := n.GatherMetrics()
+		tenant := func(name string) bool { return strings.HasPrefix(name, "mmr_net_tenant_") }
+		snap.Counters = slices.DeleteFunc(snap.Counters, func(s metrics.CounterSnap) bool { return tenant(s.Name) })
+		snap.Histograms = slices.DeleteFunc(snap.Histograms, func(s metrics.HistSnap) bool { return tenant(s.Name) })
+		if err := snap.WritePrometheus(&p); err != nil {
+			t.Fatal(err)
+		}
+		if err := snap.WriteJSON(&j); err != nil {
+			t.Fatal(err)
+		}
+		return p.String(), j.String()
+	}
+	for _, withFaults := range []bool{false, true} {
+		src := buildDetNetwork(t, withFaults)
+		src.Run(at)
+		snap, err := src.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, noIdleSkip := range []bool{false, true} {
+			name := fmt.Sprintf("faults=%v/noIdleSkip=%v", withFaults, noIdleSkip)
+			twin := buildDetNetwork(t, withFaults)
+			twin.cfg.NoIdleSkip = noIdleSkip
+			twin.Run(at + after)
+
+			n, err := New(detConfig(t, noIdleSkip))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.RestoreState(snap); err != nil {
+				t.Fatalf("%s: restore: %v", name, err)
+			}
+			n.Run(after)
+
+			if !reflect.DeepEqual(twin.Stats(), n.Stats()) {
+				t.Errorf("%s: stats differ from the twin's:\ntwin:     %+v\nrestored: %+v", name, twin.Stats(), n.Stats())
+			}
+			if !reflect.DeepEqual(twin.SessionEvents(), n.SessionEvents()) {
+				t.Errorf("%s: session log differs from the twin's (%d vs %d events)", name, len(twin.SessionEvents()), len(n.SessionEvents()))
+			}
+			wantProm, wantJSON := render(twin)
+			gotProm, gotJSON := render(n)
+			if gotProm != wantProm {
+				t.Errorf("%s: Prometheus snapshot differs from the twin's", name)
+			}
+			if gotJSON != wantJSON {
+				t.Errorf("%s: JSON snapshot differs from the twin's", name)
+			}
+			want, err := twin.EncodeState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := n.EncodeState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want, got) {
+				t.Errorf("%s: end state differs from the twin's (%d vs %d bytes)", name, len(got), len(want))
+			}
 		}
 	}
 }
