@@ -55,8 +55,9 @@ loc:
 # of internal/network + internal/router, counted as `loc` counts them, may
 # not exceed the ceiling — lower it to the new sum whenever a PR shrinks
 # them (after the 16-bit geometry bound: 4,897 + 1,623; VC storage on
-# first use kept the sum, 4,896 + 1,624).
-LOC_CEILING = 6520
+# first use kept the sum, 4,896 + 1,624; the arena-carved restore,
+# 4,895 + 1,624).
+LOC_CEILING = 6519
 
 loc-check:
 	@n=$$(cat $$(ls internal/network/*.go internal/router/*.go | grep -v _test.go) | wc -l); \

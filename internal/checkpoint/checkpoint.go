@@ -16,7 +16,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 )
 
 // Version is the current checkpoint format version. Bump it on any
@@ -38,42 +37,95 @@ const MinVersion = Version
 // magic identifies a checkpoint file. 8 bytes: "MMRCKPT" + NUL.
 var magic = [8]byte{'M', 'M', 'R', 'C', 'K', 'P', 'T', 0}
 
-// Encoder appends primitive values to a growing byte buffer. All
+// Encoder appends primitive values to a payload kept in chunks. All
 // integers are little-endian and fixed-width so the format is
 // platform-independent.
+//
+// A written byte never moves until Bytes: when the chunk being filled has
+// no room for a value, it is set aside as it is and a new one started
+// (sized like what has been written so far, at most ChunkSize), so a
+// payload of unknown size costs its chunks plus one joined copy, not a
+// growing buffer's series of copies.
 type Encoder struct {
-	buf []byte
+	buf  []byte   // the chunk being filled
+	full [][]byte // the chunks set aside, in order
+	n    int      // bytes in full
 }
+
+// ChunkSize is the largest chunk an Encoder starts on its own; Grow, or a
+// byte string longer than that, may ask for a larger one.
+const ChunkSize = 1 << 20
 
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
-// Grow makes room for n more bytes, so a caller that knows roughly how
-// large its payload will be pays for one allocation instead of a
-// doubling series of them.
-func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
+// Grow makes room for n more bytes in one chunk, so a caller that knows
+// roughly how large its payload will be pays for one allocation and Bytes
+// for no copy.
+func (e *Encoder) Grow(n int) {
+	if cap(e.buf)-len(e.buf) < n {
+		e.next(n)
+	}
+}
 
-// Bytes returns the encoded payload.
-func (e *Encoder) Bytes() []byte { return e.buf }
+// next sets the current chunk aside and starts one with room for at
+// least need bytes.
+func (e *Encoder) next(need int) {
+	if len(e.buf) > 0 {
+		e.full = append(e.full, e.buf)
+		e.n += len(e.buf)
+	}
+	e.buf = make([]byte, 0, max(need, min(max(e.n, 4096), ChunkSize)))
+}
+
+// raw appends b, filling the current chunk before starting the next.
+func raw[S ~string | ~[]byte](e *Encoder, b S) {
+	for len(b) > 0 {
+		if len(e.buf) == cap(e.buf) {
+			e.next(len(b))
+		}
+		k := copy(e.buf[len(e.buf):cap(e.buf)], b)
+		e.buf, b = e.buf[:len(e.buf)+k], b[k:]
+	}
+}
+
+// Bytes returns the encoded payload: the one chunk, or every chunk joined
+// once into a buffer that then stands for them all.
+func (e *Encoder) Bytes() []byte {
+	if len(e.full) > 0 {
+		out := make([]byte, 0, e.Len())
+		for _, c := range e.full {
+			out = append(out, c...)
+		}
+		e.buf, e.full, e.n = append(out, e.buf...), nil, 0
+	}
+	return e.buf
+}
 
 // Len returns the encoded payload size.
-func (e *Encoder) Len() int { return len(e.buf) }
+func (e *Encoder) Len() int { return e.n + len(e.buf) }
 
 // U8 appends one byte.
-func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
+func (e *Encoder) U8(v uint8) {
+	e.Grow(1)
+	e.buf = append(e.buf, v)
+}
 
 // U16 appends a uint16.
 func (e *Encoder) U16(v uint16) {
+	e.Grow(2)
 	e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
 }
 
 // U32 appends a uint32.
 func (e *Encoder) U32(v uint32) {
+	e.Grow(4)
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
 }
 
 // U64 appends a uint64.
 func (e *Encoder) U64(v uint64) {
+	e.Grow(8)
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 }
 
@@ -99,13 +151,13 @@ func (e *Encoder) Bool(v bool) {
 // Bytes8 appends a length-prefixed byte slice.
 func (e *Encoder) Bytes8(b []byte) {
 	e.U32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
+	raw(e, b)
 }
 
 // String appends a length-prefixed UTF-8 string.
 func (e *Encoder) String(s string) {
 	e.U32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
+	raw(e, s)
 }
 
 // Decoder reads primitive values back out of a payload. Errors are
@@ -301,12 +353,17 @@ func (c *Codec) String(p *string) { leaf(c, p, (*Encoder).String, (*Decoder).Str
 // count must be non-negative and no larger than the bytes that remain
 // (every element takes at least one), so a damaged count can drive
 // neither a giant loop nor a giant allocation.
-func (c *Codec) Count(n int, what string) int {
+func (c *Codec) Count(n int, what string) int { return c.CountOf(n, 1, what) }
+
+// CountOf is Count for a sequence whose elements take width bytes each: a
+// decoded count is bounded by the bytes that remain at that width, so a
+// caller may allocate the whole sequence up front.
+func (c *Codec) CountOf(n, width int, what string) int {
 	c.Int(&n)
 	if c.d == nil {
 		return n
 	}
-	if n < 0 || n > c.d.Remaining() {
+	if n < 0 || n > c.d.Remaining()/width {
 		c.Failf("checkpoint: %s count %d is implausible (%d bytes remain)", what, n, c.d.Remaining())
 	}
 	if c.d.err != nil {
@@ -335,17 +392,20 @@ func (c *Codec) Range(p *int, lo, hi int, what string) {
 //	[32:..) payload
 const headerLen = 32
 
+// appendHeader appends the envelope's header for payload, at the current
+// format version, to dst.
+func appendHeader(dst []byte, configHash uint64, payload []byte) []byte {
+	dst = append(dst, magic[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, Version)
+	dst = binary.LittleEndian.AppendUint64(dst, configHash)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(payload)))
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+}
+
 // Seal wraps payload in the checkpoint envelope at the current format
 // version.
 func Seal(configHash uint64, payload []byte) []byte {
-	out := make([]byte, 0, headerLen+len(payload))
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, Version)
-	out = binary.LittleEndian.AppendUint64(out, configHash)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	out = append(out, payload...)
-	return out
+	return append(appendHeader(make([]byte, 0, headerLen+len(payload)), configHash, payload), payload...)
 }
 
 // Open validates the envelope of data and returns the format version,
@@ -380,7 +440,8 @@ func Open(data []byte) (version uint32, configHash uint64, payload []byte, err e
 // WriteFile atomically writes a sealed checkpoint to path: the bytes
 // land in a temp file in the same directory, are fsynced, and are
 // renamed over path so concurrent readers see either the old or the
-// new checkpoint, never a torn one.
+// new checkpoint, never a torn one. The file is Seal's bytes, written
+// as the header and then payload itself, so no sealed copy is built.
 func WriteFile(path string, configHash uint64, payload []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")
@@ -389,10 +450,11 @@ func WriteFile(path string, configHash uint64, payload []byte) error {
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after successful rename
-	data := Seal(configHash, payload)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: write temp: %w", err)
+	for _, b := range [][]byte{appendHeader(nil, configHash, payload), payload} {
+		if _, err := tmp.Write(b); err != nil {
+			tmp.Close()
+			return fmt.Errorf("checkpoint: write temp: %w", err)
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

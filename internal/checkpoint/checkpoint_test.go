@@ -1,6 +1,8 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -280,6 +282,80 @@ func TestCodecBothDirections(t *testing.T) {
 		}
 		if got.idx < -1 || got.idx >= 8 || len(got.xs) > len(in.xs) {
 			t.Errorf("%s: read idx %d and %d elements past the error", name, got.idx, len(got.xs))
+		}
+	}
+}
+
+// TestEncoderChunks: values that meet a chunk's end — every fixed-width
+// leaf at each offset across the first chunk's edge, and byte strings longer
+// than a whole chunk — encode to what one growing buffer would hold, and
+// Bytes and Len say so however often they are called, writes between them
+// included.
+func TestEncoderChunks(t *testing.T) {
+	long := strings.Repeat("mmr", ChunkSize) // longer than any chunk the encoder starts
+	leaves := []struct {
+		name string
+		put  func(*Encoder)
+		want func([]byte) []byte
+	}{
+		{"U8", func(e *Encoder) { e.U8(0xab) }, func(b []byte) []byte { return append(b, 0xab) }},
+		{"U16", func(e *Encoder) { e.U16(0xbeef) }, func(b []byte) []byte { return binary.LittleEndian.AppendUint16(b, 0xbeef) }},
+		{"U32", func(e *Encoder) { e.U32(0xdeadbeef) }, func(b []byte) []byte { return binary.LittleEndian.AppendUint32(b, 0xdeadbeef) }},
+		{"U64", func(e *Encoder) { e.U64(0x0123456789abcdef) }, func(b []byte) []byte { return binary.LittleEndian.AppendUint64(b, 0x0123456789abcdef) }},
+		{"F64", func(e *Encoder) { e.F64(math.Pi) }, func(b []byte) []byte { return binary.LittleEndian.AppendUint64(b, math.Float64bits(math.Pi)) }},
+		{"Bytes8", func(e *Encoder) { e.Bytes8([]byte(long)) }, func(b []byte) []byte { return append(binary.LittleEndian.AppendUint32(b, uint32(len(long))), long...) }},
+		{"String", func(e *Encoder) { e.String(long) }, func(b []byte) []byte { return append(binary.LittleEndian.AppendUint32(b, uint32(len(long))), long...) }},
+	}
+	const first = 16 // the first chunk, as a Grow hint sizes it
+	for _, l := range leaves {
+		for fill := 0; fill <= first; fill++ {
+			e, want := NewEncoder(), []byte(nil)
+			e.Grow(first)
+			for i := 0; i < fill; i++ {
+				e.U8(byte(i))
+				want = append(want, byte(i))
+			}
+			l.put(e)
+			want = l.want(want)
+			for call := 0; call < 3; call++ {
+				if call == 2 { // a write after Bytes lands after what it returned
+					e.U32(7)
+					want = binary.LittleEndian.AppendUint32(want, 7)
+				}
+				if e.Len() != len(want) {
+					t.Fatalf("%s after %d bytes: Len %d, want %d", l.name, fill, e.Len(), len(want))
+				}
+				if got := e.Bytes(); !bytes.Equal(got, want) {
+					t.Fatalf("%s after %d bytes: Bytes call %d differs from one growing buffer's (%d vs %d bytes)", l.name, fill, call+1, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestWriteFileMatchesSeal: WriteFile writes the header and then the
+// payload, and the file is Seal's envelope byte for byte, which ReadFile
+// opens back to the payload.
+func TestWriteFileMatchesSeal(t *testing.T) {
+	payload := make([]byte, 3*ChunkSize/2)
+	for i := range payload {
+		payload[i] = byte(i * 31)
+	}
+	for _, p := range [][]byte{payload, nil} {
+		path := filepath.Join(t.TempDir(), "fabric.ckpt")
+		if err := WriteFile(path, 0xfeedface, p); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file, Seal(0xfeedface, p)) {
+			t.Fatalf("the %d-byte payload's file differs from its sealed envelope", len(p))
+		}
+		got, _, err := ReadFile(path, 0xfeedface)
+		if err != nil || !bytes.Equal(got, p) {
+			t.Fatalf("ReadFile returned %d bytes (%v), want the %d-byte payload", len(got), err, len(p))
 		}
 	}
 }

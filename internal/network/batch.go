@@ -1,7 +1,7 @@
 package network
 
 import (
-	"fmt"
+	"strconv"
 
 	"mmr/internal/router"
 	"mmr/internal/routing"
@@ -24,8 +24,8 @@ type OpenResult struct {
 }
 
 // precheckError is a deferred-format rejection: pre-checks sit on the
-// batch fast path and must not pay fmt costs for every doomed request,
-// so the message is only rendered when someone reads it.
+// batch fast path, so the message is only rendered when someone reads it,
+// and without fmt, since callers that count refusals read every one.
 type precheckError struct {
 	kind precheckKind
 	node int // or region
@@ -44,11 +44,11 @@ const (
 func (e *precheckError) Error() string {
 	switch e.kind {
 	case precheckNoEntryVC:
-		return fmt.Sprintf("network: no free VC on host port of node %d", e.node)
+		return "network: no free VC on host port of node " + strconv.Itoa(e.node)
 	case precheckNoEjection:
-		return fmt.Sprintf("network: destination host port of node %d cannot admit %v", e.node, e.rate)
+		return "network: destination host port of node " + strconv.Itoa(e.node) + " cannot admit " + e.rate.String()
 	default:
-		return fmt.Sprintf("network: region %d has no %s border capacity for %v", e.node, e.dir, e.rate)
+		return "network: region " + strconv.Itoa(e.node) + " has no " + e.dir + " border capacity for " + e.rate.String()
 	}
 }
 

@@ -359,3 +359,21 @@ func TestRouteModeChangesConfigHash(t *testing.T) {
 		t.Fatal("route modes must hash to distinct configurations")
 	}
 }
+
+// TestPrecheckErrorText pins the text of every pre-check refusal kind: the
+// daemon's 409 bodies and the soak's refusal histogram read it.
+func TestPrecheckErrorText(t *testing.T) {
+	for _, c := range []struct {
+		err  precheckError
+		want string
+	}{
+		{precheckError{kind: precheckNoEntryVC, node: 7}, "network: no free VC on host port of node 7"},
+		{precheckError{kind: precheckNoEjection, node: 12, rate: 1.54 * traffic.Mbps}, "network: destination host port of node 12 cannot admit 1.54Mbps"},
+		{precheckError{kind: precheckNoBorder, node: 3, rate: 64 * traffic.Kbps, dir: "outbound"}, "network: region 3 has no outbound border capacity for 64Kbps"},
+		{precheckError{kind: precheckNoBorder, node: 0, rate: 120 * traffic.Mbps, dir: "inbound"}, "network: region 0 has no inbound border capacity for 120Mbps"},
+	} {
+		if got := c.err.Error(); got != c.want {
+			t.Errorf("refusal kind %d: %q, want %q", c.err.kind, got, c.want)
+		}
+	}
+}

@@ -37,13 +37,9 @@ func (n *Network) EncodeState() ([]byte, error) {
 		return nil, err
 	}
 
-	// One allocation, not a doubling series from empty: a fabric's payload
-	// is about as long as its last one, and on the first call at least a
-	// byte per virtual channel.
+	// A fabric's payload is about as long as its last one, so a repeat
+	// checkpoint is one allocation; the first fills the encoder's chunks.
 	e := checkpoint.NewEncoder()
-	if n.lastPayload == 0 {
-		n.lastPayload = len(n.nodes) * n.cfg.radix() * n.cfg.VCs
-	}
 	e.Grow(n.lastPayload + n.lastPayload/16)
 	if err := n.state(&codec{Codec: checkpoint.Writing(e), n: n}); err != nil {
 		return nil, err

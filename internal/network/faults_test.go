@@ -1,11 +1,14 @@
 package network
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"mmr/internal/faults"
 	"mmr/internal/flit"
+	"mmr/internal/routing"
 	"mmr/internal/sim"
 	"mmr/internal/topology"
 	"mmr/internal/traffic"
@@ -521,4 +524,160 @@ func TestFailRestoreIdempotent(t *testing.T) {
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFaultStormFabrics runs the generated fabrics — FatTree(4) and the
+// smallest balanced dragonfly, Dragonfly(2,1,1) — through a fault storm
+// under every route mode, with the paranoid audit on at every transition:
+// light sessions open and close while links fail and heal at random
+// (MTBF/MTTR), two routers fail and return, and one region goes dark. At
+// the first round boundary past mid-storm where sessions are both broken
+// and degraded the fabric is checkpointed, restored into a fresh one (which
+// must write the same bytes back) and the storm goes on in the restored
+// fabric. At the end it must match a NoIdleSkip twin that was never
+// checkpointed — statistics and bytes — and both must pass the audit.
+func TestFaultStormFabrics(t *testing.T) {
+	for _, fab := range []struct {
+		name  string
+		build func() (*topology.Topology, error)
+	}{
+		{"FatTree(4)", func() (*topology.Topology, error) { return topology.FatTree(4) }},
+		{"Dragonfly(2,1,1)", func() (*topology.Topology, error) { return topology.Dragonfly(2, 1, 1) }},
+	} {
+		for _, route := range []routing.RouteMode{routing.RouteMinimal, routing.RouteValiant, routing.RouteUGAL} {
+			t.Run(fab.name+"/"+route.String(), func(t *testing.T) { faultStorm(t, fab.build, route) })
+		}
+	}
+}
+
+func faultStorm(t *testing.T, build func() (*topology.Topology, error), route routing.RouteMode) {
+	const rounds, roundCycles, midStorm = 80, 100, 30
+	fabric := func(noIdleSkip bool) *Network {
+		tp, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(tp) // Paranoid: every fault transition is audited
+		cfg.Route, cfg.Seed, cfg.NoIdleSkip = route, 13, noIdleSkip
+		cfg.Fault.MaxRetries, cfg.Fault.RetryBackoff = 3, 16
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	storm := func(n *Network) {
+		tp := n.cfg.Topology
+		last := tp.Nodes - 1
+		plan := faults.NewPlan(21).WithMTBF(2500, 300).
+			FailRouterAt(1200, 1).RestoreRouterAt(2400, 1).
+			FailRouterAt(2600, last).RestoreRouterAt(5200, last).
+			FailRegionAt(tp, tp.Nodes/2, 1, 3000, 1500)
+		if err := n.ApplyPlan(plan, rounds*roundCycles); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each round opens two light sessions and closes one: both fabrics draw
+	// the same operations from their own copy of the stream.
+	churnRound := func(n *Network, rng *sim.RNG) {
+		nodes := n.cfg.Topology.Nodes
+		for i := 0; i < 2; i++ {
+			src, dst := rng.Intn(nodes), rng.Intn(nodes)
+			spec := traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.PaperRates[rng.Intn(5)]}
+			if rng.Float64() < 0.3 {
+				spec.Class, spec.PeakRate = flit.ClassVBR, 2*spec.Rate
+			}
+			if src != dst {
+				n.Open(src, dst, spec) // refusals are part of the storm
+			}
+		}
+		c := n.Conns()
+		if len(c) == 0 {
+			return
+		}
+		switch victim := c[rng.Intn(len(c))]; {
+		case victim.Degraded && !victim.Closed():
+			if err := n.Close(victim); err != nil {
+				t.Fatal(err)
+			}
+		case victim.Open():
+			n.DrainAndClose(victim, 400) // a timeout leaves it stopped and draining
+		}
+	}
+
+	gated, twin := fabric(false), fabric(true)
+	for i, n := range []*Network{gated, twin} {
+		storm(n)
+		for f := 0; f < 3; f++ {
+			if _, err := n.AddBestEffortFlow(f, n.cfg.Topology.Nodes-1-f, 0.005); err != nil {
+				t.Fatalf("fabric %d: %v", i, err)
+			}
+		}
+	}
+	gatedOps, twinOps := sim.NewRNG(5), sim.NewRNG(5)
+	checkpointed := -1 // the round the checkpoint was taken after
+	for r := 0; r < rounds; r++ {
+		churnRound(gated, gatedOps)
+		churnRound(twin, twinOps)
+		gated.Run(roundCycles)
+		twin.Run(roundCycles)
+		if !networkInvariants(gated) || !networkInvariants(twin) {
+			t.Fatalf("round %d: conservation or audit fails", r)
+		}
+		if checkpointed >= 0 || r < midStorm || !stormHas(gated) {
+			continue
+		}
+		snap, err := gated.EncodeState()
+		if err != nil {
+			t.Fatalf("round %d: checkpoint: %v", r, err)
+		}
+		restored := fabric(false)
+		if err := restored.RestoreState(snap); err != nil {
+			t.Fatalf("round %d: restore: %v", r, err)
+		}
+		again, err := restored.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snap, again) {
+			t.Fatalf("round %d: the restored fabric writes %d bytes, the checkpoint held %d", r, len(again), len(snap))
+		}
+		gated, checkpointed = restored, r
+	}
+	if checkpointed < 0 {
+		t.Fatal("no round past mid-storm had sessions both broken and degraded")
+	}
+
+	st := gated.Stats()
+	if !reflect.DeepEqual(st, twin.Stats()) {
+		t.Errorf("stats differ from the NoIdleSkip twin's:\nstorm: %+v\ntwin:  %+v", st, twin.Stats())
+	}
+	gb, err := gated.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb, err := twin.EncodeState(); err != nil || !bytes.Equal(gb, tb) {
+		t.Errorf("end state differs from the NoIdleSkip twin's (err %v)", err)
+	}
+	for _, n := range []*Network{gated, twin} {
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.ConnsBroken == 0 || st.ConnsRestored == 0 || st.ConnsDegraded == 0 || st.FlitsDelivered == 0 {
+		t.Errorf("the storm left no mark: %d broken, %d restored, %d degraded, %d flits delivered",
+			st.ConnsBroken, st.ConnsRestored, st.ConnsDegraded, st.FlitsDelivered)
+	}
+	t.Logf("checkpointed at cycle %d; %d sessions, %d faults; %d broken, %d restored, %d degraded, %d promoted, %d lost; %d flits delivered",
+		(checkpointed+1)*roundCycles, len(gated.Conns()), st.FaultsInjected, st.ConnsBroken, st.ConnsRestored, st.ConnsDegraded, st.ConnsPromoted, st.ConnsLost, st.FlitsDelivered)
+}
+
+// stormHas reports whether n holds a broken session and a degraded one.
+func stormHas(n *Network) bool {
+	broken, degraded := false, false
+	for _, c := range n.Conns() {
+		broken = broken || c.Broken()
+		degraded = degraded || (c.Degraded && !c.Closed())
+	}
+	return broken && degraded
 }

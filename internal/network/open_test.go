@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -267,8 +268,18 @@ func TestOpenCarvesStorageByChunk(t *testing.T) {
 		})
 		return perRun, fresh
 	}
-	warm, _ := allocs(true)
-	cold, fresh := allocs(false)
+	// An allocation of the runtime's own now and then lands in one
+	// measurement (2 in about 1 run of 12); the least of three is the opens'.
+	least := func(warm bool) (perRun float64, fresh int) {
+		perRun = math.Inf(1)
+		for range 3 {
+			a, f := allocs(warm)
+			perRun, fresh = min(perRun, a), f
+		}
+		return perRun, fresh
+	}
+	warm, _ := least(true)
+	cold, fresh := least(false)
 	chunks := (fresh + chunkPorts - 1) / chunkPorts
 	t.Logf("%d opens: %.0f allocations on storage-holding ports, %.0f across %d ports given storage", perCall, warm, cold, fresh)
 	if fresh <= chunkPorts {

@@ -84,14 +84,19 @@ func class(c *codec, p *flit.Class) {
 }
 
 // each walks a slice: its elements in order when encoding; when decoding,
-// as many fresh ones as the payload counts, each appended, then filled in
-// place by visit. A loop over a decoded count stops at the first error.
-func each[T any](c *codec, xs *[]T, what string, visit func(i int, x *T)) {
-	k := c.Count(len(*xs), what)
+// as many as the payload counts — at most the bytes left over width, the
+// fewest an element encodes to — each appended and filled in place by
+// visit. Given an arena, the decoded slice is first carved from it at that
+// count (refit), as a new session's route is. A loop over a decoded count
+// stops at the first error.
+func each[T any](c *codec, xs *[]T, arena *[]T, width int, what string, visit func(i int, x *T)) {
+	k := c.CountOf(len(*xs), width, what)
+	if c.Decoding() && arena != nil {
+		*xs = refit(*xs, arena, k)
+	}
 	for i := 0; i < k && c.Err() == nil; i++ {
 		if c.Decoding() {
-			var zero T
-			*xs = append(*xs, zero)
+			*xs = append(*xs, *new(T))
 		}
 		visit(i, &(*xs)[i])
 	}
@@ -107,7 +112,7 @@ func (c *codec) sparse(what string, has func(vc int) bool, visit func(vc int)) {
 			vcs = append(vcs, v)
 		}
 	}
-	each(c, &vcs, what, func(_ int, v *int) {
+	each(c, &vcs, nil, 8, what, func(_ int, v *int) {
 		vcIdx(c, v)
 		visit(*v)
 	})
@@ -118,8 +123,10 @@ func (c *codec) sparse(what string, has func(vc int) bool, visit func(vc int)) {
 // can fill in place: when encoding, get yields each of its k elements;
 // when decoding, each is built up from zero by fields and handed to put.
 func seq[T any](c *codec, k int, what string, get func(i int) T, fields func(*T), put func(T)) {
-	k = c.Count(k, what)
-	var x, zero T // fields may keep &x, so it lives on the heap: once a call, not once an element
+	if k = c.Count(k, what); k == 0 {
+		return
+	}
+	var x, zero T // fields may keep &x, so it lives on the heap: once a call with elements, not once an element
 	for i := 0; i < k && c.Err() == nil; i++ {
 		x = zero
 		if !c.Decoding() {
@@ -301,7 +308,7 @@ func (n *Network) netStatsState(c *codec) {
 }
 
 func (n *Network) sessionLogState(c *codec) {
-	each(c, &n.sessionLog, "session log", func(_ int, ev *SessionEvent) {
+	each(c, &n.sessionLog, nil, 40, "session log", func(_ int, ev *SessionEvent) {
 		c.I64(&ev.Cycle)
 		c.String(&ev.Kind)
 		num(c, &ev.Conn)
@@ -326,7 +333,7 @@ func (n *Network) impairState(c *codec) {
 // faultScheduleState: the expanded fault plan durFault events index. A
 // link that does not exist is refused where the transition is applied.
 func (n *Network) faultScheduleState(c *codec) {
-	each(c, &n.faultSchedule, "fault schedule", func(_ int, ev *faults.Event) {
+	each(c, &n.faultSchedule, nil, 32, "fault schedule", func(_ int, ev *faults.Event) {
 		c.I64(&ev.Cycle)
 		c.Int((*int)(&ev.Kind))
 		c.Int(&ev.Node)
@@ -334,23 +341,24 @@ func (n *Network) faultScheduleState(c *codec) {
 	})
 }
 
-// connState: every connection ever opened, in ID order.
+// connState: every connection ever opened, in ID order, carved from the arenas.
 func (n *Network) connState(c *codec) {
-	each(c, &n.conns, "connections", func(i int, pc **Conn) {
+	each(c, &n.conns, nil, 64, "connections", func(i int, pc **Conn) {
 		if c.Decoding() {
-			*pc = &Conn{ID: flit.ConnID(i), dstSlot: -1}
+			*pc = n.arena.conn()
+			**pc = Conn{ID: flit.ConnID(i), dstSlot: -1}
 		}
 		cn := *pc
 		nodeIdx(c, &cn.Src)
 		nodeIdx(c, &cn.Dst)
 		c.spec(&cn.Spec)
 		home := n.nodes[cn.Src]
-		each(c, &cn.Path, "path hops", func(_ int, h *routing.PathHop) {
+		each(c, &cn.Path, &n.arena.hops, 16, "path hops", func(_ int, h *routing.PathHop) {
 			nodeIdx(c, &h.Node)
 			portIdx(c, &h.Port)
 		})
-		each(c, &cn.VCs, "path VCs", func(_ int, r *routing.VCRef) { c.vcRef(r) })
-		each(c, &cn.Nodes, "path nodes", func(_ int, id *int) { nodeIdx(c, id) })
+		each(c, &cn.VCs, &n.arena.vcs, 16, "path VCs", func(_ int, r *routing.VCRef) { c.vcRef(r) })
+		each(c, &cn.Nodes, &n.arena.nodes, 8, "path nodes", func(_ int, id *int) { nodeIdx(c, id) })
 		c.I64(&cn.SetupTime)
 		c.Int(&cn.Backtracks)
 		c.Int(&cn.Restores)
@@ -413,7 +421,7 @@ func (n *Network) adoptConn(c *codec, cn *Conn) {
 // flowState: the best-effort flows, in registry order.
 func (n *Network) flowState(c *codec) {
 	c.I64((*int64)(&n.nextFlowID))
-	each(c, &n.beFlows, "best-effort flows", func(i int, pbf **beFlow) {
+	each(c, &n.beFlows, nil, 64, "best-effort flows", func(i int, pbf **beFlow) {
 		if c.Decoding() {
 			*pbf = &beFlow{}
 		}
@@ -669,24 +677,19 @@ func (n *Network) journalState(c *codec) (retryIDs []int64) {
 	})
 
 	retryIDs = sortedKeys(n.openRetries, cmp.Compare[int64])
-	k := c.Count(len(retryIDs), "open retries")
-	for i := 0; i < k && c.Err() == nil; i++ {
-		var id int64
-		or := &openRetry{}
-		if !c.Decoding() {
-			id, or = retryIDs[i], n.openRetries[retryIDs[i]]
+	each(c, &retryIDs, nil, 64, "open retries", func(_ int, id *int64) {
+		c.I64(id)
+		or := n.openRetries[*id]
+		if or == nil { // decoding: the request is filed before its fields are read
+			or = &openRetry{}
+			n.openRetries[*id] = or
 		}
 		// The request's endpoints are checked where it is attempted.
-		c.I64(&id)
 		c.Int(&or.req.Src)
 		c.Int(&or.req.Dst)
 		c.spec(&or.req.Spec)
 		c.Int(&or.attempt)
-		if c.Decoding() && c.Err() == nil {
-			n.openRetries[id] = or
-			retryIDs = append(retryIDs, id)
-		}
-	}
+	})
 	c.I64(&n.nextOpenID)
 	return retryIDs
 }
@@ -705,7 +708,7 @@ func (n *Network) tenantState(c *codec, retryIDs []int64) {
 		_, has := n.tenants.Quota(name)
 		return !has // usage without a quota is recomputed, not stored
 	})
-	each(c, &names, "tenant quotas", func(_ int, name *string) {
+	each(c, &names, nil, 20, "tenant quotas", func(_ int, name *string) {
 		c.String(name)
 		q, _ := n.tenants.Quota(*name)
 		c.Range(&q.MaxSessions, 0, math.MaxInt, "session quota")

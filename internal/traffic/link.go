@@ -7,7 +7,7 @@
 // fixed set, ports drawn at random, admission limited by link bandwidth.
 package traffic
 
-import "fmt"
+import "strconv"
 
 // Rate is a bandwidth in bits per second.
 type Rate float64
@@ -19,18 +19,20 @@ const (
 	Gbps Rate = 1e9
 )
 
-// String implements fmt.Stringer with the natural unit.
+// String implements fmt.Stringer with the natural unit: the value in it to
+// four significant digits, as %.4g writes it, built without fmt — a
+// refused request's error text carries one.
 func (r Rate) String() string {
+	v, unit := float64(r), "bps"
 	switch {
 	case r >= Gbps:
-		return fmt.Sprintf("%.4gGbps", float64(r/Gbps))
+		v, unit = float64(r/Gbps), "Gbps"
 	case r >= Mbps:
-		return fmt.Sprintf("%.4gMbps", float64(r/Mbps))
+		v, unit = float64(r/Mbps), "Mbps"
 	case r >= Kbps:
-		return fmt.Sprintf("%.4gKbps", float64(r/Kbps))
-	default:
-		return fmt.Sprintf("%.4gbps", float64(r))
+		v, unit = float64(r/Kbps), "Kbps"
 	}
+	return string(append(strconv.AppendFloat(make([]byte, 0, 24), v, 'g', 4, 64), unit...))
 }
 
 // PaperRates is the connection-rate population of §5: "Connections were

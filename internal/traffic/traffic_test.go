@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,16 +10,50 @@ import (
 	"mmr/internal/sim"
 )
 
+// TestRateString pins the text of the paper's rates, zero, each unit's
+// boundary from both sides and fractions, and holds the rest of the range
+// to what %.4g writes.
 func TestRateString(t *testing.T) {
 	cases := map[Rate]string{
-		64 * Kbps:   "64Kbps",
-		1.54 * Mbps: "1.54Mbps",
-		1.24 * Gbps: "1.24Gbps",
-		500:         "500bps",
+		1.24 * Gbps:      "1.24Gbps",
+		500:              "500bps",
+		0:                "0bps",
+		0.5:              "0.5bps",
+		999.99:           "1000bps",
+		Kbps:             "1Kbps",
+		Mbps - 1:         "1000Kbps",
+		Mbps:             "1Mbps",
+		Gbps - 1e4:       "1000Mbps",
+		Gbps:             "1Gbps",
+		Mbps / 3:         "333.3Kbps",
+		12345.678 * Gbps: "1.235e+04Gbps",
 	}
 	for r, want := range cases {
 		if got := r.String(); got != want {
 			t.Errorf("%v.String() = %q, want %q", float64(r), got, want)
+		}
+	}
+	for i, want := range []string{"64Kbps", "128Kbps", "1.54Mbps", "2Mbps", "5Mbps", "10Mbps", "20Mbps", "55Mbps", "120Mbps"} {
+		if got := PaperRates[i].String(); got != want {
+			t.Errorf("PaperRates[%d].String() = %q, want %q", i, got, want)
+		}
+	}
+	rng := sim.NewRNG(5)
+	for i := 0; i < 100_000; i++ {
+		r := Rate(math.Pow(10, 12*rng.Float64()-1))
+		var want string
+		switch {
+		case r >= Gbps:
+			want = fmt.Sprintf("%.4gGbps", float64(r/Gbps))
+		case r >= Mbps:
+			want = fmt.Sprintf("%.4gMbps", float64(r/Mbps))
+		case r >= Kbps:
+			want = fmt.Sprintf("%.4gKbps", float64(r/Kbps))
+		default:
+			want = fmt.Sprintf("%.4gbps", float64(r))
+		}
+		if got := r.String(); got != want {
+			t.Fatalf("%v.String() = %q, %%.4g writes %q", float64(r), got, want)
 		}
 	}
 }
