@@ -441,7 +441,7 @@ func Open(data []byte) (version uint32, configHash uint64, payload []byte, err e
 // land in a temp file in the same directory, are fsynced, and are
 // renamed over path so concurrent readers see either the old or the
 // new checkpoint, never a torn one. The file is Seal's bytes, written
-// as the header and then payload itself, so no sealed copy is built.
+// as the header and then the payload itself, so no sealed copy is built.
 func WriteFile(path string, configHash uint64, payload []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")
