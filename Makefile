@@ -56,8 +56,9 @@ loc:
 # not exceed the ceiling — lower it to the new sum whenever a PR shrinks
 # them (after the 16-bit geometry bound: 4,897 + 1,623; VC storage on
 # first use kept the sum, 4,896 + 1,624; the arena-carved restore,
-# 4,895 + 1,624).
-LOC_CEILING = 6519
+# 4,895 + 1,624; rate admission in internal/admission, the Core's series
+# registered once and the unread quantiles gone, 4,886 + 1,562).
+LOC_CEILING = 6448
 
 loc-check:
 	@n=$$(cat $$(ls internal/network/*.go internal/router/*.go | grep -v _test.go) | wc -l); \

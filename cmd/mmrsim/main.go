@@ -89,8 +89,7 @@ func main() {
 	fmt.Printf("utilization %.4f\n", m.SwitchUtilization)
 	fmt.Printf("delay       %.3f cycles = %.3f µs (mean head-of-VC wait, §5 definition)\n",
 		m.Delay.Mean(), m.DelayMicros)
-	fmt.Printf("            %.3f cycles including VC queueing, %.3f cycles end-to-end\n",
-		m.VCMDelay.Mean(), m.TotalDelay.Mean())
+	fmt.Printf("            %.3f cycles end-to-end, source queueing included\n", m.TotalDelay.Mean())
 	fmt.Printf("jitter      %.3f cycles (flit-weighted), %.3f cycles (per-connection mean)\n",
 		m.Jitter.Mean(), m.ConnMeanJitter.Mean())
 	fmt.Printf("delivered   %d stream flits over %d cycles\n", m.FlitsDelivered, m.Cycles)

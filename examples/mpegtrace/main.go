@@ -81,7 +81,8 @@ func main() {
 	fmt.Println("\nrouter under trace-driven VBR + CBR cross traffic:")
 	fmt.Printf("  VBR delivered %d flits, CBR %d flits (util %.4f)\n",
 		m.PerClassDelivered[mmr.ClassVBR], m.PerClassDelivered[mmr.ClassCBR], m.SwitchUtilization)
-	fmt.Printf("  delay  mean %.2f cycles, p50 %.1f, p99 %.1f\n",
-		m.Delay.Mean(), m.DelayP50, m.DelayP99)
-	fmt.Printf("  jitter mean %.3f cycles, p99 %.1f\n", m.Jitter.Mean(), m.JitterP99)
+	fmt.Printf("  delay  mean %.2f cycles, sd %.2f, max %.0f\n",
+		m.Delay.Mean(), m.Delay.StdDev(), m.Delay.Max())
+	fmt.Printf("  jitter mean %.3f cycles, sd %.3f, max %.0f\n",
+		m.Jitter.Mean(), m.Jitter.StdDev(), m.Jitter.Max())
 }

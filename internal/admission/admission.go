@@ -7,6 +7,11 @@
 // under round length × concurrency factor — the knob trading QoS assurance
 // against connection count and link utilization. A slice of each round can
 // be held back for best-effort traffic so it cannot starve.
+//
+// An allocator can instead run §5's rate test (UseRates), the idealization
+// the paper's single-router experiments admit under: the same two registers
+// and conditions, kept in fractions of link bandwidth on exact rates rather
+// than in whole flit cycles per round.
 package admission
 
 import "fmt"
@@ -20,7 +25,15 @@ type LinkAllocator struct {
 	guaranteed int // register 1: Σ CBR allocations + VBR permanent
 	peak       int // register 2: Σ VBR peak demands
 	conns      int
+
+	// Rate mode: link bandwidth in bits/s (0 in allocation mode) and the two
+	// registers as fractions of it.
+	bandwidth          float64
+	rateLoad, ratePeak float64
 }
+
+// rateTolerance absorbs the float error of rates that fill a link exactly.
+const rateTolerance = 1e-9
 
 // NewLinkAllocator returns an allocator for a link whose rounds are
 // roundLen flit cycles long, reserving beReserve cycles per round for
@@ -63,9 +76,12 @@ func (a *LinkAllocator) PeakTotal() int { return a.peak }
 // Connections returns the number of admitted connections.
 func (a *LinkAllocator) Connections() int { return a.conns }
 
-// GuaranteedLoad returns the fraction of the round allocated to
-// guaranteed traffic.
+// GuaranteedLoad returns the fraction of the link allocated to guaranteed
+// traffic: of the round, or in rate mode of the bandwidth.
 func (a *LinkAllocator) GuaranteedLoad() float64 {
+	if a.bandwidth > 0 {
+		return a.rateLoad
+	}
 	return float64(a.guaranteed) / float64(a.roundLen)
 }
 
@@ -167,4 +183,74 @@ func (a *LinkAllocator) ReleaseVBR(perm, peak int) {
 	if a.guaranteed < 0 || a.peak < 0 || a.conns < 0 {
 		panic("admission: VBR release without matching admit")
 	}
+}
+
+// UseRates switches a fresh allocator on a link of bandwidth bits/s to rate
+// mode, in which Admit, Release and Adjust test and charge exact rates and
+// GuaranteedLoad reports them; the cycle registers stay at zero.
+func (a *LinkAllocator) UseRates(bandwidth float64) { a.bandwidth = bandwidth }
+
+// shares converts a stream's rate and, for VBR, peak rate into fractions of
+// the link; a peak below the rate is charged at the rate, and CBR has none.
+func (a *LinkAllocator) shares(vbr bool, rate, peakRate float64) (g, p float64) {
+	g = rate / a.bandwidth
+	if vbr {
+		p = max(g, peakRate/a.bandwidth)
+	}
+	return g, p
+}
+
+// Admit charges a stream to the link in the allocator's mode, reporting
+// success: cycles and peakCycles per round to the registers (AdmitCBR,
+// AdmitVBR), or in rate mode its rate and peak rate in bits/s, each within
+// rateTolerance of the link and of the concurrency factor. peakCycles and
+// peakRate count for a VBR stream only.
+func (a *LinkAllocator) Admit(vbr bool, cycles, peakCycles int, rate, peakRate float64) bool {
+	switch {
+	case a.bandwidth > 0:
+		g, p := a.shares(vbr, rate, peakRate)
+		if a.rateLoad+g > 1+rateTolerance || vbr && a.ratePeak+p > a.concurrency+rateTolerance {
+			return false
+		}
+		a.rateLoad += g
+		a.ratePeak += p
+		a.conns++
+		return true
+	case vbr:
+		return a.AdmitVBR(cycles, peakCycles)
+	default:
+		return a.AdmitCBR(cycles)
+	}
+}
+
+// Release returns what Admit charged for the same arguments.
+func (a *LinkAllocator) Release(vbr bool, cycles, peakCycles int, rate, peakRate float64) {
+	switch {
+	case a.bandwidth > 0:
+		g, p := a.shares(vbr, rate, peakRate)
+		a.rateLoad -= g
+		a.ratePeak -= p
+		if a.conns--; a.conns < 0 {
+			panic("admission: release without matching admit")
+		}
+	case vbr:
+		a.ReleaseVBR(cycles, peakCycles)
+	default:
+		a.ReleaseCBR(cycles)
+	}
+}
+
+// Adjust changes an admitted CBR stream's charge by deltaCycles per round,
+// or in rate mode by deltaRate bits/s (AdjustCBR): growth is tested,
+// shrinking always succeeds.
+func (a *LinkAllocator) Adjust(deltaCycles int, deltaRate float64) bool {
+	if a.bandwidth == 0 {
+		return a.AdjustCBR(deltaCycles)
+	}
+	d := deltaRate / a.bandwidth
+	if a.rateLoad+d > 1+rateTolerance {
+		return false
+	}
+	a.rateLoad += d
+	return true
 }

@@ -345,9 +345,9 @@ func (n *Network) releasePath(conn *Conn) {
 		x.upstream[ref.Port][ref.VC] = noUpstream
 		if i < len(conn.Path) {
 			hop := conn.Path[i]
-			n.nodes[hop.Node].ReleaseAt(hop.Port, conn.Spec.Class, d)
+			n.nodes[hop.Node].ReleaseAt(hop.Port, conn.Spec, d)
 		} else {
-			x.ReleaseAt(n.cfg.hostPort(), conn.Spec.Class, d)
+			x.ReleaseAt(n.cfg.hostPort(), conn.Spec, d)
 		}
 	}
 }

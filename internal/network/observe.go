@@ -119,12 +119,6 @@ func (n *Network) initMetrics() {
 		port := strconv.Itoa(p)
 		nm.grantsByPort = append(nm.grantsByPort, reg.Counter(
 			"mmr_net_grants_total", "switch grants executed per output port", "port", port))
-		nm.core.VCOccupied = append(nm.core.VCOccupied, reg.Gauge(
-			"mmr_net_vc_occupied_flits", "flits buffered per input port", "port", port))
-		nm.core.VCReserved = append(nm.core.VCReserved, reg.Gauge(
-			"mmr_net_vc_reserved", "virtual channels in use per input port", "port", port))
-		nm.core.GuaranteedLoad = append(nm.core.GuaranteedLoad, reg.Gauge(
-			"mmr_net_guaranteed_load", "guaranteed-bandwidth fraction allocated per output port", "port", port))
 	}
 	nm.claimFailed = reg.Counter("mmr_net_claim_failed_total",
 		"packet grants dropped because no downstream VC was free")
@@ -143,10 +137,7 @@ func (n *Network) initMetrics() {
 	nm.beDelivered = reg.Counter("mmr_net_be_delivered_total", "best-effort packets ejected")
 	nm.flitsDropped = reg.Counter("mmr_net_flits_dropped_total", "flits dropped by link impairments")
 	nm.flitsCorrupted = reg.Counter("mmr_net_flits_corrupted_total", "flits corrupted by link impairments")
-	nm.core.Nominated = reg.Counter("mmr_net_sched_nominated_total", "candidates handed to the switch arbiter")
-	nm.core.CreditStalled = reg.Counter("mmr_net_sched_credit_stalled_total", "VC-cycles with a flit buffered but no downstream credit")
-	nm.core.RoundExhausted = reg.Counter("mmr_net_sched_round_exhausted_total", "VC-cycles passed over: per-round allocation consumed")
-	nm.core.BiasBoosted = reg.Counter("mmr_net_sched_bias_boosted_total", "nominated candidates lifted above base priority by the dynamic bias")
+	nm.core = router.RegisterCore(reg, "mmr_net", radix)
 
 	for _, sc := range n.m.sessionCounters() {
 		nm.session = append(nm.session, reg.Counter(sc.name, sc.help))

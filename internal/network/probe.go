@@ -117,7 +117,7 @@ func (l *holds) reserve(node, port int) bool {
 	}
 	mem := n.nodes[nb].Mems[n.cfg.Topology.PeerPort(node, port)]
 	vc := mem.PickFree(n.rng)
-	if vc < 0 || !n.nodes[node].AdmitAt(port, l.req.Spec.Class, l.d) {
+	if vc < 0 || !n.nodes[node].AdmitAt(port, l.req.Spec, l.d) {
 		return false
 	}
 	mem.Reserve(vc, l.transient())
@@ -134,7 +134,7 @@ func (l *holds) release(node, port int) {
 		panic(fmt.Sprintf("network: release of hop %d.%d, which is not the newest hold", node, port))
 	}
 	n, tp := l.n, l.n.cfg.Topology
-	n.nodes[node].ReleaseAt(port, l.req.Spec.Class, l.d)
+	n.nodes[node].ReleaseAt(port, l.req.Spec, l.d)
 	n.nodes[tp.Wired(node, port)].Mems[tp.WiredPeer(node, port)].Release(l.hops[top].vc)
 	n.vcFreed(tp.Wired(node, port), tp.WiredPeer(node, port))
 	l.hops = l.hops[:top]
@@ -143,7 +143,7 @@ func (l *holds) release(node, port int) {
 // eject takes the ejection bandwidth on the destination's host port.
 func (l *holds) eject() error {
 	n := l.n
-	if !n.nodes[l.req.Dst].AdmitAt(n.cfg.hostPort(), l.req.Spec.Class, l.d) {
+	if !n.nodes[l.req.Dst].AdmitAt(n.cfg.hostPort(), l.req.Spec, l.d) {
 		return fmt.Errorf("network: destination host port of node %d cannot admit %v", l.req.Dst, l.req.Spec.Rate)
 	}
 	l.ejecting = true
@@ -154,7 +154,7 @@ func (l *holds) eject() error {
 func (l *holds) unwind() {
 	n, hp := l.n, l.n.cfg.hostPort()
 	if l.ejecting {
-		n.nodes[l.req.Dst].ReleaseAt(hp, l.req.Spec.Class, l.d)
+		n.nodes[l.req.Dst].ReleaseAt(hp, l.req.Spec, l.d)
 	}
 	for i := len(l.hops) - 1; i >= 0; i-- {
 		l.release(l.hops[i].node, l.hops[i].port)

@@ -66,3 +66,66 @@ func TestQueueConservation(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueBounded checks the stability "From MWM to iSLIP" proves for
+// maximum weight matching and the paper's ≥ 95 % utilization assumes: at
+// admissible load Q stays bounded. Each of the four switch arbiters at 1, 2,
+// 4 and 8 candidates (1 and 8 under -short) carries a CBR-only workload at
+// 0.9 load; after a warm-up, the peak of Q (queued) over the second of two
+// equal windows must not exceed its peak over the first. A cell listed in
+// queueBoundFindings failed that when the test was written; it is the
+// finding EXPERIMENTS.md records under "Queue boundedness", and is skipped
+// while it still fails.
+func TestQueueBounded(t *testing.T) {
+	const warm, window = 20_000, 20_000
+	cands := []int{1, 2, 4, 8}
+	if testing.Short() {
+		cands = []int{1, 8}
+	}
+	for _, arb := range []ArbiterKind{ArbPriority, ArbAutonet, ArbPerfect, ArbISLIP} {
+		for _, c := range cands {
+			cell := fmt.Sprintf("%v/%dC", arb, c)
+			t.Run(cell, func(t *testing.T) {
+				cfg := PaperConfig()
+				cfg.Arbiter, cfg.MaxCandidates = arb, c
+				if arb == ArbAutonet {
+					cfg.Selection = sched.SelectRandom
+				}
+				r, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.EstablishWorkload(mustWorkload(t, cfg, 0.9, 1)); err != nil {
+					t.Fatal(err)
+				}
+				r.runCycles(warm)
+				peak := func() int64 {
+					p := int64(0)
+					for i := 0; i < window; i++ {
+						r.runCycles(1)
+						p = max(p, queued(r))
+					}
+					return p
+				}
+				first := peak()
+				second := peak()
+				if second <= first {
+					return
+				}
+				msg := fmt.Sprintf("peak Q rose from %d over cycles %d–%d to %d over the next %d", first, warm, warm+window, second, window)
+				if queueBoundFindings[cell] {
+					t.Skip("finding (EXPERIMENTS.md, Queue boundedness): " + msg)
+				}
+				t.Fatal(msg)
+			})
+		}
+	}
+}
+
+// queueBoundFindings are TestQueueBounded's cells whose second peak exceeded
+// the first at the commit that added the test.
+var queueBoundFindings = map[string]bool{
+	"priority/1C": true, "priority/4C": true, "priority/8C": true,
+	"autonet/2C": true, "autonet/4C": true, "autonet/8C": true,
+	"islip/2C": true, "islip/8C": true,
+}

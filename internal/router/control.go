@@ -36,20 +36,10 @@ func (r *Router) SetBandwidth(conn *Connection, rate traffic.Rate) error {
 	// Admission on the delta against what the output link holds for the
 	// connection, so shrinking always succeeds and growth is subject to
 	// the same §4.2 test as establishment.
-	switch r.cfg.Admission {
-	case AdmitRate:
-		delta := float64(rate-conn.admitted) / float64(r.cfg.Link.Bandwidth)
-		if r.rateGuaranteed[conn.Spec.Out]+delta > 1+1e-9 {
-			return fmt.Errorf("router: output %d cannot grow connection %d to %v", conn.Spec.Out, conn.ID, rate)
-		}
-		r.rateGuaranteed[conn.Spec.Out] += delta
-	default:
-		next := conn.Spec
-		next.Rate = rate
-		delta := r.core.DemandOf(next).Alloc - r.core.DemandOf(conn.held()).Alloc
-		if !r.core.Alloc[conn.Spec.Out].AdjustCBR(delta) {
-			return fmt.Errorf("router: output %d cannot grow connection %d to %v", conn.Spec.Out, conn.ID, rate)
-		}
+	next := conn.Spec
+	next.Rate = rate
+	if !r.core.AdjustAt(conn.Spec.Out, conn.held(), next) {
+		return fmt.Errorf("router: output %d cannot grow connection %d to %v", conn.Spec.Out, conn.ID, rate)
 	}
 	conn.admitted = rate
 	r.pendingCtl.Push(r.now+1, pendingControl{
@@ -119,13 +109,8 @@ func (r *Router) Release(conn *Connection) error {
 	conn.ni.Source = nil
 	r.cal.Invalidate()
 	r.core.Mems[conn.Spec.In].Release(conn.VC)
-	if r.cfg.Admission == AdmitRate {
-		g, p := r.rateShare(conn.held())
-		r.rateGuaranteed[conn.Spec.Out] -= g
-		r.ratePeak[conn.Spec.Out] -= p
-	} else {
-		r.core.ReleaseAt(conn.Spec.Out, conn.Spec.Class, r.core.DemandOf(conn.held()))
-	}
+	held := conn.held()
+	r.core.ReleaseAt(held.Out, held, r.core.DemandOf(held))
 	return nil
 }
 

@@ -257,7 +257,7 @@ func TestReleaseWithBandwidthWordInFlight(t *testing.T) {
 				t.Fatal(err)
 			}
 			r.Step() // the word arrives at a released connection and is dropped
-			if g := r.rateGuaranteed[1]; math.Abs(g) > 1e-12 {
+			if g := r.Allocator(1).GuaranteedLoad(); math.Abs(g) > 1e-12 {
 				t.Errorf("rate register of output 1 holds %g with no connection", g)
 			}
 			if a := r.Allocator(1); a.Guaranteed() != 0 || a.Connections() != 0 {

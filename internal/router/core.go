@@ -1,6 +1,8 @@
 package router
 
 import (
+	"strconv"
+
 	"mmr/internal/admission"
 	"mmr/internal/bitvec"
 	"mmr/internal/flit"
@@ -28,10 +30,10 @@ import (
 // and the asynchronous control cut-through of the single-chip experiments,
 // network's node the lanes, channel mappings and routing unit of a fabric.
 // Core also owns what a reservation at one hop is (§4.2–4.3): a stream's
-// Demand, its charge to an output's registers (AdmitAt, ReleaseAt), its VC's
-// allocation and aging interval (Retune), and a buffered packet's
-// VC (BufferPacket); the engines keep only their own admission variants,
-// base priorities and error texts.
+// Demand, its charge to an output's registers in the configured admission
+// mode (AdmitAt, ReleaseAt, AdjustAt), its VC's allocation and aging interval
+// (Retune), and a buffered packet's VC (BufferPacket); the engines keep only
+// their base priorities and error texts.
 //
 // All ports' memories, schedulers and credit counters are single
 // contiguous allocations (the per-port slices hold interior pointers), and
@@ -106,6 +108,9 @@ func (c *Core) Init(cfg *Config, rng *sim.RNG, store *vcm.Store) error {
 		a, err := admission.NewLinkAllocator(cfg.RoundLen(), 0, cfg.Concurrency)
 		if err != nil {
 			return err
+		}
+		if cfg.Admission == AdmitRate {
+			a.UseRates(float64(cfg.Link.Bandwidth))
 		}
 		c.Alloc[p] = a
 	}
@@ -227,23 +232,24 @@ func (c *Core) DemandOf(spec traffic.ConnSpec) Demand {
 	return d
 }
 
-// AdmitAt charges d to output out's two registers (§4.2) — a CBR stream its
-// allocation, a VBR stream its allocation and its peak — or, when d does not
-// fit, charges nothing and reports false.
-func (c *Core) AdmitAt(out int, class flit.Class, d Demand) bool {
-	if class == flit.ClassVBR {
-		return c.Alloc[out].AdmitVBR(d.Alloc, d.Peak)
-	}
-	return c.Alloc[out].AdmitCBR(d.Alloc)
+// AdmitAt charges stream spec, holding d, to output out's two registers
+// (§4.2) — a CBR stream its allocation, a VBR stream its allocation and its
+// peak; under AdmitRate their rates — or, when it does not fit, charges
+// nothing and reports false.
+func (c *Core) AdmitAt(out int, spec traffic.ConnSpec, d Demand) bool {
+	return c.Alloc[out].Admit(spec.Class == flit.ClassVBR, d.Alloc, d.Peak, float64(spec.Rate), float64(spec.PeakRate))
 }
 
 // ReleaseAt returns what AdmitAt charged.
-func (c *Core) ReleaseAt(out int, class flit.Class, d Demand) {
-	if class == flit.ClassVBR {
-		c.Alloc[out].ReleaseVBR(d.Alloc, d.Peak)
-	} else {
-		c.Alloc[out].ReleaseCBR(d.Alloc)
-	}
+func (c *Core) ReleaseAt(out int, spec traffic.ConnSpec, d Demand) {
+	c.Alloc[out].Release(spec.Class == flit.ClassVBR, d.Alloc, d.Peak, float64(spec.Rate), float64(spec.PeakRate))
+}
+
+// AdjustAt moves a CBR stream's charge at output out from what spec from
+// holds to what to asks for; growth is admission-tested (§4.3's dynamic
+// bandwidth management), shrinking always succeeds.
+func (c *Core) AdjustAt(out int, from, to traffic.ConnSpec) bool {
+	return c.Alloc[out].Adjust(c.DemandOf(to).Alloc-c.DemandOf(from).Alloc, float64(to.Rate-from.Rate))
 }
 
 // Retune makes stream VC vc of input in hold d, at establishment and at
@@ -278,8 +284,7 @@ func (c *Core) BufferPacket(in, out int, f *flit.Flit, t int64, rng *sim.RNG) bo
 }
 
 // CoreSeries are the handles of the series an engine mirrors out of its
-// Core at gather time. The engine registers them — the names, help texts
-// and order are its own (the fabric's order rides its checkpoints).
+// Core at gather time (RegisterCore).
 type CoreSeries struct {
 	// The link schedulers' event counters (sched.LinkCounters), summed
 	// over the input ports.
@@ -287,6 +292,26 @@ type CoreSeries struct {
 	// Per port: flits buffered and VCs in use at the input, the
 	// guaranteed-bandwidth fraction allocated at the output.
 	VCOccupied, VCReserved, GuaranteedLoad []metrics.Gauge
+}
+
+// RegisterCore registers on reg the series Mirror fills, named under prefix:
+// the four link-scheduler counters, then port by port for ports ports the
+// three gauges. Where the call falls among an engine's own registrations is
+// the engine's series order (the fabric's rides its checkpoints).
+func RegisterCore(reg *metrics.Registry, prefix string, ports int) CoreSeries {
+	s := CoreSeries{
+		Nominated:      reg.Counter(prefix+"_sched_nominated_total", "candidates handed to the switch arbiter"),
+		CreditStalled:  reg.Counter(prefix+"_sched_credit_stalled_total", "VC-cycles with a flit buffered but no downstream credit"),
+		RoundExhausted: reg.Counter(prefix+"_sched_round_exhausted_total", "VC-cycles passed over: per-round allocation consumed"),
+		BiasBoosted:    reg.Counter(prefix+"_sched_bias_boosted_total", "nominated candidates lifted above base priority by the dynamic bias"),
+	}
+	for p := 0; p < ports; p++ {
+		port := strconv.Itoa(p)
+		s.VCOccupied = append(s.VCOccupied, reg.Gauge(prefix+"_vc_occupied_flits", "flits buffered per input port", "port", port))
+		s.VCReserved = append(s.VCReserved, reg.Gauge(prefix+"_vc_reserved", "virtual channels in use per input port", "port", port))
+		s.GuaranteedLoad = append(s.GuaranteedLoad, reg.Gauge(prefix+"_guaranteed_load", "guaranteed-bandwidth fraction allocated per output port", "port", port))
+	}
+	return s
 }
 
 // Mirror copies the Core's live state into sh under the handles s.

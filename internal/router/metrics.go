@@ -19,10 +19,6 @@ type measurement struct {
 	sink Sink // where departing flits end: delay/jitter per §5, delivered counts, packet latency
 
 	totalDelay stats.Accumulator // creation→departure, incl. NI queueing
-	vcmDelay   stats.Accumulator // VCM entry→departure
-
-	delayHist  *stats.Histogram // head-delay distribution (cycles)
-	jitterHist *stats.Histogram // jitter distribution (cycles)
 
 	pktGenerated [flit.NumClasses]int64
 	ctlFastPath  int64
@@ -37,9 +33,6 @@ func (m *measurement) reset() {
 	m.generated = 0
 	m.sink.Reset()
 	m.totalDelay.Reset()
-	m.vcmDelay.Reset()
-	m.delayHist = stats.NewHistogram(0, 512, 512)
-	m.jitterHist = stats.NewHistogram(0, 256, 512)
 	m.pktGenerated = [flit.NumClasses]int64{}
 	m.ctlFastPath = 0
 }
@@ -53,19 +46,21 @@ func (m *measurement) transmitted() int64 {
 	return n
 }
 
+// utilization is transmitted flits / (ports × cycles), 0 before a cycle.
+func (m *measurement) utilization(ports int) float64 {
+	if m.cycles == 0 {
+		return 0
+	}
+	return float64(m.transmitted()) / (float64(ports) * float64(m.cycles))
+}
+
 // recordDeparture notes a stream flit leaving the switch at cycle t. Delay
 // is "the difference between the times a flit is ready to be transmitted
 // through the switch and the time it actually leaves the switch" (§5): the
 // wait at the head of the virtual channel.
 func (m *measurement) recordDeparture(t int64, f *flit.Flit) {
-	delay := float64(t - f.HeadAt)
-	jitter, hasJitter := m.sink.Stream(f.Class, int(f.Conn), delay)
-	m.vcmDelay.Add(float64(t - f.ReadyAt))
+	m.sink.Stream(f.Class, int(f.Conn), float64(t-f.HeadAt))
 	m.totalDelay.Add(float64(t - f.CreatedAt))
-	m.delayHist.Add(delay)
-	if hasJitter {
-		m.jitterHist.Add(jitter)
-	}
 }
 
 // Metrics is an immutable snapshot of one measurement window.
@@ -79,9 +74,6 @@ type Metrics struct {
 
 	// Delay (flit cycles): aggregate over all stream flits.
 	Delay stats.Accumulator
-	// VCMDelay (flit cycles) measures VCM entry→departure, adding the
-	// within-VC queueing ahead of the head slot.
-	VCMDelay stats.Accumulator
 	// TotalDelay (flit cycles) measures creation→departure, including
 	// buffer queueing ahead of the switch — the end-to-end single-router
 	// latency a network interface observes.
@@ -93,10 +85,6 @@ type Metrics struct {
 	// connection weight — the §5.2 discussion notes fast connections sit
 	// below the average and slow ones above.
 	ConnMeanJitter stats.Accumulator
-
-	// DelayP50/P99 and JitterP99 are distribution quantiles in flit
-	// cycles (histogram-estimated).
-	DelayP50, DelayP99, JitterP99 float64
 
 	// SwitchUtilization is transmitted flits / (ports × cycles).
 	SwitchUtilization float64
@@ -130,9 +118,9 @@ func (m *measurement) snapshot(r *Router) *Metrics {
 		FlitsGenerated:    m.generated,
 		FlitsDelivered:    m.sink.Streams(),
 		Delay:             *m.sink.Tracker.Delay(),
-		VCMDelay:          m.vcmDelay,
 		TotalDelay:        m.totalDelay,
 		Jitter:            *m.sink.Tracker.Jitter(),
+		SwitchUtilization: m.utilization(r.cfg.Ports),
 		PerClassDelivered: m.sink.Delivered,
 		PacketsGenerated:  m.pktGenerated,
 		ControlLatency:    m.sink.Latency[flit.ClassControl],
@@ -142,13 +130,7 @@ func (m *measurement) snapshot(r *Router) *Metrics {
 		FramesAborted:     m.framesAborted,
 		FlitsDropped:      m.flitsDropped,
 	}
-	if m.cycles > 0 {
-		out.SwitchUtilization = float64(m.transmitted()) / (float64(r.cfg.Ports) * float64(m.cycles))
-	}
 	out.DelayMicros = out.Delay.Mean() * r.cfg.Link.FlitCycleNanos() / 1e3
-	out.DelayP50 = m.delayHist.Quantile(0.5)
-	out.DelayP99 = m.delayHist.Quantile(0.99)
-	out.JitterP99 = m.jitterHist.Quantile(0.99)
 	out.ConnDelay = make([]stats.Accumulator, len(r.conns))
 	out.ConnJitter = make([]stats.Accumulator, len(r.conns))
 	tr := &m.sink.Tracker

@@ -8,25 +8,6 @@ import (
 	"mmr/internal/traffic"
 )
 
-func TestMetricsQuantiles(t *testing.T) {
-	cfg := smallConfig()
-	r, _ := New(cfg)
-	// Two contending full-rate connections on one output: delays spread
-	// between 1 and a few cycles.
-	r.Establish(traffic.ConnSpec{Class: flit.ClassCBR, Rate: 600 * traffic.Mbps, In: 0, Out: 3})
-	r.Establish(traffic.ConnSpec{Class: flit.ClassCBR, Rate: 600 * traffic.Mbps, In: 1, Out: 3})
-	m := r.Run(2_000, 20_000)
-	if m.DelayP50 <= 0 || m.DelayP99 < m.DelayP50 {
-		t.Fatalf("quantiles disordered: p50=%v p99=%v", m.DelayP50, m.DelayP99)
-	}
-	if m.DelayP99 > m.Delay.Max()+1 {
-		t.Fatalf("p99 %.1f above max %.0f", m.DelayP99, m.Delay.Max())
-	}
-	if m.JitterP99 < 0 {
-		t.Fatalf("jitter p99 negative: %v", m.JitterP99)
-	}
-}
-
 func TestMetricsPerClassCounters(t *testing.T) {
 	cfg := smallConfig()
 	r, _ := New(cfg)

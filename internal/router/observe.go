@@ -1,8 +1,6 @@
 package router
 
 import (
-	"strconv"
-
 	"mmr/internal/flit"
 	"mmr/internal/metrics"
 )
@@ -27,18 +25,31 @@ type routerMetrics struct {
 	reg *metrics.Registry
 	sh  *metrics.Shard
 
-	generated   metrics.Counter
-	transmitted metrics.Counter
-	classDone   [flit.NumClasses]metrics.Counter
-	ctlFast     metrics.Counter
-	ctlWords    metrics.Counter
-	framesAbort metrics.Counter
-	dropped     metrics.Counter
-
-	core CoreSeries // the link-scheduler counters and per-port gauges
+	classDone [flit.NumClasses]metrics.Counter
+	counters  []metrics.Counter // one per entry of measurement.counters
+	core      CoreSeries        // the link-scheduler counters and per-port gauges
 
 	cycles metrics.Gauge
 	util   metrics.Gauge
+}
+
+// counter is one of the router's own counters: its series and its value.
+type counter struct {
+	name, help string
+	v          int64
+}
+
+// counters lists m's counters, valued now, in the order their series are
+// registered (initMetrics).
+func (m *measurement) counters() [6]counter {
+	return [...]counter{
+		{"mmr_router_flits_generated_total", "stream flits injected", m.generated},
+		{"mmr_router_flits_transmitted_total", "flits through the switch", m.transmitted()},
+		{"mmr_router_control_fast_path_total", "control packets cut through asynchronously", m.ctlFastPath},
+		{"mmr_router_control_words_total", "in-band management commands applied", m.controlWords},
+		{"mmr_router_frames_aborted_total", "frames aborted by bandwidth management", m.framesAborted},
+		{"mmr_router_flits_dropped_total", "flits dropped by frame aborts", m.flitsDropped},
+	}
 }
 
 func (r *Router) initMetrics() {
@@ -54,27 +65,12 @@ func (r *Router) initMetrics() {
 		om.classDone[c] = reg.Counter("mmr_router_delivered_total",
 			"flits transmitted by service class", "class", flit.Class(c).String())
 	}
-	om.generated = reg.Counter("mmr_router_flits_generated_total", "stream flits injected")
-	om.transmitted = reg.Counter("mmr_router_flits_transmitted_total", "flits through the switch")
-	om.ctlFast = reg.Counter("mmr_router_control_fast_path_total", "control packets cut through asynchronously")
-	om.ctlWords = reg.Counter("mmr_router_control_words_total", "in-band management commands applied")
-	om.framesAbort = reg.Counter("mmr_router_frames_aborted_total", "frames aborted by bandwidth management")
-	om.dropped = reg.Counter("mmr_router_flits_dropped_total", "flits dropped by frame aborts")
-	om.core.Nominated = reg.Counter("mmr_router_sched_nominated_total", "candidates handed to the switch arbiter")
-	om.core.CreditStalled = reg.Counter("mmr_router_sched_credit_stalled_total", "VC-cycles with a flit buffered but no downstream credit")
-	om.core.RoundExhausted = reg.Counter("mmr_router_sched_round_exhausted_total", "VC-cycles passed over: per-round allocation consumed")
-	om.core.BiasBoosted = reg.Counter("mmr_router_sched_bias_boosted_total", "candidates lifted above base priority by the dynamic bias")
+	for _, c := range r.m.counters() {
+		om.counters = append(om.counters, reg.Counter(c.name, c.help))
+	}
 	om.cycles = reg.Gauge("mmr_router_cycles", "flit cycles in the measurement window")
 	om.util = reg.Gauge("mmr_router_switch_utilization", "transmitted flits / (ports x cycles)")
-	for p := 0; p < r.cfg.Ports; p++ {
-		port := strconv.Itoa(p)
-		om.core.VCOccupied = append(om.core.VCOccupied, reg.Gauge(
-			"mmr_router_vc_occupied_flits", "flits buffered per input port", "port", port))
-		om.core.VCReserved = append(om.core.VCReserved, reg.Gauge(
-			"mmr_router_vc_reserved", "virtual channels in use per input port", "port", port))
-		om.core.GuaranteedLoad = append(om.core.GuaranteedLoad, reg.Gauge(
-			"mmr_router_guaranteed_load", "guaranteed-bandwidth fraction allocated per output port", "port", port))
-	}
+	om.core = RegisterCore(reg, "mmr_router", r.cfg.Ports)
 
 	om.sh = reg.NewShard()
 	r.om = om
@@ -88,22 +84,15 @@ func (r *Router) collectMetrics() {
 	om := r.om
 	sh := om.sh
 	m := &r.m
-	sh.Store(om.generated, m.generated)
-	sh.Store(om.transmitted, m.transmitted())
 	for c, n := range m.sink.Delivered {
 		sh.Store(om.classDone[c], n)
 	}
-	sh.Store(om.ctlFast, m.ctlFastPath)
-	sh.Store(om.ctlWords, m.controlWords)
-	sh.Store(om.framesAbort, m.framesAborted)
-	sh.Store(om.dropped, m.flitsDropped)
-
-	r.core.Mirror(sh, &om.core)
-
-	sh.Set(om.cycles, float64(m.cycles))
-	if m.cycles > 0 {
-		sh.Set(om.util, float64(m.transmitted())/(float64(r.cfg.Ports)*float64(m.cycles)))
+	for i, c := range m.counters() {
+		sh.Store(om.counters[i], c.v)
 	}
+	r.core.Mirror(sh, &om.core)
+	sh.Set(om.cycles, float64(m.cycles))
+	sh.Set(om.util, m.utilization(r.cfg.Ports))
 }
 
 // EnableMetrics builds the metric registry and wires the hot-path

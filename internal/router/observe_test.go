@@ -1,8 +1,13 @@
 package router
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
+
+	"mmr/internal/flit"
+	"mmr/internal/traffic"
 )
 
 // TestRouterMetricsMatchMeasurement: the gathered registry mirrors the
@@ -72,6 +77,90 @@ func TestStepZeroAllocWithMetricsEnabled(t *testing.T) {
 	allocs := testing.AllocsPerRun(500, func() { r.Step() })
 	if allocs != 0 {
 		t.Errorf("Router.Step with metrics enabled allocates %.2f times per cycle, want 0", allocs)
+	}
+}
+
+// TestGuaranteedLoadTracksAdmission holds Allocator(out).GuaranteedLoad and
+// the gathered mmr_router_guaranteed_load{port} to what admission holds at
+// each output, under both modes — Σ rate / bandwidth under AdmitRate,
+// Σ allocation / round under AdmitAllocation, and exactly 0 on an output
+// nothing was admitted to — across Establish, a SetBandwidth whose control
+// word has landed, and Release.
+func TestGuaranteedLoadTracksAdmission(t *testing.T) {
+	for _, mode := range []AdmissionMode{AdmitRate, AdmitAllocation} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Admission = mode
+			r, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			holds := func(spec traffic.ConnSpec) float64 {
+				if mode == AdmitRate {
+					return float64(spec.Rate) / float64(cfg.Link.Bandwidth)
+				}
+				return float64(cfg.Link.CyclesPerRound(spec.Rate, cfg.RoundLen())) / float64(cfg.RoundLen())
+			}
+			check := func(when string, conns ...*Connection) {
+				t.Helper()
+				want := make([]float64, cfg.Ports)
+				used := make([]bool, cfg.Ports)
+				for _, c := range conns {
+					want[c.Spec.Out] += holds(c.Spec)
+				}
+				for _, c := range r.Connections() {
+					used[c.Spec.Out] = true
+				}
+				snap := r.GatherMetrics()
+				for out := range want {
+					got := r.Allocator(out).GuaranteedLoad()
+					if g, ok := snap.GaugeTotal("mmr_router_guaranteed_load", `port="`+strconv.Itoa(out)+`"`); !ok || g != got {
+						t.Errorf("%s: output %d gauge reads %v, the allocator %v", when, out, g, got)
+					}
+					if math.Abs(got-want[out]) > 1e-12 || !used[out] && got != 0 {
+						t.Errorf("%s: output %d holds %v, admission charged %v", when, out, got, want[out])
+					}
+				}
+			}
+			open := func(spec traffic.ConnSpec) *Connection {
+				t.Helper()
+				c, err := r.Establish(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+			release := func(c *Connection) {
+				t.Helper()
+				for i := 0; i < 5; i++ { // until the sink's credits are home
+					if err = r.Release(c); err == nil {
+						return
+					}
+					r.Step()
+				}
+				t.Fatal(err)
+			}
+
+			check("empty")
+			c1 := open(traffic.ConnSpec{Class: flit.ClassCBR, Rate: 120 * traffic.Mbps, In: 0, Out: 1})
+			c2 := open(traffic.ConnSpec{Class: flit.ClassCBR, Rate: 55 * traffic.Mbps, In: 2, Out: 1})
+			v := open(traffic.ConnSpec{Class: flit.ClassVBR, Rate: 20 * traffic.Mbps, PeakRate: 60 * traffic.Mbps, In: 1, Out: 2})
+			check("established", c1, c2, v)
+			if err := r.SetBandwidth(c2, 300*traffic.Mbps); err != nil {
+				t.Fatal(err)
+			}
+			r.Step()
+			r.Step()
+			if c2.Spec.Rate != 300*traffic.Mbps {
+				t.Fatal("the bandwidth word did not land")
+			}
+			check("grown", c1, c2, v)
+			release(c1)
+			check("c1 released", c2, v)
+			release(c2)
+			release(v)
+			check("all released")
+		})
 	}
 }
 

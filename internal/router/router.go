@@ -24,7 +24,8 @@ import (
 	"mmr/internal/vcm"
 )
 
-// AdmissionMode selects how Establish tests output-link capacity.
+// AdmissionMode selects how Establish tests output-link capacity: the mode
+// Core.Init gives every output's admission.LinkAllocator.
 type AdmissionMode int
 
 // Admission modes.
@@ -190,11 +191,7 @@ type Router struct {
 	// core.Credits are the sink-side credits per input port VC; pipes
 	// carry their one-cycle return.
 	pipes []*flow.CreditPipe
-	// Rate-based admission accumulators (AdmitRate mode), as a fraction
-	// of link bandwidth per output.
-	rateGuaranteed []float64
-	ratePeak       []float64
-	xbar           *crossbar.Crossbar
+	xbar  *crossbar.Crossbar
 
 	// The connections and the packet flows — control flows, then
 	// best-effort flows, each in the order added — with the calendars that
@@ -230,8 +227,6 @@ func New(cfg Config) (*Router, error) {
 		rng:             sim.NewRNG(cfg.Seed),
 		pool:            flit.NewPool(),
 		pipes:           make([]*flow.CreditPipe, cfg.Ports),
-		rateGuaranteed:  make([]float64, cfg.Ports),
-		ratePeak:        make([]float64, cfg.Ports),
 		xbar:            crossbar.New(cfg.Ports),
 		outputBusyAsync: make([]bool, cfg.Ports),
 	}
@@ -281,8 +276,11 @@ func (r *Router) Establish(spec traffic.ConnSpec) (*Connection, error) {
 		return nil, fmt.Errorf("router: no free virtual channel on input %d", spec.In)
 	}
 	d := r.core.DemandOf(spec)
-	if err := r.admit(spec, d); err != nil {
-		return nil, err
+	if !r.core.AdmitAt(spec.Out, spec, d) {
+		if spec.Class == flit.ClassVBR {
+			return nil, fmt.Errorf("router: output %d cannot admit VBR %v/%v", spec.Out, spec.Rate, spec.PeakRate)
+		}
+		return nil, fmt.Errorf("router: output %d cannot admit %v CBR", spec.Out, spec.Rate)
 	}
 	id := flit.ConnID(len(r.conns))
 	// Under the fixed scheme a connection's static priority is its rate
@@ -308,46 +306,6 @@ func (r *Router) Establish(spec traffic.ConnSpec) (*Connection, error) {
 	r.cal.Invalidate()
 	r.m.sink.Tracker.Grow(len(r.conns))
 	return conn, nil
-}
-
-// admit runs the configured admission test at spec's output and charges
-// the accounting registers for a stream connection holding d.
-func (r *Router) admit(spec traffic.ConnSpec, d Demand) error {
-	if r.cfg.Admission == AdmitRate {
-		const eps = 1e-9
-		g, p := r.rateShare(spec)
-		if r.rateGuaranteed[spec.Out]+g > 1+eps {
-			return fmt.Errorf("router: output %d cannot admit %v (rate admission)", spec.Out, spec.Rate)
-		}
-		if spec.Class == flit.ClassVBR {
-			if r.ratePeak[spec.Out]+p > r.cfg.Concurrency+eps {
-				return fmt.Errorf("router: output %d cannot admit VBR peak %v (rate admission)", spec.Out, spec.PeakRate)
-			}
-			r.ratePeak[spec.Out] += p
-		}
-		r.rateGuaranteed[spec.Out] += g
-		return nil
-	}
-	switch {
-	case r.core.AdmitAt(spec.Out, spec.Class, d):
-		return nil
-	case spec.Class == flit.ClassVBR:
-		return fmt.Errorf("router: output %d cannot admit VBR %v/%v", spec.Out, spec.Rate, spec.PeakRate)
-	default:
-		return fmt.Errorf("router: output %d cannot admit %v CBR", spec.Out, spec.Rate)
-	}
-}
-
-// rateShare is what rate admission charges spec at its output, as
-// fractions of link bandwidth: its rate and, for VBR, its peak, never below
-// the rate (0 for CBR).
-func (r *Router) rateShare(spec traffic.ConnSpec) (g, p float64) {
-	bw := float64(r.cfg.Link.Bandwidth)
-	g = float64(spec.Rate) / bw
-	if spec.Class == flit.ClassVBR {
-		p = max(g, float64(spec.PeakRate)/bw)
-	}
-	return g, p
 }
 
 // EstablishWithSource is Establish with a caller-provided flit source —

@@ -54,18 +54,17 @@ func RegisterSink(reg *metrics.Registry, label func(flit.Class) string, delay, j
 func (s *Sink) Bind(sh *metrics.Shard, series *SinkSeries) { s.sh, s.series = sh, series }
 
 // Stream records a flit of the connection in tracker slot slot delivered
-// after delay cycles and returns the jitter sample it made; the first flit
-// of a connection makes none (ok is false).
-func (s *Sink) Stream(class flit.Class, slot int, delay float64) (jitter float64, ok bool) {
+// after delay cycles; every flit but a connection's first makes a jitter
+// sample.
+func (s *Sink) Stream(class flit.Class, slot int, delay float64) {
 	s.Delivered[class]++
-	jitter, ok = s.Tracker.Record(slot, delay)
+	jitter, ok := s.Tracker.Record(slot, delay)
 	if s.sh != nil {
 		s.sh.Observe(s.series.delay[class], delay)
 		if ok {
 			s.sh.Observe(s.series.jitter[class], jitter)
 		}
 	}
-	return jitter, ok
 }
 
 // Packet records a packet delivered latency cycles after it was created.

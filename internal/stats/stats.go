@@ -1,6 +1,8 @@
 // Package stats provides the measurement machinery for the MMR
-// simulations: streaming moment accumulators, histograms, per-connection
-// jitter trackers, and labeled series for regenerating the paper's figures.
+// simulations: streaming moment accumulators, per-connection jitter
+// trackers, and labeled series for regenerating the paper's figures.
+// Distributions are internal/metrics' fixed-bucket histograms, which the
+// engines' sinks fill.
 //
 // Metric definitions follow the paper exactly (§5): delay is the time from
 // a flit being ready to transmit through the switch until it actually
@@ -119,88 +121,6 @@ func (a *Accumulator) Restore(st AccumulatorState) {
 func (a *Accumulator) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
 		a.n, a.Mean(), a.StdDev(), a.min, a.max)
-}
-
-// Histogram counts samples in uniform bins over [lo, hi); samples outside
-// the range go to under/overflow counters so nothing is silently lost.
-type Histogram struct {
-	lo, hi float64
-	width  float64
-	bins   []int64
-	under  int64
-	over   int64
-	total  int64
-	acc    Accumulator
-}
-
-// NewHistogram returns a histogram with nbins uniform bins spanning
-// [lo, hi). It panics on a degenerate range or nbins < 1.
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins < 1 || !(hi > lo) {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(nbins), bins: make([]int64, nbins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	h.acc.Add(x)
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / h.width)
-		if i >= len(h.bins) { // float edge case at hi boundary
-			i = len(h.bins) - 1
-		}
-		h.bins[i]++
-	}
-}
-
-// N returns the total number of samples including out-of-range ones.
-func (h *Histogram) N() int64 { return h.total }
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
-
-// Underflow and Overflow return the out-of-range counts.
-func (h *Histogram) Underflow() int64 { return h.under }
-
-// Overflow returns the count of samples >= hi.
-func (h *Histogram) Overflow() int64 { return h.over }
-
-// Mean returns the exact streaming mean (not bin-quantized).
-func (h *Histogram) Mean() float64 { return h.acc.Mean() }
-
-// Quantile returns an estimate of the q-quantile (0<=q<=1) by linear
-// interpolation within bins. Out-of-range mass is pinned to the range
-// edges. With no samples it returns 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.acc.Min()
-	}
-	if q >= 1 {
-		return h.acc.Max()
-	}
-	target := q * float64(h.total)
-	cum := float64(h.under)
-	if target <= cum {
-		return h.lo
-	}
-	for i, c := range h.bins {
-		if cum+float64(c) >= target && c > 0 {
-			frac := (target - cum) / float64(c)
-			return h.lo + (float64(i)+frac)*h.width
-		}
-		cum += float64(c)
-	}
-	return h.hi
 }
 
 // Point is one (x, y) pair of a plotted series.

@@ -106,59 +106,6 @@ func TestMergeProperty(t *testing.T) {
 	}
 }
 
-func TestHistogramBinningAndQuantiles(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) / 10) // 0.0 .. 9.9 uniform
-	}
-	if h.N() != 100 || h.Underflow() != 0 || h.Overflow() != 0 {
-		t.Fatalf("counts wrong: n=%d u=%d o=%d", h.N(), h.Underflow(), h.Overflow())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bin(i) != 10 {
-			t.Fatalf("bin %d = %d, want 10", i, h.Bin(i))
-		}
-	}
-	if q := h.Quantile(0.5); !almost(q, 5, 0.2) {
-		t.Fatalf("median = %v, want ~5", q)
-	}
-	if q := h.Quantile(0.95); !almost(q, 9.5, 0.2) {
-		t.Fatalf("p95 = %v, want ~9.5", q)
-	}
-	if h.Quantile(0) != 0 || !almost(h.Quantile(1), 9.9, 1e-9) {
-		t.Fatal("extreme quantiles should be min/max")
-	}
-}
-
-func TestHistogramOutOfRange(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(-5)
-	h.Add(2)
-	h.Add(0.5)
-	if h.Underflow() != 1 || h.Overflow() != 1 || h.N() != 3 {
-		t.Fatalf("out-of-range accounting wrong: u=%d o=%d n=%d", h.Underflow(), h.Overflow(), h.N())
-	}
-	if !almost(h.Mean(), (-5+2+0.5)/3, 1e-12) {
-		t.Fatalf("Mean should use exact values, got %v", h.Mean())
-	}
-}
-
-func TestHistogramEmptyQuantile(t *testing.T) {
-	h := NewHistogram(0, 1, 2)
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile should be 0")
-	}
-}
-
-func TestHistogramInvalidShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid shape did not panic")
-		}
-	}()
-	NewHistogram(1, 1, 4)
-}
-
 func TestJitterTracker(t *testing.T) {
 	j := NewJitterTracker(2)
 	j.Record(0, 5)  // baseline, no jitter sample
