@@ -1,6 +1,7 @@
 package network
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -134,5 +135,140 @@ func TestModifyBandwidthTenantQuota(t *testing.T) {
 	}
 	if err := n.ModifyBandwidth(c, 5*traffic.Mbps); err != nil {
 		t.Fatalf("shrink refused: %v", err)
+	}
+}
+
+// TestTenantStateSurvivesCheckpoint: on the promotion chain, two tenants
+// with session and guaranteed quotas own sessions, one of them promoted
+// back from best-effort, and a tenant-owned retried open waits out its
+// backoff against a full link. The fabric is checkpointed there and
+// restored; then restored fabric and un-checkpointed twin free the link,
+// let the retry land and ask once more. Per-tenant usage and quotas,
+// every connection's owner, the landed session's owner and charge, and
+// the next quota refusal must be the twin's.
+func TestTenantStateSurvivesCheckpoint(t *testing.T) {
+	slot := 0
+	build := func() (*Network, *Conn) {
+		n, err := New(chainPromotionConfig(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot = n.GuaranteedCyclesFor(victimSpec())
+		n.Tenants().SetQuota("a", admission.TenantQuota{MaxSessions: 4, MaxGuaranteed: 3 * slot})
+		n.Tenants().SetQuota("b", admission.TenantQuota{MaxSessions: 2, MaxGuaranteed: 2 * slot})
+		victim, err := openAs(n, "a", 0, 2, victimSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Run(100)
+		if err := n.FailLink(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		n.Run(2000)
+		if !victim.Degraded {
+			t.Fatal("victim did not degrade")
+		}
+		if err := n.RestoreLink(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		n.Run(3000)
+		dummy, err := n.Open(0, 2, victimSpec()) // a close is the promotion trigger
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Close(dummy); err != nil {
+			t.Fatal(err)
+		}
+		n.Run(2000)
+		if victim.Degraded || !victim.Open() || n.Stats().ConnsPromoted != 1 {
+			t.Fatalf("victim not promoted: degraded=%v open=%v promoted=%d", victim.Degraded, victim.Open(), n.Stats().ConnsPromoted)
+		}
+		for _, tenant := range []string{"a", "b"} {
+			if _, err := openAs(n, tenant, 0, 2, victimSpec()); err != nil {
+				t.Fatalf("tenant %s: %v", tenant, err)
+			}
+		}
+		// Fill the link's round, so that tenant a's next open, inside its
+		// quota, finds no bandwidth and backs off.
+		blocker, err := n.Open(0, 2, blockerSpec(40*(32-3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = n.OpenRequest(OpenReq{Src: 0, Dst: 2, Spec: victimSpec(), Tenant: "a"}, FormRetry, nil)
+		if err != nil || len(n.openRetries) != 1 {
+			t.Fatalf("retried open: %v, %d pending", err, len(n.openRetries))
+		}
+		return n, blocker
+	}
+
+	twin, twinBlocker := build()
+	snap, err := twin.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(chainPromotionConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.RestoreState(snap); err != nil {
+		t.Fatal(err)
+	}
+
+	type view struct {
+		usage  map[string]admission.TenantUsage
+		quotas map[string]admission.TenantQuota
+		owners []string
+		err    string
+	}
+	look := func(n *Network) view {
+		v := view{usage: map[string]admission.TenantUsage{}, quotas: map[string]admission.TenantQuota{}}
+		for _, tenant := range []string{"", "a", "b"} {
+			v.usage[tenant] = n.Tenants().Usage(tenant)
+			if q, ok := n.Tenants().Quota(tenant); ok {
+				v.quotas[tenant] = q
+			}
+		}
+		for _, c := range n.Conns() {
+			v.owners = append(v.owners, c.Tenant)
+		}
+		return v
+	}
+	if want, got := look(twin), look(n); !reflect.DeepEqual(want, got) {
+		t.Fatalf("restored tenant state differs from the twin's:\ntwin:     %+v\nrestored: %+v", want, got)
+	}
+
+	for _, f := range []*Network{twin, n} {
+		if err := f.Close(f.conns[twinBlocker.ID]); err != nil {
+			t.Fatal(err)
+		}
+		f.Run(200)
+	}
+	want, got := look(twin), look(n)
+	landed := len(twin.conns) - 1
+	if len(twin.openRetries) != 0 || twin.conns[landed].Tenant != "a" || !twin.conns[landed].Open() {
+		t.Fatalf("the twin's retried open did not land as tenant a's session (%d pending)", len(twin.openRetries))
+	}
+	if u := want.usage["a"]; u.Sessions != 3 || u.Guaranteed != 3*slot {
+		t.Fatalf("twin: tenant a holds %+v after its retried open landed, want 3 sessions / %d guaranteed", u, 3*slot)
+	}
+	if len(n.conns) != len(twin.conns) || n.conns[landed].Tenant != "a" || !n.conns[landed].Open() {
+		t.Fatalf("the restored fabric's retried open did not land as tenant a's session")
+	}
+	for _, f := range []*Network{twin, n} {
+		_, err := openAs(f, "a", 0, 2, victimSpec())
+		if err == nil {
+			t.Fatal("tenant a admitted over its guaranteed quota")
+		}
+		if f == twin {
+			want.err = err.Error()
+		} else {
+			got.err = err.Error()
+		}
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("after the retried open landed, the restored fabric differs from the twin:\ntwin:     %+v\nrestored: %+v", want, got)
+	}
+	if !reflect.DeepEqual(twin.Stats(), n.Stats()) {
+		t.Fatalf("stats differ from the twin's:\ntwin:     %+v\nrestored: %+v", twin.Stats(), n.Stats())
 	}
 }
