@@ -3,6 +3,8 @@ package network
 import (
 	"fmt"
 	"testing"
+
+	"mmr/internal/flit"
 )
 
 // queued is Q of node nd: the flits its VC memories buffer, summed from the
@@ -25,6 +27,12 @@ func queued(nd *node) int64 {
 // off the links and injections from the host — and S the flits the switch
 // granted out of their VCs (Work.Grants). The runs are fault-free, so no
 // teardown purges a VC and no impairment drops a flit.
+//
+// The cycle's service S must also be a sub-permutation: no output carries
+// two flits in one cycle. A link output sends at most one (no outbound
+// flit lane holds two entries that arrive in the same cycle) and the host
+// output ejects at most one (no node's delivered count grows by two in a
+// cycle).
 func TestQueueConservation(t *testing.T) {
 	for _, fab := range []struct {
 		name   string
@@ -37,13 +45,15 @@ func TestQueueConservation(t *testing.T) {
 		for _, noIdleSkip := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/noIdleSkip=%v", fab.name, noIdleSkip), func(t *testing.T) {
 				n := fab.build(noIdleSkip)
-				q, a, s := make([]int64, len(n.nodes)), make([]int64, len(n.nodes)), make([]int64, len(n.nodes))
+				q, a, s, e := make([]int64, len(n.nodes)), make([]int64, len(n.nodes)), make([]int64, len(n.nodes)), make([]int64, len(n.nodes))
 				for i, nd := range n.nodes {
-					q[i], a[i], s[i] = queued(nd), nd.Work.Enqueued, nd.Work.Grants
+					q[i], a[i], s[i], e[i] = queued(nd), nd.Work.Enqueued, nd.Work.Grants, ejected(nd)
 				}
 				for c := 0; c < fab.cycles; c++ {
 					n.Run(1)
 					for i, nd := range n.nodes {
+						checkSubPermutation(t, nd, n.now-1, ejected(nd)-e[i])
+						e[i] = ejected(nd)
 						nq, na, ns := queued(nd), nd.Work.Enqueued, nd.Work.Grants
 						if nq-q[i] != (na-a[i])-(ns-s[i]) {
 							t.Fatalf("cycle %d node %d: Q went %d → %d with %d flits enqueued and %d granted",
@@ -60,6 +70,30 @@ func TestQueueConservation(t *testing.T) {
 					t.Fatalf("degenerate run: %d enqueued, %d granted", enq, grants)
 				}
 			})
+		}
+	}
+}
+
+// ejected is every flit node nd has delivered to its host.
+func ejected(nd *node) int64 {
+	sk := &nd.stats.sink
+	return sk.Streams() + sk.Delivered[flit.ClassBestEffort]
+}
+
+// checkSubPermutation fails t if node nd's outputs carried more than one
+// flit each in cycle t: two entries of one outbound flit lane due the same
+// cycle, or more than one flit ejected.
+func checkSubPermutation(t *testing.T, nd *node, cycle, ejectedNow int64) {
+	t.Helper()
+	if ejectedNow > 1 {
+		t.Fatalf("cycle %d node %d: ejected %d flits", cycle, nd.id, ejectedNow)
+	}
+	for p := range nd.out {
+		pending := nd.out[p].flits.Pending()
+		for j := 1; j < len(pending); j++ {
+			if pending[j].At == pending[j-1].At {
+				t.Fatalf("cycle %d node %d: output %d sent two flits due at cycle %d", cycle, nd.id, p, pending[j].At)
+			}
 		}
 	}
 }
