@@ -588,6 +588,10 @@ func (d *daemon) handleTenant(w http.ResponseWriter, r *http.Request) {
 				Rate:  traffic.Rate(req.MaxGuaranteedMbps) * traffic.Mbps,
 			})
 		}
+		if q.MaxGuaranteed == traffic.MaxCyclesPerRound {
+			reply <- ctlResp{err: fmt.Errorf("max_guaranteed_mbps %g is too large to count in cycles per round", req.MaxGuaranteedMbps)}
+			return
+		}
 		n.Tenants().SetQuota(req.Tenant, q)
 		u := n.Tenants().Usage(req.Tenant)
 		reply <- ctlResp{v: map[string]any{
@@ -601,9 +605,15 @@ func (d *daemon) handleTenant(w http.ResponseWriter, r *http.Request) {
 	}) {
 		return
 	}
-	if resp, ok := d.await(w, r, reply); ok {
-		writeJSON(w, resp.v)
+	resp, ok := d.await(w, r, reply)
+	if !ok {
+		return
 	}
+	if resp.err != nil {
+		http.Error(w, resp.err.Error(), http.StatusBadRequest)
+		return
+	}
+	writeJSON(w, resp.v)
 }
 
 type tenantInfo struct {

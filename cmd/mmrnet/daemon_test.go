@@ -8,9 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"mmr/internal/network"
+	"mmr/internal/sim"
 )
 
 // startTestDaemon launches runDaemon on a free port and waits until the
@@ -311,4 +315,151 @@ func TestDaemonFatTreeStatus(t *testing.T) {
 		t.Fatalf("periodic checkpoint missing: %v", err)
 	}
 	stopDaemon(t, sigc, done)
+}
+
+// TestDaemonHostileRequests sends every POST endpoint bodies a careless or
+// hostile client might: truncated JSON, wrong types, out-of-range nodes, a
+// rate of 1e300 Mbps, an unknown class, a body over 64 KiB, the wrong
+// method, and close/modify of IDs that name nothing. Each is answered with
+// a 4xx and a message, except that an open allowed to retry may degrade to
+// best-effort, as any refused open does; no guaranteed session is granted
+// at 1e300 Mbps. Then opens, closes and modifies race the SIGTERM drain:
+// the daemon must exit cleanly, and its final checkpoint restore into a
+// fabric that passes the resource audit.
+func TestDaemonHostileRequests(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "fabric.ckpt")
+	o := defaultOpts()
+	o.seed = 9
+	o.checkpoint = ckpt
+	addr, sigc, done, _ := startTestDaemon(t, o)
+	base := "http://" + addr
+
+	var opened openResponse
+	if code, body := postJSON(t, base+"/api/open", openRequest{Src: 0, Dst: 5, RateMbps: 20}, &opened); code != http.StatusOK {
+		t.Fatalf("open: status %d: %s", code, body)
+	}
+	huge := strings.Repeat("x", 70<<10)
+	cases := []struct {
+		path, method, body string
+		mayDegrade         bool
+	}{
+		{"/api/open", "POST", `{"src":0,"dst":`, false},
+		{"/api/open", "POST", `{"src":"zero","dst":5,"rate_mbps":10}`, false},
+		{"/api/open", "POST", `{"src":0,"dst":5,"rate_mbps":"fast"}`, false},
+		{"/api/open", "POST", `{"src":-1,"dst":5,"rate_mbps":10,"no_retry":true}`, false},
+		{"/api/open", "POST", `{"src":0,"dst":99999,"rate_mbps":10}`, false},
+		{"/api/open", "POST", `{"src":0,"dst":5,"rate_mbps":1e300,"no_retry":true}`, false},
+		{"/api/open", "POST", `{"src":0,"dst":5,"rate_mbps":1e300}`, true},
+		{"/api/open", "POST", `{"src":0,"dst":5,"class":"vbr","rate_mbps":10,"peak_mbps":1e300,"no_retry":true}`, false},
+		{"/api/open", "POST", `{"src":0,"dst":5,"class":"vbr","rate_mbps":1e300,"no_retry":true}`, false},
+		{"/api/open", "POST", `{"src":0,"dst":5,"class":"abr","rate_mbps":10}`, false},
+		{"/api/open", "POST", `{"src":0,"dst":5,"rate_mbps":-3}`, false},
+		{"/api/open", "POST", `{"tenant":"` + huge + `"}`, false},
+		{"/api/open", "GET", "", false},
+		{"/api/close", "POST", `{"conn":`, false},
+		{"/api/close", "POST", `{"conn":"first"}`, false},
+		{"/api/close", "POST", `{"conn":424242}`, false},
+		{"/api/close", "POST", `{"conn":-7}`, false},
+		{"/api/close", "POST", `{"flow":9999}`, false},
+		{"/api/close", "POST", `{"conn":0,"pad":"` + huge + `"}`, false},
+		{"/api/close", "GET", "", false},
+		{"/api/modify", "POST", `{"conn":0,"rate_mbps":`, false},
+		{"/api/modify", "POST", `{"conn":0,"rate_mbps":true}`, false},
+		{"/api/modify", "POST", `{"conn":424242,"rate_mbps":10}`, false},
+		{"/api/modify", "POST", fmt.Sprintf(`{"conn":%d,"rate_mbps":1e300}`, opened.Conn), false},
+		{"/api/modify", "POST", fmt.Sprintf(`{"conn":%d,"rate_mbps":-1}`, opened.Conn), false},
+		{"/api/modify", "POST", `{"conn":0,"pad":"` + huge + `"}`, false},
+		{"/api/modify", "GET", "", false},
+		{"/api/tenant", "POST", `{"tenant":"t","max_sessions":`, false},
+		{"/api/tenant", "POST", `{"tenant":7}`, false},
+		{"/api/tenant", "POST", `{"tenant":"t","max_guaranteed_mbps":1e300}`, false},
+		{"/api/tenant", "POST", `{"tenant":"t","max_sessions":-1}`, false},
+		{"/api/tenant", "POST", `{"tenant":"` + huge + `"}`, false},
+		{"/api/tenant", "GET", "", false},
+	}
+	for _, tc := range cases {
+		name := tc.method + " " + tc.path + " " + tc.body[:min(len(tc.body), 80)]
+		req, err := http.NewRequest(tc.method, base+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var body bytes.Buffer
+		body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if tc.mayDegrade && resp.StatusCode == http.StatusOK {
+			var got openResponse
+			if err := json.Unmarshal(body.Bytes(), &got); err != nil || !got.Degraded || got.Conn != -1 {
+				t.Errorf("%s: 200 %q, want a refusal or a best-effort fallback", name, body.String())
+			}
+			continue
+		}
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 || strings.TrimSpace(body.String()) == "" {
+			t.Errorf("%s: status %d %q, want a 4xx with a message", name, resp.StatusCode, body.String())
+		}
+	}
+	var conns struct {
+		Conns []connInfo `json:"conns"`
+	}
+	getJSON(t, base+"/api/conns", &conns)
+	for _, c := range conns.Conns {
+		if c.RateMbps != 20 {
+			t.Errorf("connection %d holds a guaranteed %v Mbps", c.Conn, c.RateMbps)
+		}
+	}
+
+	// Control traffic racing the drain. A request the closing listener
+	// cuts off is no reply; any reply must be well-formed.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			client := &http.Client{Timeout: 5 * time.Second}
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var path, body string
+				switch i % 3 {
+				case 0:
+					path, body = "/api/open", fmt.Sprintf(`{"src":%d,"dst":%d,"rate_mbps":%d,"no_retry":%v}`, (w+i)%16, (w+2*i+1)%16, 5+i%40, i%2 == 0)
+				case 1:
+					path, body = "/api/modify", fmt.Sprintf(`{"conn":%d,"rate_mbps":%d}`, i%8, 5+i%30)
+				default:
+					path, body = "/api/close", fmt.Sprintf(`{"conn":%d,"limit":200}`, (i/3)%8)
+				}
+				resp, err := client.Post(base+path, "application/json", strings.NewReader(body))
+				if err != nil {
+					continue
+				}
+				resp.Body.Close()
+				if resp.StatusCode >= 500 && resp.StatusCode != http.StatusServiceUnavailable && resp.StatusCode != http.StatusGatewayTimeout {
+					t.Errorf("%s %s: status %d", path, body, resp.StatusCode)
+				}
+			}
+		}(w)
+	}
+	time.Sleep(300 * time.Millisecond)
+	stopDaemon(t, sigc, done)
+	close(stop)
+	wg.Wait()
+
+	tp, err := buildTopology(o, sim.NewRNG(o.seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := network.RestoreCheckpoint(buildConfig(o, tp), ckpt)
+	if err != nil {
+		t.Fatalf("restore the final checkpoint: %v", err)
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatalf("the final checkpoint restores into a fabric that fails the audit: %v", err)
+	}
 }

@@ -204,12 +204,13 @@ func (a *LinkAllocator) shares(vbr bool, rate, peakRate float64) (g, p float64) 
 // success: cycles and peakCycles per round to the registers (AdmitCBR,
 // AdmitVBR), or in rate mode its rate and peak rate in bits/s, each within
 // rateTolerance of the link and of the concurrency factor. peakCycles and
-// peakRate count for a VBR stream only.
+// peakRate count for a VBR stream only. A rate that is not a number fits
+// nowhere.
 func (a *LinkAllocator) Admit(vbr bool, cycles, peakCycles int, rate, peakRate float64) bool {
 	switch {
 	case a.bandwidth > 0:
 		g, p := a.shares(vbr, rate, peakRate)
-		if a.rateLoad+g > 1+rateTolerance || vbr && a.ratePeak+p > a.concurrency+rateTolerance {
+		if !(a.rateLoad+g <= 1+rateTolerance) || vbr && !(a.ratePeak+p <= a.concurrency+rateTolerance) {
 			return false
 		}
 		a.rateLoad += g
@@ -248,7 +249,7 @@ func (a *LinkAllocator) Adjust(deltaCycles int, deltaRate float64) bool {
 		return a.AdjustCBR(deltaCycles)
 	}
 	d := deltaRate / a.bandwidth
-	if a.rateLoad+d > 1+rateTolerance {
+	if !(a.rateLoad+d <= 1+rateTolerance) {
 		return false
 	}
 	a.rateLoad += d

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mmr/internal/flit"
+	"mmr/internal/router"
 	"mmr/internal/topology"
 	"mmr/internal/traffic"
 )
@@ -287,5 +288,78 @@ func TestOpenCarvesStorageByChunk(t *testing.T) {
 	}
 	if extra := cold - warm; extra > float64(2*chunks) {
 		t.Errorf("giving %d ports storage cost %.0f allocations, more than %d chunks' %d", fresh, extra, chunks, 2*chunks)
+	}
+}
+
+// TestAdmissionRefusesNonFiniteRates: a rate or a VBR peak that is not
+// finite, or whose flit cycles per round overflow, is refused wherever a
+// demand is admitted — establishment and renegotiation, by the single
+// router under both admission modes and by the fabric — and leaves every
+// register as it was. GuaranteedCyclesFor prices such a rate (a peak is
+// not its to price) above any round.
+func TestAdmissionRefusesNonFiniteRates(t *testing.T) {
+	const ok = 10 * traffic.Mbps
+	for _, bad := range []traffic.Rate{1e300 * traffic.Mbps, traffic.Rate(math.Inf(1)), traffic.Rate(math.NaN())} {
+		specs := map[string]traffic.ConnSpec{
+			"CBR":      {Class: flit.ClassCBR, Rate: bad, In: 0, Out: 1},
+			"VBR peak": {Class: flit.ClassVBR, Rate: ok, PeakRate: bad, In: 0, Out: 1},
+			"VBR rate": {Class: flit.ClassVBR, Rate: bad, PeakRate: bad, In: 0, Out: 1},
+		}
+		for _, mode := range []router.AdmissionMode{router.AdmitRate, router.AdmitAllocation} {
+			cfg := router.PaperConfig()
+			cfg.Admission = mode
+			r, err := router.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, spec := range specs {
+				if _, err := r.Establish(spec); err == nil {
+					t.Errorf("router (%v admission): %s at %v established", mode, name, float64(bad))
+				}
+			}
+			good, err := r.Establish(traffic.ConnSpec{Class: flit.ClassCBR, Rate: ok, In: 0, Out: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			load := r.Allocator(1).GuaranteedLoad()
+			if err := r.SetBandwidth(good, bad); err == nil {
+				t.Errorf("router (%v admission): SetBandwidth to %v accepted", mode, float64(bad))
+			}
+			if a := r.Allocator(1); a.GuaranteedLoad() != load || a.Connections() != 1 {
+				t.Errorf("router (%v admission): refusals moved output 1 to load %v, %d connections", mode, a.GuaranteedLoad(), a.Connections())
+			}
+		}
+
+		tp, err := topology.Mesh(3, 3, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(tp)
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, spec := range specs {
+			if _, err := n.Open(0, 8, spec); err == nil {
+				t.Errorf("fabric: %s at %v established", name, float64(bad))
+			}
+			if got := n.GuaranteedCyclesFor(spec); name != "VBR peak" && got <= cfg.K*cfg.VCs {
+				t.Errorf("fabric: %s at %v is priced %d cycles/round, within a %d-cycle round", name, float64(bad), got, cfg.K*cfg.VCs)
+			}
+		}
+		c, err := n.Open(0, 8, traffic.ConnSpec{Class: flit.ClassCBR, Rate: ok})
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := snapshotHeld(n)
+		if err := n.ModifyBandwidth(c, bad); err == nil {
+			t.Errorf("fabric: ModifyBandwidth to %v accepted", float64(bad))
+		}
+		if c.Spec.Rate != ok || !reflect.DeepEqual(held, snapshotHeld(n)) {
+			t.Errorf("fabric: a refused ModifyBandwidth to %v moved the connection or the registers", float64(bad))
+		}
+		if err := n.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
 	}
 }

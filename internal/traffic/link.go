@@ -7,7 +7,10 @@
 // fixed set, ports drawn at random, admission limited by link bandwidth.
 package traffic
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+)
 
 // Rate is a bandwidth in bits per second.
 type Rate float64
@@ -93,6 +96,12 @@ func (l Link) InterArrivalCycles(r Rate) float64 {
 	return float64(l.Bandwidth) / float64(r)
 }
 
+// MaxCyclesPerRound is the demand CyclesPerRound reports for a rate too
+// large to count — one that is not finite, or whose flit cycles per round
+// do not fit an int32: more than any round holds, so no admission register
+// takes it, and small enough that adding it to one cannot overflow.
+const MaxCyclesPerRound = math.MaxInt32
+
 // CyclesPerRound converts a rate demand into the MMR's bandwidth
 // allocation unit, flit cycles per round (§4.1-4.2), rounding up so the
 // allocation never undershoots the demand.
@@ -101,6 +110,9 @@ func (l Link) CyclesPerRound(r Rate, roundLen int) int {
 		return 0
 	}
 	frac := l.FlitsPerCycle(r) * float64(roundLen)
+	if !(frac < MaxCyclesPerRound) {
+		return MaxCyclesPerRound
+	}
 	c := int(frac)
 	if float64(c) < frac {
 		c++
