@@ -6,7 +6,9 @@
 // The envelope carries a configuration hash so a checkpoint taken
 // under one fabric geometry cannot be restored into an incompatible
 // one; the hash deliberately excludes the execution-strategy knob (idle
-// gating) because restores across it must be bit-identical.
+// gating) because restores across it must be bit-identical. It also
+// carries the format version, and a build opens only its own (Version):
+// there is no migration path, so an older file is refused whole.
 package checkpoint
 
 import (
@@ -18,21 +20,17 @@ import (
 	"path/filepath"
 )
 
-// Version is the current checkpoint format version. Bump it on any
-// incompatible payload layout change. Version 4 appended a trailer with
-// per-connection tenant owners, tenant admission quotas, and the
-// re-promotion bookkeeping (promotion generation, promoted-connection
-// counter). Version 3 switched per-connection jitter-tracker records from
-// global connection numbering to per-destination slot numbering (the sparse
-// tracker layout). Version 2 added best-effort flow owner IDs (and the
-// network's ID counter) to the network payload.
-const Version uint32 = 4
-
-// MinVersion is the oldest format this build still decodes: only the
-// current one. There is no deployed base of older checkpoints to
-// migrate, so a version bump simply invalidates them (with a clean
-// error from Open, never a partial restore).
-const MinVersion = Version
+// Version is the checkpoint format version, the only one this build reads
+// or writes: a file of any other version is refused by Open before any
+// state is touched. Bump it on any incompatible payload layout change.
+// Version 5 walks every field where it belongs — a connection's and an
+// open retry's tenant with the rest of it, the quota table and the
+// re-promotion generation as a section of their own — with no trailer and
+// no retired per-VC bias word. Version 4 appended tenant owners, quotas
+// and the re-promotion bookkeeping as a trailer; version 3 numbered
+// jitter-tracker records per destination; version 2 added best-effort flow
+// owner IDs.
+const Version uint32 = 5
 
 // magic identifies a checkpoint file. 8 bytes: "MMRCKPT" + NUL.
 var magic = [8]byte{'M', 'M', 'R', 'C', 'K', 'P', 'T', 0}
@@ -79,7 +77,7 @@ func (e *Encoder) next(need int) {
 }
 
 // raw appends b, filling the current chunk before starting the next.
-func raw[S ~string | ~[]byte](e *Encoder, b S) {
+func (e *Encoder) raw(b string) {
 	for len(b) > 0 {
 		if len(e.buf) == cap(e.buf) {
 			e.next(len(b))
@@ -148,16 +146,10 @@ func (e *Encoder) Bool(v bool) {
 	}
 }
 
-// Bytes8 appends a length-prefixed byte slice.
-func (e *Encoder) Bytes8(b []byte) {
-	e.U32(uint32(len(b)))
-	raw(e, b)
-}
-
 // String appends a length-prefixed UTF-8 string.
 func (e *Encoder) String(s string) {
 	e.U32(uint32(len(s)))
-	raw(e, s)
+	e.raw(s)
 }
 
 // Decoder reads primitive values back out of a payload. Errors are
@@ -179,13 +171,18 @@ func (d *Decoder) Err() error { return d.err }
 // Remaining returns the unread byte count.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
+// zeros is what a read past the payload's end yields.
+var zeros [8]byte
+
+// take consumes the next n bytes. Past the payload's end it records the
+// error and returns zeros instead — as many as a fixed-width read takes —
+// so every read after it yields its zero value.
 func (d *Decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.off+n > len(d.buf) {
+	if d.err == nil && d.off+n > len(d.buf) {
 		d.err = fmt.Errorf("checkpoint: truncated payload (want %d bytes at offset %d of %d)", n, d.off, len(d.buf))
-		return nil
+	}
+	if d.err != nil {
+		return zeros[:min(n, len(zeros))]
 	}
 	b := d.buf[d.off : d.off+n]
 	d.off += n
@@ -193,40 +190,16 @@ func (d *Decoder) take(n int) []byte {
 }
 
 // U8 reads one byte.
-func (d *Decoder) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
+func (d *Decoder) U8() uint8 { return d.take(1)[0] }
 
 // U16 reads a uint16.
-func (d *Decoder) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
+func (d *Decoder) U16() uint16 { return binary.LittleEndian.Uint16(d.take(2)) }
 
 // U32 reads a uint32.
-func (d *Decoder) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
+func (d *Decoder) U32() uint32 { return binary.LittleEndian.Uint32(d.take(4)) }
 
 // U64 reads a uint64.
-func (d *Decoder) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
+func (d *Decoder) U64() uint64 { return binary.LittleEndian.Uint64(d.take(8)) }
 
 // I64 reads an int64.
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
@@ -240,29 +213,10 @@ func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 // Bool reads a bool.
 func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
-// Bytes8 reads a length-prefixed byte slice.
-func (d *Decoder) Bytes8() []byte {
-	n := int(d.U32())
-	if d.err != nil {
-		return nil
-	}
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
-}
-
 // String reads a length-prefixed string.
 func (d *Decoder) String() string {
-	n := int(d.U32())
+	b := d.take(int(d.U32()))
 	if d.err != nil {
-		return ""
-	}
-	b := d.take(n)
-	if b == nil {
 		return ""
 	}
 	return string(b)
@@ -382,6 +336,43 @@ func (c *Codec) Range(p *int, lo, hi int, what string) {
 	}
 }
 
+// Fixed walks a count the build decides, such as a table's shape: a
+// decoded count other than n is a format violation. It is not bounded by
+// the bytes that remain, so a payload too short for the table reads as
+// truncated.
+func (c *Codec) Fixed(n int, what string) {
+	k := n
+	if c.Int(&k); c.Err() == nil && k != n {
+		c.Failf("checkpoint: payload has %d %s, want %d", k, what, n)
+	}
+}
+
+// I64s and F64s walk a table of the build's shape in place: its length
+// (Fixed), then its elements.
+func (c *Codec) I64s(xs []int64, what string) {
+	c.Fixed(len(xs), what)
+	for i := range xs {
+		c.I64(&xs[i])
+	}
+}
+
+func (c *Codec) F64s(xs []float64, what string) {
+	c.Fixed(len(xs), what)
+	for i := range xs {
+		c.F64(&xs[i])
+	}
+}
+
+// At returns the element a walk starts from: xs[i] when encoding, where xs
+// lists a sequence as its owner keeps it, and the zero value when
+// decoding, where the leaves fill it in before it is handed to the owner.
+func At[T any](c *Codec, xs []T, i int) (x T) {
+	if c.d == nil {
+		x = xs[i]
+	}
+	return x
+}
+
 // Envelope layout:
 //
 //	[0:8)   magic "MMRCKPT\0"
@@ -409,8 +400,8 @@ func Seal(configHash uint64, payload []byte) []byte {
 }
 
 // Open validates the envelope of data and returns the format version,
-// configuration hash and payload. It rejects bad magic, versions outside
-// [MinVersion, Version], truncated files and checksum mismatches.
+// configuration hash and payload. It rejects bad magic, any version but
+// Version, truncated files and checksum mismatches.
 func Open(data []byte) (version uint32, configHash uint64, payload []byte, err error) {
 	if len(data) < headerLen {
 		return 0, 0, nil, fmt.Errorf("checkpoint: file too short (%d bytes)", len(data))
@@ -421,8 +412,8 @@ func Open(data []byte) (version uint32, configHash uint64, payload []byte, err e
 		return 0, 0, nil, fmt.Errorf("checkpoint: bad magic %q", m[:])
 	}
 	ver := binary.LittleEndian.Uint32(data[8:12])
-	if ver < MinVersion || ver > Version {
-		return 0, 0, nil, fmt.Errorf("checkpoint: unsupported format version %d (decodable range %d..%d)", ver, MinVersion, Version)
+	if ver != Version {
+		return 0, 0, nil, fmt.Errorf("checkpoint: unsupported format version %d (this build reads only version %d)", ver, Version)
 	}
 	configHash = binary.LittleEndian.Uint64(data[12:20])
 	plen := binary.LittleEndian.Uint64(data[20:28])

@@ -241,30 +241,10 @@ func (s *Shard) Reset() {
 }
 
 // ExportState returns the shard's live storage slices — counters,
-// gauges, flattened histogram buckets, histogram counts and sums — for
-// checkpointing. Callers must copy out of them before the shard is
-// written again.
+// gauges, flattened histogram buckets, histogram counts and sums — for a
+// checkpoint walk to read, or to overwrite in place when restoring.
 func (s *Shard) ExportState() (counters []int64, gauges []float64, histBuf, histCount []int64, histSum []float64) {
 	return s.counters, s.gauges, s.histBuf, s.histCount, s.histSum
-}
-
-// RestoreState copies previously exported storage into the shard. It
-// returns an error on any length mismatch, which means the checkpoint
-// was taken under a different metric registration set.
-func (s *Shard) RestoreState(counters []int64, gauges []float64, histBuf, histCount []int64, histSum []float64) error {
-	if len(counters) != len(s.counters) || len(gauges) != len(s.gauges) ||
-		len(histBuf) != len(s.histBuf) || len(histCount) != len(s.histCount) ||
-		len(histSum) != len(s.histSum) {
-		return fmt.Errorf("metrics: restored shard shape (%d,%d,%d,%d,%d) does not match registry (%d,%d,%d,%d,%d)",
-			len(counters), len(gauges), len(histBuf), len(histCount), len(histSum),
-			len(s.counters), len(s.gauges), len(s.histBuf), len(s.histCount), len(s.histSum))
-	}
-	copy(s.counters, counters)
-	copy(s.gauges, gauges)
-	copy(s.histBuf, histBuf)
-	copy(s.histCount, histCount)
-	copy(s.histSum, histSum)
-	return nil
 }
 
 // Bucket returns the index of the bucket v falls in under the ascending

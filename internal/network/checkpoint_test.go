@@ -288,19 +288,19 @@ func TestRestoreStateRequiresFreshNetwork(t *testing.T) {
 	}
 }
 
-// goldenPayload opens one of the two format-4 checkpoints under
-// testdata. They were written by the commit before the payload walk was
-// unified (ec620f6, where EncodeState and RestoreState were two
-// hand-mirrored functions), from a throwaway test in that tree:
+// goldenPayload opens one of the two format-5 checkpoints under
+// testdata. They were written by the change that introduced format 5, from
+// a throwaway test in that tree:
 //
-//	n := buildDetNetwork(t, withFaults) // v4-clean.ckpt: false, v4-faults.ckpt: true
+//	n := buildDetNetwork(t, withFaults) // v5-clean.ckpt: false, v5-faults.ckpt: true
 //	n.Run(1200)
-//	n.SaveCheckpoint("v4-....ckpt")
+//	n.SaveCheckpoint("testdata/v5-....ckpt")
 //
 // so they pin the wire format and the configuration hash to what that
-// code produced, not to what this code believes it produced. Regenerate
-// them the same way, from the last commit of the old format, only when
-// checkpoint.Version is bumped.
+// code produced, not to what later code believes it produced. Regenerate
+// them the same way only when checkpoint.Version is bumped, and keep the
+// newest file of the old format as the one a build must refuse
+// (TestCheckpointRefusesPreviousVersion).
 func goldenPayload(t testing.TB, name string) []byte {
 	t.Helper()
 	n, err := New(detConfig(t, false))
@@ -317,14 +317,14 @@ func goldenPayload(t testing.TB, name string) []byte {
 	return payload
 }
 
-// TestCheckpointGoldens: the format is the parent's. Each parent-written
-// payload restores, re-encodes to the same bytes, and — run 500 cycles on
+// TestCheckpointGoldens: the format is the one the goldens were written
+// in. Each restores, re-encodes to the same bytes, and — run 500 cycles on
 // — ends in the state the uninterrupted run reaches.
 func TestCheckpointGoldens(t *testing.T) {
 	for _, g := range []struct {
 		name       string
 		withFaults bool
-	}{{"v4-clean.ckpt", false}, {"v4-faults.ckpt", true}} {
+	}{{"v5-clean.ckpt", false}, {"v5-faults.ckpt", true}} {
 		t.Run(g.name, func(t *testing.T) {
 			payload := goldenPayload(t, g.name)
 			n, err := New(detConfig(t, false))
@@ -369,7 +369,7 @@ func TestCheckpointGoldens(t *testing.T) {
 // simulator's own consistency assertions may still fire: a word that is
 // in range but wrong is the envelope CRC's to catch, not the decoder's).
 func TestRestoreStateMutatedWords(t *testing.T) {
-	golden := goldenPayload(t, "v4-faults.ckpt")
+	golden := goldenPayload(t, "v5-faults.ckpt")
 	type input struct {
 		name    string
 		payload []byte
@@ -465,8 +465,8 @@ func panicOf(fn func()) (p any) {
 // and a payload it accepts left a fabric that passes the resource audit
 // and can be written out again.
 func FuzzCheckpointDecode(f *testing.F) {
-	f.Add(goldenPayload(f, "v4-clean.ckpt"))
-	f.Add(goldenPayload(f, "v4-faults.ckpt"))
+	f.Add(goldenPayload(f, "v5-clean.ckpt"))
+	f.Add(goldenPayload(f, "v5-faults.ckpt"))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		n, err := New(detConfig(t, false))
 		if err != nil {

@@ -77,11 +77,15 @@ type beFlow struct {
 // AddBestEffortFlow injects Poisson best-effort packets (one flit each,
 // §3.4) from the host at src to the host at dst at the given mean rate in
 // packets per cycle. The generator is bound to the source node's RNG
-// stream so injection does not depend on what other nodes draw. The returned
-// FlowID is the owner handle for CloseFlow.
+// stream so injection does not depend on what other nodes draw. The rate
+// is at most 1, what the host link carries. The returned FlowID is the
+// owner handle for CloseFlow.
 func (n *Network) AddBestEffortFlow(src, dst int, packetsPerCycle float64) (FlowID, error) {
 	if src < 0 || src >= len(n.nodes) || dst < 0 || dst >= len(n.nodes) || src == dst {
 		return 0, errBadEndpoints(src, dst)
+	}
+	if !(packetsPerCycle >= 0 && packetsPerCycle <= 1) {
+		return 0, fmt.Errorf("network: best-effort rate %v packets a cycle is outside [0,1]", packetsPerCycle)
 	}
 	bf := &beFlow{src: src, dst: dst, conn: flit.InvalidConn}
 	bf.ni.Source = traffic.NewBestEffortSource(n.nodes[src].rng, packetsPerCycle)

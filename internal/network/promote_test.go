@@ -432,48 +432,47 @@ func TestPromotionSurvivesCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointRefusesPreviousVersion: a version-3 envelope (what the
-// release before tenants wrote) is refused with a clean version error by
-// every way in — the file, the sealed bytes, the explicit-version
-// restore — and the refusal leaves the target fabric fresh enough to take
-// the genuine checkpoint afterwards.
+// TestCheckpointRefusesPreviousVersion: testdata/v4-faults.ckpt is a real
+// format-4 file — the faulted detScenario fabric at cycle 1200, as the last
+// format-4 build wrote it — and it is refused with a clean version error by
+// every way in: the file, the sealed bytes, the explicit-version restore.
+// The refusals touch no state: the target fabric then takes the format-5
+// golden of the same fabric and re-encodes it exactly.
 func TestCheckpointRefusesPreviousVersion(t *testing.T) {
-	n, _ := chainPromotionScenario(t, defaultOpen)
-	payload, err := n.EncodeState()
+	path := filepath.Join("testdata", "v4-faults.ckpt")
+	v4, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3 := checkpoint.Seal(n.ConfigHash(), payload)
-	binary.LittleEndian.PutUint32(v3[8:12], 3) // the CRC covers the payload only
-	path := filepath.Join(t.TempDir(), "v3.ckpt")
-	if err := os.WriteFile(path, v3, 0o644); err != nil {
-		t.Fatal(err)
+	if ver := binary.LittleEndian.Uint32(v4[8:12]); ver != 4 {
+		t.Fatalf("%s is format version %d, want 4", path, ver)
 	}
 	wantVersionErr := func(what string, err error) {
 		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "version 3") {
+		if err == nil || !strings.Contains(err.Error(), "version 4") {
 			t.Fatalf("%s: got %v, want a format-version error", what, err)
 		}
 	}
-	_, err = RestoreCheckpoint(chainPromotionConfig(t), path)
+	_, err = RestoreCheckpoint(detConfig(t, false), path)
 	wantVersionErr("RestoreCheckpoint", err)
-	_, _, _, err = checkpoint.Open(v3)
+	_, _, _, err = checkpoint.Open(v4)
 	wantVersionErr("checkpoint.Open", err)
 
-	n2, err := New(chainPromotionConfig(t))
+	n, err := New(detConfig(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantVersionErr("RestoreStateVersion", n2.RestoreStateVersion(payload, 3))
-	if err := n2.RestoreStateVersion(payload, checkpoint.Version); err != nil {
+	wantVersionErr("RestoreStateVersion", n.RestoreStateVersion(v4[32:], 4)) // past the 32-byte envelope header
+	golden := goldenPayload(t, "v5-faults.ckpt")
+	if err := n.RestoreStateVersion(golden, checkpoint.Version); err != nil {
 		t.Fatalf("restore after the refusal: %v", err)
 	}
-	reenc, err := n2.EncodeState()
+	reenc, err := n.EncodeState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(payload, reenc) {
-		t.Fatal("fabric restored after a refused v3 attempt re-encodes differently")
+	if !bytes.Equal(golden, reenc) {
+		t.Fatal("fabric restored after a refused format-4 attempt re-encodes differently")
 	}
 }
 

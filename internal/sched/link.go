@@ -346,18 +346,10 @@ func (ls *LinkScheduler) electExcess() {
 	ls.excessVC = best
 }
 
-// ExportState returns the scheduler's cross-cycle state for
-// checkpointing: the elected excess VC and the cumulative counters.
-// Everything else it uses (LinkScratch) is recomputed each cycle.
-func (ls *LinkScheduler) ExportState() (excessVC int, c LinkCounters) {
-	return ls.excessVC, ls.counters
-}
-
-// RestoreState overwrites the scheduler's cross-cycle state.
-func (ls *LinkScheduler) RestoreState(excessVC int, c LinkCounters) {
-	ls.excessVC = excessVC
-	ls.counters = c
-}
+// State returns the scheduler's cross-cycle state, for a checkpoint walk
+// to read or overwrite in place: the elected excess VC and the cumulative
+// counters. Everything else it uses (LinkScratch) is recomputed each cycle.
+func (ls *LinkScheduler) State() (excessVC *int, c *LinkCounters) { return &ls.excessVC, &ls.counters }
 
 // ExcessVC exposes the currently elected excess connection for tests.
 func (ls *LinkScheduler) ExcessVC() int { return ls.excessVC }
