@@ -173,8 +173,8 @@ func validateOpts(o simOpts, set map[string]bool) error {
 		return fmt.Errorf("-rate must be non-negative, got %g", o.rate)
 	case o.vbr < 0 || o.vbr > 1:
 		return fmt.Errorf("-vbr is a fraction in [0,1], got %g", o.vbr)
-	case o.be < 0:
-		return fmt.Errorf("-be must be non-negative, got %g", o.be)
+	case o.be < 0 || o.be > 1:
+		return fmt.Errorf("-be is packets a cycle in [0,1], got %g", o.be)
 	case o.faultLinks < 0 || o.faultDowntime < 0:
 		return fmt.Errorf("-fault-links and -fault-downtime must be non-negative")
 	case o.faultMTBF < 0 || o.faultMTTR < 0:

@@ -189,14 +189,6 @@ func (t *TenantTable) GuaranteedFraction(name string) float64 {
 	return float64(u.Guaranteed)
 }
 
-// ResetUsage clears every tenant's usage, keeping quotas — checkpoint
-// restore recomputes usage from the restored sessions.
-func (t *TenantTable) ResetUsage() {
-	for name := range t.usage {
-		delete(t.usage, name)
-	}
-}
-
 // RestoreSession re-applies one restored session's charge without any
 // quota check: the session was admitted by the fabric that wrote the
 // checkpoint, and a quota since lowered below live usage must refuse new

@@ -170,13 +170,6 @@ func TestTenantRestoreBypassesQuota(t *testing.T) {
 	if tt.CanAdmit("a", 0) {
 		t.Fatal("new admission allowed while restored usage exceeds quota")
 	}
-	tt.ResetUsage()
-	if u := tt.Usage("a"); u.Sessions != 0 || u.Guaranteed != 0 {
-		t.Fatalf("usage %+v after reset, want zero", u)
-	}
-	if _, ok := tt.Quota("a"); !ok {
-		t.Fatal("ResetUsage dropped the quota")
-	}
 }
 
 func TestTenantPanics(t *testing.T) {

@@ -76,16 +76,10 @@ func (j *JitterTracker) ConnDelay(conn int) *Accumulator { return &j.perDelay[co
 // NumConns returns how many connections the tracker currently covers.
 func (j *JitterTracker) NumConns() int { return len(j.prev) }
 
-// ConnBaseline exports connection conn's previous-flit delay baseline
-// for checkpointing.
-func (j *JitterTracker) ConnBaseline(conn int) (prev float64, seen bool) {
-	return j.prev[conn], j.seen[conn]
-}
-
-// RestoreBaseline overwrites connection conn's baseline.
-func (j *JitterTracker) RestoreBaseline(conn int, prev float64, seen bool) {
-	j.prev[conn] = prev
-	j.seen[conn] = seen
+// Baseline returns connection conn's previous-flit delay baseline and
+// whether it is set, for a checkpoint walk to read or overwrite in place.
+func (j *JitterTracker) Baseline(conn int) (prev *float64, seen *bool) {
+	return &j.prev[conn], &j.seen[conn]
 }
 
 // Reset clears all statistics but keeps the per-connection baselines, so
