@@ -23,14 +23,14 @@ func (r *refChannelMap) lookup(m map[VCRef]VCRef, k VCRef) VCRef {
 }
 
 // checkChannelMap compares every observable of m against the model:
-// Direct and Reverse at every reference, Mapped, and ForEach's order.
+// Direct and Reverse at every reference, Mapped, and AppendMapped's order.
 func checkChannelMap(t *testing.T, m *ChannelMap, ref *refChannelMap) {
 	t.Helper()
 	if got, want := m.Mapped(), len(ref.direct); got != want {
 		t.Fatalf("Mapped = %d, want %d", got, want)
 	}
-	var got, want [][2]VCRef
-	m.ForEach(func(in, out VCRef) { got = append(got, [2]VCRef{in, out}) })
+	var want [][2]VCRef
+	got := m.AppendMapped(nil)
 	for in, out := range ref.direct {
 		want = append(want, [2]VCRef{in, out})
 	}
@@ -41,7 +41,7 @@ func checkChannelMap(t *testing.T, m *ChannelMap, ref *refChannelMap) {
 		return a[0].VC - b[0].VC
 	})
 	if !slices.Equal(got, want) {
-		t.Fatalf("ForEach visits %v, want %v", got, want)
+		t.Fatalf("AppendMapped lists %v, want %v", got, want)
 	}
 	for p := 0; p < m.ports; p++ {
 		for v := 0; v < m.vcs; v++ {
