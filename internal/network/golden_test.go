@@ -1,7 +1,10 @@
 package network
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,5 +86,42 @@ func TestMetricsSnapshotGolden(t *testing.T) {
 	}
 	if len(g) != len(w) {
 		t.Fatalf("%s: got %d lines, want %d", path, len(g), len(w))
+	}
+}
+
+// TestRunDigestGolden pins what five fixed runs leave observable — the
+// statistics, the session log and the metric snapshot in both renderings —
+// as one SHA-256, so that a change meant to leave simulated behaviour alone
+// cannot move any of it by a bit. The runs cover the loaded mesh clean and
+// under its fault plan (streams, best-effort packets routed up*/down*,
+// faults, restoration), and the dense and sparse toy fat trees.
+func TestRunDigestGolden(t *testing.T) {
+	runs := []struct {
+		name   string
+		build  func() *Network
+		cycles int64
+	}{
+		{"det-clean", func() *Network { return buildDetNetwork(t, false) }, 6_000},
+		{"det-faults", func() *Network { return buildDetNetwork(t, true) }, 6_000},
+		{"dense-4", func() *Network { return buildDense(t, 4, false) }, 3_000},
+		{"sparse-4", func() *Network { return buildSparse(t, 4, 1, 24, false) }, 30_000},
+		{"dense-8", func() *Network { return buildDense(t, 8, false) }, 1_500},
+	}
+	h := sha256.New()
+	for _, r := range runs {
+		n := r.build()
+		n.Run(r.cycles)
+		fmt.Fprintf(h, "%s\n%+v\n%+v\n", r.name, *n.Stats(), n.SessionEvents())
+		snap := n.GatherMetrics()
+		if err := snap.WritePrometheus(h); err != nil {
+			t.Fatal(err)
+		}
+		if err := snap.WriteJSON(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = "95fbb0c82b393e780f45c81a0e1e2fcc332d7a8a4842fe26eed9d68d9b2a8cf1"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("run digest moved:\ngot  %s\nwant %s", got, want)
 	}
 }
