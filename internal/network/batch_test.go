@@ -27,14 +27,19 @@ func batchReqs(nodes, shells int, spec traffic.ConnSpec) []OpenReq {
 
 // TestOpenBatchMatchesSerial asserts OpenBatch is bit-exact with opening
 // the same requests one at a time, under every route mode, with tenant
-// quotas and capacity refusing part of the list: same accept set, same
-// paths, same VCs, same RNG position and byte-identical checkpoints —
-// straight after bring-up and again after a fault sequence has pushed
-// both fabrics through restoration, degradation and re-promotion (which
-// run the same establishment engine on existing sessions).
+// quotas and capacity no pre-check sees refusing part of the list: same
+// accept set, same paths, same VCs, same RNG position and byte-identical
+// checkpoints — straight after bring-up and again after a fault sequence
+// has pushed both fabrics through restoration, degradation and
+// re-promotion (which run the same establishment engine on existing
+// sessions). prechecksMatchSerial then holds each route mode to what it
+// promises on a list the pre-checks do refuse part of.
 func TestOpenBatchMatchesSerial(t *testing.T) {
 	for _, route := range []routing.RouteMode{routing.RouteMinimal, routing.RouteValiant, routing.RouteUGAL} {
-		t.Run(route.String(), func(t *testing.T) { batchMatchesSerial(t, route) })
+		t.Run(route.String(), func(t *testing.T) {
+			batchMatchesSerial(t, route)
+			prechecksMatchSerial(t, route)
+		})
 	}
 }
 
@@ -142,6 +147,86 @@ func batchMatchesSerial(t *testing.T, route routing.RouteMode) {
 	}
 	if err := batched.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// prechecksMatchSerial runs a request list the batch's pre-checks do refuse
+// part of — a hot destination's ejection headroom and one source's entry VCs
+// run out, with other sessions opening after each refusal — through OpenBatch
+// and through one-at-a-time opens. Every route mode gets the same accept set,
+// per-hop ports, setup times and backtracks. Under Valiant and UGAL routing the batch builds
+// no pre-check tables, so every request draws from the master RNG as a serial
+// one does and the fabrics end byte-equal; under minimal routing a refused
+// request draws nothing, so later sessions may hold other VCs.
+func prechecksMatchSerial(t *testing.T, route routing.RouteMode) {
+	build := func() *Network {
+		tp, err := topology.FatTree(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(tp)
+		cfg.Route, cfg.VCs, cfg.K = route, 8, 4
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	nodes, hot := topology.FatTreeNodes(4), 9
+	var reqs []OpenReq
+	for i := 0; i < 120; i++ {
+		src := (i * 7) % nodes
+		switch {
+		case i%3 == 0 && src != hot:
+			reqs = append(reqs, OpenReq{Src: src, Dst: hot, Spec: traffic.ConnSpec{Class: flit.ClassCBR, Rate: 100 * traffic.Mbps}})
+		case i%3 == 1:
+			reqs = append(reqs, OpenReq{Src: 0, Dst: 1 + i%(nodes-1), Spec: traffic.ConnSpec{Class: flit.ClassCBR, Rate: 1 * traffic.Mbps}})
+		case src != (src+5)%nodes:
+			reqs = append(reqs, OpenReq{Src: src, Dst: (src + 5) % nodes, Spec: traffic.ConnSpec{Class: flit.ClassCBR, Rate: 8 * traffic.Mbps}})
+		}
+	}
+	serial, batched := build(), build()
+	res := batched.OpenBatch(reqs)
+	var prechecked int
+	for i, r := range reqs {
+		_, err := serial.Open(r.Src, r.Dst, r.Spec)
+		if (err == nil) != (res[i].Err == nil) {
+			t.Fatalf("request %d: one at a time %v, batched %v", i, err, res[i].Err)
+		}
+		if _, ok := res[i].Err.(*precheckError); ok {
+			prechecked++
+		}
+	}
+	if route == routing.RouteMinimal && prechecked == 0 {
+		t.Fatal("no request was refused by a pre-check")
+	}
+	sc, bc := serial.Conns(), batched.Conns()
+	if len(sc) != len(bc) || len(sc) < 20 {
+		t.Fatalf("conn counts %d and %d", len(sc), len(bc))
+	}
+	for i := range sc {
+		a, b := sc[i], bc[i]
+		if !reflect.DeepEqual(a.Path, b.Path) || a.SetupTime != b.SetupTime || a.Backtracks != b.Backtracks {
+			t.Fatalf("conn %d: ports %v, setup %d, %d backtracks one at a time; %v, %d, %d batched",
+				i, a.Path, a.SetupTime, a.Backtracks, b.Path, b.SetupTime, b.Backtracks)
+		}
+	}
+	if route == routing.RouteMinimal {
+		return
+	}
+	if serial.rng.State() != batched.rng.State() {
+		t.Fatal("master RNG positions differ")
+	}
+	sb, err := serial.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb, err := batched.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sb, bb) {
+		t.Fatal("checkpoints differ")
 	}
 }
 
