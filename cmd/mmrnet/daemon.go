@@ -35,6 +35,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -401,7 +402,9 @@ func (d *daemon) handleOpen(w http.ResponseWriter, r *http.Request) {
 				}
 				return
 			}
-			reply <- ctlResp{v: openResponse{Conn: int(c.ID), Nodes: c.Nodes, SetupCycles: c.SetupTime, Cycle: n.Now()}}
+			// A copy: the handler encodes the reply after the control loop has
+			// moved on, and a checkpoint or a restoration writes c.Nodes.
+			reply <- ctlResp{v: openResponse{Conn: int(c.ID), Nodes: slices.Clone(c.Nodes), SetupCycles: c.SetupTime, Cycle: n.Now()}}
 		}
 		form := network.FormRetry
 		if req.NoRetry {

@@ -413,7 +413,19 @@ func TestDaemonHostileRequests(t *testing.T) {
 
 	// Control traffic racing the drain. A request the closing listener
 	// cuts off is no reply; any reply must be well-formed.
-	stop := make(chan struct{})
+	stopRace := raceControl(t, base)
+	time.Sleep(300 * time.Millisecond)
+	stopDaemon(t, sigc, done)
+	stopRace()
+	restoreAudited(t, o, ckpt, "the final checkpoint")
+}
+
+// raceControl starts four clients posting opens, modifies and closes to the
+// daemon at base as fast as it answers, and returns the call that stops
+// them. A request the closing listener cuts off is no reply; any reply must
+// be well-formed.
+func raceControl(t *testing.T, base string) (stop func()) {
+	quit := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -422,7 +434,7 @@ func TestDaemonHostileRequests(t *testing.T) {
 			client := &http.Client{Timeout: 5 * time.Second}
 			for i := 0; ; i++ {
 				select {
-				case <-stop:
+				case <-quit:
 					return
 				default:
 				}
@@ -446,20 +458,83 @@ func TestDaemonHostileRequests(t *testing.T) {
 			}
 		}(w)
 	}
-	time.Sleep(300 * time.Millisecond)
-	stopDaemon(t, sigc, done)
-	close(stop)
-	wg.Wait()
+	return func() {
+		close(quit)
+		wg.Wait()
+	}
+}
 
+// restoreAudited restores the checkpoint at path into a fresh fabric of the
+// daemon o describes and audits it.
+func restoreAudited(t *testing.T, o simOpts, path, what string) {
+	t.Helper()
 	tp, err := buildTopology(o, sim.NewRNG(o.seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := network.RestoreCheckpoint(buildConfig(o, tp), ckpt)
+	n, err := network.RestoreCheckpoint(buildConfig(o, tp), path)
 	if err != nil {
-		t.Fatalf("restore the final checkpoint: %v", err)
+		t.Fatalf("restore %s: %v", what, err)
 	}
 	if err := n.CheckInvariants(); err != nil {
-		t.Fatalf("the final checkpoint restores into a fabric that fails the audit: %v", err)
+		t.Fatalf("%s restores into a fabric that fails the audit: %v", what, err)
 	}
+}
+
+// TestDaemonPeriodicCheckpointsRace is TestDaemonHostileRequests' race with
+// periodic checkpoints landing in it: the daemon snapshots every 2,048
+// cycles while opens, modifies and closes race each other and the drain.
+// Every version of the file seen while it ran, and the final one, must
+// restore into a fabric that passes the audit.
+func TestDaemonPeriodicCheckpointsRace(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "fabric.ckpt")
+	o := defaultOpts()
+	o.seed = 9
+	o.checkpoint = ckpt
+	o.checkpointInterval = 2048
+	addr, sigc, done, _ := startTestDaemon(t, o)
+
+	// Copy the file each time it changes; the daemon renames a finished
+	// snapshot into place, so a read sees one whole version.
+	var copies []string
+	quit, copied := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(copied)
+		var last []byte
+		for {
+			select {
+			case <-quit:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			b, err := os.ReadFile(ckpt)
+			if err != nil || bytes.Equal(b, last) {
+				continue
+			}
+			last = b
+			path := filepath.Join(dir, fmt.Sprintf("copy-%03d.ckpt", len(copies)))
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Error(err)
+				return
+			}
+			copies = append(copies, path)
+		}
+	}()
+
+	stopRace := raceControl(t, "http://"+addr)
+	time.Sleep(300 * time.Millisecond)
+	close(quit)
+	<-copied
+	stopDaemon(t, sigc, done)
+	stopRace()
+
+	if len(copies) < 3 {
+		t.Fatalf("%d periodic checkpoints landed while requests raced; want at least 3", len(copies))
+	}
+	for _, c := range copies {
+		restoreAudited(t, o, c, "periodic checkpoint "+filepath.Base(c))
+	}
+	restoreAudited(t, o, ckpt, "the final checkpoint")
+	t.Logf("%d periodic checkpoints restored", len(copies))
 }
