@@ -23,6 +23,9 @@ import (
 // Version is the checkpoint format version, the only one this build reads
 // or writes: a file of any other version is refused by Open before any
 // state is touched. Bump it on any incompatible payload layout change.
+// Version 6 walks a flit as the fields the model reads of it, a packet's
+// routing bit among them, with no packet record, flit type, sequence
+// number or port tags, and no connection or router sequence counter.
 // Version 5 walks every field where it belongs — a connection's and an
 // open retry's tenant with the rest of it, the quota table and the
 // re-promotion generation as a section of their own — with no trailer and
@@ -30,7 +33,7 @@ import (
 // and the re-promotion bookkeeping as a trailer; version 3 numbered
 // jitter-tracker records per destination; version 2 added best-effort flow
 // owner IDs.
-const Version uint32 = 5
+const Version uint32 = 6
 
 // magic identifies a checkpoint file. 8 bytes: "MMRCKPT" + NUL.
 var magic = [8]byte{'M', 'M', 'R', 'C', 'K', 'P', 'T', 0}

@@ -1,9 +1,10 @@
 // Package flit defines the data units the MMR moves: flits (the unit of
-// flow control and scheduling, §3.1), phits (the unit of physical link
-// transfer), packets (the unit of VCT switching for control and
-// best-effort traffic, §3.4) and control words (the virtual-channel
-// identifier sent ahead of every flit, plus the command encodings used for
-// dynamic bandwidth management, §4.3).
+// flow control and scheduling, §3.1, and — since a VCT packet is exactly
+// one flit, §3.4 — of control and best-effort packets too) and control
+// words (the virtual-channel identifier sent ahead of every flit, plus the
+// command encodings used for dynamic bandwidth management, §4.3). Phits,
+// the unit of physical link transfer, appear only as a link's geometry
+// (traffic.Link) and in the VC memory's bank model (vcm.BankModel).
 package flit
 
 import "fmt"
@@ -53,40 +54,25 @@ type ConnID int32
 // InvalidConn is the sentinel for "no connection".
 const InvalidConn ConnID = -1
 
-// Type distinguishes the roles a flit can play inside a packet or stream.
-type Type uint8
-
-// Flit roles. Stream flits are all Body (connections are effectively
-// endless); VCT packets are single-flit (§3.4: "packet size is equal to
-// flit size") and use Head.
-const (
-	TypeBody Type = iota
-	TypeHead
-	TypeTail
-)
-
-// String implements fmt.Stringer.
-func (t Type) String() string {
-	switch t {
-	case TypeBody:
-		return "body"
-	case TypeHead:
-		return "head"
-	case TypeTail:
-		return "tail"
-	default:
-		return fmt.Sprintf("Type(%d)", uint8(t))
-	}
-}
-
 // Flit is one flow-control digit. The paper uses large flits
 // (128–512 bits) so that flow-control and scheduling delays amortize; a
-// flit crosses the router in exactly one flit cycle.
+// flit crosses the router in exactly one flit cycle. A VCT packet is
+// exactly one flit (§3.4: "packet size is equal to flit size"), so a flit
+// carries what the model reads of a packet too, and nothing else: 40
+// bytes with no pointer (TestFlitLayout).
 type Flit struct {
-	Conn  ConnID // owning connection, or InvalidConn for VCT packets
+	Conn ConnID // owning connection, or InvalidConn for VCT packets
+
+	// Dst is a best-effort packet's destination router in a network run,
+	// which the routing unit steers it toward; stream flits follow their
+	// connection's channel mappings and leave it zero.
+	Dst int32
+
 	Class Class
-	Type  Type
-	Seq   int64 // sequence number within the connection or packet stream
+
+	// WentDown records whether a packet has taken a "down" link yet — the
+	// one bit of routing state up*/down* needs (§3.5).
+	WentDown bool
 
 	// CreatedAt is the cycle the source generated the flit. ReadyAt is the
 	// cycle the flit entered the router's virtual channel memory. HeadAt
@@ -96,96 +82,6 @@ type Flit struct {
 	CreatedAt int64
 	ReadyAt   int64
 	HeadAt    int64
-
-	// SrcPort/DstPort are router-local ports in single-router runs;
-	// Src/Dst are node IDs in network runs.
-	SrcPort, DstPort int16
-	Src, Dst         int32
-
-	// Packet carries the VCT packet payload for head flits, nil otherwise.
-	Packet *Packet
-}
-
-// PacketKind distinguishes the two VCT packet roles.
-type PacketKind uint8
-
-// VCT packet kinds. Probes, acks and other connection-management messages
-// are control packets; everything else VCT carries is best-effort.
-const (
-	PacketControl PacketKind = iota
-	PacketBestEffort
-)
-
-// String implements fmt.Stringer.
-func (k PacketKind) String() string {
-	if k == PacketControl {
-		return "control"
-	}
-	return "best-effort"
-}
-
-// Packet is a virtual cut-through packet. Because the MMR equalizes the
-// VCT flow-control unit with the PCS flit (§3.4), a packet occupies
-// exactly one flit in buffers and on links; Size is kept for generality
-// (multi-flit best-effort messages in the network model).
-type Packet struct {
-	ID        int64
-	Kind      PacketKind
-	Src, Dst  int32
-	Size      int // flits
-	CreatedAt int64
-
-	// WentDown records whether the packet has taken a "down" link yet —
-	// the one bit of routing state up*/down* needs (§3.5).
-	WentDown bool
-
-	// Probe fields, used when the packet is an EPB routing probe or its
-	// acknowledgment (§3.5, §4.2).
-	Probe *Probe
-}
-
-// ProbeOp is the phase an EPB probe or response is in.
-type ProbeOp uint8
-
-// Probe operations: forward search, backtrack after exhausting outputs,
-// positive acknowledgment travelling back to the source, and teardown
-// releasing a connection's resources.
-const (
-	ProbeForward ProbeOp = iota
-	ProbeBacktrack
-	ProbeAck
-	ProbeNack
-	ProbeTeardown
-)
-
-// String implements fmt.Stringer.
-func (op ProbeOp) String() string {
-	switch op {
-	case ProbeForward:
-		return "forward"
-	case ProbeBacktrack:
-		return "backtrack"
-	case ProbeAck:
-		return "ack"
-	case ProbeNack:
-		return "nack"
-	case ProbeTeardown:
-		return "teardown"
-	default:
-		return fmt.Sprintf("ProbeOp(%d)", uint8(op))
-	}
-}
-
-// Probe is the payload of a connection-establishment control packet.
-// Bandwidth is expressed in flit cycles per round, the MMR's allocation
-// unit (§4.2). VBR probes carry both permanent (average) and peak demand.
-type Probe struct {
-	Conn               ConnID
-	Op                 ProbeOp
-	Class              Class
-	CyclesPerRound     int // CBR demand, or VBR permanent bandwidth
-	PeakCyclesPerRound int // VBR peak bandwidth; 0 for CBR
-	Priority           int
 }
 
 // ControlOp is a command encoding carried in a control word along an
@@ -194,10 +90,8 @@ type ControlOp uint8
 
 // In-band connection-management commands.
 const (
-	CtlNone         ControlOp = iota
-	CtlSetBandwidth           // change allocated cycles/round
-	CtlSetPriority            // change VBR priority
-	CtlAbortFrame             // drop the in-flight frame (late video frame, §4.3)
+	CtlSetBandwidth ControlOp = iota // change allocated cycles/round
+	CtlSetPriority                   // change VBR priority
 )
 
 // ControlWord precedes each flit on a link, naming the virtual channel the
@@ -212,5 +106,5 @@ type ControlWord struct {
 
 // String implements fmt.Stringer.
 func (f *Flit) String() string {
-	return fmt.Sprintf("flit{conn=%d %s %s seq=%d ready=%d}", f.Conn, f.Class, f.Type, f.Seq, f.ReadyAt)
+	return fmt.Sprintf("flit{conn=%d %s created=%d ready=%d}", f.Conn, f.Class, f.CreatedAt, f.ReadyAt)
 }

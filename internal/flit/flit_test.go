@@ -1,8 +1,10 @@
 package flit
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestClassStrings(t *testing.T) {
@@ -35,40 +37,10 @@ func TestNumClasses(t *testing.T) {
 	}
 }
 
-func TestTypeAndKindStrings(t *testing.T) {
-	if TypeHead.String() != "head" || TypeBody.String() != "body" || TypeTail.String() != "tail" {
-		t.Fatal("flit type strings wrong")
-	}
-	if !strings.Contains(Type(7).String(), "7") {
-		t.Fatal("unknown type string should include the value")
-	}
-	if PacketControl.String() != "control" || PacketBestEffort.String() != "best-effort" {
-		t.Fatal("packet kind strings wrong")
-	}
-}
-
-func TestProbeOpStrings(t *testing.T) {
-	ops := map[ProbeOp]string{
-		ProbeForward:   "forward",
-		ProbeBacktrack: "backtrack",
-		ProbeAck:       "ack",
-		ProbeNack:      "nack",
-		ProbeTeardown:  "teardown",
-	}
-	for op, want := range ops {
-		if op.String() != want {
-			t.Errorf("op %d = %q, want %q", op, op.String(), want)
-		}
-	}
-	if !strings.Contains(ProbeOp(42).String(), "42") {
-		t.Fatal("unknown op string should include the value")
-	}
-}
-
 func TestFlitString(t *testing.T) {
-	f := &Flit{Conn: 3, Class: ClassCBR, Type: TypeBody, Seq: 9, ReadyAt: 12}
+	f := &Flit{Conn: 3, Class: ClassCBR, CreatedAt: 9, ReadyAt: 12}
 	s := f.String()
-	for _, frag := range []string{"conn=3", "CBR", "body", "seq=9", "ready=12"} {
+	for _, frag := range []string{"conn=3", "CBR", "created=9", "ready=12"} {
 		if !strings.Contains(s, frag) {
 			t.Fatalf("flit string %q missing %q", s, frag)
 		}
@@ -79,5 +51,20 @@ func TestInvalidConnSentinel(t *testing.T) {
 	var f Flit
 	if f.Conn == InvalidConn {
 		t.Fatal("zero value must not equal InvalidConn — zero is a valid connection ID")
+	}
+}
+
+// TestFlitLayout holds a flit to what the model reads of it: 40 bytes and
+// no pointer, so a pooled flit is one small object the GC never scans.
+func TestFlitLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(Flit{}); sz != 40 {
+		t.Fatalf("Flit is %d bytes, want 40", sz)
+	}
+	ft := reflect.TypeOf(Flit{})
+	for i := 0; i < ft.NumField(); i++ {
+		switch k := ft.Field(i).Type.Kind(); k {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Interface, reflect.String, reflect.Func, reflect.Chan:
+			t.Errorf("Flit.%s is a %v: a flit holds no pointer", ft.Field(i).Name, k)
+		}
 	}
 }

@@ -6,9 +6,8 @@ func TestPoolRecycles(t *testing.T) {
 	p := NewPool()
 	f := p.Get()
 	f.Conn = 7
-	f.Seq = 42
-	f.Packet = &Packet{ID: 9, Probe: &Probe{Conn: 7}}
-	pkt := f.Packet
+	f.CreatedAt = 42
+	f.WentDown = true
 	p.Put(f)
 
 	if p.Live() != 0 {
@@ -21,24 +20,16 @@ func TestPoolRecycles(t *testing.T) {
 	if g != f {
 		t.Fatal("pool did not reuse the retired flit")
 	}
-	if g.Conn != 0 || g.Seq != 0 || g.Packet != nil {
+	if *g != (Flit{}) {
 		t.Fatalf("reissued flit not zeroed: %+v", g)
-	}
-	pk := p.GetPacket()
-	if pk != pkt {
-		t.Fatal("pool did not reuse the retired packet")
-	}
-	if pk.ID != 0 || pk.Probe != nil {
-		t.Fatalf("reissued packet not zeroed: %+v", pk)
 	}
 }
 
 func TestPoolNilSafe(t *testing.T) {
 	p := NewPool()
 	p.Put(nil)
-	p.PutPacket(nil)
-	if p.Puts() != 0 || p.LivePackets() != 0 {
-		t.Fatalf("nil puts counted: puts=%d livePkts=%d", p.Puts(), p.LivePackets())
+	if p.Puts() != 0 || p.Live() != 0 {
+		t.Fatalf("nil puts counted: puts=%d live=%d", p.Puts(), p.Live())
 	}
 }
 
@@ -63,7 +54,7 @@ func TestRingFIFO(t *testing.T) {
 	}
 	fs := make([]*Flit, 100)
 	for i := range fs {
-		fs[i] = &Flit{Seq: int64(i)}
+		fs[i] = &Flit{CreatedAt: int64(i)}
 	}
 	// Interleave pushes and pops so head wraps across several growths.
 	k := 0
@@ -71,14 +62,14 @@ func TestRingFIFO(t *testing.T) {
 		r.Push(fs[i])
 		if i%3 == 2 {
 			if got := r.Pop(); got != fs[k] {
-				t.Fatalf("pop %d: got seq %d", k, got.Seq)
+				t.Fatalf("pop %d: got flit %d", k, got.CreatedAt)
 			}
 			k++
 		}
 	}
 	for ; k < len(fs); k++ {
 		if got := r.Pop(); got != fs[k] {
-			t.Fatalf("pop %d: got seq %d", k, got.Seq)
+			t.Fatalf("pop %d: got flit %d", k, got.CreatedAt)
 		}
 	}
 	if !r.Empty() {
@@ -91,14 +82,14 @@ func TestRingFIFO(t *testing.T) {
 func TestRingReleasesPopped(t *testing.T) {
 	var r Ring
 	for i := 0; i < 40; i++ {
-		r.Push(&Flit{Seq: int64(i)})
+		r.Push(&Flit{CreatedAt: int64(i)})
 	}
 	for !r.Empty() {
 		r.Pop()
 	}
 	for i, f := range r.buf {
 		if f != nil {
-			t.Fatalf("slot %d still pins a popped flit (seq %d)", i, f.Seq)
+			t.Fatalf("slot %d still pins a popped flit (%d)", i, f.CreatedAt)
 		}
 	}
 }

@@ -288,13 +288,13 @@ func TestRestoreStateRequiresFreshNetwork(t *testing.T) {
 	}
 }
 
-// goldenPayload opens one of the two format-5 checkpoints under
-// testdata. They were written by the change that introduced format 5, from
+// goldenPayload opens one of the two format-6 checkpoints under
+// testdata. They were written by the change that introduced format 6, from
 // a throwaway test in that tree:
 //
-//	n := buildDetNetwork(t, withFaults) // v5-clean.ckpt: false, v5-faults.ckpt: true
+//	n := buildDetNetwork(t, withFaults) // v6-clean.ckpt: false, v6-faults.ckpt: true
 //	n.Run(1200)
-//	n.SaveCheckpoint("testdata/v5-....ckpt")
+//	n.SaveCheckpoint("testdata/v6-....ckpt")
 //
 // so they pin the wire format and the configuration hash to what that
 // code produced, not to what later code believes it produced. Regenerate
@@ -324,7 +324,7 @@ func TestCheckpointGoldens(t *testing.T) {
 	for _, g := range []struct {
 		name       string
 		withFaults bool
-	}{{"v5-clean.ckpt", false}, {"v5-faults.ckpt", true}} {
+	}{{"v6-clean.ckpt", false}, {"v6-faults.ckpt", true}} {
 		t.Run(g.name, func(t *testing.T) {
 			payload := goldenPayload(t, g.name)
 			n, err := New(detConfig(t, false))
@@ -369,7 +369,7 @@ func TestCheckpointGoldens(t *testing.T) {
 // simulator's own consistency assertions may still fire: a word that is
 // in range but wrong is the envelope CRC's to catch, not the decoder's).
 func TestRestoreStateMutatedWords(t *testing.T) {
-	golden := goldenPayload(t, "v5-faults.ckpt")
+	golden := goldenPayload(t, "v6-faults.ckpt")
 	type input struct {
 		name    string
 		payload []byte
@@ -437,7 +437,7 @@ func TestRestoreFlitOnPortWithoutVC(t *testing.T) {
 	}
 	mem := src.nodes[5].Mems[2]
 	mem.Materialize() // what the decode will have to do
-	mem.Push(3, &flit.Flit{Conn: flit.InvalidConn, Class: flit.ClassBestEffort, Src: 1, Dst: 5})
+	mem.Push(3, &flit.Flit{Conn: flit.InvalidConn, Class: flit.ClassBestEffort, Dst: 5})
 	payload, err := src.EncodeState()
 	if err != nil {
 		t.Fatal(err)
@@ -465,8 +465,8 @@ func panicOf(fn func()) (p any) {
 // and a payload it accepts left a fabric that passes the resource audit
 // and can be written out again.
 func FuzzCheckpointDecode(f *testing.F) {
-	f.Add(goldenPayload(f, "v5-clean.ckpt"))
-	f.Add(goldenPayload(f, "v5-faults.ckpt"))
+	f.Add(goldenPayload(f, "v6-clean.ckpt"))
+	f.Add(goldenPayload(f, "v6-faults.ckpt"))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		n, err := New(detConfig(t, false))
 		if err != nil {

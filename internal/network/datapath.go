@@ -331,7 +331,7 @@ func (n *Network) phaseSchedule(nd *node, t int64) {
 				continue
 			}
 			if !n.ud.IsUp(nd.id, cand.Output) {
-				mem.Peek(cand.VC).Packet.WentDown = true
+				mem.Peek(cand.VC).WentDown = true
 			}
 			nd.grantVC[in] = targetVC
 		default:
@@ -473,10 +473,7 @@ func (n *Network) injectStream(nd *node, c *Conn, t int64, tick bool) {
 	if tick && c.injecting() {
 		for k := c.ni.Arrivals(t); k > 0; k-- {
 			f := n.pool.Get()
-			f.Conn, f.Class, f.Type = c.ID, c.Spec.Class, flit.TypeBody
-			f.Seq, f.CreatedAt = c.nextSeq, t
-			f.Src, f.Dst = int32(c.Src), int32(c.Dst)
-			c.nextSeq++
+			f.Conn, f.Class, f.CreatedAt = c.ID, c.Spec.Class, t
 			c.ni.Queue.Push(f)
 			nd.stats.generated++
 		}
@@ -504,16 +501,8 @@ func (n *Network) injectPackets(nd *node, t int64) {
 func (n *Network) injectPacketFlow(nd *node, bf *beFlow, t int64, tick bool) {
 	if tick {
 		for k := bf.ni.Arrivals(t); k > 0; k-- {
-			nd.pktSeq++
-			// Node-unique sequence: local counter tagged with the node id.
-			seq := nd.pktSeq<<20 | int64(nd.id)
 			f := n.pool.Get()
-			f.Conn, f.Class, f.Type = flit.InvalidConn, flit.ClassBestEffort, flit.TypeHead
-			f.Seq, f.CreatedAt = seq, t
-			f.Src, f.Dst = int32(bf.src), int32(bf.dst)
-			pk := n.pool.GetPacket()
-			pk.ID, pk.Kind, pk.Size, pk.CreatedAt = seq, flit.PacketBestEffort, 1, t
-			f.Packet = pk
+			f.Conn, f.Class, f.CreatedAt, f.Dst = flit.InvalidConn, flit.ClassBestEffort, t, int32(bf.dst)
 			bf.ni.Queue.Push(f)
 			nd.stats.beGenerated++
 		}
@@ -556,17 +545,13 @@ func (n *Network) routePackets(nd *node) {
 				continue
 			}
 			head := mem.Peek(vc)
-			if head.Packet == nil {
-				continue
-			}
 			nd.routeTried++
 			dst := int(head.Dst)
 			if dst == nd.id {
 				mem.SetOutput(vc, hp)
 				continue
 			}
-			wentDown := head.Packet.WentDown
-			nd.scratchPorts = n.ud.NextPorts(nd.id, dst, wentDown, nd.scratchPorts[:0])
+			nd.scratchPorts = n.ud.NextPorts(nd.id, dst, head.WentDown, nd.scratchPorts[:0])
 			out := -1
 			for _, q := range nd.scratchPorts {
 				nb := n.cfg.Topology.Neighbor(nd.id, q)

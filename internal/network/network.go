@@ -257,7 +257,6 @@ type node struct {
 	stats        dpStats
 	tstats       tenantNodeStats // per-tenant delivery shard (tenantstats.go)
 	scratchPorts []int
-	pktSeq       int64 // per-node best-effort sequence counter
 
 	// Observability: this node's metric shard (written only while this
 	// node is stepped, like the stats shard) and its flight recorder.
@@ -311,12 +310,12 @@ type Conn struct {
 
 	// Fault lifecycle. A connection broken by a fault has its resources
 	// fully released; restoration re-runs establishment on the surviving
-	// topology and revives the same Conn (same ID, same flit sequence).
+	// topology and revives the same Conn (same ID).
 	Restores int  // successful re-establishments after faults
 	Degraded bool // downgraded to a best-effort flow after restoration failed
 
-	ni       traffic.Injector // source and interface queue at the Src host
-	nextSeq  int64
+	ni traffic.Injector // source and interface queue at the Src host
+
 	open     bool  // injection enabled
 	closed   bool  // resources released
 	broken   bool  // torn down by a fault; restoration may be pending
@@ -508,12 +507,9 @@ func New(cfg Config) (*Network, error) {
 	// A fabric node is the paper's router at the topology's radix plus a
 	// host port, under the MMR's own priority switch scheduler.
 	core := router.Config{
-		Ports: radix,
-		Link:  cfg.Link,
-		VCM: vcm.Config{
-			VirtualChannels: cfg.VCs, Depth: cfg.Depth,
-			Banks: 8, PhitsPerFlit: cfg.Link.PhitsPerFlit(), PhitBufferDepth: 2 * cfg.Link.PhitsPerFlit(),
-		},
+		Ports:         radix,
+		Link:          cfg.Link,
+		VCM:           vcm.Config{VirtualChannels: cfg.VCs, Depth: cfg.Depth},
 		K:             cfg.K,
 		MaxCandidates: cfg.MaxCandidates,
 		Scheme:        cfg.Scheme,

@@ -22,7 +22,7 @@ func TestStreamReservationAgreesAcrossEngines(t *testing.T) {
 	const vcs, k = 16, 2
 	rcfg := router.PaperConfig()
 	rcfg.Ports = 4
-	rcfg.VCM = vcm.Config{VirtualChannels: vcs, Depth: 4, Banks: 4, PhitsPerFlit: 8, PhitBufferDepth: 8}
+	rcfg.VCM = vcm.Config{VirtualChannels: vcs, Depth: 4}
 	rcfg.K = k
 	rcfg.Admission = router.AdmitAllocation
 	r, err := router.New(rcfg)

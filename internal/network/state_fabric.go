@@ -140,7 +140,6 @@ func (n *Network) connState(c *codec) {
 		c.Bool(&cn.broken)
 		c.Bool(&cn.lost)
 		c.I64(&cn.brokenAt)
-		c.I64(&cn.nextSeq)
 		// A decoded source is built against the owning node's RNG as the
 		// class implies, then overwritten. No constructor here draws
 		// randomness, so the streams stay aligned until nodeState restores

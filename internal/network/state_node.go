@@ -15,7 +15,6 @@ import (
 // nodeState: one router and its host interface.
 func (n *Network) nodeState(c *codec, nd *node) {
 	c.rng(nd.rng)
-	c.I64(&nd.pktSeq)
 	c.I64(&nd.LastRound)
 
 	// The fabric reads only the sum of the sink's stream classes, and the

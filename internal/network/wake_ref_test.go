@@ -33,12 +33,12 @@ func (n *Network) referenceBuffered(nd *node) (movable, unrouted bool) {
 				continue
 			}
 			st, head := mem.State(vc), mem.Peek(vc)
-			if len(n.impair) > 0 || st.Class != flit.ClassBestEffort || st.Output >= 0 || head.Packet == nil || int(head.Dst) == nd.id {
+			if len(n.impair) > 0 || st.Class != flit.ClassBestEffort || st.Output >= 0 || int(head.Dst) == nd.id {
 				movable = true
 				continue
 			}
 			free := false
-			for _, q := range n.ud.NextPorts(nd.id, int(head.Dst), head.Packet.WentDown, nil) {
+			for _, q := range n.ud.NextPorts(nd.id, int(head.Dst), head.WentDown, nil) {
 				if n.nodes[tp.Neighbor(nd.id, q)].Mems[tp.PeerPort(nd.id, q)].FreeVCs() > 0 {
 					free = true
 				}

@@ -107,9 +107,6 @@ func TestPoolRecycleBalance(t *testing.T) {
 	if pool.Live() != 0 {
 		t.Fatalf("pool.Live() = %d after draining everything, want 0", pool.Live())
 	}
-	if pool.LivePackets() != 0 {
-		t.Fatalf("pool.LivePackets() = %d after draining everything, want 0", pool.LivePackets())
-	}
 }
 
 // TestRecycledFlitNotRetained locks the ownership rule that departure is

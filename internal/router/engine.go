@@ -2,7 +2,6 @@ package router
 
 import (
 	"mmr/internal/crossbar"
-	"mmr/internal/flit"
 	"mmr/internal/sched"
 	"mmr/internal/traffic"
 )
@@ -105,14 +104,7 @@ func (r *Router) injectStream(c *Connection, t int64, tick bool) {
 	if tick && c.ni.Source != nil {
 		for n := c.ni.Arrivals(t); n > 0; n-- {
 			f := r.pool.Get()
-			f.Conn = c.ID
-			f.Class = c.Spec.Class
-			f.Type = flit.TypeBody
-			f.Seq = c.nextSeq
-			f.CreatedAt = t
-			f.SrcPort = int16(c.Spec.In)
-			f.DstPort = int16(c.Spec.Out)
-			c.nextSeq++
+			f.Conn, f.Class, f.CreatedAt = c.ID, c.Spec.Class, t
 			c.ni.Queue.Push(f)
 			r.m.generated++
 		}
@@ -169,8 +161,8 @@ func (r *Router) transmit(t int64) {
 			r.m.sink.Packet(f.Class, float64(t-f.CreatedAt))
 		}
 		// Departure is the single-router sink: the flit is fully accounted
-		// (metrics copy what they need) and returns to the pool, a packet's
-		// payload with it, for the next injection.
+		// (metrics copy what they need) and returns to the pool for the next
+		// injection.
 		r.pool.Put(f)
 	}
 	r.m.cycles++

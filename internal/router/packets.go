@@ -13,8 +13,8 @@ import (
 // pair — control messages or best-effort traffic coexisting with the
 // streams (§3.4).
 type packetFlow struct {
-	kind    flit.PacketKind
-	id      int64 // kind, then the order added: the order the flows draw from the RNG in
+	class   flit.Class // ClassControl or ClassBestEffort
+	id      int64      // class, then the order added: the order the flows draw from the RNG in
 	in, out int
 	ni      traffic.Injector // its queue: packets waiting for a free VC or the fast path
 }
@@ -23,20 +23,20 @@ type packetFlow struct {
 // packetsPerCycle single-flit packets on average from input in to output
 // out.
 func (r *Router) AddBestEffortFlow(in, out int, packetsPerCycle float64) error {
-	return r.addPacketFlow(flit.PacketBestEffort, in, out, packetsPerCycle)
+	return r.addPacketFlow(flit.ClassBestEffort, in, out, packetsPerCycle)
 }
 
 // AddControlFlow attaches a Poisson control-message flow (probes,
 // acknowledgments, management commands) between the given ports.
 func (r *Router) AddControlFlow(in, out int, packetsPerCycle float64) error {
-	return r.addPacketFlow(flit.PacketControl, in, out, packetsPerCycle)
+	return r.addPacketFlow(flit.ClassControl, in, out, packetsPerCycle)
 }
 
-func (r *Router) addPacketFlow(kind flit.PacketKind, in, out int, packetsPerCycle float64) error {
+func (r *Router) addPacketFlow(class flit.Class, in, out int, packetsPerCycle float64) error {
 	if in < 0 || in >= r.cfg.Ports || out < 0 || out >= r.cfg.Ports {
 		return fmt.Errorf("router: ports (%d,%d) out of range", in, out)
 	}
-	pf := &packetFlow{kind: kind, id: int64(kind)<<32 | int64(len(r.flows)), in: in, out: out}
+	pf := &packetFlow{class: class, id: int64(class)<<32 | int64(len(r.flows)), in: in, out: out}
 	pf.ni.Source = traffic.NewBestEffortSource(r.rng, packetsPerCycle)
 	pf.ni.Start(r.now)
 	r.flows = append(r.flows, pf)
@@ -75,27 +75,10 @@ func (r *Router) injectPackets(t int64) {
 func (r *Router) injectPacketFlow(t int64, pf *packetFlow, tick bool) {
 	if tick {
 		for n := pf.ni.Arrivals(t); n > 0; n-- {
-			r.pktSeq++
-			class := flit.ClassBestEffort
-			if pf.kind == flit.PacketControl {
-				class = flit.ClassControl
-			}
 			f := r.pool.Get()
-			f.Conn = flit.InvalidConn
-			f.Class = class
-			f.Type = flit.TypeHead
-			f.Seq = r.pktSeq
-			f.CreatedAt = t
-			f.SrcPort = int16(pf.in)
-			f.DstPort = int16(pf.out)
-			pk := r.pool.GetPacket()
-			pk.ID = r.pktSeq
-			pk.Kind = pf.kind
-			pk.Size = 1
-			pk.CreatedAt = t
-			f.Packet = pk
+			f.Conn, f.Class, f.CreatedAt = flit.InvalidConn, pf.class, t
 			pf.ni.Queue.Push(f)
-			r.m.pktGenerated[class]++
+			r.m.pktGenerated[pf.class]++
 		}
 	}
 	// Drain the NI queue in order, stopping at the first packet that does
@@ -115,7 +98,7 @@ func (r *Router) placePacket(t int64, pf *packetFlow) bool {
 	// already claimed by another cut-through), the packet is forwarded
 	// immediately without flit-cycle synchronization; the output is then
 	// busy during the next cycle's arbitration.
-	if pf.kind == flit.PacketControl && !r.outputBusyAsync[pf.out] && r.portsIdleThisCycle(pf.in, pf.out) {
+	if pf.class == flit.ClassControl && !r.outputBusyAsync[pf.out] && r.portsIdleThisCycle(pf.in, pf.out) {
 		r.outputBusyAsync[pf.out] = true
 		r.m.sink.Packet(f.Class, float64(t-f.CreatedAt))
 		r.m.ctlFastPath++

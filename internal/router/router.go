@@ -168,7 +168,6 @@ type Connection struct {
 	VC   int // input virtual channel
 
 	ni       traffic.Injector // source and interface queue (policed injection, §4.2)
-	nextSeq  int64
 	injected int64
 	released bool
 
@@ -201,7 +200,6 @@ type Router struct {
 	flows      []*packetFlow
 	pcal       traffic.Calendar[*packetFlow]
 	pendingCtl flow.Lane[pendingControl] // control words in flight (control.go)
-	pktSeq     int64
 
 	// outputBusyAsync marks outputs occupied by an asynchronous control
 	// cut-through that overruns the current flit cycle (§3.4).

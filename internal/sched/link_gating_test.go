@@ -22,7 +22,7 @@ import (
 // none.
 func TestLinkCountersGatingEquivalence(t *testing.T) {
 	build := func() (*LinkScheduler, *vcm.Memory, *flow.Credits) {
-		mem := vcm.MustNew(vcm.Config{VirtualChannels: 8, Depth: 2, Banks: 4, PhitsPerFlit: 8, PhitBufferDepth: 8})
+		mem := vcm.MustNew(vcm.Config{VirtualChannels: 8, Depth: 2})
 		cr := flow.NewCredits(8, 2)
 		ls := NewLinkScheduler(LinkConfig{Input: 0, MaxCandidates: 2, Outputs: 4}, mem, cr)
 		// VC 1: tight allocation so round enforcement trips (RoundExhausted).

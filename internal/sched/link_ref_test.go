@@ -118,7 +118,7 @@ func checkSelection(t *testing.T, tc selectionCase) {
 		rng *sim.RNG
 	}
 	build := func() port {
-		mem := vcm.MustNew(vcm.Config{VirtualChannels: selVCs, Depth: selDepth, Banks: 4, PhitsPerFlit: 8, PhitBufferDepth: 8})
+		mem := vcm.MustNew(vcm.Config{VirtualChannels: selVCs, Depth: selDepth})
 		cr := flow.NewCredits(selVCs, selDepth)
 		cfg := LinkConfig{Input: 3, MaxCandidates: tc.maxCand, Outputs: tc.tableSize, RNG: sim.NewRNG(tc.seed ^ 0x9e3779b97f4a7c15)}
 		if tc.fixed {
@@ -262,7 +262,7 @@ func FuzzCandidatesMatchesSortedReference(f *testing.F) {
 func backlogPort(tb testing.TB, eligible, maxCand int) *LinkScheduler {
 	tb.Helper()
 	const vcs, outputs = 256, 8
-	mem := vcm.MustNew(vcm.Config{VirtualChannels: vcs, Depth: 2, Banks: 4, PhitsPerFlit: 8, PhitBufferDepth: 8})
+	mem := vcm.MustNew(vcm.Config{VirtualChannels: vcs, Depth: 2})
 	cr := flow.NewCredits(vcs, 2)
 	ls := NewLinkScheduler(LinkConfig{Input: 0, MaxCandidates: maxCand, Outputs: outputs}, mem, cr)
 	rng := sim.NewRNG(7)

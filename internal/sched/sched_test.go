@@ -51,7 +51,7 @@ func TestSortCandidates(t *testing.T) {
 // headOf returns the record of a VC reserved with st whose head flit
 // entered the memory at readyAt — what a PriorityScheme reads.
 func headOf(st vcm.VCState, readyAt int64) *vcm.VCState {
-	mem := vcm.MustNew(vcm.Config{VirtualChannels: 1, Depth: 1, Banks: 1, PhitsPerFlit: 1})
+	mem := vcm.MustNew(vcm.Config{VirtualChannels: 1, Depth: 1})
 	mem.Reserve(0, st)
 	mem.Push(0, &flit.Flit{ReadyAt: readyAt})
 	return mem.State(0)
@@ -100,7 +100,7 @@ func TestOldestFirstPriority(t *testing.T) {
 // newPort builds a small VCM + credits + scheduler for link tests.
 func newPort(t *testing.T, maxCand int, scheme PriorityScheme) (*LinkScheduler, *vcm.Memory, *flow.Credits) {
 	t.Helper()
-	mem := vcm.MustNew(vcm.Config{VirtualChannels: 8, Depth: 2, Banks: 4, PhitsPerFlit: 8, PhitBufferDepth: 8})
+	mem := vcm.MustNew(vcm.Config{VirtualChannels: 8, Depth: 2})
 	cr := flow.NewCredits(8, 2)
 	ls := NewLinkScheduler(LinkConfig{Input: 0, MaxCandidates: maxCand, Scheme: scheme}, mem, cr)
 	return ls, mem, cr
@@ -255,7 +255,7 @@ func TestLinkSchedulerExcessOneAtATime(t *testing.T) {
 
 func TestLinkSchedulerRandomSelection(t *testing.T) {
 	rng := sim.NewRNG(5)
-	mem := vcm.MustNew(vcm.Config{VirtualChannels: 8, Depth: 2, Banks: 4, PhitsPerFlit: 8, PhitBufferDepth: 8})
+	mem := vcm.MustNew(vcm.Config{VirtualChannels: 8, Depth: 2})
 	cr := flow.NewCredits(8, 2)
 	ls := NewLinkScheduler(LinkConfig{Input: 0, MaxCandidates: 1, Selection: SelectRandom, RNG: rng}, mem, cr)
 	for vc := 0; vc < 8; vc++ {
@@ -275,7 +275,7 @@ func TestLinkSchedulerRandomSelection(t *testing.T) {
 }
 
 func TestLinkSchedulerDefaults(t *testing.T) {
-	mem := vcm.MustNew(vcm.Config{VirtualChannels: 2, Depth: 1, Banks: 1, PhitsPerFlit: 1, PhitBufferDepth: 1})
+	mem := vcm.MustNew(vcm.Config{VirtualChannels: 2, Depth: 1})
 	cr := flow.NewCredits(2, 1)
 	ls := NewLinkScheduler(LinkConfig{}, mem, cr)
 	if ls.Config().MaxCandidates != 1 || ls.Config().Scheme == nil {

@@ -75,54 +75,3 @@ func (b BankModel) ConcurrentAccessPhits(nReads, nWrites int) int {
 func (b BankModel) MeetsCycleBudget() bool {
 	return b.ConcurrentAccessPhits(1, 1) <= b.PhitsPerFlit
 }
-
-// PhitBuffer is the small link-side staging buffer of §3.2: deep enough to
-// hold the phits that arrive while the control word is decoded and the
-// VCM write address generated. It also gives control packets their
-// cut-through fast path (§3.2, §3.4).
-type PhitBuffer struct {
-	depth   int
-	pending int // phits currently staged
-	drops   int64
-}
-
-// NewPhitBuffer returns a buffer holding up to depth phits.
-func NewPhitBuffer(depth int) *PhitBuffer {
-	if depth < 1 {
-		depth = 1
-	}
-	return &PhitBuffer{depth: depth}
-}
-
-// Depth returns the buffer capacity in phits.
-func (p *PhitBuffer) Depth() int { return p.depth }
-
-// Pending returns the staged phit count.
-func (p *PhitBuffer) Pending() int { return p.pending }
-
-// Arrive stages n phits, reporting how many fit. Link-level flow control
-// should prevent overflow; the shortfall is counted so protocol violations
-// are observable.
-func (p *PhitBuffer) Arrive(n int) int {
-	room := p.depth - p.pending
-	if n > room {
-		p.drops += int64(n - room)
-		n = room
-	}
-	p.pending += n
-	return n
-}
-
-// Drain removes up to n staged phits (the decode stage writing them into
-// the VCM) and returns how many were removed.
-func (p *PhitBuffer) Drain(n int) int {
-	if n > p.pending {
-		n = p.pending
-	}
-	p.pending -= n
-	return n
-}
-
-// Drops returns the phits that arrived with no room — always 0 when flow
-// control is honored.
-func (p *PhitBuffer) Drops() int64 { return p.drops }

@@ -29,7 +29,7 @@ func TestVCRecordLayout(t *testing.T) {
 			store := NewStore(ports)
 			for i := 0; i < 2*ports+1; i++ {
 				var m Memory
-				if err := Init(&m, Config{VirtualChannels: vcs, Depth: 4, Banks: 4, PhitsPerFlit: 8}, store); err != nil {
+				if err := Init(&m, Config{VirtualChannels: vcs, Depth: 4}, store); err != nil {
 					t.Fatal(err)
 				}
 				m.Reserve(0, VCState{})
@@ -119,7 +119,7 @@ func FuzzMemoryMirrors(f *testing.F) {
 	f.Add(int64(5), []byte{1, 2, 6, 7, 6, 3, 4, 13, 5, 1, 9, 2})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		const vcs, depth = 6, 3
-		cfg := Config{VirtualChannels: vcs, Depth: depth, Banks: 4, PhitsPerFlit: 8}
+		cfg := Config{VirtualChannels: vcs, Depth: depth}
 		rng := rand.New(rand.NewSource(seed))
 		store := NewStore(2)
 		var m, neighbour Memory
@@ -130,7 +130,7 @@ func FuzzMemoryMirrors(f *testing.F) {
 		}
 		neighbour.Materialize()
 		for v := 0; v < vcs; v++ {
-			neighbour.Push(v, &flit.Flit{Seq: -1})
+			neighbour.Push(v, &flit.Flit{CreatedAt: -1})
 		}
 		var occ int64
 		busy := bitvec.New(3)
@@ -161,7 +161,7 @@ func FuzzMemoryMirrors(f *testing.F) {
 					r.st, r.serviced = st, 0
 				}
 			case 1: // Push
-				fl := &flit.Flit{Seq: now, ReadyAt: now + int64(rng.Intn(5))}
+				fl := &flit.Flit{CreatedAt: now, ReadyAt: now + int64(rng.Intn(5))}
 				if got, want := m.Push(vc, fl), len(r.q) < depth; got != want {
 					t.Fatalf("Push(%d) = %v, want %v", vc, got, want)
 				} else if got {
@@ -253,7 +253,7 @@ func FuzzMemoryMirrors(f *testing.F) {
 				t.Fatal(err)
 			}
 			for v := 0; v < vcs; v++ {
-				if f := neighbour.Peek(v); f == nil || f.Seq != -1 || neighbour.Len(v) != 1 {
+				if f := neighbour.Peek(v); f == nil || f.CreatedAt != -1 || neighbour.Len(v) != 1 {
 					t.Fatalf("the neighbour's VC %d changed: %v", v, f)
 				}
 			}

@@ -1,10 +1,12 @@
 // Package vcm implements the MMR's Virtual Channel Memory (§3.2): per-link
-// buffering organized as a large set of virtual channels stored in
-// low-order-interleaved RAM modules, fronted by small phit buffers that
-// absorb arrivals during address decoding. Instead of one queue + mux per
-// virtual channel (which the paper rejects for delay and area), the VCM is
-// a single memory with per-VC FIFO regions plus status bit vectors that
-// the link scheduler reads.
+// buffering organized as a large set of virtual channels. Instead of one
+// queue + mux per virtual channel (which the paper rejects for delay and
+// area), the VCM is a single memory with per-VC FIFO regions plus status
+// bit vectors that the link scheduler reads. The paper stores it in
+// low-order-interleaved RAM modules fronted by small phit buffers; the
+// functional model moves whole flits, so neither is modelled here, and
+// BankModel answers the banks' timing question analytically (the A8
+// ablation).
 package vcm
 
 import (
@@ -19,21 +21,12 @@ import (
 type Config struct {
 	VirtualChannels int // V: VCs per physical input link (256 in §5)
 	Depth           int // flits of buffering per VC (small, fixed — §1)
-	Banks           int // interleaved RAM modules (§3.2)
-	PhitsPerFlit    int // phits making up one flit
-	PhitBufferDepth int // phits the link-side staging buffer can hold
 }
 
-// PaperConfig returns the §5 arrangement: 256 VCs, small fixed per-VC
-// buffers, flits interleaved across 8 banks of 16-bit-wide RAM.
+// PaperConfig returns the §5 arrangement: 256 VCs with small fixed per-VC
+// buffers.
 func PaperConfig() Config {
-	return Config{
-		VirtualChannels: 256,
-		Depth:           4,
-		Banks:           8,
-		PhitsPerFlit:    8,
-		PhitBufferDepth: 16,
-	}
+	return Config{VirtualChannels: 256, Depth: 4}
 }
 
 func (c Config) validate() error {
@@ -42,12 +35,6 @@ func (c Config) validate() error {
 	}
 	if c.Depth < 1 || c.Depth > maxDepth {
 		return fmt.Errorf("vcm: per-VC depth must be in [1, %d], got %d", maxDepth, c.Depth)
-	}
-	if c.Banks < 1 {
-		return fmt.Errorf("vcm: need at least one bank, got %d", c.Banks)
-	}
-	if c.PhitsPerFlit < 1 {
-		return fmt.Errorf("vcm: phits per flit must be >= 1, got %d", c.PhitsPerFlit)
 	}
 	return nil
 }
@@ -139,6 +126,8 @@ type Memory struct {
 	busy *bitvec.Vector
 
 	occupied int // total flits buffered across VCs
+
+	_ [3]int64 // pads the header to two whole lines (TestVCRecordLayout)
 
 	// Status bit vectors. flitsAvailable has a set bit for every VC with at
 	// least one buffered flit; full for every VC at capacity; reserved for

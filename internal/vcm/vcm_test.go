@@ -20,7 +20,7 @@ func mk(t *testing.T, vcs, depth int) *Memory {
 
 func bare(t *testing.T, vcs, depth int) *Memory {
 	t.Helper()
-	m, err := New(Config{VirtualChannels: vcs, Depth: depth, Banks: 4, PhitsPerFlit: 8, PhitBufferDepth: 8})
+	m, err := New(Config{VirtualChannels: vcs, Depth: depth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestMemoryWithoutRecords(t *testing.T) {
 // ports — and never share a record or a slot.
 func TestStoreCarvesChunks(t *testing.T) {
 	const perChunk, perCall = 32, 64
-	cfg := Config{VirtualChannels: 64, Depth: 4, Banks: 8, PhitsPerFlit: 8, PhitBufferDepth: 16}
+	cfg := Config{VirtualChannels: 64, Depth: 4}
 	store := NewStore(perChunk)
 	mems := make([]Memory, 2*perCall)
 	next := 0
@@ -125,7 +125,7 @@ func TestStoreCarvesChunks(t *testing.T) {
 		// Filling every VC of one memory leaves its neighbours' untouched.
 		for v := 0; v < cfg.VirtualChannels; v++ {
 			for d := 0; d < cfg.Depth; d++ {
-				m.Push(v, &flit.Flit{Seq: int64(i)})
+				m.Push(v, &flit.Flit{CreatedAt: int64(i)})
 			}
 		}
 	}
@@ -134,8 +134,8 @@ func TestStoreCarvesChunks(t *testing.T) {
 			t.Fatalf("memory %d: %v", i, err)
 		}
 		for v := 0; v < cfg.VirtualChannels; v++ {
-			if f := mems[i].Peek(v); f.Seq != int64(i) {
-				t.Fatalf("memory %d VC %d holds memory %d's flit", i, v, f.Seq)
+			if f := mems[i].Peek(v); f.CreatedAt != int64(i) {
+				t.Fatalf("memory %d VC %d holds memory %d's flit", i, v, f.CreatedAt)
 			}
 		}
 	}
@@ -143,11 +143,9 @@ func TestStoreCarvesChunks(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{VirtualChannels: 0, Depth: 1, Banks: 1, PhitsPerFlit: 1},
-		{VirtualChannels: 1, Depth: 0, Banks: 1, PhitsPerFlit: 1},
-		{VirtualChannels: 1, Depth: 256, Banks: 1, PhitsPerFlit: 1}, // past a record's one-byte ring position
-		{VirtualChannels: 1, Depth: 1, Banks: 0, PhitsPerFlit: 1},
-		{VirtualChannels: 1, Depth: 1, Banks: 1, PhitsPerFlit: 0},
+		{VirtualChannels: 0, Depth: 1},
+		{VirtualChannels: 1, Depth: 0},
+		{VirtualChannels: 1, Depth: 256}, // past a record's one-byte ring position
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -171,18 +169,18 @@ func TestMustNewPanics(t *testing.T) {
 func TestPushPopFIFO(t *testing.T) {
 	m := mk(t, 4, 3)
 	for i := 0; i < 3; i++ {
-		if !m.Push(1, &flit.Flit{Seq: int64(i)}) {
+		if !m.Push(1, &flit.Flit{CreatedAt: int64(i)}) {
 			t.Fatalf("push %d rejected", i)
 		}
 	}
-	if m.Push(1, &flit.Flit{Seq: 99}) {
+	if m.Push(1, &flit.Flit{CreatedAt: 99}) {
 		t.Fatal("push beyond depth accepted")
 	}
 	if m.Len(1) != 3 || m.Free(1) != 0 || m.Occupied() != 3 {
 		t.Fatalf("occupancy wrong: len=%d free=%d occ=%d", m.Len(1), m.Free(1), m.Occupied())
 	}
 	for i := 0; i < 3; i++ {
-		if f := m.Pop(1); f == nil || f.Seq != int64(i) {
+		if f := m.Pop(1); f == nil || f.CreatedAt != int64(i) {
 			t.Fatalf("pop %d: got %v", i, f)
 		}
 	}
@@ -196,8 +194,8 @@ func TestPushPopFIFO(t *testing.T) {
 
 func TestPeekDoesNotConsume(t *testing.T) {
 	m := mk(t, 2, 2)
-	m.Push(0, &flit.Flit{Seq: 7})
-	if f := m.Peek(0); f == nil || f.Seq != 7 {
+	m.Push(0, &flit.Flit{CreatedAt: 7})
+	if f := m.Peek(0); f == nil || f.CreatedAt != 7 {
 		t.Fatal("peek wrong")
 	}
 	if m.Len(0) != 1 {
@@ -302,11 +300,11 @@ func TestVCMInvariantProperty(t *testing.T) {
 		for _, op := range ops {
 			vc := int(op) % 4
 			if op&0x80 == 0 {
-				if m.Push(vc, &flit.Flit{Seq: next[vc]}) {
+				if m.Push(vc, &flit.Flit{CreatedAt: next[vc]}) {
 					next[vc]++
 				}
 			} else if f := m.Pop(vc); f != nil {
-				if f.Seq != expect[vc] {
+				if f.CreatedAt != expect[vc] {
 					return false
 				}
 				expect[vc]++
@@ -389,27 +387,5 @@ func TestBankModelClamping(t *testing.T) {
 	b := NewBankModel(0, 0)
 	if b.Banks != 1 || b.PhitsPerFlit != 1 {
 		t.Fatal("degenerate geometry not clamped")
-	}
-}
-
-func TestPhitBuffer(t *testing.T) {
-	p := NewPhitBuffer(8)
-	if got := p.Arrive(5); got != 5 || p.Pending() != 5 {
-		t.Fatalf("arrive: %d pending %d", got, p.Pending())
-	}
-	if got := p.Arrive(5); got != 3 {
-		t.Fatalf("overflow arrive accepted %d, want 3", got)
-	}
-	if p.Drops() != 2 {
-		t.Fatalf("drops = %d, want 2", p.Drops())
-	}
-	if got := p.Drain(6); got != 6 || p.Pending() != 2 {
-		t.Fatalf("drain: %d pending %d", got, p.Pending())
-	}
-	if got := p.Drain(10); got != 2 || p.Pending() != 0 {
-		t.Fatalf("drain past empty: %d pending %d", got, p.Pending())
-	}
-	if NewPhitBuffer(0).Depth() != 1 {
-		t.Fatal("zero depth not clamped")
 	}
 }
