@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"mmr/internal/sim"
 	"mmr/internal/topology"
 )
 
@@ -117,45 +118,55 @@ func TestChannelMapMatchesReference(t *testing.T) {
 }
 
 // TestDistsMatchShortestDists holds the distance table to a fresh BFS per
-// source on a mesh, a fat tree and a dragonfly, healthy and with links
-// failed and restored one at a time: every Between and every Profitable
-// must equal what topology.ShortestDists implies, and Recompute must
-// allocate nothing.
+// source: on a mesh, a fat tree and a dragonfly of at most 20 nodes, where
+// every source fits in one 64-bit word, and on FatTree(8) (80 nodes), tori of
+// 64 and 65 nodes and an irregular fabric of 130, which cross one, two and
+// three word boundaries. Each is checked healthy, after each of 32 random
+// link flips, with one router cut off by every one of its links down (its
+// entries read -1), and with those links back: every Between and every
+// Profitable must equal what topology.ShortestDists implies, and Recompute
+// must allocate nothing.
 func TestDistsMatchShortestDists(t *testing.T) {
-	mesh, _ := topology.Mesh(4, 3, 4)
-	tree, err := topology.FatTree(4)
-	if err != nil {
-		t.Fatal(err)
+	must := func(tp *topology.Topology, err error) *topology.Topology {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tp
 	}
-	fly, err := topology.Dragonfly(3, 1, 1)
-	if err != nil {
-		t.Fatal(err)
+	fabrics := []*topology.Topology{
+		must(topology.Mesh(4, 3, 4)),
+		must(topology.FatTree(4)),
+		must(topology.Dragonfly(3, 1, 1)),
+		must(topology.FatTree(8)),
+		must(topology.Torus(8, 8, 4)),
+		must(topology.Torus(13, 5, 4)),
+		must(topology.Irregular(130, 6, 3, sim.NewRNG(9))),
 	}
 	rng := rand.New(rand.NewSource(5))
-	for _, tp := range []*topology.Topology{mesh, tree, fly} {
+	for _, tp := range fabrics {
+		name := fmt.Sprintf("%s(%d nodes)", tp.Shape().Kind, tp.Nodes)
 		d := NewDists(tp)
 		check := func(when string) {
 			t.Helper()
+			want := make([][]int, tp.Nodes)
+			for s := range want {
+				want[s] = tp.ShortestDists(s)
+			}
 			for s := 0; s < tp.Nodes; s++ {
-				want := tp.ShortestDists(s)
 				for x := 0; x < tp.Nodes; x++ {
-					if got := d.Between(s, x); got != want[x] {
-						t.Fatalf("%s %s: Between(%d,%d) = %d, want %d", tp.Shape().Kind, when, s, x, got, want[x])
+					if got := d.Between(s, x); got != want[s][x] {
+						t.Fatalf("%s %s: Between(%d,%d) = %d, want %d", name, when, s, x, got, want[s][x])
 					}
 				}
 			}
 			for n := 0; n < tp.Nodes; n++ {
-				dn := tp.ShortestDists(n)
 				for p := 0; p < tp.Ports; p++ {
 					m := tp.Neighbor(n, p)
-					var dm []int
-					if m >= 0 {
-						dm = tp.ShortestDists(m)
-					}
 					for dest := 0; dest < tp.Nodes; dest++ {
-						want := m >= 0 && dm[dest] >= 0 && dm[dest] < dn[dest]
+						want := m >= 0 && want[m][dest] >= 0 && want[m][dest] < want[n][dest]
 						if got := d.Profitable(tp, n, p, dest); got != want {
-							t.Fatalf("%s %s: Profitable(%d,%d,%d) = %v, want %v", tp.Shape().Kind, when, n, p, dest, got, want)
+							t.Fatalf("%s %s: Profitable(%d,%d,%d) = %v, want %v", name, when, n, p, dest, got, want)
 						}
 					}
 				}
@@ -163,28 +174,42 @@ func TestDistsMatchShortestDists(t *testing.T) {
 		}
 		check("healthy")
 		if allocs := testing.AllocsPerRun(5, func() { d.Recompute(tp) }); allocs != 0 {
-			t.Fatalf("%s: Recompute allocates %.1f times", tp.Shape().Kind, allocs)
+			t.Fatalf("%s: Recompute allocates %.1f times", name, allocs)
 		}
-		var down []topology.Link
-		for step := 0; step < 12; step++ {
-			if len(down) > 0 && (rng.Intn(3) == 0 || len(down) == 4) {
-				l := down[len(down)-1]
-				down = down[:len(down)-1]
-				if err := tp.SetLinkUp(l.A, l.APort, true); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				l := tp.Links[rng.Intn(len(tp.Links))]
-				if !tp.LinkUp(l.A, l.APort) {
-					continue
-				}
-				if err := tp.SetLinkUp(l.A, l.APort, false); err != nil {
-					t.Fatal(err)
-				}
-				down = append(down, l)
+		for step := 0; step < 32; step++ {
+			l := tp.Links[rng.Intn(len(tp.Links))]
+			if err := tp.SetLinkUp(l.A, l.APort, !tp.LinkUp(l.A, l.APort)); err != nil {
+				t.Fatal(err)
 			}
 			d.Recompute(tp)
-			check(fmt.Sprintf("step %d (%d links down)", step, len(down)))
+			check(fmt.Sprintf("flip %d (%d of %d links up)", step, tp.UpLinks(), len(tp.Links)))
 		}
+
+		// Cut one router off: every link it has goes down.
+		r := rng.Intn(tp.Nodes)
+		var cut []int
+		for p := 0; p < tp.Ports; p++ {
+			if tp.Wired(r, p) >= 0 && tp.LinkUp(r, p) {
+				if err := tp.SetLinkUp(r, p, false); err != nil {
+					t.Fatal(err)
+				}
+				cut = append(cut, p)
+			}
+		}
+		d.Recompute(tp)
+		check(fmt.Sprintf("router %d cut off", r))
+		for x := 0; x < tp.Nodes; x++ {
+			if x != r && (d.Between(r, x) != -1 || d.Between(x, r) != -1) {
+				t.Fatalf("%s: router %d is cut off, yet Between(%d,%d) = %d and Between(%d,%d) = %d",
+					name, r, r, x, d.Between(r, x), x, r, d.Between(x, r))
+			}
+		}
+		for _, p := range cut {
+			if err := tp.SetLinkUp(r, p, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.Recompute(tp)
+		check(fmt.Sprintf("router %d back", r))
 	}
 }
