@@ -5,7 +5,7 @@ SOAKEVENTS ?= 1000000
 SOAKKILLS ?= 25
 SOAKSEED ?= 7
 
-.PHONY: build test perfbench-test vet fmt-check ci-names inline-check loc loc-check race fuzz-smoke soak soak-smoke check smoke-large-fabric
+.PHONY: build test perfbench-test vet fmt-check ci-names inline-check loc loc-check work-check race fuzz-smoke soak soak-smoke check smoke-large-fabric
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,16 @@ loc-check:
 		echo "loc-check: internal/network + internal/router have $$n non-test lines, the ceiling is $(LOC_CEILING)" >&2; exit 1; \
 	fi
 
+# The four work goldens: exact counts of what the scheduling stages and the
+# routing unit do on the dense and the sparse fabric, under control-plane
+# churn (opens, drained closes, a bandwidth change, a link fault, a
+# checkpoint restore) and on the paper-sweep router. They do not depend on
+# the host, so a change that adds work per delivered flit fails here on any
+# machine unless it re-records the golden and says why.
+work-check:
+	$(GO) test -count=1 -run='TestDenseWorkGolden|TestSparseWorkGolden|TestChurnWorkGolden' ./internal/network
+	$(GO) test -count=1 -run='^TestRouterWorkGolden$$' ./internal/router
+
 # The packages that start goroutines: the daemon, the metrics server and
 # the sweep pool. The fabric cycle and everything under it is serial. The
 # daemon's hostile-request and periodic-checkpoint tests run again, so their
@@ -119,4 +129,4 @@ soak-smoke:
 smoke-large-fabric:
 	$(GO) test -run='^TestLargeFabricSmoke$$' -v -timeout 10m ./internal/network
 
-check: vet fmt-check ci-names inline-check loc-check test perfbench-test race fuzz-smoke soak-smoke
+check: vet fmt-check ci-names inline-check loc-check work-check test perfbench-test race fuzz-smoke soak-smoke

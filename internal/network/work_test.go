@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"mmr/internal/flit"
@@ -389,5 +390,102 @@ func TestGatingFlipMidTraffic(t *testing.T) {
 				t.Fatalf("degenerate scenario: %+v", st)
 			}
 		})
+	}
+}
+
+// TestChurnWorkGolden pins the work ledger of the control plane's shape on the
+// toy fat tree: 120 attempted opens at the paper's three fastest rates
+// between the edge routers, beside one best-effort flow, ten drained closes,
+// one bandwidth change, one link failed on a path and restored, twelve more
+// opens, and a checkpoint restored into a fresh fabric
+// that runs on. The summed Core.Work rows and routing-unit rows of the fabric
+// before the checkpoint and of the restored one after it, the flits delivered
+// and the setup backtracks are exact counts, so establishment, teardown,
+// fault handling or restore that does more work, or different work, moves
+// them on any host.
+func TestChurnWorkGolden(t *testing.T) {
+	n, edges, rng, other := fatTreeFabric(t, 4, 4, false)
+	var conns []*Conn
+	open := func(k int) {
+		for i := 0; i < k; i++ {
+			src := edges[rng.Intn(len(edges))]
+			spec := traffic.ConnSpec{Class: flit.ClassCBR, Rate: traffic.PaperRates[6+rng.Intn(3)]}
+			if rng.Intn(4) == 0 {
+				spec.Class, spec.PeakRate = flit.ClassVBR, 2*spec.Rate
+			}
+			if c, err := n.Open(src, other(src), spec); err == nil {
+				conns = append(conns, c)
+			}
+		}
+	}
+	open(120)
+	if _, err := n.AddBestEffortFlow(edges[0], edges[len(edges)-1], 0.01); err != nil {
+		t.Fatal(err)
+	}
+	n.Run(1500)
+	for _, c := range conns[:10] {
+		if err := n.DrainAndClose(c, 4000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.ModifyBandwidth(conns[12], traffic.PaperRates[7]); err != nil {
+		t.Fatal(err)
+	}
+	n.Run(500)
+	hop := conns[14].Path[0]
+	if err := n.FailLink(hop.Node, hop.Port); err != nil {
+		t.Fatal(err)
+	}
+	n.Run(1000)
+	if err := n.RestoreLink(hop.Node, hop.Port); err != nil {
+		t.Fatal(err)
+	}
+	n.Run(1000)
+	open(12)
+	n.Run(500)
+	before := workOf(n, 0)
+
+	blob, err := n.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := topology.FatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(DefaultConfig(tp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	m.Run(1500)
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	after := workOf(m, 0)
+	st := m.Stats()
+	flits, opened := st.FlitsDelivered+st.BEDelivered, len(conns)
+	if st.ConnsBroken == 0 || st.Closed != 10 {
+		t.Fatalf("degenerate script: %d sessions broken by the fault, %d closed", st.ConnsBroken, st.Closed)
+	}
+	backtracks := [2]int64{st.SetupBacktracks.N(), int64(math.Round(st.SetupBacktracks.Sum()))}
+	t.Logf("%d sessions opened, %d broken by the fault; %d flits delivered, setup backtracks %v (count, sum)\nbefore the checkpoint %+v\nafter the restore     %+v",
+		opened, st.ConnsBroken, flits, backtracks, before, after)
+
+	wantBefore := fabricWork{
+		Work:         sched.Work{PortsScanned: 296221, VCsVisited: 973241, PriorityEvals: 840808, Candidates: 365906, Grants: 251187, Enqueued: 251522},
+		RouteVisited: 440, RouteTried: 440,
+	}
+	wantAfter := fabricWork{
+		Work:         sched.Work{PortsScanned: 57137, VCsVisited: 191738, PriorityEvals: 178811, Candidates: 65977, Grants: 47051, Enqueued: 47095},
+		RouteVisited: 60, RouteTried: 60,
+	}
+	const wantFlits, wantOpened = 63996, 129
+	wantBacktracks := [2]int64{129, 5}
+	if before != wantBefore || after != wantAfter || flits != wantFlits || opened != wantOpened || backtracks != wantBacktracks {
+		t.Errorf("churn work ledger moved:\ngot  before %+v\n     after  %+v\n     %d flits, %d opened, backtracks %v\nwant before %+v\n     after  %+v\n     %d flits, %d opened, backtracks %v",
+			before, after, flits, opened, backtracks, wantBefore, wantAfter, wantFlits, wantOpened, wantBacktracks)
 	}
 }
