@@ -195,7 +195,6 @@ func (n *Network) purgePipe(nodeID, port, peer, peerPort int) {
 			// The packet dies here; free the input VC it had reserved at
 			// the receiver.
 			n.nodes[peer].Mems[peerPort].Release(lf.vc)
-			n.nodes[peer].upstream[peerPort][lf.vc] = noUpstream
 		}
 		n.pool.Put(lf.f)
 	}

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mmr/internal/topology"
 )
@@ -9,39 +10,85 @@ import (
 // Dists is an all-pairs hop-distance table over a topology, the basis for
 // "profitable" (minimal-path) decisions. It is one flat table, row a
 // holding the distances from node a, that Recompute refills in place.
+//
+// Recompute runs every source's breadth-first search at once, bit-parallel
+// (multi-source BFS, as in Then et al., "The More the Merrier", VLDB 2014):
+// each node keeps a bitset of the sources that have reached it and one of
+// those that reached it at the last level, and its next frontier is the OR
+// of its neighbours' frontiers minus the sources it has already seen. A
+// level then costs a few word operations per up link, not a queue walk per
+// source, and the scratch — a flat adjacency of the up links and three
+// bitsets per node — is sized once, so a refresh allocates nothing.
 type Dists struct {
-	nodes int
-	d     []int32 // d[a*nodes+b]: hops from a to b, -1 if unreachable
-	queue []int32 // BFS scratch
+	nodes, words int
+	d            []int32 // d[a*nodes+b]: hops from a to b, -1 if unreachable
+
+	// Recompute's scratch: node a's up-link neighbours are nbr[off[a]:off[a+1]];
+	// seen, front and next hold words uint64s per node, bit s for source s.
+	off, nbr          []int32
+	seen, front, next []uint64
 }
 
-// NewDists precomputes BFS distances from every node.
+// NewDists computes the distances between every pair of nodes.
 func NewDists(t *topology.Topology) *Dists {
-	d := &Dists{nodes: t.Nodes, d: make([]int32, t.Nodes*t.Nodes), queue: make([]int32, t.Nodes)}
+	n, w := t.Nodes, (t.Nodes+63)/64
+	d := &Dists{
+		nodes: n, words: w, d: make([]int32, n*n),
+		off: make([]int32, n+1), nbr: make([]int32, 0, n*t.Ports),
+		seen: make([]uint64, n*w), front: make([]uint64, n*w), next: make([]uint64, n*w),
+	}
 	d.Recompute(t)
 	return d
 }
 
 // Recompute refreshes the table after a topology change (a link failing
 // or being restored): distances follow only the currently-up links, so
-// minimal-path searches route around failures. It allocates nothing.
+// minimal-path searches route around failures. A link is up in both
+// directions or in neither, so the hops from a to s equal those from s to
+// a, and the level at which source s first reaches node a fills entry
+// (a, s). It allocates nothing.
 func (d *Dists) Recompute(t *topology.Topology) {
-	for s := 0; s < d.nodes; s++ {
-		row := d.d[s*d.nodes : (s+1)*d.nodes]
-		for i := range row {
-			row[i] = -1
+	n, w := d.nodes, d.words
+	d.nbr = d.nbr[:0]
+	for a := 0; a < n; a++ {
+		d.off[a] = int32(len(d.nbr))
+		for p := 0; p < t.Ports; p++ {
+			if m := t.Neighbor(a, p); m >= 0 {
+				d.nbr = append(d.nbr, int32(m))
+			}
 		}
-		row[s] = 0
-		q := append(d.queue[:0], int32(s))
-		for head := 0; head < len(q); head++ {
-			n := int(q[head])
-			for p := 0; p < t.Ports; p++ {
-				if m := t.Neighbor(n, p); m >= 0 && row[m] < 0 {
-					row[m] = row[n] + 1
-					q = append(q, int32(m))
+	}
+	d.off[n] = int32(len(d.nbr))
+
+	for i := range d.d {
+		d.d[i] = -1
+	}
+	clear(d.seen)
+	for a := 0; a < n; a++ {
+		d.d[a*n+a] = 0
+		d.seen[a*w+a/64] = 1 << (a % 64)
+	}
+	copy(d.front, d.seen)
+	for level, grew := int32(1), true; grew; level++ {
+		grew = false
+		for a := 0; a < n; a++ {
+			next, seen, row := d.next[a*w:(a+1)*w], d.seen[a*w:(a+1)*w], d.d[a*n:(a+1)*n]
+			clear(next)
+			for _, m := range d.nbr[d.off[a]:d.off[a+1]] {
+				for i, f := range d.front[int(m)*w : int(m+1)*w] {
+					next[i] |= f
+				}
+			}
+			for i, x := range next {
+				x &^= seen[i]
+				next[i], seen[i] = x, seen[i]|x
+				grew = grew || x != 0
+				for ; x != 0; x &= x - 1 {
+					row[i*64+bits.TrailingZeros64(x)] = level
 				}
 			}
 		}
+		d.front, d.next = d.next, d.front
 	}
 }
 
