@@ -106,7 +106,10 @@ func TestCheckpointRoundTripBitExact(t *testing.T) {
 // bytes and the metric snapshot in both renderings must be the twin's. The
 // per-tenant delivery families are left out of the snapshot: tenantstats.go
 // keeps them outside EncodeState, so a restored fabric counts them from
-// zero.
+// zero. The faulted fabric runs once more on three-cycle wires, whose
+// impaired links stage drop credits: its snapshot must hold a credit and a
+// flit that mature after the next cycle's delivery, or the case proves
+// nothing about the lanes.
 func TestCheckpointResumeMatchesTwin(t *testing.T) {
 	const at, after = 1200, 5000
 	render := func(n *Network) (prom, js string) {
@@ -123,20 +126,49 @@ func TestCheckpointResumeMatchesTwin(t *testing.T) {
 		}
 		return p.String(), j.String()
 	}
-	for _, withFaults := range []bool{false, true} {
-		src := buildDetNetwork(t, withFaults)
+	for _, tc := range []struct {
+		withFaults bool
+		linkDelay  int64
+	}{{false, 1}, {true, 1}, {true, 3}} {
+		config := func(noIdleSkip bool) Config {
+			cfg := detConfig(t, noIdleSkip)
+			cfg.LinkDelay = tc.linkDelay
+			return cfg
+		}
+		src := buildDetNetworkOn(t, config(false), tc.withFaults)
 		src.Run(at)
+		if tc.linkDelay > 1 {
+			credits, flits := 0, 0
+			for _, nd := range src.nodes {
+				for p := range nd.out {
+					for _, e := range nd.out[p].credits.Pending() {
+						if e.At > src.now {
+							credits++
+						}
+					}
+					for _, e := range nd.out[p].flits.Pending() {
+						if e.At > src.now {
+							flits++
+						}
+					}
+				}
+			}
+			t.Logf("LinkDelay=%d: the snapshot holds %d credits and %d flits not yet matured", tc.linkDelay, credits, flits)
+			if credits == 0 || flits == 0 {
+				t.Fatalf("degenerate: LinkDelay=%d snapshot holds %d credits and %d flits not yet matured", tc.linkDelay, credits, flits)
+			}
+		}
 		snap, err := src.EncodeState()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, noIdleSkip := range []bool{false, true} {
-			name := fmt.Sprintf("faults=%v/noIdleSkip=%v", withFaults, noIdleSkip)
-			twin := buildDetNetwork(t, withFaults)
+			name := fmt.Sprintf("faults=%v/linkDelay=%d/noIdleSkip=%v", tc.withFaults, tc.linkDelay, noIdleSkip)
+			twin := buildDetNetworkOn(t, config(false), tc.withFaults)
 			twin.cfg.NoIdleSkip = noIdleSkip
 			twin.Run(at + after)
 
-			n, err := New(detConfig(t, noIdleSkip))
+			n, err := New(config(noIdleSkip))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -32,13 +32,14 @@ func detScenario(t *testing.T, withFaults bool) (*Stats, []SessionEvent) {
 // flight-recorder) share the exact same scenario.
 func buildDetNetwork(t *testing.T, withFaults bool) *Network {
 	t.Helper()
-	tp, err := topology.Mesh(4, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(tp)
-	cfg.Seed = 11
-	cfg.Fault = FaultPolicy{Restore: true, MaxRetries: 4, RetryBackoff: 32, Degrade: true, Paranoid: true}
+	return buildDetNetworkOn(t, detConfig(t, false), withFaults)
+}
+
+// buildDetNetworkOn builds the detScenario network on cfg, detConfig's with
+// whatever the caller changed.
+func buildDetNetworkOn(t *testing.T, cfg Config, withFaults bool) *Network {
+	t.Helper()
+	tp := cfg.Topology
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
