@@ -59,8 +59,9 @@ loc:
 # 4,895 + 1,624; rate admission in internal/admission, the Core's series
 # registered once and the unread quantiles gone, 4,886 + 1,562; checkpoint
 # format 5, walked without closures and split along its sections, 4,883 +
-# 1,562; a flit carrying only what the model reads, 4,847 + 1,535).
-LOC_CEILING = 6382
+# 1,562; a flit carrying only what the model reads, 4,847 + 1,535; credits
+# routed home by the reverse channel mapping, 4,815 + 1,535).
+LOC_CEILING = 6350
 
 loc-check:
 	@n=$$(cat $$(ls internal/network/*.go internal/router/*.go | grep -v _test.go) | wc -l); \

@@ -23,9 +23,12 @@ import (
 // Version is the checkpoint format version, the only one this build reads
 // or writes: a file of any other version is refused by Open before any
 // state is touched. Bump it on any incompatible payload layout change.
-// Version 6 walks a flit as the fields the model reads of it, a packet's
-// routing bit among them, with no packet record, flit type, sequence
-// number or port tags, and no connection or router sequence counter.
+// Version 7 drops the per-port upstream-pointer section and writes a credit
+// in flight as the bare index of the VC it frees: the receiving router's
+// reverse channel mapping names the VC it credits. Version 6 walks a flit
+// as the fields the model reads of it, a packet's routing bit among them,
+// with no packet record, flit type, sequence number or port tags, and no
+// connection or router sequence counter.
 // Version 5 walks every field where it belongs — a connection's and an
 // open retry's tenant with the rest of it, the quota table and the
 // re-promotion generation as a section of their own — with no trailer and
@@ -33,7 +36,7 @@ import (
 // and the re-promotion bookkeeping as a trailer; version 3 numbered
 // jitter-tracker records per destination; version 2 added best-effort flow
 // owner IDs.
-const Version uint32 = 6
+const Version uint32 = 7
 
 // magic identifies a checkpoint file. 8 bytes: "MMRCKPT" + NUL.
 var magic = [8]byte{'M', 'M', 'R', 'C', 'K', 'P', 'T', 0}

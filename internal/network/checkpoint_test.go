@@ -320,13 +320,13 @@ func TestRestoreStateRequiresFreshNetwork(t *testing.T) {
 	}
 }
 
-// goldenPayload opens one of the two format-6 checkpoints under
-// testdata. They were written by the change that introduced format 6, from
+// goldenPayload opens one of the two format-7 checkpoints under
+// testdata. They were written by the change that introduced format 7, from
 // a throwaway test in that tree:
 //
-//	n := buildDetNetwork(t, withFaults) // v6-clean.ckpt: false, v6-faults.ckpt: true
+//	n := buildDetNetwork(t, withFaults) // v7-clean.ckpt: false, v7-faults.ckpt: true
 //	n.Run(1200)
-//	n.SaveCheckpoint("testdata/v6-....ckpt")
+//	n.SaveCheckpoint("testdata/v7-....ckpt")
 //
 // so they pin the wire format and the configuration hash to what that
 // code produced, not to what later code believes it produced. Regenerate
@@ -356,7 +356,7 @@ func TestCheckpointGoldens(t *testing.T) {
 	for _, g := range []struct {
 		name       string
 		withFaults bool
-	}{{"v6-clean.ckpt", false}, {"v6-faults.ckpt", true}} {
+	}{{"v7-clean.ckpt", false}, {"v7-faults.ckpt", true}} {
 		t.Run(g.name, func(t *testing.T) {
 			payload := goldenPayload(t, g.name)
 			n, err := New(detConfig(t, false))
@@ -401,7 +401,7 @@ func TestCheckpointGoldens(t *testing.T) {
 // simulator's own consistency assertions may still fire: a word that is
 // in range but wrong is the envelope CRC's to catch, not the decoder's).
 func TestRestoreStateMutatedWords(t *testing.T) {
-	golden := goldenPayload(t, "v6-faults.ckpt")
+	golden := goldenPayload(t, "v7-faults.ckpt")
 	type input struct {
 		name    string
 		payload []byte
@@ -486,6 +486,34 @@ func TestRestoreFlitOnPortWithoutVC(t *testing.T) {
 	}
 }
 
+// TestRestoreCreditWithoutMapping: a payload whose credit lane names a VC
+// no reverse mapping of the receiver leaves by — the first delivery would
+// index the receiver's credits by an input VC that does not exist — is
+// refused by the post-restore audit, not by a panic.
+func TestRestoreCreditWithoutMapping(t *testing.T) {
+	src, err := New(detConfig(t, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.nodes[5].out[2].credits.Push(1, 3) // no connection holds VC 3 of node 5's port 2
+	payload, err := src.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(detConfig(t, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := panicOf(func() { err = n.RestoreState(payload) }); p != nil {
+		t.Fatalf("RestoreState panicked: %v", p)
+	}
+	tp := n.cfg.Topology
+	want := fmt.Sprintf("node %d port %d: a credit in flight names VC 3, which no mapping leaves by", tp.Wired(5, 2), tp.WiredPeer(5, 2))
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("restore returned %v, want the audit's %q", err, want)
+	}
+}
+
 // panicOf runs fn and returns what it panicked with, nil if it returned.
 func panicOf(fn func()) (p any) {
 	defer func() { p = recover() }()
@@ -497,8 +525,8 @@ func panicOf(fn func()) (p any) {
 // and a payload it accepts left a fabric that passes the resource audit
 // and can be written out again.
 func FuzzCheckpointDecode(f *testing.F) {
-	f.Add(goldenPayload(f, "v6-clean.ckpt"))
-	f.Add(goldenPayload(f, "v6-faults.ckpt"))
+	f.Add(goldenPayload(f, "v7-clean.ckpt"))
+	f.Add(goldenPayload(f, "v7-faults.ckpt"))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		n, err := New(detConfig(t, false))
 		if err != nil {

@@ -241,11 +241,11 @@ func (n *Network) deliverLanes(nd *node, e *inEdge, t int64) int64 {
 	q := int(e.port)
 	w := &n.wires[e.lane]
 
-	// Credits our downstream neighbor returned for flits it drained:
-	// they mature into this node's shadow credit view.
+	// Credits our downstream neighbor returned for flits it drained, each
+	// naming the VC it freed: the reverse mapping of port q names ours.
 	for w.credits.Ready(t) {
-		to := w.credits.Pop()
-		nd.Credits[to.port].Return(int(to.vc))
+		r := nd.cmap.Reverse(routing.VCRef{Port: q, VC: w.credits.Pop()})
+		nd.Credits[r.Port].Return(r.VC)
 	}
 	at := w.credits.Settle()
 
@@ -267,8 +267,8 @@ func (n *Network) deliverLanes(nd *node, e *inEdge, t int64) int64 {
 				Node: int16(nd.id), A: int32(q), B: int32(lf.vc), Aux: int64(lf.f.Conn)})
 			if lf.f.Class == flit.ClassBestEffort || lf.f.Class == flit.ClassControl {
 				nd.Mems[q].Release(lf.vc)
-			} else if up := nd.upstream.At(q, lf.vc); up.node >= 0 {
-				nd.dropCredits = append(nd.dropCredits, stagedCredit{port: q, at: t + n.cfg.LinkDelay, to: up})
+			} else {
+				nd.dropCredits = append(nd.dropCredits, stagedCredit{port: q, at: t + n.cfg.LinkDelay, vc: lf.vc})
 			}
 			n.pool.Put(lf.f)
 			continue
@@ -353,7 +353,7 @@ func (n *Network) phaseCommit(nd *node, t int64) {
 	// credits precede this cycle's transmit credits on the same lane).
 	if len(nd.dropCredits) > 0 {
 		for _, sc := range nd.dropCredits {
-			nd.out[sc.port].credits.Push(sc.at, sc.to)
+			nd.out[sc.port].credits.Push(sc.at, sc.vc)
 			n.notePush(nd, sc.port)
 		}
 		nd.dropCredits = nd.dropCredits[:0]
@@ -381,8 +381,8 @@ func (n *Network) executeGrants(nd *node, t int64) {
 		}
 		// Free the local slot: return a credit upstream (after the wire
 		// delay), unless the VC holds a packet or a host interface feeds it.
-		if up := nd.upstream.At(in, cand.VC); up.node >= 0 {
-			nd.out[in].credits.Push(t+n.cfg.LinkDelay, up)
+		if !isPacket && in != n.cfg.hostPort() {
+			nd.out[in].credits.Push(t+n.cfg.LinkDelay, cand.VC)
 			n.notePush(nd, in)
 		}
 		if isPacket {

@@ -200,7 +200,7 @@ func (n *Network) checkEndpoints(req OpenReq) error {
 
 // installPath installs a connection along the resources its ledger
 // holds: per-router VC scheduling state (replacing the transient holds),
-// direct channel mappings, upstream credit pointers, and the conn's
+// channel mappings (whose reverse side routes credits home), and the conn's
 // VCs/Path/Nodes records, carved from the arenas at their exact size
 // unless the conn already owns room (a restored session re-using its
 // old records). The entry VC sits at (conn.Src, hostPort); hop i carries
@@ -230,8 +230,6 @@ func (n *Network) installPath(conn *Conn, l *holds) {
 		pp := n.cfg.Topology.WiredPeer(h.node, h.port)
 		install(cur, inPort, inVC, h.port)
 		n.nodes[cur].cmap.Map(routing.VCRef{Port: inPort, VC: inVC}, routing.VCRef{Port: h.port, VC: h.vc})
-		// Upstream pointer: draining the neighbor's VC credits (inPort, inVC) here.
-		n.nodes[nb].upstream.Put(pp, h.vc, upRef{node: int32(cur), port: int16(inPort), vc: int16(inVC)})
 		conn.Path = append(conn.Path, routing.PathHop{Node: h.node, Port: h.port})
 		cur, inPort, inVC = nb, pp, h.vc
 		conn.VCs = append(conn.VCs, routing.VCRef{Port: inPort, VC: inVC})
@@ -330,10 +328,10 @@ func (n *Network) undrained(conn *Conn) (hop int, what string) {
 }
 
 // releasePath returns every resource an installed connection holds: VC
-// reservations, channel mappings, upstream pointers, and per-hop output
-// bandwidth (path hops plus destination ejection). VC buffers must
-// already be empty. It deliberately never consults link up/down state,
-// so teardown works identically on healthy and faulted fabrics.
+// reservations, channel mappings and per-hop output bandwidth (path hops
+// plus destination ejection). VC buffers must already be empty. It
+// deliberately never consults link up/down state, so teardown works
+// identically on healthy and faulted fabrics.
 func (n *Network) releasePath(conn *Conn) {
 	d := n.demandFor(conn.Spec)
 	for i, ref := range conn.VCs {
@@ -341,7 +339,6 @@ func (n *Network) releasePath(conn *Conn) {
 		x.Mems[ref.Port].Release(ref.VC)
 		n.vcFreed(x.id, ref.Port)
 		x.cmap.Unmap(routing.VCRef{Port: ref.Port, VC: ref.VC})
-		x.upstream.Clear(ref.Port, ref.VC)
 		if i < len(conn.Path) {
 			hop := conn.Path[i]
 			n.nodes[hop.Node].ReleaseAt(hop.Port, conn.Spec, d)

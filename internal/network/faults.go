@@ -224,9 +224,9 @@ func (n *Network) clearStaleOutputs(nodeID, port int) {
 // breakConn tears a fault-broken connection down hop by hop: the source
 // interface queue and every in-flight or buffered flit of the connection
 // are purged, in-flight credits for its VCs are cancelled, and each
-// hop's VC, channel mapping, upstream pointer, shadow credits and output
-// bandwidth are released. Afterwards the connection holds no resources;
-// restoration (or degradation) is scheduled per the fault policy.
+// hop's VC, channel mapping, shadow credits and output bandwidth are
+// released. Afterwards the connection holds no resources; restoration (or
+// degradation) is scheduled per the fault policy.
 func (n *Network) breakConn(c *Conn, reason string) {
 	if c.closed || c.broken || c.Degraded {
 		return
@@ -259,15 +259,15 @@ func (n *Network) breakConn(c *Conn, reason string) {
 		})
 	}
 
-	// In-flight credit returns targeting the connection's VCs: after the
-	// shadow reset below those slots are full again, and a late Return
-	// would overflow the protocol's accounting. Credits targeting hop i
-	// are emitted by the node at hop i+1 when it drains that VC, so they
-	// can only sit in that node's outbound credit lane for that port.
-	for i := 0; i+1 < len(c.VCs); i++ {
-		target := upRef{node: int32(c.Nodes[i]), port: int16(c.VCs[i].Port), vc: int16(c.VCs[i].VC)}
-		lane := &n.nodes[c.Nodes[i+1]].out[c.VCs[i+1].Port].credits
-		lane.Filter(func(to upRef) bool { return to != target })
+	// In-flight credit returns for the connection's VCs: after the shadow
+	// reset below those slots are full again, and a late Return would
+	// overflow the protocol's accounting (its mapping gone, it would name
+	// no VC at all). A credit for hop i names VC VCs[i+1], which only the
+	// node at hop i+1 drains, so it can only sit in that node's outbound
+	// credit lane for that port.
+	for i := 1; i < len(c.VCs); i++ {
+		v := c.VCs[i].VC
+		n.nodes[c.Nodes[i]].out[c.VCs[i].Port].credits.Filter(func(to int) bool { return to != v })
 	}
 
 	// Hop-by-hop release: drain buffered flits and reset the shadow

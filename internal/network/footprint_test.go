@@ -67,15 +67,13 @@ func measureFootprint(tb testing.TB) footprint {
 	for _, nd := range big.nodes {
 		for p, mem := range nd.Mems {
 			// The port's VC storage, then the rows its first use writes: a
-			// mapping rooted at it and leaving by it, an upstream pointer.
+			// mapping rooted at it and leaving by it.
 			mem.Materialize()
 			ref := routing.VCRef{Port: p}
 			if err := nd.cmap.Map(ref, ref); err != nil {
 				tb.Fatal(err)
 			}
 			nd.cmap.Unmap(ref)
-			nd.upstream.Put(p, 0, upRef{})
-			nd.upstream.Clear(p, 0)
 		}
 	}
 	fp.PerPort = float64(heapAfterGC()-empty) / float64(bigNodes*fp.Radix)
@@ -130,15 +128,15 @@ func TestFabricFootprintBudget(t *testing.T) {
 }
 
 // TestVCStorageOnFirstUse: New gives no port its VC records and flit ring,
-// nor a channel-map or upstream row of its own — a FatTree(16) fabric at the
-// defaults allocates at most 9.5 MB, where one with VC storage on every port
-// took 48.3 MB and one with every port's rows 14.3 MB — and after
+// nor a channel-map row of its own — a FatTree(16) fabric at the defaults
+// allocates at most 9.5 MB, where one with VC storage on every port took
+// 48.3 MB and one with every port's rows 14.3 MB — and after
 // fabric_sparse's bring-up the ports holding VC storage are exactly the ports
 // holding a VC, and a port has a row exactly where the row holds something:
-// a direct row where a mapping roots, a reverse row where one leaves, an
-// upstream row where a VC returns credits to a router upstream. Every port
-// holding a VC has a direct or an upstream row (a path's entry VC maps to its
-// next hop, every later VC points back), and no port without one has either.
+// a direct row where a mapping roots, a reverse row where one leaves. A port
+// holds a VC exactly where it has a direct row or the wired peer feeding it
+// has a reverse row on the link (a path's entry VC maps to its next hop,
+// every later VC is the far end of a mapping at the router before it).
 func TestVCStorageOnFirstUse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("FatTree(16) bring-up is slow under -short")
@@ -178,30 +176,32 @@ func TestVCStorageOnFirstUse(t *testing.T) {
 	rows := 0
 	for _, nd := range n.nodes {
 		for p, mem := range nd.Mems {
-			var mapsIn, mapsOut, points bool
+			var mapsIn, mapsOut bool
 			for v := 0; v < n.cfg.VCs; v++ {
 				ref := routing.VCRef{Port: p, VC: v}
 				mapsIn = mapsIn || nd.cmap.Direct(ref) != routing.Invalid
 				mapsOut = mapsOut || nd.cmap.Reverse(ref) != routing.Invalid
-				points = points || nd.upstream.At(p, v) != noUpstream
 			}
 			direct, reverse := nd.cmap.Carved(p)
-			up := nd.upstream.Carved(p)
-			if direct != mapsIn || reverse != mapsOut || up != points {
-				t.Fatalf("node %d port %d: rows of its own direct=%v reverse=%v upstream=%v, holds mappings in=%v out=%v, pointers=%v",
-					nd.id, p, direct, reverse, up, mapsIn, mapsOut, points)
+			if direct != mapsIn || reverse != mapsOut {
+				t.Fatalf("node %d port %d: rows of its own direct=%v reverse=%v, holds mappings in=%v out=%v",
+					nd.id, p, direct, reverse, mapsIn, mapsOut)
 			}
-			if holds := mem.ReservedVector().Any(); holds != (direct || up) {
-				t.Fatalf("node %d port %d: holds a VC=%v, has a direct row=%v, an upstream row=%v", nd.id, p, holds, direct, up)
+			fed := false
+			if peer := nd.outPeer[p]; peer >= 0 {
+				_, fed = n.nodes[peer].cmap.Carved(n.cfg.Topology.WiredPeer(nd.id, p))
 			}
-			for _, has := range []bool{direct, reverse, up} {
+			if holds := mem.ReservedVector().Any(); holds != (direct || fed) {
+				t.Fatalf("node %d port %d: holds a VC=%v, has a direct row=%v, its peer a reverse row on the link=%v", nd.id, p, holds, direct, fed)
+			}
+			for _, has := range []bool{direct, reverse} {
 				if has {
 					rows++
 				}
 			}
 		}
 	}
-	t.Logf("New allocated %d bytes; %d of %d ports hold VC storage after bring-up, with %d channel-map and upstream rows",
+	t.Logf("New allocated %d bytes; %d of %d ports hold VC storage after bring-up, with %d channel-map rows",
 		newBytes, held, len(n.nodes)*n.cfg.radix(), rows)
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"mmr/internal/bitvec"
 	"mmr/internal/flit"
+	"mmr/internal/routing"
 )
 
 // invariants.go generalizes the fuzz harness's resource audit into a
@@ -20,14 +21,16 @@ import (
 // first violation found (nil if the network is consistent):
 //
 //  1. Every VC a live connection claims is reserved for it and switched
-//     to its route's next port, with a channel mapping to the next VC
-//     and an upstream pointer back on non-final hops; every other in-use
-//     VC is a best-effort/control packet in flight. Establishment installs
-//     or releases its holds before it returns, so none is ever excused.
-//     No channel mapping or upstream pointer outlives its connection.
+//     to its route's next port, with a direct channel mapping to the next
+//     VC and a reverse one back on non-final hops; every other in-use VC
+//     is a best-effort/control packet in flight. Establishment installs or
+//     releases its holds before it returns, so none is ever excused. No
+//     channel mapping outlives its connection.
 //  2. Per stream hop, credits are conserved: shadow credits + credits in
 //     flight upstream + flits buffered downstream + flits on the link
-//     pipe account for exactly the downstream buffer depth.
+//     pipe account for exactly the downstream buffer depth. Every credit
+//     in flight names a VC some reverse mapping of its receiver leaves by,
+//     which the delivery pass indexes the receiver's credits by.
 //  3. Per output link, the guaranteed and peak bandwidth registers equal
 //     the sums of the live connections' demands crossing it.
 //  4. The mirrors the datapath steers by say what they mirror: every
@@ -41,10 +44,10 @@ import (
 func (n *Network) CheckInvariants() error {
 	type vcKey struct{ node, port, vc int } // how the messages name a VC
 	// Flat scratch, no hash table: a claim bit per VC, the cycles live
-	// connections demand of each output, their mappings and pointers per node.
+	// connections demand of each output, their mappings per node.
 	radix, vcs := n.cfg.radix(), n.cfg.VCs
 	if n.claimed == nil {
-		n.claimed, n.want, n.live = bitvec.New(len(n.nodes)*radix*vcs), make([][2]int, len(n.nodes)*radix), make([][2]int, len(n.nodes))
+		n.claimed, n.want, n.live = bitvec.New(len(n.nodes)*radix*vcs), make([][2]int, len(n.nodes)*radix), make([]int, len(n.nodes))
 	}
 	n.claimed.Reset()
 	clear(n.want)
@@ -76,7 +79,6 @@ func (n *Network) CheckInvariants() error {
 			outNode, outPort := c.Nodes[i], n.cfg.hostPort()
 			if i < len(c.Path) {
 				outNode, outPort = c.Path[i].Node, c.Path[i].Port
-				n.live[outNode][0]++
 				if next := n.nodes[c.Nodes[i]].cmap.Direct(ref); next.Port != outPort || next.VC != c.VCs[i+1].VC {
 					return fmt.Errorf("invariant: conn %d hop %d VC %v maps to %+v, its route leaves by port %d for VC %d",
 						c.ID, i, k, next, outPort, c.VCs[i+1].VC)
@@ -94,20 +96,21 @@ func (n *Network) CheckInvariants() error {
 		}
 
 		// Credit conservation per inter-router hop: the upstream VC at
-		// Nodes[i] feeds the downstream VC at Nodes[i+1] over Path[i].
+		// Nodes[i] feeds the downstream VC at Nodes[i+1] over Path[i], and
+		// the reverse mapping there routes the hop's credits back to it.
 		for i := 0; i < len(c.Path); i++ {
 			up, down := c.VCs[i], c.VCs[i+1]
-			n.live[c.Nodes[i+1]][1]++
-			if ref := n.nodes[c.Nodes[i+1]].upstream.At(down.Port, down.VC); ref != (upRef{int32(c.Nodes[i]), int16(up.Port), int16(up.VC)}) {
+			n.live[c.Nodes[i]]++
+			if back := n.nodes[c.Nodes[i]].cmap.Reverse(routing.VCRef{Port: c.Path[i].Port, VC: down.VC}); back != up {
 				return fmt.Errorf("invariant: conn %d hop %d returns credits to %+v, its route came from node %d VC %+v",
-					c.ID, i, ref, c.Nodes[i], up)
+					c.ID, i, back, c.Nodes[i], up)
 			}
 			shadow := n.nodes[c.Nodes[i]].Credits[up.Port].Available(up.VC)
 			// Credits returning for this hop can only sit in the outbound
 			// credit lane of the downstream node (the unique emitter).
 			inflight := 0
 			for _, cm := range n.nodes[c.Nodes[i+1]].out[down.Port].credits.Pending() {
-				if int(cm.V.node) == c.Nodes[i] && int(cm.V.port) == up.Port && int(cm.V.vc) == up.VC {
+				if cm.V == down.VC {
 					inflight++
 				}
 			}
@@ -126,13 +129,18 @@ func (n *Network) CheckInvariants() error {
 	}
 
 	// Sweep every VC: claimed ones were verified above; anything else in
-	// use must be a packet in flight. A mapping or pointer beyond the live
-	// hops' (verified above) outlived its connection.
+	// use must be a packet in flight. A mapping beyond the live hops'
+	// (verified above) outlived its connection.
 	for _, nd := range n.nodes {
-		if got := [2]int{nd.cmap.Mapped(), nd.upstream.Held()}; got != n.live[nd.id] {
-			return fmt.Errorf("invariant: node %d holds %d channel mappings and %d upstream pointers, its live hops %d and %d", nd.id, got[0], got[1], n.live[nd.id][0], n.live[nd.id][1])
+		if direct, reverse := nd.cmap.Mapped(); direct != n.live[nd.id] || reverse != n.live[nd.id] {
+			return fmt.Errorf("invariant: node %d holds %d direct and %d reverse channel mappings, its live hops %d", nd.id, direct, reverse, n.live[nd.id])
 		}
 		for i, e := range nd.in {
+			for _, cm := range n.wires[e.lane].credits.Pending() {
+				if nd.cmap.Reverse(routing.VCRef{Port: int(e.port), VC: cm.V}) == routing.Invalid {
+					return fmt.Errorf("invariant: node %d port %d: a credit in flight names VC %d, which no mapping leaves by", nd.id, e.port, cm.V)
+				}
+			}
 			if w := &n.wires[e.lane]; !nd.inbound.Test(i) && len(w.credits.Pending())+len(w.flits.Pending()) > 0 {
 				return fmt.Errorf("invariant: node %d port %d: inbound bit clear over a lane pair that holds entries", nd.id, e.port)
 			}

@@ -141,19 +141,6 @@ func freeOutVC(n *Network, x *node, out int) int {
 	return -1
 }
 
-// pointers counts the upstream pointers x holds.
-func pointers(n *Network, x *node) int {
-	k := 0
-	for p := range x.Mems {
-		for v := 0; v < n.cfg.VCs; v++ {
-			if x.upstream.At(p, v) != noUpstream {
-				k++
-			}
-		}
-	}
-	return k
-}
-
 // auditCorruptions is the violation matrix: one entry per class of
 // violation CheckInvariants exists to catch. Each corrupts exactly one
 // thing at a site and returns the prefix the audit's error must start with.
@@ -221,17 +208,6 @@ var auditCorruptions = []struct {
 			n.nodes[c.Nodes[i]].Mems[ref.Port].SetOutput(ref.VC, wrong)
 			return fmt.Sprintf("invariant: conn %d hop %d VC {%d %d %d} is switched to port %d, its route leaves by port %d",
 				c.ID, i, c.Nodes[i], ref.Port, ref.VC, wrong, out)
-		}},
-	{"an upstream pointer names the wrong VC",
-		func(n *Network) []auditSite { return liveHops(n, func(c *Conn, i int) bool { return i < len(c.Path) }) },
-		func(n *Network, s auditSite) string {
-			c, i := s.c, s.hop
-			up, down := c.VCs[i], c.VCs[i+1]
-			wrong := upRef{int32(c.Nodes[i]), int16(up.Port), int16((up.VC + 1) % n.cfg.VCs)}
-			x := n.nodes[c.Nodes[i+1]]
-			x.upstream.Clear(down.Port, down.VC)
-			x.upstream.Put(down.Port, down.VC, wrong)
-			return fmt.Sprintf("invariant: conn %d hop %d returns credits to %+v, ", c.ID, i, wrong)
 		}},
 	{"an idle hop loses a credit",
 		func(n *Network) []auditSite {
@@ -320,28 +296,31 @@ var auditCorruptions = []struct {
 			if err := x.cmap.Map(routing.VCRef{Port: s.port, VC: s.vc}, routing.VCRef{Port: s.port, VC: freeOutVC(n, x, s.port)}); err != nil {
 				panic(err)
 			}
-			return fmt.Sprintf("invariant: node %d holds %d channel mappings and %d upstream pointers, ", s.node, x.cmap.Mapped(), pointers(n, x))
+			direct, reverse := x.cmap.Mapped()
+			return fmt.Sprintf("invariant: node %d holds %d direct and %d reverse channel mappings, ", s.node, direct, reverse)
 		}},
-	{"an upstream pointer outlives its connection",
+	{"a credit in flight names an unmapped VC",
 		func(n *Network) []auditSite {
-			// Free VCs on the input ports that hold a live hop's pointer.
+			// Inbound edges whose port some VC leaves by unmapped.
 			var s []auditSite
-			for _, h := range liveHops(n, func(c *Conn, i int) bool { return i > 0 }) {
-				x, p := h.c.Nodes[h.hop], h.c.VCs[h.hop].Port
-				for vc := 0; vc < n.cfg.VCs; vc++ {
-					if freeEmptyVC(n.nodes[x], p, vc) {
-						s = append(s, auditSite{node: x, port: p, vc: vc})
+			for _, nd := range n.nodes {
+				for i, e := range nd.in {
+					if freeOutVC(n, nd, int(e.port)) >= 0 {
+						s = append(s, auditSite{node: nd.id, port: int(e.port), vc: i})
 					}
 				}
 			}
 			return s
 		},
 		func(n *Network, s auditSite) string {
-			// A free VC that would still return credits to the router
-			// upstream, as a teardown that forgot its pointer would leave it.
+			// A credit for a VC no connection holds, as a purge that
+			// missed a torn-down hop's credits would leave it: the
+			// delivery pass would find no input VC to return it to.
 			x := n.nodes[s.node]
-			x.upstream.Put(s.port, s.vc, upRef{node: x.outPeer[s.port]})
-			return fmt.Sprintf("invariant: node %d holds %d channel mappings and %d upstream pointers, ", s.node, x.cmap.Mapped(), pointers(n, x))
+			v := freeOutVC(n, x, s.port)
+			n.wires[x.in[s.vc].lane].credits.Push(n.now+n.cfg.LinkDelay, v)
+			x.inbound.Set(s.vc) // vc is the edge's index in the node's in list
+			return fmt.Sprintf("invariant: node %d port %d: a credit in flight names VC %d, which no mapping leaves by", s.node, s.port, v)
 		}},
 	{"an establishment hold outlives its attempt",
 		func(n *Network) []auditSite {
@@ -381,11 +360,11 @@ func checkCorruptions(t *testing.T, seed uint64, blob []byte, pick func(sites in
 
 // TestCheckInvariantsCatchesEachViolation is the audit's violation matrix:
 // on a loaded fabric, every class of violation — a VC claimed twice or by
-// the wrong record, a wrong channel mapping, output or upstream pointer, a
-// lost credit, a leaked VC, a free VC holding a packet, either bandwidth
-// register off, a clear inbound or Busy bit over held entries, a mapping or
-// an upstream pointer left on a free VC, a hold no connection owns — is
-// caught, and reported as that violation with its message.
+// the wrong record, a wrong channel mapping or output, a lost credit, a
+// leaked VC, a free VC holding a packet, either bandwidth register off, a
+// clear inbound or Busy bit over held entries, a mapping left on a free VC,
+// a credit in flight for a VC no mapping leaves by, a hold no connection
+// owns — is caught, and reported as that violation with its message.
 func TestCheckInvariantsCatchesEachViolation(t *testing.T) {
 	checkCorruptions(t, 1, auditSnapshot(t, 1), func(int) int { return 0 })
 }

@@ -21,8 +21,9 @@ type wire struct {
 	// flits were sent from x's output port p toward Wired(x, p).
 	flits flow.Lane[linkFlit]
 	// credits return to Wired(x, p) — the node feeding x's input port p —
-	// each for the upstream buffer slot it names.
-	credits flow.Lane[upRef]
+	// each naming the VC of that input port whose buffer slot it frees;
+	// the receiver's reverse channel mapping names its own VC it credits.
+	credits flow.Lane[int]
 }
 
 // stagedCredit is a credit synthesized during the delivery phase (a
@@ -35,5 +36,5 @@ type wire struct {
 type stagedCredit struct {
 	port int   // input port whose lane the credit belongs on
 	at   int64 // when it arrives upstream
-	to   upRef
+	vc   int   // the VC of that port the dropped flit was bound for
 }

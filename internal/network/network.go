@@ -148,7 +148,7 @@ func (c *Config) validate() error {
 	if c.VCs < 1 || c.Depth < 1 || c.K < 1 {
 		return fmt.Errorf("network: invalid buffering VCs=%d depth=%d K=%d", c.VCs, c.Depth, c.K)
 	}
-	if max(c.VCs, c.radix(), c.Topology.Nodes) > math.MaxInt16 { // upRef, ChannelMap, metrics.Event
+	if max(c.VCs, c.radix(), c.Topology.Nodes) > math.MaxInt16 { // ChannelMap, metrics.Event
 		return fmt.Errorf("network: VCs=%d, radix=%d and nodes=%d must each be at most %d", c.VCs, c.radix(), c.Topology.Nodes, math.MaxInt16)
 	}
 	if c.MaxCandidates < 1 {
@@ -176,18 +176,6 @@ type linkFlit struct {
 	f  *flit.Flit
 }
 
-// upRef points at the upstream buffer slot a flit occupied before this
-// hop, so draining it returns a credit there (link-level VC flow control).
-// Packed to 8 bytes, one per input VC of a port with its own upstream row;
-// validate keeps ports and VCs within the int16s.
-type upRef struct {
-	node     int32
-	port, vc int16
-}
-
-// noUpstream marks VCs fed directly by a host interface.
-var noUpstream = upRef{node: -1}
-
 // inEdge is one precomputed wired inbound link of a node: the peer that
 // feeds local input port `port`, and the flat index of the peer's
 // outbound lane pair in the network's wire array. Wiring is immutable
@@ -204,11 +192,10 @@ type inEdge struct {
 
 // node is one router plus its host interface: the shared router.Core —
 // VC memories, link schedulers, bandwidth registers, switch scheduler —
-// and around it what a fabric adds: staging lanes to its wired peers,
-// upstream credit pointers, the channel mapping, the routing unit's
-// state, and what makes its share of a cycle independent of the order
-// nodes are visited in (a deterministic RNG stream, a statistics shard,
-// scratch buffers).
+// and around it what a fabric adds: staging lanes to its wired peers, the
+// channel mapping, the routing unit's state, and what makes its share of a
+// cycle independent of the order nodes are visited in (a deterministic RNG
+// stream, a statistics shard, scratch buffers).
 //
 // Core.Credits[p] is the shadow credit view the link scheduler of input
 // port p ANDs with flits_available: one counter per local input VC,
@@ -219,10 +206,6 @@ type node struct {
 	router.Core
 	id   int
 	cmap *routing.ChannelMap
-
-	// upstream.At(p, v) says where to return a credit when a flit pops from
-	// input port p, VC v (noUpstream on a port whose row was never written).
-	upstream routing.Table[upRef]
 
 	// Outbound staging lanes, one pair per port (lanes.go). This node is
 	// the only writer (commit phase); the wired peer is the only reader
@@ -460,8 +443,9 @@ type Network struct {
 
 	// CheckInvariants' scratch (invariants.go): sized by its first call, so
 	// a fabric that never audits pays nothing, and never serialized.
-	claimed    *bitvec.Vector
-	want, live [][2]int
+	claimed *bitvec.Vector
+	want    [][2]int
+	live    []int
 }
 
 // SessionEvent records one connection- or fault-level transition for
@@ -519,15 +503,13 @@ func New(cfg Config) (*Network, error) {
 	}
 	nNodes := cfg.Topology.Nodes
 	// VC storage 128 ports a chunk, rows (≤ 1 kB a port) 1,024: few Opens pay for a chunk.
-	store, rows := vcm.NewStore(min(128, nNodes*radix)), min(1024, nNodes*radix)
-	maps, ups := routing.NewRows(cfg.VCs, rows, int32(0)), routing.NewRows(cfg.VCs, rows, noUpstream)
+	store, maps := vcm.NewStore(min(128, nNodes*radix)), routing.NewRows(cfg.VCs, min(1024, nNodes*radix))
 
 	n.wires = make([]wire, nNodes*radix) // every node's lanes, flat (see the field)
 	for id := 0; id < nNodes; id++ {
 		nd := &node{
 			id:        id,
 			cmap:      routing.NewChannelMapIn(maps, radix),
-			upstream:  ups.Table(radix),
 			rng:       sim.NewStreamRNG(cfg.Seed, uint64(id)),
 			inboundAt: flow.Never,
 			stuck:     bitvec.New(radix * cfg.VCs),

@@ -43,8 +43,8 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestConfigRejectsOversizedGeometry: upstream references, channel-map
-// entries and flight-recorder events keep ports, VCs and node IDs in 16
+// TestConfigRejectsOversizedGeometry: channel-map entries and
+// flight-recorder events keep ports, VCs and node IDs in 16
 // bits and credit counts in 8, so New refuses — naming the bound — any
 // geometry past them instead of truncating an index, and accepts one at
 // the bound.

@@ -432,38 +432,38 @@ func TestPromotionSurvivesCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointRefusesPreviousVersion: testdata/v5-faults.ckpt is a real
-// format-5 file — the faulted detScenario fabric at cycle 1200, as the last
-// format-5 build wrote it — and it is refused with a clean version error by
+// TestCheckpointRefusesPreviousVersion: testdata/v6-faults.ckpt is a real
+// format-6 file — the faulted detScenario fabric at cycle 1200, as the last
+// format-6 build wrote it — and it is refused with a clean version error by
 // every way in: the file, the sealed bytes, the explicit-version restore.
-// The refusals touch no state: the target fabric then takes the format-6
+// The refusals touch no state: the target fabric then takes the format-7
 // golden of the same fabric and re-encodes it exactly.
 func TestCheckpointRefusesPreviousVersion(t *testing.T) {
-	path := filepath.Join("testdata", "v5-faults.ckpt")
-	v5, err := os.ReadFile(path)
+	path := filepath.Join("testdata", "v6-faults.ckpt")
+	v6, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver := binary.LittleEndian.Uint32(v5[8:12]); ver != 5 {
-		t.Fatalf("%s is format version %d, want 5", path, ver)
+	if ver := binary.LittleEndian.Uint32(v6[8:12]); ver != 6 {
+		t.Fatalf("%s is format version %d, want 6", path, ver)
 	}
 	wantVersionErr := func(what string, err error) {
 		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "version 5") {
+		if err == nil || !strings.Contains(err.Error(), "version 6") {
 			t.Fatalf("%s: got %v, want a format-version error", what, err)
 		}
 	}
 	_, err = RestoreCheckpoint(detConfig(t, false), path)
 	wantVersionErr("RestoreCheckpoint", err)
-	_, _, _, err = checkpoint.Open(v5)
+	_, _, _, err = checkpoint.Open(v6)
 	wantVersionErr("checkpoint.Open", err)
 
 	n, err := New(detConfig(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantVersionErr("RestoreStateVersion", n.RestoreStateVersion(v5[32:], 5)) // past the 32-byte envelope header
-	golden := goldenPayload(t, "v6-faults.ckpt")
+	wantVersionErr("RestoreStateVersion", n.RestoreStateVersion(v6[32:], 6)) // past the 32-byte envelope header
+	golden := goldenPayload(t, "v7-faults.ckpt")
 	if err := n.RestoreStateVersion(golden, checkpoint.Version); err != nil {
 		t.Fatalf("restore after the refusal: %v", err)
 	}
@@ -472,7 +472,7 @@ func TestCheckpointRefusesPreviousVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(golden, reenc) {
-		t.Fatal("fabric restored after a refused format-5 attempt re-encodes differently")
+		t.Fatal("fabric restored after a refused format-6 attempt re-encodes differently")
 	}
 }
 

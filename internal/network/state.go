@@ -15,7 +15,7 @@ import (
 	"mmr/internal/traffic"
 )
 
-// state.go is the checkpoint payload, format version 6, written once:
+// state.go is the checkpoint payload, format version 7, written once:
 // Network.state walks every serialized field in payload order through a
 // codec that either appends the field (EncodeState) or reads it back
 // (RestoreState). Nothing else knows the order or width of a field. The
@@ -155,12 +155,6 @@ func (c *codec) vcRef(r *routing.VCRef) {
 	vcIdx(c, &r.VC)
 }
 
-func (c *codec) upRef(r *upRef) {
-	nodeIdx(c, &r.node)
-	portIdx(c, &r.port)
-	vcIdx(c, &r.vc)
-}
-
 // injector walks a host interface: its source's evolving state, if it
 // has a source (a decoding caller has built it, the constructor its
 // geometry), the cycle it last ticked and when it is next due, then the
@@ -241,8 +235,8 @@ func (c *codec) flit(pf **flit.Flit) {
 }
 
 // lane walks a staging lane's undelivered entries, oldest first: each
-// one's arrival cycle, then its flit or credit.
-func lane[T linkFlit | upRef](c *codec, l *flow.Lane[T], what string) {
+// one's arrival cycle, then its flit or the VC a credit names.
+func lane[T linkFlit | int](c *codec, l *flow.Lane[T], what string) {
 	pending := l.Pending()
 	for i, k := 0, c.Count(len(pending), what); i < k && c.Err() == nil; i++ {
 		e := checkpoint.At(c.Codec, pending, i)
@@ -251,8 +245,8 @@ func lane[T linkFlit | upRef](c *codec, l *flow.Lane[T], what string) {
 		case *linkFlit:
 			vcIdx(c, &v.vc)
 			c.flit(&v.f)
-		case *upRef:
-			c.upRef(v)
+		case *int:
+			vcIdx(c, v)
 		}
 		if c.Decoding() && c.Err() == nil {
 			l.Push(e.At, e.V)
@@ -260,7 +254,7 @@ func lane[T linkFlit | upRef](c *codec, l *flow.Lane[T], what string) {
 	}
 }
 
-// state is format version 6: every serialized field of the fabric, in
+// state is format version 7: every serialized field of the fabric, in
 // payload order.
 func (n *Network) state(c *codec) error {
 	idx(c, &n.now, 0, math.MaxInt, "clock")

@@ -94,8 +94,8 @@ func (n *Network) nodeState(c *codec, nd *node) {
 }
 
 // portState: everything router nd keeps per port p — the input side's
-// VC memory, shadow credits and upstream pointers, the output side's
-// bandwidth registers, the link scheduler, and the two outbound lanes.
+// VC memory and shadow credits, the output side's bandwidth registers,
+// the link scheduler, and the two outbound lanes.
 // A per-VC table lists only the VCs that differ from a fresh fabric's, in
 // c.vcs when encoding; each element is a VC index (c.vc), then its fields.
 func (n *Network) portState(c *codec, nd *node, p int) {
@@ -149,20 +149,6 @@ func (n *Network) portState(c *codec, nd *node, p int) {
 		avail := shadow.Available(v)
 		c.Range(&avail, 0, depth+1, "credit count")
 		shadow.SetAvailable(v, avail)
-	}
-
-	c.vcs = c.vcs[:0]
-	for v := range vcs {
-		if nd.upstream.At(p, v) != noUpstream {
-			c.vcs = append(c.vcs, v)
-		}
-	}
-	for i, k := 0, c.CountOf(len(c.vcs), 8, "upstream refs"); i < k && c.Err() == nil; i++ {
-		v := c.vc(i)
-		up := nd.upstream.At(p, v)
-		c.upRef(&up)
-		nd.upstream.Clear(p, v) // an encoding walk puts back what it read
-		nd.upstream.Put(p, v, up)
 	}
 
 	a := nd.Alloc[p]

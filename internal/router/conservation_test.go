@@ -67,17 +67,33 @@ func TestQueueConservation(t *testing.T) {
 	}
 }
 
+// backlog is what r's network interfaces hold: the flits its sources made
+// that wait outside the VC memories, which credit flow control caps at the
+// VC depth per connection, so an unstable switch shows here, not in Q.
+func backlog(r *Router) int64 {
+	b := int64(0)
+	for _, c := range r.conns {
+		b += int64(c.ni.Queue.Len())
+	}
+	return b
+}
+
 // TestQueueBounded checks the stability "From MWM to iSLIP" proves for
 // maximum weight matching and the paper's ≥ 95 % utilization assumes: at
-// admissible load Q stays bounded. Each of the four switch arbiters at 1, 2,
-// 4 and 8 candidates (1 and 8 under -short) carries a CBR-only workload at
-// 0.9 load; after a warm-up, the peak of Q (queued) over the second of two
-// equal windows must not exceed its peak over the first. A cell listed in
-// queueBoundFindings failed that when the test was written; it is the
-// finding EXPERIMENTS.md records under "Queue boundedness", and is skipped
-// while it still fails.
+// admissible load the queues stay bounded. Each of the four switch arbiters
+// at 1, 2, 4 and 8 candidates (1 and 8 under -short) carries a CBR-only
+// workload at 0.9 load. After a 60,000-cycle warm-up (the biased scheme's
+// transient at this load) it compares the means of Q (queued) and of the NI
+// backlog (backlog) over two equal windows; a mean rose if the second
+// exceeds the first by more than 5 % plus one flit. At a stationary level
+// window means moved by under 3 %; a growing backlog gains 15 % or more a
+// window. Q must not rise in any cell. The NI backlog must not rise but in
+// the cells queueBoundFindings lists, whose switch saturates below 0.9
+// load — the finding EXPERIMENTS.md records under "Queue boundedness" —
+// and there it must rise: a cell whose verdict changes fails until the
+// list and EXPERIMENTS.md follow it.
 func TestQueueBounded(t *testing.T) {
-	const warm, window = 20_000, 20_000
+	const warm, window = 60_000, 20_000
 	cands := []int{1, 2, 4, 8}
 	if testing.Short() {
 		cands = []int{1, 8}
@@ -99,33 +115,38 @@ func TestQueueBounded(t *testing.T) {
 					t.Fatal(err)
 				}
 				r.runCycles(warm)
-				peak := func() int64 {
-					p := int64(0)
+				means := func() (q, ni float64) {
 					for i := 0; i < window; i++ {
 						r.runCycles(1)
-						p = max(p, queued(r))
+						q += float64(queued(r))
+						ni += float64(backlog(r))
 					}
-					return p
+					return q / window, ni / window
 				}
-				first := peak()
-				second := peak()
-				if second <= first {
-					return
+				q1, ni1 := means()
+				q2, ni2 := means()
+				rose := func(first, second float64) bool { return second > first*1.05+1 }
+				msg := fmt.Sprintf("mean Q %.1f → %.1f, mean NI backlog %.1f → %.1f over cycles %d–%d and the next %d",
+					q1, q2, ni1, ni2, warm, warm+window, window)
+				switch grows := rose(ni1, ni2); {
+				case rose(q1, q2):
+					t.Fatal(msg)
+				case grows && queueBoundFindings[cell]:
+					t.Log("finding (EXPERIMENTS.md, Queue boundedness), the switch saturates below 0.9 load: " + msg)
+				case grows:
+					t.Fatal(msg)
+				case queueBoundFindings[cell]:
+					t.Fatalf("listed in queueBoundFindings but its NI backlog is bounded now (%s): prune it and EXPERIMENTS.md", msg)
 				}
-				msg := fmt.Sprintf("peak Q rose from %d over cycles %d–%d to %d over the next %d", first, warm, warm+window, second, window)
-				if queueBoundFindings[cell] {
-					t.Skip("finding (EXPERIMENTS.md, Queue boundedness): " + msg)
-				}
-				t.Fatal(msg)
 			})
 		}
 	}
 }
 
-// queueBoundFindings are TestQueueBounded's cells whose second peak exceeded
-// the first at the commit that added the test.
+// queueBoundFindings are TestQueueBounded's cells whose NI backlog grows
+// window over window at 0.9 load: their switch saturates below it.
 var queueBoundFindings = map[string]bool{
-	"priority/1C": true, "priority/4C": true, "priority/8C": true,
-	"autonet/2C": true, "autonet/4C": true, "autonet/8C": true,
-	"islip/2C": true, "islip/8C": true,
+	"priority/1C": true, "priority/2C": true,
+	"autonet/1C": true, "autonet/2C": true, "autonet/4C": true, "autonet/8C": true,
+	"islip/1C": true, "islip/2C": true, "islip/4C": true, "islip/8C": true,
 }

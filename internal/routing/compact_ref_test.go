@@ -27,8 +27,8 @@ func (r *refChannelMap) lookup(m map[VCRef]VCRef, k VCRef) VCRef {
 // Direct and Reverse at every reference, Mapped, and AppendMapped's order.
 func checkChannelMap(t *testing.T, m *ChannelMap, ref *refChannelMap) {
 	t.Helper()
-	if got, want := m.Mapped(), len(ref.direct); got != want {
-		t.Fatalf("Mapped = %d, want %d", got, want)
+	if d, r := m.Mapped(); d != len(ref.direct) || r != len(ref.reverse) {
+		t.Fatalf("Mapped = %d, %d, want %d, %d", d, r, len(ref.direct), len(ref.reverse))
 	}
 	var want [][2]VCRef
 	got := m.AppendMapped(nil)

@@ -26,7 +26,8 @@ var Invalid = VCRef{Port: -1, VC: -1}
 // ChannelMap stores the direct and reverse channel mappings of one router
 // (§3.5): direct maps an input VC to the output VC that continues the
 // connection (used to forward data flits); reverse maps an output VC back,
-// so an output already feeding a connection refuses a second one.
+// so an output already feeding a connection refuses a second one and a
+// credit returned for the output VC frees a slot of the input VC feeding it.
 //
 // An entry is one int32, (port+1)<<16 | vc, and 0 means unmapped: decoding
 // is a shift and a mask, and a router has at most math.MaxInt16 ports and
@@ -36,20 +37,20 @@ var Invalid = VCRef{Port: -1, VC: -1}
 // zeroes until then.
 type ChannelMap struct {
 	ports, vcs      int
-	direct, reverse Table[int32]
+	direct, reverse Table
 }
 
 // NewChannelMap returns an empty mapping table for a router with the
 // given geometry, with a row store of its own.
 func NewChannelMap(ports, vcs int) *ChannelMap {
 	checkGeometry(ports, vcs)
-	return NewChannelMapIn(NewRows(vcs, 8, int32(0)), ports)
+	return NewChannelMapIn(NewRows(vcs, 8), ports)
 }
 
 // NewChannelMapIn returns an empty mapping table for a router with ports
 // ports whose rows, one entry per VC, are carved from rows: the routers of
 // one fabric share a store, so giving a port its rows seldom allocates.
-func NewChannelMapIn(rows *Rows[int32], ports int) *ChannelMap {
+func NewChannelMapIn(rows *Rows, ports int) *ChannelMap {
 	checkGeometry(ports, len(rows.blank))
 	return &ChannelMap{ports: ports, vcs: len(rows.blank), direct: rows.Table(ports), reverse: rows.Table(ports)}
 }
@@ -133,8 +134,9 @@ func (m *ChannelMap) AppendMapped(dst [][2]VCRef) [][2]VCRef {
 	return dst
 }
 
-// Mapped returns the number of installed mappings.
-func (m *ChannelMap) Mapped() int { return m.direct.Held() }
+// Mapped returns the number of installed direct and reverse entries: equal,
+// one pair per mapping, unless a write skipped Map or Unmap.
+func (m *ChannelMap) Mapped() (direct, reverse int) { return m.direct.Held(), m.reverse.Held() }
 
 // Carved reports whether port p has its own direct row (a mapping has
 // rooted at it) and its own reverse row (a mapping has left by it).

@@ -18,7 +18,7 @@ func TestChannelMap(t *testing.T) {
 	if m.Direct(in) != out || m.Reverse(out) != in {
 		t.Fatal("mapping not bidirectional")
 	}
-	if m.Mapped() != 1 {
+	if d, r := m.Mapped(); d != 1 || r != 1 {
 		t.Fatal("mapped count wrong")
 	}
 	// Double mapping is refused on both sides.
@@ -31,7 +31,7 @@ func TestChannelMap(t *testing.T) {
 	if got := m.Unmap(in); got != out {
 		t.Fatalf("Unmap returned %+v", got)
 	}
-	if m.Direct(in) != Invalid || m.Reverse(out) != Invalid || m.Mapped() != 0 {
+	if d, r := m.Mapped(); m.Direct(in) != Invalid || m.Reverse(out) != Invalid || d != 0 || r != 0 {
 		t.Fatal("unmap incomplete")
 	}
 	if m.Unmap(in) != Invalid {
