@@ -95,7 +95,8 @@ race:
 # each, so minimizing a new input is capped or it eats the budget), a
 # gated router against a NoIdleSkip one under one operation stream, a
 # source's one-call gap replay against per-cycle ticks, a forecast's
-# closed-form accumulator sum against the add loop it replaced, the link
+# closed-form accumulator sum against the add loop it replaced, a source
+# calendar's visits against a scanned table, the link
 # scheduler's one-pass selection against its sorted reference, the EPB
 # search against its map-based reference, the VC memory's mirrors
 # (status vectors, Busy bit, head stamp, round-stamped accounts) against a
@@ -108,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRouterGatingEquivalence -fuzztime=$(FUZZTIME) ./internal/router
 	$(GO) test -run='^$$' -fuzz=FuzzAdvanceToMatchesTicks -fuzztime=$(FUZZTIME) ./internal/traffic
 	$(GO) test -run='^$$' -fuzz=FuzzSumBelowOne -fuzztime=$(FUZZTIME) ./internal/traffic
+	$(GO) test -run='^$$' -fuzz=FuzzCalendarMatchesScan -fuzztime=$(FUZZTIME) ./internal/traffic
 	$(GO) test -run='^$$' -fuzz=FuzzCandidatesMatchesSortedReference -fuzztime=$(FUZZTIME) ./internal/sched
 	$(GO) test -run='^$$' -fuzz=FuzzSearchIntoMatchesReference -fuzztime=$(FUZZTIME) ./internal/routing
 	$(GO) test -run='^$$' -fuzz=FuzzMemoryMirrors -fuzztime=$(FUZZTIME) ./internal/vcm

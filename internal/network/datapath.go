@@ -379,16 +379,20 @@ func (n *Network) executeGrants(nd *node, t int64) {
 				panic("network: scheduler granted a VC without credits")
 			}
 		}
-		// Free the local slot: return a credit upstream (after the wire
-		// delay), unless the VC holds a packet or a host interface feeds it.
-		if !isPacket && in != n.cfg.hostPort() {
-			nd.out[in].credits.Push(t+n.cfg.LinkDelay, cand.VC)
-			n.notePush(nd, in)
-		}
-		if isPacket {
-			// Single-flit packet: its VC frees entirely.
+		// Free the local slot: a single-flit packet's VC frees entirely; a
+		// stream's returns a credit upstream (after the wire delay) or, fed
+		// by the host interface, takes its session's next queued flit now.
+		switch {
+		case isPacket:
 			nd.Mems[in].Release(cand.VC)
 			n.noteFreed(nd, in)
+		case in != n.cfg.hostPort():
+			nd.out[in].credits.Push(t+n.cfg.LinkDelay, cand.VC)
+			n.notePush(nd, in)
+		default:
+			if c := n.conns[f.Conn]; !c.closed && !c.broken {
+				nd.Feed(in, cand.VC, &c.ni.Queue, t)
+			}
 		}
 
 		if targetVC == grantEject {
@@ -455,7 +459,7 @@ func (n *Network) stopSource(c *Conn) {
 // due or whose interface queues flits; under NoIdleSkip, every one).
 // Sources are bound to this node's RNG stream. srcConns is ID-ascending.
 func (n *Network) injectStreams(nd *node, t int64) {
-	nd.cal.Visit(t, n.cfg.NoIdleSkip, nd.srcConns, (*Conn).calendarKey, func(c *Conn, tick bool) {
+	nd.cal.Visit(t, n.cfg.NoIdleSkip, nd.srcConns, nd.calendarKey, func(c *Conn, tick bool) {
 		n.injectStream(nd, c, t, tick)
 	})
 }
@@ -468,18 +472,9 @@ func (n *Network) injectStream(nd *node, c *Conn, t int64, tick bool) {
 		return
 	}
 	if tick && c.injecting() {
-		for k := c.ni.Arrivals(t); k > 0; k-- {
-			f := n.pool.Get()
-			f.Conn, f.Class, f.CreatedAt = c.ID, c.Spec.Class, t
-			c.ni.Queue.Push(f)
-			nd.stats.generated++
-		}
+		nd.stats.generated += c.ni.Mint(t, n.pool, flit.Flit{Conn: c.ID, Class: c.Spec.Class})
 	}
-	hp, entry := n.cfg.hostPort(), c.VCs[0].VC
-	mem := nd.Mems[hp]
-	for c.ni.Queue.Len() > 0 && mem.Free(entry) > 0 {
-		nd.Enqueue(hp, entry, c.ni.Queue.Pop(), t)
-	}
+	nd.Feed(n.cfg.hostPort(), c.VCs[0].VC, &c.ni.Queue, t)
 }
 
 // injectPackets places best-effort packets from the flows homed on this
@@ -497,12 +492,7 @@ func (n *Network) injectPackets(nd *node, t int64) {
 // them need the same resource, so the first that finds none stops it.
 func (n *Network) injectPacketFlow(nd *node, bf *beFlow, t int64, tick bool) {
 	if tick {
-		for k := bf.ni.Arrivals(t); k > 0; k-- {
-			f := n.pool.Get()
-			f.Conn, f.Class, f.CreatedAt, f.Dst = flit.InvalidConn, flit.ClassBestEffort, t, int32(bf.dst)
-			bf.ni.Queue.Push(f)
-			nd.stats.beGenerated++
-		}
+		nd.stats.beGenerated += bf.ni.Mint(t, n.pool, flit.Flit{Conn: flit.InvalidConn, Class: flit.ClassBestEffort, Dst: int32(bf.dst)})
 	}
 	for bf.ni.Queue.Len() > 0 && nd.BufferPacket(n.cfg.hostPort(), -1, bf.ni.Queue.Peek(), t, nd.rng) {
 		bf.ni.Queue.Pop()

@@ -503,3 +503,52 @@ func TestBlockedPacketsSleepEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// TestBlockedSessionsAreNotHeld pins what a node's source calendar holds: a
+// session whose interface queues flits behind a full entry VC is not looked
+// at every cycle — the pop that frees a slot refills it — so after every
+// cycle in which each queued session of a node has its entry VC full, that
+// node's calendar holds nothing. It runs the toy dense fat tree, whose
+// hosts inject 0.6 of their link and back up behind their entry VCs, and
+// requires the gated fabric to encode to the bytes of a NoIdleSkip twin.
+func TestBlockedSessionsAreNotHeld(t *testing.T) {
+	gated, ungated := buildDense(t, 4, false), buildDense(t, 4, true)
+	blocked := 0
+	for c := 0; c < 3_000; c++ {
+		gated.Run(1)
+		ungated.Run(1)
+		for _, nd := range gated.nodes {
+			queued, full := 0, true
+			for _, s := range nd.srcConns {
+				if !s.closed && !s.broken && s.ni.Queue.Len() > 0 {
+					queued++
+					full = full && nd.Mems[s.VCs[0].Port].Free(s.VCs[0].VC) == 0
+				}
+			}
+			if queued == 0 || !full {
+				continue
+			}
+			blocked++
+			if nd.cal.Holding() {
+				t.Fatalf("cycle %d node %d: %d sessions queue flits behind full entry VCs and the calendar holds one", gated.now-1, nd.id, queued)
+			}
+		}
+	}
+	if blocked == 0 {
+		t.Fatal("degenerate run: no node ended a cycle with a session backlogged behind its full entry VC")
+	}
+	gb, err := gated.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ub, err := ungated.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb, ub) {
+		t.Error("gated fabric encodes differently from its NoIdleSkip twin")
+	}
+	if gs, us := gated.Stats(), ungated.Stats(); !reflect.DeepEqual(gs, us) {
+		t.Errorf("gated run diverged:\nungated: %+v\ngated:   %+v", us, gs)
+	}
+}

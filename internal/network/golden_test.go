@@ -120,7 +120,7 @@ func TestRunDigestGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const want = "95fbb0c82b393e780f45c81a0e1e2fcc332d7a8a4842fe26eed9d68d9b2a8cf1"
+	const want = "2058c540d3444176201d5cf4335b4973fa6504b289cb8c5f166b5c98f5f8b15a"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("run digest moved:\ngot  %s\nwant %s", got, want)
 	}

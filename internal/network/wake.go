@@ -215,10 +215,10 @@ func (n *Network) nextWake(t, limit int64) int64 {
 // and has a generator.
 func (c *Conn) injecting() bool { return c.open && c.ni.Source != nil }
 
-// calendarKey says where the source calendar files c (traffic.Calendar):
-// by its forecast while it injects, by its interface queue while that
-// drains, nowhere once it is closed or broken.
-func (c *Conn) calendarKey() (due int64, queued bool, id int64) {
+// calendarKey says where nd's source calendar files c (traffic.Calendar):
+// by its forecast while it injects, held while its interface queues a flit
+// its entry VC has room for, nowhere once it is closed or broken.
+func (nd *node) calendarKey(c *Conn) (due int64, held bool, id int64) {
 	due, id = traffic.NoEvent, int64(c.ID)
 	if c.closed || c.broken {
 		return due, false, id
@@ -226,11 +226,11 @@ func (c *Conn) calendarKey() (due int64, queued bool, id int64) {
 	if c.injecting() {
 		due = c.ni.NextDue
 	}
-	return due, c.ni.Queue.Len() > 0, id
+	return due, nd.CanFeed(c.VCs[0].Port, c.VCs[0].VC, &c.ni.Queue), id
 }
 
 // calendarKey says where the packet calendar files bf: by its forecast,
 // and every cycle while packets queue at its interface.
-func (bf *beFlow) calendarKey() (due int64, queued bool, id int64) {
+func (bf *beFlow) calendarKey() (due int64, held bool, id int64) {
 	return bf.ni.NextDue, bf.ni.Queue.Len() > 0, int64(bf.id)
 }

@@ -159,6 +159,20 @@ func (c *Core) Enqueue(in, vc int, f *flit.Flit, t int64) bool {
 	return mem.Push(vc, f)
 }
 
+// Feed moves flits from q, a stream's network interface queue, into its VC
+// vc of input in at cycle t while the VC has room (§4.2's source-side flow
+// control): after a source ticks, and at once when a pop frees a slot.
+func (c *Core) Feed(in, vc int, q *flit.Ring, t int64) {
+	for c.CanFeed(in, vc, q) {
+		c.Enqueue(in, vc, q.Pop(), t)
+	}
+}
+
+// CanFeed reports whether Feed would move a flit.
+func (c *Core) CanFeed(in, vc int, q *flit.Ring) bool {
+	return q.Len() > 0 && c.Mems[in].Free(vc) > 0
+}
+
 // Nominate runs the inputs' link schedulers (§4.3) on the state the
 // previous cycle left — in hardware, arbitration for cycle t overlaps
 // transmission of cycle t-1. With skipIdle (the engine's activity gating,
@@ -303,7 +317,7 @@ func RegisterCore(reg *metrics.Registry, prefix string, ports int) CoreSeries {
 		Nominated:      reg.Counter(prefix+"_sched_nominated_total", "candidates handed to the switch arbiter"),
 		CreditStalled:  reg.Counter(prefix+"_sched_credit_stalled_total", "VC-cycles with a flit buffered but no downstream credit"),
 		RoundExhausted: reg.Counter(prefix+"_sched_round_exhausted_total", "VC-cycles passed over: per-round allocation consumed"),
-		BiasBoosted:    reg.Counter(prefix+"_sched_bias_boosted_total", "nominated candidates lifted above base priority by the dynamic bias"),
+		BiasBoosted:    reg.Counter(prefix+"_sched_bias_boosted_total", "eligible VC-cycles whose dynamic priority the bias lifted above base, nominated or not"),
 	}
 	for p := 0; p < ports; p++ {
 		port := strconv.Itoa(p)

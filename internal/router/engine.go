@@ -2,6 +2,7 @@ package router
 
 import (
 	"mmr/internal/crossbar"
+	"mmr/internal/flit"
 	"mmr/internal/sched"
 	"mmr/internal/traffic"
 )
@@ -83,38 +84,28 @@ func (r *Router) maskAsyncOutputs() {
 // one). r.conns is ID-ascending; the control paths — Establish, Release, a
 // bandwidth word — only invalidate the calendar.
 func (r *Router) injectStreams(t int64) {
-	r.cal.Visit(t, r.cfg.NoIdleSkip, r.conns, (*Connection).calendarKey, func(c *Connection, tick bool) {
+	r.cal.Visit(t, r.cfg.NoIdleSkip, r.conns, r.calendarKey, func(c *Connection, tick bool) {
 		r.injectStream(c, t, tick)
 	})
 }
 
 // calendarKey says where the source calendar files c (traffic.Calendar):
-// by its forecast while it has a source, by its interface queue while
-// that drains.
-func (c *Connection) calendarKey() (due int64, queued bool, id int64) {
+// by its forecast while it has a source, held while its interface queues a
+// flit its VC has room for.
+func (r *Router) calendarKey(c *Connection) (due int64, held bool, id int64) {
 	due = traffic.NoEvent
 	if c.ni.Source != nil {
 		due = c.ni.NextDue
 	}
-	return due, c.ni.Queue.Len() > 0, int64(c.ID)
+	return due, r.core.CanFeed(c.Spec.In, c.VC, &c.ni.Queue), int64(c.ID)
 }
 
 // injectStream is one connection's share of injectStreams.
 func (r *Router) injectStream(c *Connection, t int64, tick bool) {
 	if tick && c.ni.Source != nil {
-		for n := c.ni.Arrivals(t); n > 0; n-- {
-			f := r.pool.Get()
-			f.Conn, f.Class, f.CreatedAt = c.ID, c.Spec.Class, t
-			c.ni.Queue.Push(f)
-			r.m.generated++
-		}
+		r.m.generated += c.ni.Mint(t, r.pool, flit.Flit{Conn: c.ID, Class: c.Spec.Class})
 	}
-	// Drain the NI queue into the VC while there is room.
-	mem := r.core.Mems[c.Spec.In]
-	for c.ni.Queue.Len() > 0 && mem.Free(c.VC) > 0 {
-		r.core.Enqueue(c.Spec.In, c.VC, c.ni.Queue.Pop(), t)
-		c.injected++
-	}
+	r.core.Feed(c.Spec.In, c.VC, &c.ni.Queue, t)
 }
 
 // transmit pops granted flits, moves them through the crossbar model,
@@ -152,6 +143,9 @@ func (r *Router) transmit(t int64) {
 		}
 		if f.Class.IsStream() {
 			r.m.recordDeparture(t, f)
+			// The freed slot takes the connection's next queued flit now,
+			// stamped as this cycle's injection would have stamped it.
+			r.core.Feed(in, cand.VC, &r.conns[f.Conn].ni.Queue, t)
 		} else {
 			// §3.4: "When a control or a best-effort packet is completely
 			// transmitted, the corresponding virtual channel is released".
@@ -199,10 +193,10 @@ func (r *Router) runCycles(cycles int64) {
 
 // idle reports whether cycle t can do anything at all: any buffered flit,
 // credit in flight, pending control word or asynchronous cut-through makes
-// the router active, as does a calendar that holds a session with NI
-// backlog (a queued flit retries buffer entry, a queued packet VC
-// allocation — an RNG draw — every cycle), is due or is stale. Everything
-// here is a pure read, so the check cannot perturb the simulation.
+// the router active, as does a calendar that holds a session (a queued
+// flit its VC has room for, a queued packet, which retries VC allocation —
+// an RNG draw — every cycle), is due or is stale. Everything here is a pure
+// read, so the check cannot perturb the simulation.
 func (r *Router) idle(t int64) bool {
 	if r.core.Occ > 0 {
 		return false

@@ -3,6 +3,7 @@ package router
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mmr/internal/flit"
@@ -177,4 +178,69 @@ func FuzzRouterGatingEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestBlockedSessionsAreNotHeld pins what the source calendar holds: a
+// connection whose interface queues flits behind a full VC is not looked at
+// every cycle — the pop that frees a slot in its VC refills it — so on every
+// cycle that ends with each queued connection's VC full, the calendar holds
+// nothing. It runs the paper's 1C biased cell at 0.9 load, whose switch
+// saturates and backlogs its interfaces (EXPERIMENTS.md, "Queue
+// boundedness"), and requires the gated router to end equal to a NoIdleSkip
+// twin: Metrics, the Prometheus rendering, RNG position and clock.
+func TestBlockedSessionsAreNotHeld(t *testing.T) {
+	const cycles = 20_000
+	build := func(noIdleSkip bool) *Router {
+		cfg := PaperConfig()
+		cfg.MaxCandidates, cfg.NoIdleSkip = 1, noIdleSkip
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The workload exp.RunPoint generates for this cell under seed 1.
+		if _, err := r.EstablishWorkload(mustWorkload(t, cfg, 0.9, 1_000_003+900)); err != nil {
+			t.Fatal(err)
+		}
+		r.EnableMetrics()
+		return r
+	}
+	r, ref := build(false), build(true)
+	blocked := 0
+	for c := 0; c < cycles; c++ {
+		r.runCycles(1)
+		ref.runCycles(1)
+		queued, full := 0, true
+		for _, conn := range r.conns {
+			if conn.ni.Queue.Len() > 0 {
+				queued++
+				full = full && r.core.Mems[conn.Spec.In].Free(conn.VC) == 0
+			}
+		}
+		if queued == 0 || !full {
+			continue
+		}
+		blocked++
+		if r.cal.Holding() {
+			t.Fatalf("cycle %d: %d connections queue flits behind full VCs and the calendar holds one", r.now-1, queued)
+		}
+	}
+	if blocked == 0 {
+		t.Fatal("degenerate run: no cycle ended with a connection backlogged behind its full VC")
+	}
+	if a, b := ref.Run(0, 0), r.Run(0, 0); !reflect.DeepEqual(a, b) {
+		t.Errorf("gated Metrics diverged from NoIdleSkip:\nungated: %+v\ngated:   %+v", a, b)
+	}
+	var a, b strings.Builder
+	if err := ref.GatherMetrics().WritePrometheus(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.GatherMetrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Error("gated metric rendering diverged from NoIdleSkip")
+	}
+	if ref.rng.State() != r.rng.State() || ref.Now() != r.Now() {
+		t.Error("gated RNG position or clock diverged from NoIdleSkip")
+	}
 }

@@ -47,7 +47,7 @@ func (r *Router) addPacketFlow(class flit.Class, in, out int, packetsPerCycle fl
 
 // calendarKey says where the packet calendar files pf: by its forecast,
 // and every cycle while packets queue at its interface.
-func (pf *packetFlow) calendarKey() (due int64, queued bool, id int64) {
+func (pf *packetFlow) calendarKey() (due int64, held bool, id int64) {
 	return pf.ni.NextDue, pf.ni.Queue.Len() > 0, pf.id
 }
 
@@ -74,12 +74,7 @@ func (r *Router) injectPackets(t int64) {
 // injectPacketFlow is one flow's share of injectPackets.
 func (r *Router) injectPacketFlow(t int64, pf *packetFlow, tick bool) {
 	if tick {
-		for n := pf.ni.Arrivals(t); n > 0; n-- {
-			f := r.pool.Get()
-			f.Conn, f.Class, f.CreatedAt = flit.InvalidConn, pf.class, t
-			pf.ni.Queue.Push(f)
-			r.m.pktGenerated[pf.class]++
-		}
+		r.m.pktGenerated[pf.class] += pf.ni.Mint(t, r.pool, flit.Flit{Conn: flit.InvalidConn, Class: pf.class})
 	}
 	// Drain the NI queue in order, stopping at the first packet that does
 	// not fit: all packets of a flow need the same resource (a free VC on

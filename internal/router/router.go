@@ -168,7 +168,6 @@ type Connection struct {
 	VC   int // input virtual channel
 
 	ni       traffic.Injector // source and interface queue (policed injection, §4.2)
-	injected int64
 	released bool
 
 	// admitted is the rate admission holds bandwidth for at the output
@@ -207,9 +206,8 @@ type Router struct {
 
 	xcfg []int // scratch
 
-	m       measurement
-	om      *routerMetrics // observability layer (observe.go)
-	stopped bool
+	m  measurement
+	om *routerMetrics // observability layer (observe.go)
 }
 
 // New builds a router from cfg.

@@ -104,9 +104,10 @@ type LinkCounters struct {
 	// RoundExhausted counts VC-cycles where an eligible stream VC was
 	// passed over because it had consumed its per-round allocation.
 	RoundExhausted int64
-	// BiasBoosted counts nominated candidates whose dynamic priority
-	// exceeded their static base — i.e. the §5.1 bias (waited time over
-	// inter-arrival) actually lifted the flit above its resting priority.
+	// BiasBoosted counts VC-cycles where an eligible VC's dynamic priority
+	// was evaluated and exceeded its static base — i.e. the §5.1 bias
+	// (waited time over inter-arrival) actually lifted the flit above its
+	// resting priority — whether or not the VC was then nominated.
 	BiasBoosted int64
 }
 

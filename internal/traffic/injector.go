@@ -54,6 +54,20 @@ func (in *Injector) Arrivals(t int64) int {
 	return k
 }
 
+// Mint ticks the source in cycle t (Arrivals) and queues each flit it
+// emits at the interface: one from pool, made like proto and created at t.
+// It returns how many it queued.
+func (in *Injector) Mint(t int64, pool *flit.Pool, proto flit.Flit) int64 {
+	proto.CreatedAt = t
+	k := in.Arrivals(t)
+	for i := 0; i < k; i++ {
+		f := pool.Get()
+		*f = proto
+		in.Queue.Push(f)
+	}
+	return int64(k)
+}
+
 // CatchUp replays the cycles after LastTick up to and including through,
 // all of which lie before NextDue. Anything about to change how the source
 // ticks (its rate) or to stop it must first replay the gap as it was.
