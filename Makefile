@@ -5,7 +5,7 @@ SOAKEVENTS ?= 1000000
 SOAKKILLS ?= 25
 SOAKSEED ?= 7
 
-.PHONY: build test perfbench-test vet fmt-check ci-names inline-check loc loc-check work-check race fuzz-smoke soak soak-smoke check smoke-large-fabric
+.PHONY: build test perfbench-test vet fmt-check ci-names api-census inline-check loc loc-check work-check race fuzz-smoke soak soak-smoke check smoke-large-fabric
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,15 @@ fmt-check:
 ci-names:
 	GO=$(GO) sh .github/ci-names.sh .github/workflows/ci.yml Makefile
 
+# Every exported name under internal/ must have a caller outside tests, or a
+# line in .github/api-census.allow giving one of three reasons: an interface
+# it is called through, the perfbench probe that alone calls it, or the paper
+# feature it is kept for with the test that exercises it. The census lives
+# in .github/, outside ./..., so `go build ./...` and `go test ./...` never
+# compile it.
+api-census:
+	$(GO) run ./.github/apicensus
+
 # traffic.Calendar.Visit must stay inlined where the engines inject
 # (router engine.go and packets.go, network datapath.go's two): a gated
 # calendar with nothing held or due then costs its caller one compare,
@@ -43,13 +52,15 @@ inline-check:
 	fi
 
 # Non-test Go lines of the engine packages and of everything outside
-# perfbench/: the numbers ROADMAP's "net-negative line counts are a goal"
-# is measured by.
+# perfbench/ and .github/: the numbers ROADMAP's "net-negative line counts
+# are a goal" is measured by. The CI tooling under .github/ is counted on a
+# line of its own.
 loc:
 	@for p in internal/network internal/router internal/topology internal/traffic internal/flit internal/sched; do \
 		printf '%s %s\n' $$p $$(ls $$p/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
-	@printf 'total %s\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' | xargs cat | wc -l)
+	@printf 'total %s\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' ! -path './.github/*' | xargs cat | wc -l)
+	@printf '.github %s\n' $$(find ./.github -name '*.go' | xargs cat | wc -l)
 
 # The number ROADMAP's shrink item tracks can only go down: non-test lines
 # of internal/network + internal/router, counted as `loc` counts them, may
@@ -60,8 +71,11 @@ loc:
 # registered once and the unread quantiles gone, 4,886 + 1,562; checkpoint
 # format 5, walked without closures and split along its sections, 4,883 +
 # 1,562; a flit carrying only what the model reads, 4,847 + 1,535; credits
-# routed home by the reverse channel mapping, 4,815 + 1,535).
-LOC_CEILING = 6350
+# routed home by the reverse channel mapping, 4,815 + 1,535; a blocked
+# session refilled at the pop that frees its VC, 4,805 + 1,536, the ceiling
+# left at 6,350; internal/crossbar and every uncalled export deleted, the
+# switch state read from the grants, 4,797 + 1,516).
+LOC_CEILING = 6313
 
 loc-check:
 	@n=$$(cat $$(ls internal/network/*.go internal/router/*.go | grep -v _test.go) | wc -l); \
@@ -132,4 +146,4 @@ soak-smoke:
 smoke-large-fabric:
 	$(GO) test -run='^TestLargeFabricSmoke$$' -v -timeout 10m ./internal/network
 
-check: vet fmt-check ci-names inline-check loc-check work-check test perfbench-test race fuzz-smoke soak-smoke
+check: vet fmt-check ci-names api-census inline-check loc-check work-check test perfbench-test race fuzz-smoke soak-smoke

@@ -33,7 +33,7 @@ func benchOpts() exp.Options {
 // benchmark metric.
 func report(b *testing.B, fig *stats.Figure, series string, x float64, metric string) {
 	b.Helper()
-	s := fig.FindSeries(series)
+	s := findSeries(fig, series)
 	if s == nil {
 		b.Fatalf("series %q missing from %q", series, fig.Title)
 	}
@@ -128,4 +128,14 @@ func benchRouterStep(b *testing.B, cfg router.Config, load float64) {
 	for i := 0; i < b.N; i++ {
 		r.Step()
 	}
+}
+
+// findSeries returns fig's series with the given name, or nil.
+func findSeries(fig *stats.Figure, name string) *stats.Series {
+	for _, s := range fig.Series {
+		if s.Name == name {
+			return s
+		}
+	}
+	return nil
 }

@@ -52,8 +52,8 @@ func NewLinkAllocator(roundLen, beReserve int, concurrency float64) (*LinkAlloca
 	return &LinkAllocator{roundLen: roundLen, beReserve: beReserve, concurrency: concurrency}, nil
 }
 
-// MustNewLinkAllocator is NewLinkAllocator for static configurations.
-func MustNewLinkAllocator(roundLen, beReserve int, concurrency float64) *LinkAllocator {
+// mustNewLinkAllocator is NewLinkAllocator for the tests' fixed configurations.
+func mustNewLinkAllocator(roundLen, beReserve int, concurrency float64) *LinkAllocator {
 	a, err := NewLinkAllocator(roundLen, beReserve, concurrency)
 	if err != nil {
 		panic(err)
@@ -63,9 +63,6 @@ func MustNewLinkAllocator(roundLen, beReserve int, concurrency float64) *LinkAll
 
 // budget returns the guaranteed cycles available to connections.
 func (a *LinkAllocator) budget() int { return a.roundLen - a.beReserve }
-
-// RoundLen returns the configured round length.
-func (a *LinkAllocator) RoundLen() int { return a.roundLen }
 
 // Guaranteed returns the currently allocated guaranteed cycles per round.
 func (a *LinkAllocator) Guaranteed() int { return a.guaranteed }

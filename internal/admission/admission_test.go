@@ -31,11 +31,11 @@ func TestMustNewPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	MustNewLinkAllocator(0, 0, 1)
+	mustNewLinkAllocator(0, 0, 1)
 }
 
 func TestCBRAdmission(t *testing.T) {
-	a := MustNewLinkAllocator(100, 0, 1)
+	a := mustNewLinkAllocator(100, 0, 1)
 	if !a.AdmitCBR(60) {
 		t.Fatal("first admit failed")
 	}
@@ -63,7 +63,7 @@ func TestCBRAdmission(t *testing.T) {
 func TestBestEffortReserve(t *testing.T) {
 	// §4.2: "it is possible to reserve some bandwidth/round for best-effort
 	// traffic in order to prevent starvation".
-	a := MustNewLinkAllocator(100, 20, 1)
+	a := mustNewLinkAllocator(100, 20, 1)
 	if a.AdmitCBR(81) {
 		t.Fatal("admission ate the best-effort reserve")
 	}
@@ -73,7 +73,7 @@ func TestBestEffortReserve(t *testing.T) {
 }
 
 func TestVBRAdmissionTwoConditions(t *testing.T) {
-	a := MustNewLinkAllocator(100, 0, 2) // peaks may oversubscribe 2×
+	a := mustNewLinkAllocator(100, 0, 2) // peaks may oversubscribe 2×
 	if !a.AdmitVBR(30, 80) {
 		t.Fatal("first VBR refused")
 	}
@@ -98,7 +98,7 @@ func TestVBRAdmissionTwoConditions(t *testing.T) {
 }
 
 func TestVBRRejectsDegenerate(t *testing.T) {
-	a := MustNewLinkAllocator(100, 0, 1)
+	a := mustNewLinkAllocator(100, 0, 1)
 	if a.CanAdmitVBR(0, 10) {
 		t.Fatal("zero permanent admitted")
 	}
@@ -108,7 +108,7 @@ func TestVBRRejectsDegenerate(t *testing.T) {
 }
 
 func TestCBRAndVBRShareGuaranteedBudget(t *testing.T) {
-	a := MustNewLinkAllocator(100, 0, 3)
+	a := mustNewLinkAllocator(100, 0, 3)
 	a.AdmitCBR(50)
 	if a.CanAdmitVBR(51, 60) {
 		t.Fatal("VBR permanent admitted past shared budget")
@@ -119,7 +119,7 @@ func TestCBRAndVBRShareGuaranteedBudget(t *testing.T) {
 }
 
 func TestReleaseWithoutAdmitPanics(t *testing.T) {
-	a := MustNewLinkAllocator(10, 0, 1)
+	a := mustNewLinkAllocator(10, 0, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
@@ -132,7 +132,7 @@ func TestReleaseWithoutAdmitPanics(t *testing.T) {
 func TestAdmissionInvariantProperty(t *testing.T) {
 	type open struct{ perm, peak int }
 	f := func(ops []uint16) bool {
-		a := MustNewLinkAllocator(128, 8, 1.5)
+		a := mustNewLinkAllocator(128, 8, 1.5)
 		var cbr []int
 		var vbr []open
 		for _, op := range ops {

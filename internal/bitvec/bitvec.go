@@ -67,9 +67,6 @@ func (v *Vector) Init(n int) {
 	}
 }
 
-// Len returns the number of bits in the vector.
-func (v *Vector) Len() int { return v.n }
-
 func (v *Vector) check(i int) {
 	if i < 0 || i >= v.n {
 		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))
@@ -151,14 +148,14 @@ func (v *Vector) sameLen(o *Vector) {
 	}
 }
 
-// CopyFrom overwrites v with the contents of src.
-func (v *Vector) CopyFrom(src *Vector) {
+// copyFrom overwrites v with the contents of src.
+func (v *Vector) copyFrom(src *Vector) {
 	v.sameLen(src)
 	copy(v.words, src.words)
 }
 
-// Clone returns an independent copy of v.
-func (v *Vector) Clone() *Vector {
+// clone returns an independent copy of v.
+func (v *Vector) clone() *Vector {
 	c := New(v.n)
 	copy(c.words, v.words)
 	return c
@@ -182,8 +179,8 @@ func (v *Vector) Or(a, b *Vector) {
 	}
 }
 
-// AndNot sets v = a AND NOT b. v may alias a or b.
-func (v *Vector) AndNot(a, b *Vector) {
+// andNot sets v = a AND NOT b. v may alias a or b.
+func (v *Vector) andNot(a, b *Vector) {
 	a.sameLen(b)
 	v.sameLen(a)
 	for i := range v.words {
@@ -191,8 +188,8 @@ func (v *Vector) AndNot(a, b *Vector) {
 	}
 }
 
-// Not sets v = NOT a (within the vector length). v may alias a.
-func (v *Vector) Not(a *Vector) {
+// not sets v = NOT a (within the vector length). v may alias a.
+func (v *Vector) not(a *Vector) {
 	v.sameLen(a)
 	for i := range v.words {
 		v.words[i] = ^a.words[i]
@@ -222,10 +219,9 @@ func (v *Vector) NextSet(from int) int {
 	return -1
 }
 
-// NextSetWrap returns the first set bit at or after from, wrapping to the
-// start of the vector — the round-robin scan used by link schedulers. It
-// returns -1 if the vector is empty of set bits.
-func (v *Vector) NextSetWrap(from int) int {
+// nextSetWrap returns the first set bit at or after from, wrapping to the
+// start of the vector. It returns -1 if the vector is empty of set bits.
+func (v *Vector) nextSetWrap(from int) int {
 	if v.n == 0 {
 		return -1
 	}
@@ -294,8 +290,8 @@ func (v *Vector) AppendSet(dst []int) []int {
 	return dst
 }
 
-// Equal reports whether v and o have the same length and bits.
-func (v *Vector) Equal(o *Vector) bool {
+// equal reports whether v and o have the same length and bits.
+func (v *Vector) equal(o *Vector) bool {
 	if v.n != o.n {
 		return false
 	}

@@ -86,7 +86,7 @@ func TestLogicalOps(t *testing.T) {
 	or := New(100)
 	or.Or(a, b)
 	andnot := New(100)
-	andnot.AndNot(a, b)
+	andnot.andNot(a, b)
 	for i := 0; i < 100; i++ {
 		ai, bi := i%2 == 0, i%3 == 0
 		if and.Test(i) != (ai && bi) {
@@ -104,7 +104,7 @@ func TestLogicalOps(t *testing.T) {
 func TestNotTrims(t *testing.T) {
 	a := New(70)
 	n := New(70)
-	n.Not(a)
+	n.not(a)
 	if got := n.Count(); got != 70 {
 		t.Fatalf("Not of empty 70-bit vector has %d bits, want 70", got)
 	}
@@ -149,17 +149,17 @@ func TestNextSet(t *testing.T) {
 func TestNextSetWrap(t *testing.T) {
 	v := New(100)
 	v.Set(10)
-	if got := v.NextSetWrap(50); got != 10 {
+	if got := v.nextSetWrap(50); got != 10 {
 		t.Fatalf("NextSetWrap(50) = %d, want 10 (wrapped)", got)
 	}
-	if got := v.NextSetWrap(10); got != 10 {
+	if got := v.nextSetWrap(10); got != 10 {
 		t.Fatalf("NextSetWrap(10) = %d, want 10", got)
 	}
 	empty := New(100)
-	if got := empty.NextSetWrap(0); got != -1 {
+	if got := empty.nextSetWrap(0); got != -1 {
 		t.Fatalf("NextSetWrap on empty = %d, want -1", got)
 	}
-	if got := New(0).NextSetWrap(0); got != -1 {
+	if got := New(0).nextSetWrap(0); got != -1 {
 		t.Fatalf("NextSetWrap on zero-length = %d, want -1", got)
 	}
 }
@@ -206,8 +206,8 @@ func TestInitInPlace(t *testing.T) {
 	}
 	for _, n := range []int{256, 1000, 64} {
 		holder.v.Init(n)
-		if holder.v.Len() != n || holder.v.Any() {
-			t.Fatalf("Init(%d): len %d, any %v", n, holder.v.Len(), holder.v.Any())
+		if holder.v.n != n || holder.v.Any() {
+			t.Fatalf("Init(%d): len %d, any %v", n, holder.v.n, holder.v.Any())
 		}
 		holder.v.Set(n - 1)
 		holder.v.Set(0)
@@ -244,20 +244,20 @@ func TestEqualCloneCopy(t *testing.T) {
 	a := New(90)
 	a.Set(3)
 	a.Set(89)
-	b := a.Clone()
-	if !a.Equal(b) {
+	b := a.clone()
+	if !a.equal(b) {
 		t.Fatal("clone not equal")
 	}
 	b.Clear(3)
-	if a.Equal(b) {
+	if a.equal(b) {
 		t.Fatal("clone shares storage with original")
 	}
 	c := New(90)
-	c.CopyFrom(a)
-	if !c.Equal(a) {
+	c.copyFrom(a)
+	if !c.equal(a) {
 		t.Fatal("CopyFrom mismatch")
 	}
-	if a.Equal(New(91)) {
+	if a.equal(New(91)) {
 		t.Fatal("vectors of different length compared equal")
 	}
 }
@@ -287,7 +287,7 @@ func TestLogicalOpsProperty(t *testing.T) {
 		and, or, an := New(n), New(n), New(n)
 		and.And(a, b)
 		or.Or(a, b)
-		an.AndNot(a, b)
+		an.andNot(a, b)
 		for i := 0; i < n; i++ {
 			if and.Test(i) != (a.Test(i) && b.Test(i)) ||
 				or.Test(i) != (a.Test(i) || b.Test(i)) ||

@@ -171,9 +171,6 @@ type Decoder struct {
 // NewDecoder returns a decoder over payload.
 func NewDecoder(payload []byte) *Decoder { return &Decoder{buf: payload} }
 
-// Err returns the first decoding error, or nil.
-func (d *Decoder) Err() error { return d.err }
-
 // Remaining returns the unread byte count.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 

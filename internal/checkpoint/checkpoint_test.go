@@ -64,8 +64,8 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	if got := d.String(); got != "hello, fabric" {
 		t.Errorf("String = %q", got)
 	}
-	if d.Err() != nil {
-		t.Fatalf("decode error: %v", d.Err())
+	if d.err != nil {
+		t.Fatalf("decode error: %v", d.err)
 	}
 	if d.Remaining() != 0 {
 		t.Errorf("remaining = %d", d.Remaining())
@@ -75,7 +75,7 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 func TestDecoderStickyError(t *testing.T) {
 	d := NewDecoder([]byte{1, 2})
 	_ = d.U64() // short read
-	if d.Err() == nil {
+	if d.err == nil {
 		t.Fatal("expected truncation error")
 	}
 	// Subsequent reads must return zeros and not panic.

@@ -228,8 +228,6 @@ var (
 	// MetricDelayMicros is Figure 4/5a's y axis: mean head-of-VC delay in
 	// microseconds (§5's delay definition on the paper link).
 	MetricDelayMicros = func(m *router.Metrics) float64 { return m.DelayMicros }
-	// MetricDelayCycles reports the same delay in router cycles.
-	MetricDelayCycles = func(m *router.Metrics) float64 { return m.Delay.Mean() }
 	// MetricConnJitter averages per-connection mean jitter with equal
 	// connection weight.
 	MetricConnJitter = func(m *router.Metrics) float64 { return m.ConnMeanJitter.Mean() }

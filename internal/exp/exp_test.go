@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mmr/internal/router"
+	"mmr/internal/stats"
 )
 
 // tinyOpts keeps harness tests fast; shapes are asserted loosely.
@@ -68,9 +69,9 @@ func TestFigure5ShapeHolds(t *testing.T) {
 		t.Fatal("figure 5 must have delay and jitter panels")
 	}
 	jit := res.Figures[1]
-	perfect, _ := jit.FindSeries("perfect").YAt(0.8)
-	biased, _ := jit.FindSeries("8C biased").YAt(0.8)
-	fixed, _ := jit.FindSeries("8C fixed").YAt(0.8)
+	perfect, _ := findSeries(jit, "perfect").YAt(0.8)
+	biased, _ := findSeries(jit, "8C biased").YAt(0.8)
+	fixed, _ := findSeries(jit, "8C fixed").YAt(0.8)
 	// The paper's central jitter ordering at high load.
 	if !(perfect <= biased && biased <= fixed) {
 		t.Fatalf("jitter ordering violated: perfect=%.3f biased=%.3f fixed=%.3f", perfect, biased, fixed)
@@ -85,8 +86,8 @@ func TestUtilizationSweepMoreCandidatesHelp(t *testing.T) {
 		t.Fatal(err)
 	}
 	fig := res.Figures[0]
-	u1, _ := fig.FindSeries("1C biased").YAt(0.95)
-	u8, _ := fig.FindSeries("8C biased").YAt(0.95)
+	u1, _ := findSeries(fig, "1C biased").YAt(0.95)
+	u8, _ := findSeries(fig, "8C biased").YAt(0.95)
 	if u8 <= u1 {
 		t.Fatalf("more candidates should raise utilization: 1C=%.3f 8C=%.3f", u1, u8)
 	}
@@ -146,8 +147,8 @@ func TestAblationsRun(t *testing.T) {
 func TestAblationA8BankTradeoff(t *testing.T) {
 	res := AblationA8()
 	fig := res.Figures[0]
-	cost := fig.FindSeries("read+write cost (phit times)")
-	ok := fig.FindSeries("meets cycle budget (1=yes)")
+	cost := findSeries(fig, "read+write cost (phit times)")
+	ok := findSeries(fig, "meets cycle budget (1=yes)")
 	// One bank cannot meet the budget; eight banks can.
 	if y, _ := ok.YAt(1); y != 0 {
 		t.Fatal("1 bank should fail the cycle budget")
@@ -173,8 +174,8 @@ func TestFigureVBRShape(t *testing.T) {
 		t.Fatal("want delay and jitter panels")
 	}
 	jit := res.Figures[1]
-	lo, _ := jit.FindSeries("8C biased").YAt(0.3)
-	hi, _ := jit.FindSeries("8C biased").YAt(0.6)
+	lo, _ := findSeries(jit, "8C biased").YAt(0.3)
+	hi, _ := findSeries(jit, "8C biased").YAt(0.6)
 	if hi <= lo {
 		t.Fatalf("VBR jitter should grow with load: %.2f → %.2f", lo, hi)
 	}
@@ -188,11 +189,11 @@ func TestNetworkSweepShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	fig := res.Figures[0]
-	acc, _ := fig.FindSeries("setup acceptance").YAt(0.1)
+	acc, _ := findSeries(fig, "setup acceptance").YAt(0.1)
 	if acc < 0.99 {
 		t.Fatalf("light-load acceptance = %.3f", acc)
 	}
-	lat, _ := fig.FindSeries("latency (cycles)").YAt(0.1)
+	lat, _ := findSeries(fig, "latency (cycles)").YAt(0.1)
 	if lat < 2 || lat > 20 {
 		t.Fatalf("mesh latency = %.2f cycles", lat)
 	}
@@ -223,7 +224,7 @@ func TestNetworkSweepGeneratedFabrics(t *testing.T) {
 		if !strings.Contains(fig.Title, tc.title) {
 			t.Errorf("figure title %q does not name the fabric %q", fig.Title, tc.title)
 		}
-		if acc, ok := fig.FindSeries("setup acceptance").YAt(0.1); !ok || acc < 0.9 {
+		if acc, ok := findSeries(fig, "setup acceptance").YAt(0.1); !ok || acc < 0.9 {
 			t.Errorf("%s: light-load acceptance = %.3f", tc.title, acc)
 		}
 	}
@@ -259,4 +260,14 @@ func TestNetworkSweepMatchesSerialPoints(t *testing.T) {
 			}
 		}
 	}
+}
+
+// findSeries returns fig's series with the given name, or nil.
+func findSeries(fig *stats.Figure, name string) *stats.Series {
+	for _, s := range fig.Series {
+		if s.Name == name {
+			return s
+		}
+	}
+	return nil
 }

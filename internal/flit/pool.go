@@ -18,7 +18,7 @@ package flit
 //     different contents.
 type Pool struct {
 	flits      []*Flit
-	gets, puts int64
+	gets, puts int64 // flits issued and retired: the ledger tests balance
 }
 
 // NewPool returns an empty pool; it grows on demand and never shrinks.
@@ -46,16 +46,3 @@ func (p *Pool) Put(f *Flit) {
 	p.puts++
 	p.flits = append(p.flits, f)
 }
-
-// Live returns the number of flits issued and not yet retired — the flits
-// currently in NI queues, virtual channel memories or in flight.
-func (p *Pool) Live() int64 { return p.gets - p.puts }
-
-// Gets returns the total flits issued (pool hits + fresh allocations).
-func (p *Pool) Gets() int64 { return p.gets }
-
-// Puts returns the total flits retired.
-func (p *Pool) Puts() int64 { return p.puts }
-
-// FreeLen returns the flits currently parked on the free list.
-func (p *Pool) FreeLen() int { return len(p.flits) }

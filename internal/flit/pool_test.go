@@ -10,11 +10,11 @@ func TestPoolRecycles(t *testing.T) {
 	f.WentDown = true
 	p.Put(f)
 
-	if p.Live() != 0 {
-		t.Fatalf("Live = %d after balanced get/put", p.Live())
+	if p.gets != p.puts {
+		t.Fatalf("live = %d after balanced get/put", p.gets-p.puts)
 	}
-	if p.FreeLen() != 1 {
-		t.Fatalf("FreeLen = %d, want 1", p.FreeLen())
+	if len(p.flits) != 1 {
+		t.Fatalf("free list holds %d, want 1", len(p.flits))
 	}
 	g := p.Get()
 	if g != f {
@@ -28,8 +28,8 @@ func TestPoolRecycles(t *testing.T) {
 func TestPoolNilSafe(t *testing.T) {
 	p := NewPool()
 	p.Put(nil)
-	if p.Puts() != 0 || p.Live() != 0 {
-		t.Fatalf("nil puts counted: puts=%d live=%d", p.Puts(), p.Live())
+	if p.puts != 0 || p.gets != 0 {
+		t.Fatalf("nil puts counted: puts=%d gets=%d", p.puts, p.gets)
 	}
 }
 
@@ -42,14 +42,14 @@ func TestPoolCounters(t *testing.T) {
 	for _, f := range fs[:4] {
 		p.Put(f)
 	}
-	if p.Gets() != 10 || p.Puts() != 4 || p.Live() != 6 {
-		t.Fatalf("gets=%d puts=%d live=%d, want 10/4/6", p.Gets(), p.Puts(), p.Live())
+	if p.gets != 10 || p.puts != 4 {
+		t.Fatalf("gets=%d puts=%d, want 10/4", p.gets, p.puts)
 	}
 }
 
 func TestRingFIFO(t *testing.T) {
 	var r Ring
-	if r.Pop() != nil || r.Peek() != nil || !r.Empty() {
+	if r.Pop() != nil || r.Peek() != nil || r.Len() != 0 {
 		t.Fatal("empty ring misbehaves")
 	}
 	fs := make([]*Flit, 100)
@@ -72,7 +72,7 @@ func TestRingFIFO(t *testing.T) {
 			t.Fatalf("pop %d: got flit %d", k, got.CreatedAt)
 		}
 	}
-	if !r.Empty() {
+	if r.Len() != 0 {
 		t.Fatalf("ring not empty: %d", r.Len())
 	}
 }
@@ -84,7 +84,7 @@ func TestRingReleasesPopped(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		r.Push(&Flit{CreatedAt: int64(i)})
 	}
-	for !r.Empty() {
+	for r.Len() != 0 {
 		r.Pop()
 	}
 	for i, f := range r.buf {
@@ -98,7 +98,7 @@ func TestRingPowerOfTwoCap(t *testing.T) {
 	var r Ring
 	for i := 0; i < 1000; i++ {
 		r.Push(&Flit{})
-		if c := r.Cap(); c&(c-1) != 0 {
+		if c := len(r.buf); c&(c-1) != 0 {
 			t.Fatalf("cap %d not a power of two", c)
 		}
 	}

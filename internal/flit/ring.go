@@ -16,9 +16,6 @@ type Ring struct {
 // Len returns the number of queued flits.
 func (r *Ring) Len() int { return r.size }
 
-// Empty reports whether the ring holds no flits.
-func (r *Ring) Empty() bool { return r.size == 0 }
-
 // Push appends f to the tail, growing the buffer if full.
 func (r *Ring) Push(f *Flit) {
 	if r.size == len(r.buf) {
@@ -58,9 +55,6 @@ func (r *Ring) At(i int) *Flit {
 	}
 	return r.buf[(r.head+i)&(len(r.buf)-1)]
 }
-
-// Cap returns the current buffer capacity (for tests and tooling).
-func (r *Ring) Cap() int { return len(r.buf) }
 
 // grow doubles the buffer (minimum 8, always a power of two so indexing
 // stays a mask) and linearizes the queue at the front.

@@ -54,9 +54,6 @@ func NewCreditsBacked(depth int, counts []uint8) *Credits {
 // Available returns the credits held for VC vc.
 func (c *Credits) Available(vc int) int { return int(c.counts[vc]) }
 
-// Has reports whether VC vc has at least one credit.
-func (c *Credits) Has(vc int) bool { return c.counts[vc] > 0 }
-
 // Vector returns the credits_available status bit vector (read-only).
 func (c *Credits) Vector() *bitvec.Vector { return &c.avail }
 

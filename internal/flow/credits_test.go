@@ -8,7 +8,7 @@ import (
 func TestCreditsStartFull(t *testing.T) {
 	c := NewCredits(4, 3)
 	for vc := 0; vc < 4; vc++ {
-		if c.Available(vc) != 3 || !c.Has(vc) || !c.Vector().Test(vc) {
+		if c.Available(vc) != 3 || c.Available(vc) == 0 || !c.Vector().Test(vc) {
 			t.Fatalf("VC %d not initialized full", vc)
 		}
 	}
@@ -19,14 +19,14 @@ func TestConsumeReturnCycle(t *testing.T) {
 	if !c.Consume(0) || !c.Consume(0) {
 		t.Fatal("consume with credits failed")
 	}
-	if c.Has(0) || c.Vector().Test(0) {
+	if c.Available(0) > 0 || c.Vector().Test(0) {
 		t.Fatal("exhausted VC still advertises credits")
 	}
 	if c.Consume(0) {
 		t.Fatal("consume with zero credits succeeded")
 	}
 	c.Return(0)
-	if !c.Has(0) || !c.Vector().Test(0) || c.Available(0) != 1 {
+	if c.Available(0) == 0 || !c.Vector().Test(0) || c.Available(0) != 1 {
 		t.Fatal("returned credit not visible")
 	}
 }
@@ -72,7 +72,7 @@ func TestCreditsInvariantProperty(t *testing.T) {
 				if n < 0 || n > depth {
 					return false
 				}
-				if c.Vector().Test(v) != (n > 0) || c.Has(v) != (n > 0) {
+				if c.Vector().Test(v) != (n > 0) {
 					return false
 				}
 			}
@@ -91,13 +91,13 @@ func TestCreditPipeDelay(t *testing.T) {
 	c.Consume(3)
 	p.Send(10, 2)
 	p.Send(11, 3)
-	if n := p.DeliverTo(14, c); n != 0 || c.Has(2) || c.Has(3) {
+	if n := p.DeliverTo(14, c); n != 0 || c.Available(2) > 0 || c.Available(3) > 0 {
 		t.Fatalf("%d credits delivered early", n)
 	}
-	if n := p.DeliverTo(15, c); n != 1 || !c.Has(2) || c.Has(3) {
-		t.Fatalf("at t=15 want VC 2's credit alone, got %d (VC 2 %v, VC 3 %v)", n, c.Has(2), c.Has(3))
+	if n := p.DeliverTo(15, c); n != 1 || c.Available(2) == 0 || c.Available(3) > 0 {
+		t.Fatalf("at t=15 want VC 2's credit alone, got %d (VC 2 %v, VC 3 %v)", n, c.Available(2) > 0, c.Available(3) > 0)
 	}
-	if n := p.DeliverTo(16, c); n != 1 || !c.Has(3) {
+	if n := p.DeliverTo(16, c); n != 1 || c.Available(3) == 0 {
 		t.Fatalf("at t=16 want VC 3's credit, got %d", n)
 	}
 	if p.InFlight() != 0 {
@@ -110,7 +110,7 @@ func TestCreditPipeZeroDelay(t *testing.T) {
 	c := NewCredits(2, 1)
 	c.Consume(1)
 	p.Send(4, 1)
-	if p.DeliverTo(4, c) != 1 || !c.Has(1) {
+	if p.DeliverTo(4, c) != 1 || c.Available(1) == 0 {
 		t.Fatal("zero-delay credit not immediately deliverable")
 	}
 }
@@ -130,7 +130,7 @@ func TestCreditPipeOrder(t *testing.T) {
 			t.Fatalf("t=%d: %d credits delivered, want 1", now, n)
 		}
 		for vc := 0; vc < 5; vc++ {
-			if c.Has(vc) != (int64(vc) < now) {
+			if (c.Available(vc) > 0) != (int64(vc) < now) {
 				t.Fatalf("t=%d: credits out of order at VC %d", now, vc)
 			}
 		}
@@ -181,7 +181,7 @@ func TestCreditsRoundTripDepth255(t *testing.T) {
 		}
 		p.Send(int64(i), 1)
 	}
-	if c.Consume(1) || c.Has(1) || c.Vector().Test(1) || c.Available(1) != 0 {
+	if c.Consume(1) || c.Vector().Test(1) || c.Available(1) != 0 {
 		t.Fatalf("exhausted VC holds %d credits", c.Available(1))
 	}
 	if c.Available(0) != depth || c.Available(2) != depth {

@@ -76,9 +76,6 @@ func (r *Recorder) Events(dst []Event) []Event {
 	return dst
 }
 
-// Reset discards every retained event and the total count.
-func (r *Recorder) Reset() { r.next = 0; r.n = 0 }
-
 // SetTotal forces the total-events counter without touching the
 // retained ring. Checkpoint restore replays the retained events through
 // Record (which resets the total to the retained count) and then

@@ -197,20 +197,11 @@ func (r *Registry) NewShard() *Shard {
 	return s
 }
 
-// NumShards returns the number of shards created so far.
-func (r *Registry) NumShards() int { return len(r.shards) }
-
-// Shard returns shard i.
-func (r *Registry) Shard(i int) *Shard { return r.shards[i] }
-
 // Inc adds one to a counter.
 func (s *Shard) Inc(c Counter) { s.counters[c]++ }
 
 // CounterValue returns the shard's current value of a counter.
 func (s *Shard) CounterValue(c Counter) int64 { return s.counters[c] }
-
-// Add adds delta to a counter.
-func (s *Shard) Add(c Counter, delta int64) { s.counters[c] += delta }
 
 // Store sets a counter to an absolute value — for counters mirrored at
 // gather time from state the simulator already maintains (dpStats,
@@ -365,39 +356,4 @@ func (r *Registry) Gather() *Snapshot {
 		f(snap)
 	}
 	return snap
-}
-
-// FamilyTotal sums the Total of every counter series with the given
-// family name (across label variants) — the natural form for asserting
-// "the /metrics page matches the stats snapshot".
-func (s *Snapshot) FamilyTotal(name string) int64 {
-	var t int64
-	for _, c := range s.Counters {
-		if c.Name == name {
-			t += c.Total
-		}
-	}
-	return t
-}
-
-// CounterTotal returns the Total of the single counter series matching
-// name and rendered labels exactly ("" matches the unlabeled series).
-func (s *Snapshot) CounterTotal(name, labels string) (int64, bool) {
-	for _, c := range s.Counters {
-		if c.Name == name && c.Labels == labels {
-			return c.Total, true
-		}
-	}
-	return 0, false
-}
-
-// GaugeTotal returns the summed value of the gauge series matching name
-// and rendered labels exactly.
-func (s *Snapshot) GaugeTotal(name, labels string) (float64, bool) {
-	for _, g := range s.Gauges {
-		if g.Name == name && g.Labels == labels {
-			return g.Total, true
-		}
-	}
-	return 0, false
 }

@@ -12,19 +12,19 @@ func TestCounterGaugeShardMerge(t *testing.T) {
 	c := reg.Counter("flits_total", "flits", "port", "0")
 	g := reg.Gauge("occupancy", "buffered flits")
 	s0, s1 := reg.NewShard(), reg.NewShard()
-	s0.Add(c, 3)
+	s0.Store(c, 3)
 	s1.Inc(c)
 	s0.Set(g, 2.5)
 	s1.Set(g, 1.5)
 
 	snap := reg.Gather()
-	if got, _ := snap.CounterTotal("flits_total", `port="0"`); got != 4 {
+	if got, _ := counterTotal(snap, "flits_total", `port="0"`); got != 4 {
 		t.Errorf("counter total = %d, want 4", got)
 	}
-	if got := snap.FamilyTotal("flits_total"); got != 4 {
+	if got := familyTotal(snap, "flits_total"); got != 4 {
 		t.Errorf("family total = %d, want 4", got)
 	}
-	if got, _ := snap.GaugeTotal("occupancy", ""); got != 4.0 {
+	if got, _ := gaugeTotal(snap, "occupancy", ""); got != 4.0 {
 		t.Errorf("gauge total = %v, want 4", got)
 	}
 	if snap.Counters[0].PerShard[1] != 1 {
@@ -64,7 +64,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	rec := NewRecorder(64)
 	allocs := testing.AllocsPerRun(200, func() {
 		s.Inc(c)
-		s.Add(c, 2)
+		s.Store(c, 2)
 		s.Set(g, 1.0)
 		s.Observe(h, 17)
 		rec.Record(Event{Cycle: 1, Code: 2, Node: 3, A: 4, B: 5})
@@ -125,8 +125,8 @@ func TestPrometheusRendering(t *testing.T) {
 	c := reg.Counter("mmr_test_total", "help text", "port", "2")
 	h := reg.Histogram("mmr_delay", "", []float64{1, 2})
 	s0, s1 := reg.NewShard(), reg.NewShard()
-	s0.Add(c, 5)
-	s1.Add(c, 7)
+	s0.Store(c, 5)
+	s1.Store(c, 7)
 	s0.Observe(h, 1.5)
 
 	var b strings.Builder
@@ -153,7 +153,7 @@ func TestPrometheusRendering(t *testing.T) {
 func TestServerEndpoints(t *testing.T) {
 	reg := New()
 	c := reg.Counter("mmr_x_total", "")
-	reg.NewShard().Add(c, 9)
+	reg.NewShard().Store(c, 9)
 
 	srv := NewServer()
 	if err := srv.Serve("127.0.0.1:0"); err != nil {
@@ -187,4 +187,38 @@ func TestServerEndpoints(t *testing.T) {
 	if out := get("/debug/pprof/cmdline"); out == "" {
 		t.Error("/debug/pprof/cmdline empty")
 	}
+}
+
+// familyTotal sums the Total of every counter series of family name,
+// across its label variants.
+func familyTotal(s *Snapshot, name string) int64 {
+	var t int64
+	for _, c := range s.Counters {
+		if c.Name == name {
+			t += c.Total
+		}
+	}
+	return t
+}
+
+// counterTotal is the Total of the counter series name with exactly the
+// rendered labels ("" for the unlabeled series).
+func counterTotal(s *Snapshot, name, labels string) (int64, bool) {
+	for _, c := range s.Counters {
+		if c.Name == name && c.Labels == labels {
+			return c.Total, true
+		}
+	}
+	return 0, false
+}
+
+// gaugeTotal is the Total of the gauge series name with exactly the
+// rendered labels.
+func gaugeTotal(s *Snapshot, name, labels string) (float64, bool) {
+	for _, g := range s.Gauges {
+		if g.Name == name && g.Labels == labels {
+			return g.Total, true
+		}
+	}
+	return 0, false
 }

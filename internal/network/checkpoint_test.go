@@ -109,7 +109,9 @@ func TestCheckpointRoundTripBitExact(t *testing.T) {
 // zero. The faulted fabric runs once more on three-cycle wires, whose
 // impaired links stage drop credits: its snapshot must hold a credit and a
 // flit that mature after the next cycle's delivery, or the case proves
-// nothing about the lanes.
+// nothing about the lanes. A loaded fat tree (buildDense) runs it too: its
+// snapshot must hold a session queued behind its full entry VC, or the case
+// proves nothing about the calendar a restore refiles such sessions in.
 func TestCheckpointResumeMatchesTwin(t *testing.T) {
 	const at, after = 1200, 5000
 	render := func(n *Network) (prom, js string) {
@@ -129,14 +131,31 @@ func TestCheckpointResumeMatchesTwin(t *testing.T) {
 	for _, tc := range []struct {
 		withFaults bool
 		linkDelay  int64
-	}{{false, 1}, {true, 1}, {true, 3}} {
+		dense      bool
+	}{{false, 1, false}, {true, 1, false}, {true, 3, false}, {false, 1, true}} {
 		config := func(noIdleSkip bool) Config {
+			if tc.dense {
+				return fatTreeConfig(t, 4, noIdleSkip)
+			}
 			cfg := detConfig(t, noIdleSkip)
 			cfg.LinkDelay = tc.linkDelay
 			return cfg
 		}
-		src := buildDetNetworkOn(t, config(false), tc.withFaults)
+		build := func() *Network {
+			if tc.dense {
+				return buildDense(t, 4, false)
+			}
+			return buildDetNetworkOn(t, config(false), tc.withFaults)
+		}
+		src := build()
 		src.Run(at)
+		if tc.dense {
+			blocked := queuedBehindFull(src)
+			t.Logf("dense: the snapshot holds %d sessions queued behind their full entry VCs", blocked)
+			if blocked == 0 {
+				t.Fatal("degenerate: the dense snapshot holds no session queued behind its full entry VC")
+			}
+		}
 		if tc.linkDelay > 1 {
 			credits, flits := 0, 0
 			for _, nd := range src.nodes {
@@ -163,8 +182,8 @@ func TestCheckpointResumeMatchesTwin(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, noIdleSkip := range []bool{false, true} {
-			name := fmt.Sprintf("faults=%v/linkDelay=%d/noIdleSkip=%v", tc.withFaults, tc.linkDelay, noIdleSkip)
-			twin := buildDetNetworkOn(t, config(false), tc.withFaults)
+			name := fmt.Sprintf("faults=%v/linkDelay=%d/dense=%v/noIdleSkip=%v", tc.withFaults, tc.linkDelay, tc.dense, noIdleSkip)
+			twin := build()
 			twin.cfg.NoIdleSkip = noIdleSkip
 			twin.Run(at + after)
 

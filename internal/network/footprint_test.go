@@ -132,11 +132,11 @@ func TestFabricFootprintBudget(t *testing.T) {
 // allocates at most 9.5 MB, where one with VC storage on every port took
 // 48.3 MB and one with every port's rows 14.3 MB — and after
 // fabric_sparse's bring-up the ports holding VC storage are exactly the ports
-// holding a VC, and a port has a row exactly where the row holds something:
-// a direct row where a mapping roots, a reverse row where one leaves. A port
-// holds a VC exactly where it has a direct row or the wired peer feeding it
-// has a reverse row on the link (a path's entry VC maps to its next hop,
-// every later VC is the far end of a mapping at the router before it).
+// holding a VC. A port holds a VC exactly where a mapping roots at it or
+// the wired peer feeding it has a mapping leave by the link (a path's entry
+// VC maps to its next hop, every later VC is the far end of a mapping at the
+// router before it); routing's TestChannelMapMatchesReference checks that a
+// port has a row of its own exactly where a mapping has rooted or left.
 func TestVCStorageOnFirstUse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("FatTree(16) bring-up is slow under -short")
@@ -176,25 +176,22 @@ func TestVCStorageOnFirstUse(t *testing.T) {
 	rows := 0
 	for _, nd := range n.nodes {
 		for p, mem := range nd.Mems {
-			var mapsIn, mapsOut bool
+			var mapsIn, mapsOut, fed bool
+			peer := nd.outPeer[p]
 			for v := 0; v < n.cfg.VCs; v++ {
 				ref := routing.VCRef{Port: p, VC: v}
 				mapsIn = mapsIn || nd.cmap.Direct(ref) != routing.Invalid
 				mapsOut = mapsOut || nd.cmap.Reverse(ref) != routing.Invalid
+				if peer >= 0 {
+					fed = fed || n.nodes[peer].cmap.Reverse(routing.VCRef{Port: n.cfg.Topology.WiredPeer(nd.id, p), VC: v}) != routing.Invalid
+				}
 			}
-			direct, reverse := nd.cmap.Carved(p)
-			if direct != mapsIn || reverse != mapsOut {
-				t.Fatalf("node %d port %d: rows of its own direct=%v reverse=%v, holds mappings in=%v out=%v",
-					nd.id, p, direct, reverse, mapsIn, mapsOut)
+			if holds := mem.ReservedVector().Any(); holds != (mapsIn || fed) {
+				t.Fatalf("node %d port %d: holds a VC=%v, roots a mapping=%v, its peer has a mapping leave by the link=%v", nd.id, p, holds, mapsIn, fed)
 			}
-			fed := false
-			if peer := nd.outPeer[p]; peer >= 0 {
-				_, fed = n.nodes[peer].cmap.Carved(n.cfg.Topology.WiredPeer(nd.id, p))
-			}
-			if holds := mem.ReservedVector().Any(); holds != (direct || fed) {
-				t.Fatalf("node %d port %d: holds a VC=%v, has a direct row=%v, its peer a reverse row on the link=%v", nd.id, p, holds, direct, fed)
-			}
-			for _, has := range []bool{direct, reverse} {
+			// A row is carved where a mapping roots or leaves, and only
+			// there (TestChannelMapMatchesReference).
+			for _, has := range []bool{mapsIn, mapsOut} {
 				if has {
 					rows++
 				}

@@ -32,7 +32,9 @@ func gatingScenario(t *testing.T, withFaults, noIdleSkip bool) (*Stats, []Sessio
 // ticking and whole-clock fast-forward — changes nothing observable. The
 // gated run must reproduce the ungated run bit for bit (floating-point
 // accumulator state compared exactly via reflect.DeepEqual), with and
-// without an active fault plan.
+// without an active fault plan, and on a fat tree whose host ports are
+// loaded (buildDense): there sessions queue behind full entry VCs, and the
+// case fails as degenerate unless some cycle of the ungated run ends so.
 func TestNetworkGatingEquivalence(t *testing.T) {
 	for _, withFaults := range []bool{false, true} {
 		name := "clean"
@@ -53,6 +55,36 @@ func TestNetworkGatingEquivalence(t *testing.T) {
 			}
 		})
 	}
+	t.Run("loaded-host", func(t *testing.T) {
+		const cycles = 3000
+		ref, n := buildDense(t, 4, true), buildDense(t, 4, false)
+		blocked := 0
+		for c := 0; c < cycles; c++ {
+			ref.Run(1)
+			blocked += queuedBehindFull(ref)
+		}
+		if blocked == 0 {
+			t.Fatal("degenerate scenario: no cycle ended with a session queued behind its full entry VC")
+		}
+		n.Run(cycles)
+		if !reflect.DeepEqual(ref.Stats(), n.Stats()) {
+			t.Errorf("gated run diverged from ungated:\nungated: %+v\ngated:   %+v", ref.Stats(), n.Stats())
+		}
+		if !reflect.DeepEqual(ref.SessionEvents(), n.SessionEvents()) {
+			t.Errorf("gated session log diverged (%d vs %d events)", len(ref.SessionEvents()), len(n.SessionEvents()))
+		}
+		want, err := ref.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := n.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Error("gated fabric encodes differently from its NoIdleSkip twin")
+		}
+	})
 }
 
 // TestNetworkGatingEquivalenceSparse exercises the regime gating was

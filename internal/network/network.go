@@ -659,10 +659,6 @@ func (n *Network) Now() int64 { return n.now }
 // Nodes returns the number of routers.
 func (n *Network) Nodes() int { return len(n.nodes) }
 
-// Events exposes the session-level event engine (for scheduling
-// connection arrivals/teardowns in examples and experiments).
-func (n *Network) Events() *sim.Engine { return n.events }
-
 // Schedule runs fn when the network clock reaches the given absolute
 // cycle — the convenient form of session-level events (connection
 // arrivals, holding-time expirations).

@@ -317,7 +317,7 @@ func TestVBRConnection(t *testing.T) {
 func TestSessionEvents(t *testing.T) {
 	n := meshNet(t, 3, 3)
 	opened := false
-	n.Events().At(100, eventFunc(func() {
+	n.events.At(100, eventFunc(func() {
 		_, err := n.Open(0, 8, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 55 * traffic.Mbps})
 		opened = err == nil
 	}))

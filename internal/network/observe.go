@@ -192,10 +192,6 @@ func (n *Network) collectMetrics() {
 	s0.Set(nm.cycles, float64(n.m.Cycles))
 }
 
-// Metrics returns the network's metric registry (for registering extra
-// collectors or gathering snapshots).
-func (n *Network) Metrics() *metrics.Registry { return n.nm.reg }
-
 // GatherMetrics snapshots the registry. Call between steps only, from the
 // goroutine that steps the network.
 func (n *Network) GatherMetrics() *metrics.Snapshot { return n.nm.reg.Gather() }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mmr/internal/metrics"
 	"mmr/internal/topology"
 )
 
@@ -36,7 +37,7 @@ func TestMetricsMatchStats(t *testing.T) {
 		{"mmr_net_conns_restored_total", stats.ConnsRestored},
 	}
 	for _, c := range intChecks {
-		if got := snap.FamilyTotal(c.family); got != c.want {
+		if got := familyTotal(snap, c.family); got != c.want {
 			t.Errorf("%s = %d, stats snapshot says %d", c.family, got, c.want)
 		}
 	}
@@ -66,16 +67,16 @@ func TestMetricsMatchStats(t *testing.T) {
 	if streamCount != stats.FlitsDelivered {
 		t.Errorf("stream delay histogram count %d != FlitsDelivered %d", streamCount, stats.FlitsDelivered)
 	}
-	if want := stats.Latency.Sum(); streamSum < want-0.5 || streamSum > want+0.5 {
+	if want := stats.Latency.Mean() * float64(stats.Latency.N()); streamSum < want-0.5 || streamSum > want+0.5 {
 		t.Errorf("stream delay histogram sum %.1f != latency total %.1f", streamSum, want)
 	}
 
 	// Grants were executed (hot-path counter family), and the occupancy
 	// gauges exist for every port.
-	if snap.FamilyTotal("mmr_net_grants_total") == 0 {
+	if familyTotal(snap, "mmr_net_grants_total") == 0 {
 		t.Error("no switch grants counted")
 	}
-	if v, ok := snap.GaugeTotal("mmr_net_cycles", ""); !ok || v != float64(stats.Cycles) {
+	if v, ok := gaugeTotal(snap, "mmr_net_cycles", ""); !ok || v != float64(stats.Cycles) {
 		t.Errorf("mmr_net_cycles gauge = %v, want %d", v, stats.Cycles)
 	}
 }
@@ -229,4 +230,38 @@ func TestMetricSeriesOrder(t *testing.T) {
 		`mmr_net_delay_cycles{class="best-effort"}`,
 		`mmr_net_jitter_cycles{class="best-effort"}`,
 	})
+}
+
+// familyTotal sums the Total of every counter series of family name,
+// across its label variants.
+func familyTotal(s *metrics.Snapshot, name string) int64 {
+	var t int64
+	for _, c := range s.Counters {
+		if c.Name == name {
+			t += c.Total
+		}
+	}
+	return t
+}
+
+// counterTotal is the Total of the counter series name with exactly the
+// rendered labels ("" for the unlabeled series).
+func counterTotal(s *metrics.Snapshot, name, labels string) (int64, bool) {
+	for _, c := range s.Counters {
+		if c.Name == name && c.Labels == labels {
+			return c.Total, true
+		}
+	}
+	return 0, false
+}
+
+// gaugeTotal is the Total of the gauge series name with exactly the
+// rendered labels.
+func gaugeTotal(s *metrics.Snapshot, name, labels string) (float64, bool) {
+	for _, g := range s.Gauges {
+		if g.Name == name && g.Labels == labels {
+			return g.Total, true
+		}
+	}
+	return 0, false
 }

@@ -122,9 +122,9 @@ func TestPassOrderIndependent(t *testing.T) {
 		},
 			func(t *testing.T, n *Network, st *Stats) {
 				snap := n.GatherMetrics()
-				if st.BEDelivered == 0 || snap.FamilyTotal("mmr_net_claim_failed_total") == 0 {
+				if st.BEDelivered == 0 || familyTotal(snap, "mmr_net_claim_failed_total") == 0 {
 					t.Fatalf("degenerate scenario: %d packets delivered, %d found no downstream VC",
-						st.BEDelivered, snap.FamilyTotal("mmr_net_claim_failed_total"))
+						st.BEDelivered, familyTotal(snap, "mmr_net_claim_failed_total"))
 				}
 			}},
 	} {

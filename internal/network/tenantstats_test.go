@@ -54,14 +54,14 @@ func TestTenantDeliveredMetrics(t *testing.T) {
 	}
 	snap := n.GatherMetrics()
 
-	if got := snap.FamilyTotal("mmr_net_tenant_delivered_total"); got != st.FlitsDelivered {
+	if got := familyTotal(snap, "mmr_net_tenant_delivered_total"); got != st.FlitsDelivered {
 		t.Fatalf("tenant delivered counters sum to %d, Stats says %d", got, st.FlitsDelivered)
 	}
 
 	perTenant := map[string]int64{}
 	for _, tenant := range []string{"alice", "bob", "default"} {
 		labels := `tenant="` + tenant + `"`
-		v, ok := snap.CounterTotal("mmr_net_tenant_delivered_total", labels)
+		v, ok := counterTotal(snap, "mmr_net_tenant_delivered_total", labels)
 		if !ok {
 			t.Fatalf("no delivered counter for %s", labels)
 		}
@@ -125,7 +125,7 @@ func TestTenantDeliveredMetrics(t *testing.T) {
 	// ResetStats clears tenant telemetry along with everything else.
 	n.ResetStats()
 	snap = n.GatherMetrics()
-	if got := snap.FamilyTotal("mmr_net_tenant_delivered_total"); got != 0 {
+	if got := familyTotal(snap, "mmr_net_tenant_delivered_total"); got != 0 {
 		t.Fatalf("after ResetStats tenant delivered total = %d, want 0", got)
 	}
 }
@@ -156,8 +156,8 @@ func TestTenantMetricsSurviveRestore(t *testing.T) {
 	sn, sm := n.GatherMetrics(), m.GatherMetrics()
 	for _, tenant := range []string{"alice", "bob", "default"} {
 		labels := `tenant="` + tenant + `"`
-		a, okA := sn.CounterTotal("mmr_net_tenant_delivered_total", labels)
-		b, okB := sm.CounterTotal("mmr_net_tenant_delivered_total", labels)
+		a, okA := counterTotal(sn, "mmr_net_tenant_delivered_total", labels)
+		b, okB := counterTotal(sm, "mmr_net_tenant_delivered_total", labels)
 		if !okA || !okB {
 			t.Fatalf("tenant %q: counter missing (orig %v, restored %v)", tenant, okA, okB)
 		}

@@ -17,13 +17,8 @@ import (
 // workload RNG and a draw of another edge router than self.
 func fatTreeFabric(t *testing.T, k, pods int, noIdleSkip bool) (n *Network, edges []int, rng *sim.RNG, other func(self int) int) {
 	t.Helper()
-	tp, err := topology.FatTree(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(tp)
-	cfg.NoIdleSkip = noIdleSkip
-	if n, err = New(cfg); err != nil {
+	var err error
+	if n, err = New(fatTreeConfig(t, k, noIdleSkip)); err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < pods; p++ {
@@ -39,6 +34,36 @@ func fatTreeFabric(t *testing.T, k, pods int, noIdleSkip bool) (n *Network, edge
 			}
 		}
 	}
+}
+
+// fatTreeConfig is the default configuration on FatTree(k), the one
+// fatTreeFabric builds, so a test can build the same fabric afresh (a
+// checkpoint restores into one).
+func fatTreeConfig(t *testing.T, k int, noIdleSkip bool) Config {
+	t.Helper()
+	tp, err := topology.FatTree(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(tp)
+	cfg.NoIdleSkip = noIdleSkip
+	return cfg
+}
+
+// queuedBehindFull counts the live sessions of n whose interface queues a
+// flit while their entry VC is full: the state in which only the pop that
+// frees a slot refills the VC under gating (Core.Feed at departure), so a
+// twin suite that never reaches it cannot see that refill.
+func queuedBehindFull(n *Network) int {
+	k := 0
+	for _, nd := range n.nodes {
+		for _, s := range nd.srcConns {
+			if !s.closed && !s.broken && s.ni.Queue.Len() > 0 && nd.Mems[s.VCs[0].Port].Free(s.VCs[0].VC) == 0 {
+				k++
+			}
+		}
+	}
+	return k
 }
 
 // buildDense is perfbench's fabric_dense on FatTree(k) — k = 16 there, 4 at
@@ -470,7 +495,7 @@ func TestChurnWorkGolden(t *testing.T) {
 	if st.ConnsBroken == 0 || st.Closed != 10 {
 		t.Fatalf("degenerate script: %d sessions broken by the fault, %d closed", st.ConnsBroken, st.Closed)
 	}
-	backtracks := [2]int64{st.SetupBacktracks.N(), int64(math.Round(st.SetupBacktracks.Sum()))}
+	backtracks := [2]int64{st.SetupBacktracks.N(), int64(math.Round(st.SetupBacktracks.Mean() * float64(st.SetupBacktracks.N())))}
 	t.Logf("%d sessions opened, %d broken by the fault; %d flits delivered, setup backtracks %v (count, sum)\nbefore the checkpoint %+v\nafter the restore     %+v",
 		opened, st.ConnsBroken, flits, backtracks, before, after)
 

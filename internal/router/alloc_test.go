@@ -1,12 +1,26 @@
 package router
 
 import (
+	"reflect"
 	"testing"
 
 	"mmr/internal/flit"
 	"mmr/internal/sim"
 	"mmr/internal/traffic"
 )
+
+// ledger reads pool's count of flits issued and retired, which the pool
+// keeps for tests alone and so leaves unexported.
+func ledger(pool *flit.Pool) (gets, puts int64) {
+	v := reflect.ValueOf(pool).Elem()
+	return v.FieldByName("gets").Int(), v.FieldByName("puts").Int()
+}
+
+// live is what pool has issued and not retired.
+func live(pool *flit.Pool) int64 {
+	gets, puts := ledger(pool)
+	return gets - puts
+}
 
 // steadyRouter builds the paper's 8×8 router carrying a mixed workload —
 // streams at the given load plus control and best-effort packet flows —
@@ -68,7 +82,7 @@ func TestPoolRecycleBalance(t *testing.T) {
 	}
 	r.Run(0, cycles)
 
-	pool := r.Pool()
+	pool := r.pool
 	seen := make(map[*flit.Flit]string)
 	note := func(f *flit.Flit, where string) {
 		if prev, dup := seen[f]; dup {
@@ -95,17 +109,16 @@ func TestPoolRecycleBalance(t *testing.T) {
 			}
 		}
 	}
-	if got, want := int64(len(seen)), pool.Live(); got != want {
-		t.Fatalf("pool ledger out of balance: %d live flits reachable, pool says %d (gets=%d puts=%d)",
-			got, want, pool.Gets(), pool.Puts())
+	if got, want := int64(len(seen)), live(pool); got != want {
+		t.Fatalf("pool ledger out of balance: %d live flits reachable, pool says %d", got, want)
 	}
 	// Retiring everything must zero the ledger — no flit leaked, none
 	// double-counted.
 	for f := range seen {
 		pool.Put(f)
 	}
-	if pool.Live() != 0 {
-		t.Fatalf("pool.Live() = %d after draining everything, want 0", pool.Live())
+	if n := live(pool); n != 0 {
+		t.Fatalf("pool holds %d live flits after draining everything, want 0", n)
 	}
 }
 
@@ -115,10 +128,10 @@ func TestPoolRecycleBalance(t *testing.T) {
 // so retention would silently corrupt whatever held on.
 func TestRecycledFlitNotRetained(t *testing.T) {
 	r := steadyRouter(t, 0.8, 2_000)
-	pool := r.Pool()
-	before := pool.Puts()
+	pool := r.pool
+	_, before := ledger(pool)
 	r.Run(0, 1_000)
-	if pool.Puts() == before {
+	if _, puts := ledger(pool); puts == before {
 		t.Fatal("no flit departed during the measurement window")
 	}
 	// The pool's free list only holds retired flits; a retired flit still
@@ -135,8 +148,8 @@ func TestRecycledFlitNotRetained(t *testing.T) {
 	for p := 0; p < r.cfg.Ports; p++ {
 		queued += int64(r.core.Mems[p].Occupied())
 	}
-	if pool.Live() != queued {
-		t.Fatalf("pool.Live() = %d but %d flits are queued: a departed flit is retained or leaked",
-			pool.Live(), queued)
+	if n := live(pool); n != queued {
+		t.Fatalf("pool counts %d live flits but %d are queued: a departed flit is retained or leaked",
+			n, queued)
 	}
 }

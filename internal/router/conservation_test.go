@@ -26,6 +26,9 @@ func queued(r *Router) int64 {
 // each of the four switch arbiters at 1 and 8 candidates, gated and under
 // NoIdleSkip, with streams at 0.8 load and a best-effort flow per port — a
 // fault-free run, in which nothing else moves a flit in or out of a VC.
+// Every arbiter but the perfect switch must also serve a sub-permutation
+// each cycle (checkSubPermutation): the grants are the switch's whole
+// configuration, which nothing else checks.
 func TestQueueConservation(t *testing.T) {
 	const cycles = 4000
 	for _, arb := range []ArbiterKind{ArbPriority, ArbAutonet, ArbPerfect, ArbISLIP} {
@@ -52,6 +55,7 @@ func TestQueueConservation(t *testing.T) {
 					q, w := queued(r), r.core.Work
 					for c := 0; c < cycles; c++ {
 						r.runCycles(1)
+						checkSubPermutation(t, r)
 						nq, nw := queued(r), r.core.Work
 						if a, s := nw.Enqueued-w.Enqueued, nw.Grants-w.Grants; nq-q != a-s {
 							t.Fatalf("cycle %d: Q went %d → %d with %d flits enqueued and %d granted", r.now-1, q, nq, a, s)
@@ -64,6 +68,29 @@ func TestQueueConservation(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// checkSubPermutation fails t if r's last arbitration connected an output
+// to two inputs, unless its arbiter shares outputs (the perfect switch).
+func checkSubPermutation(t *testing.T, r *Router) {
+	t.Helper()
+	if r.core.arbiter.OutputSharing() {
+		return
+	}
+	from := make([]int, r.cfg.Ports)
+	for i := range from {
+		from[i] = -1
+	}
+	for in, g := range r.core.Grants {
+		if g == sched.NoGrant {
+			continue
+		}
+		out := r.core.Cands[in][g].Output
+		if from[out] >= 0 {
+			t.Fatalf("cycle %d: output %d granted to inputs %d and %d", r.now-1, out, from[out], in)
+		}
+		from[out] = in
 	}
 }
 

@@ -26,8 +26,8 @@ import (
 //	Arbitrate   switch scheduling (§4.4)
 //	Pop         a granted flit leaves its virtual channel
 //
-// — and add around it what is theirs: Router the sink, the crossbar model
-// and the asynchronous control cut-through of the single-chip experiments,
+// — and add around it what is theirs: Router the sink and the asynchronous
+// control cut-through of the single-chip experiments,
 // network's node the lanes, channel mappings and routing unit of a fabric.
 // Core also owns what a reservation at one hop is (§4.2–4.3): a stream's
 // Demand, its charge to an output's registers in the configured admission

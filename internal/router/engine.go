@@ -1,7 +1,6 @@
 package router
 
 import (
-	"mmr/internal/crossbar"
 	"mmr/internal/flit"
 	"mmr/internal/sched"
 	"mmr/internal/traffic"
@@ -11,7 +10,7 @@ import (
 // stages: per-round bandwidth accounting rolls over at round boundaries
 // (BeginCycle), credits return, link schedulers nominate candidates
 // (Nominate), the switch scheduler arbitrates (Arbitrate), winning flits
-// leave their VCs (Pop) and traverse the crossbar and the output links,
+// leave their VCs (Pop) and traverse the switch and the output links,
 // and sources inject (Enqueue). Arbitration for cycle t+1 conceptually
 // overlaps the transmission of cycle t in hardware; the software model
 // runs them in sequence inside one tick, which preserves the observable
@@ -108,35 +107,17 @@ func (r *Router) injectStream(c *Connection, t int64, tick bool) {
 	r.core.Feed(c.Spec.In, c.VC, &c.ni.Queue, t)
 }
 
-// transmit pops granted flits, moves them through the crossbar model,
-// records statistics and returns credits into the pipes.
+// transmit pops granted flits, records statistics and returns credits
+// into the pipes. The grants are the switch's configuration for this flit
+// cycle: a matching of inputs to outputs (a sub-permutation unless the
+// arbiter shares outputs), whose reconfiguration clock cycle is hidden
+// inside the flit cycle (§3.3-3.4).
 func (r *Router) transmit(t int64) {
-	shared := r.core.arbiter.OutputSharing()
-	if !shared {
-		// Configure the multiplexed crossbar for this flit cycle; the
-		// reconfiguration clock cycle is hidden inside the flit cycle
-		// (§3.3-3.4).
-		if r.xcfg == nil {
-			r.xcfg = make([]int, r.cfg.Ports)
-		}
-		for in := range r.xcfg {
-			r.xcfg[in] = crossbar.Unconnected
-			if g := r.core.Grants[in]; g != sched.NoGrant {
-				r.xcfg[in] = r.core.Cands[in][g].Output
-			}
-		}
-		if err := r.xbar.Configure(r.xcfg); err != nil {
-			panic("router: arbiter produced conflicting matching: " + err.Error())
-		}
-	}
 	for in, g := range r.core.Grants {
 		if g == sched.NoGrant {
 			continue
 		}
 		cand, f := r.core.Pop(in, t)
-		if !shared {
-			r.xbar.Transmit(in)
-		}
 		// Sink-side credit: consume on transmit, returned next cycle.
 		if r.core.Credits[in].Consume(cand.VC) {
 			r.pipes[in].Send(t, cand.VC)

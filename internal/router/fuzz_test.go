@@ -14,7 +14,9 @@ import (
 // changes, frame aborts — and checks global invariants after every
 // operation: flit conservation, bounded buffer occupancy, credit sanity
 // and consistent VC bookkeeping. Any panic (flow-control violation,
-// double release, conflicting matching) fails the property.
+// double release) fails the property. A matching that connects one output
+// to two inputs panics nowhere: TestQueueConservation checks every cycle's
+// grants for it (checkSubPermutation).
 func TestRouterFuzzInvariants(t *testing.T) {
 	f := func(seed uint64, ops []uint16) bool {
 		cfg := smallConfig()

@@ -88,8 +88,8 @@ func TestRouterGatingEquivalencePacketFlows(t *testing.T) {
 				if a, b := ref.rng.State(), got.rng.State(); a != b {
 					t.Errorf("RNG position diverged: ungated %+v, gated %+v", a, b)
 				}
-				if ref.Now() != got.Now() {
-					t.Errorf("clock diverged: ungated %d, gated %d", ref.Now(), got.Now())
+				if ref.now != got.now {
+					t.Errorf("clock diverged: ungated %d, gated %d", ref.now, got.now)
 				}
 			})
 		}
@@ -173,7 +173,7 @@ func FuzzRouterGatingEquivalence(f *testing.F) {
 			if !reflect.DeepEqual(ms[0], ms[1]) {
 				t.Fatalf("op %d: gated Metrics diverged from NoIdleSkip:\nungated: %+v\ngated:   %+v", i, ms[0], ms[1])
 			}
-			if routers[0].Now() != routers[1].Now() || routers[0].rng.State() != routers[1].rng.State() {
+			if routers[0].now != routers[1].now || routers[0].rng.State() != routers[1].rng.State() {
 				t.Fatalf("op %d: clock or RNG diverged", i)
 			}
 		}
@@ -240,7 +240,7 @@ func TestBlockedSessionsAreNotHeld(t *testing.T) {
 	if a.String() != b.String() {
 		t.Error("gated metric rendering diverged from NoIdleSkip")
 	}
-	if ref.rng.State() != r.rng.State() || ref.Now() != r.Now() {
+	if ref.rng.State() != r.rng.State() || ref.now != r.now {
 		t.Error("gated RNG position or clock diverged from NoIdleSkip")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mmr/internal/flit"
+	"mmr/internal/metrics"
 	"mmr/internal/traffic"
 )
 
@@ -26,16 +27,16 @@ func TestRouterMetricsMatchMeasurement(t *testing.T) {
 	m := r.Run(2000, 4000)
 	snap := r.GatherMetrics()
 
-	if got := snap.FamilyTotal("mmr_router_flits_transmitted_total"); got != totalTransmitted(m) {
+	if got := familyTotal(snap, "mmr_router_flits_transmitted_total"); got != totalTransmitted(m) {
 		t.Errorf("transmitted = %d, metrics snapshot says %d", totalTransmitted(m), got)
 	}
-	if got := snap.FamilyTotal("mmr_router_flits_generated_total"); got != m.FlitsGenerated {
+	if got := familyTotal(snap, "mmr_router_flits_generated_total"); got != m.FlitsGenerated {
 		t.Errorf("generated = %d, want %d", got, m.FlitsGenerated)
 	}
-	if v, ok := snap.GaugeTotal("mmr_router_cycles", ""); !ok || v != float64(m.Cycles) {
+	if v, ok := gaugeTotal(snap, "mmr_router_cycles", ""); !ok || v != float64(m.Cycles) {
 		t.Errorf("cycles gauge = %v, want %d", v, m.Cycles)
 	}
-	if v, ok := snap.GaugeTotal("mmr_router_switch_utilization", ""); !ok || v != m.SwitchUtilization {
+	if v, ok := gaugeTotal(snap, "mmr_router_switch_utilization", ""); !ok || v != m.SwitchUtilization {
 		t.Errorf("utilization gauge = %v, want %v", v, m.SwitchUtilization)
 	}
 
@@ -52,10 +53,10 @@ func TestRouterMetricsMatchMeasurement(t *testing.T) {
 	if count != m.FlitsDelivered {
 		t.Errorf("delay histogram count %d != FlitsDelivered %d", count, m.FlitsDelivered)
 	}
-	if want := m.Delay.Sum(); sum < want-0.5 || sum > want+0.5 {
+	if want := m.Delay.Mean() * float64(m.Delay.N()); sum < want-0.5 || sum > want+0.5 {
 		t.Errorf("delay histogram sum %.1f != delay total %.1f", sum, want)
 	}
-	if snap.FamilyTotal("mmr_router_sched_nominated_total") == 0 {
+	if familyTotal(snap, "mmr_router_sched_nominated_total") == 0 {
 		t.Error("scheduler nominated nothing on a loaded router")
 	}
 }
@@ -114,7 +115,7 @@ func TestGuaranteedLoadTracksAdmission(t *testing.T) {
 				snap := r.GatherMetrics()
 				for out := range want {
 					got := r.Allocator(out).GuaranteedLoad()
-					if g, ok := snap.GaugeTotal("mmr_router_guaranteed_load", `port="`+strconv.Itoa(out)+`"`); !ok || g != got {
+					if g, ok := gaugeTotal(snap, "mmr_router_guaranteed_load", `port="`+strconv.Itoa(out)+`"`); !ok || g != got {
 						t.Errorf("%s: output %d gauge reads %v, the allocator %v", when, out, g, got)
 					}
 					if math.Abs(got-want[out]) > 1e-12 || !used[out] && got != 0 {
@@ -170,4 +171,27 @@ func totalTransmitted(m *Metrics) int64 {
 		t += v
 	}
 	return t
+}
+
+// familyTotal sums the Total of every counter series of family name,
+// across its label variants.
+func familyTotal(s *metrics.Snapshot, name string) int64 {
+	var t int64
+	for _, c := range s.Counters {
+		if c.Name == name {
+			t += c.Total
+		}
+	}
+	return t
+}
+
+// gaugeTotal is the Total of the gauge series name with exactly the
+// rendered labels.
+func gaugeTotal(s *metrics.Snapshot, name, labels string) (float64, bool) {
+	for _, g := range s.Gauges {
+		if g.Name == name && g.Labels == labels {
+			return g.Total, true
+		}
+	}
+	return 0, false
 }

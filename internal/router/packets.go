@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"mmr/internal/flit"
+	"mmr/internal/sched"
 	"mmr/internal/traffic"
 )
 
@@ -111,11 +112,21 @@ func (r *Router) placePacket(t int64, pf *packetFlow) bool {
 }
 
 // portsIdleThisCycle reports whether input in and output out both carried
-// no flit during the current flit cycle. For the perfect switch (no
-// crossbar state) the fast path is always available.
+// no flit during the current flit cycle: the switch's configuration is the
+// cycle's grants, so in is busy if it holds one and out if a granted
+// candidate names it. The perfect switch shares outputs, so its fast path
+// is always available.
 func (r *Router) portsIdleThisCycle(in, out int) bool {
 	if r.core.arbiter.OutputSharing() {
 		return true
 	}
-	return r.xbar.InputFor(out) < 0 && r.xbar.OutputFor(in) < 0
+	if r.core.Grants[in] != sched.NoGrant {
+		return false
+	}
+	for p, g := range r.core.Grants {
+		if g != sched.NoGrant && r.core.Cands[p][g].Output == out {
+			return false
+		}
+	}
+	return true
 }

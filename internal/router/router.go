@@ -3,19 +3,18 @@
 // memories and link schedulers, an input-driven switch scheduler,
 // round-based bandwidth accounting — and the stages of its flit cycle
 // (§3.4); the fabric nodes of internal/network embed the same Core.
-// Router puts a multiplexed crossbar, credit flow control toward traffic
-// sinks and a cycle-synchronous engine around it. This is the model behind
-// every figure in §5: CBR/VBR connections feed input virtual channels, the
-// link schedulers nominate candidates, the switch scheduler sets the
-// crossbar, and delay/jitter are measured exactly as the paper defines
-// them.
+// Router puts credit flow control toward traffic sinks and a
+// cycle-synchronous engine around it. This is the model behind every
+// figure in §5: CBR/VBR connections feed input virtual channels, the link
+// schedulers nominate candidates, the switch scheduler's matching sets the
+// multiplexed crossbar, and delay/jitter are measured exactly as the paper
+// defines them.
 package router
 
 import (
 	"fmt"
 
 	"mmr/internal/admission"
-	"mmr/internal/crossbar"
 	"mmr/internal/flit"
 	"mmr/internal/flow"
 	"mmr/internal/sched"
@@ -177,8 +176,8 @@ type Connection struct {
 
 // Router is a single MMR instance: the shared Core plus what only the
 // single-chip experiments of §5 have — traffic sinks behind credit pipes,
-// the multiplexed crossbar model, in-band control words, the asynchronous
-// control cut-through (§3.4) and the paper's measurements.
+// in-band control words, the asynchronous control cut-through (§3.4) and
+// the paper's measurements.
 type Router struct {
 	core Core // by value, and named: its stages are not Router's API
 	cfg  Config
@@ -189,7 +188,6 @@ type Router struct {
 	// core.Credits are the sink-side credits per input port VC; pipes
 	// carry their one-cycle return.
 	pipes []*flow.CreditPipe
-	xbar  *crossbar.Crossbar
 
 	// The connections and the packet flows — control flows, then
 	// best-effort flows, each in the order added — with the calendars that
@@ -203,8 +201,6 @@ type Router struct {
 	// outputBusyAsync marks outputs occupied by an asynchronous control
 	// cut-through that overruns the current flit cycle (§3.4).
 	outputBusyAsync []bool
-
-	xcfg []int // scratch
 
 	m  measurement
 	om *routerMetrics // observability layer (observe.go)
@@ -223,7 +219,6 @@ func New(cfg Config) (*Router, error) {
 		rng:             sim.NewRNG(cfg.Seed),
 		pool:            flit.NewPool(),
 		pipes:           make([]*flow.CreditPipe, cfg.Ports),
-		xbar:            crossbar.New(cfg.Ports),
 		outputBusyAsync: make([]bool, cfg.Ports),
 	}
 	if err := r.core.Init(&r.cfg, r.rng, vcm.NewStore(cfg.Ports)); err != nil {
@@ -239,9 +234,6 @@ func New(cfg Config) (*Router, error) {
 // Config returns the router's configuration.
 func (r *Router) Config() Config { return r.cfg }
 
-// Now returns the current flit cycle.
-func (r *Router) Now() int64 { return r.now }
-
 // Connections returns the established connections.
 func (r *Router) Connections() []*Connection { return r.conns }
 
@@ -250,10 +242,6 @@ func (r *Router) Allocator(out int) *admission.LinkAllocator { return r.core.All
 
 // Memory exposes an input port's VCM (primarily for tests and tools).
 func (r *Router) Memory(in int) *vcm.Memory { return r.core.Mems[in] }
-
-// Pool exposes the router's flit free list (primarily for tests asserting
-// get/put balance and recycling hygiene).
-func (r *Router) Pool() *flit.Pool { return r.pool }
 
 // Establish admits and sets up a connection per spec: it reserves an input
 // virtual channel, allocates bandwidth at the output link (§4.2), and

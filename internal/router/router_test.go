@@ -198,11 +198,11 @@ func TestRoundBandwidthEnforcement(t *testing.T) {
 	alloc := r.Memory(0).State(conn.VC).Allocated
 	roundLen := int64(r.cfg.RoundLen())
 	delivered := make(map[int64]int64) // per round
-	for r.Now() < 10*roundLen {
+	for r.now < 10*roundLen {
 		before := r.m.sink.Delivered[flit.ClassCBR]
 		r.Step()
 		if d := r.m.sink.Delivered[flit.ClassCBR] - before; d > 0 {
-			delivered[(r.Now()-1)/roundLen] += d
+			delivered[(r.now-1)/roundLen] += d
 		}
 	}
 	for round, n := range delivered {

@@ -12,6 +12,13 @@ import (
 
 // refChannelMap is the channel map as two Go maps: the model the compact
 // table is held to.
+// newChannelMap returns an empty mapping table for a router with the given
+// geometry, with a row store of its own.
+func newChannelMap(ports, vcs int) *ChannelMap {
+	checkGeometry(ports, vcs)
+	return NewChannelMapIn(NewRows(vcs, 8), ports)
+}
+
 type refChannelMap struct {
 	direct, reverse map[VCRef]VCRef
 }
@@ -69,8 +76,11 @@ func TestChannelMapMatchesReference(t *testing.T) {
 		geos = append(geos, geometry{1 + rng.Intn(33), 1 + rng.Intn(256)})
 	}
 	for _, g := range geos {
-		m := NewChannelMap(g.ports, g.vcs)
+		m := newChannelMap(g.ports, g.vcs)
 		ref := &refChannelMap{direct: map[VCRef]VCRef{}, reverse: map[VCRef]VCRef{}}
+		// The ports a mapping has rooted at and left by: the only ones
+		// whose rows may be carved (a row, once carved, stays).
+		rooted, left := map[int]bool{}, map[int]bool{}
 		// Draw indices from a small pool that includes both ends of each
 		// range, so double maps and the highest index occur often.
 		pick := func(n int) int {
@@ -104,6 +114,7 @@ func TestChannelMapMatchesReference(t *testing.T) {
 				want = fmt.Errorf("routing: output %+v already mapped", out)
 			} else {
 				ref.direct[in], ref.reverse[out] = out, in
+				rooted[in.Port], left[out.Port] = true, true
 			}
 			got := m.Map(in, out)
 			if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
@@ -114,6 +125,12 @@ func TestChannelMapMatchesReference(t *testing.T) {
 			}
 		}
 		checkChannelMap(t, m, ref)
+		for p := 0; p < g.ports; p++ {
+			if m.direct.Carved(p) != rooted[p] || m.reverse.Carved(p) != left[p] {
+				t.Fatalf("%v: port %d has rows of its own direct=%v reverse=%v, was rooted at %v, left by %v",
+					g, p, m.direct.Carved(p), m.reverse.Carved(p), rooted[p], left[p])
+			}
+		}
 	}
 }
 
@@ -182,7 +199,7 @@ func TestDistsMatchShortestDists(t *testing.T) {
 				t.Fatal(err)
 			}
 			d.Recompute(tp)
-			check(fmt.Sprintf("flip %d (%d of %d links up)", step, tp.UpLinks(), len(tp.Links)))
+			check(fmt.Sprintf("flip %d", step))
 		}
 
 		// Cut one router off: every link it has goes down.

@@ -72,12 +72,6 @@ func NewMultipath(t *topology.Topology, d *Dists, ud *UpDown) *Multipath {
 	return &Multipath{t: t, d: d, ud: ud, trials: 4, maxDetour: 3, visited: make([]int64, t.Nodes)}
 }
 
-// Minimal returns the greedy minimal up*/down* route (the same route
-// EPB would find first on an unloaded fabric), or nil if none exists.
-func (mp *Multipath) Minimal(src, dst int) []int {
-	return mp.ud.Route(src, dst)
-}
-
 // Valiant returns a randomized-detour route: a misroute prefix of
 // random length (uniform draws over all legal safe ports, minimal or
 // not — the implicit Valiant intermediate is wherever the prefix ends)

@@ -61,7 +61,7 @@ func TestUpDownOnFabrics(t *testing.T) {
 			if got := follow(tp, src, path); got != dst {
 				t.Fatalf("%s: route %d->%d ends at %d", name, src, dst, got)
 			}
-			if !ud.Legal(src, path) {
+			if !ud.legal(src, path) {
 				t.Fatalf("%s: illegal route %d->%d: %v", name, src, dst, path)
 			}
 		}
@@ -72,15 +72,17 @@ func TestUpDownOnFabrics(t *testing.T) {
 		if err := tp.SetLinkUp(l.A, l.APort, false); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !tp.Connected() {
-			t.Fatalf("%s: disconnected by one link loss", name)
+		for n, dist := range tp.ShortestDists(0) {
+			if dist < 0 {
+				t.Fatalf("%s: node %d cut off from node 0 by one link loss", name, n)
+			}
 		}
 		d.Recompute(tp)
 		ud.Rebuild()
 		for i := 0; i < 20; i++ {
 			src, dst := rng.Intn(tp.Nodes), rng.Intn(tp.Nodes)
 			path := ud.Route(src, dst)
-			if path == nil || follow(tp, src, path) != dst || !ud.Legal(src, path) {
+			if path == nil || follow(tp, src, path) != dst || !ud.legal(src, path) {
 				t.Fatalf("%s: bad route %d->%d after rebuild", name, src, dst)
 			}
 		}
@@ -107,7 +109,7 @@ func TestValiantLegalAndComplete(t *testing.T) {
 			if got := follow(tp, src, path); got != dst {
 				t.Fatalf("%s: Valiant %d->%d ends at %d (path %v)", name, src, dst, got, path)
 			}
-			if !ud.Legal(src, path) {
+			if !ud.legal(src, path) {
 				t.Fatalf("%s: Valiant produced illegal path %d->%d: %v", name, src, dst, path)
 			}
 			seen := map[int]bool{src: true}
@@ -140,7 +142,7 @@ func TestValiantSpreads(t *testing.T) {
 	minimal := map[string]bool{}
 	valiant := map[string]bool{}
 	for i := 0; i < 100; i++ {
-		minimal[fmt.Sprint(mp.Minimal(src, dst))] = true
+		minimal[fmt.Sprint(mp.ud.Route(src, dst))] = true
 		valiant[fmt.Sprint(mp.Valiant(src, dst, rng))] = true
 	}
 	if len(minimal) != 1 {
@@ -189,7 +191,7 @@ func TestUGALPrefersUnloadedPath(t *testing.T) {
 	ud := NewUpDown(tp, d)
 	mp := NewMultipath(tp, d, ud)
 	src, dst := 0, 1 // same pod: minimal goes edge->agg->edge
-	min := mp.Minimal(src, dst)
+	min := mp.ud.Route(src, dst)
 	if min == nil {
 		t.Fatal("no minimal route")
 	}

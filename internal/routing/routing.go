@@ -40,13 +40,6 @@ type ChannelMap struct {
 	direct, reverse Table
 }
 
-// NewChannelMap returns an empty mapping table for a router with the
-// given geometry, with a row store of its own.
-func NewChannelMap(ports, vcs int) *ChannelMap {
-	checkGeometry(ports, vcs)
-	return NewChannelMapIn(NewRows(vcs, 8), ports)
-}
-
 // NewChannelMapIn returns an empty mapping table for a router with ports
 // ports whose rows, one entry per VC, are carved from rows: the routers of
 // one fabric share a store, so giving a port its rows seldom allocates.
@@ -137,12 +130,6 @@ func (m *ChannelMap) AppendMapped(dst [][2]VCRef) [][2]VCRef {
 // Mapped returns the number of installed direct and reverse entries: equal,
 // one pair per mapping, unless a write skipped Map or Unmap.
 func (m *ChannelMap) Mapped() (direct, reverse int) { return m.direct.Held(), m.reverse.Held() }
-
-// Carved reports whether port p has its own direct row (a mapping has
-// rooted at it) and its own reverse row (a mapping has left by it).
-func (m *ChannelMap) Carved(p int) (direct, reverse bool) {
-	return m.direct.Carved(p), m.reverse.Carved(p)
-}
 
 // History is the per-input-VC history store of §3.5: it records the
 // output links a probe has already searched from this router, so

@@ -9,7 +9,7 @@ import (
 )
 
 func TestChannelMap(t *testing.T) {
-	m := NewChannelMap(4, 8)
+	m := newChannelMap(4, 8)
 	in := VCRef{Port: 1, VC: 3}
 	out := VCRef{Port: 2, VC: 5}
 	if err := m.Map(in, out); err != nil {
@@ -40,7 +40,7 @@ func TestChannelMap(t *testing.T) {
 }
 
 func TestChannelMapPanics(t *testing.T) {
-	m := NewChannelMap(2, 2)
+	m := newChannelMap(2, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range VCRef did not panic")
@@ -258,7 +258,7 @@ func TestUpDownLegality(t *testing.T) {
 			if route == nil {
 				t.Fatalf("no up*/down* route %d→%d", src, dest)
 			}
-			if !u.Legal(src, route) {
+			if !u.legal(src, route) {
 				t.Fatalf("illegal route %d→%d: %v", src, dest, route)
 			}
 			// Walk to confirm arrival.
@@ -280,7 +280,7 @@ func TestUpDownRejectsDownUp(t *testing.T) {
 	// From node 4 (center), port 2 (north) goes to node 1, closer to root
 	// 0 → up. Port 3 (south) goes to 7 → down. A down-then-up sequence
 	// must be illegal.
-	if u.Legal(4, []int{3, 2}) {
+	if u.legal(4, []int{3, 2}) {
 		t.Fatal("down→up accepted")
 	}
 }
@@ -317,7 +317,7 @@ func TestUpDownProperty(t *testing.T) {
 		src := int(pair) % 14
 		dest := int(pair>>4) % 14
 		route := u.Route(src, dest)
-		if route == nil || !u.Legal(src, route) {
+		if route == nil || !u.legal(src, route) {
 			return false
 		}
 		node := src
@@ -382,18 +382,18 @@ func TestDownReachable(t *testing.T) {
 	u := NewUpDown(tp, NewDists(tp))
 	// Every node is down-reachable from the root (node 0).
 	for n := 0; n < tp.Nodes; n++ {
-		if !u.DownReachable(0, n) {
+		if !u.downReach[0].Test(n) {
 			t.Fatalf("node %d not down-reachable from the root", n)
 		}
 	}
 	// A node is always down-reachable from itself.
 	for n := 0; n < tp.Nodes; n++ {
-		if !u.DownReachable(n, n) {
+		if !u.downReach[n].Test(n) {
 			t.Fatalf("node %d not down-reachable from itself", n)
 		}
 	}
 	// The root is not down-reachable from a leaf (that needs up links).
-	if u.DownReachable(8, 0) {
+	if u.downReach[8].Test(0) {
 		t.Fatal("root down-reachable from the far corner")
 	}
 }
@@ -458,7 +458,7 @@ func TestUpDownRebuildAfterLinkFailure(t *testing.T) {
 			if ports == nil {
 				t.Fatalf("no up*/down* route %d→%d after rebuild", src, dst)
 			}
-			if !u.Legal(src, ports) {
+			if !u.legal(src, ports) {
 				t.Fatalf("illegal route %d→%d: %v", src, dst, ports)
 			}
 			node := src
@@ -473,4 +473,25 @@ func TestUpDownRebuildAfterLinkFailure(t *testing.T) {
 			}
 		}
 	}
+}
+
+// legal reports whether the port sequence from src is a legal up*/down*
+// route (no up link after a down link) ending anywhere.
+func (u *UpDown) legal(src int, ports []int) bool {
+	node, wentDown := src, false
+	for _, p := range ports {
+		m := u.t.Neighbor(node, p)
+		if m < 0 {
+			return false
+		}
+		up := u.isUp(node, p)
+		if wentDown && up {
+			return false
+		}
+		if !up {
+			wentDown = true
+		}
+		node = m
+	}
+	return true
 }

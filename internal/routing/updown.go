@@ -107,10 +107,6 @@ func (u *UpDown) computeDownReach() {
 	}
 }
 
-// DownReachable reports whether dest can be reached from n using down
-// links only.
-func (u *UpDown) DownReachable(n, dest int) bool { return u.downReach[n].Test(dest) }
-
 // IsUp reports whether taking port p from node n traverses an up link
 // (toward the root).
 func (u *UpDown) IsUp(n, p int) bool { return u.isUp(n, p) }
@@ -241,25 +237,4 @@ func (u *UpDown) treeRoute(src, dest int) []int {
 		node = u.parent[n]
 	}
 	return nil
-}
-
-// Legal reports whether the port sequence from src is a legal up*/down*
-// route (no up link after a down link) ending anywhere.
-func (u *UpDown) Legal(src int, ports []int) bool {
-	node, wentDown := src, false
-	for _, p := range ports {
-		m := u.t.Neighbor(node, p)
-		if m < 0 {
-			return false
-		}
-		up := u.isUp(node, p)
-		if wentDown && up {
-			return false
-		}
-		if !up {
-			wentDown = true
-		}
-		node = m
-	}
-	return true
 }

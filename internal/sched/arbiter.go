@@ -44,10 +44,10 @@ func NewPriorityArbiter(iterations int) *PriorityArbiter {
 	return &PriorityArbiter{iterations: iterations, augment: true, name: name}
 }
 
-// NewPriorityArbiterNoAugment returns the arbiter without the augmenting
+// newPriorityArbiterNoAugment returns the arbiter without the augmenting
 // pass: the pure iterative grant/accept (maximal, not maximum) matching.
-// Used by ablations quantifying what the augmenting pass buys.
-func NewPriorityArbiterNoAugment(iterations int) *PriorityArbiter {
+// Only the tests build it, to show what the augmenting pass adds.
+func newPriorityArbiterNoAugment(iterations int) *PriorityArbiter {
 	a := NewPriorityArbiter(iterations)
 	a.augment = false
 	a.name += "/no-augment"

@@ -137,9 +137,6 @@ func InitLinkScheduler(ls *LinkScheduler, cfg LinkConfig, mem *vcm.Memory, credi
 	*ls = LinkScheduler{cfg: cfg, mem: mem, credits: credits, LinkScratch: sc, excessVC: -1}
 }
 
-// Config returns the scheduler's configuration.
-func (ls *LinkScheduler) Config() LinkConfig { return ls.cfg }
-
 // OnRoundBoundary resets per-round bandwidth accounting (§4.1: flit cycles
 // are grouped into rounds; allocations are per round).
 func (ls *LinkScheduler) OnRoundBoundary() {
@@ -351,9 +348,6 @@ func (ls *LinkScheduler) electExcess() {
 // to read or overwrite in place: the elected excess VC and the cumulative
 // counters. Everything else it uses (LinkScratch) is recomputed each cycle.
 func (ls *LinkScheduler) State() (excessVC *int, c *LinkCounters) { return &ls.excessVC, &ls.counters }
-
-// ExcessVC exposes the currently elected excess connection for tests.
-func (ls *LinkScheduler) ExcessVC() int { return ls.excessVC }
 
 // sortCandidates orders candidates best-first. Insertion sort: the only
 // caller passes the per-output winners, at most one per output port.

@@ -190,7 +190,7 @@ func checkSelection(t *testing.T, tc selectionCase) {
 		if g, w := got.ls.Counters(), want.ls.Counters(); g != w {
 			t.Fatalf("%+v cycle %d: counters differ\n got: %+v\nwant: %+v", tc, now, g, w)
 		}
-		if g, w := got.ls.ExcessVC(), want.ls.ExcessVC(); g != w {
+		if g, w := got.ls.excessVC, want.ls.excessVC; g != w {
 			t.Fatalf("%+v cycle %d: excess election differs: got VC %d, want VC %d", tc, now, g, w)
 		}
 		if got.rng.State() != want.rng.State() {
@@ -283,7 +283,7 @@ func backlogPort(tb testing.TB, eligible, maxCand int) *LinkScheduler {
 func TestCandidatesZeroAlloc(t *testing.T) {
 	for _, maxCand := range []int{1, 8} {
 		ls := backlogPort(t, 64, maxCand)
-		dst := make([]Candidate, 0, ls.Config().Outputs)
+		dst := make([]Candidate, 0, ls.cfg.Outputs)
 		now := int64(1000)
 		allocs := testing.AllocsPerRun(200, func() {
 			dst = ls.Candidates(now, dst[:0])
@@ -308,7 +308,7 @@ func BenchmarkLinkCandidatesBacklog(b *testing.B) {
 	}{{"1C", 1}, {"8C", 8}} {
 		b.Run(bc.name, func(b *testing.B) {
 			ls := backlogPort(b, 48, bc.maxCand)
-			dst := make([]Candidate, 0, ls.Config().Outputs)
+			dst := make([]Candidate, 0, ls.cfg.Outputs)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -137,7 +137,7 @@ func newMatchingArbiters() *matchingArbiters {
 	a := &matchingArbiters{pim: map[int]SwitchScheduler{}, islip: map[int]SwitchScheduler{},
 		pim1: NewPIMArbiter(rng, 1), islip1: NewISLIPArbiter(1), rng: rng}
 	for it := range a.augment {
-		a.augment[it], a.plain[it] = NewPriorityArbiter(it), NewPriorityArbiterNoAugment(it)
+		a.augment[it], a.plain[it] = NewPriorityArbiter(it), newPriorityArbiterNoAugment(it)
 	}
 	return a
 }

@@ -238,8 +238,8 @@ func TestLinkSchedulerExcessOneAtATime(t *testing.T) {
 	// First call sees excess VCs but none elected yet; election happens
 	// for the next cycle.
 	ls.Candidates(10, nil)
-	if ls.ExcessVC() != 2 {
-		t.Fatalf("elected excess VC %d, want 2 (highest priority)", ls.ExcessVC())
+	if ls.excessVC != 2 {
+		t.Fatalf("elected excess VC %d, want 2 (highest priority)", ls.excessVC)
 	}
 	cands := ls.Candidates(11, nil)
 	if len(cands) != 1 || cands[0].VC != 2 {
@@ -248,8 +248,8 @@ func TestLinkSchedulerExcessOneAtATime(t *testing.T) {
 	// Drain VC 2 to its peak; the next election must pick VC 1.
 	mem.SetServiced(2, 10)
 	ls.Candidates(12, nil)
-	if ls.ExcessVC() != 1 {
-		t.Fatalf("re-election chose %d, want 1", ls.ExcessVC())
+	if ls.excessVC != 1 {
+		t.Fatalf("re-election chose %d, want 1", ls.excessVC)
 	}
 }
 
@@ -278,13 +278,13 @@ func TestLinkSchedulerDefaults(t *testing.T) {
 	mem := vcm.MustNew(vcm.Config{VirtualChannels: 2, Depth: 1})
 	cr := flow.NewCredits(2, 1)
 	ls := NewLinkScheduler(LinkConfig{}, mem, cr)
-	if ls.Config().MaxCandidates != 1 || ls.Config().Scheme == nil {
+	if ls.cfg.MaxCandidates != 1 || ls.cfg.Scheme == nil {
 		t.Fatal("defaults not applied")
 	}
 }
 
 func TestPriorityArbiterConflictResolution(t *testing.T) {
-	a := NewPriorityArbiterNoAugment(0)
+	a := newPriorityArbiterNoAugment(0)
 	// Inputs 0 and 1 both want output 0; input 0 has higher priority but
 	// also a fallback to output 1.
 	cands := [][]Candidate{

@@ -80,8 +80,8 @@ func (e *Engine) At(t Time, ev Event) {
 	heap.Push(&e.queue, scheduled{at: t, seq: e.seq, event: ev})
 }
 
-// After schedules ev to fire delay ticks from now.
-func (e *Engine) After(delay Time, ev Event) {
+// after schedules ev to fire delay ticks from now.
+func (e *Engine) after(delay Time, ev Event) {
 	if delay < 0 {
 		panic("sim: negative delay")
 	}
@@ -139,14 +139,6 @@ func (e *Engine) Run(limit Time) uint64 {
 	}
 	if e.now < limit {
 		e.now = limit
-	}
-	return e.fired - start
-}
-
-// RunAll fires events until none remain.
-func (e *Engine) RunAll() uint64 {
-	start := e.fired
-	for e.Step() {
 	}
 	return e.fired - start
 }

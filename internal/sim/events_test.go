@@ -11,7 +11,7 @@ func TestEngineOrdersByTime(t *testing.T) {
 	e.At(30, EventFunc(func(Time) { order = append(order, 3) }))
 	e.At(10, EventFunc(func(Time) { order = append(order, 1) }))
 	e.At(20, EventFunc(func(Time) { order = append(order, 2) }))
-	e.RunAll()
+	e.runAll()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("wrong firing order: %v", order)
 	}
@@ -27,7 +27,7 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 		i := i
 		e.At(5, EventFunc(func(Time) { order = append(order, i) }))
 	}
-	e.RunAll()
+	e.runAll()
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-deadline events not FIFO: %v", order)
@@ -54,7 +54,7 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 			t.Fatal("negative delay did not panic")
 		}
 	}()
-	e.After(-1, EventFunc(func(Time) {}))
+	e.after(-1, EventFunc(func(Time) {}))
 }
 
 func TestEngineRunLimit(t *testing.T) {
@@ -70,9 +70,9 @@ func TestEngineRunLimit(t *testing.T) {
 	if e.Now() != 50 {
 		t.Fatalf("clock = %d, want 50 after Run(50)", e.Now())
 	}
-	e.RunAll()
+	e.runAll()
 	if fired != 10 {
-		t.Fatalf("RunAll left events unfired: %d", fired)
+		t.Fatalf("runAll left events unfired: %d", fired)
 	}
 }
 
@@ -83,11 +83,11 @@ func TestEngineEventsCanSchedule(t *testing.T) {
 	tick = func(t Time) {
 		ticks = append(ticks, t)
 		if t < 50 {
-			e.After(10, EventFunc(tick))
+			e.after(10, EventFunc(tick))
 		}
 	}
 	e.At(0, EventFunc(tick))
-	e.RunAll()
+	e.runAll()
 	if len(ticks) != 6 {
 		t.Fatalf("self-scheduling chain fired %d times, want 6 (%v)", len(ticks), ticks)
 	}
@@ -105,9 +105,9 @@ func TestEngineCounters(t *testing.T) {
 	if e.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", e.Pending())
 	}
-	e.RunAll()
+	e.runAll()
 	if e.Fired() != 2 || e.Pending() != 0 {
-		t.Fatalf("Fired = %d Pending = %d after RunAll", e.Fired(), e.Pending())
+		t.Fatalf("Fired = %d Pending = %d after runAll", e.Fired(), e.Pending())
 	}
 }
 
@@ -125,7 +125,7 @@ func TestEngineOrderingProperty(t *testing.T) {
 			i, at := i, Time(d)
 			e.At(at, EventFunc(func(now Time) { fired = append(fired, rec{now, i}) }))
 		}
-		e.RunAll()
+		e.runAll()
 		for i := 1; i < len(fired); i++ {
 			if fired[i].at < fired[i-1].at {
 				return false
@@ -139,4 +139,12 @@ func TestEngineOrderingProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// runAll fires events until none remain and returns how many fired.
+func (e *Engine) runAll() uint64 {
+	start := e.fired
+	for e.Step() {
+	}
+	return e.fired - start
 }

@@ -136,8 +136,8 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes the first n integers of a caller-provided slice in place.
-func (r *RNG) Shuffle(p []int) {
+// shuffle permutes a caller-provided slice in place.
+func (r *RNG) shuffle(p []int) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]

@@ -124,7 +124,7 @@ func TestPermIsPermutation(t *testing.T) {
 func TestShuffleKeepsElements(t *testing.T) {
 	r := NewRNG(17)
 	p := []int{5, 6, 7, 8, 9}
-	r.Shuffle(p)
+	r.shuffle(p)
 	sum := 0
 	for _, v := range p {
 		sum += v

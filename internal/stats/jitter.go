@@ -14,16 +14,6 @@ type JitterTracker struct {
 	perDelay []Accumulator
 }
 
-// NewJitterTracker returns a tracker for nconns connections.
-func NewJitterTracker(nconns int) *JitterTracker {
-	return &JitterTracker{
-		prev:     make([]float64, nconns),
-		seen:     make([]bool, nconns),
-		perConn:  make([]Accumulator, nconns),
-		perDelay: make([]Accumulator, nconns),
-	}
-}
-
 // Grow extends the tracker to cover at least nconns connections,
 // preserving existing state. Used when connections are admitted
 // dynamically. Each slice grows to the target length in one step rather

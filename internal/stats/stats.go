@@ -69,9 +69,6 @@ func (a *Accumulator) Min() float64 { return a.min }
 // empty-accumulator caveat).
 func (a *Accumulator) Max() float64 { return a.max }
 
-// Sum returns n*mean, the total of all samples.
-func (a *Accumulator) Sum() float64 { return a.mean * float64(a.n) }
-
 // Reset discards all recorded samples.
 func (a *Accumulator) Reset() { *a = Accumulator{} }
 
@@ -159,8 +156,8 @@ func (s *Series) YAt(x float64) (float64, bool) {
 	return 0, false
 }
 
-// Sorted returns a copy of the series with points ordered by x.
-func (s *Series) Sorted() *Series {
+// sorted returns a copy of the series with points ordered by x.
+func (s *Series) sorted() *Series {
 	c := &Series{Name: s.Name, Points: append([]Point(nil), s.Points...)}
 	sort.Slice(c.Points, func(i, j int) bool { return c.Points[i].X < c.Points[j].X })
 	return c

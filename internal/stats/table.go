@@ -22,16 +22,6 @@ func (f *Figure) AddSeries(name string) *Series {
 	return s
 }
 
-// FindSeries returns the series with the given name, or nil.
-func (f *Figure) FindSeries(name string) *Series {
-	for _, s := range f.Series {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
 // xValues returns the union of all x values across series, ascending.
 func (f *Figure) xValues() []float64 {
 	seen := map[float64]bool{}

@@ -120,10 +120,6 @@ func FatTree(k int) (*Topology, error) {
 	return t, nil
 }
 
-// DragonflyNodes returns the router count of a Dragonfly(a,·,h) fabric
-// built at its balanced group count g = a·h + 1.
-func DragonflyNodes(a, h int) int { return (a*h + 1) * a }
-
 // Dragonfly builds the canonical dragonfly: groups of a routers in a
 // full local mesh, h global channels per router, and the balanced group
 // count g = a·h + 1 so every group pair is joined by exactly one global

@@ -29,7 +29,7 @@ func TestFatTreeShape(t *testing.T) {
 		if err := ft.Validate(); err != nil {
 			t.Fatalf("FatTree(%d) invalid: %v", k, err)
 		}
-		if !ft.WiredConnected() || !ft.Connected() {
+		if !ft.WiredConnected() || !ft.upConnected() {
 			t.Fatalf("FatTree(%d) not connected", k)
 		}
 		wantLinks := k * (k / 2) * (k / 2) * 2 // edge↔agg plus agg↔core per pod
@@ -40,16 +40,16 @@ func TestFatTreeShape(t *testing.T) {
 		// host-facing and stay unwired), agg and core use all k.
 		for p := 0; p < k; p++ {
 			for i := 0; i < k/2; i++ {
-				if d := ft.Degree(p*k + i); d != k/2 {
+				if d := ft.degree(p*k + i); d != k/2 {
 					t.Fatalf("FatTree(%d): edge %d degree %d, want %d", k, p*k+i, d, k/2)
 				}
-				if d := ft.Degree(p*k + k/2 + i); d != k {
+				if d := ft.degree(p*k + k/2 + i); d != k {
 					t.Fatalf("FatTree(%d): agg %d degree %d, want %d", k, p*k+k/2+i, d, k)
 				}
 			}
 		}
 		for n := k * k; n < ft.Nodes; n++ {
-			if d := ft.Degree(n); d != k {
+			if d := ft.degree(n); d != k {
 				t.Fatalf("FatTree(%d): core %d degree %d, want %d", k, n, d, k)
 			}
 		}
@@ -83,13 +83,13 @@ func TestDragonflyShape(t *testing.T) {
 			t.Fatalf("Dragonfly(%d,%d,%d): %v", c.a, c.p, c.h, err)
 		}
 		g := c.a*c.h + 1
-		if df.Nodes != g*c.a || df.Nodes != DragonflyNodes(c.a, c.h) {
+		if df.Nodes != g*c.a {
 			t.Fatalf("Dragonfly(%d,%d,%d): %d nodes, want %d", c.a, c.p, c.h, df.Nodes, g*c.a)
 		}
 		if err := df.Validate(); err != nil {
 			t.Fatalf("Dragonfly(%d,%d,%d) invalid: %v", c.a, c.p, c.h, err)
 		}
-		if !df.WiredConnected() || !df.Connected() {
+		if !df.WiredConnected() || !df.upConnected() {
 			t.Fatalf("Dragonfly(%d,%d,%d) not connected", c.a, c.p, c.h)
 		}
 		// Balanced dragonfly: every router fully wired — a-1 local links
@@ -99,7 +99,7 @@ func TestDragonflyShape(t *testing.T) {
 			t.Fatalf("Dragonfly(%d,%d,%d): %d links, want %d", c.a, c.p, c.h, len(df.Links), wantLinks)
 		}
 		for n := 0; n < df.Nodes; n++ {
-			if d := df.Degree(n); d != c.a-1+c.h {
+			if d := df.degree(n); d != c.a-1+c.h {
 				t.Fatalf("Dragonfly(%d,%d,%d): node %d degree %d, want %d", c.a, c.p, c.h, n, d, c.a-1+c.h)
 			}
 		}

@@ -38,10 +38,6 @@ type Topology struct {
 	// ports are never up.
 	linkUp [][]bool
 
-	// version increments on every link-state change so routing caches
-	// (distance tables, up*/down* orientation) can detect staleness.
-	version uint64
-
 	// shape records generator metadata — kind, shape parameters, and a
 	// region partition (pods, dragonfly groups) — when the topology came
 	// from a named generator. Hand-wired topologies keep the zero value.
@@ -92,7 +88,6 @@ func (t *Topology) Connect(a, ap, b, bp int) error {
 	t.linkUp[a][ap] = true
 	t.linkUp[b][bp] = true
 	t.Links = append(t.Links, Link{A: a, B: b, APort: ap, BPort: bp})
-	t.version++
 	return nil
 }
 
@@ -142,23 +137,7 @@ func (t *Topology) SetLinkUp(n, p int, up bool) error {
 	m, mp := t.neighbor[n][p], t.peerPort[n][p]
 	t.linkUp[n][p] = up
 	t.linkUp[m][mp] = up
-	t.version++
 	return nil
-}
-
-// Version returns a counter that increments on every wiring or
-// link-state change; routing caches compare it to detect staleness.
-func (t *Topology) Version() uint64 { return t.version }
-
-// UpLinks returns how many of the topology's links are currently up.
-func (t *Topology) UpLinks() int {
-	n := 0
-	for _, l := range t.Links {
-		if t.linkUp[l.A][l.APort] {
-			n++
-		}
-	}
-	return n
 }
 
 // Validate audits the wiring invariants: neighbor/peer tables symmetric,
@@ -214,17 +193,6 @@ func (t *Topology) FreePort(n int) int {
 	return -1
 }
 
-// Degree returns the number of wired ports of node n.
-func (t *Topology) Degree(n int) int {
-	d := 0
-	for p := 0; p < t.Ports; p++ {
-		if t.neighbor[n][p] != -1 {
-			d++
-		}
-	}
-	return d
-}
-
 // PortTo returns a port of node n with an up link to node m, or -1.
 func (t *Topology) PortTo(n, m int) int {
 	for p := 0; p < t.Ports; p++ {
@@ -233,11 +201,6 @@ func (t *Topology) PortTo(n, m int) int {
 		}
 	}
 	return -1
-}
-
-// Connected reports whether the graph of up links is connected.
-func (t *Topology) Connected() bool {
-	return t.connected(t.Neighbor)
 }
 
 // WiredConnected reports whether the static wiring connects every node,

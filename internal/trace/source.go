@@ -59,8 +59,5 @@ func (s *Source) Tick(cycle int64) int {
 	return n
 }
 
-// Backlog returns the bits queued at the source interface.
-func (s *Source) Backlog() float64 { return s.backlog }
-
 // exp is math.Exp, named to keep trace.go free of a math import knot.
 func exp(x float64) float64 { return math.Exp(x) }

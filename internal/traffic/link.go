@@ -71,25 +71,13 @@ func (l Link) FlitCycleNanos() float64 { return l.FlitCycleSeconds() * 1e9 }
 // CyclesPerSecond returns how many flit cycles fit in one second.
 func (l Link) CyclesPerSecond() float64 { return 1 / l.FlitCycleSeconds() }
 
-// PhitsPerFlit returns how many phits make up one flit.
-func (l Link) PhitsPerFlit() int {
-	if l.PhitBits <= 0 {
-		return 1
-	}
-	n := l.FlitBits / l.PhitBits
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // FlitsPerCycle converts a connection rate into flits per flit cycle —
 // the fraction of the link the connection consumes.
 func (l Link) FlitsPerCycle(r Rate) float64 { return float64(r) / float64(l.Bandwidth) }
 
-// InterArrivalCycles returns the constant flit inter-arrival time of a CBR
+// interArrivalCycles returns the constant flit inter-arrival time of a CBR
 // connection at rate r, in flit cycles.
-func (l Link) InterArrivalCycles(r Rate) float64 {
+func (l Link) interArrivalCycles(r Rate) float64 {
 	if r <= 0 {
 		return 0
 	}

@@ -36,9 +36,6 @@ func (s *CBRSource) Tick(int64) int {
 	return n
 }
 
-// PerCycle returns the configured flits-per-cycle rate.
-func (s *CBRSource) PerCycle() float64 { return s.perCycle }
-
 // BestEffortSource emits single-flit packets as a Poisson process with the
 // given mean arrival rate in packets per flit cycle. The MMR equalizes
 // packet size with flit size (§3.4), so one arrival is one flit.

@@ -140,6 +140,3 @@ func (s *VBRSource) Tick(cycle int64) int {
 	s.backlog -= float64(n) * s.flitBits
 	return n
 }
-
-// Backlog returns the bits currently queued at the source interface.
-func (s *VBRSource) Backlog() float64 { return s.backlog }

@@ -133,12 +133,3 @@ func smallestFrac(rates []Rate, totalBW float64) float64 {
 	}
 	return float64(min) / totalBW
 }
-
-// TotalRate returns the sum of connection (average) rates.
-func (w *Workload) TotalRate() Rate {
-	var sum Rate
-	for _, c := range w.Conns {
-		sum += c.Rate
-	}
-	return sum
-}

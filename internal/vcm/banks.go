@@ -26,10 +26,10 @@ func NewBankModel(banks, phitsPerFlit int) BankModel {
 	return BankModel{Banks: banks, PhitsPerFlit: phitsPerFlit}
 }
 
-// BankFor returns the bank holding phit number phit of a flit stored at
+// bankFor returns the bank holding phit number phit of a flit stored at
 // flit-aligned address base (low-order interleaving: consecutive phits hit
 // consecutive banks).
-func (b BankModel) BankFor(base, phit int) int {
+func (b BankModel) bankFor(base, phit int) int {
 	return (base*b.PhitsPerFlit + phit) % b.Banks
 }
 

@@ -210,10 +210,10 @@ func FuzzMemoryMirrors(f *testing.F) {
 				r := &ref[v]
 				total += len(r.q)
 				unrouted := len(r.q) > 0 && r.st.Class == flit.ClassBestEffort && r.st.Output < 0
-				if m.FlitsAvailable().Test(v) != (len(r.q) > 0) || m.FullVector().Test(v) != (len(r.q) == depth) ||
+				if m.FlitsAvailable().Test(v) != (len(r.q) > 0) || m.full.Test(v) != (len(r.q) == depth) ||
 					m.ReservedVector().Test(v) != r.st.InUse || m.Unrouted().Test(v) != unrouted {
 					t.Fatalf("VC %d: status bits avail=%v full=%v reserved=%v unrouted=%v for %d flits, state %+v", v,
-						m.FlitsAvailable().Test(v), m.FullVector().Test(v), m.ReservedVector().Test(v), m.Unrouted().Test(v), len(r.q), r.st)
+						m.FlitsAvailable().Test(v), m.full.Test(v), m.ReservedVector().Test(v), m.Unrouted().Test(v), len(r.q), r.st)
 				}
 				if !m.Materialized() {
 					continue // every VC free and empty, as the vectors just said

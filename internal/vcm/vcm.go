@@ -235,9 +235,6 @@ func MustNew(cfg Config) *Memory {
 	return m
 }
 
-// Config returns the memory's configuration.
-func (m *Memory) Config() Config { return m.cfg }
-
 // NumVCs returns the number of virtual channels.
 func (m *Memory) NumVCs() int { return m.cfg.VirtualChannels }
 
@@ -340,9 +337,6 @@ func (m *Memory) Pop(vc int) *flit.Flit {
 // FlitsAvailable returns the flits_available status vector. Callers must
 // treat it as read-only; it stays current as flits move.
 func (m *Memory) FlitsAvailable() *bitvec.Vector { return &m.flitsAvailable }
-
-// FullVector returns the input_buffer_full status vector (read-only).
-func (m *Memory) FullVector() *bitvec.Vector { return &m.full }
 
 // ReservedVector returns the in-use status vector (read-only).
 func (m *Memory) ReservedVector() *bitvec.Vector { return &m.reserved }

@@ -53,8 +53,8 @@ func TestMemoryWithoutRecords(t *testing.T) {
 		if a, b := lazy.PickFree(sim.NewRNG(3)), empty.PickFree(sim.NewRNG(3)); a != b {
 			t.Fatalf("%d VCs: PickFree %d, an empty memory's %d", vcs, a, b)
 		}
-		for i, v := range []*bitvec.Vector{lazy.FlitsAvailable(), lazy.FullVector(), lazy.ReservedVector(), lazy.Unrouted()} {
-			if v.Len() != vcs || v.Any() {
+		for i, v := range []*bitvec.Vector{lazy.FlitsAvailable(), &lazy.full, lazy.ReservedVector(), lazy.Unrouted()} {
+			if len(v.String()) != vcs || v.Any() { // one character a bit
 				t.Fatalf("%d VCs: vector %d is %v", vcs, i, v)
 			}
 		}
@@ -215,15 +215,15 @@ func TestStatusVectorsTrackOccupancy(t *testing.T) {
 	if !m.FlitsAvailable().Test(3) {
 		t.Fatal("flits_available bit not set")
 	}
-	if m.FullVector().Test(3) {
+	if m.full.Test(3) {
 		t.Fatal("full bit set below capacity")
 	}
 	m.Push(3, &flit.Flit{})
-	if !m.FullVector().Test(3) {
+	if !m.full.Test(3) {
 		t.Fatal("full bit not set at capacity")
 	}
 	m.Pop(3)
-	if m.FullVector().Test(3) {
+	if m.full.Test(3) {
 		t.Fatal("full bit stuck after pop")
 	}
 	m.Pop(3)
@@ -317,7 +317,7 @@ func TestVCMInvariantProperty(t *testing.T) {
 				if m.FlitsAvailable().Test(v) != (l > 0) {
 					return false
 				}
-				if m.FullVector().Test(v) != (l == 3) {
+				if m.full.Test(v) != (l == 3) {
 					return false
 				}
 				if m.Free(v) != 3-l {
@@ -343,12 +343,12 @@ func TestBankModelGeometry(t *testing.T) {
 	}
 	// Low-order interleave: consecutive phits hit consecutive banks.
 	for p := 0; p < 8; p++ {
-		if b.BankFor(0, p) != p {
-			t.Fatalf("BankFor(0,%d) = %d", p, b.BankFor(0, p))
+		if b.bankFor(0, p) != p {
+			t.Fatalf("bankFor(0,%d) = %d", p, b.bankFor(0, p))
 		}
 	}
-	if b.BankFor(1, 0) != 0 { // next flit wraps around to bank 0
-		t.Fatalf("BankFor(1,0) = %d", b.BankFor(1, 0))
+	if b.bankFor(1, 0) != 0 { // next flit wraps around to bank 0
+		t.Fatalf("bankFor(1,0) = %d", b.bankFor(1, 0))
 	}
 	b2 := NewBankModel(4, 8)
 	if b2.FlitAccessPhits() != 2 {
