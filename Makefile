@@ -43,13 +43,22 @@ api-census:
 # traffic.Calendar.Visit must stay inlined where the engines inject
 # (router engine.go and packets.go, network datapath.go's two): a gated
 # calendar with nothing held or due then costs its caller one compare,
-# which is what fabric_sparse's cost rests on.
+# which is what fabric_sparse's cost rests on. And the link scheduler's
+# priority selection makes no call per eligible VC: the record, round-stamp
+# and vector-word accessors it reads through, and Biased.Priority, must be
+# inlined in internal/sched/link.go.
 inline-check:
 	@n=$$($(GO) build -gcflags=-m ./internal/router ./internal/network 2>&1 | \
 		grep -cE '^internal/(router/(engine|packets)|network/datapath)\.go:.*inlining call to traffic\.\(\*Calendar\[.*\]\)\.Visit$$'); \
 	if [ "$$n" -ne 4 ]; then \
 		echo "inline-check: Calendar.Visit is inlined at $$n of the 4 injection call sites" >&2; exit 1; \
 	fi
+	@m=$$($(GO) build -gcflags=-m ./internal/sched 2>&1 | grep '^internal/sched/link\.go:.*inlining call to'); \
+	for f in 'vcm\.\(\*Memory\)\.Records' 'vcm\.\(\*Memory\)\.Round' 'vcm\.\(\*VCState\)\.ServicedIn' \
+		'bitvec\.\(\*Vector\)\.Words' 'classify' 'Biased\.Priority'; do \
+		echo "$$m" | grep -qE "inlining call to $$f$$" || { \
+			echo "inline-check: $$f is not inlined in internal/sched/link.go" >&2; exit 1; }; \
+	done
 
 # Non-test Go lines of the engine packages and of everything outside
 # perfbench/ and .github/: the numbers ROADMAP's "net-negative line counts
@@ -114,8 +123,10 @@ race:
 # scheduler's one-pass selection against its sorted reference, the EPB
 # search against its map-based reference, the VC memory's mirrors
 # (status vectors, Busy bit, head stamp, round-stamped accounts) against a
-# plain model from a memory without records on, and the switch arbiters' matchings against the properties a
-# cycle's service matrix must have (sub-permutation, maximum, maximal).
+# plain model from a memory without records on, the switch arbiters' matchings against the properties a
+# cycle's service matrix must have (sub-permutation, maximum, maximal), and
+# the priority and PIM arbiters against the loops they replaced (grants and
+# RNG position).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzNetworkChurn -fuzztime=$(FUZZTIME) ./internal/network
 	$(GO) test -run='^$$' -fuzz=FuzzWakeTableMatchesScan -fuzztime=$(FUZZTIME) ./internal/network
@@ -128,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSearchIntoMatchesReference -fuzztime=$(FUZZTIME) ./internal/routing
 	$(GO) test -run='^$$' -fuzz=FuzzMemoryMirrors -fuzztime=$(FUZZTIME) ./internal/vcm
 	$(GO) test -run='^$$' -fuzz=FuzzArbiterMatching -fuzztime=$(FUZZTIME) ./internal/sched
+	$(GO) test -run='^$$' -fuzz=FuzzArbitersMatchReference -fuzztime=$(FUZZTIME) ./internal/sched
 
 # Million-event churn soak: Poisson session arrivals/departures, flash
 # crowds, regional outages, and kill+restore cycles from checkpoints at

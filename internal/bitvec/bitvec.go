@@ -317,3 +317,8 @@ func (v *Vector) String() string {
 	}
 	return b.String()
 }
+
+// Words returns the vector's words, bit i at bit i%64 of word i/64, for a
+// caller that scans them itself; the bits past the length are zero. The
+// caller must not write them.
+func (v *Vector) Words() []uint64 { return v.words }

@@ -96,7 +96,9 @@ func (a *PriorityArbiter) Schedule(cands [][]Candidate, grants []int) {
 			a.grantIn[o] = -1
 		}
 		for _, in := range free {
-			for ci, c := range cands[in] {
+			row := cands[in]
+			for ci := range row {
+				c := &row[ci]
 				o := c.Output
 				if o < 0 || o >= n {
 					continue
@@ -108,7 +110,7 @@ func (a *PriorityArbiter) Schedule(cands [][]Candidate, grants []int) {
 				if a.matchIn[o] >= 0 {
 					continue
 				}
-				if g := a.grantIn[o]; g < 0 || Better(c, cands[g][a.grantIdx[o]]) {
+				if g := a.grantIn[o]; g < 0 || better(c, &cands[g][a.grantIdx[o]]) {
 					a.grantIn[o], a.grantIdx[o] = in, ci
 				}
 			}
@@ -123,7 +125,7 @@ func (a *PriorityArbiter) Schedule(cands [][]Candidate, grants []int) {
 			ci := a.grantIdx[o]
 			if best := grants[in]; best == NoGrant {
 				grants[in] = ci
-			} else if c, b := cands[in][ci], cands[in][best]; Better(c, b) || (!Better(b, c) && o < b.Output) {
+			} else if c, b := &cands[in][ci], &cands[in][best]; better(c, b) || (!better(b, c) && o < b.Output) {
 				grants[in] = ci
 			}
 		}
@@ -190,14 +192,21 @@ type PIMArbiter struct {
 	iterations int
 	name       string
 
-	inMatched   []bool
-	outTaken    []bool
-	reqIns      []int // scratch: requesting inputs for one output
-	reqIdx      []int
+	inMatched []bool
+	outTaken  []bool
+	// reqs is an iteration's request matrix bucketed by output: output o's
+	// requests are reqs[o*n : o*n+reqCount[o]], ascending by input, each the
+	// input's first candidate for o.
+	reqs        []pimRequest
+	reqCount    []int
 	grantFor    []int // per output: input granted this iteration, or -1
 	grantForIdx []int // per output: candidate index of that grant
 	grantCount  []int // per input: grants received this iteration
 }
+
+// pimRequest is one input's request for an output: the input and the
+// index of its candidate.
+type pimRequest struct{ in, ci int32 }
 
 // NewPIMArbiter returns a PIM arbiter running the given number of
 // grant/accept iterations (Anderson et al. found log N iterations ≈
@@ -222,12 +231,16 @@ func (a *PIMArbiter) grow(n int) {
 	if cap(a.inMatched) < n {
 		a.inMatched = make([]bool, n)
 		a.outTaken = make([]bool, n)
+		a.reqs = make([]pimRequest, n*n)
+		a.reqCount = make([]int, n)
 		a.grantFor = make([]int, n)
 		a.grantForIdx = make([]int, n)
 		a.grantCount = make([]int, n)
 	}
 	a.inMatched = a.inMatched[:n]
 	a.outTaken = a.outTaken[:n]
+	a.reqs = a.reqs[:n*n]
+	a.reqCount = a.reqCount[:n]
 	a.grantFor = a.grantFor[:n]
 	a.grantForIdx = a.grantForIdx[:n]
 	a.grantCount = a.grantCount[:n]
@@ -251,35 +264,42 @@ func (a *PIMArbiter) Schedule(cands [][]Candidate, grants []int) {
 		// grant the same input; the collisions are what make multiple
 		// iterations worthwhile (PIM converges in O(log N) expected
 		// iterations).
-		for in := 0; in < n; in++ {
-			a.grantCount[in] = 0
+		//
+		// The request matrix is built in one pass over the unmatched inputs
+		// in ascending order, so each output's bucket lists its requesters
+		// by input, the order its random draw indexes. An input's later
+		// candidate for an output it already asked for finds its own
+		// request at the end of the bucket and stands aside.
+		for i := 0; i < n; i++ {
+			a.grantCount[i], a.reqCount[i] = 0, 0
+		}
+		for in := 0; in < n && in < len(cands); in++ {
+			if a.inMatched[in] {
+				continue
+			}
+			row := cands[in]
+			for ci := range row {
+				o := row[ci].Output
+				if o < 0 || o >= n || a.outTaken[o] {
+					continue
+				}
+				k := a.reqCount[o]
+				if k > 0 && a.reqs[o*n+k-1].in == int32(in) {
+					continue
+				}
+				a.reqs[o*n+k] = pimRequest{int32(in), int32(ci)}
+				a.reqCount[o] = k + 1
+			}
 		}
 		for o := 0; o < n; o++ {
 			a.grantFor[o] = -1
-			if a.outTaken[o] {
+			if a.reqCount[o] == 0 {
 				continue
 			}
-			a.reqIns = a.reqIns[:0]
-			a.reqIdx = a.reqIdx[:0]
-			for in := 0; in < n && in < len(cands); in++ {
-				if a.inMatched[in] {
-					continue
-				}
-				for ci, c := range cands[in] {
-					if c.Output == o {
-						a.reqIns = append(a.reqIns, in)
-						a.reqIdx = append(a.reqIdx, ci)
-						break
-					}
-				}
-			}
-			if len(a.reqIns) == 0 {
-				continue
-			}
-			k := a.rng.Intn(len(a.reqIns))
-			a.grantFor[o] = a.reqIns[k]
-			a.grantForIdx[o] = a.reqIdx[k]
-			a.grantCount[a.reqIns[k]]++
+			r := a.reqs[o*n+a.rng.Intn(a.reqCount[o])]
+			a.grantFor[o] = int(r.in)
+			a.grantForIdx[o] = int(r.ci)
+			a.grantCount[r.in]++
 		}
 		// Accept phase: each input granted by one or more outputs accepts
 		// one uniformly at random.

@@ -41,7 +41,7 @@ func (a *refPriorityArbiter) schedule(cands [][]Candidate, grants []int) {
 				if o < 0 || o >= n || a.outTaken[o] {
 					continue
 				}
-				if a.grantIn[o] < 0 || Better(c, cands[a.grantIn[o]][a.grantIdx[o]]) {
+				if a.grantIn[o] < 0 || better(&c, &cands[a.grantIn[o]][a.grantIdx[o]]) {
 					a.grantIn[o] = in
 					a.grantIdx[o] = ci
 				}
@@ -55,7 +55,7 @@ func (a *refPriorityArbiter) schedule(cands [][]Candidate, grants []int) {
 			}
 			best, bestIdx := o, a.grantIdx[o]
 			for o2 := o + 1; o2 < n; o2++ {
-				if a.grantIn[o2] == in && Better(cands[in][a.grantIdx[o2]], cands[in][bestIdx]) {
+				if a.grantIn[o2] == in && better(&cands[in][a.grantIdx[o2]], &cands[in][bestIdx]) {
 					best, bestIdx = o2, a.grantIdx[o2]
 				}
 			}

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math/bits"
+
 	"mmr/internal/bitvec"
 	"mmr/internal/flit"
 	"mmr/internal/flow"
@@ -25,9 +27,9 @@ type LinkConfig struct {
 	Input         int
 	MaxCandidates int // the paper sweeps 1, 2, 4, 8 (§5)
 	// Outputs is the router's output port count, sizing the per-output
-	// slot table of a scheduler built with NewLinkScheduler. Zero is
-	// allowed (the table grows on first use) but costs one allocation per
-	// new high-water output index.
+	// slot and pick tables of a scheduler built with NewLinkScheduler. Zero
+	// is allowed (the tables grow on first use) but costs allocations as
+	// new high-water output indices appear.
 	Outputs   int
 	Scheme    PriorityScheme
 	Selection Selection
@@ -60,12 +62,42 @@ type LinkScheduler struct {
 type LinkScratch struct {
 	eligible bitvec.Vector // flits ∧ credits
 	// slot is the port-indexed table behind the per-output selection:
-	// slot[o] is 1 + the position, among the candidates appended this
-	// cycle, of output o's entry, or 0 while o has none. It is all zeros
-	// between calls.
-	slot    []int32
+	// slot[o] is 1 + the position of output o's entry among this cycle's
+	// per-output winners (picks, or the candidates SelectRandom appended),
+	// or 0 while o has none. It is all zeros between calls.
+	slot []int32
+	// picks holds SelectPriority's per-output winners, sized to the slot
+	// table by the first selection that needs it.
+	picks   []pick
 	shuffle []Candidate // SelectRandom only: the set Fisher–Yates permutes
 	work    *Work
+}
+
+// pick is one output's running winner in the priority selection: the
+// fields better orders one input's candidates by, and the output.
+type pick struct {
+	prio  float64
+	vc    int32
+	out   int32
+	phase Phase
+}
+
+// losesTo reports whether a VC of the given phase and priority displaces p
+// as its output's running winner: better with the tie-break dropped — VCs
+// are visited in increasing order, so of equals the one already held stays.
+func (p *pick) losesTo(phase Phase, prio float64) bool {
+	return phase < p.phase || (phase == p.phase && prio > p.prio)
+}
+
+// before is better restricted to one input's candidates.
+func (p *pick) before(q *pick) bool {
+	if p.phase != q.phase {
+		return p.phase < q.phase
+	}
+	if p.prio != q.prio {
+		return p.prio > q.prio
+	}
+	return p.vc < q.vc
 }
 
 // NewLinkScratch returns scratch for schedulers over memories of vcs
@@ -144,19 +176,20 @@ func (ls *LinkScheduler) OnRoundBoundary() {
 	ls.excessVC = -1
 }
 
-// classify returns the service phase of VC vc (whose state is st) right
-// now; ok is false if the VC has exhausted its bandwidth for this round.
-func (ls *LinkScheduler) classify(vc int, st *vcm.VCState) (phase Phase, ok bool) {
+// classify returns the service phase of the VC whose record is st, in the
+// round stamped round; ok is false if the VC has exhausted its bandwidth
+// for the round.
+func classify(st *vcm.VCState, round uint32) (phase Phase, ok bool) {
 	switch st.Class {
 	case flit.ClassControl:
 		return PhaseControl, true
 	case flit.ClassCBR:
-		if ls.mem.Serviced(vc) < st.Allocated {
+		if st.ServicedIn(round) < st.Allocated {
 			return PhaseGuaranteed, true
 		}
 		return 0, false
 	case flit.ClassVBR:
-		serviced := ls.mem.Serviced(vc)
+		serviced := st.ServicedIn(round)
 		if serviced < st.Allocated {
 			return PhaseGuaranteed, true
 		}
@@ -173,84 +206,132 @@ func (ls *LinkScheduler) classify(vc int, st *vcm.VCState) (phase Phase, ok bool
 // cycle to dst and returns the extended slice, best first. On a memory that
 // buffers no flit it is a pure no-op — empty eligible set, zero
 // CreditStalled, the return before the excess election, no RNG draw — which
-// is what lets a gating engine skip the port. dst is also the
-// working set of the selection, so it holds up to one entry per distinct
-// output before the cut: a caller that wants no allocation passes a slice
+// is what lets a gating engine skip the port. dst receives at most
+// MaxCandidates entries: a caller that wants no allocation passes a slice
 // with that much room.
 //
-// An input transmits at most one flit per cycle, so a second candidate for
-// the same output can never improve the matching — spending candidate
-// slots on distinct outputs is what makes more candidates raise switch
-// utilization (§5.2), and the per-output winner is exactly what the
-// output-side arbitration would pick anyway. The priority path therefore
-// needs a maximum per output, not an order over the eligible VCs: one pass
-// over the eligibility vector keeps each output's running best in dst
-// (found through the slot table), and only those at most Outputs winners
-// are ordered. Better is a strict total order over one input's VCs, so
-// this yields the same candidates in the same order as sorting every
-// eligible VC and keeping the first MaxCandidates distinct outputs.
+// SelectPriority, the paper's selection (§4.3–4.4), wants the eligible VCs
+// in phase order, by priority within a phase, and the first MaxCandidates
+// distinct outputs. An input transmits at most one flit per cycle, so a
+// second candidate for the same output can never improve the matching —
+// spending candidate slots on distinct outputs is what makes more
+// candidates raise switch utilization (§5.2), and the per-output winner is
+// exactly what the output-side arbitration would pick anyway. The selection
+// therefore needs a maximum per output, not an order over the eligible VCs:
+// one pass over the eligibility words loads each eligible VC's record once,
+// classifies it with the round account read from the record, prices it and
+// keeps each output's running best as a pick (found through the slot
+// table); only those at most Outputs picks are sorted, and Candidates are
+// built for the survivors alone. better is a strict total order over one
+// input's VCs, so this yields the same candidates in the same order as
+// sorting every eligible VC and keeping the first MaxCandidates distinct
+// outputs (referenceCandidates in the tests). The counts the pass charges
+// go through locals, one store each per call.
 func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 	flits := ls.mem.FlitsAvailable()
 	ls.eligible.And(flits, ls.credits.Vector())
 	// Buffered flits minus eligible flits is exactly the set with no
 	// downstream credit — two popcounts, no extra pass.
-	ls.counters.CreditStalled += int64(flits.Count() - ls.eligible.Count())
+	eligible := ls.eligible.Count()
+	ls.counters.CreditStalled += int64(flits.Count() - eligible)
 	if !ls.eligible.Any() {
 		return dst
 	}
-	random := ls.cfg.Selection == SelectRandom
-	// With one candidate the per-output bests collapse to the single best
-	// overall: a plain running maximum in dst[base], no slot table.
-	single := ls.cfg.MaxCandidates == 1
 	base := len(dst)
-	ls.shuffle = ls.shuffle[:0]
 	excessSeen := false
-	visited, evals := int64(0), int64(0)
-	// Word-level scan of the eligibility vector (bits.TrailingZeros64 under
-	// NextSet) instead of a per-bit callback: this loop runs for every
-	// eligible VC on every port every cycle.
-	for vc := ls.eligible.NextSet(0); vc >= 0; vc = ls.eligible.NextSet(vc + 1) {
-		st := ls.mem.State(vc)
-		visited++
-		if st.Output < 0 {
-			continue // unrouted VC (header still in the routing unit)
-		}
-		phase, ok := ls.classify(vc, st)
-		if !ok {
-			ls.counters.RoundExhausted++
-			continue
-		}
-		if phase == PhaseExcess {
-			excessSeen = true
-			// §4.3: drain one connection's excess completely before the
-			// next. While the current excess VC is still eligible, other
-			// excess VCs stand aside.
-			if ls.excessVC >= 0 && vc != ls.excessVC {
-				continue
+	if ls.cfg.Selection == SelectRandom {
+		dst, excessSeen = ls.selectRandom(now, dst)
+	} else {
+		recs, round := ls.mem.Records(), ls.mem.Round()
+		// Biased, the paper's scheme, is priced by a static (so inlined)
+		// call, any other through the interface. Telling them apart is one
+		// compare of the scheme's type word per call; a flag resolved at
+		// Init would cost each scheduler a word (see docs/performance.md).
+		_, biased := ls.cfg.Scheme.(Biased)
+		// With one candidate the per-output bests collapse to the single
+		// best overall: a plain running maximum, no slot table.
+		single := ls.cfg.MaxCandidates == 1
+		best := pick{vc: -1}
+		picks, slot := ls.picks[:0], ls.slot
+		var evals, exhausted, boosted int64
+		for wi, w := range ls.eligible.Words() {
+			for ; w != 0; w &= w - 1 {
+				vc := wi*64 + bits.TrailingZeros64(w)
+				st := &recs[vc]
+				if st.Output < 0 {
+					continue // unrouted VC (header still in the routing unit)
+				}
+				phase, ok := classify(st, round)
+				if !ok {
+					exhausted++
+					continue
+				}
+				if phase == PhaseExcess {
+					excessSeen = true
+					// §4.3: drain one connection's excess completely
+					// before the next. While the current excess VC is
+					// still eligible, other excess VCs stand aside.
+					if ls.excessVC >= 0 && vc != ls.excessVC {
+						continue
+					}
+				}
+				var prio float64
+				if biased {
+					prio = Biased{}.Priority(now, st)
+				} else {
+					prio = ls.cfg.Scheme.Priority(now, st)
+				}
+				evals++
+				if prio > float64(st.BasePriority) {
+					boosted++
+				}
+				if single {
+					if best.vc < 0 || best.losesTo(phase, prio) {
+						best = pick{prio: prio, vc: int32(vc), out: int32(st.Output), phase: phase}
+					}
+					continue
+				}
+				if st.Output >= len(slot) {
+					// Only a scheduler built with too small a
+					// LinkConfig.Outputs gets here.
+					slot = ls.growSlots(st.Output)
+				}
+				if s := slot[st.Output]; s == 0 {
+					if picks == nil {
+						// The scratch's first selection for more than one
+						// candidate: a router that never nominates holds
+						// no table.
+						picks = make([]pick, 0, len(slot))
+					}
+					picks = append(picks, pick{prio: prio, vc: int32(vc), out: int32(st.Output), phase: phase})
+					slot[st.Output] = int32(len(picks))
+				} else if cur := &picks[s-1]; cur.losesTo(phase, prio) {
+					*cur = pick{prio: prio, vc: int32(vc), out: int32(st.Output), phase: phase}
+				}
 			}
 		}
-		prio := ls.cfg.Scheme.Priority(now, st)
-		evals++
-		if prio > float64(st.BasePriority) {
-			ls.counters.BiasBoosted++
+		in := ls.cfg.Input
+		if single {
+			if best.vc >= 0 {
+				dst = append(dst, Candidate{Input: in, VC: int(best.vc), Output: int(best.out), Phase: best.phase, Priority: best.prio})
+			}
+		} else {
+			if len(picks) > 1 {
+				sortPicks(picks)
+			}
+			for i := range picks {
+				p := &picks[i]
+				slot[p.out] = 0
+				if i < ls.cfg.MaxCandidates {
+					dst = append(dst, Candidate{Input: in, VC: int(p.vc), Output: int(p.out), Phase: p.phase, Priority: p.prio})
+				}
+			}
+			ls.picks = picks[:0] // keeps what an undersized table grew to
 		}
-		if random {
-			ls.shuffle = append(ls.shuffle, Candidate{Input: ls.cfg.Input, VC: vc, Output: st.Output, Phase: phase, Priority: prio})
-			continue
-		}
-		// at is where in dst the entry this VC competes with lives;
-		// len(dst) if it is the first for its output (or the first at all).
-		at := base
-		if !single {
-			at = ls.slotFor(st.Output, len(dst)-base) + base
-		}
-		if at == len(dst) {
-			dst = append(dst, Candidate{Input: ls.cfg.Input, VC: vc, Output: st.Output, Phase: phase, Priority: prio})
-		} else if cur := &dst[at]; phase < cur.Phase || (phase == cur.Phase && prio > cur.Priority) {
-			// Better(this, cur) with the tie-break dropped: same input, and
-			// VCs are scanned in increasing order, so a tie keeps cur.
-			*cur = Candidate{Input: ls.cfg.Input, VC: vc, Output: st.Output, Phase: phase, Priority: prio}
-		}
+		ls.counters.RoundExhausted += exhausted
+		ls.counters.BiasBoosted += boosted
+		ls.work.VCsVisited += int64(eligible) // every eligible VC's record, once
+		ls.work.PriorityEvals += evals
 	}
 	// If the current excess VC went ineligible, elect a successor: the
 	// eligible excess VC with the highest static priority.
@@ -264,34 +345,66 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 		// mirrors hardware, where election happens in parallel with the
 		// current cycle's arbitration.
 	}
-	switch {
-	case random:
-		// Random order, then the first MaxCandidates distinct outputs.
-		for i := len(ls.shuffle) - 1; i > 0; i-- {
-			j := ls.cfg.RNG.Intn(i + 1)
-			ls.shuffle[i], ls.shuffle[j] = ls.shuffle[j], ls.shuffle[i]
-		}
-		for _, c := range ls.shuffle {
-			if len(dst)-base == ls.cfg.MaxCandidates {
-				break
-			}
-			if ls.slotFor(c.Output, len(dst)-base) == len(dst)-base {
-				dst = append(dst, c)
-			}
-		}
-		ls.clearSlots(dst[base:])
-	case !single:
-		ls.clearSlots(dst[base:])
-		sortCandidates(dst[base:])
-		if len(dst)-base > ls.cfg.MaxCandidates {
-			dst = dst[:base+ls.cfg.MaxCandidates]
-		}
-	}
 	ls.counters.Nominated += int64(len(dst) - base)
-	ls.work.VCsVisited += visited
-	ls.work.PriorityEvals += evals
 	ls.work.Candidates += int64(len(dst) - base)
 	return dst
+}
+
+// selectRandom is the Autonet comparison's selection (§5.1): the eligible
+// VCs in random order, the first MaxCandidates distinct outputs. It reports
+// whether it saw a VC in the excess phase.
+func (ls *LinkScheduler) selectRandom(now int64, dst []Candidate) ([]Candidate, bool) {
+	base := len(dst)
+	ls.shuffle = ls.shuffle[:0]
+	excessSeen := false
+	for vc := ls.eligible.NextSet(0); vc >= 0; vc = ls.eligible.NextSet(vc + 1) {
+		st := ls.mem.State(vc)
+		ls.work.VCsVisited++
+		if st.Output < 0 {
+			continue // unrouted VC (header still in the routing unit)
+		}
+		phase, ok := classify(st, ls.mem.Round())
+		if !ok {
+			ls.counters.RoundExhausted++
+			continue
+		}
+		if phase == PhaseExcess {
+			excessSeen = true
+			// §4.3: one connection's excess at a time (see Candidates).
+			if ls.excessVC >= 0 && vc != ls.excessVC {
+				continue
+			}
+		}
+		prio := ls.cfg.Scheme.Priority(now, st)
+		ls.work.PriorityEvals++
+		if prio > float64(st.BasePriority) {
+			ls.counters.BiasBoosted++
+		}
+		ls.shuffle = append(ls.shuffle, Candidate{Input: ls.cfg.Input, VC: vc, Output: st.Output, Phase: phase, Priority: prio})
+	}
+	// Random order, then the first MaxCandidates distinct outputs.
+	for i := len(ls.shuffle) - 1; i > 0; i-- {
+		j := ls.cfg.RNG.Intn(i + 1)
+		ls.shuffle[i], ls.shuffle[j] = ls.shuffle[j], ls.shuffle[i]
+	}
+	for _, c := range ls.shuffle {
+		if len(dst)-base == ls.cfg.MaxCandidates {
+			break
+		}
+		if ls.slotFor(c.Output, len(dst)-base) == len(dst)-base {
+			dst = append(dst, c)
+		}
+	}
+	for _, c := range dst[base:] {
+		ls.slot[c.Output] = 0
+	}
+	return dst, excessSeen
+}
+
+// growSlots widens the slot table to hold output out and returns it.
+func (ls *LinkScheduler) growSlots(out int) []int32 {
+	ls.slot = append(ls.slot, make([]int32, out+1-len(ls.slot))...)
+	return ls.slot
 }
 
 // slotFor returns the position, among the candidates appended this cycle,
@@ -299,8 +412,7 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 // where the caller is about to append — so a return of next means "new".
 func (ls *LinkScheduler) slotFor(out, next int) int {
 	if out >= len(ls.slot) {
-		// Only a scheduler built with too small a LinkConfig.Outputs gets here.
-		ls.slot = append(ls.slot, make([]int32, out+1-len(ls.slot))...)
+		ls.growSlots(out)
 	}
 	if s := ls.slot[out]; s != 0 {
 		return int(s) - 1
@@ -309,21 +421,13 @@ func (ls *LinkScheduler) slotFor(out, next int) int {
 	return next
 }
 
-// clearSlots returns the slot table to all zeros, given the candidates that
-// hold its nonzero entries.
-func (ls *LinkScheduler) clearSlots(held []Candidate) {
-	for i := range held {
-		ls.slot[held[i].Output] = 0
-	}
-}
-
 // stillExcessEligible reports whether vc remains an eligible excess-phase
 // candidate.
 func (ls *LinkScheduler) stillExcessEligible(vc int) bool {
 	if !ls.eligible.Test(vc) {
 		return false
 	}
-	phase, ok := ls.classify(vc, ls.mem.State(vc))
+	phase, ok := classify(ls.mem.State(vc), ls.mem.Round())
 	return ok && phase == PhaseExcess
 }
 
@@ -334,7 +438,7 @@ func (ls *LinkScheduler) electExcess() {
 	for vc := ls.eligible.NextSet(0); vc >= 0; vc = ls.eligible.NextSet(vc + 1) {
 		st := ls.mem.State(vc)
 		ls.work.VCsVisited++
-		if phase, ok := ls.classify(vc, st); ok && phase == PhaseExcess {
+		if phase, ok := classify(st, ls.mem.Round()); ok && phase == PhaseExcess {
 			p := st.BasePriority
 			if best < 0 || p > bestPrio {
 				best, bestPrio = vc, p
@@ -349,12 +453,12 @@ func (ls *LinkScheduler) electExcess() {
 // counters. Everything else it uses (LinkScratch) is recomputed each cycle.
 func (ls *LinkScheduler) State() (excessVC *int, c *LinkCounters) { return &ls.excessVC, &ls.counters }
 
-// sortCandidates orders candidates best-first. Insertion sort: the only
-// caller passes the per-output winners, at most one per output port.
-func sortCandidates(cs []Candidate) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && Better(cs[j], cs[j-1]); j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
+// sortPicks orders picks best-first. Insertion sort: the only caller passes
+// the per-output winners, at most one per output port.
+func sortPicks(ps []pick) {
+	for i := 1; i < len(ps); i++ {
+		for j := i; j > 0 && ps[j].before(&ps[j-1]); j-- {
+			ps[j], ps[j-1] = ps[j-1], ps[j]
 		}
 	}
 }

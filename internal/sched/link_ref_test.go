@@ -13,7 +13,7 @@ import (
 
 // referenceCandidates is the selection Candidates replaced, kept as the
 // specification it is tested against: materialise every eligible VC as a
-// Candidate, stable-sort all of them by Better (or Fisher–Yates them for
+// Candidate, stable-sort all of them by better (or Fisher–Yates them for
 // SelectRandom), then keep the first MaxCandidates distinct outputs. It
 // drives ls's counters and excess election exactly as Candidates does, so
 // a port run with it is a twin of a port run with Candidates.
@@ -31,7 +31,7 @@ func referenceCandidates(ls *LinkScheduler, now int64, dst []Candidate) []Candid
 		if st.Output < 0 {
 			continue
 		}
-		phase, ok := ls.classify(vc, st)
+		phase, ok := classify(st, ls.mem.Round())
 		if !ok {
 			ls.counters.RoundExhausted++
 			continue
@@ -63,7 +63,7 @@ func referenceCandidates(ls *LinkScheduler, now int64, dst []Candidate) []Candid
 			all[i], all[j] = all[j], all[i]
 		}
 	} else {
-		sort.SliceStable(all, func(i, j int) bool { return Better(all[i], all[j]) })
+		sort.SliceStable(all, func(i, j int) bool { return better(&all[i], &all[j]) })
 	}
 	taken := map[int]bool{}
 	n := 0
@@ -88,9 +88,18 @@ type selectionCase struct {
 	maxCand   int
 	outputs   int // the population's output range; VCs map to [-1, outputs)
 	tableSize int // LinkConfig.Outputs: 0 makes the slot table grow on use
-	fixed     bool
+	scheme    int // index into selectionSchemes
 	random    bool
 }
+
+// selectionSchemes are the priority schemes the twin test draws from:
+// Biased, which Candidates prices inline, and every scheme it prices
+// through the PriorityScheme interface — Biased among them, wrapped.
+var selectionSchemes = []PriorityScheme{Biased{}, Fixed{}, OldestFirst{}, viaInterface{}}
+
+// viaInterface is Biased under another type, so a scheduler cannot see it
+// is Biased and prices it through the interface.
+type viaInterface struct{ Biased }
 
 const (
 	selVCs    = 64
@@ -120,10 +129,7 @@ func checkSelection(t *testing.T, tc selectionCase) {
 	build := func() port {
 		mem := vcm.MustNew(vcm.Config{VirtualChannels: selVCs, Depth: selDepth})
 		cr := flow.NewCredits(selVCs, selDepth)
-		cfg := LinkConfig{Input: 3, MaxCandidates: tc.maxCand, Outputs: tc.tableSize, RNG: sim.NewRNG(tc.seed ^ 0x9e3779b97f4a7c15)}
-		if tc.fixed {
-			cfg.Scheme = Fixed{}
-		}
+		cfg := LinkConfig{Input: 3, MaxCandidates: tc.maxCand, Outputs: tc.tableSize, Scheme: selectionSchemes[tc.scheme], RNG: sim.NewRNG(tc.seed ^ 0x9e3779b97f4a7c15)}
 		if tc.random {
 			cfg.Selection = SelectRandom
 		}
@@ -212,12 +218,14 @@ func checkSelection(t *testing.T, tc selectionCase) {
 	}
 }
 
-// selectionCaseFrom maps fuzz inputs onto a valid case.
+// selectionCaseFrom maps fuzz inputs onto a valid case: flags bits 0 and 3
+// pick the scheme (Biased, Fixed, OldestFirst, Biased through the
+// interface), bit 1 random selection, bit 2 a slot table grown from empty.
 func selectionCaseFrom(seed uint64, maxCand, outputs, flags uint8) selectionCase {
 	tc := selectionCase{
 		seed:    seed,
 		outputs: int(outputs)%16 + 1,
-		fixed:   flags&1 != 0,
+		scheme:  int(flags&1 | flags>>2&2),
 		random:  flags&2 != 0,
 	}
 	tc.maxCand = int(maxCand)%tc.outputs + 1
@@ -229,13 +237,14 @@ func selectionCaseFrom(seed uint64, maxCand, outputs, flags uint8) selectionCase
 
 // TestCandidatesMatchesSortedReference sweeps the one-pass selection
 // against the sorted reference: every MaxCandidates from 1 to the output
-// count, both selection policies, biased and fixed (tie-heavy) priorities,
+// count, both selection policies, every scheme — Biased priced inline and
+// through the interface, fixed (tie-heavy) and oldest-first priorities —
 // and a slot table that starts empty.
 func TestCandidatesMatchesSortedReference(t *testing.T) {
 	const outputs = 8
 	for seed := uint64(1); seed <= 6; seed++ {
 		for maxCand := 1; maxCand <= outputs; maxCand++ {
-			for flags := uint8(0); flags < 8; flags++ {
+			for flags := uint8(0); flags < 16; flags++ {
 				// The fuzz mapping is n%range + 1, hence the -1s.
 				checkSelection(t, selectionCaseFrom(seed, uint8(maxCand-1), outputs-1, flags))
 			}
@@ -251,14 +260,20 @@ func FuzzCandidatesMatchesSortedReference(f *testing.F) {
 	f.Add(uint64(3), uint8(3), uint8(7), uint8(2))  // random selection
 	f.Add(uint64(4), uint8(1), uint8(15), uint8(4)) // slot table grows from empty
 	f.Add(uint64(5), uint8(2), uint8(0), uint8(0))  // one output
+	// One seed per scheme, so the inline and the interface paths both stay
+	// equal to the reference.
+	f.Add(uint64(6), uint8(3), uint8(7), uint8(0)) // Biased, priced inline
+	f.Add(uint64(7), uint8(3), uint8(7), uint8(1)) // Fixed
+	f.Add(uint64(8), uint8(3), uint8(7), uint8(8)) // OldestFirst
+	f.Add(uint64(9), uint8(3), uint8(7), uint8(9)) // Biased through the interface
 	f.Fuzz(func(t *testing.T, seed uint64, maxCand, outputs, flags uint8) {
 		checkSelection(t, selectionCaseFrom(seed, maxCand, outputs, flags))
 	})
 }
 
-// backlogPort builds the saturated port of the figures' 0.9 column in
-// miniature: a 256-VC memory with 48 eligible CBR VCs spread over 8
-// outputs, every one with a buffered flit and credit.
+// backlogPort builds a 256-VC port with the given number of eligible CBR
+// VCs spread over 8 outputs, every one with a buffered flit and credit —
+// with 48, the saturated port of the figures' 0.9 column in miniature.
 func backlogPort(tb testing.TB, eligible, maxCand int) *LinkScheduler {
 	tb.Helper()
 	const vcs, outputs = 256, 8
@@ -301,21 +316,27 @@ func TestCandidatesZeroAlloc(t *testing.T) {
 // BenchmarkLinkCandidatesBacklog measures candidate selection on a
 // backlogged port — 48 eligible VCs over 8 outputs — at the two ends of
 // the paper's candidate sweep.
-func BenchmarkLinkCandidatesBacklog(b *testing.B) {
+func BenchmarkLinkCandidatesBacklog(b *testing.B) { benchmarkCandidates(b, 48) }
+
+// BenchmarkLinkCandidatesOneEligible measures the call a sparse fabric makes
+// most: one eligible VC on the port.
+func BenchmarkLinkCandidatesOneEligible(b *testing.B) { benchmarkCandidates(b, 1) }
+
+func benchmarkCandidates(b *testing.B, eligible int) {
 	for _, bc := range []struct {
 		name    string
 		maxCand int
 	}{{"1C", 1}, {"8C", 8}} {
 		b.Run(bc.name, func(b *testing.B) {
-			ls := backlogPort(b, 48, bc.maxCand)
+			ls := backlogPort(b, eligible, bc.maxCand)
 			dst := make([]Candidate, 0, ls.cfg.Outputs)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				dst = ls.Candidates(int64(1000+i), dst[:0])
 			}
-			if len(dst) != bc.maxCand {
-				b.Fatalf("nominated %d, want %d", len(dst), bc.maxCand)
+			if want := min(eligible, bc.maxCand); len(dst) != want {
+				b.Fatalf("nominated %d, want %d", len(dst), want)
 			}
 		})
 	}

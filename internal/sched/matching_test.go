@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"mmr/internal/sim"
@@ -206,4 +207,294 @@ func FuzzArbiterMatching(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, ports, maxCand uint8) {
 		a.checkMatching(t, matchingCase(seed, ports, maxCand))
 	})
+}
+
+// referencePriority is PriorityArbiter.Schedule as it was before the
+// candidates were compared in place: better on copies. It runs on a's
+// scratch, so a twin arbiter of the one under test drives it.
+func referencePriority(a *PriorityArbiter, cands [][]Candidate, grants []int) {
+	n := len(grants)
+	a.grow(n)
+	free := a.ins[:0]
+	for in := range grants {
+		grants[in] = NoGrant
+		if in < len(cands) && len(cands[in]) > 0 {
+			free = append(free, in)
+		}
+	}
+	outs := a.outs[:0]
+	maxIter := a.iterations
+	if maxIter <= 0 {
+		maxIter = n
+	}
+	for iter := 0; iter < maxIter && len(free) > 0; iter++ {
+		for _, o := range outs {
+			a.grantIn[o] = -1
+		}
+		for _, in := range free {
+			for ci, c := range cands[in] {
+				o := c.Output
+				if o < 0 || o >= n {
+					continue
+				}
+				if !a.seen[o] {
+					a.seen[o], a.matchIn[o], a.grantIn[o] = true, -1, -1
+					outs = append(outs, o)
+				}
+				if a.matchIn[o] >= 0 {
+					continue
+				}
+				if g := a.grantIn[o]; g < 0 || betterCopy(c, cands[g][a.grantIdx[o]]) {
+					a.grantIn[o], a.grantIdx[o] = in, ci
+				}
+			}
+		}
+		for _, o := range outs {
+			in := a.grantIn[o]
+			if in < 0 {
+				continue
+			}
+			ci := a.grantIdx[o]
+			if best := grants[in]; best == NoGrant {
+				grants[in] = ci
+			} else if c, b := cands[in][ci], cands[in][best]; betterCopy(c, b) || (!betterCopy(b, c) && o < b.Output) {
+				grants[in] = ci
+			}
+		}
+		unmatched := free[:0]
+		for _, in := range free {
+			if g := grants[in]; g != NoGrant {
+				a.matchIn[cands[in][g].Output] = in
+			} else {
+				unmatched = append(unmatched, in)
+			}
+		}
+		if len(unmatched) == len(free) {
+			break
+		}
+		free = unmatched
+	}
+	if a.augment {
+		for _, in := range free {
+			for _, o := range outs {
+				a.visited[o] = false
+			}
+			a.tryAugment(cands, grants, in)
+		}
+	}
+	for _, o := range outs {
+		a.seen[o] = false
+	}
+}
+
+// betterCopy is better on copies of its operands, as the arbiter compared
+// before it compared in place.
+func betterCopy(a, b Candidate) bool { return better(&a, &b) }
+
+// referencePIM is PIMArbiter.Schedule with the grant loop the request
+// buckets replaced: every free output rescans every unmatched input's
+// candidates for its first request. It runs on a's scratch and RNG, so a
+// twin arbiter of the one under test drives it.
+func referencePIM(a *PIMArbiter, cands [][]Candidate, grants []int) {
+	n := len(grants)
+	a.grow(n)
+	for i := range grants {
+		grants[i] = NoGrant
+	}
+	var reqIns, reqIdx []int
+	for iter := 0; iter < a.iterations; iter++ {
+		for in := 0; in < n; in++ {
+			a.grantCount[in] = 0
+		}
+		for o := 0; o < n; o++ {
+			a.grantFor[o] = -1
+			if a.outTaken[o] {
+				continue
+			}
+			reqIns, reqIdx = reqIns[:0], reqIdx[:0]
+			for in := 0; in < n && in < len(cands); in++ {
+				if a.inMatched[in] {
+					continue
+				}
+				for ci, c := range cands[in] {
+					if c.Output == o {
+						reqIns = append(reqIns, in)
+						reqIdx = append(reqIdx, ci)
+						break
+					}
+				}
+			}
+			if len(reqIns) == 0 {
+				continue
+			}
+			k := a.rng.Intn(len(reqIns))
+			a.grantFor[o] = reqIns[k]
+			a.grantForIdx[o] = reqIdx[k]
+			a.grantCount[reqIns[k]]++
+		}
+		progress := false
+		for in := 0; in < n; in++ {
+			if a.inMatched[in] || a.grantCount[in] == 0 {
+				continue
+			}
+			pick := a.rng.Intn(a.grantCount[in])
+			for o := 0; o < n; o++ {
+				if a.grantFor[o] != in {
+					continue
+				}
+				if pick == 0 {
+					grants[in] = a.grantForIdx[o]
+					a.inMatched[in] = true
+					a.outTaken[o] = true
+					progress = true
+					break
+				}
+				pick--
+			}
+		}
+		if !progress {
+			break
+		}
+	}
+}
+
+// arbiterTwins pairs each arbiter shape with a twin the references drive:
+// the priority arbiter with and without augmentation under 0–3 iteration
+// bounds, and PIM under 1–4 iterations, each PIM pair on RNGs seeded alike.
+// They are reused across cases and widths, so scratch a call leaves stale
+// shows.
+type arbiterTwins struct {
+	prio, prioRef []*PriorityArbiter
+	pim, pimRef   []*PIMArbiter
+}
+
+func newArbiterTwins() *arbiterTwins {
+	tw := &arbiterTwins{}
+	for it := 0; it <= 3; it++ {
+		for _, augment := range []bool{true, false} {
+			a, ref := NewPriorityArbiter(it), NewPriorityArbiter(it)
+			a.augment, ref.augment = augment, augment
+			tw.prio, tw.prioRef = append(tw.prio, a), append(tw.prioRef, ref)
+		}
+		seed := uint64(it) + 1
+		tw.pim = append(tw.pim, NewPIMArbiter(sim.NewRNG(seed), it+1))
+		tw.pimRef = append(tw.pimRef, NewPIMArbiter(sim.NewRNG(seed), it+1))
+	}
+	return tw
+}
+
+// check runs every arbiter and its reference on cands over ports ports —
+// as many as the candidate rows, or more, whose inputs have no row — and
+// requires the same grants and, for PIM, the same RNG position.
+func (tw *arbiterTwins) check(t *testing.T, cands [][]Candidate, ports int) {
+	t.Helper()
+	got, want := make([]int, ports), make([]int, ports)
+	compare := func(name string) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, %d ports: grants %v, reference %v, candidates %+v", name, ports, got, want, cands)
+		}
+	}
+	for i, a := range tw.prio {
+		for j := range got {
+			got[j], want[j] = 12345, 54321 // Schedule must overwrite every entry
+		}
+		a.Schedule(cands, got)
+		referencePriority(tw.prioRef[i], cands, want)
+		compare(a.Name())
+	}
+	for i, a := range tw.pim {
+		a.Schedule(cands, got)
+		referencePIM(tw.pimRef[i], cands, want)
+		compare(a.Name())
+		if a.rng.State() != tw.pimRef[i].rng.State() {
+			t.Fatalf("%s, %d ports: drew a different number of random values than the reference, candidates %+v", a.Name(), ports, cands)
+		}
+	}
+}
+
+// FuzzArbitersMatchReference holds the priority arbiter's in-place
+// comparisons and PIM's request buckets to the loops they replaced, on the
+// request graphs of matchingCase — duplicate outputs within an input,
+// outputs out of range, inputs with no candidate — widened by up to two
+// ports with no candidate row.
+func FuzzArbitersMatchReference(f *testing.F) {
+	for _, s := range [][4]uint8{{1, 6, 7, 0}, {2, 14, 7, 2}, {3, 0, 0, 1}, {4, 6, 0, 0}, {5, 3, 3, 1}} {
+		f.Add(uint64(s[0]), s[1], s[2], s[3])
+	}
+	tw := newArbiterTwins()
+	f.Fuzz(func(t *testing.T, seed uint64, ports, maxCand, extra uint8) {
+		cands := matchingCase(seed, ports, maxCand)
+		tw.check(t, cands, len(cands)+int(extra)%3)
+	})
+}
+
+// TestArbitersMatchReference sweeps FuzzArbitersMatchReference's property
+// over every width matchingCase draws.
+func TestArbitersMatchReference(t *testing.T) {
+	tw := newArbiterTwins()
+	for seed := uint64(0); seed < 600; seed++ {
+		cands := matchingCase(seed, uint8(seed), uint8(seed/15))
+		tw.check(t, cands, len(cands)+int(seed%3))
+	}
+}
+
+// arbiterBenchCases are request graphs of the paper's 8×8 router: every
+// input nominates cands candidates on distinct outputs, sorted best first,
+// as link schedulers hand them over. The benchmarks cycle through them.
+func arbiterBenchCases(cands int) [][][]Candidate {
+	rng := sim.NewRNG(11)
+	const ports = 8
+	cases := make([][][]Candidate, 64)
+	for k := range cases {
+		cs := make([][]Candidate, ports)
+		for in := range cs {
+			outs := make([]int, ports)
+			for i := range outs {
+				outs[i] = i
+			}
+			for i := ports - 1; i > 0; i-- {
+				j := rng.Intn(i + 1)
+				outs[i], outs[j] = outs[j], outs[i]
+			}
+			for vc := 0; vc < cands; vc++ {
+				cs[in] = append(cs[in], Candidate{Input: in, VC: vc, Output: outs[vc],
+					Phase: Phase(rng.Intn(3)), Priority: float64(rng.Intn(40))})
+			}
+			sortCandidates(cs[in])
+		}
+		cases[k] = cs
+	}
+	return cases
+}
+
+func benchmarkArbiter(b *testing.B, newArbiter func() SwitchScheduler) {
+	for _, bc := range []struct {
+		name  string
+		cands int
+	}{{"1C", 1}, {"8C", 8}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cases := arbiterBenchCases(bc.cands)
+			a := newArbiter()
+			grants := make([]int, 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.Schedule(cases[i%len(cases)], grants)
+			}
+		})
+	}
+}
+
+// BenchmarkPriorityArbiter measures the paper's switch scheduler on an 8×8
+// router at the two ends of the candidate sweep.
+func BenchmarkPriorityArbiter(b *testing.B) {
+	benchmarkArbiter(b, func() SwitchScheduler { return NewPriorityArbiter(0) })
+}
+
+// BenchmarkPIMArbiter measures the Autonet comparison's matching (three
+// iterations, as the router runs it) on an 8×8 router at the two ends of
+// the candidate sweep.
+func BenchmarkPIMArbiter(b *testing.B) {
+	benchmarkArbiter(b, func() SwitchScheduler { return NewPIMArbiter(sim.NewRNG(3), 3) })
 }

@@ -31,9 +31,11 @@ type Candidate struct {
 	Priority float64 // within-phase priority; larger wins
 }
 
-// Better reports whether a should be served before b: lower phase first,
-// then higher priority, then (for determinism) lower input and VC.
-func Better(a, b Candidate) bool {
+// better reports whether a should be served before b: lower phase first,
+// then higher priority, then (for determinism) lower input and VC. It
+// takes pointers: a Candidate is 40 bytes, and the arbiters compare many
+// in place each cycle.
+func better(a, b *Candidate) bool {
 	if a.Phase != b.Phase {
 		return a.Phase < b.Phase
 	}

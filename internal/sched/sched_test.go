@@ -16,20 +16,21 @@ func TestBetterOrdering(t *testing.T) {
 	hi := Candidate{Phase: PhaseGuaranteed, Priority: 9}
 	lo := Candidate{Phase: PhaseGuaranteed, Priority: 1}
 	be := Candidate{Phase: PhaseBestEffort, Priority: 100}
-	if !Better(ctl, hi) || !Better(hi, lo) || !Better(lo, be) {
+	if !better(&ctl, &hi) || !better(&hi, &lo) || !better(&lo, &be) {
 		t.Fatal("phase/priority ordering wrong")
 	}
 	// Deterministic tie-break by input then VC.
 	a := Candidate{Phase: PhaseGuaranteed, Priority: 5, Input: 0, VC: 3}
 	b := Candidate{Phase: PhaseGuaranteed, Priority: 5, Input: 1, VC: 0}
 	c := Candidate{Phase: PhaseGuaranteed, Priority: 5, Input: 0, VC: 4}
-	if !Better(a, b) || !Better(a, c) {
+	if !better(&a, &b) || !better(&a, &c) {
 		t.Fatal("tie-break wrong")
 	}
 }
 
-// TestSortCandidates: the sort orders the per-output winners — one input,
-// distinct outputs and VCs — by phase, then priority, then VC.
+// TestSortCandidates: the link scheduler's sort orders the per-output
+// winners — one input, distinct outputs and VCs — by phase, then priority,
+// then VC, as better and the test helper sortCandidates do.
 func TestSortCandidates(t *testing.T) {
 	cs := []Candidate{
 		{VC: 9, Output: 0, Phase: PhaseBestEffort, Priority: 50},
@@ -38,13 +39,32 @@ func TestSortCandidates(t *testing.T) {
 		{VC: 4, Output: 3, Phase: PhaseGuaranteed, Priority: 7},
 		{VC: 2, Output: 4, Phase: PhaseGuaranteed, Priority: 1},
 	}
-	sortCandidates(cs)
-	var order []int
-	for _, c := range cs {
-		order = append(order, c.VC)
+	ps := make([]pick, len(cs))
+	for i, c := range cs {
+		ps[i] = pick{prio: c.Priority, vc: int32(c.VC), out: int32(c.Output), phase: c.Phase}
 	}
-	if want := []int{7, 4, 2, 5, 9}; !reflect.DeepEqual(order, want) {
-		t.Fatalf("sorted VC order %v, want %v", order, want)
+	sortPicks(ps)
+	sortCandidates(cs)
+	var order, picked []int
+	for i := range cs {
+		order, picked = append(order, cs[i].VC), append(picked, int(ps[i].vc))
+	}
+	want := []int{7, 4, 2, 5, 9}
+	if !reflect.DeepEqual(picked, want) {
+		t.Fatalf("sortPicks: VC order %v, want %v", picked, want)
+	}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("sortCandidates: VC order %v, want %v", order, want)
+	}
+}
+
+// sortCandidates orders candidates best-first by better, as a link
+// scheduler hands them over.
+func sortCandidates(cs []Candidate) {
+	for i := 1; i < len(cs); i++ {
+		for j := i; j > 0 && better(&cs[j], &cs[j-1]); j-- {
+			cs[j], cs[j-1] = cs[j-1], cs[j]
+		}
 	}
 }
 

@@ -427,12 +427,7 @@ func (m *Memory) PickFree(rng *sim.RNG) int { return m.FindFree(rng.Intn(m.NumVC
 func (m *Memory) FreeVCs() int { return m.cfg.VirtualChannels - m.reserved.Count() }
 
 // Serviced returns the flit cycles VC vc has consumed this round.
-func (m *Memory) Serviced(vc int) int {
-	if st := &m.state[vc]; st.servicedRound == m.round {
-		return int(st.serviced)
-	}
-	return 0
-}
+func (m *Memory) Serviced(vc int) int { return m.state[vc].ServicedIn(m.round) }
 
 // IncServiced charges one flit cycle to VC vc's round account.
 func (m *Memory) IncServiced(vc int) { m.SetServiced(vc, m.Serviced(vc)+1) }
@@ -504,3 +499,20 @@ func (m *Memory) CheckMirrors() error {
 	}
 	return nil
 }
+
+// Records returns the VC records, indexed by VC — State for a caller that
+// visits many VCs in one pass. Empty until the memory materializes.
+func (m *Memory) Records() []VCState { return m.state }
+
+// ServicedIn returns the flit cycles the VC has consumed in the round
+// stamped round: its account if written in that round, else 0. With
+// Records and Round it is Serviced for a caller that holds the record.
+func (st *VCState) ServicedIn(round uint32) int {
+	if st.servicedRound == round {
+		return int(st.serviced)
+	}
+	return 0
+}
+
+// Round returns the current round's stamp (see ServicedIn).
+func (m *Memory) Round() uint32 { return m.round }
