@@ -84,9 +84,8 @@ func (a *LinkAllocator) GuaranteedLoad() float64 {
 
 // Headroom returns the guaranteed cycles per round still available to new
 // connections: the upper bound on any single admission this link can
-// accept. Batched establishment uses it for provably-fatal-only
-// pre-checks — a demand exceeding the headroom of every candidate link
-// cannot be admitted no matter which path a search finds.
+// accept. Establishment refuses early a demand above its destination's
+// ejection headroom, which no path a search finds can change.
 func (a *LinkAllocator) Headroom() int {
 	if h := a.budget() - a.guaranteed; h > 0 {
 		return h

@@ -3,11 +3,13 @@ package network
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mmr/internal/admission"
 	"mmr/internal/flit"
 	"mmr/internal/routing"
+	"mmr/internal/sim"
 	"mmr/internal/topology"
 	"mmr/internal/traffic"
 )
@@ -26,20 +28,39 @@ func batchReqs(nodes, shells int, spec traffic.ConnSpec) []OpenReq {
 }
 
 // TestOpenBatchMatchesSerial asserts OpenBatch is bit-exact with opening
-// the same requests one at a time, under every route mode, with tenant
-// quotas and capacity no pre-check sees refusing part of the list: same
-// accept set, same paths, same VCs, same RNG position and byte-identical
-// checkpoints — straight after bring-up and again after a fault sequence
-// has pushed both fabrics through restoration, degradation and
-// re-promotion (which run the same establishment engine on existing
-// sessions). prechecksMatchSerial then holds each route mode to what it
-// promises on a list the pre-checks do refuse part of.
+// the same requests one at a time, under every route mode: same accept
+// set, same paths, same VCs, same RNG position and byte-identical
+// checkpoints. batchMatchesSerial runs a list tenant quotas and a
+// saturated uplink refuse part of, then pushes both fabrics through
+// restoration, degradation and re-promotion (which run the same
+// establishment engine on existing sessions); earlyRefusalsMatchSerial
+// runs a list the early refusals turn part of down.
 func TestOpenBatchMatchesSerial(t *testing.T) {
 	for _, route := range []routing.RouteMode{routing.RouteMinimal, routing.RouteValiant, routing.RouteUGAL} {
 		t.Run(route.String(), func(t *testing.T) {
 			batchMatchesSerial(t, route)
-			prechecksMatchSerial(t, route)
+			earlyRefusalsMatchSerial(t, route)
 		})
+	}
+}
+
+// sameFabric fails unless a and b hold the master RNG at the same position
+// and encode to the same checkpoint bytes.
+func sameFabric(t *testing.T, when string, a, b *Network) {
+	t.Helper()
+	if a.rng.State() != b.rng.State() {
+		t.Fatalf("%s: master RNG positions differ", when)
+	}
+	ab, err := a.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb, err := b.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ab, bb) {
+		t.Fatalf("%s: checkpoints differ", when)
 	}
 }
 
@@ -60,7 +81,7 @@ func batchMatchesSerial(t *testing.T, route routing.RouteMode) {
 	}
 	// Three light shells (every third request on a tenant that runs out
 	// of sessions), then a heavy tail that saturates edge router 0's two
-	// uplinks — a shortage no pre-check sees, so the refused requests
+	// uplinks — a shortage only the search finds, so the refused requests
 	// search (and draw) in both fabrics.
 	reqs := batchReqs(topology.FatTreeNodes(4), 3, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 8 * traffic.Mbps})
 	for i := range reqs {
@@ -98,27 +119,10 @@ func batchMatchesSerial(t *testing.T, route routing.RouteMode) {
 			t.Fatalf("conn %d differs: %+v vs %+v", i, a, b)
 		}
 	}
-	same := func(when string) {
-		t.Helper()
-		if serial.rng.State() != batched.rng.State() {
-			t.Fatalf("%s: master RNG positions differ", when)
-		}
-		sb, err := serial.EncodeState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		bb, err := batched.EncodeState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sb, bb) {
-			t.Fatalf("%s: checkpoints differ", when)
-		}
-	}
-	same("after bring-up")
+	sameFabric(t, "after bring-up", serial, batched)
 	serial.Run(2000)
 	batched.Run(2000)
-	same("after 2000 cycles")
+	sameFabric(t, "after 2000 cycles", serial, batched)
 
 	// Cut edge router 0 off (its sessions cannot be restored and degrade)
 	// and one aggregation–core link (its sessions restore elsewhere), then
@@ -131,7 +135,7 @@ func batchMatchesSerial(t *testing.T, route routing.RouteMode) {
 		}
 		n.Run(4000)
 	}
-	same("after the faults")
+	sameFabric(t, "after the faults", serial, batched)
 	for _, n := range []*Network{serial, batched} {
 		for _, l := range [][2]int{{0, 2}, {0, 3}, {9, 2}} {
 			if err := n.RestoreLink(l[0], l[1]); err != nil {
@@ -140,7 +144,7 @@ func batchMatchesSerial(t *testing.T, route routing.RouteMode) {
 		}
 		n.Run(4000)
 	}
-	same("after the repairs")
+	sameFabric(t, "after the repairs", serial, batched)
 	st := batched.Stats()
 	if st.ConnsRestored == 0 || st.ConnsDegraded == 0 || st.ConnsPromoted == 0 {
 		t.Fatalf("fault sequence too gentle: %d restored, %d degraded, %d promoted", st.ConnsRestored, st.ConnsDegraded, st.ConnsPromoted)
@@ -150,15 +154,33 @@ func batchMatchesSerial(t *testing.T, route routing.RouteMode) {
 	}
 }
 
-// prechecksMatchSerial runs a request list the batch's pre-checks do refuse
-// part of — a hot destination's ejection headroom and one source's entry VCs
+// refusedEarly reports whether an open that failed with err, moving the
+// master RNG from before to after, was turned down by preAdmit's early
+// refusal: the entry-VC or ejection text, and no draw. A refusal the
+// reservation reaches draws first — the entry VC's pick, the search's
+// hops, a multipath candidate.
+func refusedEarly(err error, before, after sim.RNGState) bool {
+	if err == nil || before != after {
+		return false
+	}
+	return refusedEarlyText(err)
+}
+
+// refusedEarlyText reports whether err has the text of one of the two early
+// refusals (which the reservation's entry-VC pick and ejection admission
+// share).
+func refusedEarlyText(err error) bool {
+	msg := err.Error()
+	return strings.Contains(msg, "no free VC on host port") || strings.Contains(msg, "cannot admit")
+}
+
+// earlyRefusalsMatchSerial runs a request list the early refusals turn part
+// of down — a hot destination's ejection headroom and one source's entry VCs
 // run out, with other sessions opening after each refusal — through OpenBatch
 // and through one-at-a-time opens. Every route mode gets the same accept set,
-// per-hop ports, setup times and backtracks. Under Valiant and UGAL routing the batch builds
-// no pre-check tables, so every request draws from the master RNG as a serial
-// one does and the fabrics end byte-equal; under minimal routing a refused
-// request draws nothing, so later sessions may hold other VCs.
-func prechecksMatchSerial(t *testing.T, route routing.RouteMode) {
+// the same master RNG position and byte-equal fabrics. At least one request
+// must be refused early, or the list does not reach what it is for.
+func earlyRefusalsMatchSerial(t *testing.T, route routing.RouteMode) {
 	build := func() *Network {
 		tp, err := topology.FatTree(4)
 		if err != nil {
@@ -187,158 +209,128 @@ func prechecksMatchSerial(t *testing.T, route routing.RouteMode) {
 	}
 	serial, batched := build(), build()
 	res := batched.OpenBatch(reqs)
-	var prechecked int
+	early := 0
 	for i, r := range reqs {
+		before := serial.rng.State()
 		_, err := serial.Open(r.Src, r.Dst, r.Spec)
 		if (err == nil) != (res[i].Err == nil) {
 			t.Fatalf("request %d: one at a time %v, batched %v", i, err, res[i].Err)
 		}
-		if _, ok := res[i].Err.(*precheckError); ok {
-			prechecked++
+		if refusedEarly(err, before, serial.rng.State()) {
+			early++
 		}
 	}
-	if route == routing.RouteMinimal && prechecked == 0 {
-		t.Fatal("no request was refused by a pre-check")
+	if early == 0 {
+		t.Fatal("no request was refused early")
 	}
-	sc, bc := serial.Conns(), batched.Conns()
-	if len(sc) != len(bc) || len(sc) < 20 {
-		t.Fatalf("conn counts %d and %d", len(sc), len(bc))
+	if n := len(serial.Conns()); n < 20 {
+		t.Fatalf("only %d sessions opened", n)
 	}
-	for i := range sc {
-		a, b := sc[i], bc[i]
-		if !reflect.DeepEqual(a.Path, b.Path) || a.SetupTime != b.SetupTime || a.Backtracks != b.Backtracks {
-			t.Fatalf("conn %d: ports %v, setup %d, %d backtracks one at a time; %v, %d, %d batched",
-				i, a.Path, a.SetupTime, a.Backtracks, b.Path, b.SetupTime, b.Backtracks)
-		}
-	}
-	if route == routing.RouteMinimal {
-		return
-	}
-	if serial.rng.State() != batched.rng.State() {
-		t.Fatal("master RNG positions differ")
-	}
-	sb, err := serial.EncodeState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := batched.EncodeState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sb, bb) {
-		t.Fatal("checkpoints differ")
-	}
+	sameFabric(t, "after bring-up", serial, batched)
 }
 
-// TestOpenBatchPrecheckExact asserts the pre-checks reject exactly the
-// requests serial establishment would reject, for the two
-// placement-independent resources they model exactly: source entry VCs
-// and destination ejection bandwidth.
+// TestOpenBatchPrecheckExact asserts the early refusal is exact: every
+// request it turns down, a reservation on a copy of the fabric restored
+// from its checkpoint must also fail to place, and a demand exactly equal
+// to the destination's ejection headroom passes it and opens. The list
+// drives one destination's ejection past its round, then one source's
+// entry VCs, so both refusals are reached.
 func TestOpenBatchPrecheckExact(t *testing.T) {
 	tp, err := topology.Mesh(4, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(tp)
-	cfg.VCs = 8 // small enough to exhaust the source's entry VCs quickly
-	cfg.K = 4
-
-	// Destination ejection saturation: the host output port admits
-	// roundLen guaranteed cycles; drive one destination past it.
-	spec := traffic.ConnSpec{Class: flit.ClassCBR, Rate: 100 * traffic.Mbps}
-	serial, _ := New(cfg)
-	batched, _ := New(cfg)
-	var reqs []OpenReq
-	for src := 0; src < tp.Nodes-1; src++ {
-		for k := 0; k < 3; k++ {
-			reqs = append(reqs, OpenReq{Src: src, Dst: tp.Nodes - 1, Spec: spec})
-		}
-	}
-	pattern := make([]bool, len(reqs))
-	for i, r := range reqs {
-		_, err := serial.Open(r.Src, r.Dst, r.Spec)
-		pattern[i] = err == nil
-	}
-	res := batched.OpenBatch(reqs)
-	accepted := 0
-	for i := range res {
-		if (res[i].Err == nil) != pattern[i] {
-			t.Fatalf("request %d: batch accept=%v, serial accept=%v (%v)",
-				i, res[i].Err == nil, pattern[i], res[i].Err)
-		}
-		if res[i].Err == nil {
-			accepted++
-		}
-	}
-	if accepted == 0 || accepted == len(reqs) {
-		t.Fatalf("saturation test did not straddle the admission limit (accepted %d/%d)", accepted, len(reqs))
-	}
-
-	// Source entry-VC exhaustion: only cfg.VCs sessions can originate at
-	// one router.
-	serial2, _ := New(cfg)
-	batched2, _ := New(cfg)
-	small := traffic.ConnSpec{Class: flit.ClassCBR, Rate: 1 * traffic.Mbps}
-	var reqs2 []OpenReq
-	for i := 0; i < cfg.VCs+4; i++ {
-		reqs2 = append(reqs2, OpenReq{Src: 0, Dst: 1 + i%(tp.Nodes-1), Spec: small})
-	}
-	for i, r := range reqs2 {
-		_, serr := serial2.Open(r.Src, r.Dst, r.Spec)
-		pattern[i] = serr == nil
-	}
-	res2 := batched2.OpenBatch(reqs2)
-	for i := range res2 {
-		if (res2[i].Err == nil) != pattern[i] {
-			t.Fatalf("vc-exhaustion request %d: batch accept=%v, serial accept=%v",
-				i, res2[i].Err == nil, pattern[i])
-		}
-	}
-}
-
-// TestOpenBatchRegionalPrecheck asserts the border-capacity aggregate
-// rejects cross-region demand that provably cannot fit, on the smallest
-// fat tree (one border link per pod), and that serial establishment
-// agrees.
-func TestOpenBatchRegionalPrecheck(t *testing.T) {
-	tp, err := topology.FatTree(2)
+	cfg.VCs, cfg.K = 8, 4 // few VCs, so a source's entry VCs run out
+	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(tp)
-	roundLen := cfg.K * cfg.VCs
-	// Each session demands just over a third of a round: two fit on the
-	// single pod-0 border link, the third must be rejected.
-	rate := traffic.Rate(float64(cfg.Link.Bandwidth) * 49.5 / float64(roundLen))
-	spec := traffic.ConnSpec{Class: flit.ClassCBR, Rate: rate}
-	d := demandFromRate(t, cfg, rate)
-	if d*3 <= roundLen || d*2 > roundLen {
-		t.Fatalf("demand %d does not straddle the border capacity %d", d, roundLen)
-	}
-
-	serial, _ := New(cfg)
-	batched, _ := New(cfg)
-	// Cross-pod: pod 0 (edge router 0) to pod 1 (edge router 2).
-	reqs := []OpenReq{
-		{Src: 0, Dst: 2, Spec: spec},
-		{Src: 0, Dst: 2, Spec: spec},
-		{Src: 0, Dst: 2, Spec: spec},
-	}
-	for i, r := range reqs {
-		_, serr := serial.Open(r.Src, r.Dst, r.Spec)
-		br := batched.OpenBatch([]OpenReq{r})
-		if (serr == nil) != (br[0].Err == nil) {
-			t.Fatalf("request %d: serial accept=%v, batch accept=%v", i, serr == nil, br[0].Err == nil)
+	hot := tp.Nodes - 1
+	spec := traffic.ConnSpec{Class: flit.ClassCBR, Rate: 100 * traffic.Mbps}
+	var reqs []OpenReq
+	for src := 0; src < hot; src++ {
+		for k := 0; k < 3; k++ {
+			reqs = append(reqs, OpenReq{Src: src, Dst: hot, Spec: spec})
 		}
 	}
-	if got := batched.Stats().SetupRejected; got != 1 {
-		t.Fatalf("expected exactly 1 rejection, got %d", got)
+	for i := 0; i < cfg.VCs+4; i++ {
+		reqs = append(reqs, OpenReq{Src: 1, Dst: 2 + i%(hot-2), Spec: traffic.ConnSpec{Class: flit.ClassCBR, Rate: 1 * traffic.Mbps}})
+	}
+
+	refused := map[string]int{}
+	for i, req := range reqs {
+		blob, err := n.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cp.RestoreState(blob); err != nil {
+			t.Fatal(err)
+		}
+		if early := cp.refuseEarly(req, cp.demandFor(req.Spec)); early != nil {
+			l := &cp.sync
+			l.begin(cp, req, cp.demandFor(req.Spec))
+			if err := cp.reservePath(l); err == nil {
+				t.Fatalf("request %d (%d→%d): refused early (%v), but a reservation places it", i, req.Src, req.Dst, early)
+			}
+			msg := early.Error()
+			refused[msg[:strings.Index(msg, " of node")]]++
+			if _, err := n.Open(req.Src, req.Dst, req.Spec); err == nil || err.Error() != msg {
+				t.Fatalf("request %d: the copy refused it early with %v, the fabric answered %v", i, early, err)
+			}
+			continue
+		}
+		if _, err := n.Open(req.Src, req.Dst, req.Spec); err != nil && refusedEarlyText(err) {
+			t.Fatalf("request %d: the early refusal passed it, then the fabric refused it at its entry VC or ejection: %v", i, err)
+		}
+	}
+	if refused["network: no free VC on host port"] == 0 || refused["network: destination host port"] == 0 {
+		t.Fatalf("refusals by kind %v: the list must reach both", refused)
+	}
+
+	// The boundary: a demand of exactly the hot destination's remaining
+	// headroom fits, from a source whose two minimal paths into it share
+	// the inbound links' room.
+	hp := cfg.hostPort()
+	h := n.nodes[hot].Alloc[hp].Headroom()
+	if h == 0 {
+		t.Fatal("the hot destination's ejection is full: no boundary to test")
+	}
+	rate := rateForCycles(t, n, h)
+	req := OpenReq{Src: hot - 5, Dst: hot, Spec: traffic.ConnSpec{Class: flit.ClassCBR, Rate: rate}}
+	if err := n.refuseEarly(req, n.demandFor(req.Spec)); err != nil {
+		t.Fatalf("a demand of %d cycles, the destination's headroom, is refused early: %v", h, err)
+	}
+	if _, err := n.Open(req.Src, req.Dst, req.Spec); err != nil {
+		t.Fatalf("a demand of %d cycles, the destination's headroom, does not open: %v", h, err)
+	}
+	if got := n.nodes[hot].Alloc[hp].Headroom(); got != 0 {
+		t.Fatalf("after the boundary session the destination has %d cycles left, want 0", got)
 	}
 }
 
-func demandFromRate(t *testing.T, cfg Config, rate traffic.Rate) int {
+// rateForCycles returns the least CBR rate whose demand is exactly cycles
+// a round: demand rounds up and grows with the rate, so the bisection's
+// upper end converges on the rate where it first reaches cycles.
+func rateForCycles(t *testing.T, n *Network, cycles int) traffic.Rate {
 	t.Helper()
-	return cfg.Link.CyclesPerRound(rate, cfg.K*cfg.VCs)
+	demand := func(r traffic.Rate) int { return n.demandFor(traffic.ConnSpec{Class: flit.ClassCBR, Rate: r}).Alloc }
+	lo, hi := traffic.Rate(0), n.cfg.Link.Bandwidth
+	for i := 0; i < 200 && hi-lo > 1e-6; i++ {
+		if mid := (lo + hi) / 2; demand(mid) >= cycles {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	if demand(hi) != cycles {
+		t.Fatalf("no rate demands exactly %d cycles a round", cycles)
+	}
+	return hi
 }
 
 // TestOpenBatchCheckpointRoundTrip asserts arena-backed connections
@@ -442,23 +434,5 @@ func TestRouteModeChangesConfigHash(t *testing.T) {
 	c, _ := New(cfg)
 	if a.ConfigHash() == b.ConfigHash() || b.ConfigHash() == c.ConfigHash() || a.ConfigHash() == c.ConfigHash() {
 		t.Fatal("route modes must hash to distinct configurations")
-	}
-}
-
-// TestPrecheckErrorText pins the text of every pre-check refusal kind: the
-// daemon's 409 bodies and the soak's refusal histogram read it.
-func TestPrecheckErrorText(t *testing.T) {
-	for _, c := range []struct {
-		err  precheckError
-		want string
-	}{
-		{precheckError{kind: precheckNoEntryVC, node: 7}, "network: no free VC on host port of node 7"},
-		{precheckError{kind: precheckNoEjection, node: 12, rate: 1.54 * traffic.Mbps}, "network: destination host port of node 12 cannot admit 1.54Mbps"},
-		{precheckError{kind: precheckNoBorder, node: 3, rate: 64 * traffic.Kbps, dir: "outbound"}, "network: region 3 has no outbound border capacity for 64Kbps"},
-		{precheckError{kind: precheckNoBorder, node: 0, rate: 120 * traffic.Mbps, dir: "inbound"}, "network: region 0 has no inbound border capacity for 120Mbps"},
-	} {
-		if got := c.err.Error(); got != c.want {
-			t.Errorf("refusal kind %d: %q, want %q", c.err.kind, got, c.want)
-		}
 	}
 }

@@ -140,7 +140,7 @@ func (n *Network) restoreAttempt(c *Conn, attempt int) {
 // It reports success, or the last error once the retry budget is spent;
 // otherwise it journals the next attempt after a jittered backoff.
 func (n *Network) openAttempt(id int64, or *openRetry) {
-	c, err := n.open(or.req, nil)
+	c, err := n.open(or.req)
 	if err == nil || or.attempt >= n.cfg.Fault.MaxRetries {
 		delete(n.openRetries, id)
 		if or.done != nil { // a restored retry reports to no one

@@ -12,10 +12,13 @@ import (
 )
 
 // establish.go is the admission side of connection establishment: the
-// ways in (Open, OpenWithRetry, OpenBatch in batch.go, and OpenRequest,
-// which they are forms of), the one pre-admission check and the one
-// registration every new session passes, and teardown. The reservation
-// side — the hold ledger and the EPB search — is probe.go.
+// ways in (Open, OpenWithRetry, OpenBatch and OpenRequest, which they are
+// forms of), the one pre-admission check every request passes — the
+// tenant's quota and the two refusals the live registers already prove —
+// the one registration every new session passes, the arenas its records
+// are carved from, and teardown. A batch is the serial loop, so there is
+// one establishment path. The reservation side — the hold ledger and the
+// EPB search — is probe.go.
 
 // OpenReq is one connection request.
 type OpenReq struct {
@@ -58,7 +61,7 @@ const (
 // The returned error only reports a malformed request (done is then not
 // called); the outcome of a well-formed one goes to done, which may be
 // nil. Open, OpenWithRetry and OpenBatch are this call with the default
-// tenant, or with many requests at once.
+// tenant, or for many requests in order.
 func (n *Network) OpenRequest(req OpenReq, form Form, done func(*Conn, error)) error {
 	if err := n.checkEndpoints(req); err != nil {
 		return err
@@ -68,7 +71,7 @@ func (n *Network) OpenRequest(req OpenReq, form Form, done func(*Conn, error)) e
 	}
 	switch form {
 	case FormOnce:
-		done(n.open(req, nil))
+		done(n.open(req))
 	case FormRetry:
 		n.openAttempt(-1, &openRetry{req: req, done: done})
 	default:
@@ -79,7 +82,7 @@ func (n *Network) OpenRequest(req OpenReq, form Form, done func(*Conn, error)) e
 
 // Open is OpenRequest(FormOnce) for the default tenant.
 func (n *Network) Open(src, dst int, spec traffic.ConnSpec) (*Conn, error) {
-	return n.open(OpenReq{Src: src, Dst: dst, Spec: spec}, nil)
+	return n.open(OpenReq{Src: src, Dst: dst, Spec: spec})
 }
 
 // OpenWithRetry is OpenRequest(FormRetry) for the default tenant.
@@ -87,11 +90,28 @@ func (n *Network) OpenWithRetry(src, dst int, spec traffic.ConnSpec, done func(*
 	return n.OpenRequest(OpenReq{Src: src, Dst: dst, Spec: spec}, FormRetry, done)
 }
 
+// OpenResult reports one request's outcome: the established connection,
+// or the error that refused it.
+type OpenResult struct {
+	Conn *Conn
+	Err  error
+}
+
+// OpenBatch is OpenRequest(FormOnce) for every request in order: the same
+// outcomes, fabric bytes and RNG position as opening them one at a time,
+// because it is that loop.
+func (n *Network) OpenBatch(reqs []OpenReq) []OpenResult {
+	out := make([]OpenResult, len(reqs))
+	for i, req := range reqs {
+		out[i].Conn, out[i].Err = n.open(req)
+	}
+	return out
+}
+
 // open is one synchronous establishment attempt: pre-admit, reserve a
-// path on the network's own ledger, register. pre is OpenBatch's
-// pre-check tables, nil for a single request.
-func (n *Network) open(req OpenReq, pre *precheckTables) (*Conn, error) {
-	d, err := n.preAdmit(req, pre)
+// path on the network's own ledger, register.
+func (n *Network) open(req OpenReq) (*Conn, error) {
+	d, err := n.preAdmit(req)
 	if err != nil {
 		return nil, err
 	}
@@ -101,18 +121,14 @@ func (n *Network) open(req OpenReq, pre *precheckTables) (*Conn, error) {
 		n.m.SetupRejected++
 		return nil, err
 	}
-	conn := n.register(l)
-	if pre != nil {
-		n.precheckCommit(pre, req, d)
-	}
-	return conn, nil
+	return n.register(l), nil
 }
 
 // preAdmit is the check every request passes before it may touch the
 // fabric: well-formed endpoints, then — counted as a set-up attempt, and
-// as a rejection if refused — the tenant's quota (the cheapest check of
-// all: no fabric state read) and, in a batch, the pre-check tables.
-func (n *Network) preAdmit(req OpenReq, pre *precheckTables) (router.Demand, error) {
+// as a rejection if refused — the tenant's quota (no fabric state read)
+// and the early refusal.
+func (n *Network) preAdmit(req OpenReq) (router.Demand, error) {
 	if err := n.checkEndpoints(req); err != nil {
 		return router.Demand{}, err
 	}
@@ -121,13 +137,30 @@ func (n *Network) preAdmit(req OpenReq, pre *precheckTables) (router.Demand, err
 	var err error
 	if !n.tenants.CanAdmit(req.Tenant, d.Alloc) {
 		err = tenantQuotaError(req.Tenant, n.tenants)
-	} else if pre != nil {
-		err = n.precheck(pre, req, d)
+	} else {
+		err = n.refuseEarly(req, d)
 	}
 	if err != nil {
 		n.m.SetupRejected++
 	}
 	return d, err
+}
+
+// refuseEarly returns the refusal the live registers already prove, in
+// O(1) and before any RNG draw or search: no free VC on the source's host
+// input port, where enter would find none, or a demand above the
+// destination's ejection headroom, which no path changes, so eject would
+// refuse it. Each returns enter's or eject's own error; neither turns down
+// a request the reservation could place.
+func (n *Network) refuseEarly(req OpenReq, d router.Demand) error {
+	hp := n.cfg.hostPort()
+	switch {
+	case n.nodes[req.Src].Mems[hp].FreeVCs() == 0:
+		return errNoEntryVC(req.Src)
+	case d.Alloc > n.nodes[req.Dst].Alloc[hp].Headroom():
+		return errNoEjection(req.Dst, req.Spec.Rate)
+	}
+	return nil
 }
 
 // register turns a complete reservation into a session: the tenant is
@@ -147,6 +180,42 @@ func (n *Network) register(l *holds) *Conn {
 	n.m.SetupLatency.Add(float64(conn.SetupTime))
 	n.m.SetupBacktracks.Add(float64(conn.Backtracks))
 	return conn
+}
+
+// connArena is where sessions' records live. Chunks are never moved or
+// freed while any of their connections is referenced, so pointers into a
+// chunk are stable for the life of the fabric.
+type connArena struct {
+	chunk []Conn
+	hops  []routing.PathHop
+	vcs   []routing.VCRef
+	nodes []int
+}
+
+// conn carves one Conn record from the arena, 1024 to a chunk.
+func (a *connArena) conn() *Conn {
+	if len(a.chunk) == cap(a.chunk) {
+		a.chunk = make([]Conn, 0, 1024)
+	}
+	a.chunk = a.chunk[:len(a.chunk)+1]
+	return &a.chunk[len(a.chunk)-1]
+}
+
+// refit returns s emptied if it has room for need elements, else a
+// zero-length, exact-capacity slice carved from *arena (a fresh chunk
+// when the current one is exhausted). installPath appends exactly need,
+// so a new connection's records land in the arena with no allocation of
+// their own.
+func refit[T any](s []T, arena *[]T, need int) []T {
+	if cap(s) >= need {
+		return s[:0]
+	}
+	if cap(*arena)-len(*arena) < need {
+		*arena = make([]T, 0, max(4096, need))
+	}
+	base := len(*arena)
+	*arena = (*arena)[:base+need]
+	return (*arena)[base : base : base+need]
 }
 
 // establish reserves a path for an existing connection and installs it:

@@ -3,6 +3,7 @@ package network
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"mmr/internal/flit"
 	"mmr/internal/router"
@@ -96,11 +97,22 @@ func (l *holds) enter() error {
 	mem := n.nodes[l.req.Src].Mems[n.cfg.hostPort()]
 	vc := mem.PickFree(n.rng)
 	if vc < 0 {
-		return fmt.Errorf("network: no free VC on host port of node %d", l.req.Src)
+		return errNoEntryVC(l.req.Src)
 	}
 	mem.Reserve(vc, l.transient())
 	l.entryVC = vc
 	return nil
+}
+
+// errNoEntryVC and errNoEjection are enter's and eject's refusals, which
+// refuseEarly also returns before any search. They are built without fmt:
+// a churned fabric refuses tens of thousands of requests this way.
+func errNoEntryVC(src int) error {
+	return errors.New("network: no free VC on host port of node " + strconv.Itoa(src))
+}
+
+func errNoEjection(dst int, rate traffic.Rate) error {
+	return errors.New("network: destination host port of node " + strconv.Itoa(dst) + " cannot admit " + rate.String())
 }
 
 // reserve takes one hop — an input VC on the router across (node, port)
@@ -144,7 +156,7 @@ func (l *holds) release(node, port int) {
 func (l *holds) eject() error {
 	n := l.n
 	if !n.nodes[l.req.Dst].AdmitAt(n.cfg.hostPort(), l.req.Spec, l.d) {
-		return fmt.Errorf("network: destination host port of node %d cannot admit %v", l.req.Dst, l.req.Spec.Rate)
+		return errNoEjection(l.req.Dst, l.req.Spec.Rate)
 	}
 	l.ejecting = true
 	return nil

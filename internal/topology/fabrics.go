@@ -4,9 +4,7 @@
 // produce deterministic node numbering — the same parameters always
 // yield the same wiring, so checkpoints, golden figures, and cross-run
 // determinism checks stay byte-stable — and both attach a Shape record
-// describing the build so higher layers (regional admission pre-checks,
-// the daemon status report) can reason about structure without
-// re-deriving it from the wiring.
+// describing the build, which the daemon's status report reads.
 package topology
 
 import "fmt"
@@ -28,9 +26,6 @@ type Shape struct {
 	Kind    string
 	Params  []ShapeParam
 	Regions int
-
-	// regionOf[n] = region of node n; nil means "all region 0".
-	regionOf []int
 }
 
 // Shape returns the generator metadata. Hand-wired topologies report
@@ -43,16 +38,6 @@ func (t *Topology) NumRegions() int {
 		return 1
 	}
 	return t.shape.Regions
-}
-
-// Region returns the locality region of node n (0 when the topology has
-// no region structure). Fat trees place each pod in its own region with
-// the core plane in region k; dragonflies use one region per group.
-func (t *Topology) Region(n int) int {
-	if t.shape.regionOf == nil {
-		return 0
-	}
-	return t.shape.regionOf[n]
 }
 
 // FatTreeNodes returns the router count of a k-ary fat tree: k pods of
@@ -73,7 +58,7 @@ func FatTreeNodes(k int) int { return k*k + (k/2)*(k/2) }
 // reaches core row j, the standard rotational striping. Edge ports
 // 0..k/2-1 stay unwired: they are the host-facing ports of the real
 // fat tree, which this model subsumes into the router's dedicated host
-// interface. Regions: pod p is region p; the core plane is region k.
+// interface. Regions: the k pods and the core plane.
 func FatTree(k int) (*Topology, error) {
 	if k < 2 || k%2 != 0 {
 		return nil, fmt.Errorf("topology: fat tree needs even k >= 2, got %d", k)
@@ -99,23 +84,13 @@ func FatTree(k int) (*Topology, error) {
 			}
 		}
 	}
-	region := make([]int, t.Nodes)
-	for p := 0; p < k; p++ {
-		for r := 0; r < k; r++ {
-			region[p*k+r] = p
-		}
-	}
-	for n := k * k; n < t.Nodes; n++ {
-		region[n] = k
-	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	t.shape = Shape{
-		Kind:     "fattree",
-		Params:   []ShapeParam{{"k", k}},
-		Regions:  k + 1,
-		regionOf: region,
+		Kind:    "fattree",
+		Params:  []ShapeParam{{"k", k}},
+		Regions: k + 1,
 	}
 	return t, nil
 }
@@ -168,18 +143,13 @@ func Dragonfly(a, p, h int) (*Topology, error) {
 			}
 		}
 	}
-	region := make([]int, t.Nodes)
-	for n := range region {
-		region[n] = n / a
-	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	t.shape = Shape{
-		Kind:     "dragonfly",
-		Params:   []ShapeParam{{"a", a}, {"p", p}, {"h", h}},
-		Regions:  g,
-		regionOf: region,
+		Kind:    "dragonfly",
+		Params:  []ShapeParam{{"a", a}, {"p", p}, {"h", h}},
+		Regions: g,
 	}
 	return t, nil
 }

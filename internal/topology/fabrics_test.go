@@ -57,9 +57,6 @@ func TestFatTreeShape(t *testing.T) {
 		if ft.NumRegions() != k+1 {
 			t.Fatalf("FatTree(%d): %d regions, want %d", k, ft.NumRegions(), k+1)
 		}
-		if ft.Region(0) != 0 || ft.Region(k*k-1) != k-1 || ft.Region(ft.Nodes-1) != k {
-			t.Fatalf("FatTree(%d): region assignment wrong", k)
-		}
 		sh := ft.Shape()
 		if sh.Kind != "fattree" || len(sh.Params) != 1 || sh.Params[0] != (ShapeParam{"k", k}) {
 			t.Fatalf("FatTree(%d): bad shape %+v", k, sh)
@@ -103,14 +100,9 @@ func TestDragonflyShape(t *testing.T) {
 				t.Fatalf("Dragonfly(%d,%d,%d): node %d degree %d, want %d", c.a, c.p, c.h, n, d, c.a-1+c.h)
 			}
 		}
-		// Regions: one per group, nodes numbered group-major.
+		// Regions: one per group.
 		if df.NumRegions() != g {
 			t.Fatalf("Dragonfly(%d,%d,%d): %d regions, want %d", c.a, c.p, c.h, df.NumRegions(), g)
-		}
-		for n := 0; n < df.Nodes; n++ {
-			if df.Region(n) != n/c.a {
-				t.Fatalf("Dragonfly(%d,%d,%d): node %d in region %d, want %d", c.a, c.p, c.h, n, df.Region(n), n/c.a)
-			}
 		}
 		// Exactly one global link between every pair of groups.
 		pair := map[[2]int]int{}
@@ -177,7 +169,7 @@ func TestShapeDefaults(t *testing.T) {
 	if err := hw.Connect(0, 0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if hw.Shape().Kind != "" || hw.NumRegions() != 1 || hw.Region(3) != 0 {
+	if hw.Shape().Kind != "" || hw.NumRegions() != 1 {
 		t.Fatalf("hand-wired shape not zero: %+v", hw.Shape())
 	}
 	m, err := Mesh(3, 3, 4)

@@ -38,9 +38,9 @@ type Topology struct {
 	// ports are never up.
 	linkUp [][]bool
 
-	// shape records generator metadata — kind, shape parameters, and a
-	// region partition (pods, dragonfly groups) — when the topology came
-	// from a named generator. Hand-wired topologies keep the zero value.
+	// shape records generator metadata — kind, shape parameters and the
+	// region count (pods, dragonfly groups) — when the topology came from
+	// a named generator. Hand-wired topologies keep the zero value.
 	// See fabrics.go for the Shape type and accessors.
 	shape Shape
 }
