@@ -19,7 +19,8 @@
 //	 "old": "exact text", "new": "replacement", "run": "TestA|TestB",
 //	 "pkg": "./internal/router"}
 //
-// The package tested is the file's directory, or "pkg" when given. Each |-separated alternative
+// The package tested is the file's directory, or "pkg" when given (a
+// space-separated list tests several). Each |-separated alternative
 // of run must name at least one top-level test that ran, so a renamed test
 // cannot drop out unseen.
 package main
@@ -48,10 +49,10 @@ type mutant struct {
 	Old  string `json:"old"`
 	New  string `json:"new"`
 	Run  string `json:"run"`
-	Pkg  string `json:"pkg"` // the package tested, when not the file's own
+	Pkg  string `json:"pkg"` // the packages tested, when not the file's own
 }
 
-// pkg is the package m's tests run in.
+// pkg returns the packages m's tests run in, space-separated.
 func (m mutant) pkg() string {
 	if m.Pkg != "" {
 		return m.Pkg
@@ -168,7 +169,7 @@ func goTest(m mutant, overlay string) (outcome, error) {
 	if overlay != "" {
 		args = append(args, "-count=1", "-overlay", overlay)
 	}
-	args = append(args, m.pkg())
+	args = append(args, strings.Fields(m.pkg())...)
 	var out bytes.Buffer
 	cmd := exec.Command("go", args...)
 	cmd.Stdout, cmd.Stderr = &out, &out

@@ -54,8 +54,8 @@ mutate:
 # calendar with nothing held or due then costs its caller one compare,
 # which is what fabric_sparse's cost rests on. And the link scheduler's
 # priority selection makes no call per eligible VC: the record, round-stamp
-# and vector-word accessors it reads through, and Biased.Priority, must be
-# inlined in internal/sched/link.go.
+# and vector-word accessors it reads through, Biased.Priority and the excess
+# election's tally must be inlined in internal/sched/link.go.
 inline-check:
 	@n=$$($(GO) build -gcflags=-m ./internal/router ./internal/network 2>&1 | \
 		grep -cE '^internal/(router/(engine|packets)|network/datapath)\.go:.*inlining call to traffic\.\(\*Calendar\[.*\]\)\.Visit$$'); \
@@ -64,7 +64,7 @@ inline-check:
 	fi
 	@m=$$($(GO) build -gcflags=-m ./internal/sched 2>&1 | grep '^internal/sched/link\.go:.*inlining call to'); \
 	for f in 'vcm\.\(\*Memory\)\.Records' 'vcm\.\(\*Memory\)\.Round' 'vcm\.\(\*VCState\)\.ServicedIn' \
-		'bitvec\.\(\*Vector\)\.Words' 'classify' 'Biased\.Priority'; do \
+		'bitvec\.\(\*Vector\)\.Words' 'classify' 'Biased\.Priority' '\(\*excessTally\)\.note'; do \
 		echo "$$m" | grep -qE "inlining call to $$f$$" || { \
 			echo "inline-check: $$f is not inlined in internal/sched/link.go" >&2; exit 1; }; \
 	done
@@ -165,7 +165,7 @@ soak-smoke:
 
 # Large-fabric smoke: a 1280-router fat tree brought up with a batched
 # ≥100k-session establishment, stepped, checkpointed and audited under a
-# bounded heap. Skipped under -short; a few seconds and ~0.6 GB on a laptop.
+# bounded heap. Skipped under -short; a few seconds and ~0.37 GB on a laptop.
 smoke-large-fabric:
 	$(GO) test -run='^TestLargeFabricSmoke$$' -v -timeout 10m ./internal/network
 

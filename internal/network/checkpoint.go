@@ -15,7 +15,7 @@ import (
 // restores it into a freshly built one, bit-exactly: a restored fabric
 // stepped to cycle M produces the same statistics, metrics, session log
 // and flight-recorder contents as the uninterrupted run, in either gating
-// mode (the config hash deliberately excludes it).
+// mode (the config hash excludes it; FuzzNetworkChurn holds the two equal).
 //
 // This file holds what is one-sided — when a fabric can be written, the
 // canonical form it is put in first, what a restore rebuilds rather than

@@ -39,8 +39,8 @@ import (
 // routing unit could not route (node.blocked) — every legal next router's
 // input port has all its VCs reserved, typically by sessions that stay
 // for good. Such a node's cycle changes nothing (routePackets fails the
-// same way, the link scheduler skips unrouted VCs before any counter,
-// election or RNG draw, so nothing is nominated), and only two things can
+// same way; the link scheduler gives unrouted VCs no counter, election
+// vote or RNG draw, so nothing is nominated), and only two things can
 // end the wait, each of which reports it: a VC released at a neighbor's
 // input port (the freed list from the commit phase, vcFreed from the
 // control plane) wakes the node wired upstream of that port if it holds

@@ -456,8 +456,8 @@ func TestWakeTableMatchesScan(t *testing.T) {
 
 // FuzzWakeTableMatchesScan drives the same check from FuzzNetworkChurn's
 // operation stream — opens, probes, retried opens, teardowns, flows,
-// link failures and repairs: after every cycle of its cycle bursts the
-// wake table must match the scans.
+// link failures and repairs: after every cycle of the gated twin's cycle
+// bursts the wake table must match the scans.
 func FuzzWakeTableMatchesScan(f *testing.F) {
 	f.Add(uint64(1), uint8(1), []byte{0, 9, 6, 9, 7, 4})
 	f.Add(uint64(7), uint8(3), []byte{2, 9, 3, 6, 9, 6, 9, 7, 7, 4, 4})
@@ -466,7 +466,7 @@ func FuzzWakeTableMatchesScan(f *testing.F) {
 		if len(ops) > 48 {
 			ops = ops[:48] // bound per-case runtime
 		}
-		ok := churnOps(seed, int64(delay%4), ops, func(n *Network, cycles int64) {
+		err := churnOps(seed, int64(delay%4), ops, func(n *Network, cycles int64) {
 			// A third of each burst through Run, which fast-forwards, the
 			// rest cycle by cycle.
 			n.Run(cycles / 3)
@@ -476,8 +476,8 @@ func FuzzWakeTableMatchesScan(f *testing.F) {
 				checkWakeTable(t, n)
 			}
 		})
-		if !ok {
-			t.Fatal("network invariants violated")
+		if err != nil {
+			t.Fatal(err)
 		}
 	})
 }

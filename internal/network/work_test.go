@@ -215,7 +215,7 @@ func TestDenseWorkGolden(t *testing.T) {
 
 	w, flits := workOf(gated, gatedCycles), logWork(t, gated, gatedCycles)
 	want := fabricWork{
-		Work:       sched.Work{PortsScanned: 32945, VCsVisited: 85185, PriorityEvals: 66483, Candidates: 38050, Grants: 28891, Enqueued: 29029},
+		Work:       sched.Work{PortsScanned: 32945, VCsVisited: 79174, PriorityEvals: 66483, Candidates: 38050, Grants: 28891, Enqueued: 29029},
 		NodeCycles: 13964, RouteVisited: 456, RouteTried: 456,
 	}
 	const wantFlits = 5939
@@ -505,11 +505,11 @@ func TestChurnWorkGolden(t *testing.T) {
 	// opened, broken and their backtracks are those of a fabric that
 	// searched such opens.
 	wantBefore := fabricWork{
-		Work:         sched.Work{PortsScanned: 301350, VCsVisited: 980134, PriorityEvals: 850161, Candidates: 371319, Grants: 255655, Enqueued: 255980},
+		Work:         sched.Work{PortsScanned: 301350, VCsVisited: 957416, PriorityEvals: 850161, Candidates: 371319, Grants: 255655, Enqueued: 255980},
 		RouteVisited: 450, RouteTried: 450,
 	}
 	wantAfter := fabricWork{
-		Work:         sched.Work{PortsScanned: 57279, VCsVisited: 192415, PriorityEvals: 179173, Candidates: 66100, Grants: 47101, Enqueued: 47154},
+		Work:         sched.Work{PortsScanned: 57279, VCsVisited: 189836, PriorityEvals: 179173, Candidates: 66100, Grants: 47101, Enqueued: 47154},
 		RouteVisited: 50, RouteTried: 50,
 	}
 	const wantFlits, wantOpened = 64968, 129
@@ -518,4 +518,56 @@ func TestChurnWorkGolden(t *testing.T) {
 		t.Errorf("churn work ledger moved:\ngot  before %+v\n     after  %+v\n     %d flits, %d opened, backtracks %v\nwant before %+v\n     after  %+v\n     %d flits, %d opened, backtracks %v",
 			before, after, flits, opened, backtracks, wantBefore, wantAfter, wantFlits, wantOpened, wantBacktracks)
 	}
+}
+
+// TestRouteMemoSkipsBlockedRetries holds the routing unit's memo to what it
+// is for: a router kept awake by sessions passing through does not route
+// its blocked packets again every cycle, only after a VC frees toward it.
+// Three routers in a line; sessions from router 1 fill router 2's input
+// port from router 1, so packets from router 0 to router 2 wait in router
+// 1, which injects a flit every few cycles. The gated fabric must try far
+// fewer of its unrouted packets than it visits, and stay byte-equal to its
+// NoIdleSkip twin, which tries every one every cycle.
+func TestRouteMemoSkipsBlockedRetries(t *testing.T) {
+	const vcs, cycles = 4, 3000
+	var nets [2]*Network
+	for i, noIdleSkip := range []bool{false, true} {
+		tp, err := topology.Mesh(3, 1, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(tp)
+		cfg.VCs = vcs
+		cfg.NoIdleSkip = noIdleSkip
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < vcs; s++ {
+			if _, err := n.Open(1, 2, traffic.ConnSpec{Class: flit.ClassCBR, Rate: 20 * traffic.Mbps}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := n.AddBestEffortFlow(0, 2, 0.01); err != nil {
+			t.Fatal(err)
+		}
+		n.Run(cycles)
+		nets[i] = n
+	}
+	gated, all := nets[0], nets[1]
+	gb, err := gated.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ab, err := all.EncodeState(); err != nil || !bytes.Equal(gb, ab) {
+		t.Fatalf("gated and NoIdleSkip fabrics diverged (err %v)", err)
+	}
+	nd := gated.nodes[1]
+	if nd.blocked == 0 || nd.routeVisited < cycles/2 {
+		t.Fatalf("degenerate scenario: %d packet flits blocked in router 1, %d unrouted visits", nd.blocked, nd.routeVisited)
+	}
+	if nd.routeTried*10 > nd.routeVisited {
+		t.Errorf("router 1 tried %d of the %d unrouted packets it visited; the memo should spare most retries", nd.routeTried, nd.routeVisited)
+	}
+	t.Logf("router 1: %d unrouted visits, %d tried; NoIdleSkip tried %d", nd.routeVisited, nd.routeTried, all.nodes[1].routeTried)
 }

@@ -205,10 +205,18 @@ func classify(st *vcm.VCState, round uint32) (phase Phase, ok bool) {
 // Candidates appends up to MaxCandidates candidates for the next flit
 // cycle to dst and returns the extended slice, best first. On a memory that
 // buffers no flit it is a pure no-op — empty eligible set, zero
-// CreditStalled, the return before the excess election, no RNG draw — which
-// is what lets a gating engine skip the port. dst receives at most
-// MaxCandidates entries: a caller that wants no allocation passes a slice
-// with that much room.
+// CreditStalled, no RNG draw — and so it is on a port whose eligible VCs
+// are all unrouted packets, which request no output: they touch no counter
+// and have no say in the excess election. Both let a gating engine skip
+// the port. dst receives at most MaxCandidates entries: a caller that wants
+// no allocation passes a slice with that much room.
+//
+// The excess election (§4.3: one connection's excess at a time) settles in
+// the same pass. A pass that meets a routed VC, but not the elected VC
+// among the eligible excess VCs, elects the eligible excess VC of highest
+// static priority (lowest index on ties), or none. The elected VC enters
+// the set from the next call on, as hardware elects beside the cycle's
+// arbitration.
 //
 // SelectPriority, the paper's selection (§4.3–4.4), wants the eligible VCs
 // in phase order, by priority within a phase, and the first MaxCandidates
@@ -238,9 +246,9 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 		return dst
 	}
 	base := len(dst)
-	excessSeen := false
+	ex := excessTally{heir: -1}
 	if ls.cfg.Selection == SelectRandom {
-		dst, excessSeen = ls.selectRandom(now, dst)
+		dst = ls.selectRandom(now, dst, &ex)
 	} else {
 		recs, round := ls.mem.Records(), ls.mem.Round()
 		// Biased, the paper's scheme, is priced by a static (so inlined)
@@ -261,16 +269,17 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 				if st.Output < 0 {
 					continue // unrouted VC (header still in the routing unit)
 				}
+				ex.routed = true
 				phase, ok := classify(st, round)
 				if !ok {
 					exhausted++
 					continue
 				}
 				if phase == PhaseExcess {
-					excessSeen = true
 					// §4.3: drain one connection's excess completely
-					// before the next. While the current excess VC is
-					// still eligible, other excess VCs stand aside.
+					// before the next. While an excess VC is elected,
+					// the other excess VCs stand aside.
+					ex.note(vc, st.BasePriority, ls.excessVC)
 					if ls.excessVC >= 0 && vc != ls.excessVC {
 						continue
 					}
@@ -333,17 +342,8 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 		ls.work.VCsVisited += int64(eligible) // every eligible VC's record, once
 		ls.work.PriorityEvals += evals
 	}
-	// If the current excess VC went ineligible, elect a successor: the
-	// eligible excess VC with the highest static priority.
-	if ls.excessVC >= 0 && !ls.stillExcessEligible(ls.excessVC) {
-		ls.excessVC = -1
-	}
-	if ls.excessVC < 0 && excessSeen {
-		ls.electExcess()
-		// Re-collect is unnecessary: excess candidates excluded above can
-		// wait one cycle; the elected VC enters the set next cycle. This
-		// mirrors hardware, where election happens in parallel with the
-		// current cycle's arbitration.
+	if ex.routed && !ex.kept {
+		ls.excessVC = ex.heir
 	}
 	ls.counters.Nominated += int64(len(dst) - base)
 	ls.work.Candidates += int64(len(dst) - base)
@@ -351,26 +351,26 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 }
 
 // selectRandom is the Autonet comparison's selection (§5.1): the eligible
-// VCs in random order, the first MaxCandidates distinct outputs. It reports
-// whether it saw a VC in the excess phase.
-func (ls *LinkScheduler) selectRandom(now int64, dst []Candidate) ([]Candidate, bool) {
+// VCs in random order, the first MaxCandidates distinct outputs. It tallies
+// the excess election in ex as Candidates' own pass does.
+func (ls *LinkScheduler) selectRandom(now int64, dst []Candidate, ex *excessTally) []Candidate {
 	base := len(dst)
 	ls.shuffle = ls.shuffle[:0]
-	excessSeen := false
 	for vc := ls.eligible.NextSet(0); vc >= 0; vc = ls.eligible.NextSet(vc + 1) {
 		st := ls.mem.State(vc)
 		ls.work.VCsVisited++
 		if st.Output < 0 {
 			continue // unrouted VC (header still in the routing unit)
 		}
+		ex.routed = true
 		phase, ok := classify(st, ls.mem.Round())
 		if !ok {
 			ls.counters.RoundExhausted++
 			continue
 		}
 		if phase == PhaseExcess {
-			excessSeen = true
 			// §4.3: one connection's excess at a time (see Candidates).
+			ex.note(vc, st.BasePriority, ls.excessVC)
 			if ls.excessVC >= 0 && vc != ls.excessVC {
 				continue
 			}
@@ -398,7 +398,25 @@ func (ls *LinkScheduler) selectRandom(now int64, dst []Candidate) ([]Candidate, 
 	for _, c := range dst[base:] {
 		ls.slot[c.Output] = 0
 	}
-	return dst, excessSeen
+	return dst
+}
+
+// excessTally is a selection pass's account of the port's excess election:
+// whether the pass met a routed VC, whether the elected VC is among the
+// eligible excess VCs, and the eligible excess VC of highest static
+// priority — the lowest index of equals — that succeeds it if not.
+type excessTally struct {
+	routed, kept   bool
+	heir, heirPrio int
+}
+
+// note tallies eligible excess VC vc, of static priority prio, given the
+// port's elected VC.
+func (e *excessTally) note(vc, prio, elected int) {
+	e.kept = e.kept || vc == elected
+	if e.heir < 0 || prio > e.heirPrio {
+		e.heir, e.heirPrio = vc, prio
+	}
 }
 
 // growSlots widens the slot table to hold output out and returns it.
@@ -419,33 +437,6 @@ func (ls *LinkScheduler) slotFor(out, next int) int {
 	}
 	ls.slot[out] = int32(next) + 1
 	return next
-}
-
-// stillExcessEligible reports whether vc remains an eligible excess-phase
-// candidate.
-func (ls *LinkScheduler) stillExcessEligible(vc int) bool {
-	if !ls.eligible.Test(vc) {
-		return false
-	}
-	phase, ok := classify(ls.mem.State(vc), ls.mem.Round())
-	return ok && phase == PhaseExcess
-}
-
-// electExcess picks the eligible excess VC with the highest static
-// priority as the connection whose excess is served next (§4.3).
-func (ls *LinkScheduler) electExcess() {
-	best, bestPrio := -1, 0
-	for vc := ls.eligible.NextSet(0); vc >= 0; vc = ls.eligible.NextSet(vc + 1) {
-		st := ls.mem.State(vc)
-		ls.work.VCsVisited++
-		if phase, ok := classify(st, ls.mem.Round()); ok && phase == PhaseExcess {
-			p := st.BasePriority
-			if best < 0 || p > bestPrio {
-				best, bestPrio = vc, p
-			}
-		}
-	}
-	ls.excessVC = best
 }
 
 // State returns the scheduler's cross-cycle state, for a checkpoint walk

@@ -16,7 +16,11 @@ import (
 // Candidate, stable-sort all of them by better (or Fisher–Yates them for
 // SelectRandom), then keep the first MaxCandidates distinct outputs. It
 // drives ls's counters and excess election exactly as Candidates does, so
-// a port run with it is a twin of a port run with Candidates.
+// a port run with it is a twin of a port run with Candidates. The election
+// is the two steps Candidates folded into its pass — drop an elected VC
+// that is no longer an eligible excess VC, then elect among the eligible
+// excess VCs — taken only by a call that met a routed VC: unrouted VCs
+// request no output and have no say in it.
 func referenceCandidates(ls *LinkScheduler, now int64, dst []Candidate) []Candidate {
 	flits := ls.mem.FlitsAvailable()
 	ls.eligible.And(flits, ls.credits.Vector())
@@ -25,12 +29,13 @@ func referenceCandidates(ls *LinkScheduler, now int64, dst []Candidate) []Candid
 		return dst
 	}
 	var all []Candidate
-	excessSeen := false
+	routed, excessSeen := false, false
 	for vc := ls.eligible.NextSet(0); vc >= 0; vc = ls.eligible.NextSet(vc + 1) {
 		st := ls.mem.State(vc)
 		if st.Output < 0 {
 			continue
 		}
+		routed = true
 		phase, ok := classify(st, ls.mem.Round())
 		if !ok {
 			ls.counters.RoundExhausted++
@@ -51,11 +56,11 @@ func referenceCandidates(ls *LinkScheduler, now int64, dst []Candidate) []Candid
 		}
 		all = append(all, Candidate{Input: ls.cfg.Input, VC: vc, Output: st.Output, Phase: phase, Priority: prio})
 	}
-	if ls.excessVC >= 0 && !ls.stillExcessEligible(ls.excessVC) {
+	if routed && ls.excessVC >= 0 && !stillExcessEligible(ls, ls.excessVC) {
 		ls.excessVC = -1
 	}
-	if ls.excessVC < 0 && excessSeen {
-		ls.electExcess()
+	if routed && ls.excessVC < 0 && excessSeen {
+		electExcess(ls)
 	}
 	if ls.cfg.Selection == SelectRandom {
 		for i := len(all) - 1; i > 0; i-- {
@@ -82,6 +87,35 @@ func referenceCandidates(ls *LinkScheduler, now int64, dst []Candidate) []Candid
 	return dst
 }
 
+// stillExcessEligible reports whether vc remains an eligible, routed
+// excess-phase VC.
+func stillExcessEligible(ls *LinkScheduler, vc int) bool {
+	st := ls.mem.State(vc)
+	if !ls.eligible.Test(vc) || st.Output < 0 {
+		return false
+	}
+	phase, ok := classify(st, ls.mem.Round())
+	return ok && phase == PhaseExcess
+}
+
+// electExcess elects the eligible, routed excess VC with the highest static
+// priority as the connection whose excess is served next (§4.3).
+func electExcess(ls *LinkScheduler) {
+	best, bestPrio := -1, 0
+	for vc := ls.eligible.NextSet(0); vc >= 0; vc = ls.eligible.NextSet(vc + 1) {
+		st := ls.mem.State(vc)
+		if st.Output < 0 {
+			continue
+		}
+		if phase, ok := classify(st, ls.mem.Round()); ok && phase == PhaseExcess {
+			if best < 0 || st.BasePriority > bestPrio {
+				best, bestPrio = vc, st.BasePriority
+			}
+		}
+	}
+	ls.excessVC = best
+}
+
 // selectionCase is one randomized port population and scheduler shape.
 type selectionCase struct {
 	seed      uint64
@@ -90,6 +124,7 @@ type selectionCase struct {
 	tableSize int // LinkConfig.Outputs: 0 makes the slot table grow on use
 	scheme    int // index into selectionSchemes
 	random    bool
+	sparse    bool // about one VC in eight reserved, half of them unrouted
 }
 
 // selectionSchemes are the priority schemes the twin test draws from:
@@ -117,7 +152,8 @@ const (
 // referenceCandidates. Every cycle both must nominate the same candidates
 // in the same order and hold the same counters and excess election; with
 // SelectRandom the two RNG streams must also have advanced by the same
-// number of draws.
+// number of draws. A sparse port is one whose eligible VCs are often all
+// unrouted while an excess election stands.
 func checkSelection(t *testing.T, tc selectionCase) {
 	t.Helper()
 	type port struct {
@@ -142,7 +178,7 @@ func checkSelection(t *testing.T, tc selectionCase) {
 	// to it; both ports receive identical operations.
 	script := sim.NewRNG(tc.seed)
 	for vc := 0; vc < selVCs; vc++ {
-		if script.Intn(4) == 0 {
+		if script.Intn(4) == 0 || tc.sparse && script.Intn(6) != 0 {
 			continue // unreserved
 		}
 		st := vcm.VCState{
@@ -154,6 +190,9 @@ func checkSelection(t *testing.T, tc selectionCase) {
 			Output:       script.Intn(tc.outputs+1) - 1,
 		}
 		st.Peak = st.Allocated + script.Intn(3)
+		if tc.sparse && script.Intn(2) == 0 {
+			st.Output = -1
+		}
 		for _, p := range ports {
 			p.mem.Reserve(vc, st)
 		}
@@ -220,13 +259,15 @@ func checkSelection(t *testing.T, tc selectionCase) {
 
 // selectionCaseFrom maps fuzz inputs onto a valid case: flags bits 0 and 3
 // pick the scheme (Biased, Fixed, OldestFirst, Biased through the
-// interface), bit 1 random selection, bit 2 a slot table grown from empty.
+// interface), bit 1 random selection, bit 2 a slot table grown from empty,
+// bit 4 a sparse port.
 func selectionCaseFrom(seed uint64, maxCand, outputs, flags uint8) selectionCase {
 	tc := selectionCase{
 		seed:    seed,
 		outputs: int(outputs)%16 + 1,
 		scheme:  int(flags&1 | flags>>2&2),
 		random:  flags&2 != 0,
+		sparse:  flags&16 != 0,
 	}
 	tc.maxCand = int(maxCand)%tc.outputs + 1
 	if flags&4 == 0 {
@@ -239,12 +280,12 @@ func selectionCaseFrom(seed uint64, maxCand, outputs, flags uint8) selectionCase
 // against the sorted reference: every MaxCandidates from 1 to the output
 // count, both selection policies, every scheme — Biased priced inline and
 // through the interface, fixed (tie-heavy) and oldest-first priorities —
-// and a slot table that starts empty.
+// a slot table that starts empty and a sparse port.
 func TestCandidatesMatchesSortedReference(t *testing.T) {
 	const outputs = 8
 	for seed := uint64(1); seed <= 6; seed++ {
 		for maxCand := 1; maxCand <= outputs; maxCand++ {
-			for flags := uint8(0); flags < 16; flags++ {
+			for flags := uint8(0); flags < 32; flags++ {
 				// The fuzz mapping is n%range + 1, hence the -1s.
 				checkSelection(t, selectionCaseFrom(seed, uint8(maxCand-1), outputs-1, flags))
 			}
@@ -260,6 +301,7 @@ func FuzzCandidatesMatchesSortedReference(f *testing.F) {
 	f.Add(uint64(3), uint8(3), uint8(7), uint8(2))  // random selection
 	f.Add(uint64(4), uint8(1), uint8(15), uint8(4)) // slot table grows from empty
 	f.Add(uint64(5), uint8(2), uint8(0), uint8(0))  // one output
+	f.Add(uint64(3), uint8(0), uint8(7), uint8(16)) // sparse: calls of unrouted VCs alone under an election
 	// One seed per scheme, so the inline and the interface paths both stay
 	// equal to the reference.
 	f.Add(uint64(6), uint8(3), uint8(7), uint8(0)) // Biased, priced inline

@@ -273,6 +273,35 @@ func TestLinkSchedulerExcessOneAtATime(t *testing.T) {
 	}
 }
 
+// TestLinkSchedulerUnroutedPortKeepsElection: an unrouted packet requests
+// no output, so a call whose only eligible VC is one is a no-op — no
+// candidate, no counter, and the excess election left as it stands. VC 2
+// is elected, then its last flit leaves, so it is not merely spent (a spent
+// routed VC is still met by the pass) but out of the eligible set.
+func TestLinkSchedulerUnroutedPortKeepsElection(t *testing.T) {
+	for _, sel := range []Selection{SelectPriority, SelectRandom} {
+		mem := vcm.MustNew(vcm.Config{VirtualChannels: 8, Depth: 2})
+		ls := NewLinkScheduler(LinkConfig{Input: 0, MaxCandidates: 8, Selection: sel, RNG: sim.NewRNG(3)}, mem, flow.NewCredits(8, 2))
+		mem.Reserve(2, vcm.VCState{Class: flit.ClassVBR, Peak: 10, InterArrival: 10, Output: 1, BasePriority: 2})
+		mem.Push(2, &flit.Flit{})
+		mem.Reserve(5, vcm.VCState{Class: flit.ClassBestEffort, Output: -1})
+		mem.Push(5, &flit.Flit{Class: flit.ClassBestEffort})
+		ls.Candidates(10, nil)
+		if ls.excessVC != 2 {
+			t.Fatalf("selection %d: elected excess VC %d, want 2", sel, ls.excessVC)
+		}
+		mem.Pop(2)
+		before := ls.Counters()
+		if cands := ls.Candidates(11, nil); len(cands) != 0 {
+			t.Fatalf("selection %d: a port of one unrouted packet nominated %+v", sel, cands)
+		}
+		if ls.excessVC != 2 || ls.Counters() != before {
+			t.Fatalf("selection %d: the unrouted packet moved the election to %d or the counters from %+v to %+v",
+				sel, ls.excessVC, before, ls.Counters())
+		}
+	}
+}
+
 func TestLinkSchedulerRandomSelection(t *testing.T) {
 	rng := sim.NewRNG(5)
 	mem := vcm.MustNew(vcm.Config{VirtualChannels: 8, Depth: 2})
