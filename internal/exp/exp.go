@@ -25,10 +25,11 @@ type Options struct {
 	Seed    uint64
 	// Loads overrides the offered-load sweep; nil means PaperLoads.
 	Loads []float64
-	// NoIdleSkip disables activity gating in the simulators (router and
-	// network). Gated and ungated runs are bit-identical — this is the
-	// reference side of the equivalence tests and a debugging escape
-	// hatch, never needed for figures.
+	// NoIdleSkip disables activity gating in the simulators: the router's
+	// per-port skip and session calendars, and besides those the network's
+	// whole-clock fast-forward. Gated and ungated runs are bit-identical —
+	// this is the reference side of the equivalence tests and a debugging
+	// escape hatch, never needed for figures.
 	NoIdleSkip bool
 	// Topo selects the fabric of the network-level sweep. The zero value
 	// keeps the goldened 4×4 mesh.

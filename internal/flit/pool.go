@@ -18,11 +18,15 @@ package flit
 //     different contents.
 type Pool struct {
 	flits      []*Flit
-	gets, puts int64 // flits issued and retired: the ledger tests balance
+	gets, puts int64 // flits issued and retired
 }
 
 // NewPool returns an empty pool; it grows on demand and never shrinks.
 func NewPool() *Pool { return &Pool{} }
+
+// Live returns the flits issued and not yet retired: every one of them is
+// held somewhere in the simulation, which is the ledger an audit closes.
+func (p *Pool) Live() int64 { return p.gets - p.puts }
 
 // Get returns a zeroed flit, reusing a retired one when available.
 func (p *Pool) Get() *Flit {

@@ -137,6 +137,3 @@ func (p *CreditPipe) DeliverTo(now int64, cr *Credits) int {
 	p.lane.Settle()
 	return n
 }
-
-// InFlight returns the credits still travelling back to the sender.
-func (p *CreditPipe) InFlight() int { return len(p.lane.Pending()) }

@@ -100,8 +100,8 @@ func TestCreditPipeDelay(t *testing.T) {
 	if n := p.DeliverTo(16, c); n != 1 || c.Available(3) == 0 {
 		t.Fatalf("at t=16 want VC 3's credit, got %d", n)
 	}
-	if p.InFlight() != 0 {
-		t.Fatalf("in-flight = %d, want 0", p.InFlight())
+	if n := len(p.lane.Pending()); n != 0 {
+		t.Fatalf("in-flight = %d, want 0", n)
 	}
 }
 

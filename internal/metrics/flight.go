@@ -18,9 +18,9 @@ type Event struct {
 }
 
 // Recorder is a fixed-size ring of recent events — the flight recorder.
-// One recorder per router, written only by whichever goroutine is
-// stepping that router, keeps recording single-writer and worker-count
-// independent, exactly like the statistics shards. Recording overwrites
+// One recorder per router, written only while that router is stepped,
+// keeps recording single-writer and independent of the order routers
+// are stepped in, exactly like the statistics shards. Recording overwrites
 // the oldest entry once the ring is full. The first Record allocates the
 // ring, so a router that never records holds none; nothing after
 // allocates.

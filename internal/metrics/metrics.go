@@ -5,12 +5,12 @@
 // flit cycle is a slice increment — no map lookups, no interface calls,
 // no allocation.
 //
-// The registry is sharded the same way the network datapath is (one
-// shard per node, each written only by the goroutine stepping that
-// node), and shards are merged in ascending shard order when a snapshot
-// is taken, so — like the dpStats shards introduced with the parallel
-// cycle — every reported aggregate is bit-identical for every worker
-// count.
+// The registry is sharded the same way the network datapath's statistics
+// are (one shard per node, written only while that node is stepped), and
+// shards are merged in ascending shard order when a snapshot is taken, so
+// every reported aggregate is independent of the order the nodes of a
+// cycle are stepped in. The fabric steps its nodes serially; a shard is
+// the unit of ownership, not of concurrency.
 //
 // Usage pattern:
 //

@@ -37,6 +37,9 @@ import (
 //     memory's status vectors, Busy bit and head stamps
 //     (vcm.Memory.CheckMirrors), and a node's inbound bit is clear only
 //     over a lane pair that holds nothing.
+//  5. The flit ledger closes: the flits the pool has issued and not
+//     retired (flit.Pool.Live) are those the interface queues, the VC
+//     memories and the flit lanes hold.
 //
 // "Live" means established and not closed, fault-broken, or degraded —
 // a broken or degraded connection must hold nothing at all (a degraded
@@ -130,7 +133,8 @@ func (n *Network) CheckInvariants() error {
 
 	// Sweep every VC: claimed ones were verified above; anything else in
 	// use must be a packet in flight. A mapping beyond the live hops'
-	// (verified above) outlived its connection.
+	// (verified above) outlived its connection. held counts flits (5).
+	var held int64
 	for _, nd := range n.nodes {
 		if direct, reverse := nd.cmap.Mapped(); direct != n.live[nd.id] || reverse != n.live[nd.id] {
 			return fmt.Errorf("invariant: node %d holds %d direct and %d reverse channel mappings, its live hops %d", nd.id, direct, reverse, n.live[nd.id])
@@ -141,11 +145,14 @@ func (n *Network) CheckInvariants() error {
 					return fmt.Errorf("invariant: node %d port %d: a credit in flight names VC %d, which no mapping leaves by", nd.id, e.port, cm.V)
 				}
 			}
-			if w := &n.wires[e.lane]; !nd.inbound.Test(i) && len(w.credits.Pending())+len(w.flits.Pending()) > 0 {
+			w := &n.wires[e.lane]
+			if !nd.inbound.Test(i) && len(w.credits.Pending())+len(w.flits.Pending()) > 0 {
 				return fmt.Errorf("invariant: node %d port %d: inbound bit clear over a lane pair that holds entries", nd.id, e.port)
 			}
+			held += int64(len(w.flits.Pending()))
 		}
 		for p, mem := range nd.Mems {
+			held += int64(mem.Occupied())
 			if err := mem.CheckMirrors(); err != nil {
 				return fmt.Errorf("invariant: node %d port %d: %v", nd.id, p, err)
 			}
@@ -166,6 +173,16 @@ func (n *Network) CheckInvariants() error {
 					nd.id, p, vc, st.Class, st.Conn)
 			}
 		}
+	}
+
+	for _, c := range n.conns {
+		held += int64(c.ni.Queue.Len())
+	}
+	for _, bf := range n.beFlows {
+		held += int64(bf.ni.Queue.Len())
+	}
+	if live := n.pool.Live(); live != held {
+		return fmt.Errorf("invariant: the flit pool has %d flits live, the fabric holds %d", live, held)
 	}
 
 	// Bandwidth registers: exact.

@@ -322,6 +322,18 @@ var auditCorruptions = []struct {
 			x.inbound.Set(s.vc) // vc is the edge's index in the node's in list
 			return fmt.Sprintf("invariant: node %d port %d: a credit in flight names VC %d, which no mapping leaves by", s.node, s.port, v)
 		}},
+	{"a flit leaves its VC without going back to the pool",
+		func(n *Network) []auditSite {
+			return nodeVCs(n, func(nd *node, p, vc int) bool {
+				mem := nd.Mems[p]
+				return mem.FlitsAvailable().Test(vc) && mem.State(vc).Class == flit.ClassBestEffort
+			})
+		},
+		func(n *Network, s auditSite) string {
+			// A packet dropped as a purge that forgot its Put drops it.
+			n.nodes[s.node].Mems[s.port].Pop(s.vc)
+			return fmt.Sprintf("invariant: the flit pool has %d flits live, the fabric holds %d", n.pool.Live(), n.pool.Live()-1)
+		}},
 	{"an establishment hold outlives its attempt",
 		func(n *Network) []auditSite {
 			return nodeVCs(n, freeEmptyVC)
@@ -363,8 +375,8 @@ func checkCorruptions(t *testing.T, seed uint64, blob []byte, pick func(sites in
 // the wrong record, a wrong channel mapping or output, a lost credit, a
 // leaked VC, a free VC holding a packet, either bandwidth register off, a
 // clear inbound or Busy bit over held entries, a mapping left on a free VC,
-// a credit in flight for a VC no mapping leaves by, a hold no connection
-// owns — is caught, and reported as that violation with its message.
+// a credit in flight for a VC no mapping leaves by, a flit lost without
+// going back to the pool, a hold no connection owns — is caught, and reported as that violation with its message.
 func TestCheckInvariantsCatchesEachViolation(t *testing.T) {
 	checkCorruptions(t, 1, auditSnapshot(t, 1), func(int) int { return 0 })
 }
@@ -394,5 +406,42 @@ func TestCheckInvariantsZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(20, func() { n.CheckInvariants() }); avg != 0 {
 		t.Errorf("CheckInvariants allocates %.1f times per call, want 0", avg)
+	}
+}
+
+// TestLinkFailureRetiresLostFlits fails, one after another, every link of
+// the loaded audit fabric that carries a flit: the flits in flight are
+// lost, and each must go back to the pool, so the audit's flit ledger
+// closes after every failure. The audit reports here rather than panics
+// (Paranoid off), so one leak does not hide the next.
+func TestLinkFailureRetiresLostFlits(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		cfg := auditConfig(t, seed)
+		cfg.Fault.Paranoid = false
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.RestoreState(auditSnapshot(t, seed)); err != nil {
+			t.Fatal(err)
+		}
+		failed := 0
+		for _, nd := range n.nodes {
+			for p := range nd.out {
+				if len(nd.out[p].flits.Pending()) == 0 {
+					continue
+				}
+				if err := n.FailLink(nd.id, p); err != nil {
+					t.Fatal(err)
+				}
+				if err := n.CheckInvariants(); err != nil {
+					t.Fatalf("seed %d: after failing node %d port %d: %v", seed, nd.id, p, err)
+				}
+				failed++
+			}
+		}
+		if failed == 0 {
+			t.Fatalf("seed %d: no link carried a flit", seed)
+		}
 	}
 }

@@ -11,7 +11,7 @@ import "mmr/internal/flow"
 // receiver drains its inbound lanes in ascending port order, so the merge
 // order — and therefore the simulation — does not depend on the order the
 // nodes are visited in within a phase. The FIFO itself is flow.Lane, the
-// one the single router's sink credits and control words ride; what the
+// one the single router's control words ride; what the
 // fabric owns is where the lanes live and who may touch them when.
 
 // wire is the outbound lane pair of one port p of node x, side by side in

@@ -1,26 +1,12 @@
 package router
 
 import (
-	"reflect"
 	"testing"
 
 	"mmr/internal/flit"
 	"mmr/internal/sim"
 	"mmr/internal/traffic"
 )
-
-// ledger reads pool's count of flits issued and retired, which the pool
-// keeps for tests alone and so leaves unexported.
-func ledger(pool *flit.Pool) (gets, puts int64) {
-	v := reflect.ValueOf(pool).Elem()
-	return v.FieldByName("gets").Int(), v.FieldByName("puts").Int()
-}
-
-// live is what pool has issued and not retired.
-func live(pool *flit.Pool) int64 {
-	gets, puts := ledger(pool)
-	return gets - puts
-}
 
 // steadyRouter builds the paper's 8×8 router carrying a mixed workload —
 // streams at the given load plus control and best-effort packet flows —
@@ -109,7 +95,7 @@ func TestPoolRecycleBalance(t *testing.T) {
 			}
 		}
 	}
-	if got, want := int64(len(seen)), live(pool); got != want {
+	if got, want := int64(len(seen)), pool.Live(); got != want {
 		t.Fatalf("pool ledger out of balance: %d live flits reachable, pool says %d", got, want)
 	}
 	// Retiring everything must zero the ledger — no flit leaked, none
@@ -117,7 +103,7 @@ func TestPoolRecycleBalance(t *testing.T) {
 	for f := range seen {
 		pool.Put(f)
 	}
-	if n := live(pool); n != 0 {
+	if n := pool.Live(); n != 0 {
 		t.Fatalf("pool holds %d live flits after draining everything, want 0", n)
 	}
 }
@@ -129,9 +115,7 @@ func TestPoolRecycleBalance(t *testing.T) {
 func TestRecycledFlitNotRetained(t *testing.T) {
 	r := steadyRouter(t, 0.8, 2_000)
 	pool := r.pool
-	_, before := ledger(pool)
-	r.Run(0, 1_000)
-	if _, puts := ledger(pool); puts == before {
+	if m := r.Run(0, 1_000); m.FlitsDelivered == 0 {
 		t.Fatal("no flit departed during the measurement window")
 	}
 	// The pool's free list only holds retired flits; a retired flit still
@@ -148,7 +132,7 @@ func TestRecycledFlitNotRetained(t *testing.T) {
 	for p := 0; p < r.cfg.Ports; p++ {
 		queued += int64(r.core.Mems[p].Occupied())
 	}
-	if n := live(pool); n != queued {
+	if n := pool.Live(); n != queued {
 		t.Fatalf("pool counts %d live flits but %d are queued: a departed flit is retained or leaked",
 			n, queued)
 	}

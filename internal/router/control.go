@@ -79,8 +79,7 @@ func (r *Router) AbortFrame(conn *Connection) int {
 		r.pool.Put(mem.Pop(conn.VC))
 		dropped++
 		// The freed slot returns a credit to the source side implicitly
-		// (injection checks Free directly); sink credits are untouched
-		// because the flits never crossed the switch.
+		// (injection checks Free directly).
 	}
 	r.m.framesAborted++
 	r.m.flitsDropped += int64(dropped)
@@ -97,12 +96,6 @@ func (r *Router) AbortFrame(conn *Connection) int {
 func (r *Router) Release(conn *Connection) error {
 	if conn.released {
 		return fmt.Errorf("router: connection %d already released", conn.ID)
-	}
-	// A credit still in flight from the sink would be returned to
-	// whatever connection reuses this VC, corrupting flow control; the
-	// return path is one cycle, so the caller just steps the router.
-	if r.core.Credits[conn.Spec.In].Available(conn.VC) != r.cfg.VCM.Depth {
-		return fmt.Errorf("router: connection %d has credits in flight; run a cycle and retry", conn.ID)
 	}
 	conn.released = true
 	r.AbortFrame(conn) // drain NI queue and VC

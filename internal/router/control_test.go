@@ -162,54 +162,53 @@ func TestControlWordPropagationDelay(t *testing.T) {
 	}
 }
 
+// TestReleaseFreesEverything releases a connection straight after Run, at
+// every run length from 1,000 to 1,099 cycles, so the release lands with
+// flits at every point of their way through the router: the sink holds no
+// credit back, so the connection is free to go whenever the caller stops.
 func TestReleaseFreesEverything(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Admission = AdmitAllocation
-	r, _ := New(cfg)
-	conn, _ := r.Establish(traffic.ConnSpec{Class: flit.ClassCBR, Rate: 100 * traffic.Mbps, In: 0, Out: 1})
-	r.Run(0, 5000)
-	// Retry until in-flight credits land (at most a couple of cycles).
-	var err error
-	for i := 0; i < 5; i++ {
-		if err = r.Release(conn); err == nil {
-			break
+	for cycles := int64(1000); cycles < 1100; cycles++ {
+		cfg := smallConfig()
+		cfg.Admission = AdmitAllocation
+		r, _ := New(cfg)
+		conn, _ := r.Establish(traffic.ConnSpec{Class: flit.ClassCBR, Rate: 100 * traffic.Mbps, In: 0, Out: 1})
+		r.Run(0, cycles)
+		if err := r.Release(conn); err != nil {
+			t.Fatalf("after %d cycles: %v", cycles, err)
 		}
-		r.Step()
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Allocator(1).Guaranteed() != 0 || r.Allocator(1).Connections() != 0 {
-		t.Fatal("bandwidth not released")
-	}
-	if r.Memory(0).State(conn.VC).InUse {
-		t.Fatal("VC not released")
-	}
-	if err := r.Release(conn); err == nil {
-		t.Fatal("double release accepted")
-	}
-	// The freed capacity admits a new full-rate connection.
-	if _, err := r.Establish(traffic.ConnSpec{Class: flit.ClassCBR, Rate: 1.2 * traffic.Gbps, In: 0, Out: 1}); err != nil {
-		t.Fatalf("reuse after release failed: %v", err)
+		if r.Allocator(1).Guaranteed() != 0 || r.Allocator(1).Connections() != 0 {
+			t.Fatalf("after %d cycles: bandwidth not released", cycles)
+		}
+		if r.Memory(0).State(conn.VC).InUse {
+			t.Fatalf("after %d cycles: VC not released", cycles)
+		}
+		if err := r.Release(conn); err == nil {
+			t.Fatalf("after %d cycles: double release accepted", cycles)
+		}
+		// The freed capacity admits a new full-rate connection.
+		if _, err := r.Establish(traffic.ConnSpec{Class: flit.ClassCBR, Rate: 1.2 * traffic.Gbps, In: 0, Out: 1}); err != nil {
+			t.Fatalf("after %d cycles: reuse after release failed: %v", cycles, err)
+		}
 	}
 }
 
+// TestReleaseVBRAndRateMode is TestReleaseFreesEverything for a VBR
+// connection under rate admission.
 func TestReleaseVBRAndRateMode(t *testing.T) {
-	cfg := smallConfig() // AdmitRate
-	r, _ := New(cfg)
-	conn, _ := r.Establish(traffic.ConnSpec{
-		Class: flit.ClassVBR, Rate: 200 * traffic.Mbps, PeakRate: 600 * traffic.Mbps, In: 0, Out: 1,
-	})
-	r.Run(0, 1000)
-	for i := 0; i < 5; i++ {
-		if err := r.Release(conn); err == nil {
-			break
+	for cycles := int64(1000); cycles < 1100; cycles++ {
+		cfg := smallConfig() // AdmitRate
+		r, _ := New(cfg)
+		conn, _ := r.Establish(traffic.ConnSpec{
+			Class: flit.ClassVBR, Rate: 200 * traffic.Mbps, PeakRate: 600 * traffic.Mbps, In: 0, Out: 1,
+		})
+		r.Run(0, cycles)
+		if err := r.Release(conn); err != nil {
+			t.Fatalf("after %d cycles: %v", cycles, err)
 		}
-		r.Step()
-	}
-	// The whole link is admittable again in rate mode.
-	if _, err := r.Establish(traffic.ConnSpec{Class: flit.ClassCBR, Rate: 1.2 * traffic.Gbps, In: 0, Out: 1}); err != nil {
-		t.Fatalf("rate-mode release incomplete: %v", err)
+		// The whole link is admittable again in rate mode.
+		if _, err := r.Establish(traffic.ConnSpec{Class: flit.ClassCBR, Rate: 1.2 * traffic.Gbps, In: 0, Out: 1}); err != nil {
+			t.Fatalf("after %d cycles: rate-mode release incomplete: %v", cycles, err)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"slices"
+
 	"mmr/internal/flit"
 	"mmr/internal/sched"
 	"mmr/internal/traffic"
@@ -8,10 +10,10 @@ import (
 
 // Step advances the router by one flit cycle (§3.4), driving the Core's
 // stages: per-round bandwidth accounting rolls over at round boundaries
-// (BeginCycle), credits return, link schedulers nominate candidates
-// (Nominate), the switch scheduler arbitrates (Arbitrate), winning flits
-// leave their VCs (Pop) and traverse the switch and the output links,
-// and sources inject (Enqueue). Arbitration for cycle t+1 conceptually
+// (BeginCycle), link schedulers nominate candidates (Nominate), the
+// switch scheduler arbitrates (Arbitrate), winning flits leave their VCs
+// (Pop) and traverse the switch and the output links, and sources inject
+// (Enqueue). Arbitration for cycle t+1 conceptually
 // overlaps the transmission of cycle t in hardware; the software model
 // runs them in sequence inside one tick, which preserves the observable
 // timing.
@@ -19,11 +21,6 @@ func (r *Router) Step() {
 	t := r.now
 
 	r.core.BeginCycle(t)
-
-	// Credit return: sinks drained earlier flits.
-	for p := range r.pipes {
-		r.pipes[p].DeliverTo(t, r.core.Credits[p])
-	}
 
 	// In-band management commands whose propagation delay elapsed (§4.3).
 	r.applyControls(t)
@@ -39,9 +36,7 @@ func (r *Router) Step() {
 	r.transmit(t)
 
 	// The asynchronous transmissions that blocked this cycle are done.
-	for o := range r.outputBusyAsync {
-		r.outputBusyAsync[o] = false
-	}
+	clear(r.outputBusyAsync)
 
 	// Injection: sources generate flits into NI queues; NI queues drain
 	// into input VCs while buffer space remains (source-side flow
@@ -55,14 +50,7 @@ func (r *Router) Step() {
 // maskAsyncOutputs removes candidates whose output is busy with an
 // asynchronous control transmission.
 func (r *Router) maskAsyncOutputs() {
-	anyBusy := false
-	for _, b := range r.outputBusyAsync {
-		if b {
-			anyBusy = true
-			break
-		}
-	}
-	if !anyBusy {
+	if !slices.Contains(r.outputBusyAsync, true) {
 		return
 	}
 	for p := range r.core.Cands {
@@ -107,21 +95,18 @@ func (r *Router) injectStream(c *Connection, t int64, tick bool) {
 	r.core.Feed(c.Spec.In, c.VC, &c.ni.Queue, t)
 }
 
-// transmit pops granted flits, records statistics and returns credits
-// into the pipes. The grants are the switch's configuration for this flit
-// cycle: a matching of inputs to outputs (a sub-permutation unless the
-// arbiter shares outputs), whose reconfiguration clock cycle is hidden
-// inside the flit cycle (§3.3-3.4).
+// transmit pops granted flits into the ideal sink and records statistics.
+// The sink drains a flit the cycle it arrives, so the Core's credits, which
+// the link schedulers AND with, are never drawn down. The grants are the
+// switch's configuration for this flit cycle: a matching of inputs to
+// outputs (a sub-permutation unless the arbiter shares outputs), whose
+// reconfiguration clock cycle is hidden inside the flit cycle (§3.3-3.4).
 func (r *Router) transmit(t int64) {
 	for in, g := range r.core.Grants {
 		if g == sched.NoGrant {
 			continue
 		}
 		cand, f := r.core.Pop(in, t)
-		// Sink-side credit: consume on transmit, returned next cycle.
-		if r.core.Credits[in].Consume(cand.VC) {
-			r.pipes[in].Send(t, cand.VC)
-		}
 		if f.Class.IsStream() {
 			r.m.recordDeparture(t, f)
 			// The freed slot takes the connection's next queued flit now,
@@ -154,54 +139,9 @@ func (r *Router) Run(warmup, measure int64) *Metrics {
 	return r.m.snapshot(r)
 }
 
-// runCycles advances the router the given number of cycles, eliding
-// stretches where the router is provably idle: the clock jumps straight
-// to the earliest due traffic source, with skipped cycles credited to the
-// cycle counter so utilization and rate figures are identical to stepping
-// through them. Step itself always advances exactly one cycle.
+// runCycles steps the router the given number of cycles.
 func (r *Router) runCycles(cycles int64) {
-	limit := r.now + cycles
-	for r.now < limit {
-		if !r.cfg.NoIdleSkip && r.idle(r.now) {
-			next := r.nextWake(r.now, limit)
-			r.m.cycles += next - r.now
-			r.now = next
-			continue
-		}
+	for limit := r.now + cycles; r.now < limit; {
 		r.Step()
 	}
-}
-
-// idle reports whether cycle t can do anything at all: any buffered flit,
-// credit in flight, pending control word or asynchronous cut-through makes
-// the router active, as does a calendar that holds a session (a queued
-// flit its VC has room for, a queued packet, which retries VC allocation —
-// an RNG draw — every cycle), is due or is stale. Everything here is a pure
-// read, so the check cannot perturb the simulation.
-func (r *Router) idle(t int64) bool {
-	if r.core.Occ > 0 {
-		return false
-	}
-	for _, p := range r.pipes {
-		if p.InFlight() > 0 {
-			return false
-		}
-	}
-	if len(r.pendingCtl.Pending()) > 0 {
-		return false
-	}
-	for _, b := range r.outputBusyAsync {
-		if b {
-			return false
-		}
-	}
-	return !r.cal.Stale() && !r.cal.Holding() && r.cal.NextDue() > t &&
-		!r.pcal.Stale() && !r.pcal.Holding() && r.pcal.NextDue() > t
-}
-
-// nextWake returns the earliest cycle in (t, limit] at which a traffic
-// source comes due. Called only when idle(t) holds, so sources are the
-// only possible wake-up.
-func (r *Router) nextWake(t, limit int64) int64 {
-	return max(min(limit, r.cal.NextDue(), r.pcal.NextDue()), t+1)
 }

@@ -2,7 +2,6 @@ package router
 
 import (
 	"fmt"
-	"strings"
 
 	"mmr/internal/flit"
 	"mmr/internal/stats"
@@ -146,8 +145,6 @@ func (m *measurement) snapshot(r *Router) *Metrics {
 
 // String renders a one-line summary.
 func (m *Metrics) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cycles=%d delivered=%d delay=%.3f cyc (%.3f µs) jitter=%.3f cyc util=%.3f",
+	return fmt.Sprintf("cycles=%d delivered=%d delay=%.3f cyc (%.3f µs) jitter=%.3f cyc util=%.3f",
 		m.Cycles, m.FlitsDelivered, m.Delay.Mean(), m.DelayMicros, m.Jitter.Mean(), m.SwitchUtilization)
-	return b.String()
 }

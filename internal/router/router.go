@@ -3,12 +3,11 @@
 // memories and link schedulers, an input-driven switch scheduler,
 // round-based bandwidth accounting — and the stages of its flit cycle
 // (§3.4); the fabric nodes of internal/network embed the same Core.
-// Router puts credit flow control toward traffic sinks and a
-// cycle-synchronous engine around it. This is the model behind every
-// figure in §5: CBR/VBR connections feed input virtual channels, the link
-// schedulers nominate candidates, the switch scheduler's matching sets the
-// multiplexed crossbar, and delay/jitter are measured exactly as the paper
-// defines them.
+// Router puts ideal traffic sinks and a cycle-synchronous engine around
+// it. This is the model behind every figure in §5: CBR/VBR connections
+// feed input virtual channels, the link schedulers nominate candidates,
+// the switch scheduler's matching sets the multiplexed crossbar, and
+// delay/jitter are measured exactly as the paper defines them.
 package router
 
 import (
@@ -109,11 +108,11 @@ type Config struct {
 	// the integer allocation.
 	Admission AdmissionMode
 
-	// NoIdleSkip disables activity gating: every port is scanned and
-	// every cycle is stepped even when provably nothing can happen. The
-	// gated and ungated engines produce bit-identical results (the
-	// equivalence tests pin this); the flag exists as a debugging escape
-	// hatch and as the reference side of those tests.
+	// NoIdleSkip disables activity gating: Nominate scans every port and
+	// injection walks every session, not just the busy ports and the
+	// sessions the calendars hand over. The router steps every cycle either
+	// way. Both produce bit-identical results (the equivalence tests pin
+	// this); the flag is a debugging escape hatch and their reference side.
 	NoIdleSkip bool
 
 	Seed uint64
@@ -175,19 +174,15 @@ type Connection struct {
 }
 
 // Router is a single MMR instance: the shared Core plus what only the
-// single-chip experiments of §5 have — traffic sinks behind credit pipes,
-// in-band control words, the asynchronous control cut-through (§3.4) and
-// the paper's measurements.
+// single-chip experiments of §5 have — ideal traffic sinks, in-band
+// control words, the asynchronous control cut-through (§3.4) and the
+// paper's measurements.
 type Router struct {
 	core Core // by value, and named: its stages are not Router's API
 	cfg  Config
 	rng  *sim.RNG
 	now  int64
 	pool *flit.Pool // per-router free list; see docs/performance.md
-
-	// core.Credits are the sink-side credits per input port VC; pipes
-	// carry their one-cycle return.
-	pipes []*flow.CreditPipe
 
 	// The connections and the packet flows — control flows, then
 	// best-effort flows, each in the order added — with the calendars that
@@ -218,14 +213,10 @@ func New(cfg Config) (*Router, error) {
 		cfg:             cfg,
 		rng:             sim.NewRNG(cfg.Seed),
 		pool:            flit.NewPool(),
-		pipes:           make([]*flow.CreditPipe, cfg.Ports),
 		outputBusyAsync: make([]bool, cfg.Ports),
 	}
 	if err := r.core.Init(&r.cfg, r.rng, vcm.NewStore(cfg.Ports)); err != nil {
 		return nil, err
-	}
-	for p := range r.pipes {
-		r.pipes[p] = flow.NewCreditPipe(1)
 	}
 	r.m.reset()
 	return r, nil

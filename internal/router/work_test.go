@@ -11,14 +11,7 @@ import (
 // not from the Busy vector the gated Nominate walks — the input ports that
 // buffer a flit on each cycle the router steps.
 func runCounting(r *Router, cycles int64) (busyPorts int64) {
-	limit := r.now + cycles
-	for r.now < limit {
-		if !r.cfg.NoIdleSkip && r.idle(r.now) {
-			next := r.nextWake(r.now, limit)
-			r.m.cycles += next - r.now
-			r.now = next
-			continue
-		}
+	for limit := r.now + cycles; r.now < limit; {
 		for _, mem := range r.core.Mems {
 			if mem.Occupied() > 0 {
 				busyPorts++

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/bits"
 
 	"mmr/internal/bitvec"
@@ -26,10 +27,8 @@ const (
 type LinkConfig struct {
 	Input         int
 	MaxCandidates int // the paper sweeps 1, 2, 4, 8 (§5)
-	// Outputs is the router's output port count, sizing the per-output
-	// slot and pick tables of a scheduler built with NewLinkScheduler. Zero
-	// is allowed (the tables grow on first use) but costs allocations as
-	// new high-water output indices appear.
+	// Outputs is the router's output port count, at least 1: it sizes the
+	// per-output slot table of a scheduler built with NewLinkScheduler.
 	Outputs   int
 	Scheme    PriorityScheme
 	Selection Selection
@@ -43,7 +42,11 @@ type LinkConfig struct {
 // before the next), then best-effort. Bandwidth enforcement is per round:
 // a VC that has consumed its allocation waits for the next round.
 type LinkScheduler struct {
-	cfg     LinkConfig
+	input, maxCand int
+	scheme         PriorityScheme
+	selection      Selection
+	rng            *sim.RNG // SelectRandom only
+
 	mem     *vcm.Memory
 	credits *flow.Credits
 	*LinkScratch
@@ -61,10 +64,11 @@ type LinkScheduler struct {
 // the ports instead of costing each port lines of its own.
 type LinkScratch struct {
 	eligible bitvec.Vector // flits ∧ credits
-	// slot is the port-indexed table behind the per-output selection:
-	// slot[o] is 1 + the position of output o's entry among this cycle's
-	// per-output winners (picks, or the candidates SelectRandom appended),
-	// or 0 while o has none. It is all zeros between calls.
+	// slot is the output-indexed table behind the per-output selection,
+	// one entry per output: slot[o] is 1 + the position of output o's entry
+	// among this cycle's per-output winners (picks, or the candidates
+	// SelectRandom appended), or 0 while o has none. It is all zeros
+	// between calls.
 	slot []int32
 	// picks holds SelectPriority's per-output winners, sized to the slot
 	// table by the first selection that needs it.
@@ -101,9 +105,12 @@ func (p *pick) before(q *pick) bool {
 }
 
 // NewLinkScratch returns scratch for schedulers over memories of vcs
-// virtual channels nominating for the given number of outputs, charging
-// work.
+// virtual channels nominating for the given number of outputs, at least 1,
+// charging work.
 func NewLinkScratch(vcs, outputs int, work *Work) *LinkScratch {
+	if outputs < 1 {
+		panic(fmt.Sprintf("sched: a link scheduler needs at least 1 output, got %d", outputs))
+	}
 	sc := &LinkScratch{slot: make([]int32, outputs), work: work}
 	sc.eligible.Init(vcs)
 	return sc
@@ -160,13 +167,14 @@ func NewLinkScheduler(cfg LinkConfig, mem *vcm.Memory, credits *flow.Credits) *L
 // of adjacent ports shares cache lines instead of being scattered across
 // the heap.
 func InitLinkScheduler(ls *LinkScheduler, cfg LinkConfig, mem *vcm.Memory, credits *flow.Credits, sc *LinkScratch) {
-	if cfg.MaxCandidates < 1 {
-		cfg.MaxCandidates = 1
+	*ls = LinkScheduler{
+		input: cfg.Input, maxCand: max(cfg.MaxCandidates, 1),
+		scheme: cfg.Scheme, selection: cfg.Selection, rng: cfg.RNG,
+		mem: mem, credits: credits, LinkScratch: sc, excessVC: -1,
 	}
-	if cfg.Scheme == nil {
-		cfg.Scheme = Biased{}
+	if ls.scheme == nil {
+		ls.scheme = Biased{}
 	}
-	*ls = LinkScheduler{cfg: cfg, mem: mem, credits: credits, LinkScratch: sc, excessVC: -1}
 }
 
 // OnRoundBoundary resets per-round bandwidth accounting (§4.1: flit cycles
@@ -247,7 +255,7 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 	}
 	base := len(dst)
 	ex := excessTally{heir: -1}
-	if ls.cfg.Selection == SelectRandom {
+	if ls.selection == SelectRandom {
 		dst = ls.selectRandom(now, dst, &ex)
 	} else {
 		recs, round := ls.mem.Records(), ls.mem.Round()
@@ -255,10 +263,10 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 		// call, any other through the interface. Telling them apart is one
 		// compare of the scheme's type word per call; a flag resolved at
 		// Init would cost each scheduler a word (see docs/performance.md).
-		_, biased := ls.cfg.Scheme.(Biased)
+		_, biased := ls.scheme.(Biased)
 		// With one candidate the per-output bests collapse to the single
 		// best overall: a plain running maximum, no slot table.
-		single := ls.cfg.MaxCandidates == 1
+		single := ls.maxCand == 1
 		best := pick{vc: -1}
 		picks, slot := ls.picks[:0], ls.slot
 		var evals, exhausted, boosted int64
@@ -288,7 +296,7 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 				if biased {
 					prio = Biased{}.Priority(now, st)
 				} else {
-					prio = ls.cfg.Scheme.Priority(now, st)
+					prio = ls.scheme.Priority(now, st)
 				}
 				evals++
 				if prio > float64(st.BasePriority) {
@@ -299,11 +307,6 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 						best = pick{prio: prio, vc: int32(vc), out: int32(st.Output), phase: phase}
 					}
 					continue
-				}
-				if st.Output >= len(slot) {
-					// Only a scheduler built with too small a
-					// LinkConfig.Outputs gets here.
-					slot = ls.growSlots(st.Output)
 				}
 				if s := slot[st.Output]; s == 0 {
 					if picks == nil {
@@ -319,7 +322,7 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 				}
 			}
 		}
-		in := ls.cfg.Input
+		in := ls.input
 		if single {
 			if best.vc >= 0 {
 				dst = append(dst, Candidate{Input: in, VC: int(best.vc), Output: int(best.out), Phase: best.phase, Priority: best.prio})
@@ -331,11 +334,11 @@ func (ls *LinkScheduler) Candidates(now int64, dst []Candidate) []Candidate {
 			for i := range picks {
 				p := &picks[i]
 				slot[p.out] = 0
-				if i < ls.cfg.MaxCandidates {
+				if i < ls.maxCand {
 					dst = append(dst, Candidate{Input: in, VC: int(p.vc), Output: int(p.out), Phase: p.phase, Priority: p.prio})
 				}
 			}
-			ls.picks = picks[:0] // keeps what an undersized table grew to
+			ls.picks = picks[:0]
 		}
 		ls.counters.RoundExhausted += exhausted
 		ls.counters.BiasBoosted += boosted
@@ -375,20 +378,20 @@ func (ls *LinkScheduler) selectRandom(now int64, dst []Candidate, ex *excessTall
 				continue
 			}
 		}
-		prio := ls.cfg.Scheme.Priority(now, st)
+		prio := ls.scheme.Priority(now, st)
 		ls.work.PriorityEvals++
 		if prio > float64(st.BasePriority) {
 			ls.counters.BiasBoosted++
 		}
-		ls.shuffle = append(ls.shuffle, Candidate{Input: ls.cfg.Input, VC: vc, Output: st.Output, Phase: phase, Priority: prio})
+		ls.shuffle = append(ls.shuffle, Candidate{Input: ls.input, VC: vc, Output: st.Output, Phase: phase, Priority: prio})
 	}
 	// Random order, then the first MaxCandidates distinct outputs.
 	for i := len(ls.shuffle) - 1; i > 0; i-- {
-		j := ls.cfg.RNG.Intn(i + 1)
+		j := ls.rng.Intn(i + 1)
 		ls.shuffle[i], ls.shuffle[j] = ls.shuffle[j], ls.shuffle[i]
 	}
 	for _, c := range ls.shuffle {
-		if len(dst)-base == ls.cfg.MaxCandidates {
+		if len(dst)-base == ls.maxCand {
 			break
 		}
 		if ls.slotFor(c.Output, len(dst)-base) == len(dst)-base {
@@ -419,19 +422,10 @@ func (e *excessTally) note(vc, prio, elected int) {
 	}
 }
 
-// growSlots widens the slot table to hold output out and returns it.
-func (ls *LinkScheduler) growSlots(out int) []int32 {
-	ls.slot = append(ls.slot, make([]int32, out+1-len(ls.slot))...)
-	return ls.slot
-}
-
 // slotFor returns the position, among the candidates appended this cycle,
 // of output out's entry. An output without one is assigned position next —
 // where the caller is about to append — so a return of next means "new".
 func (ls *LinkScheduler) slotFor(out, next int) int {
-	if out >= len(ls.slot) {
-		ls.growSlots(out)
-	}
 	if s := ls.slot[out]; s != 0 {
 		return int(s) - 1
 	}

@@ -50,11 +50,11 @@ func referenceCandidates(ls *LinkScheduler, now int64, dst []Candidate) []Candid
 		if head := ls.mem.Peek(vc); st.HeadReadyAt() != head.ReadyAt {
 			panic("sched: VC record's head stamp is not its head flit's")
 		}
-		prio := ls.cfg.Scheme.Priority(now, st)
+		prio := ls.scheme.Priority(now, st)
 		if prio > float64(st.BasePriority) {
 			ls.counters.BiasBoosted++
 		}
-		all = append(all, Candidate{Input: ls.cfg.Input, VC: vc, Output: st.Output, Phase: phase, Priority: prio})
+		all = append(all, Candidate{Input: ls.input, VC: vc, Output: st.Output, Phase: phase, Priority: prio})
 	}
 	if routed && ls.excessVC >= 0 && !stillExcessEligible(ls, ls.excessVC) {
 		ls.excessVC = -1
@@ -62,9 +62,9 @@ func referenceCandidates(ls *LinkScheduler, now int64, dst []Candidate) []Candid
 	if routed && ls.excessVC < 0 && excessSeen {
 		electExcess(ls)
 	}
-	if ls.cfg.Selection == SelectRandom {
+	if ls.selection == SelectRandom {
 		for i := len(all) - 1; i > 0; i-- {
-			j := ls.cfg.RNG.Intn(i + 1)
+			j := ls.rng.Intn(i + 1)
 			all[i], all[j] = all[j], all[i]
 		}
 	} else {
@@ -73,7 +73,7 @@ func referenceCandidates(ls *LinkScheduler, now int64, dst []Candidate) []Candid
 	taken := map[int]bool{}
 	n := 0
 	for _, c := range all {
-		if n == ls.cfg.MaxCandidates {
+		if n == ls.maxCand {
 			break
 		}
 		if taken[c.Output] {
@@ -118,13 +118,12 @@ func electExcess(ls *LinkScheduler) {
 
 // selectionCase is one randomized port population and scheduler shape.
 type selectionCase struct {
-	seed      uint64
-	maxCand   int
-	outputs   int // the population's output range; VCs map to [-1, outputs)
-	tableSize int // LinkConfig.Outputs: 0 makes the slot table grow on use
-	scheme    int // index into selectionSchemes
-	random    bool
-	sparse    bool // about one VC in eight reserved, half of them unrouted
+	seed    uint64
+	maxCand int
+	outputs int // the population's output range; VCs map to [-1, outputs)
+	scheme  int // index into selectionSchemes
+	random  bool
+	sparse  bool // about one VC in eight reserved, half of them unrouted
 }
 
 // selectionSchemes are the priority schemes the twin test draws from:
@@ -165,7 +164,7 @@ func checkSelection(t *testing.T, tc selectionCase) {
 	build := func() port {
 		mem := vcm.MustNew(vcm.Config{VirtualChannels: selVCs, Depth: selDepth})
 		cr := flow.NewCredits(selVCs, selDepth)
-		cfg := LinkConfig{Input: 3, MaxCandidates: tc.maxCand, Outputs: tc.tableSize, Scheme: selectionSchemes[tc.scheme], RNG: sim.NewRNG(tc.seed ^ 0x9e3779b97f4a7c15)}
+		cfg := LinkConfig{Input: 3, MaxCandidates: tc.maxCand, Outputs: tc.outputs, Scheme: selectionSchemes[tc.scheme], RNG: sim.NewRNG(tc.seed ^ 0x9e3779b97f4a7c15)}
 		if tc.random {
 			cfg.Selection = SelectRandom
 		}
@@ -207,7 +206,9 @@ func checkSelection(t *testing.T, tc selectionCase) {
 		// credit churn.
 		for k := script.Intn(12); k > 0; k-- {
 			vc := script.Intn(selVCs)
-			if !got.mem.State(vc).InUse {
+			// The vector, not the record: a sparse port may reserve no VC
+			// at all, and a memory without a reservation has no records.
+			if !got.mem.ReservedVector().Test(vc) {
 				continue
 			}
 			ready := now &^ 3
@@ -259,8 +260,7 @@ func checkSelection(t *testing.T, tc selectionCase) {
 
 // selectionCaseFrom maps fuzz inputs onto a valid case: flags bits 0 and 3
 // pick the scheme (Biased, Fixed, OldestFirst, Biased through the
-// interface), bit 1 random selection, bit 2 a slot table grown from empty,
-// bit 4 a sparse port.
+// interface), bit 1 random selection, bit 4 a sparse port; bit 2 is unused.
 func selectionCaseFrom(seed uint64, maxCand, outputs, flags uint8) selectionCase {
 	tc := selectionCase{
 		seed:    seed,
@@ -270,9 +270,6 @@ func selectionCaseFrom(seed uint64, maxCand, outputs, flags uint8) selectionCase
 		sparse:  flags&16 != 0,
 	}
 	tc.maxCand = int(maxCand)%tc.outputs + 1
-	if flags&4 == 0 {
-		tc.tableSize = tc.outputs
-	}
 	return tc
 }
 
@@ -280,12 +277,15 @@ func selectionCaseFrom(seed uint64, maxCand, outputs, flags uint8) selectionCase
 // against the sorted reference: every MaxCandidates from 1 to the output
 // count, both selection policies, every scheme — Biased priced inline and
 // through the interface, fixed (tie-heavy) and oldest-first priorities —
-// a slot table that starts empty and a sparse port.
+// and a sparse port.
 func TestCandidatesMatchesSortedReference(t *testing.T) {
 	const outputs = 8
 	for seed := uint64(1); seed <= 6; seed++ {
 		for maxCand := 1; maxCand <= outputs; maxCand++ {
 			for flags := uint8(0); flags < 32; flags++ {
+				if flags&4 != 0 {
+					continue // unused: the same case as without it
+				}
 				// The fuzz mapping is n%range + 1, hence the -1s.
 				checkSelection(t, selectionCaseFrom(seed, uint8(maxCand-1), outputs-1, flags))
 			}
@@ -299,7 +299,7 @@ func FuzzCandidatesMatchesSortedReference(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(7), uint8(0))  // 1C biased, the paper's 8 outputs
 	f.Add(uint64(2), uint8(7), uint8(7), uint8(1))  // 8C fixed: ties everywhere
 	f.Add(uint64(3), uint8(3), uint8(7), uint8(2))  // random selection
-	f.Add(uint64(4), uint8(1), uint8(15), uint8(4)) // slot table grows from empty
+	f.Add(uint64(4), uint8(1), uint8(15), uint8(4)) // 16 outputs (bit 2 is unused)
 	f.Add(uint64(5), uint8(2), uint8(0), uint8(0))  // one output
 	f.Add(uint64(3), uint8(0), uint8(7), uint8(16)) // sparse: calls of unrouted VCs alone under an election
 	// One seed per scheme, so the inline and the interface paths both stay
@@ -340,7 +340,7 @@ func backlogPort(tb testing.TB, eligible, maxCand int) *LinkScheduler {
 func TestCandidatesZeroAlloc(t *testing.T) {
 	for _, maxCand := range []int{1, 8} {
 		ls := backlogPort(t, 64, maxCand)
-		dst := make([]Candidate, 0, ls.cfg.Outputs)
+		dst := make([]Candidate, 0, len(ls.slot))
 		now := int64(1000)
 		allocs := testing.AllocsPerRun(200, func() {
 			dst = ls.Candidates(now, dst[:0])
@@ -371,7 +371,7 @@ func benchmarkCandidates(b *testing.B, eligible int) {
 	}{{"1C", 1}, {"8C", 8}} {
 		b.Run(bc.name, func(b *testing.B) {
 			ls := backlogPort(b, eligible, bc.maxCand)
-			dst := make([]Candidate, 0, ls.cfg.Outputs)
+			dst := make([]Candidate, 0, len(ls.slot))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -122,7 +122,7 @@ func newPort(t *testing.T, maxCand int, scheme PriorityScheme) (*LinkScheduler, 
 	t.Helper()
 	mem := vcm.MustNew(vcm.Config{VirtualChannels: 8, Depth: 2})
 	cr := flow.NewCredits(8, 2)
-	ls := NewLinkScheduler(LinkConfig{Input: 0, MaxCandidates: maxCand, Scheme: scheme}, mem, cr)
+	ls := NewLinkScheduler(LinkConfig{Input: 0, MaxCandidates: maxCand, Outputs: 8, Scheme: scheme}, mem, cr)
 	return ls, mem, cr
 }
 
@@ -281,7 +281,7 @@ func TestLinkSchedulerExcessOneAtATime(t *testing.T) {
 func TestLinkSchedulerUnroutedPortKeepsElection(t *testing.T) {
 	for _, sel := range []Selection{SelectPriority, SelectRandom} {
 		mem := vcm.MustNew(vcm.Config{VirtualChannels: 8, Depth: 2})
-		ls := NewLinkScheduler(LinkConfig{Input: 0, MaxCandidates: 8, Selection: sel, RNG: sim.NewRNG(3)}, mem, flow.NewCredits(8, 2))
+		ls := NewLinkScheduler(LinkConfig{Input: 0, MaxCandidates: 8, Outputs: 8, Selection: sel, RNG: sim.NewRNG(3)}, mem, flow.NewCredits(8, 2))
 		mem.Reserve(2, vcm.VCState{Class: flit.ClassVBR, Peak: 10, InterArrival: 10, Output: 1, BasePriority: 2})
 		mem.Push(2, &flit.Flit{})
 		mem.Reserve(5, vcm.VCState{Class: flit.ClassBestEffort, Output: -1})
@@ -306,7 +306,7 @@ func TestLinkSchedulerRandomSelection(t *testing.T) {
 	rng := sim.NewRNG(5)
 	mem := vcm.MustNew(vcm.Config{VirtualChannels: 8, Depth: 2})
 	cr := flow.NewCredits(8, 2)
-	ls := NewLinkScheduler(LinkConfig{Input: 0, MaxCandidates: 1, Selection: SelectRandom, RNG: rng}, mem, cr)
+	ls := NewLinkScheduler(LinkConfig{Input: 0, MaxCandidates: 1, Outputs: 8, Selection: SelectRandom, RNG: rng}, mem, cr)
 	for vc := 0; vc < 8; vc++ {
 		addStream(mem, vc, vc, flit.ConnID(vc), 0)
 	}
@@ -326,10 +326,16 @@ func TestLinkSchedulerRandomSelection(t *testing.T) {
 func TestLinkSchedulerDefaults(t *testing.T) {
 	mem := vcm.MustNew(vcm.Config{VirtualChannels: 2, Depth: 1})
 	cr := flow.NewCredits(2, 1)
-	ls := NewLinkScheduler(LinkConfig{}, mem, cr)
-	if ls.cfg.MaxCandidates != 1 || ls.cfg.Scheme == nil {
+	ls := NewLinkScheduler(LinkConfig{Outputs: 1}, mem, cr)
+	if ls.maxCand != 1 || ls.scheme == nil {
 		t.Fatal("defaults not applied")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a scheduler for no outputs was built")
+		}
+	}()
+	NewLinkScheduler(LinkConfig{}, mem, cr)
 }
 
 func TestPriorityArbiterConflictResolution(t *testing.T) {

@@ -81,10 +81,6 @@ type calendarBuckets struct {
 // The control plane edits session lists, never the calendar.
 func (c *Calendar[T]) Invalidate() { c.stale, c.from = true, math.MinInt64 }
 
-// Stale reports an Invalidate no Visit has made good yet; until one does,
-// NextDue and Holding describe the sessions as they were.
-func (c *Calendar[T]) Stale() bool { return c.stale }
-
 // Visit is an injector's one look at its sessions in cycle t: it hands
 // inject each session the cycle must look at, with tick set when its source
 // is due. key says where a session belongs, as file takes it: its source's
@@ -182,7 +178,9 @@ func (c *Calendar[T]) link(i int32) {
 	bk.head[b] = i
 }
 
-// Holding reports whether any session is held.
+// Holding reports whether any session is held. It and NextDue describe the
+// sessions as last filed: after an Invalidate, as they were until the next
+// Visit.
 func (c *Calendar[T]) Holding() bool { return len(c.held) > 0 }
 
 // NextDue returns the earliest cycle a filed session's source is due.

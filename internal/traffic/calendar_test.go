@@ -112,7 +112,7 @@ func driveCalendar(t *testing.T, tc calendarCase, seed uint64, cycles int64, pee
 		return NoEvent, false, int64(id)
 	}
 	var cal Calendar[int]
-	if cal.Stale() {
+	if cal.stale {
 		t.Fatal("a new calendar is stale")
 	}
 	cal.Invalidate()
@@ -128,7 +128,7 @@ func driveCalendar(t *testing.T, tc calendarCase, seed uint64, cycles int64, pee
 				least = s.due
 			}
 		}
-		if cal.Stale() {
+		if cal.stale {
 			rebuilt++
 		} else if peek {
 			// Until the Visit after an Invalidate the calendar describes
@@ -165,7 +165,7 @@ func driveCalendar(t *testing.T, tc calendarCase, seed uint64, cycles int64, pee
 				s.held = rng.Intn(5) == 0
 			}
 		})
-		if cal.Stale() {
+		if cal.stale {
 			t.Fatalf("cycle %d: still stale after a Visit", now)
 		}
 		if !slices.Equal(got, want) {
@@ -219,7 +219,7 @@ func TestCalendarReferenceWalk(t *testing.T) {
 	if !slices.Equal(got, all) {
 		t.Fatalf("the reference walk handed out %v, want the list %v", got, all)
 	}
-	if !cal.Stale() {
+	if !cal.stale {
 		t.Fatal("the calendar is not stale after a reference walk")
 	}
 
@@ -236,7 +236,7 @@ func TestCalendarReferenceWalk(t *testing.T) {
 	if !slices.Equal(got, []int{9}) {
 		t.Fatalf("gated Visit after the walk handed out %v, want [9]", got)
 	}
-	if cal.Stale() || cal.NextDue() != 10 {
-		t.Fatalf("after the refile: stale %v, NextDue %d, want 10", cal.Stale(), cal.NextDue())
+	if cal.stale || cal.NextDue() != 10 {
+		t.Fatalf("after the refile: stale %v, NextDue %d, want 10", cal.stale, cal.NextDue())
 	}
 }
